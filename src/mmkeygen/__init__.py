@@ -24,7 +24,6 @@ from .channel import (
     ArrayGeometry,
     ChannelParams,
     ChannelRealization,
-    PathComponent,
     array_response,
     awgn,
     channel_matrix,

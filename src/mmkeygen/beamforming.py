@@ -160,8 +160,8 @@ def _sector_sum(geom: ArrayGeometry, lo: float, hi: float, grid_points: int) -> 
             centers[j] + centers[j - 1]
         ) * du
     acc = np.zeros(geom.size, dtype=complex)
-    for s, phi in zip(sines, phases):
-        acc += np.exp(1j * phi) * np.conj(array_response(geom, float(np.arcsin(s)), 0.0))
+    for phi, resp in zip(phases, array_response(geom, np.arcsin(sines), 0.0)):
+        acc += np.exp(1j * phi) * np.conj(resp)
     return acc / np.linalg.norm(acc)
 
 

@@ -1,10 +1,11 @@
 """Clustered narrowband mmWave channel model.
 
 A channel realization is a small set of propagation rays (one optional
-line-of-sight ray plus Rayleigh-faded weaker rays), each carrying departure
-and arrival angles.  The module builds array responses and channel matrices,
-evolves ray gains with an AR(1) process inside a session, and provides the
-angular (virtual) domain transform used by the sparse-domain key scheme.
+line-of-sight ray plus Rayleigh-faded weaker rays), held as an array of ray
+gains and an array of departure/arrival angles.  The module builds array
+responses and channel matrices, evolves ray gains with an AR(1) process
+inside a session, and provides the angular (virtual) domain transform used
+by the sparse-domain key scheme.
 
 Conventions
 -----------
@@ -17,11 +18,10 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-DEFAULT_CARRIER_GHZ = 28.0
 DEFAULT_NLOS_OFFSET_DB = 10.0
 
 _HALF_PI = np.pi / 2.0
@@ -47,24 +47,6 @@ class ArrayGeometry:
 
 
 @dataclass(frozen=True)
-class PathComponent:
-    """One propagation ray: complex gain plus departure/arrival angles."""
-
-    gain: complex
-    aod_az: float
-    aod_el: float
-    aoa_az: float
-    aoa_el: float
-    is_los: bool = False
-
-    def __post_init__(self) -> None:
-        for name in ("aod_az", "aod_el", "aoa_az", "aoa_el"):
-            angle = getattr(self, name)
-            if not (-_HALF_PI <= angle < _HALF_PI):
-                raise ValueError(f"path angle {name}={angle} outside [-pi/2, pi/2)")
-
-
-@dataclass(frozen=True)
 class ChannelParams:
     """Sampling parameters for one-ray-per-path clustered channels."""
 
@@ -84,38 +66,62 @@ class ChannelParams:
             raise ValueError(f"invalid params: temporal_rho={self.temporal_rho} not in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """One coherence-block channel: ordered rays plus the array geometries."""
+    """One coherence-block channel: per-ray gains and angles plus the geometries.
 
-    paths: tuple[PathComponent, ...]
+    ``gains`` holds the (L,) complex ray gains and ``angles`` the (L, 4) ray
+    angles in radians, columns (aod_az, aod_el, aoa_az, aoa_el).  Path 0 is
+    the line-of-sight ray when ``has_los`` is set; every other path is NLoS.
+    Both arrays are stored as read-only copies.
+    """
+
+    gains: np.ndarray
+    angles: np.ndarray
     tx_geom: ArrayGeometry
     rx_geom: ArrayGeometry
-    carrier_ghz: float = DEFAULT_CARRIER_GHZ
+    has_los: bool = True
     nlos_offset_db: float = DEFAULT_NLOS_OFFSET_DB
 
     def __post_init__(self) -> None:
-        if len(self.paths) < 1:
+        gains = np.array(self.gains, dtype=complex, ndmin=1)
+        angles = np.array(self.angles, dtype=float, ndmin=2)
+        if gains.ndim != 1 or gains.size < 1:
             raise ValueError("channel realization needs at least one path")
-        if sum(1 for p in self.paths if p.is_los) > 1:
-            raise ValueError("at most one path may be line-of-sight")
+        if angles.shape != (gains.size, 4):
+            raise ValueError(f"angles must have shape ({gains.size}, 4), got {angles.shape}")
+        # min/max propagate NaN, which then fails both comparisons
+        if not (angles.min() >= -_HALF_PI and angles.max() < _HALF_PI):
+            raise ValueError(f"path angles outside [-pi/2, pi/2): {angles.tolist()}")
+        for name, value in (("gains", gains), ("angles", angles)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def num_paths(self) -> int:
-        return len(self.paths)
+        return self.gains.size
 
 
-def array_response(geom: ArrayGeometry, az: float, el: float = 0.0) -> np.ndarray:
+def array_response(
+    geom: ArrayGeometry, az: float | np.ndarray, el: float | np.ndarray = 0.0
+) -> np.ndarray:
     """Unit-norm response of ``geom`` toward (az, el), flattened row-major.
 
     Element (m, n) has phase ``2*pi*spacing*(m*sin(el) + n*sin(az)*cos(el))``.
+    ``az`` and ``el`` broadcast against each other: scalars give one
+    ``(size,)`` response, angle arrays of shape ``s`` give ``s + (size,)``
+    from a single ``exp``, each row equal to the scalar call.
     """
-    if not (np.isfinite(az) and np.isfinite(el)):
+    az = np.asarray(az, dtype=float)
+    el = np.asarray(el, dtype=float)
+    if not np.isfinite(az + el).all():
         raise ValueError(f"angles must be finite, got az={az}, el={el}")
+    az, el = az[..., None, None], el[..., None, None]
     m = np.arange(geom.rows)[:, None]
-    n = np.arange(geom.cols)[None, :]
+    n = np.arange(geom.cols)
     phase = 2.0 * np.pi * geom.spacing * (m * np.sin(el) + n * np.sin(az) * np.cos(el))
-    return (np.exp(1j * phase) / np.sqrt(geom.size)).ravel()
+    # phase is (..., rows, cols); flatten each response row-major
+    return (np.exp(1j * phase) / np.sqrt(geom.size)).reshape(phase.shape[:-2] + (geom.size,))
 
 
 def _nlos_power(nlos_offset_db: float) -> float:
@@ -141,25 +147,11 @@ def sample_channel(
     """
     L = params.num_paths
     sines = rng.uniform(-1.0, 1.0, size=(L, 4))
-    angles = np.arcsin(sines)
     los_gain = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     nlos_gains = _draw_nlos_gains(L - 1, params.nlos_offset_db, rng)
-
-    paths = []
-    for l in range(L):
-        gain = los_gain if l == 0 else nlos_gains[l - 1]
-        paths.append(
-            PathComponent(
-                gain=complex(gain),
-                aod_az=float(angles[l, 0]),
-                aod_el=float(angles[l, 1]),
-                aoa_az=float(angles[l, 2]),
-                aoa_el=float(angles[l, 3]),
-                is_los=(l == 0),
-            )
-        )
     return ChannelRealization(
-        paths=tuple(paths),
+        gains=np.concatenate(([los_gain], nlos_gains)),
+        angles=np.arcsin(sines),
         tx_geom=tx_geom,
         rx_geom=rx_geom,
         nlos_offset_db=params.nlos_offset_db,
@@ -168,9 +160,9 @@ def sample_channel(
 
 def response_matrices(ch: ChannelRealization) -> tuple[np.ndarray, np.ndarray]:
     """Stacked per-path responses: (rx_size x L, tx_size x L)."""
-    a_rx = np.stack([array_response(ch.rx_geom, p.aoa_az, p.aoa_el) for p in ch.paths], axis=1)
-    a_tx = np.stack([array_response(ch.tx_geom, p.aod_az, p.aod_el) for p in ch.paths], axis=1)
-    return a_rx, a_tx
+    a_rx = array_response(ch.rx_geom, ch.angles[:, 2], ch.angles[:, 3])
+    a_tx = array_response(ch.tx_geom, ch.angles[:, 0], ch.angles[:, 1])
+    return a_rx.T, a_tx.T
 
 
 def channel_matrix(ch: ChannelRealization) -> np.ndarray:
@@ -183,48 +175,26 @@ def channel_matrix(ch: ChannelRealization) -> np.ndarray:
     exchange.
     """
     a_rx, a_tx = response_matrices(ch)
-    gains = np.array([p.gain for p in ch.paths])
     scale = np.sqrt(ch.tx_geom.size * ch.rx_geom.size / ch.num_paths)
-    return scale * ((a_rx * gains) @ a_tx.T)
+    return scale * ((a_rx * ch.gains) @ a_tx.T)
 
 
 def evolve(ch: ChannelRealization, rho: float, rng: np.random.Generator) -> ChannelRealization:
     """One AR(1) step on the path gains; angles are held fixed.
 
     ``gain' = rho*gain + sqrt(1-rho^2)*eps`` with ``eps`` a fresh draw from
-    the path's own gain distribution, so marginal power is preserved.
+    the path's own gain distribution, so marginal power is preserved.  The
+    draws are one uniform LoS phase (taken even without a LoS path), then
+    the NLoS innovations.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"invalid params: rho={rho} not in [0, 1]")
     los_eps = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    n_nlos = sum(1 for p in ch.paths if not p.is_los)
-    nlos_eps = _draw_nlos_gains(n_nlos, ch.nlos_offset_db, rng)
-
+    eps = _draw_nlos_gains(ch.num_paths - int(ch.has_los), ch.nlos_offset_db, rng)
+    if ch.has_los:
+        eps = np.concatenate(([los_eps], eps))
     mix = np.sqrt(1.0 - rho * rho)
-    new_paths = []
-    i = 0
-    for p in ch.paths:
-        eps = los_eps if p.is_los else nlos_eps[i]
-        if not p.is_los:
-            i += 1
-        new_gain = rho * p.gain + mix * eps
-        new_paths.append(
-            PathComponent(
-                gain=complex(new_gain),
-                aod_az=p.aod_az,
-                aod_el=p.aod_el,
-                aoa_az=p.aoa_az,
-                aoa_el=p.aoa_el,
-                is_los=p.is_los,
-            )
-        )
-    return ChannelRealization(
-        paths=tuple(new_paths),
-        tx_geom=ch.tx_geom,
-        rx_geom=ch.rx_geom,
-        carrier_ghz=ch.carrier_ghz,
-        nlos_offset_db=ch.nlos_offset_db,
-    )
+    return replace(ch, gains=rho * ch.gains + mix * eps)
 
 
 def dft_matrix(n: int) -> np.ndarray:

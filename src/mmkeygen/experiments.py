@@ -135,6 +135,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scheme {self.scheme.scheme!r}")
         if any(not 0.0 < p < 0.5 for p in self.cascade.error_rates):
             raise ConfigError("cascade error_rates must lie in (0, 0.5)")
+        if self.cascade.passes < 1:
+            raise ConfigError(f"cascade passes must be >= 1, got {self.cascade.passes}")
+        if self.cascade.block_bits < 1:
+            raise ConfigError(f"cascade block_bits must be >= 1, got {self.cascade.block_bits}")
 
 
 # ---------------------------------------------------------------------------

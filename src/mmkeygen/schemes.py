@@ -22,7 +22,7 @@ included): all randomness flows through labelled streams derived in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,9 +32,7 @@ from .beamforming import (
     Beamformer,
     Codebook,
     SelectionInfeasibleError,
-    beam_gain,
     hierarchical_codebook,
-    perturb,
     sector_beamformer,
     select_beams,
     steering_beamformer,
@@ -43,7 +41,7 @@ from .channel import (
     ArrayGeometry,
     ChannelParams,
     ChannelRealization,
-    PathComponent,
+    array_response,
     channel_matrix,
     evolve,
     response_matrices,
@@ -164,9 +162,9 @@ class MultiresResult:
         return iter((self.ker_multires, self.ker_fixed))
 
 
-def _snap_sine_to_grid(angle: float, n: int) -> float:
-    s = np.round(np.sin(angle) * n / 2.0) * 2.0 / n
-    return float(np.arcsin(min(1.0 - 2.0 / n, max(-1.0, s))))
+def _snap_sines_to_grid(angles: np.ndarray, n: int) -> np.ndarray:
+    s = np.round(np.sin(angles) * n / 2.0) * 2.0 / n
+    return np.arcsin(np.clip(s, -1.0, 1.0 - 2.0 / n))
 
 
 def _session_channel(cfg: SessionConfig, rng: np.random.Generator) -> ChannelRealization:
@@ -175,24 +173,10 @@ def _session_channel(cfg: SessionConfig, rng: np.random.Generator) -> ChannelRea
         return ch
     # beamspace variant: in-plane rays with sines on the DFT grids of both
     # arrays, so each path occupies exactly one virtual bin
-    paths = tuple(
-        PathComponent(
-            gain=p.gain,
-            aod_az=_snap_sine_to_grid(p.aod_az, cfg.alice.cols),
-            aod_el=0.0,
-            aoa_az=_snap_sine_to_grid(p.aoa_az, cfg.bob.cols),
-            aoa_el=0.0,
-            is_los=p.is_los,
-        )
-        for p in ch.paths
-    )
-    return ChannelRealization(
-        paths=paths, tx_geom=ch.tx_geom, rx_geom=ch.rx_geom, nlos_offset_db=ch.nlos_offset_db
-    )
-
-
-def _gains_vector(ch: ChannelRealization) -> np.ndarray:
-    return np.array([p.gain for p in ch.paths])
+    angles = np.zeros_like(ch.angles)
+    angles[:, 0] = _snap_sines_to_grid(ch.angles[:, 0], cfg.alice.cols)
+    angles[:, 2] = _snap_sines_to_grid(ch.angles[:, 2], cfg.bob.cols)
+    return replace(ch, angles=angles)
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +184,24 @@ def _gains_vector(ch: ChannelRealization) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _ratio_lut(beams: list[Beamformer], geom: ArrayGeometry, az: float, el: float) -> np.ndarray:
-    """|pattern| at the nominal direction for each quantized perturbation.
+def _perturbation_beams(
+    geom: ArrayGeometry, az: float, el: float, deltas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One party's (K+1) x N steering matrix and its K-entry ratio LUT.
 
-    Strictly decreasing whenever the nominal direction is away from endfire
-    and the span stays below the first pattern null; near endfire the curve
-    flattens and nearest-ratio matching degrades gracefully to guessing.
+    Row 0 is the matched beam toward (az, el), row k the beam toward
+    (az + deltas[k-1], el).  The LUT is |pattern| at the nominal direction
+    for each perturbed beam: strictly decreasing whenever the nominal
+    direction is away from endfire and the span stays below the first
+    pattern null; near endfire the curve flattens and nearest-ratio
+    matching degrades gracefully to guessing.
     """
-    return np.array([abs(beam_gain(bf, geom, az, el)) for bf in beams])
+    resp = array_response(geom, np.concatenate(([az], az + deltas)), el)
+    # the beams are conj(resp) and vecdot conjugates its first argument, so
+    # this is w_k^T a(az, el) per row, bit-equal to beam_gain; hypot, unlike
+    # np.abs, also matches abs() of a Python complex bit for bit
+    pattern = np.vecdot(resp[1:], resp[0])
+    return resp.conj(), np.hypot(pattern.real, pattern.imag)
 
 
 def _validate_perturbation_span(cfg: SessionConfig) -> None:
@@ -247,23 +241,15 @@ def secret_beam_session(cfg: SessionConfig) -> SchemeResult:
     rng_guess = seeds.generator(seed, seeds.STREAM_EVE_GUESS)
 
     ch = _session_channel(cfg, rng_channel)
-    los = ch.paths[0]
+    aod_az, aod_el, aoa_az, aoa_el = ch.angles[0]
     deltas = cfg.delta_max * np.arange(1, K + 1) / K
-    beams_a = [steering_beamformer(cfg.alice, los.aod_az, los.aod_el)] + [
-        perturb(cfg.alice, los.aod_az, los.aod_el, float(d), delta_max=cfg.delta_max)
-        for d in deltas
-    ]
-    beams_b = [steering_beamformer(cfg.bob, los.aoa_az, los.aoa_el)] + [
-        perturb(cfg.bob, los.aoa_az, los.aoa_el, float(d), delta_max=cfg.delta_max)
-        for d in deltas
-    ]
-    lut_a = _ratio_lut(beams_a[1:], cfg.alice, los.aod_az, los.aod_el)
-    lut_b = _ratio_lut(beams_b[1:], cfg.bob, los.aoa_az, los.aoa_el)
+    beams_a, lut_a = _perturbation_beams(cfg.alice, aod_az, aod_el, deltas)
+    beams_b, lut_b = _perturbation_beams(cfg.bob, aoa_az, aoa_el, deltas)
 
     a_rx, a_tx = response_matrices(ch)
     scale = np.sqrt(cfg.alice.size * cfg.bob.size / cfg.num_paths)
-    tx_a = np.stack([a_tx.T @ bf.weights for bf in beams_a], axis=1)  # (L, K+1)
-    tx_b = np.stack([a_rx.T @ bf.weights for bf in beams_b], axis=1)  # (L, K+1)
+    tx_a = a_tx.T @ beams_a.T  # (L, K+1)
+    tx_b = a_rx.T @ beams_b.T  # (L, K+1)
 
     sigma = np.sqrt(10.0 ** (-cfg.snr_db / 10.0) / 2.0)
     eve_snr = cfg.snr_db if cfg.eve_snr_db is None else cfg.eve_snr_db
@@ -281,7 +267,7 @@ def secret_beam_session(cfg: SessionConfig) -> SchemeResult:
 
     for t in range(cfg.rounds):
         ch = evolve(ch, cfg.temporal_rho, rng_evolve)
-        alpha = _gains_vector(ch)
+        alpha = ch.gains
         k_a = int(rng_pa.integers(0, K))
         k_b = int(rng_pb.integers(0, K))
         base_fwd = scale * (alpha * tx_b[:, 0])  # Bob combines on his nominal beam
@@ -491,11 +477,10 @@ def multires_session(cfg: SessionConfig) -> MultiresResult:
     rng_noise = seeds.generator(seed, seeds.STREAM_NOISE_BOB)
 
     ch = _session_channel(cfg, rng_channel)
-    los = ch.paths[0]
     depth = cfg.codebook_depth or min(6, int(math.log2(cfg.alice.cols)))
     codebook = hierarchical_codebook(cfg.alice, depth)
     bob_wide = sector_beamformer(cfg.bob, -1.0, 1.0)
-    bob_pencil = steering_beamformer(cfg.bob, los.aoa_az, los.aoa_el)
+    bob_pencil = steering_beamformer(cfg.bob, ch.angles[0, 2], ch.angles[0, 3])
 
     ids, window_used = _widened_selection(codebook, ch, bob_wide, P, cfg.window_db)
     beams = [codebook.codeword(*i) for i in ids]
@@ -511,7 +496,7 @@ def multires_session(cfg: SessionConfig) -> MultiresResult:
     y_fixed_bob = np.empty((P, T))
     for t in range(T):
         ch = evolve(ch, cfg.temporal_rho, rng_evolve)
-        H = scale * ((a_rx * _gains_vector(ch)) @ a_tx.T)
+        H = scale * ((a_rx * ch.gains) @ a_tx.T)
         for p, beam in enumerate(beams):
             out = bidirectional_probe(
                 beam, beam, bob_wide, bob_wide, H, cfg.snr_db, eve, rng_noise

@@ -204,8 +204,7 @@ class TestSelectBeams:
     def _setup(self, seed=0):
         ch = _fig4_channel(seed)
         cb = hierarchical_codebook(ch.tx_geom, 6)
-        los = ch.paths[0]
-        rx = steering_beamformer(ch.rx_geom, los.aoa_az, los.aoa_el)
+        rx = steering_beamformer(ch.rx_geom, ch.angles[0, 2], ch.angles[0, 3])
         return cb, ch, rx
 
     def test_single_beam_is_top_gain(self):

@@ -68,6 +68,42 @@ class TestArrayResponse:
         v = array_response(ArrayGeometry(rows, cols), az, el)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
+    def test_batched_rows_equal_scalar_calls_upa(self):
+        geom = ArrayGeometry(4, 8)
+        r = rng(2)
+        az = r.uniform(-np.pi / 2, np.pi / 2, size=64)
+        el = r.uniform(-np.pi / 2, np.pi / 2, size=64)
+        batch = array_response(geom, az, el)
+        assert batch.shape == (64, 32)
+        assert np.all(el != 0.0)
+        for i in range(az.size):
+            assert np.array_equal(batch[i], array_response(geom, az[i], el[i]))
+        # a scalar elevation broadcasts against the azimuth array
+        shared = array_response(geom, az, el[0])
+        for i in range(az.size):
+            assert np.array_equal(shared[i], array_response(geom, az[i], el[0]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.integers(2, 6),
+        cols=st.integers(1, 12),
+        angles=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), min_size=1, max_size=6),
+    )
+    def test_batched_equals_scalar_property(self, rows, cols, angles):
+        geom = ArrayGeometry(rows, cols)
+        az, el = np.array(angles).T
+        batch = array_response(geom, az, el)
+        assert batch.shape == (len(angles), geom.size)
+        for i, (a, e) in enumerate(angles):
+            assert np.array_equal(batch[i], array_response(geom, a, e))
+
+    def test_scalar_call_shape(self):
+        assert array_response(ArrayGeometry(2, 3), 0.1, 0.2).shape == (6,)
+
+    def test_nonfinite_entry_in_batch_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            array_response(ArrayGeometry(1, 4), np.array([0.1, np.inf]))
+
 
 class TestSampleChannel:
     def test_nlos_to_los_power_ratio(self):
@@ -78,21 +114,24 @@ class TestSampleChannel:
         ratios = np.empty(100_000)
         for i in range(ratios.size):
             ch = sample_channel(params, geom, geom, r)
-            los, nlos = ch.paths
-            ratios[i] = abs(nlos.gain) ** 2 / abs(los.gain) ** 2
+            los, nlos = ch.gains
+            ratios[i] = abs(nlos) ** 2 / abs(los) ** 2
         assert abs(ratios.mean() - 0.1) < 0.01
 
     def test_single_path_is_los(self):
         ch = sample_channel(ChannelParams(num_paths=1), ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(3))
         assert ch.num_paths == 1
-        assert ch.paths[0].is_los
+        assert ch.has_los
 
     def test_same_seed_same_realization(self):
         params = ChannelParams(num_paths=3)
         geom = ArrayGeometry(2, 4)
         a = sample_channel(params, geom, geom, rng(11))
         b = sample_channel(params, geom, geom, rng(11))
-        assert a == b
+        assert np.array_equal(a.gains, b.gains) and np.array_equal(a.angles, b.angles)
+        assert (a.tx_geom, a.rx_geom, a.has_los, a.nlos_offset_db) == (
+            b.tx_geom, b.rx_geom, b.has_los, b.nlos_offset_db
+        )
 
     def test_zero_paths_rejected(self):
         with pytest.raises(ValueError, match="num_paths"):
@@ -100,9 +139,35 @@ class TestSampleChannel:
 
     def test_angles_in_front_hemisphere(self):
         ch = sample_channel(ChannelParams(num_paths=5), ArrayGeometry(1, 8), ArrayGeometry(1, 8), rng(5))
-        for p in ch.paths:
-            for a in (p.aod_az, p.aod_el, p.aoa_az, p.aoa_el):
-                assert -np.pi / 2 <= a < np.pi / 2
+        assert ch.angles.shape == (5, 4)
+        for a in ch.angles.ravel():
+            assert -np.pi / 2 <= a < np.pi / 2
+
+
+class TestChannelRealization:
+    def test_arrays_are_read_only_copies(self):
+        gains = np.array([1.0 + 0j, 0.1j])
+        angles = np.zeros((2, 4))
+        ch = chn.ChannelRealization(gains, angles, ArrayGeometry(1, 4), ArrayGeometry(1, 4))
+        gains[0] = 5.0
+        assert ch.gains[0] == 1.0
+        with pytest.raises(ValueError):
+            ch.angles[0, 0] = 0.1
+
+    @pytest.mark.parametrize("bad", [np.pi / 2, -np.pi / 2 - 1e-9, np.nan])
+    def test_angle_range_checked(self, bad):
+        angles = np.zeros((2, 4))
+        angles[1, 3] = bad
+        with pytest.raises(ValueError, match="outside"):
+            chn.ChannelRealization([1.0, 0.1], angles, ArrayGeometry(1, 4), ArrayGeometry(1, 4))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            chn.ChannelRealization([1.0, 0.1], np.zeros((3, 4)), ArrayGeometry(1, 4), ArrayGeometry(1, 4))
+
+    def test_no_paths_rejected(self):
+        with pytest.raises(ValueError, match="at least one path"):
+            chn.ChannelRealization([], np.zeros((0, 4)), ArrayGeometry(1, 4), ArrayGeometry(1, 4))
 
 
 class TestChannelMatrix:
@@ -136,7 +201,7 @@ class TestEvolve:
     def test_rho_one_identical(self):
         ch = sample_channel(ChannelParams(num_paths=3), ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1))
         out = evolve(ch, 1.0, rng(2))
-        assert all(a.gain == b.gain for a, b in zip(ch.paths, out.paths))
+        assert all(a == b for a, b in zip(ch.gains, out.gains))
 
     def test_rho_zero_uncorrelated(self):
         params = ChannelParams(num_paths=2)
@@ -146,7 +211,7 @@ class TestEvolve:
         for i in range(before.size):
             ch = sample_channel(params, geom, geom, r)
             ev = evolve(ch, 0.0, r)
-            before[i], after[i] = ch.paths[1].gain, ev.paths[1].gain
+            before[i], after[i] = ch.gains[1], ev.gains[1]
         corr = np.vdot(before - before.mean(), after - after.mean())
         corr /= np.linalg.norm(before - before.mean()) * np.linalg.norm(after - after.mean())
         assert abs(corr) < 0.02
@@ -161,8 +226,8 @@ class TestEvolve:
         for i in range(p_before.size):
             ch = sample_channel(params, geom, geom, r)
             ev = evolve(ch, rho, r)
-            p_before[i] = sum(abs(p.gain) ** 2 for p in ch.paths)
-            p_after[i] = sum(abs(p.gain) ** 2 for p in ev.paths)
+            p_before[i] = sum(abs(g) ** 2 for g in ch.gains)
+            p_after[i] = sum(abs(g) ** 2 for g in ev.gains)
         assert abs(p_after.mean() / p_before.mean() - 1.0) < 0.02
 
     def test_nlos_marginal_preserved_ks(self):
@@ -176,14 +241,33 @@ class TestEvolve:
         for i in range(before.size):
             ch = sample_channel(params, geom, geom, r)
             ev = evolve(ch, 0.7, r)
-            before[i], after[i] = abs(ch.paths[1].gain), abs(ev.paths[1].gain)
+            before[i], after[i] = abs(ch.gains[1]), abs(ev.gains[1])
         assert stats.ks_2samp(before, after).pvalue > 0.01
 
     def test_angles_unchanged(self):
         ch = sample_channel(ChannelParams(num_paths=3), ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1))
         out = evolve(ch, 0.3, rng(4))
-        for a, b in zip(ch.paths, out.paths):
-            assert (a.aod_az, a.aod_el, a.aoa_az, a.aoa_el) == (b.aod_az, b.aod_el, b.aoa_az, b.aoa_el)
+        for a, b in zip(ch.angles, out.angles):
+            assert tuple(a) == tuple(b)
+
+    @pytest.mark.parametrize("has_los", [True, False])
+    def test_draw_order(self, has_los):
+        # one uniform LoS phase (drawn with or without a LoS path), then the
+        # real and the imaginary NLoS innovations
+        ch = sample_channel(ChannelParams(num_paths=3), ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1))
+        ch = chn.ChannelRealization(ch.gains, ch.angles, ch.tx_geom, ch.rx_geom, has_los=has_los)
+        rho = 0.6
+        out = evolve(ch, rho, rng(9))
+        r = rng(9)
+        los_eps = np.exp(1j * r.uniform(0.0, 2.0 * np.pi))
+        n_nlos = 3 - int(has_los)
+        sigma = np.sqrt(10.0 ** (-10.0 / 10.0) / 2.0)
+        nlos_eps = sigma * (r.standard_normal(n_nlos) + 1j * r.standard_normal(n_nlos))
+        eps = [los_eps] * has_los + list(nlos_eps)
+        mix = np.sqrt(1.0 - rho * rho)
+        expected = [rho * g + mix * e for g, e in zip(ch.gains, eps)]
+        assert np.array_equal(out.gains, expected)
+        assert out.has_los == has_los
 
     def test_bad_rho_rejected(self):
         ch = sample_channel(ChannelParams(num_paths=1), ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1))
@@ -221,15 +305,12 @@ class TestVirtualChannel:
         # Grid sines for a 16-point DFT with half-wavelength spacing.
         geom = ArrayGeometry(1, 16)
         grid = lambda j: -1.0 + 2.0 * j / 16
-        path = chn.PathComponent(
-            gain=1.0,
-            aod_az=float(np.arcsin(grid(5))),
-            aod_el=0.0,
-            aoa_az=float(np.arcsin(grid(12))),
-            aoa_el=0.0,
-            is_los=True,
+        ch = chn.ChannelRealization(
+            gains=[1.0],
+            angles=[[float(np.arcsin(grid(5))), 0.0, float(np.arcsin(grid(12))), 0.0]],
+            tx_geom=geom,
+            rx_geom=geom,
         )
-        ch = chn.ChannelRealization(paths=(path,), tx_geom=geom, rx_geom=geom)
         Hv = virtual_channel(channel_matrix(ch), geom, geom)
         assert np.sum(np.abs(Hv) > 1e-9) == 1
 
@@ -252,8 +333,7 @@ class TestVirtualChannel:
         rx = ArrayGeometry(1, 1)
         for frac in np.linspace(0.0, 0.5, 26):
             s = -1.0 + 2.0 * (10 + frac) / n
-            path = chn.PathComponent(1.0, float(np.arcsin(s)), 0.0, 0.0, 0.0, is_los=True)
-            ch = chn.ChannelRealization(paths=(path,), tx_geom=tx, rx_geom=rx)
+            ch = chn.ChannelRealization([1.0], [[float(np.arcsin(s)), 0.0, 0.0, 0.0]], tx, rx)
             Hv = virtual_channel(channel_matrix(ch), tx, rx)
             power = np.abs(Hv.ravel()) ** 2
             assert power.max() / power.sum() >= 0.40

@@ -261,6 +261,15 @@ class TestCli:
         assert cli_main(["validate", "--config", cfg]) == 1
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["passes", "block_bits"])
+    def test_validate_rejects_nonpositive_cascade_key(self, tmp_path, capsys, key):
+        text = f'scenario = "cascade-bench"\nmaster_seed = 1\ntrials = 2\n[cascade]\n{key} = 0\n'
+        with pytest.raises(ConfigError, match=f"cascade {key} must be >= 1"):
+            parse_config(text)
+        cfg = self._write(tmp_path, text)
+        assert cli_main(["validate", "--config", cfg]) == 1
+        assert key in capsys.readouterr().err
+
     def test_unknown_flag_exit_one(self, capsys):
         assert cli_main(["run", "--bogus"]) == 1
         assert "usage" in capsys.readouterr().err.lower()

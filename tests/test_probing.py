@@ -6,7 +6,6 @@ from mmkeygen.channel import (
     ArrayGeometry,
     ChannelParams,
     ChannelRealization,
-    PathComponent,
     channel_matrix,
     sample_channel,
 )
@@ -49,9 +48,8 @@ class TestProbe:
 
     def test_matched_single_path_closed_form(self):
         # |y| = sqrt(Nt*Nr) * |g_tx| * |g_rx| for a unit-gain single path
-        path = PathComponent(1.0 + 0j, 0.3, 0.0, -0.2, 0.0, is_los=True)
         tx, rx = ArrayGeometry(1, 16), ArrayGeometry(1, 8)
-        ch = ChannelRealization(paths=(path,), tx_geom=tx, rx_geom=rx)
+        ch = ChannelRealization(gains=[1.0 + 0j], angles=[[0.3, 0.0, -0.2, 0.0]], tx_geom=tx, rx_geom=rx)
         H = channel_matrix(ch)
         f = steering_beamformer(tx, 0.3)
         w = steering_beamformer(rx, -0.2)
@@ -76,8 +74,8 @@ class TestBidirectionalProbe:
 
     def test_correlation_increases_with_snr(self):
         ch = make_channel(9, num_paths=2)
-        f_a = steering_beamformer(ch.tx_geom, ch.paths[0].aod_az, ch.paths[0].aod_el)
-        f_b = steering_beamformer(ch.rx_geom, ch.paths[0].aoa_az, ch.paths[0].aoa_el)
+        f_a = steering_beamformer(ch.tx_geom, ch.angles[0, 0], ch.angles[0, 1])
+        f_b = steering_beamformer(ch.rx_geom, ch.angles[0, 2], ch.angles[0, 3])
         corrs = []
         for snr in (-10.0, 0.0, 10.0, 20.0):
             r = rng(10)
@@ -86,8 +84,8 @@ class TestBidirectionalProbe:
             rch = rng(11)
             for i in range(ya.size):
                 chi = sample_channel(params, ch.tx_geom, ch.rx_geom, rch)
-                fa = steering_beamformer(chi.tx_geom, chi.paths[0].aod_az, chi.paths[0].aod_el)
-                fb = steering_beamformer(chi.rx_geom, chi.paths[0].aoa_az, chi.paths[0].aoa_el)
+                fa = steering_beamformer(chi.tx_geom, chi.angles[0, 0], chi.angles[0, 1])
+                fb = steering_beamformer(chi.rx_geom, chi.angles[0, 2], chi.angles[0, 3])
                 out = bidirectional_probe(fa, fa, fb, fb, channel_matrix(chi), snr, EveConfig(), r)
                 yb[i], ya[i] = out.y_at_bob, out.y_at_alice
             num = np.abs(np.vdot(yb - yb.mean(), ya - ya.mean()))

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from mmkeygen.channel import ArrayGeometry, channel_matrix
+from mmkeygen import seeds
+from mmkeygen.beamforming import beam_gain, perturb, steering_beamformer
+from mmkeygen.channel import ArrayGeometry, channel_matrix, sample_channel
 from mmkeygen.keygen import bar
 from mmkeygen.schemes import (
     SessionConfig,
+    _perturbation_beams,
+    _session_channel,
     baseline_channel_quant_session,
     estimate_channel,
     multires_session,
@@ -108,6 +112,49 @@ class TestSecretBeam:
         assert res.eve_guess is None
 
 
+class TestPerturbationBeams:
+    """The batched session beams against the scalar public reference, bit for bit."""
+
+    CASES = [
+        (ArrayGeometry(1, 32), 0.4, -0.3),
+        (ArrayGeometry(1, 16), -1.2, 0.9),
+        (ArrayGeometry(2, 16), 0.7, 0.25),
+        (ArrayGeometry(4, 8), -0.05, -1.1),
+    ]
+
+    @pytest.mark.parametrize("geom, az, el", CASES)
+    def test_steering_rows_equal_scalar_beams(self, geom, az, el):
+        delta_max = float(np.radians(2.0))
+        deltas = delta_max * np.arange(1, 17) / 16
+        beams, _ = _perturbation_beams(geom, az, el, deltas)
+        assert beams.shape == (17, geom.size)
+        assert np.array_equal(beams[0], steering_beamformer(geom, az, el).weights)
+        for k, d in enumerate(deltas, start=1):
+            ref = perturb(geom, az, el, float(d), delta_max=delta_max)
+            assert np.array_equal(beams[k], ref.weights)
+
+    @pytest.mark.parametrize("geom, az, el", CASES)
+    def test_lut_equals_scalar_beam_gains(self, geom, az, el):
+        delta_max = float(np.radians(2.0))
+        deltas = delta_max * np.arange(1, 17) / 16
+        _, lut = _perturbation_beams(geom, az, el, deltas)
+        ref = [abs(beam_gain(perturb(geom, az, el, float(d), delta_max=delta_max), geom, az, el)) for d in deltas]
+        assert np.array_equal(lut, ref)
+
+    def test_grid_snapped_angles_equal_scalar_snapping(self):
+        def snap(angle, n):
+            s = np.round(np.sin(angle) * n / 2.0) * 2.0 / n
+            return float(np.arcsin(min(1.0 - 2.0 / n, max(-1.0, s))))
+
+        cfg = fig3_cfg(alice=ArrayGeometry(1, 64), bob=ArrayGeometry(1, 32), num_paths=6)
+        for t in range(20):
+            raw = sample_channel(cfg.channel_params, cfg.alice, cfg.bob, seeds.generator(t, 1))
+            ch = _session_channel(cfg, seeds.generator(t, 1))
+            assert np.array_equal(ch.gains, raw.gains)
+            for (aod, _, aoa, _), row in zip(raw.angles, ch.angles):
+                assert tuple(row) == (snap(aod, 64), 0.0, snap(aoa, 32), 0.0)
+
+
 class TestSessionValidation:
     def test_perturbation_span_past_first_null_rejected(self):
         # a 64-element azimuth aperture has its first null at ~1.79 degrees
@@ -145,11 +192,10 @@ class TestEstimateChannel:
 class TestVirtualAngleBits:
     def test_grid_aligned_single_path(self):
         geom = ArrayGeometry(1, 16)
-        from mmkeygen.channel import ChannelRealization, PathComponent
+        from mmkeygen.channel import ChannelRealization
 
         grid = lambda j: float(np.arcsin(-1 + 2 * j / 16))
-        path = PathComponent(1.0, grid(3), 0.0, grid(9), 0.0, is_los=True)
-        ch = ChannelRealization(paths=(path,), tx_geom=geom, rx_geom=geom)
+        ch = ChannelRealization(gains=[1.0], angles=[[grid(3), 0.0, grid(9), 0.0]], tx_geom=geom, rx_geom=geom)
         bits = virtual_angle_bits(channel_matrix(ch), 1, geom, geom)
         assert len(bits) == 4 + 4
         # recover the pair and check it is the single dominant bin
