@@ -10,7 +10,7 @@ Equivalent to::
 
 Pass ``--seed`` to re-run everything under a different master seed, and
 ``--out-dir`` to redirect the tables.  Each scenario finishes in a few
-minutes on a laptop; set MMKEYGEN_THREADS to parallelize trials.
+minutes on a laptop.
 """
 
 import argparse

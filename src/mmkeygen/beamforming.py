@@ -4,8 +4,7 @@ All beamformers are unit-norm weight vectors applied with the transpose
 pairing ``w^T a`` (see the probing module), so the matched beam toward a
 direction is the elementwise conjugate of the array response.  Codebook
 beams are realized as single analog phase-shifter vectors (the single-RF
-chain case); the digital stage is a scalar and ``num_rf_chains`` is recorded
-for forward compatibility only.
+chain case); the digital stage is a scalar.
 """
 
 from __future__ import annotations
@@ -49,14 +48,11 @@ class Beamformer:
 
 @dataclass(frozen=True)
 class HybridConfig:
-    """Analog/digital split: phase-shifter resolution and RF chain budget."""
+    """Analog stage of a codebook beam: the phase-shifter resolution."""
 
-    num_rf_chains: int = 1
     phase_bits: int = DEFAULT_PHASE_BITS
 
     def __post_init__(self) -> None:
-        if self.num_rf_chains < 1:
-            raise ValueError(f"num_rf_chains must be >= 1, got {self.num_rf_chains}")
         if self.phase_bits < 1:
             raise ValueError(f"phase_bits must be >= 1, got {self.phase_bits}")
 
@@ -199,8 +195,6 @@ def hierarchical_codebook(
         raise ValueError(
             f"codebook depth {depth} too deep for azimuth axis of {geom.cols} elements"
         )
-    if hybrid.num_rf_chains > geom.size:
-        raise ValueError("num_rf_chains exceeds array size")
     levels = []
     for level in range(1, depth + 1):
         count = 1 << level

@@ -52,7 +52,6 @@ class ChannelParams:
 
     num_paths: int = 2
     nlos_offset_db: float = DEFAULT_NLOS_OFFSET_DB
-    angle_distribution: str = "sine-uniform"
     temporal_rho: float = 0.0
 
     def __post_init__(self) -> None:
@@ -60,8 +59,6 @@ class ChannelParams:
             raise ValueError(f"invalid params: num_paths={self.num_paths} (need >= 1)")
         if self.nlos_offset_db < 0.0:
             raise ValueError(f"invalid params: nlos_offset_db={self.nlos_offset_db} (need >= 0)")
-        if self.angle_distribution != "sine-uniform":
-            raise ValueError(f"unknown angle_distribution {self.angle_distribution!r}")
         if not 0.0 <= self.temporal_rho <= 1.0:
             raise ValueError(f"invalid params: temporal_rho={self.temporal_rho} not in [0, 1]")
 

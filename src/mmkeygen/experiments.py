@@ -18,23 +18,34 @@ Scenario presets:
   residual mismatch per error rate.
 * ``custom`` - one scheme at explicit settings from the [scheme] section.
 
+Each session scenario is a list of cases, each a session template built
+from the scenario's preset in ``_PRESETS`` with the ``[scheme]`` keys merged
+in; keys that a scenario's cases set themselves warn and are ignored.
 Per-trial seeds derive from ``(master_seed, scenario, case, snr, trial)``
 via the stable counter-based scheme in :mod:`mmkeygen.seeds`, so tables are
-byte-identical across runs and worker counts.
+byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
 from . import seeds
 from .channel import ArrayGeometry
-from .keygen import BitString, CascadeParams, bar, cascade
+from .keygen import (
+    BitString,
+    CascadeParams,
+    QuantizerConfig,
+    bar,
+    cascade,
+    extract_randomness,
+    key_entropy_rate,
+)
 from .schemes import (
     SessionConfig,
     baseline_channel_quant_session,
@@ -65,6 +76,32 @@ _SCENARIO_SUMMARY = {
     "cascade-bench": "reconciliation benchmark: leaked fraction and residual "
     "mismatch per error rate (n=4096)",
     "custom": "one scheme at explicit [scheme] settings",
+}
+
+_SECRET_BEAM = SessionConfig(rounds=3, delta_max=float(np.radians(3.0)))
+_MULTIRES = SessionConfig(
+    scheme="multires",
+    alice=ArrayGeometry(1, 64),
+    bob=ArrayGeometry(1, 32),
+    num_paths=8,
+    levels=4,
+    temporal_rho=0.5,
+)
+_VIRTUAL = replace(_SECRET_BEAM, scheme="virtual", alice=ArrayGeometry(1, 128), bob=ArrayGeometry(1, 128))
+
+# session defaults of each session scenario; custom has one per scheme.
+# A multires session runs ``trials`` coherence blocks in place of ``rounds``.
+_PRESETS = {
+    "fig2": _SECRET_BEAM,
+    # one beamspace channel per trial: grid-aligned sines, equal-power paths
+    "fig3": replace(_VIRTUAL, rounds=1, num_paths=3, nlos_offset_db=0.0, grid_angles=True),
+    "fig4": _MULTIRES,
+    "custom": {
+        "secret_beam": _SECRET_BEAM,
+        "virtual": _VIRTUAL,
+        "baseline": replace(_VIRTUAL, scheme="baseline"),
+        "multires": _MULTIRES,
+    },
 }
 
 
@@ -124,21 +161,23 @@ class ExperimentConfig:
             raise ConfigError("snr_grid must be nonempty")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError(f"master_seed must be an unsigned 64-bit value, got {self.master_seed}")
-        if self.scheme.eve is not None and self.scheme.eve not in ("alice", "bob", "none"):
-            raise ConfigError(f"eve must be 'alice', 'bob' or 'none', got {self.scheme.eve!r}")
-        if self.scheme.scheme is not None and self.scheme.scheme not in (
-            "secret_beam",
-            "virtual",
-            "baseline",
-            "multires",
-        ):
-            raise ConfigError(f"unknown scheme {self.scheme.scheme!r}")
+        if self.scenario == "fig4" and self.trials < 2000:
+            # the least number of coherence blocks key_entropy_rate scores
+            raise ConfigError(f"fig4 needs trials >= 2000 for its entropy rates, got {self.trials}")
         if any(not 0.0 < p < 0.5 for p in self.cascade.error_rates):
             raise ConfigError("cascade error_rates must lie in (0, 0.5)")
         if self.cascade.passes < 1:
             raise ConfigError(f"cascade passes must be >= 1, got {self.cascade.passes}")
         if self.cascade.block_bits < 1:
             raise ConfigError(f"cascade block_bits must be >= 1, got {self.cascade.block_bits}")
+        try:
+            # a scenario ignores the keys its cases fix, but a scheme or eve
+            # that no session accepts is an error in every scenario
+            _merge(SessionConfig(), SchemeOverrides(scheme=self.scheme.scheme, eve=self.scheme.eve))
+            if self.scenario != "cascade-bench":
+                _cases(self)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +185,25 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 _TOP_KEYS = {"scenario", "master_seed", "trials", "snr_grid", "output_path"}
-_SCHEME_KEYS = {f.name for f in fields(SchemeOverrides)}
+_SCHEME_KEYS = tuple(f.name for f in fields(SchemeOverrides))
 _CASCADE_KEYS = {f.name for f in fields(CascadeBench)}
+# [scheme] keys that map one to one onto SessionConfig fields
+_SESSION_KEYS = tuple(k for k in _SCHEME_KEYS if k in {f.name for f in fields(SessionConfig)})
+_GEOMETRY_KEYS = ("alice_rows", "alice_cols", "bob_rows", "bob_cols")
+_FIXED_KEYS = {
+    "fig2": ("scheme", *_GEOMETRY_KEYS, "eve"),
+    "fig3": ("scheme", *_GEOMETRY_KEYS, "num_paths", "rounds_per_trial"),
+    "fig4": ("scheme", "rounds_per_trial"),
+    "cascade-bench": _SCHEME_KEYS,
+    "custom": (),
+}
+
+
+def _fixed_keys(scenario: str, scheme: object) -> tuple[str, ...]:
+    """The [scheme] keys that the scenario's cases set themselves."""
+    if scenario == "custom" and scheme == "multires":
+        return ("rounds_per_trial",)
+    return _FIXED_KEYS[scenario]
 
 
 def _parse_value(raw: str, line_no: int):
@@ -220,6 +276,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if scenario not in _SCENARIO_DEFAULTS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     defaults = _SCENARIO_DEFAULTS[scenario]
+    for key in scheme:
+        if key in _fixed_keys(scenario, scheme.get("scheme")):
+            warnings.warn(f"ignoring [scheme] key {key!r}: the {scenario} cases fix it", stacklevel=2)
 
     snr_grid = top.get("snr_grid", defaults["snr_grid"])
     if isinstance(snr_grid, (int, float)):
@@ -397,28 +456,6 @@ def read_csv(path: str) -> ResultTable:
 # ---------------------------------------------------------------------------
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("MMKEYGEN_THREADS")
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"MMKEYGEN_THREADS must be a positive integer, got {raw!r}") from None
-    if count < 1:
-        raise ConfigError(f"MMKEYGEN_THREADS must be a positive integer, got {count}")
-    return count
-
-
-def _map_indexed(fn, n: int) -> list:
-    """Run fn(0..n-1), merging results by index; concurrency never reorders."""
-    workers = _worker_count()
-    if workers == 1 or n <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     values = np.asarray(values, dtype=float)
     if values.size <= 1:
@@ -437,83 +474,62 @@ def _trial_seed(cfg: ExperimentConfig, case_idx: int, snr_idx: int, trial_idx: i
     )
 
 
-def _geom(rows: int | None, cols: int | None, default: tuple[int, int]) -> ArrayGeometry:
-    return ArrayGeometry(rows if rows is not None else default[0], cols if cols is not None else default[1])
+def _merge(preset: SessionConfig, ov: SchemeOverrides) -> SessionConfig:
+    """The preset with every [scheme] key that is set applied to it."""
+    changes = {name: getattr(ov, name) for name in _SESSION_KEYS if getattr(ov, name) is not None}
+    if ov.rounds_per_trial is not None:
+        changes["rounds"] = ov.rounds_per_trial
+    if ov.delta_max_deg is not None:
+        changes["delta_max"] = float(np.radians(ov.delta_max_deg))
+    if ov.eve is not None:
+        changes["eve"] = None if ov.eve == "none" else ov.eve
+    if ov.grid_angles is not None:
+        changes["grid_angles"] = bool(ov.grid_angles)
+    for side in ("alice", "bob"):
+        geom = getattr(preset, side)
+        rows, cols = getattr(ov, f"{side}_rows"), getattr(ov, f"{side}_cols")
+        changes[side] = ArrayGeometry(geom.rows if rows is None else rows, geom.cols if cols is None else cols)
+    return replace(preset, **changes)
 
 
-def _run_fig2(cfg: ExperimentConfig) -> list[ResultRow]:
-    ov = cfg.scheme
-    rounds = ov.rounds_per_trial if ov.rounds_per_trial is not None else 3
-    delta_max = float(np.radians(ov.delta_max_deg if ov.delta_max_deg is not None else 3.0))
-    cases = []
-    for dims_label, a_default, b_default in (("32x16", (1, 32), (1, 16)), ("16x8", (1, 16), (1, 8))):
-        for eve in ("alice", "bob"):
-            cases.append((f"secret_beam_{dims_label}_eve_{eve}", a_default, b_default, eve))
+def _cases(cfg: ExperimentConfig) -> list[tuple[tuple[tuple[str, str], ...], SessionConfig, int]]:
+    """Each case of a session scenario: its (label, metric) rows, session template and trials.
 
-    rows: list[ResultRow] = []
-    for case_idx, (label, a_dims, b_dims, eve) in enumerate(cases):
-        for snr_idx, snr in enumerate(cfg.snr_grid):
-
-            def one_trial(trial_idx: int, _snr=snr, _a=a_dims, _b=b_dims, _eve=eve, _ci=case_idx, _si=snr_idx):
-                session = SessionConfig(
-                    scheme="secret_beam",
-                    alice=ArrayGeometry(*_a),
-                    bob=ArrayGeometry(*_b),
-                    snr_db=_snr,
-                    rounds=rounds,
-                    num_paths=ov.num_paths if ov.num_paths is not None else 2,
-                    nlos_offset_db=ov.nlos_offset_db if ov.nlos_offset_db is not None else 10.0,
-                    levels=ov.levels if ov.levels is not None else 16,
-                    temporal_rho=ov.temporal_rho if ov.temporal_rho is not None else 0.0,
-                    eve=_eve,
-                    delta_max=delta_max,
-                    master_seed=_trial_seed(cfg, _ci, _si, trial_idx),
-                )
-                res = secret_beam_session(session)
-                return res.bar_legit, res.bar_eve
-
-            outcomes = np.array(_map_indexed(one_trial, cfg.trials))
-            for metric, column in (("bar_legit", 0), ("bar_eve", 1)):
-                value, stderr = _mean_stderr(outcomes[:, column])
-                rows.append(
-                    ResultRow(cfg.scenario, label, snr, metric, value, stderr, cfg.trials, cfg.master_seed)
-                )
-    return rows
-
-
-def _run_fig3(cfg: ExperimentConfig) -> list[ResultRow]:
-    ov = cfg.scheme
-    cases = [
-        ("virtual_128x128_L3", "virtual", 128, 3, cfg.trials),
-        ("virtual_64x64_L3", "virtual", 64, 3, cfg.trials),
-        ("virtual_128x128_L2", "virtual", 128, 2, cfg.trials),
-        ("baseline_128x128_L3", "baseline", 128, 3, max(5, cfg.trials // 10)),
-    ]
-    rows: list[ResultRow] = []
-    for case_idx, (label, scheme, n, L, trials) in enumerate(cases):
-        runner = virtual_angle_session if scheme == "virtual" else baseline_channel_quant_session
-        rounds_per_trial = 1  # one channel realization per Monte-Carlo trial
-        for snr_idx, snr in enumerate(cfg.snr_grid):
-
-            def one_trial(trial_idx: int, _snr=snr, _n=n, _L=L, _ci=case_idx, _si=snr_idx, _runner=runner):
-                session = SessionConfig(
-                    scheme=scheme,
-                    alice=ArrayGeometry(1, _n),
-                    bob=ArrayGeometry(1, _n),
-                    snr_db=_snr,
-                    rounds=rounds_per_trial,
-                    num_paths=_L,
-                    nlos_offset_db=ov.nlos_offset_db if ov.nlos_offset_db is not None else 0.0,
-                    levels=ov.levels if ov.levels is not None else 16,
-                    grid_angles=bool(ov.grid_angles) if ov.grid_angles is not None else True,
-                    master_seed=_trial_seed(cfg, _ci, _si, trial_idx),
-                )
-                return _runner(session).bdr
-
-            bdrs = np.array(_map_indexed(one_trial, trials))
-            value, stderr = _mean_stderr(bdrs)
-            rows.append(ResultRow(cfg.scenario, label, snr, "bdr", value, stderr, trials, cfg.master_seed))
-    return rows
+    Raises ValueError (TypeError for a value of the wrong type) when the
+    [scheme] keys make an invalid session.
+    """
+    ov = replace(cfg.scheme, **dict.fromkeys(_fixed_keys(cfg.scenario, cfg.scheme.scheme), None))
+    if cfg.scenario == "fig2":
+        base = _merge(_PRESETS["fig2"], ov)
+        cases = []
+        for dims, a, b in (("32x16", 32, 16), ("16x8", 16, 8)):
+            for eve in ("alice", "bob"):
+                label = f"secret_beam_{dims}_eve_{eve}"
+                session = replace(base, alice=ArrayGeometry(1, a), bob=ArrayGeometry(1, b), eve=eve)
+                cases.append((((label, "bar_legit"), (label, "bar_eve")), session, cfg.trials))
+        return cases
+    if cfg.scenario == "fig3":
+        base = _merge(_PRESETS["fig3"], ov)
+        cases = []
+        for label, scheme, n, L, trials in (
+            ("virtual_128x128_L3", "virtual", 128, 3, cfg.trials),
+            ("virtual_64x64_L3", "virtual", 64, 3, cfg.trials),
+            ("virtual_128x128_L2", "virtual", 128, 2, cfg.trials),
+            ("baseline_128x128_L3", "baseline", 128, 3, max(5, cfg.trials // 10)),
+        ):
+            geom = ArrayGeometry(1, n)
+            session = replace(base, scheme=scheme, alice=geom, bob=geom, num_paths=L)
+            cases.append((((label, "bdr"),), session, trials))
+        return cases
+    if cfg.scenario == "fig4":
+        session = _merge(_PRESETS["fig4"], ov)
+        return [((("multires_P5", "ker_multires"), ("fixed_beam", "ker_fixed")), session, cfg.trials)]
+    session = _merge(_PRESETS["custom"][ov.scheme or "secret_beam"], ov)
+    metrics = {
+        "secret_beam": ("bar_legit", "bar_eve") if session.eve else ("bar_legit",),
+        "multires": ("ker_multires", "ker_fixed"),
+    }.get(session.scheme, ("bdr",))
+    return [(tuple((session.scheme, m) for m in metrics), session, cfg.trials)]
 
 
 def _jackknife_stderr(samples: np.ndarray, estimator, sections: int = 10) -> float:
@@ -529,43 +545,49 @@ def _jackknife_stderr(samples: np.ndarray, estimator, sections: int = 10) -> flo
     return float(np.sqrt((sections - 1) / sections * ((estimates - estimates.mean()) ** 2).sum()))
 
 
-def _run_fig4(cfg: ExperimentConfig) -> list[ResultRow]:
-    from .keygen import QuantizerConfig, extract_randomness, key_entropy_rate
+def _multires_point(session: SessionConfig) -> list[tuple[float, float]]:
+    """Both entropy rates of one multires session, each with its jackknife stderr."""
+    result = multires_session(session)
+    quantizer = QuantizerConfig(levels=session.levels)
 
-    ov = cfg.scheme
+    def ker_of(samples: np.ndarray) -> float:
+        rows_centered = np.stack([extract_randomness(r) for r in samples])
+        return key_entropy_rate(rows_centered, quantizer, min_trials=min(2000, samples.shape[1]))
+
+    return [
+        (result.ker_multires, _jackknife_stderr(result.samples_multires, ker_of)),
+        (result.ker_fixed, _jackknife_stderr(result.samples_fixed, ker_of)),
+    ]
+
+
+def _run_sessions(cfg: ExperimentConfig) -> list[ResultRow]:
     rows: list[ResultRow] = []
-    levels = ov.levels if ov.levels is not None else 4
-    for snr_idx, snr in enumerate(cfg.snr_grid):
-        session = SessionConfig(
-            scheme="multires",
-            alice=_geom(ov.alice_rows, ov.alice_cols, (1, 64)),
-            bob=_geom(ov.bob_rows, ov.bob_cols, (1, 32)),
-            snr_db=snr,
-            rounds=cfg.trials,
-            num_paths=ov.num_paths if ov.num_paths is not None else 8,
-            nlos_offset_db=ov.nlos_offset_db if ov.nlos_offset_db is not None else 10.0,
-            levels=levels,
-            num_beams=ov.num_beams if ov.num_beams is not None else 5,
-            temporal_rho=ov.temporal_rho if ov.temporal_rho is not None else 0.5,
-            window_db=ov.window_db if ov.window_db is not None else 10.0,
-            codebook_depth=ov.codebook_depth,
-            master_seed=_trial_seed(cfg, 0, snr_idx, 0),
-        )
-        result = multires_session(session)
-        quantizer = QuantizerConfig(levels=levels)
-
-        def ker_of(samples: np.ndarray) -> float:
-            rows_centered = np.stack([extract_randomness(r) for r in samples])
-            return key_entropy_rate(rows_centered, quantizer, min_trials=min(2000, samples.shape[1]))
-
-        se_multi = _jackknife_stderr(result.samples_multires, ker_of)
-        se_fixed = _jackknife_stderr(result.samples_fixed, ker_of)
-        rows.append(
-            ResultRow(cfg.scenario, "multires_P5", snr, "ker_multires", result.ker_multires, se_multi, cfg.trials, cfg.master_seed)
-        )
-        rows.append(
-            ResultRow(cfg.scenario, "fixed_beam", snr, "ker_fixed", result.ker_fixed, se_fixed, cfg.trials, cfg.master_seed)
-        )
+    for case_idx, (outputs, template, trials) in enumerate(_cases(cfg)):
+        metrics = [metric for _, metric in outputs]
+        for snr_idx, snr in enumerate(cfg.snr_grid):
+            session = replace(template, snr_db=snr)
+            if session.scheme == "multires":
+                # one long session of `trials` coherence blocks per point
+                seed = _trial_seed(cfg, case_idx, snr_idx, 0)
+                stats = _multires_point(replace(session, rounds=trials, master_seed=seed))
+            else:
+                run = {
+                    "secret_beam": secret_beam_session,
+                    "virtual": virtual_angle_session,
+                    "baseline": baseline_channel_quant_session,
+                }[session.scheme]
+                # keep only the metric floats: a session's result is freed
+                # before the next trial's session runs
+                floats = attrgetter(*metrics)
+                values = np.empty((trials, len(metrics)))
+                for trial_idx in range(trials):
+                    seed = _trial_seed(cfg, case_idx, snr_idx, trial_idx)
+                    values[trial_idx] = floats(run(replace(session, master_seed=seed)))
+                stats = [_mean_stderr(column) for column in values.T]
+            rows.extend(
+                ResultRow(cfg.scenario, label, snr, metric, value, stderr, trials, cfg.master_seed)
+                for (label, metric), (value, stderr) in zip(outputs, stats)
+            )
     return rows
 
 
@@ -573,18 +595,15 @@ def _run_cascade_bench(cfg: ExperimentConfig) -> list[ResultRow]:
     n = cfg.cascade.block_bits
     rows: list[ResultRow] = []
     for case_idx, p in enumerate(cfg.cascade.error_rates):
-
-        def one_trial(trial_idx: int, _p=p, _ci=case_idx):
-            seed = _trial_seed(cfg, _ci, 0, trial_idx)
+        outcomes = np.empty((cfg.trials, 2))
+        for trial_idx in range(cfg.trials):
+            seed = _trial_seed(cfg, case_idx, 0, trial_idx)
             rng = seeds.generator(seed, seeds.STREAM_BENCH_DATA)
             a = BitString(bits=rng.integers(0, 2, n, dtype=np.uint8))
-            flips = (rng.random(n) < _p).astype(np.uint8)
+            flips = (rng.random(n) < p).astype(np.uint8)
             b = BitString(bits=a.bits ^ flips)
             corrected, leaked = cascade(a, b, CascadeParams(passes=cfg.cascade.passes, seed=seed))
-            residual = 1.0 - bar(a, corrected)
-            return leaked / n, residual
-
-        outcomes = np.array(_map_indexed(one_trial, cfg.trials))
+            outcomes[trial_idx] = leaked / n, 1.0 - bar(a, corrected)
         label = f"cascade_n{n}_p{p:g}"
         for metric, column in (("leak_fraction", 0), ("residual_mismatch", 1)):
             value, stderr = _mean_stderr(outcomes[:, column])
@@ -592,96 +611,12 @@ def _run_cascade_bench(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
-def _run_custom(cfg: ExperimentConfig) -> list[ResultRow]:
-    ov = cfg.scheme
-    scheme = ov.scheme or "secret_beam"
-    rows: list[ResultRow] = []
-    defaults = {
-        "secret_beam": ((1, 32), (1, 16)),
-        "virtual": ((1, 128), (1, 128)),
-        "baseline": ((1, 128), (1, 128)),
-        "multires": ((1, 64), (1, 32)),
-    }[scheme]
-    eve = None if ov.eve in (None, "none") else ov.eve
-    for snr_idx, snr in enumerate(cfg.snr_grid):
-        if scheme == "multires":
-            session = SessionConfig(
-                scheme=scheme,
-                alice=_geom(ov.alice_rows, ov.alice_cols, defaults[0]),
-                bob=_geom(ov.bob_rows, ov.bob_cols, defaults[1]),
-                snr_db=snr,
-                rounds=cfg.trials,
-                num_paths=ov.num_paths if ov.num_paths is not None else 8,
-                nlos_offset_db=ov.nlos_offset_db if ov.nlos_offset_db is not None else 10.0,
-                levels=ov.levels if ov.levels is not None else 4,
-                num_beams=ov.num_beams if ov.num_beams is not None else 5,
-                temporal_rho=ov.temporal_rho if ov.temporal_rho is not None else 0.5,
-                window_db=ov.window_db if ov.window_db is not None else 10.0,
-                codebook_depth=ov.codebook_depth,
-                grid_angles=bool(ov.grid_angles or 0),
-                master_seed=_trial_seed(cfg, 0, snr_idx, 0),
-            )
-            result = multires_session(session)
-            rows.append(
-                ResultRow(cfg.scenario, scheme, snr, "ker_multires", result.ker_multires, 0.0, cfg.trials, cfg.master_seed)
-            )
-            rows.append(
-                ResultRow(cfg.scenario, scheme, snr, "ker_fixed", result.ker_fixed, 0.0, cfg.trials, cfg.master_seed)
-            )
-            continue
-
-        def one_trial(trial_idx: int, _snr=snr, _si=snr_idx):
-            session = SessionConfig(
-                scheme=scheme,
-                alice=_geom(ov.alice_rows, ov.alice_cols, defaults[0]),
-                bob=_geom(ov.bob_rows, ov.bob_cols, defaults[1]),
-                snr_db=_snr,
-                rounds=ov.rounds_per_trial if ov.rounds_per_trial is not None else 3,
-                num_paths=ov.num_paths if ov.num_paths is not None else 2,
-                nlos_offset_db=ov.nlos_offset_db if ov.nlos_offset_db is not None else 10.0,
-                levels=ov.levels if ov.levels is not None else 16,
-                temporal_rho=ov.temporal_rho if ov.temporal_rho is not None else 0.0,
-                eve=eve,
-                delta_max=float(np.radians(ov.delta_max_deg)) if ov.delta_max_deg is not None else float(np.radians(3.0)),
-                grid_angles=bool(ov.grid_angles or 0),
-                master_seed=_trial_seed(cfg, 0, _si, trial_idx),
-            )
-            runner = {
-                "secret_beam": secret_beam_session,
-                "virtual": virtual_angle_session,
-                "baseline": baseline_channel_quant_session,
-            }[scheme]
-            res = runner(session)
-            return res.bar_legit, res.bar_eve, res.bdr
-
-        outcomes = np.array(_map_indexed(one_trial, cfg.trials))
-        if scheme == "secret_beam":
-            metrics = (("bar_legit", 0), ("bar_eve", 1))
-        else:
-            metrics = (("bdr", 2),)
-        for metric, column in metrics:
-            values = outcomes[:, column]
-            if np.all(np.isnan(values)):
-                continue
-            value, stderr = _mean_stderr(values)
-            rows.append(ResultRow(cfg.scenario, scheme, snr, metric, value, stderr, cfg.trials, cfg.master_seed))
-    return rows
-
-
 def run_scenario(cfg: ExperimentConfig) -> ResultTable:
     """Execute a scenario preset and return its (deterministic) table."""
     cfg.validate()
-    runner = {
-        "fig2": _run_fig2,
-        "fig3": _run_fig3,
-        "fig4": _run_fig4,
-        "cascade-bench": _run_cascade_bench,
-        "custom": _run_custom,
-    }[cfg.scenario]
+    runner = _run_cascade_bench if cfg.scenario == "cascade-bench" else _run_sessions
     try:
         rows = runner(cfg)
-    except ConfigError:
-        raise
     except Exception as exc:
         raise RuntimeError(f"scenario {cfg.scenario!r} failed: {exc}") from exc
     return ResultTable(rows=tuple(rows))

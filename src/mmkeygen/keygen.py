@@ -323,6 +323,24 @@ def _plugin_entropy_bits(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def _calibrated_cells(
+    samples: np.ndarray, levels: int, lo: float | None = None, hi: float | None = None
+) -> np.ndarray:
+    """(P, T) cell indices of P streams, each on its own 1st-99th percentile range.
+
+    An explicit ``lo``/``hi`` pair replaces every row's range.  A row whose
+    range is degenerate maps entirely to cell 0.
+    """
+    cells = np.empty(samples.shape, dtype=np.int64)
+    for i, row in enumerate(samples):
+        if lo is not None and hi is not None:
+            row_lo, row_hi = lo, hi
+        else:
+            row_lo, row_hi = np.percentile(row, [1.0, 99.0])
+        cells[i] = cell_indices(row, levels, float(row_lo), float(row_hi)) if row_lo < row_hi else 0
+    return cells
+
+
 def key_entropy_rate(
     samples, cfg: QuantizerConfig, min_trials: int = 2000
 ) -> float:
@@ -343,17 +361,7 @@ def key_entropy_rate(
         raise InsufficientSamplesError(
             f"plug-in entropy needs at least {min_trials} trials, got {T}"
         )
-    cells = np.empty((P, T), dtype=np.int64)
-    for i in range(P):
-        if cfg.lo is not None and cfg.hi is not None:
-            lo, hi = cfg.lo, cfg.hi
-        else:
-            lo, hi = np.percentile(arr[i], [1.0, 99.0])
-        if not lo < hi:
-            cells[i] = 0
-        else:
-            cells[i] = cell_indices(arr[i], cfg.levels, float(lo), float(hi))
-
+    cells = _calibrated_cells(arr, cfg.levels, cfg.lo, cfg.hi)
     singles = np.array([_plugin_entropy_bits(np.bincount(cells[i])) for i in range(P)])
     mean_single = float(singles.mean())
     if mean_single <= 0.0:

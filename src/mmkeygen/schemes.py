@@ -52,7 +52,7 @@ from .keygen import (
     BitString,
     QuantizerConfig,
     bar,
-    cell_indices,
+    _calibrated_cells,
     concat_bits,
     extract_randomness,
     gray_encode_indices,
@@ -104,6 +104,16 @@ class SessionConfig:
             temporal_rho=self.temporal_rho,
         )
         QuantizerConfig(levels=self.levels)
+        if self.scheme == "secret_beam":
+            # the broadside sine offset must stay inside the first-null spacing
+            # of each party's azimuth aperture or the ratio curve folds for
+            # typical angles and the inversion is ill-posed by construction
+            for geom, owner in ((self.alice, "alice"), (self.bob, "bob")):
+                if geom.cols > 1 and np.sin(self.delta_max) >= 2.0 / (geom.cols * geom.spacing * 2.0):
+                    raise ValueError(
+                        f"delta_max={self.delta_max:.4f} rad reaches past the first pattern null "
+                        f"of {owner}'s {geom.cols}-element azimuth aperture"
+                    )
 
     @property
     def channel_params(self) -> ChannelParams:
@@ -158,9 +168,6 @@ class MultiresResult:
     samples_multires: np.ndarray = field(repr=False, default=None)
     samples_fixed: np.ndarray = field(repr=False, default=None)
 
-    def __iter__(self):
-        return iter((self.ker_multires, self.ker_fixed))
-
 
 def _snap_sines_to_grid(angles: np.ndarray, n: int) -> np.ndarray:
     s = np.round(np.sin(angles) * n / 2.0) * 2.0 / n
@@ -204,18 +211,6 @@ def _perturbation_beams(
     return resp.conj(), np.hypot(pattern.real, pattern.imag)
 
 
-def _validate_perturbation_span(cfg: SessionConfig) -> None:
-    # the broadside sine offset must stay inside the first-null spacing of
-    # each party's azimuth aperture or the ratio curve folds for typical
-    # angles and the inversion is ill-posed by construction
-    for geom, owner in ((cfg.alice, "alice"), (cfg.bob, "bob")):
-        if geom.cols > 1 and np.sin(cfg.delta_max) >= 2.0 / (geom.cols * geom.spacing * 2.0):
-            raise ValueError(
-                f"delta_max={cfg.delta_max:.4f} rad reaches past the first pattern null "
-                f"of {owner}'s {geom.cols}-element azimuth aperture"
-            )
-
-
 def secret_beam_session(cfg: SessionConfig) -> SchemeResult:
     """Run the beam-perturbation + XOR scheme for ``cfg.rounds`` rounds.
 
@@ -229,7 +224,6 @@ def secret_beam_session(cfg: SessionConfig) -> SchemeResult:
     """
     K = cfg.levels
     width = K.bit_length() - 1
-    _validate_perturbation_span(cfg)
     seed = cfg.master_seed
     rng_channel = seeds.generator(seed, seeds.STREAM_CHANNEL)
     rng_evolve = seeds.generator(seed, seeds.STREAM_EVOLVE)
@@ -511,13 +505,16 @@ def multires_session(cfg: SessionConfig) -> MultiresResult:
 
     quantizer = QuantizerConfig(levels=cfg.levels)
     multi_rows = np.stack([extract_randomness(row) for row in y_multi_bob])
+    multi_alice_rows = np.stack([extract_randomness(row) for row in y_multi_alice])
     fixed_rows = np.stack([extract_randomness(row) for row in y_fixed_bob])
     min_trials = min(2000, T)
     ker_multires = key_entropy_rate(multi_rows, quantizer, min_trials=min_trials)
     ker_fixed = key_entropy_rate(fixed_rows, quantizer, min_trials=min_trials)
 
-    bits_alice = _per_row_bits(y_multi_alice, cfg.levels)
-    bits_bob = _per_row_bits(y_multi_bob, cfg.levels)
+    # Gray-coded bits of each probe stream on its own calibrated range
+    width = cfg.levels.bit_length() - 1
+    bits_alice = gray_encode_indices(_calibrated_cells(multi_alice_rows, cfg.levels).ravel(), width)
+    bits_bob = gray_encode_indices(_calibrated_cells(multi_rows, cfg.levels).ravel(), width)
 
     return MultiresResult(
         ker_multires=ker_multires,
@@ -531,18 +528,3 @@ def multires_session(cfg: SessionConfig) -> MultiresResult:
         samples_multires=y_multi_bob,
         samples_fixed=y_fixed_bob,
     )
-
-
-def _per_row_bits(samples: np.ndarray, levels: int) -> BitString:
-    """Gray-coded bits of each probe stream on its own calibrated range."""
-    width = levels.bit_length() - 1
-    parts = []
-    for row in samples:
-        centered = extract_randomness(row)
-        lo, hi = np.percentile(centered, [1.0, 99.0])
-        if not lo < hi:
-            idx = np.zeros(centered.size, dtype=np.int64)
-        else:
-            idx = cell_indices(centered, levels, float(lo), float(hi))
-        parts.append(gray_encode_indices(idx, width))
-    return concat_bits(parts)

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -215,18 +216,55 @@ class TestRunScenario:
         assert len(table) == 1
         assert table.rows[0].metric == "bdr"
 
-    def test_thread_pool_equivalence(self, monkeypatch):
-        cfg = small_cfg("fig2", trials=12, snr_grid=[5])
-        monkeypatch.delenv("MMKEYGEN_THREADS", raising=False)
-        sequential = table_to_csv(run_scenario(cfg))
-        monkeypatch.setenv("MMKEYGEN_THREADS", "4")
-        threaded = table_to_csv(run_scenario(cfg))
-        assert sequential == threaded
+    def test_fig4_refuses_too_few_blocks(self):
+        with pytest.raises(ConfigError, match="fig4 needs trials >= 2000"):
+            small_cfg("fig4", trials=1999, snr_grid=[20])
 
-    def test_bad_thread_env(self, monkeypatch):
-        monkeypatch.setenv("MMKEYGEN_THREADS", "zero")
-        with pytest.raises(ConfigError, match="MMKEYGEN_THREADS"):
-            run_scenario(small_cfg("fig2", trials=2, snr_grid=[0]))
+    def test_grid_angles_honoured_by_fig2(self):
+        bare = run_scenario(small_cfg("fig2", trials=4, snr_grid=[10]))
+        grid = run_scenario(small_cfg("fig2", trials=4, snr_grid=[10], scheme={"grid_angles": 1}))
+        assert table_to_csv(grid) != table_to_csv(bare)
+
+
+class TestFixedKeys:
+    @pytest.mark.parametrize(
+        "scenario, scheme_lines, key",
+        [
+            ("fig2", "alice_cols = 64", "alice_cols"),
+            ("fig2", 'eve = "none"', "eve"),
+            ("fig3", "num_paths = 5", "num_paths"),
+            ("fig3", "rounds_per_trial = 4", "rounds_per_trial"),
+            ("fig4", 'scheme = "virtual"', "scheme"),
+            ("fig4", "rounds_per_trial = 4", "rounds_per_trial"),
+            ("cascade-bench", "levels = 8", "levels"),
+            ("custom", 'scheme = "multires"\nrounds_per_trial = 4', "rounds_per_trial"),
+        ],
+    )
+    def test_case_fixed_key_warns(self, scenario, scheme_lines, key):
+        text = f'scenario = "{scenario}"\nmaster_seed = 1\ntrials = 2000\n[scheme]\n{scheme_lines}\n'
+        with pytest.warns(UserWarning, match=rf"ignoring \[scheme\] key '{key}'"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "scenario, scheme_lines, message",
+        [("fig2", 'eve = "carol"', "eve"), ("custom", 'scheme = "quantum"', "unknown scheme")],
+    )
+    @pytest.mark.filterwarnings("ignore:ignoring \\[scheme\\] key")
+    def test_bad_scheme_or_eve_rejected(self, scenario, scheme_lines, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(f'scenario = "{scenario}"\nmaster_seed = 1\n[scheme]\n{scheme_lines}\n')
+
+    def test_open_key_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parse_config(MINIMAL_FIG2 + "[scheme]\nlevels = 8\ngrid_angles = 1\n")
+            parse_config('scenario = "custom"\nmaster_seed = 1\n[scheme]\nrounds_per_trial = 4\n')
+
+    def test_fixed_key_leaves_table_unchanged(self):
+        bare = run_scenario(small_cfg("fig2", trials=3, snr_grid=[10]))
+        with pytest.warns(UserWarning, match="alice_cols"):
+            wide = run_scenario(small_cfg("fig2", trials=3, snr_grid=[10], scheme={"alice_cols": 64}))
+        assert table_to_csv(wide) == table_to_csv(bare)
 
 
 class TestCli:
@@ -269,6 +307,14 @@ class TestCli:
         cfg = self._write(tmp_path, text)
         assert cli_main(["validate", "--config", cfg]) == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scheme_key, message", [("levels = 5", "levels"), ("delta_max_deg = 30", "first pattern null")]
+    )
+    def test_validate_builds_sessions(self, tmp_path, capsys, scheme_key, message):
+        cfg = self._write(tmp_path, MINIMAL_FIG2 + f"[scheme]\n{scheme_key}\n")
+        assert cli_main(["validate", "--config", cfg]) == 1
+        assert message in capsys.readouterr().err
 
     def test_unknown_flag_exit_one(self, capsys):
         assert cli_main(["run", "--bogus"]) == 1

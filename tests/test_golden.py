@@ -43,6 +43,46 @@ GOLDEN = {
         '[scheme]\nscheme = "secret_beam"\ngrid_angles = 1\nnum_paths = 2\n',
         "94d3ce74bf3ae84a805acab133dd0ac53a3f3e4a0429a3fba65f1f81184df74c",
     ),
+    # every [scheme] key a preset's cases leave open, merged into the preset
+    "fig2-overrides": (
+        'scenario = "fig2"\nmaster_seed = 2\ntrials = 6\nsnr_grid = 0, 20\n'
+        "[scheme]\nnum_paths = 3\nlevels = 8\ntemporal_rho = 0.4\nrounds_per_trial = 2\n"
+        "delta_max_deg = 2.5\nnlos_offset_db = 6\n",
+        "7ad4dfa9ae72e833a8c5a3529df983417ed9773cc43f3ea17859c67e2e8f33c1",
+    ),
+    "fig3-overrides": (
+        'scenario = "fig3"\nmaster_seed = 2\ntrials = 3\nsnr_grid = -10\n'
+        "[scheme]\nlevels = 4\nnlos_offset_db = 3\ngrid_angles = 0\n",
+        "02ff2f21dc201477cc2c60e043d28bc5fd6e10d1d01e69199a39cd212ebad7c3",
+    ),
+    "fig4-overrides": (
+        'scenario = "fig4"\nmaster_seed = 2\ntrials = 2000\nsnr_grid = 15\n'
+        "[scheme]\nalice_cols = 32\nbob_cols = 16\nnum_paths = 6\nnum_beams = 4\n"
+        "temporal_rho = 0.3\nwindow_db = 12\ncodebook_depth = 4\n",
+        "eb44880527b85a015a0beaa3255a8382b32deab89998d47f390c7c0cdf8111a2",
+    ),
+    # custom with each scheme's own defaults
+    "custom-secret-beam-default": (
+        'scenario = "custom"\nmaster_seed = 3\ntrials = 6\nsnr_grid = 10\n',
+        "a3a41cf02737d9b54f4583022539806876e2eee56bb1086fbd38fabab6c6a444",
+    ),
+    "custom-virtual": (
+        'scenario = "custom"\nmaster_seed = 4\ntrials = 3\nsnr_grid = 0\n'
+        '[scheme]\nscheme = "virtual"\nalice_cols = 32\nbob_cols = 32\n'
+        "num_paths = 2\ngrid_angles = 1\nnlos_offset_db = 0\nrounds_per_trial = 2\n",
+        "a3db1a81b962443d945a61a5aa6d71d45380f840bba5a799914af2f5a685a8c1",
+    ),
+    "custom-baseline": (
+        'scenario = "custom"\nmaster_seed = 4\ntrials = 3\nsnr_grid = 0\n'
+        '[scheme]\nscheme = "baseline"\nalice_cols = 16\nbob_cols = 16\n',
+        "7ba35b33e94feafd15d9bd1314b2b64cf3ed67d02f2aa39c7fa5573d79d55bb0",
+    ),
+    # stderr is the jackknife that fig4 reports
+    "custom-multires": (
+        'scenario = "custom"\nmaster_seed = 5\ntrials = 2000\nsnr_grid = 10\n'
+        '[scheme]\nscheme = "multires"\n',
+        "7c4e2a054c7ed08b94320ef1c3b5ca03d2b69be32c8122d2eaec4cd1ffc23c5a",
+    ),
 }
 
 

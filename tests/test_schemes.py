@@ -4,7 +4,7 @@ import pytest
 from mmkeygen import seeds
 from mmkeygen.beamforming import beam_gain, perturb, steering_beamformer
 from mmkeygen.channel import ArrayGeometry, channel_matrix, sample_channel
-from mmkeygen.keygen import bar
+from mmkeygen.keygen import bar, cell_indices, extract_randomness, gray_encode_indices
 from mmkeygen.schemes import (
     SessionConfig,
     _perturbation_beams,
@@ -290,9 +290,17 @@ class TestMultires:
         assert a.ker_multires == b.ker_multires
         assert a.beam_ids == b.beam_ids
 
-    def test_tuple_unpacking(self):
-        km, kf = multires_session(fig4_cfg(rounds=2000))
-        assert km > kf
+    def test_bits_equal_per_row_reference(self):
+        # reference: each probe stream centred, calibrated on its own 1st-99th
+        # percentile range, quantized and Gray-coded, streams concatenated
+        res = multires_session(fig4_cfg(rounds=200))
+        parts = []
+        for row in res.samples_multires:
+            centered = extract_randomness(row)
+            lo, hi = np.percentile(centered, [1.0, 99.0])
+            idx = cell_indices(centered, 4, float(lo), float(hi))
+            parts.append(gray_encode_indices(idx, 2).bits)
+        assert np.array_equal(res.bits_bob.bits, np.concatenate(parts))
 
 
 class TestEveInformationBound:
