@@ -117,17 +117,27 @@ def array_response(
     m = np.arange(geom.rows)[:, None]
     n = np.arange(geom.cols)
     phase = 2.0 * np.pi * geom.spacing * (m * np.sin(el) + n * np.sin(az) * np.cos(el))
+    # in place from the first complex array on, so a large batch of
+    # directions holds one complex array at a time
+    resp = 1j * phase
+    np.exp(resp, out=resp)
+    resp /= np.sqrt(geom.size)
     # phase is (..., rows, cols); flatten each response row-major
-    return (np.exp(1j * phase) / np.sqrt(geom.size)).reshape(phase.shape[:-2] + (geom.size,))
+    return resp.reshape(phase.shape[:-2] + (geom.size,))
 
 
 def _nlos_power(nlos_offset_db: float) -> float:
     return 10.0 ** (-nlos_offset_db / 10.0)
 
 
-def _draw_nlos_gains(count: int, nlos_offset_db: float, rng: np.random.Generator) -> np.ndarray:
+def _nlos_gains(re: np.ndarray, im: np.ndarray, nlos_offset_db: float) -> np.ndarray:
+    """NLoS gains from standard normal real and imaginary parts."""
     sigma = np.sqrt(_nlos_power(nlos_offset_db) / 2.0)
-    return sigma * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
+    return sigma * (re + 1j * im)
+
+
+def _draw_nlos_gains(count: int, nlos_offset_db: float, rng: np.random.Generator) -> np.ndarray:
+    return _nlos_gains(rng.standard_normal(count), rng.standard_normal(count), nlos_offset_db)
 
 
 def sample_channel(

@@ -48,9 +48,9 @@ from .keygen import (
 )
 from .schemes import (
     SessionConfig,
+    _secret_beam_batch,
     baseline_channel_quant_session,
     multires_session,
-    secret_beam_session,
     virtual_angle_session,
 )
 
@@ -77,6 +77,10 @@ _SCENARIO_SUMMARY = {
     "mismatch per error rate (n=4096)",
     "custom": "one scheme at explicit [scheme] settings",
 }
+
+# trials per secret-beam batch: bounds a batch's arrays to about a megabyte
+# at 32 x 16 antennas and 16 levels
+_BEAM_BATCH = 64
 
 _SECRET_BEAM = SessionConfig(rounds=3, delta_max=float(np.radians(3.0)))
 _MULTIRES = SessionConfig(
@@ -463,15 +467,13 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
 
 
-def _trial_seed(cfg: ExperimentConfig, case_idx: int, snr_idx: int, trial_idx: int) -> int:
-    return seeds.derive_seed(
-        cfg.master_seed,
-        seeds.STREAM_TRIAL,
-        _SCENARIO_IDS[cfg.scenario],
-        case_idx,
-        snr_idx,
-        trial_idx,
-    )
+def _trial_seeds(cfg: ExperimentConfig, case_idx: int, snr_idx: int, trials: int) -> np.ndarray:
+    """The u64 seeds of trials ``0 .. trials-1`` of one (case, SNR) point."""
+    labels = (cfg.master_seed, seeds.STREAM_TRIAL, _SCENARIO_IDS[cfg.scenario], case_idx, snr_idx)
+    addresses = np.empty((trials, len(labels) + 1), dtype=np.uint64)
+    addresses[:, :-1] = labels
+    addresses[:, -1] = np.arange(trials)
+    return seeds.derive_seeds(addresses)
 
 
 def _merge(preset: SessionConfig, ov: SchemeOverrides) -> SessionConfig:
@@ -533,9 +535,10 @@ def _cases(cfg: ExperimentConfig) -> list[tuple[tuple[tuple[str, str], ...], Ses
 
 
 def _jackknife_stderr(samples: np.ndarray, estimator, sections: int = 10) -> float:
+    """Leave-one-section-out jackknife stderr over the blocks (columns); NaN below 2 blocks per section."""
     T = samples.shape[1]
     if T < sections * 2:
-        return 0.0
+        return float("nan")
     edges = np.linspace(0, T, sections + 1, dtype=int)
     estimates = []
     for j in range(sections):
@@ -568,21 +571,25 @@ def _run_sessions(cfg: ExperimentConfig) -> list[ResultRow]:
             session = replace(template, snr_db=snr)
             if session.scheme == "multires":
                 # one long session of `trials` coherence blocks per point
-                seed = _trial_seed(cfg, case_idx, snr_idx, 0)
+                seed = int(_trial_seeds(cfg, case_idx, snr_idx, 1)[0])
                 stats = _multires_point(replace(session, rounds=trials, master_seed=seed))
             else:
-                run = {
-                    "secret_beam": secret_beam_session,
-                    "virtual": virtual_angle_session,
-                    "baseline": baseline_channel_quant_session,
-                }[session.scheme]
-                # keep only the metric floats: a session's result is freed
-                # before the next trial's session runs
-                floats = attrgetter(*metrics)
-                values = np.empty((trials, len(metrics)))
-                for trial_idx in range(trials):
-                    seed = _trial_seed(cfg, case_idx, snr_idx, trial_idx)
-                    values[trial_idx] = floats(run(replace(session, master_seed=seed)))
+                trial_seeds = _trial_seeds(cfg, case_idx, snr_idx, trials)
+                if session.scheme == "secret_beam":
+                    # a point's trials run as batches of bounded size
+                    parts = []
+                    for start in range(0, trials, _BEAM_BATCH):
+                        batch = _secret_beam_batch(session, trial_seeds[start : start + _BEAM_BATCH])
+                        parts.append(np.column_stack([getattr(batch, metric) for metric in metrics]))
+                    values = np.concatenate(parts)
+                else:
+                    run = {"virtual": virtual_angle_session, "baseline": baseline_channel_quant_session}[session.scheme]
+                    # keep only the metric floats: a session's result is freed
+                    # before the next trial's session runs
+                    floats = attrgetter(*metrics)
+                    values = np.empty((trials, len(metrics)))
+                    for trial_idx, seed in enumerate(trial_seeds.tolist()):
+                        values[trial_idx] = floats(run(replace(session, master_seed=seed)))
                 stats = [_mean_stderr(column) for column in values.T]
             rows.extend(
                 ResultRow(cfg.scenario, label, snr, metric, value, stderr, trials, cfg.master_seed)
@@ -596,8 +603,7 @@ def _run_cascade_bench(cfg: ExperimentConfig) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for case_idx, p in enumerate(cfg.cascade.error_rates):
         outcomes = np.empty((cfg.trials, 2))
-        for trial_idx in range(cfg.trials):
-            seed = _trial_seed(cfg, case_idx, 0, trial_idx)
+        for trial_idx, seed in enumerate(_trial_seeds(cfg, case_idx, 0, cfg.trials).tolist()):
             rng = seeds.generator(seed, seeds.STREAM_BENCH_DATA)
             a = BitString(bits=rng.integers(0, 2, n, dtype=np.uint8))
             flips = (rng.random(n) < p).astype(np.uint8)

@@ -41,6 +41,7 @@ from .channel import (
     ArrayGeometry,
     ChannelParams,
     ChannelRealization,
+    _nlos_gains,
     array_response,
     channel_matrix,
     evolve,
@@ -59,7 +60,6 @@ from .keygen import (
     key_entropy_rate,
     pack_indices,
     quantize,
-    xor_combine,
 )
 from .probing import EveConfig, bidirectional_probe
 
@@ -96,7 +96,7 @@ class SessionConfig:
         if self.num_beams < 1:
             raise ValueError(f"num_beams must be >= 1, got {self.num_beams}")
         if self.eve not in (None, "alice", "bob"):
-            raise ValueError(f"eve must be 'alice', 'bob' or None, got {self.eve!r}")
+            raise ValueError(f"eve must be 'alice', 'bob' or None (\"none\" in a config file), got {self.eve!r}")
         # delegate the remaining range checks
         ChannelParams(
             num_paths=self.num_paths,
@@ -174,25 +174,41 @@ def _snap_sines_to_grid(angles: np.ndarray, n: int) -> np.ndarray:
     return np.arcsin(np.clip(s, -1.0, 1.0 - 2.0 / n))
 
 
+def _grid_angles(angles: np.ndarray, cfg: SessionConfig) -> np.ndarray:
+    # beamspace variant: in-plane rays with sines on the DFT grids of both
+    # arrays, so each path occupies exactly one virtual bin
+    snapped = np.zeros_like(angles)
+    snapped[..., 0] = _snap_sines_to_grid(angles[..., 0], cfg.alice.cols)
+    snapped[..., 2] = _snap_sines_to_grid(angles[..., 2], cfg.bob.cols)
+    return snapped
+
+
 def _session_channel(cfg: SessionConfig, rng: np.random.Generator) -> ChannelRealization:
     ch = sample_channel(cfg.channel_params, cfg.alice, cfg.bob, rng)
     if not cfg.grid_angles:
         return ch
-    # beamspace variant: in-plane rays with sines on the DFT grids of both
-    # arrays, so each path occupies exactly one virtual bin
-    angles = np.zeros_like(ch.angles)
-    angles[:, 0] = _snap_sines_to_grid(ch.angles[:, 0], cfg.alice.cols)
-    angles[:, 2] = _snap_sines_to_grid(ch.angles[:, 2], cfg.bob.cols)
-    return replace(ch, angles=angles)
+    return replace(ch, angles=_grid_angles(ch.angles, cfg))
 
 
 # ---------------------------------------------------------------------------
 # Secret beam (perturbation keying)
 # ---------------------------------------------------------------------------
 
+# the streams of one secret-beam session; the last two feed only the eavesdropper
+_BEAM_STREAMS = (
+    seeds.STREAM_CHANNEL,
+    seeds.STREAM_EVOLVE,
+    seeds.STREAM_PERTURB_ALICE,
+    seeds.STREAM_PERTURB_BOB,
+    seeds.STREAM_NOISE_ALICE,
+    seeds.STREAM_NOISE_BOB,
+    seeds.STREAM_NOISE_EVE,
+    seeds.STREAM_EVE_GUESS,
+)
+
 
 def _perturbation_beams(
-    geom: ArrayGeometry, az: float, el: float, deltas: np.ndarray
+    geom: ArrayGeometry, az: float | np.ndarray, el: float | np.ndarray, deltas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One party's (K+1) x N steering matrix and its K-entry ratio LUT.
 
@@ -201,14 +217,215 @@ def _perturbation_beams(
     for each perturbed beam: strictly decreasing whenever the nominal
     direction is away from endfire and the span stays below the first
     pattern null; near endfire the curve flattens and nearest-ratio
-    matching degrades gracefully to guessing.
+    matching degrades gracefully to guessing.  Arrays of directions give a
+    leading batch axis on both results.
     """
-    resp = array_response(geom, np.concatenate(([az], az + deltas)), el)
+    az = np.asarray(az, dtype=float)[..., None]
+    el = np.asarray(el, dtype=float)[..., None]
+    resp = array_response(geom, np.concatenate((az, az + deltas), axis=-1), el)
     # the beams are conj(resp) and vecdot conjugates its first argument, so
     # this is w_k^T a(az, el) per row, bit-equal to beam_gain; hypot, unlike
     # np.abs, also matches abs() of a Python complex bit for bit
-    pattern = np.vecdot(resp[1:], resp[0])
-    return resp.conj(), np.hypot(pattern.real, pattern.imag)
+    pattern = np.vecdot(resp[..., 1:, :], resp[..., :1, :])
+    return np.conjugate(resp, out=resp), np.hypot(pattern.real, pattern.imag)
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` over the last axis for each broadcast row.
+
+    A (1, L) @ (L, 1) matmul runs the BLAS dot that a 1-D ``x @ y`` runs,
+    so each entry is bit-equal to the per-row product.
+    """
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+@dataclass(frozen=True)
+class _BeamBatch:
+    """The outcomes of a batch of secret-beam sessions, one row per trial.
+
+    The index arrays are (B, rounds): ``idx_*`` are each party's
+    perturbation indices, ``est_*`` each party's estimates of the far
+    party's, ``eve_far`` the eavesdropper's estimates of the far party's and
+    ``eve_near_guess`` her uniform guesses of her host's.  The bit arrays are
+    (B, rounds * bits per index), as in :class:`SchemeResult`.  Without an
+    eavesdropper the eve arrays are None and ``bar_eve`` is NaN.
+    """
+
+    idx_a: np.ndarray
+    idx_b: np.ndarray
+    est_a_at_bob: np.ndarray
+    est_b_at_alice: np.ndarray
+    eve_far: np.ndarray | None
+    eve_near_guess: np.ndarray | None
+    bits_alice: np.ndarray
+    bits_bob: np.ndarray
+    final_alice: np.ndarray
+    final_bob: np.ndarray
+    bits_eve: np.ndarray | None
+    eve_guess: np.ndarray | None
+    bar_legit: np.ndarray
+    bar_eve: np.ndarray
+
+
+def _beam_draws(cfg: SessionConfig, trial_seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every draw a batch of secret-beam sessions takes from its streams.
+
+    Goes trial by trial: sets each stream's state on one reused generator
+    and draws what the session takes from that stream, in the session's
+    order.  ``uniform(low, high)`` is ``low + (high - low) * random()``, and
+    with (low, high) = (-1, 1) or (0, 2 pi) that is exact in either order
+    of rounding, so the uniform draws are taken as ``random()`` and scaled
+    over the whole batch; the perturbation streams give their raw outputs.
+    The evolution stream interleaves a uniform phase with normals, so it is
+    drawn round by round.
+
+    Returns the channel stream's uniforms (B, 4L + 1), the L x 4 sines
+    then the LoS phase, and its NLoS normals (B, 2(L-1)); the evolution
+    uniforms (B, R) and normals (B, R, 2(L-1)); the perturbation indices of
+    Alice and Bob and the eavesdropper's guesses (parties, B, R); and the
+    noise normals of Alice, Bob and the eavesdropper (parties, B, R, 4),
+    per round the calibration pilot's (re, im) then the keyed pilot's.
+    """
+    B, R, L = trial_seeds.size, cfg.rounds, cfg.num_paths
+    eve = cfg.eve is not None
+    tags = _BEAM_STREAMS if eve else _BEAM_STREAMS[:-2]
+    parties = 3 if eve else 2
+    addresses = np.column_stack((np.repeat(trial_seeds, len(tags)), np.tile(np.array(tags, np.uint64), B)))
+    states = iter(seeds.generator_states(addresses))
+
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    channel_u = np.empty((B, 4 * L + 1))
+    nlos = np.empty((B, 2 * (L - 1)))
+    evo_u = np.empty((B, R))
+    evo_nlos = np.empty((B, R, 2 * (L - 1)))
+    raw = np.empty((parties, B, (R + 1) // 2), dtype=np.uint64)
+    noise = np.empty((parties, B, R, 4))
+    for b in range(B):
+        bitgen.state = next(states)
+        rng.random(out=channel_u[b])
+        rng.standard_normal(out=nlos[b])
+        bitgen.state = next(states)
+        for t in range(R):
+            evo_u[b, t] = rng.random()
+            rng.standard_normal(out=evo_nlos[b, t])
+        for party in range(2):
+            bitgen.state = next(states)
+            raw[party, b] = bitgen.random_raw(raw.shape[-1])
+        for party in range(parties):
+            bitgen.state = next(states)
+            rng.standard_normal(out=noise[party, b])
+        if eve:
+            bitgen.state = next(states)
+            raw[2, b] = bitgen.random_raw(raw.shape[-1])
+    index = seeds.integers_from_raw(raw, cfg.levels, R)
+    return channel_u, nlos, evo_u, evo_nlos, index, noise
+
+
+def _secret_beam_batch(cfg: SessionConfig, trial_seeds) -> _BeamBatch:
+    """Run the session ``cfg`` describes once per trial seed, as its master seed.
+
+    The draws come from :func:`_beam_draws`; the rest is array math over
+    all trials.  A trial's row depends only on its seed, so any split of
+    the seeds into batches gives the same rows.
+    """
+    trial_seeds = np.asarray(trial_seeds, dtype=np.uint64).reshape(-1)
+    B, R, K, L = trial_seeds.size, cfg.rounds, cfg.levels, cfg.num_paths
+    eve = cfg.eve is not None
+    channel_u, nlos, evo_u, evo_nlos, index, noise = _beam_draws(cfg, trial_seeds)
+
+    # the channel as sample_channel draws it, then its gains per round as
+    # evolve steps them; -1 + 2u is uniform(-1, 1) and 2 pi u uniform(0, 2 pi)
+    two_pi = 2.0 * np.pi
+    angles = np.arcsin(-1.0 + 2.0 * channel_u[:, :-1].reshape(B, L, 4))
+    if cfg.grid_angles:
+        angles = _grid_angles(angles, cfg)
+    los = np.exp(1j * (two_pi * channel_u[:, -1]))
+
+    def nlos_gains(normals: np.ndarray) -> np.ndarray:
+        # the L-1 real parts, then the L-1 imaginary parts
+        return _nlos_gains(normals[..., : L - 1], normals[..., L - 1 :], cfg.nlos_offset_db)
+
+    gains = np.concatenate((los[:, None], nlos_gains(nlos)), axis=1)
+    eps = np.concatenate((np.exp(1j * (two_pi * evo_u))[..., None], nlos_gains(evo_nlos)), axis=2)
+    rho = cfg.temporal_rho
+    mix = np.sqrt(1.0 - rho * rho)
+    alpha = np.empty((B, R, L), dtype=complex)
+    for t in range(R):
+        gains = rho * gains + mix * eps[:, t]
+        alpha[:, t] = gains
+
+    deltas = cfg.delta_max * np.arange(1, K + 1) / K
+
+    def through_beams(geom: ArrayGeometry, column: int) -> tuple[np.ndarray, np.ndarray]:
+        # (B, L, K+1): each path's gain through each beam, and the ratio LUT;
+        # one side at a time, so one side's steering matrices are alive at once
+        az, el = angles[..., column], angles[..., column + 1]
+        beams, lut = _perturbation_beams(geom, az[:, 0], el[:, 0], deltas)
+        return array_response(geom, az, el) @ beams.swapaxes(-1, -2), lut
+
+    tx_a, lut_a = through_beams(cfg.alice, 0)
+    tx_b, lut_b = through_beams(cfg.bob, 2)
+    scale = np.sqrt(cfg.alice.size * cfg.bob.size / cfg.num_paths)
+
+    sigma = np.sqrt(10.0 ** (-cfg.snr_db / 10.0) / 2.0)
+    eve_snr = cfg.snr_db if cfg.eve_snr_db is None else cfg.eve_snr_db
+    sigma_e = np.sqrt(10.0 ** (-eve_snr / 10.0) / 2.0)
+    trial = np.arange(B)[:, None]
+
+    def pilots(tx_rx: np.ndarray, tx_tx: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # noiseless calibration and keyed pilots: the receiver combines on its
+        # nominal beam, the sender steers its nominal beam, then beam k + 1
+        base = scale * (alpha * tx_rx[:, None, :, 0])
+        return _dots(base, tx_tx[:, None, :, 0]), _dots(base, tx_tx[trial, :, k + 1])
+
+    def estimates(lut: np.ndarray, y: tuple[np.ndarray, np.ndarray], n: np.ndarray, s: float) -> np.ndarray:
+        y0 = np.hypot(y[0].real + s * n[..., 0], y[0].imag + s * n[..., 1])
+        y1 = np.hypot(y[1].real + s * n[..., 2], y[1].imag + s * n[..., 3])
+        return np.argmin(np.abs(lut[:, None, :] - (y1 / y0)[..., None]), axis=-1)
+
+    idx_a, idx_b = index[0], index[1]
+    at_bob = pilots(tx_b, tx_a, idx_a)
+    at_alice = pilots(tx_a, tx_b, idx_b)
+    est_b_at_alice = estimates(lut_b, at_alice, noise[0], sigma)
+    est_a_at_bob = estimates(lut_a, at_bob, noise[1], sigma)
+
+    width = K.bit_length() - 1
+
+    def gray_bits(idx: np.ndarray) -> np.ndarray:
+        return gray_encode_indices(idx.reshape(-1), width).bits.reshape(B, R * width)
+
+    bits_alice, bits_bob = gray_bits(idx_a), gray_bits(idx_b)
+    final_alice = bits_alice ^ gray_bits(est_b_at_alice)
+    final_bob = gray_bits(est_a_at_bob) ^ bits_bob
+    eve_far = eve_near_guess = bits_eve = eve_guess = None
+    bar_eve = np.full(B, np.nan)
+    if eve:
+        # co-located with one party, she hears what that party hears
+        if cfg.eve == "alice":
+            eve_far = estimates(lut_b, at_alice, noise[2], sigma_e)
+        else:
+            eve_far = estimates(lut_a, at_bob, noise[2], sigma_e)
+        eve_near_guess = index[2]
+        bits_eve = gray_bits(eve_far)
+        eve_guess = gray_bits(eve_near_guess) ^ bits_eve
+        bar_eve = (eve_guess == final_alice).mean(axis=1)
+    return _BeamBatch(
+        idx_a=idx_a,
+        idx_b=idx_b,
+        est_a_at_bob=est_a_at_bob,
+        est_b_at_alice=est_b_at_alice,
+        eve_far=eve_far,
+        eve_near_guess=eve_near_guess,
+        bits_alice=bits_alice,
+        bits_bob=bits_bob,
+        final_alice=final_alice,
+        final_bob=final_bob,
+        bits_eve=bits_eve,
+        eve_guess=eve_guess,
+        bar_legit=(final_alice == final_bob).mean(axis=1),
+        bar_eve=bar_eve,
+    )
 
 
 def secret_beam_session(cfg: SessionConfig) -> SchemeResult:
@@ -220,97 +437,24 @@ def secret_beam_session(cfg: SessionConfig) -> SchemeResult:
     through the known one-sided pattern curve.  Calibration pilots are
     public and never enter the key.  An eavesdropper co-located with one
     party recovers the far party's offsets exactly as well as that party
-    does, but must guess the host's own offsets uniformly.
+    does, but must guess the host's own offsets uniformly.  This is a batch
+    of one trial whose seed is ``cfg.master_seed``.
     """
-    K = cfg.levels
-    width = K.bit_length() - 1
-    seed = cfg.master_seed
-    rng_channel = seeds.generator(seed, seeds.STREAM_CHANNEL)
-    rng_evolve = seeds.generator(seed, seeds.STREAM_EVOLVE)
-    rng_alice = seeds.generator(seed, seeds.STREAM_NOISE_ALICE)
-    rng_bob = seeds.generator(seed, seeds.STREAM_NOISE_BOB)
-    rng_eve = seeds.generator(seed, seeds.STREAM_NOISE_EVE)
-    rng_pa = seeds.generator(seed, seeds.STREAM_PERTURB_ALICE)
-    rng_pb = seeds.generator(seed, seeds.STREAM_PERTURB_BOB)
-    rng_guess = seeds.generator(seed, seeds.STREAM_EVE_GUESS)
-
-    ch = _session_channel(cfg, rng_channel)
-    aod_az, aod_el, aoa_az, aoa_el = ch.angles[0]
-    deltas = cfg.delta_max * np.arange(1, K + 1) / K
-    beams_a, lut_a = _perturbation_beams(cfg.alice, aod_az, aod_el, deltas)
-    beams_b, lut_b = _perturbation_beams(cfg.bob, aoa_az, aoa_el, deltas)
-
-    a_rx, a_tx = response_matrices(ch)
-    scale = np.sqrt(cfg.alice.size * cfg.bob.size / cfg.num_paths)
-    tx_a = a_tx.T @ beams_a.T  # (L, K+1)
-    tx_b = a_rx.T @ beams_b.T  # (L, K+1)
-
-    sigma = np.sqrt(10.0 ** (-cfg.snr_db / 10.0) / 2.0)
-    eve_snr = cfg.snr_db if cfg.eve_snr_db is None else cfg.eve_snr_db
-    sigma_e = np.sqrt(10.0 ** (-eve_snr / 10.0) / 2.0)
-
-    def _noise(r: np.random.Generator, s: float) -> complex:
-        return complex(s * (r.standard_normal() + 1j * r.standard_normal()))
-
-    idx_a = np.empty(cfg.rounds, dtype=np.int64)
-    idx_b = np.empty(cfg.rounds, dtype=np.int64)
-    est_a_at_bob = np.empty(cfg.rounds, dtype=np.int64)
-    est_b_at_alice = np.empty(cfg.rounds, dtype=np.int64)
-    eve_far = np.empty(cfg.rounds, dtype=np.int64)
-    eve_near_guess = np.empty(cfg.rounds, dtype=np.int64)
-
-    for t in range(cfg.rounds):
-        ch = evolve(ch, cfg.temporal_rho, rng_evolve)
-        alpha = ch.gains
-        k_a = int(rng_pa.integers(0, K))
-        k_b = int(rng_pb.integers(0, K))
-        base_fwd = scale * (alpha * tx_b[:, 0])  # Bob combines on his nominal beam
-        base_rev = scale * (alpha * tx_a[:, 0])  # Alice combines on hers
-        y0_bob = base_fwd @ tx_a[:, 0] + _noise(rng_bob, sigma)
-        y1_bob = base_fwd @ tx_a[:, k_a + 1] + _noise(rng_bob, sigma)
-        y0_ali = base_rev @ tx_b[:, 0] + _noise(rng_alice, sigma)
-        y1_ali = base_rev @ tx_b[:, k_b + 1] + _noise(rng_alice, sigma)
-
-        idx_a[t], idx_b[t] = k_a, k_b
-        est_a_at_bob[t] = int(np.argmin(np.abs(lut_a - abs(y1_bob) / abs(y0_bob))))
-        est_b_at_alice[t] = int(np.argmin(np.abs(lut_b - abs(y1_ali) / abs(y0_ali))))
-
-        if cfg.eve == "alice":
-            e0 = base_rev @ tx_b[:, 0] + _noise(rng_eve, sigma_e)
-            e1 = base_rev @ tx_b[:, k_b + 1] + _noise(rng_eve, sigma_e)
-            eve_far[t] = int(np.argmin(np.abs(lut_b - abs(e1) / abs(e0))))
-        elif cfg.eve == "bob":
-            e0 = base_fwd @ tx_a[:, 0] + _noise(rng_eve, sigma_e)
-            e1 = base_fwd @ tx_a[:, k_a + 1] + _noise(rng_eve, sigma_e)
-            eve_far[t] = int(np.argmin(np.abs(lut_a - abs(e1) / abs(e0))))
-        eve_near_guess[t] = int(rng_guess.integers(0, K))
-
-    bits_alice = gray_encode_indices(idx_a, width)
-    bits_bob = gray_encode_indices(idx_b, width)
-    final_alice = xor_combine(bits_alice, gray_encode_indices(est_b_at_alice, width))
-    final_bob = xor_combine(gray_encode_indices(est_a_at_bob, width), bits_bob)
-    bar_legit = bar(final_alice, final_bob)
-
-    bits_eve = eve_guess = None
-    bar_eve = float("nan")
-    if cfg.eve is not None:
-        bits_eve = gray_encode_indices(eve_far, width)
-        guess = gray_encode_indices(eve_near_guess, width)
-        eve_guess = xor_combine(guess, bits_eve)
-        bar_eve = bar(eve_guess, final_alice)
-
+    batch = _secret_beam_batch(cfg, [cfg.master_seed])
+    bar_legit = float(batch.bar_legit[0])
+    eve = cfg.eve is not None
     return SchemeResult(
-        bits_alice=bits_alice,
-        bits_bob=bits_bob,
-        final_key_alice=final_alice,
-        final_key_bob=final_bob,
+        bits_alice=BitString(batch.bits_alice[0]),
+        bits_bob=BitString(batch.bits_bob[0]),
+        final_key_alice=BitString(batch.final_alice[0]),
+        final_key_bob=BitString(batch.final_bob[0]),
         bar_legit=bar_legit,
         bdr=1.0 - bar_legit,
         leaked_bits=0,
         probes_used=4 * cfg.rounds,
-        bits_eve=bits_eve,
-        eve_guess=eve_guess,
-        bar_eve=bar_eve,
+        bits_eve=BitString(batch.bits_eve[0]) if eve else None,
+        eve_guess=BitString(batch.eve_guess[0]) if eve else None,
+        bar_eve=float(batch.bar_eve[0]),
     )
 
 

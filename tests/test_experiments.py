@@ -216,6 +216,29 @@ class TestRunScenario:
         assert len(table) == 1
         assert table.rows[0].metric == "bdr"
 
+    def test_short_multires_stderr_is_nan(self):
+        # the jackknife needs 2 blocks in each of its 10 sections
+        def stderrs(blocks):
+            cfg = small_cfg("custom", trials=blocks, snr_grid=[10], scheme={"scheme": '"multires"'})
+            table = run_scenario(cfg)
+            assert all(np.isfinite(r.value) for r in table.rows)
+            return [r.stderr for r in table.rows], table
+
+        short, table = stderrs(19)
+        assert len(short) == 2 and all(np.isnan(se) for se in short)
+        assert b",nan,19," in table_to_csv(table)
+        enough, _ = stderrs(20)
+        assert all(np.isfinite(se) and se > 0.0 for se in enough)
+
+    @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_trial_seeds_equal_scalar_derivation(self, master_seed):
+        from mmkeygen import seeds
+        from mmkeygen.experiments import _trial_seeds
+
+        cfg = parse_config(f'scenario = "fig2"\nmaster_seed = {master_seed}\ntrials = 3\n')
+        expected = [seeds.derive_seed(master_seed, seeds.STREAM_TRIAL, 1, 2, 4, t) for t in range(3)]
+        assert [int(s) for s in _trial_seeds(cfg, 2, 4, 3)] == expected
+
     def test_fig4_refuses_too_few_blocks(self):
         with pytest.raises(ConfigError, match="fig4 needs trials >= 2000"):
             small_cfg("fig4", trials=1999, snr_grid=[20])
@@ -250,9 +273,18 @@ class TestFixedKeys:
         [("fig2", 'eve = "carol"', "eve"), ("custom", 'scheme = "quantum"', "unknown scheme")],
     )
     @pytest.mark.filterwarnings("ignore:ignoring \\[scheme\\] key")
-    def test_bad_scheme_or_eve_rejected(self, scenario, scheme_lines, message):
+    def test_bad_scheme_or_eve_rejected(self, tmp_path, capsys, scenario, scheme_lines, message):
+        text = f'scenario = "{scenario}"\nmaster_seed = 1\n[scheme]\n{scheme_lines}\n'
         with pytest.raises(ConfigError, match=message):
-            parse_config(f'scenario = "{scenario}"\nmaster_seed = 1\n[scheme]\n{scheme_lines}\n')
+            parse_config(text)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli_main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        if "eve" in scheme_lines:
+            # names the value a config file writes for no eavesdropper
+            assert '"none"' in err
 
     def test_open_key_does_not_warn(self):
         with warnings.catch_warnings():

@@ -1,13 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmkeygen import seeds
 from mmkeygen.beamforming import beam_gain, perturb, steering_beamformer
-from mmkeygen.channel import ArrayGeometry, channel_matrix, sample_channel
+from mmkeygen.channel import ArrayGeometry, channel_matrix, evolve, response_matrices, sample_channel
 from mmkeygen.keygen import bar, cell_indices, extract_randomness, gray_encode_indices
 from mmkeygen.schemes import (
     SessionConfig,
     _perturbation_beams,
+    _secret_beam_batch,
     _session_channel,
     baseline_channel_quant_session,
     estimate_channel,
@@ -110,6 +115,159 @@ class TestSecretBeam:
         res = secret_beam_session(fig2_cfg(eve=None, rounds=10))
         assert np.isnan(res.bar_eve)
         assert res.eve_guess is None
+
+
+def reference_beam_streams(cfg):
+    """The per-round secret-beam session loop that the trial batch replaced.
+
+    Kept as the reference the batch is checked against: one generator per
+    stream, scalar draws round by round, and per-round products and argmins.
+    """
+    K = cfg.levels
+    seed = cfg.master_seed
+    rng_channel = seeds.generator(seed, seeds.STREAM_CHANNEL)
+    rng_evolve = seeds.generator(seed, seeds.STREAM_EVOLVE)
+    rng_alice = seeds.generator(seed, seeds.STREAM_NOISE_ALICE)
+    rng_bob = seeds.generator(seed, seeds.STREAM_NOISE_BOB)
+    rng_eve = seeds.generator(seed, seeds.STREAM_NOISE_EVE)
+    rng_pa = seeds.generator(seed, seeds.STREAM_PERTURB_ALICE)
+    rng_pb = seeds.generator(seed, seeds.STREAM_PERTURB_BOB)
+    rng_guess = seeds.generator(seed, seeds.STREAM_EVE_GUESS)
+
+    ch = _session_channel(cfg, rng_channel)
+    aod_az, aod_el, aoa_az, aoa_el = ch.angles[0]
+    deltas = cfg.delta_max * np.arange(1, K + 1) / K
+    beams_a, lut_a = _perturbation_beams(cfg.alice, aod_az, aod_el, deltas)
+    beams_b, lut_b = _perturbation_beams(cfg.bob, aoa_az, aoa_el, deltas)
+
+    a_rx, a_tx = response_matrices(ch)
+    scale = np.sqrt(cfg.alice.size * cfg.bob.size / cfg.num_paths)
+    tx_a = a_tx.T @ beams_a.T  # (L, K+1)
+    tx_b = a_rx.T @ beams_b.T  # (L, K+1)
+
+    sigma = np.sqrt(10.0 ** (-cfg.snr_db / 10.0) / 2.0)
+    eve_snr = cfg.snr_db if cfg.eve_snr_db is None else cfg.eve_snr_db
+    sigma_e = np.sqrt(10.0 ** (-eve_snr / 10.0) / 2.0)
+
+    def _noise(r, s):
+        return complex(s * (r.standard_normal() + 1j * r.standard_normal()))
+
+    out = {name: np.empty(cfg.rounds, dtype=np.int64) for name in BEAM_STREAMS}
+    for t in range(cfg.rounds):
+        ch = evolve(ch, cfg.temporal_rho, rng_evolve)
+        alpha = ch.gains
+        k_a = int(rng_pa.integers(0, K))
+        k_b = int(rng_pb.integers(0, K))
+        base_fwd = scale * (alpha * tx_b[:, 0])  # Bob combines on his nominal beam
+        base_rev = scale * (alpha * tx_a[:, 0])  # Alice combines on hers
+        y0_bob = base_fwd @ tx_a[:, 0] + _noise(rng_bob, sigma)
+        y1_bob = base_fwd @ tx_a[:, k_a + 1] + _noise(rng_bob, sigma)
+        y0_ali = base_rev @ tx_b[:, 0] + _noise(rng_alice, sigma)
+        y1_ali = base_rev @ tx_b[:, k_b + 1] + _noise(rng_alice, sigma)
+
+        out["idx_a"][t], out["idx_b"][t] = k_a, k_b
+        out["est_a_at_bob"][t] = int(np.argmin(np.abs(lut_a - abs(y1_bob) / abs(y0_bob))))
+        out["est_b_at_alice"][t] = int(np.argmin(np.abs(lut_b - abs(y1_ali) / abs(y0_ali))))
+
+        if cfg.eve == "alice":
+            e0 = base_rev @ tx_b[:, 0] + _noise(rng_eve, sigma_e)
+            e1 = base_rev @ tx_b[:, k_b + 1] + _noise(rng_eve, sigma_e)
+            out["eve_far"][t] = int(np.argmin(np.abs(lut_b - abs(e1) / abs(e0))))
+        elif cfg.eve == "bob":
+            e0 = base_fwd @ tx_a[:, 0] + _noise(rng_eve, sigma_e)
+            e1 = base_fwd @ tx_a[:, k_a + 1] + _noise(rng_eve, sigma_e)
+            out["eve_far"][t] = int(np.argmin(np.abs(lut_a - abs(e1) / abs(e0))))
+        out["eve_near_guess"][t] = int(rng_guess.integers(0, K))
+    return out
+
+
+BEAM_STREAMS = ("idx_a", "idx_b", "est_a_at_bob", "est_b_at_alice", "eve_far", "eve_near_guess")
+BEAM_FIELDS = BEAM_STREAMS + (
+    "bits_alice",
+    "bits_bob",
+    "final_alice",
+    "final_bob",
+    "bits_eve",
+    "eve_guess",
+    "bar_legit",
+    "bar_eve",
+)
+# edge words of SeedSequence's uint32 coercion, plus arbitrary u64 seeds
+U64_SEEDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@st.composite
+def secret_beam_configs(draw):
+    def geometry():
+        # a UPA, or a ULA along either axis; the span check bounds cols
+        return ArrayGeometry(draw(st.sampled_from([1, 2, 4])), draw(st.sampled_from([1, 4, 8, 16, 32])))
+
+    return SessionConfig(
+        alice=geometry(),
+        bob=geometry(),
+        snr_db=draw(st.sampled_from([-5.0, 10.0, 40.0])),
+        rounds=draw(st.integers(1, 5)),
+        num_paths=draw(st.integers(1, 4)),
+        nlos_offset_db=draw(st.sampled_from([0.0, 6.0, 10.0])),
+        levels=draw(st.sampled_from([2, 8, 16])),
+        temporal_rho=draw(st.sampled_from([0.0, 0.4, 1.0])),
+        eve=draw(st.sampled_from([None, "alice", "bob"])),
+        eve_snr_db=draw(st.sampled_from([None, 0.0])),
+        delta_max=float(np.radians(3.0)),
+        grid_angles=draw(st.booleans()),
+    )
+
+
+def assert_batches_equal(a, b):
+    for name in BEAM_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), name
+
+
+class TestSecretBeamBatch:
+    """The trial batch against the per-round reference, stream for stream."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(secret_beam_configs(), st.lists(U64_SEEDS, min_size=1, max_size=4))
+    def test_streams_equal_per_round_reference(self, cfg, trial_seeds):
+        batch = _secret_beam_batch(cfg, np.array(trial_seeds, dtype=np.uint64))
+        compared = BEAM_STREAMS if cfg.eve is not None else BEAM_STREAMS[:4]
+        for row, seed in enumerate(trial_seeds):
+            ref = reference_beam_streams(replace(cfg, master_seed=seed))
+            for name in compared:
+                assert np.array_equal(getattr(batch, name)[row], ref[name]), name
+        if cfg.eve is None:
+            assert batch.eve_far is None and batch.eve_near_guess is None
+            assert np.isnan(batch.bar_eve).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(secret_beam_configs(), st.lists(U64_SEEDS, min_size=1, max_size=6), st.data())
+    def test_chunk_invariance(self, cfg, trial_seeds, data):
+        trial_seeds = np.array(trial_seeds, dtype=np.uint64)
+        whole = _secret_beam_batch(cfg, trial_seeds)
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(trial_seeds) - 1))) if len(trial_seeds) > 1 else ())
+        for pieces in (np.split(trial_seeds, cuts), np.split(trial_seeds, len(trial_seeds))):
+            parts = [_secret_beam_batch(cfg, piece) for piece in pieces]
+            joined = type(whole)(
+                **{
+                    name: None if getattr(whole, name) is None else np.concatenate([getattr(p, name) for p in parts])
+                    for name in BEAM_FIELDS
+                }
+            )
+            assert_batches_equal(whole, joined)
+
+    def test_session_is_batch_of_one(self):
+        cfg = fig2_cfg(rounds=12, eve="bob", num_paths=3, temporal_rho=0.4)
+        res = secret_beam_session(cfg)
+        ref = reference_beam_streams(cfg)
+        assert np.array_equal(res.bits_alice.bits, gray_encode_indices(ref["idx_a"], 4).bits)
+        assert np.array_equal(res.bits_eve.bits, gray_encode_indices(ref["eve_far"], 4).bits)
+        key = gray_encode_indices(ref["idx_a"], 4).bits ^ gray_encode_indices(ref["est_b_at_alice"], 4).bits
+        assert np.array_equal(res.final_key_alice.bits, key)
+        assert res.bar_legit == bar(res.final_key_alice, res.final_key_bob)
+        assert res.bar_eve == bar(res.eve_guess, res.final_key_alice)
 
 
 class TestPerturbationBeams:
