@@ -8,13 +8,9 @@ amplification).
 """
 
 from .beamforming import (
-    Beamformer,
     Codebook,
-    HybridConfig,
     SelectionInfeasibleError,
-    beam_gain,
     hierarchical_codebook,
-    perturb,
     quantize_phases,
     sector_beamformer,
     select_beams,
@@ -25,7 +21,6 @@ from .channel import (
     ChannelParams,
     ChannelRealization,
     array_response,
-    awgn,
     channel_matrix,
     dft_matrix,
     evolve,
@@ -58,7 +53,7 @@ from .keygen import (
     quantize,
     xor_combine,
 )
-from .probing import Direction, EveConfig, ProbeRecord, bidirectional_probe, probe
+from .probing import bidirectional_probe
 from .schemes import (
     MultiresResult,
     SchemeResult,

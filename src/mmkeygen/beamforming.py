@@ -1,18 +1,20 @@
-"""Steering beamformers, phase-quantized weights, and hierarchical codebooks.
+"""Steering beams, phase-quantized weights, and hierarchical codebooks.
 
-All beamformers are unit-norm weight vectors applied with the transpose
-pairing ``w^T a`` (see the probing module), so the matched beam toward a
-direction is the elementwise conjugate of the array response.  Codebook
-beams are realized as single analog phase-shifter vectors (the single-RF
-chain case); the digital stage is a scalar.
+A beam is a unit-norm complex weight vector, a plain ``(N,)`` array,
+applied with the transpose pairing ``w^T a`` (see the probing module), so
+the matched beam toward a direction is the elementwise conjugate of the
+array response.  Codebook beams are realized as single analog
+phase-shifter vectors (the single-RF chain case); the digital stage is a
+scalar.  A codebook is one ``(C, N)`` weight matrix with a ``(C, 2)``
+array of (level, index) ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ArrayGeometry, ChannelRealization, array_response, channel_matrix
 
@@ -24,79 +26,20 @@ class SelectionInfeasibleError(ValueError):
     """Raised when fewer than the requested beams fit the gain window."""
 
 
-@dataclass(frozen=True, eq=False)
-class Beamformer:
-    """Unit-norm complex weight vector, optionally on a quantized phase grid."""
-
-    weights: np.ndarray
-    phase_bits: int | None = None
-    meta: dict[str, Any] | None = None
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=complex)
-        norm = np.linalg.norm(w)
-        if not np.isclose(norm, 1.0, atol=1e-6):
-            raise ValueError(f"beamformer weights must be unit norm, got ||w||={norm}")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def size(self) -> int:
-        return self.weights.size
-
-
-@dataclass(frozen=True)
-class HybridConfig:
-    """Analog stage of a codebook beam: the phase-shifter resolution."""
-
-    phase_bits: int = DEFAULT_PHASE_BITS
-
-    def __post_init__(self) -> None:
-        if self.phase_bits < 1:
-            raise ValueError(f"phase_bits must be >= 1, got {self.phase_bits}")
-
-
-def steering_beamformer(geom: ArrayGeometry, az: float, el: float = 0.0) -> Beamformer:
+def steering_beamformer(geom: ArrayGeometry, az: float, el: float = 0.0) -> np.ndarray:
     """Matched beam toward (az, el): conjugate of the array response."""
-    return Beamformer(
-        weights=np.conj(array_response(geom, az, el)),
-        meta={"az": az, "el": el},
-    )
+    return np.conj(array_response(geom, az, el))
 
 
-def quantize_phases(bf: Beamformer, bits: int) -> Beamformer:
+def quantize_phases(w: np.ndarray, bits: int) -> np.ndarray:
     """Project onto constant-modulus weights with phases on the 2**bits grid."""
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
-    n = bf.size
+    w = np.asarray(w)
     step = 2.0 * np.pi / (1 << bits)
-    k = np.round(np.angle(bf.weights) / step).astype(int) % (1 << bits)
-    w = np.exp(1j * step * k) / np.sqrt(n)
-    w = w / np.linalg.norm(w)
-    return Beamformer(weights=w, phase_bits=bits, meta=bf.meta)
-
-
-def perturb(
-    geom: ArrayGeometry,
-    nominal_az: float,
-    nominal_el: float,
-    delta: float,
-    delta_max: float = DEFAULT_DELTA_MAX,
-) -> Beamformer:
-    """Steering beam at the azimuth-perturbed angle (nominal_az + delta)."""
-    if abs(delta) > delta_max:
-        raise ValueError(
-            f"invalid perturbation: |delta|={abs(delta)} exceeds delta_max={delta_max}"
-        )
-    return steering_beamformer(geom, nominal_az + delta, nominal_el)
-
-
-def beam_gain(bf: Beamformer, geom: ArrayGeometry, az: float, el: float = 0.0) -> complex:
-    """Pattern value ``w^T a(az, el)``; magnitude is at most 1."""
-    if bf.size != geom.size:
-        raise ValueError(f"beamformer size {bf.size} does not match geometry size {geom.size}")
-    return complex(bf.weights @ array_response(geom, az, el))
+    k = np.round(np.angle(w) / step).astype(int) % (1 << bits)
+    q = np.exp(1j * step * k) / np.sqrt(w.size)
+    return q / np.linalg.norm(q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,21 +47,29 @@ class Codebook:
     """Hierarchical multi-resolution beam codebook over sine space [-1, 1).
 
     Level ``s`` (1-based) holds ``2**s`` codewords; codeword ``k`` covers the
-    sine sector ``[-1 + 2k/2**s, -1 + 2(k+1)/2**s)``.
+    sine sector ``[-1 + 2k/2**s, -1 + 2(k+1)/2**s)``.  Row ``c`` of the
+    read-only ``weights`` (C, N) is the codeword whose (level, index) is row
+    ``c`` of the read-only ``ids`` (C, 2), in level-then-index order.
     """
 
     geom: ArrayGeometry
     depth: int
-    hybrid: HybridConfig
-    _levels: tuple[tuple[Beamformer, ...], ...]
+    weights: np.ndarray
+    ids: np.ndarray
 
-    def codewords(self, level: int) -> tuple[Beamformer, ...]:
+    def __post_init__(self) -> None:
+        for name in ("weights", "ids"):
+            value = np.array(getattr(self, name))
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def codeword(self, level: int, index: int) -> np.ndarray:
         if not 1 <= level <= self.depth:
             raise ValueError(f"level {level} outside 1..{self.depth}")
-        return self._levels[level - 1]
-
-    def codeword(self, level: int, index: int) -> Beamformer:
-        return self.codewords(level)[index]
+        if not 0 <= index < 1 << level:
+            raise ValueError(f"index {index} outside level {level}")
+        # levels 1 .. level-1 hold 2 + 4 + ... + 2**(level-1) rows
+        return self.weights[(1 << level) - 2 + index]
 
     @staticmethod
     def sector(level: int, index: int) -> tuple[float, float]:
@@ -128,13 +79,8 @@ class Codebook:
         # dyadic boundaries are exact in binary floating point
         return (-1.0 + 2.0 * index / count, -1.0 + 2.0 * (index + 1) / count)
 
-    def ids(self) -> Iterator[tuple[int, int]]:
-        for level in range(1, self.depth + 1):
-            for index in range(1 << level):
-                yield (level, index)
-
     def __len__(self) -> int:
-        return sum(1 << level for level in range(1, self.depth + 1))
+        return len(self.weights)
 
 
 def _sector_sum(geom: ArrayGeometry, lo: float, hi: float, grid_points: int) -> np.ndarray:
@@ -167,7 +113,7 @@ def sector_beamformer(
     hi: float,
     phase_bits: int = DEFAULT_PHASE_BITS,
     grid_points: int | None = None,
-) -> Beamformer:
+) -> np.ndarray:
     """Constant-modulus wide beam covering the sine sector [lo, hi).
 
     ``lo = -1, hi = 1`` yields a quasi-omnidirectional pattern; the
@@ -176,64 +122,42 @@ def sector_beamformer(
     if not -1.0 <= lo < hi <= 1.0:
         raise ValueError(f"invalid sector [{lo}, {hi})")
     points = grid_points if grid_points is not None else max(1, geom.cols)
-    raw = _sector_sum(geom, lo, hi, points)
-    bf = quantize_phases(Beamformer(weights=raw), phase_bits)
-    return Beamformer(weights=bf.weights, phase_bits=phase_bits, meta={"sector": (lo, hi)})
+    return quantize_phases(_sector_sum(geom, lo, hi, points), phase_bits)
 
 
 def hierarchical_codebook(
-    geom: ArrayGeometry, depth: int, hybrid: HybridConfig | None = None
+    geom: ArrayGeometry, depth: int, phase_bits: int = DEFAULT_PHASE_BITS
 ) -> Codebook:
     """Build the multi-resolution codebook for the azimuth axis of ``geom``.
 
     Requires ``2**depth <= geom.cols``; codebooks steer elevation 0.
     """
-    hybrid = hybrid or HybridConfig()
     if depth < 1:
         raise ValueError(f"codebook depth must be >= 1, got {depth}")
     if (1 << depth) > geom.cols:
         raise ValueError(
             f"codebook depth {depth} too deep for azimuth axis of {geom.cols} elements"
         )
-    levels = []
-    for level in range(1, depth + 1):
-        count = 1 << level
-        grid_points = max(1, geom.cols // count)
-        row = []
-        for index in range(count):
-            lo, hi = Codebook.sector(level, index)
-            raw = _sector_sum(geom, lo, hi, grid_points)
-            bf = quantize_phases(Beamformer(weights=raw), hybrid.phase_bits)
-            bf = Beamformer(
-                weights=bf.weights,
-                phase_bits=hybrid.phase_bits,
-                meta={"level": level, "index": index, "sector": (lo, hi)},
-            )
-            row.append(bf)
-        levels.append(tuple(row))
-    return Codebook(geom=geom, depth=depth, hybrid=hybrid, _levels=tuple(levels))
+    ids = [(level, index) for level in range(1, depth + 1) for index in range(1 << level)]
+    weights = [
+        sector_beamformer(geom, *Codebook.sector(level, index), phase_bits, max(1, geom.cols >> level))
+        for level, index in ids
+    ]
+    return Codebook(geom=geom, depth=depth, weights=np.stack(weights), ids=np.array(ids))
 
 
-def composite_gains(
-    codebook: Codebook, ch: ChannelRealization, rx_beam: Beamformer
-) -> dict[tuple[int, int], float]:
-    """Noiseless composite gain |w_rx^T H f| for every codeword."""
-    H = channel_matrix(ch)
-    left = rx_beam.weights @ H
-    return {
-        (level, index): float(np.abs(left @ codebook.codeword(level, index).weights))
-        for level, index in codebook.ids()
-    }
-
-
-def _sectors_disjoint(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    return a[1] <= b[0] or b[1] <= a[0]
+def composite_gains(codebook: Codebook, ch: ChannelRealization, rx_beam: np.ndarray) -> np.ndarray:
+    """Noiseless composite gain |w_rx^T H f| for every codeword, as (C,)."""
+    left = rx_beam @ channel_matrix(ch)
+    # one BLAS dot per codeword, bit-equal to the 1-D product left @ f
+    # (a matrix product left @ W.T differs in the last bit)
+    return np.abs(np.vecdot(left.conj(), codebook.weights))
 
 
 def select_beams(
     codebook: Codebook,
     ch: ChannelRealization,
-    rx_beam: Beamformer,
+    rx_beam: np.ndarray,
     count: int,
     window_db: float,
 ) -> list[tuple[int, int]]:
@@ -250,35 +174,33 @@ def select_beams(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     gains = composite_gains(codebook, ch, rx_beam)
-    if count > len(gains):
+    if count > gains.size:
         raise SelectionInfeasibleError(
-            f"requested {count} beams but codebook has only {len(gains)}"
+            f"requested {count} beams but codebook has only {gains.size}"
         )
-    ranked = sorted(gains.items(), key=lambda item: (-item[1], item[0]))
+    # stable, and ids are in (level, index) order, so gain ties keep that order
+    order = np.argsort(-gains, kind="stable")
+    ranked = codebook.ids[order]
     if count == 1:
-        return [ranked[0][0]]
+        return [tuple(ranked[0].tolist())]
 
     ratio = 10.0 ** (window_db / 20.0)
-    candidates = []
-    for start in range(len(ranked) - count + 1):
-        window = ranked[start : start + count]
-        values = np.array([g for _, g in window])
-        med = float(np.median(values))
-        if values.max() > med * ratio or values.min() * ratio < med:
-            continue
-        ids = [beam_id for beam_id, _ in window]
-        sectors = [codebook.sector(*beam_id) for beam_id in ids]
-        diversity = sum(
-            1
-            for i in range(count)
-            for j in range(i + 1, count)
-            if _sectors_disjoint(sectors[i], sectors[j])
-        )
-        multi_level = len({level for level, _ in ids}) >= 2
-        candidates.append((not multi_level, -diversity, start, ids))
-    if not candidates:
+    values = sliding_window_view(gains[order], count)
+    med = np.median(values, axis=1)
+    feasible = ~((values.max(axis=1) > med * ratio) | (values.min(axis=1) * ratio < med))
+    if not feasible.any():
         raise SelectionInfeasibleError(
             f"no window of {count} beams within {window_db} dB of their median; widen the window"
         )
-    candidates.sort()
-    return sorted(candidates[0][3])
+    levels = sliding_window_view(ranked[:, 0], count)
+    index = sliding_window_view(ranked[:, 1], count)
+    # the sectors of Codebook.sector, exact as dyadic fractions
+    lo = -1.0 + 2.0 * index / (1 << levels)
+    hi = -1.0 + 2.0 * (index + 1) / (1 << levels)
+    # a sector is never disjoint from itself, so the full matrix counts each pair twice
+    disjoint = (hi[:, :, None] <= lo[:, None, :]) | (hi[:, None, :] <= lo[:, :, None])
+    diversity = disjoint.sum(axis=(1, 2)) // 2
+    single_level = (levels == levels[:, :1]).all(axis=1)
+    start = np.flatnonzero(feasible)
+    best = start[np.lexsort((start, -diversity[start], single_level[start]))[0]]
+    return sorted(map(tuple, ranked[best : best + count].tolist()))

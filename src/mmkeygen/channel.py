@@ -231,25 +231,9 @@ def virtual_channel(H: np.ndarray, tx_geom: ArrayGeometry, rx_geom: ArrayGeometr
     return U_r.conj().T @ H @ U_t
 
 
-def inverse_virtual_channel(
-    H_v: np.ndarray, tx_geom: ArrayGeometry, rx_geom: ArrayGeometry
-) -> np.ndarray:
-    """Inverse of :func:`virtual_channel`: ``U_r H_v U_t^H``."""
-    U_r = _upa_dft_basis(rx_geom)
-    U_t = _upa_dft_basis(tx_geom)
-    return U_r @ np.asarray(H_v) @ U_t.conj().T
-
-
 def noise_like(x: np.ndarray | complex, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     """Circularly-symmetric complex Gaussian of variance 10**(-snr_db/10)."""
     shape = np.shape(x)
     sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
     return sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
-
-def awgn(x: np.ndarray | complex, snr_db: float, rng: np.random.Generator) -> np.ndarray | complex:
-    """Add receiver noise to ``x`` under the unit-pilot SNR convention."""
-    noisy = np.asarray(x, dtype=complex) + noise_like(x, snr_db, rng)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return complex(noisy)
-    return noisy

@@ -40,14 +40,12 @@ from .channel import ArrayGeometry
 from .keygen import (
     BitString,
     CascadeParams,
-    QuantizerConfig,
     bar,
     cascade,
-    extract_randomness,
-    key_entropy_rate,
 )
 from .schemes import (
     SessionConfig,
+    _probe_entropy_rate,
     _secret_beam_batch,
     baseline_channel_quant_session,
     multires_session,
@@ -384,10 +382,6 @@ class ResultRow:
 class ResultTable:
     rows: tuple[ResultRow, ...]
 
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return TABLE_COLUMNS
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -551,11 +545,9 @@ def _jackknife_stderr(samples: np.ndarray, estimator, sections: int = 10) -> flo
 def _multires_point(session: SessionConfig) -> list[tuple[float, float]]:
     """Both entropy rates of one multires session, each with its jackknife stderr."""
     result = multires_session(session)
-    quantizer = QuantizerConfig(levels=session.levels)
 
     def ker_of(samples: np.ndarray) -> float:
-        rows_centered = np.stack([extract_randomness(r) for r in samples])
-        return key_entropy_rate(rows_centered, quantizer, min_trials=min(2000, samples.shape[1]))
+        return _probe_entropy_rate(samples, session.levels)
 
     return [
         (result.ker_multires, _jackknife_stderr(result.samples_multires, ker_of)),

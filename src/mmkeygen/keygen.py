@@ -85,13 +85,10 @@ class QuantizerConfig:
     levels: int = 16
     lo: float | None = None
     hi: float | None = None
-    coding: str = "gray"
 
     def __post_init__(self) -> None:
         if self.levels < 2 or (self.levels & (self.levels - 1)) != 0:
             raise ValueError(f"levels must be a power of two >= 2, got {self.levels}")
-        if self.coding != "gray":
-            raise ValueError(f"unsupported coding {self.coding!r}")
 
     @property
     def bits_per_sample(self) -> int:

@@ -5,110 +5,33 @@ makes noiseless reciprocity an algebraic identity: when each party reuses
 one weight vector for transmit and receive, the forward and reverse
 noiseless observations are the same scalar, and all disagreement comes from
 receiver noise.
-
-A co-located eavesdropper is modelled as a clone of the host receiver: she
-observes the noiseless component of every signal inbound to her host through
-the host's own channel, with independent noise, and never sees the far
-party's receiver output or her host's locally generated randomness.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
-from .beamforming import Beamformer
 from .channel import noise_like
 
 
-class Direction(enum.Enum):
-    ALICE_TO_BOB = "alice_to_bob"
-    BOB_TO_ALICE = "bob_to_alice"
-
-
-@dataclass(frozen=True)
-class ProbeRecord:
-    """One probing measurement with its beam/round metadata."""
-
-    round: int
-    direction: Direction
-    tx_beam_id: object
-    rx_beam_id: object
-    value: complex
-    snr_db: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.value):
-            raise ValueError("probe value must be finite")
-
-
-@dataclass(frozen=True)
-class EveConfig:
-    """Eavesdropper placement; ``snr_db=None`` inherits the legitimate SNR."""
-
-    colocated_with: str | None = None
-    snr_db: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.colocated_with not in (None, "alice", "bob"):
-            raise ValueError(f"colocated_with must be 'alice', 'bob' or None, got {self.colocated_with!r}")
-
-
-def _weights(bf: Beamformer | np.ndarray) -> np.ndarray:
-    return bf.weights if isinstance(bf, Beamformer) else np.asarray(bf)
-
-
-def probe(
-    f_tx: Beamformer | np.ndarray,
-    w_rx: Beamformer | np.ndarray,
-    H: np.ndarray,
-    snr_db: float,
-    rng: np.random.Generator,
-) -> complex:
-    """Single directed probe: ``w_rx^T H f_tx`` plus receiver noise."""
-    f = _weights(f_tx)
-    w = _weights(w_rx)
-    H = np.asarray(H)
-    if H.shape != (w.size, f.size):
-        raise ValueError(f"dimension mismatch: H is {H.shape}, want ({w.size}, {f.size})")
-    return complex(w @ H @ f) + complex(noise_like(0j, snr_db, rng))
-
-
-class BidirectionalProbe(NamedTuple):
-    y_at_bob: complex
-    y_at_alice: complex
-    y_at_eve: complex | None
-
-
 def bidirectional_probe(
-    f_a: Beamformer | np.ndarray,
-    w_a: Beamformer | np.ndarray,
-    f_b: Beamformer | np.ndarray,
-    w_b: Beamformer | np.ndarray,
+    w_a: np.ndarray,
+    w_b: np.ndarray,
     H: np.ndarray,
     snr_db: float,
-    eve: EveConfig,
     rng: np.random.Generator,
-) -> BidirectionalProbe:
-    """One probing round: Alice->Bob then Bob->Alice over the same channel.
+) -> tuple[complex, complex]:
+    """One probing round, Alice->Bob then Bob->Alice: ``(y_at_bob, y_at_alice)``.
 
-    ``H`` maps Alice's array to Bob's; the reverse link is ``H^T``.  Noise
-    draws are ordered (bob, alice, eve) so streams are reproducible.
+    Each party transmits and receives on its one beam (``w_a``, ``w_b``).
+    ``H`` maps Alice's array to Bob's; the reverse link is ``H^T``.  The
+    noise is drawn at Bob, then at Alice, so streams are reproducible.
     """
-    fa, wa, fb, wb = (_weights(x) for x in (f_a, w_a, f_b, w_b))
     H = np.asarray(H)
-    if H.shape != (wb.size, fa.size):
-        raise ValueError(f"dimension mismatch: H is {H.shape}, want ({wb.size}, {fa.size})")
-    forward = complex(wb @ H @ fa)
-    reverse = complex(wa @ H.T @ fb)
+    if H.shape != (w_b.size, w_a.size):
+        raise ValueError(f"dimension mismatch: H is {H.shape}, want ({w_b.size}, {w_a.size})")
+    forward = complex(w_b @ H @ w_a)
+    reverse = complex(w_a @ H.T @ w_b)
     y_bob = forward + complex(noise_like(0j, snr_db, rng))
     y_alice = reverse + complex(noise_like(0j, snr_db, rng))
-    y_eve = None
-    if eve.colocated_with is not None:
-        eve_snr = snr_db if eve.snr_db is None else eve.snr_db
-        inbound = reverse if eve.colocated_with == "alice" else forward
-        y_eve = inbound + complex(noise_like(0j, eve_snr, rng))
-    return BidirectionalProbe(y_bob, y_alice, y_eve)
+    return y_bob, y_alice

@@ -29,7 +29,6 @@ import numpy as np
 from . import seeds
 from .beamforming import (
     DEFAULT_DELTA_MAX,
-    Beamformer,
     Codebook,
     SelectionInfeasibleError,
     hierarchical_codebook,
@@ -61,7 +60,7 @@ from .keygen import (
     pack_indices,
     quantize,
 )
-from .probing import EveConfig, bidirectional_probe
+from .probing import bidirectional_probe
 
 SCHEMES = ("secret_beam", "virtual", "baseline", "multires")
 
@@ -224,8 +223,8 @@ def _perturbation_beams(
     el = np.asarray(el, dtype=float)[..., None]
     resp = array_response(geom, np.concatenate((az, az + deltas), axis=-1), el)
     # the beams are conj(resp) and vecdot conjugates its first argument, so
-    # this is w_k^T a(az, el) per row, bit-equal to beam_gain; hypot, unlike
-    # np.abs, also matches abs() of a Python complex bit for bit
+    # this is w_k^T a(az, el) per row, bit-equal to the 1-D product; hypot,
+    # unlike np.abs, also matches abs() of a Python complex bit for bit
     pattern = np.vecdot(resp[..., 1:, :], resp[..., :1, :])
     return np.conjugate(resp, out=resp), np.hypot(pattern.real, pattern.imag)
 
@@ -580,7 +579,7 @@ def baseline_channel_quant_session(cfg: SessionConfig) -> SchemeResult:
 def _widened_selection(
     codebook: Codebook,
     ch: ChannelRealization,
-    rx_beam: Beamformer,
+    rx_beam: np.ndarray,
     count: int,
     window_db: float,
     max_window_db: float = 30.0,
@@ -593,6 +592,21 @@ def _widened_selection(
             if window >= max_window_db:
                 raise
             window = min(max_window_db, window + 3.0)
+
+
+def _centred(samples: np.ndarray) -> np.ndarray:
+    return np.stack([extract_randomness(row) for row in samples])
+
+
+def _probe_entropy_rate(samples: np.ndarray, levels: int) -> float:
+    """Key entropy rate of (streams, blocks) probe samples, each stream mean-removed.
+
+    The estimator's 2000-trial floor is lowered to the number of blocks, so
+    a shorter session is scored rather than refused.
+    """
+    return key_entropy_rate(
+        _centred(samples), QuantizerConfig(levels=levels), min_trials=min(2000, samples.shape[1])
+    )
 
 
 def multires_session(cfg: SessionConfig) -> MultiresResult:
@@ -627,7 +641,6 @@ def multires_session(cfg: SessionConfig) -> MultiresResult:
 
     a_rx, a_tx = response_matrices(ch)
     scale = np.sqrt(cfg.alice.size * cfg.bob.size / cfg.num_paths)
-    eve = EveConfig()
 
     y_multi_bob = np.empty((P, T))
     y_multi_alice = np.empty((P, T))
@@ -636,33 +649,20 @@ def multires_session(cfg: SessionConfig) -> MultiresResult:
         ch = evolve(ch, cfg.temporal_rho, rng_evolve)
         H = scale * ((a_rx * ch.gains) @ a_tx.T)
         for p, beam in enumerate(beams):
-            out = bidirectional_probe(
-                beam, beam, bob_wide, bob_wide, H, cfg.snr_db, eve, rng_noise
-            )
-            y_multi_bob[p, t] = out.y_at_bob.real
-            y_multi_alice[p, t] = out.y_at_alice.real
+            y_bob, y_alice = bidirectional_probe(beam, bob_wide, H, cfg.snr_db, rng_noise)
+            y_multi_bob[p, t] = y_bob.real
+            y_multi_alice[p, t] = y_alice.real
         for p in range(P):
-            out = bidirectional_probe(
-                fixed_beam, fixed_beam, bob_pencil, bob_pencil, H, cfg.snr_db, eve, rng_noise
-            )
-            y_fixed_bob[p, t] = out.y_at_bob.real
-
-    quantizer = QuantizerConfig(levels=cfg.levels)
-    multi_rows = np.stack([extract_randomness(row) for row in y_multi_bob])
-    multi_alice_rows = np.stack([extract_randomness(row) for row in y_multi_alice])
-    fixed_rows = np.stack([extract_randomness(row) for row in y_fixed_bob])
-    min_trials = min(2000, T)
-    ker_multires = key_entropy_rate(multi_rows, quantizer, min_trials=min_trials)
-    ker_fixed = key_entropy_rate(fixed_rows, quantizer, min_trials=min_trials)
+            y_fixed_bob[p, t] = bidirectional_probe(fixed_beam, bob_pencil, H, cfg.snr_db, rng_noise)[0].real
 
     # Gray-coded bits of each probe stream on its own calibrated range
     width = cfg.levels.bit_length() - 1
-    bits_alice = gray_encode_indices(_calibrated_cells(multi_alice_rows, cfg.levels).ravel(), width)
-    bits_bob = gray_encode_indices(_calibrated_cells(multi_rows, cfg.levels).ravel(), width)
+    bits_alice = gray_encode_indices(_calibrated_cells(_centred(y_multi_alice), cfg.levels).ravel(), width)
+    bits_bob = gray_encode_indices(_calibrated_cells(_centred(y_multi_bob), cfg.levels).ravel(), width)
 
     return MultiresResult(
-        ker_multires=ker_multires,
-        ker_fixed=ker_fixed,
+        ker_multires=_probe_entropy_rate(y_multi_bob, cfg.levels),
+        ker_fixed=_probe_entropy_rate(y_fixed_bob, cfg.levels),
         beam_ids=tuple(ids),
         fixed_beam_id=fixed_id,
         window_db_used=window_used,

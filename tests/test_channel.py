@@ -8,12 +8,11 @@ from mmkeygen import channel as chn
 from mmkeygen.channel import (
     ArrayGeometry,
     ChannelParams,
-    awgn,
     array_response,
     channel_matrix,
     dft_matrix,
     evolve,
-    inverse_virtual_channel,
+    noise_like,
     sample_channel,
     virtual_channel,
 )
@@ -318,7 +317,10 @@ class TestVirtualChannel:
         r = rng(37)
         tx, rx = ArrayGeometry(2, 4), ArrayGeometry(2, 2)
         H = r.standard_normal((4, 8)) + 1j * r.standard_normal((4, 8))
-        back = inverse_virtual_channel(virtual_channel(H, tx, rx), tx, rx)
+        # U_r H_v U_t^H with the per-axis Kronecker DFT bases
+        U_r = np.kron(dft_matrix(rx.rows), dft_matrix(rx.cols))
+        U_t = np.kron(dft_matrix(tx.rows), dft_matrix(tx.cols))
+        back = U_r @ virtual_channel(H, tx, rx) @ U_t.conj().T
         assert np.max(np.abs(back - H)) < 1e-10
 
     def test_dimension_mismatch(self):
@@ -340,19 +342,24 @@ class TestVirtualChannel:
 
 
 class TestAwgn:
+    """Receiver noise from ``noise_like``."""
+
     def test_high_snr_passthrough(self):
         x = np.array([1 + 1j, -2j, 0.5])
-        y = awgn(x, 200.0, rng(41))
+        y = x + noise_like(x, 200.0, rng(41))
         assert np.max(np.abs(y - x)) < 1e-9
 
     def test_zero_signal_unit_variance(self):
-        y = awgn(np.zeros(100_000, complex), 0.0, rng(43))
+        y = noise_like(np.zeros(100_000, complex), 0.0, rng(43))
         assert abs(np.mean(np.abs(y) ** 2) - 1.0) < 0.03
 
     def test_same_seed_same_noise(self):
         x = np.ones(16, complex)
-        assert np.array_equal(awgn(x, 10.0, rng(47)), awgn(x, 10.0, rng(47)))
+        assert np.array_equal(noise_like(x, 10.0, rng(47)), noise_like(x, 10.0, rng(47)))
 
     def test_scalar_in_scalar_out(self):
-        y = awgn(1 + 0j, 10.0, rng(49))
-        assert isinstance(y, complex)
+        # a scalar takes one real and one imaginary normal, in that order
+        y = noise_like(1 + 0j, 10.0, rng(49))
+        assert y.shape == () and np.iscomplexobj(y)
+        re, im = rng(49).standard_normal(2)
+        assert complex(y) == np.sqrt(0.1 / 2.0) * complex(re, im)

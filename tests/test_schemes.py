@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmkeygen import seeds
-from mmkeygen.beamforming import beam_gain, perturb, steering_beamformer
-from mmkeygen.channel import ArrayGeometry, channel_matrix, evolve, response_matrices, sample_channel
+from mmkeygen.beamforming import steering_beamformer
+from mmkeygen.channel import ArrayGeometry, array_response, channel_matrix, evolve, response_matrices, sample_channel
 from mmkeygen.keygen import bar, cell_indices, extract_randomness, gray_encode_indices
 from mmkeygen.schemes import (
     SessionConfig,
@@ -271,7 +271,7 @@ class TestSecretBeamBatch:
 
 
 class TestPerturbationBeams:
-    """The batched session beams against the scalar public reference, bit for bit."""
+    """The batched session beams against scalar steering beams and patterns, bit for bit."""
 
     CASES = [
         (ArrayGeometry(1, 32), 0.4, -0.3),
@@ -286,17 +286,18 @@ class TestPerturbationBeams:
         deltas = delta_max * np.arange(1, 17) / 16
         beams, _ = _perturbation_beams(geom, az, el, deltas)
         assert beams.shape == (17, geom.size)
-        assert np.array_equal(beams[0], steering_beamformer(geom, az, el).weights)
+        assert np.array_equal(beams[0], steering_beamformer(geom, az, el))
         for k, d in enumerate(deltas, start=1):
-            ref = perturb(geom, az, el, float(d), delta_max=delta_max)
-            assert np.array_equal(beams[k], ref.weights)
+            assert np.array_equal(beams[k], steering_beamformer(geom, az + float(d), el))
 
     @pytest.mark.parametrize("geom, az, el", CASES)
     def test_lut_equals_scalar_beam_gains(self, geom, az, el):
         delta_max = float(np.radians(2.0))
         deltas = delta_max * np.arange(1, 17) / 16
         _, lut = _perturbation_beams(geom, az, el, deltas)
-        ref = [abs(beam_gain(perturb(geom, az, el, float(d), delta_max=delta_max), geom, az, el)) for d in deltas]
+        # |w_k^T a(az, el)| of each perturbed beam, one 1-D product at a time
+        a = array_response(geom, az, el)
+        ref = [abs(complex(steering_beamformer(geom, az + float(d), el) @ a)) for d in deltas]
         assert np.array_equal(lut, ref)
 
     def test_grid_snapped_angles_equal_scalar_snapping(self):
