@@ -4,8 +4,9 @@ A channel realization is a small set of propagation rays (one optional
 line-of-sight ray plus Rayleigh-faded weaker rays), held as an array of ray
 gains and an array of departure/arrival angles.  The module builds array
 responses and channel matrices, evolves ray gains with an AR(1) process
-inside a session, and provides the angular (virtual) domain transform used
-by the sparse-domain key scheme.
+inside a session (``evolve`` returns the gains of a run of coherence
+blocks as one (steps, L) array), and provides the angular (virtual) domain
+transform used by the sparse-domain key scheme.
 
 Conventions
 -----------
@@ -13,12 +14,13 @@ Conventions
 * Angles are radians in [-pi/2, pi/2); NLoS angles are drawn uniformly in
   sine space over [-1, 1).
 * SNR convention: unit-power transmitted pilot, additive receiver noise of
-  variance ``10**(-snr_db / 10)``.
+  variance ``10**(-snr_db / 10)`` (drawn by :mod:`mmkeygen.probing` and the
+  sessions of :mod:`mmkeygen.schemes`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,18 +128,32 @@ def array_response(
     return resp.reshape(phase.shape[:-2] + (geom.size,))
 
 
-def _nlos_power(nlos_offset_db: float) -> float:
-    return 10.0 ** (-nlos_offset_db / 10.0)
+def _innovations(
+    u: float | np.ndarray, normals: np.ndarray, nlos_offset_db: float, has_los: bool = True
+) -> np.ndarray:
+    """Path gains (..., L) from uniforms (...,) and standard normals (..., 2 n_nlos).
+
+    The LoS gain is the unit phasor at ``2 pi u``.  The NLoS gains take the
+    first half of ``normals`` as real parts and the second half as
+    imaginary parts, scaled to expected power ``10**(-nlos_offset_db/10)``.
+    Without a LoS path the uniforms are dropped.
+    """
+    n = normals.shape[-1] // 2
+    sigma = np.sqrt(10.0 ** (-nlos_offset_db / 10.0) / 2.0)
+    nlos = sigma * (normals[..., :n] + 1j * normals[..., n:])
+    if not has_los:
+        return nlos
+    return np.concatenate((np.exp(1j * (2.0 * np.pi * u))[..., None], nlos), axis=-1)
 
 
-def _nlos_gains(re: np.ndarray, im: np.ndarray, nlos_offset_db: float) -> np.ndarray:
-    """NLoS gains from standard normal real and imaginary parts."""
-    sigma = np.sqrt(_nlos_power(nlos_offset_db) / 2.0)
-    return sigma * (re + 1j * im)
-
-
-def _draw_nlos_gains(count: int, nlos_offset_db: float, rng: np.random.Generator) -> np.ndarray:
-    return _nlos_gains(rng.standard_normal(count), rng.standard_normal(count), nlos_offset_db)
+def _ar1(gains: np.ndarray, eps: np.ndarray, rho: float) -> np.ndarray:
+    """Gains (..., L) stepped through innovations (..., T, L): the (..., T, L) gains after each step."""
+    mix = np.sqrt(1.0 - rho * rho)
+    out = np.empty(eps.shape, dtype=complex)
+    for t in range(eps.shape[-2]):
+        gains = rho * gains + mix * eps[..., t, :]
+        out[..., t, :] = gains
+    return out
 
 
 def sample_channel(
@@ -154,10 +170,10 @@ def sample_channel(
     """
     L = params.num_paths
     sines = rng.uniform(-1.0, 1.0, size=(L, 4))
-    los_gain = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    nlos_gains = _draw_nlos_gains(L - 1, params.nlos_offset_db, rng)
+    # the LoS phase 2 pi random() is uniform(0, 2 pi) exactly
+    gains = _innovations(rng.random(), rng.standard_normal(2 * (L - 1)), params.nlos_offset_db)
     return ChannelRealization(
-        gains=np.concatenate(([los_gain], nlos_gains)),
+        gains=gains,
         angles=np.arcsin(sines),
         tx_geom=tx_geom,
         rx_geom=rx_geom,
@@ -186,22 +202,22 @@ def channel_matrix(ch: ChannelRealization) -> np.ndarray:
     return scale * ((a_rx * ch.gains) @ a_tx.T)
 
 
-def evolve(ch: ChannelRealization, rho: float, rng: np.random.Generator) -> ChannelRealization:
-    """One AR(1) step on the path gains; angles are held fixed.
+def evolve(ch: ChannelRealization, rho: float, rng: np.random.Generator, steps: int) -> np.ndarray:
+    """The (steps, L) path gains of the next ``steps`` AR(1) steps; angles are held fixed.
 
     ``gain' = rho*gain + sqrt(1-rho^2)*eps`` with ``eps`` a fresh draw from
-    the path's own gain distribution, so marginal power is preserved.  The
-    draws are one uniform LoS phase (taken even without a LoS path), then
-    the NLoS innovations.
+    the path's own gain distribution, so marginal power is preserved.  Each
+    step draws one uniform LoS phase (taken even without a LoS path), then
+    the NLoS innovations as one normal draw, real parts then imaginary parts.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"invalid params: rho={rho} not in [0, 1]")
-    los_eps = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    eps = _draw_nlos_gains(ch.num_paths - int(ch.has_los), ch.nlos_offset_db, rng)
-    if ch.has_los:
-        eps = np.concatenate(([los_eps], eps))
-    mix = np.sqrt(1.0 - rho * rho)
-    return replace(ch, gains=rho * ch.gains + mix * eps)
+    u = np.empty(steps)
+    normals = np.empty((steps, 2 * (ch.num_paths - int(ch.has_los))))
+    for t in range(steps):
+        u[t] = rng.random()
+        rng.standard_normal(out=normals[t])
+    return _ar1(ch.gains, _innovations(u, normals, ch.nlos_offset_db, ch.has_los), rho)
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -229,11 +245,3 @@ def virtual_channel(H: np.ndarray, tx_geom: ArrayGeometry, rx_geom: ArrayGeometr
     U_r = _upa_dft_basis(rx_geom)
     U_t = _upa_dft_basis(tx_geom)
     return U_r.conj().T @ H @ U_t
-
-
-def noise_like(x: np.ndarray | complex, snr_db: float, rng: np.random.Generator) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian of variance 10**(-snr_db/10)."""
-    shape = np.shape(x)
-    sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
-    return sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-

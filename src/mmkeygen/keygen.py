@@ -329,11 +329,11 @@ def _calibrated_cells(
     range is degenerate maps entirely to cell 0.
     """
     cells = np.empty(samples.shape, dtype=np.int64)
-    for i, row in enumerate(samples):
-        if lo is not None and hi is not None:
-            row_lo, row_hi = lo, hi
-        else:
-            row_lo, row_hi = np.percentile(row, [1.0, 99.0])
+    if lo is not None and hi is not None:
+        bounds = np.broadcast_to(np.array([[lo], [hi]], dtype=float), (2, len(samples)))
+    else:
+        bounds = np.percentile(samples, [1.0, 99.0], axis=1)
+    for i, (row, row_lo, row_hi) in enumerate(zip(samples, *bounds)):
         cells[i] = cell_indices(row, levels, float(row_lo), float(row_hi)) if row_lo < row_hi else 0
     return cells
 

@@ -21,7 +21,6 @@ included): all randomness flows through labelled streams derived in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,11 +39,11 @@ from .channel import (
     ArrayGeometry,
     ChannelParams,
     ChannelRealization,
-    _nlos_gains,
+    _ar1,
+    _innovations,
     array_response,
     channel_matrix,
     evolve,
-    response_matrices,
     sample_channel,
     virtual_channel,
 )
@@ -113,6 +112,23 @@ class SessionConfig:
                         f"delta_max={self.delta_max:.4f} rad reaches past the first pattern null "
                         f"of {owner}'s {geom.cols}-element azimuth aperture"
                     )
+        if self.scheme == "multires":
+            # the codebook the session builds, and the beams it selects from it
+            depth = self.multires_depth
+            codewords = (1 << (depth + 1)) - 2
+            if depth < 1:
+                raise ValueError(f"codebook depth must be >= 1, got {depth}")
+            if (1 << depth) > self.alice.cols:
+                raise ValueError(f"codebook depth {depth} too deep for alice's {self.alice.cols}-element azimuth axis")
+            if self.num_beams > codewords:
+                raise ValueError(f"num_beams={self.num_beams} exceeds the {codewords} codewords of depth {depth}")
+
+    @property
+    def multires_depth(self) -> int:
+        """Depth of the multires codebook: ``codebook_depth``, else log2 of alice's columns, capped at 6."""
+        if self.codebook_depth is not None:
+            return self.codebook_depth
+        return min(6, self.alice.cols.bit_length() - 1)
 
     @property
     def channel_params(self) -> ChannelParams:
@@ -335,24 +351,11 @@ def _secret_beam_batch(cfg: SessionConfig, trial_seeds) -> _BeamBatch:
 
     # the channel as sample_channel draws it, then its gains per round as
     # evolve steps them; -1 + 2u is uniform(-1, 1) and 2 pi u uniform(0, 2 pi)
-    two_pi = 2.0 * np.pi
     angles = np.arcsin(-1.0 + 2.0 * channel_u[:, :-1].reshape(B, L, 4))
     if cfg.grid_angles:
         angles = _grid_angles(angles, cfg)
-    los = np.exp(1j * (two_pi * channel_u[:, -1]))
-
-    def nlos_gains(normals: np.ndarray) -> np.ndarray:
-        # the L-1 real parts, then the L-1 imaginary parts
-        return _nlos_gains(normals[..., : L - 1], normals[..., L - 1 :], cfg.nlos_offset_db)
-
-    gains = np.concatenate((los[:, None], nlos_gains(nlos)), axis=1)
-    eps = np.concatenate((np.exp(1j * (two_pi * evo_u))[..., None], nlos_gains(evo_nlos)), axis=2)
-    rho = cfg.temporal_rho
-    mix = np.sqrt(1.0 - rho * rho)
-    alpha = np.empty((B, R, L), dtype=complex)
-    for t in range(R):
-        gains = rho * gains + mix * eps[:, t]
-        alpha[:, t] = gains
+    gains = _innovations(channel_u[:, -1], nlos, cfg.nlos_offset_db)
+    alpha = _ar1(gains, _innovations(evo_u, evo_nlos, cfg.nlos_offset_db), cfg.temporal_rho)
 
     deltas = cfg.delta_max * np.arange(1, K + 1) / K
 
@@ -595,7 +598,8 @@ def _widened_selection(
 
 
 def _centred(samples: np.ndarray) -> np.ndarray:
-    return np.stack([extract_randomness(row) for row in samples])
+    # each row less its own mean, bit-equal to extract_randomness per row
+    return samples - samples.mean(axis=1, keepdims=True)
 
 
 def _probe_entropy_rate(samples: np.ndarray, levels: int) -> float:
@@ -622,38 +626,29 @@ def multires_session(cfg: SessionConfig) -> MultiresResult:
     rate over all blocks.
     """
     P = cfg.num_beams
-    T = cfg.rounds
     seed = cfg.master_seed
     rng_channel = seeds.generator(seed, seeds.STREAM_CHANNEL)
     rng_evolve = seeds.generator(seed, seeds.STREAM_EVOLVE)
     rng_noise = seeds.generator(seed, seeds.STREAM_NOISE_BOB)
 
     ch = _session_channel(cfg, rng_channel)
-    depth = cfg.codebook_depth or min(6, int(math.log2(cfg.alice.cols)))
-    codebook = hierarchical_codebook(cfg.alice, depth)
+    codebook = hierarchical_codebook(cfg.alice, cfg.multires_depth)
     bob_wide = sector_beamformer(cfg.bob, -1.0, 1.0)
     bob_pencil = steering_beamformer(cfg.bob, ch.angles[0, 2], ch.angles[0, 3])
 
     ids, window_used = _widened_selection(codebook, ch, bob_wide, P, cfg.window_db)
-    beams = [codebook.codeword(*i) for i in ids]
     fixed_id = select_beams(codebook, ch, bob_pencil, 1, cfg.window_db)[0]
-    fixed_beam = codebook.codeword(*fixed_id)
 
-    a_rx, a_tx = response_matrices(ch)
-    scale = np.sqrt(cfg.alice.size * cfg.bob.size / cfg.num_paths)
-
-    y_multi_bob = np.empty((P, T))
-    y_multi_alice = np.empty((P, T))
-    y_fixed_bob = np.empty((P, T))
-    for t in range(T):
-        ch = evolve(ch, cfg.temporal_rho, rng_evolve)
-        H = scale * ((a_rx * ch.gains) @ a_tx.T)
-        for p, beam in enumerate(beams):
-            y_bob, y_alice = bidirectional_probe(beam, bob_wide, H, cfg.snr_db, rng_noise)
-            y_multi_bob[p, t] = y_bob.real
-            y_multi_alice[p, t] = y_alice.real
-        for p in range(P):
-            y_fixed_bob[p, t] = bidirectional_probe(fixed_beam, bob_pencil, H, cfg.snr_db, rng_noise)[0].real
+    # per block, the multi arm's P probes, then the fixed arm's P
+    w_a = np.stack([codebook.codeword(*i) for i in ids] + [codebook.codeword(*fixed_id)] * P)
+    w_b = np.stack([bob_wide] * P + [bob_pencil] * P)
+    gains = evolve(ch, cfg.temporal_rho, rng_evolve, cfg.rounds)
+    y_bob, y_alice = bidirectional_probe(w_a, w_b, ch, gains, cfg.snr_db, rng_noise)
+    # (streams, blocks) with each stream contiguous: a strided row sums its
+    # mean in another order, and the bits depend on the last bit of it
+    y_multi_bob = np.ascontiguousarray(y_bob.real[:, :P].T)
+    y_multi_alice = np.ascontiguousarray(y_alice.real[:, :P].T)
+    y_fixed_bob = np.ascontiguousarray(y_bob.real[:, P:].T)
 
     # Gray-coded bits of each probe stream on its own calibrated range
     width = cfg.levels.bit_length() - 1
@@ -668,7 +663,7 @@ def multires_session(cfg: SessionConfig) -> MultiresResult:
         window_db_used=window_used,
         bits_alice=bits_alice,
         bits_bob=bits_bob,
-        probes_used=4 * P * T,
+        probes_used=4 * P * cfg.rounds,
         samples_multires=y_multi_bob,
         samples_fixed=y_fixed_bob,
     )

@@ -12,7 +12,6 @@ from mmkeygen.channel import (
     channel_matrix,
     dft_matrix,
     evolve,
-    noise_like,
     sample_channel,
     virtual_channel,
 )
@@ -199,8 +198,9 @@ class TestChannelMatrix:
 class TestEvolve:
     def test_rho_one_identical(self):
         ch = sample_channel(ChannelParams(num_paths=3), ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1))
-        out = evolve(ch, 1.0, rng(2))
-        assert all(a == b for a, b in zip(ch.gains, out.gains))
+        out = evolve(ch, 1.0, rng(2), 3)
+        assert out.shape == (3, 3)
+        assert all(np.array_equal(row, ch.gains) for row in out)
 
     def test_rho_zero_uncorrelated(self):
         params = ChannelParams(num_paths=2)
@@ -209,8 +209,7 @@ class TestEvolve:
         before, after = np.empty(10_000, complex), np.empty(10_000, complex)
         for i in range(before.size):
             ch = sample_channel(params, geom, geom, r)
-            ev = evolve(ch, 0.0, r)
-            before[i], after[i] = ch.gains[1], ev.gains[1]
+            before[i], after[i] = ch.gains[1], evolve(ch, 0.0, r, 1)[0, 1]
         corr = np.vdot(before - before.mean(), after - after.mean())
         corr /= np.linalg.norm(before - before.mean()) * np.linalg.norm(after - after.mean())
         assert abs(corr) < 0.02
@@ -224,9 +223,9 @@ class TestEvolve:
         p_after = np.empty(10_000)
         for i in range(p_before.size):
             ch = sample_channel(params, geom, geom, r)
-            ev = evolve(ch, rho, r)
+            ev = evolve(ch, rho, r, 1)[0]
             p_before[i] = sum(abs(g) ** 2 for g in ch.gains)
-            p_after[i] = sum(abs(g) ** 2 for g in ev.gains)
+            p_after[i] = sum(abs(g) ** 2 for g in ev)
         assert abs(p_after.mean() / p_before.mean() - 1.0) < 0.02
 
     def test_nlos_marginal_preserved_ks(self):
@@ -239,39 +238,42 @@ class TestEvolve:
         after = np.empty(10_000)
         for i in range(before.size):
             ch = sample_channel(params, geom, geom, r)
-            ev = evolve(ch, 0.7, r)
-            before[i], after[i] = abs(ch.gains[1]), abs(ev.gains[1])
+            before[i], after[i] = abs(ch.gains[1]), abs(evolve(ch, 0.7, r, 1)[0, 1])
         assert stats.ks_2samp(before, after).pvalue > 0.01
 
     def test_angles_unchanged(self):
+        # evolve returns gains only and leaves the realization as it was
         ch = sample_channel(ChannelParams(num_paths=3), ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1))
-        out = evolve(ch, 0.3, rng(4))
-        for a, b in zip(ch.angles, out.angles):
-            assert tuple(a) == tuple(b)
+        gains, angles = ch.gains.copy(), ch.angles.copy()
+        out = evolve(ch, 0.3, rng(4), 5)
+        assert out.shape == (5, 3)
+        assert np.array_equal(ch.gains, gains) and np.array_equal(ch.angles, angles)
 
     @pytest.mark.parametrize("has_los", [True, False])
     def test_draw_order(self, has_los):
-        # one uniform LoS phase (drawn with or without a LoS path), then the
-        # real and the imaginary NLoS innovations
+        # per step one uniform LoS phase (drawn with or without a LoS path),
+        # then the real and the imaginary NLoS innovations; scalar steps
+        # drawn that way give the same gains bit for bit
         ch = sample_channel(ChannelParams(num_paths=3), ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1))
         ch = chn.ChannelRealization(ch.gains, ch.angles, ch.tx_geom, ch.rx_geom, has_los=has_los)
         rho = 0.6
-        out = evolve(ch, rho, rng(9))
+        out = evolve(ch, rho, rng(9), 4)
         r = rng(9)
-        los_eps = np.exp(1j * r.uniform(0.0, 2.0 * np.pi))
         n_nlos = 3 - int(has_los)
         sigma = np.sqrt(10.0 ** (-10.0 / 10.0) / 2.0)
-        nlos_eps = sigma * (r.standard_normal(n_nlos) + 1j * r.standard_normal(n_nlos))
-        eps = [los_eps] * has_los + list(nlos_eps)
         mix = np.sqrt(1.0 - rho * rho)
-        expected = [rho * g + mix * e for g, e in zip(ch.gains, eps)]
-        assert np.array_equal(out.gains, expected)
-        assert out.has_los == has_los
+        gains = list(ch.gains)
+        for row in out:
+            los_eps = np.exp(1j * r.uniform(0.0, 2.0 * np.pi))
+            nlos_eps = sigma * (r.standard_normal(n_nlos) + 1j * r.standard_normal(n_nlos))
+            eps = [los_eps] * has_los + list(nlos_eps)
+            gains = [rho * g + mix * e for g, e in zip(gains, eps)]
+            assert np.array_equal(row, gains)
 
     def test_bad_rho_rejected(self):
         ch = sample_channel(ChannelParams(num_paths=1), ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1))
         with pytest.raises(ValueError, match="rho"):
-            evolve(ch, 1.5, rng(0))
+            evolve(ch, 1.5, rng(0), 1)
 
 
 class TestDftMatrix:
@@ -340,26 +342,3 @@ class TestVirtualChannel:
             power = np.abs(Hv.ravel()) ** 2
             assert power.max() / power.sum() >= 0.40
 
-
-class TestAwgn:
-    """Receiver noise from ``noise_like``."""
-
-    def test_high_snr_passthrough(self):
-        x = np.array([1 + 1j, -2j, 0.5])
-        y = x + noise_like(x, 200.0, rng(41))
-        assert np.max(np.abs(y - x)) < 1e-9
-
-    def test_zero_signal_unit_variance(self):
-        y = noise_like(np.zeros(100_000, complex), 0.0, rng(43))
-        assert abs(np.mean(np.abs(y) ** 2) - 1.0) < 0.03
-
-    def test_same_seed_same_noise(self):
-        x = np.ones(16, complex)
-        assert np.array_equal(noise_like(x, 10.0, rng(47)), noise_like(x, 10.0, rng(47)))
-
-    def test_scalar_in_scalar_out(self):
-        # a scalar takes one real and one imaginary normal, in that order
-        y = noise_like(1 + 0j, 10.0, rng(49))
-        assert y.shape == () and np.iscomplexobj(y)
-        re, im = rng(49).standard_normal(2)
-        assert complex(y) == np.sqrt(0.1 / 2.0) * complex(re, im)

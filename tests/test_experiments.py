@@ -362,11 +362,40 @@ class TestCli:
             assert name in out
 
     def test_runtime_failure_exit_two(self, tmp_path, capsys):
-        # valid config whose session construction fails (codebook too deep)
+        # a valid config whose table cannot be written: --out names a directory
+        cfg = self._write(tmp_path, 'scenario = "custom"\nmaster_seed = 1\ntrials = 1\nsnr_grid = 10\n')
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"cannot write results to {out}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scheme_keys, message",
+        [
+            ("num_beams = 200", "exceeds the 126 codewords"),
+            ("codebook_depth = 7", "too deep"),
+            ("codebook_depth = 0", "depth must be >= 1"),
+            ("alice_cols = 1", "depth must be >= 1"),
+            ("alice_cols = 8\nnum_beams = 15", "exceeds the 14 codewords"),
+        ],
+    )
+    def test_validate_rejects_bad_multires_codebook(self, tmp_path, capsys, scheme_keys, message):
+        # each of these used to pass validate and fail mid-run with exit 2
         cfg = self._write(
             tmp_path,
             'scenario = "custom"\nmaster_seed = 1\ntrials = 1\nsnr_grid = 10\n'
-            '[scheme]\nscheme = "multires"\nalice_cols = 64\ncodebook_depth = 9\n',
+            f'[scheme]\nscheme = "multires"\n{scheme_keys}\n',
         )
-        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-        assert "failed" in capsys.readouterr().err
+        assert cli_main(["validate", "--config", cfg]) == 1
+        assert message in capsys.readouterr().err
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_validate_accepts_deepest_multires_codebook(self, tmp_path):
+        # depth 6 on 64 columns with all 126 codewords selected is the limit
+        cfg = self._write(
+            tmp_path,
+            'scenario = "custom"\nmaster_seed = 1\ntrials = 1\nsnr_grid = 10\n'
+            '[scheme]\nscheme = "multires"\ncodebook_depth = 6\nnum_beams = 126\n',
+        )
+        assert cli_main(["validate", "--config", cfg]) == 0

@@ -5,12 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmkeygen import seeds
-from mmkeygen.beamforming import steering_beamformer
+from mmkeygen import schemes, seeds
+from mmkeygen.beamforming import hierarchical_codebook, sector_beamformer, steering_beamformer
 from mmkeygen.channel import ArrayGeometry, array_response, channel_matrix, evolve, response_matrices, sample_channel
-from mmkeygen.keygen import bar, cell_indices, extract_randomness, gray_encode_indices
+from mmkeygen.keygen import (
+    QuantizerConfig,
+    _calibrated_cells,
+    bar,
+    cell_indices,
+    extract_randomness,
+    gray_encode_indices,
+    key_entropy_rate,
+)
 from mmkeygen.schemes import (
     SessionConfig,
+    _centred,
     _perturbation_beams,
     _secret_beam_batch,
     _session_channel,
@@ -154,8 +163,8 @@ def reference_beam_streams(cfg):
 
     out = {name: np.empty(cfg.rounds, dtype=np.int64) for name in BEAM_STREAMS}
     for t in range(cfg.rounds):
-        ch = evolve(ch, cfg.temporal_rho, rng_evolve)
-        alpha = ch.gains
+        alpha = evolve(ch, cfg.temporal_rho, rng_evolve, 1)[0]
+        ch = replace(ch, gains=alpha)
         k_a = int(rng_pa.integers(0, K))
         k_b = int(rng_pb.integers(0, K))
         base_fwd = scale * (alpha * tx_b[:, 0])  # Bob combines on his nominal beam
@@ -453,13 +462,115 @@ class TestMultires:
         # reference: each probe stream centred, calibrated on its own 1st-99th
         # percentile range, quantized and Gray-coded, streams concatenated
         res = multires_session(fig4_cfg(rounds=200))
-        parts = []
-        for row in res.samples_multires:
-            centered = extract_randomness(row)
-            lo, hi = np.percentile(centered, [1.0, 99.0])
-            idx = cell_indices(centered, 4, float(lo), float(hi))
-            parts.append(gray_encode_indices(idx, 2).bits)
-        assert np.array_equal(res.bits_bob.bits, np.concatenate(parts))
+        cells = per_row_cells(res.samples_multires, 4)
+        assert np.array_equal(res.bits_bob.bits, gray_encode_indices(cells.ravel(), 2).bits)
+
+
+def reference_multires_samples(cfg, beam_ids, fixed_id):
+    """The per-block multires probing loop that one array pass replaced.
+
+    Kept as the reference the session is checked against: scalar evolve
+    steps, the channel matrix of each block, one ``w_b @ H @ w_a`` product
+    per probe and scalar normals drawn at Bob, then at Alice.  Probes the
+    beams ``beam_ids`` and ``fixed_id`` and returns the (beams, blocks)
+    samples of the multi arm at Bob and at Alice and of the fixed arm at Bob.
+    """
+    seed = cfg.master_seed
+    rng_channel = seeds.generator(seed, seeds.STREAM_CHANNEL)
+    rng_evolve = seeds.generator(seed, seeds.STREAM_EVOLVE)
+    rng_noise = seeds.generator(seed, seeds.STREAM_NOISE_BOB)
+    ch = schemes._session_channel(cfg, rng_channel)
+    codebook = hierarchical_codebook(cfg.alice, cfg.multires_depth)
+    beams = [codebook.codeword(*i) for i in beam_ids]
+    fixed_beam = codebook.codeword(*fixed_id)
+    bob_wide = sector_beamformer(cfg.bob, -1.0, 1.0)
+    bob_pencil = steering_beamformer(cfg.bob, ch.angles[0, 2], ch.angles[0, 3])
+    sigma = np.sqrt(10.0 ** (-cfg.snr_db / 10.0) / 2.0)
+
+    def probe(w_a, w_b, H):
+        y_bob = complex(w_b @ H @ w_a) + sigma * complex(rng_noise.standard_normal(), rng_noise.standard_normal())
+        y_alice = complex(w_a @ H.T @ w_b) + sigma * complex(rng_noise.standard_normal(), rng_noise.standard_normal())
+        return y_bob.real, y_alice.real
+
+    P, T = len(beams), cfg.rounds
+    multi_bob, multi_alice, fixed_bob = np.empty((P, T)), np.empty((P, T)), np.empty((P, T))
+    for t in range(T):
+        ch = replace(ch, gains=evolve(ch, cfg.temporal_rho, rng_evolve, 1)[0])
+        H = channel_matrix(ch)
+        for p, beam in enumerate(beams):
+            multi_bob[p, t], multi_alice[p, t] = probe(beam, bob_wide, H)
+        for p in range(P):
+            fixed_bob[p, t] = probe(fixed_beam, bob_pencil, H)[0]
+    return multi_bob, multi_alice, fixed_bob
+
+
+def per_row_cells(samples, levels):
+    """Each stream centred, then quantized on its own 1st-99th percentile range."""
+    rows = []
+    for row in samples:
+        centred = extract_randomness(row)
+        lo, hi = np.percentile(centred, [1.0, 99.0])
+        rows.append(cell_indices(centred, levels, float(lo), float(hi)))
+    return np.stack(rows)
+
+
+class TestMultiresEqualsReference:
+    """The array session against the per-block reference loop."""
+
+    CASES = {
+        "fig4": dict(snr_db=10.0),
+        # the fig4-overrides geometry of tests/test_golden.py
+        "fig4-overrides": dict(
+            alice=ArrayGeometry(1, 32),
+            bob=ArrayGeometry(1, 16),
+            num_paths=6,
+            num_beams=4,
+            temporal_rho=0.3,
+            window_db=12.0,
+            codebook_depth=4,
+            snr_db=15.0,
+            master_seed=2,
+        ),
+        # without a LoS path, evolve still draws (and drops) the LoS phase
+        "no-los": dict(snr_db=0.0, temporal_rho=0.8),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_samples_bits_and_kers_equal_reference(self, case, monkeypatch):
+        if case == "no-los":
+            session_channel = schemes._session_channel
+            monkeypatch.setattr(
+                schemes, "_session_channel", lambda cfg, rng: replace(session_channel(cfg, rng), has_los=False)
+            )
+        cfg = fig4_cfg(**self.CASES[case])
+        res = multires_session(cfg)
+        multi_bob, multi_alice, fixed_bob = reference_multires_samples(cfg, res.beam_ids, res.fixed_beam_id)
+        # the array pass sums over paths where the reference sums over antennas
+        np.testing.assert_allclose(res.samples_multires, multi_bob, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(res.samples_fixed, fixed_bob, rtol=1e-12, atol=1e-12)
+
+        def gray(samples):
+            return gray_encode_indices(per_row_cells(samples, cfg.levels).ravel(), 2).bits
+
+        assert np.array_equal(res.bits_bob.bits, gray(multi_bob))
+        assert np.array_equal(res.bits_alice.bits, gray(multi_alice))
+        quantizer = QuantizerConfig(levels=cfg.levels)
+        for ker, samples in ((res.ker_multires, multi_bob), (res.ker_fixed, fixed_bob)):
+            centred = np.stack([extract_randomness(row) for row in samples])
+            assert ker == key_entropy_rate(centred, quantizer)
+
+    @pytest.mark.parametrize("shape", [(5, 200), (5, 1000), (4, 2000), (5, 3600), (5, 4500), (10, 5000)])
+    def test_jackknife_helpers_equal_per_row_reference(self, shape):
+        # mean removal and percentile ranges over all rows at once are bit-equal
+        # to the per-row calls; one constant row keeps the degenerate-range path
+        r = rng(shape[1])
+        samples = r.standard_normal(shape) * r.uniform(0.1, 30.0, (shape[0], 1)) + r.uniform(-5.0, 5.0, (shape[0], 1))
+        samples[-1] = 0.25
+        centred = _centred(samples)
+        assert np.array_equal(centred, np.stack([extract_randomness(row) for row in samples]))
+        cells = _calibrated_cells(centred[:-1], 4)
+        assert np.array_equal(cells, per_row_cells(samples[:-1], 4))
+        assert np.array_equal(_calibrated_cells(centred, 4)[-1], np.zeros(shape[1]))
 
 
 class TestEveInformationBound:
