@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from mmkeygen import channel as chn
+from mmkeygen.beamforming import steering_beamformer
 from mmkeygen.channel import (
     ArrayGeometry,
     ChannelParams,
@@ -15,6 +16,7 @@ from mmkeygen.channel import (
     sample_channel,
     virtual_channel,
 )
+from mmkeygen.probing import bidirectional_probe
 
 
 def rng(seed=0):
@@ -342,3 +344,35 @@ class TestVirtualChannel:
             power = np.abs(Hv.ravel()) ** 2
             assert power.max() / power.sum() >= 0.40
 
+
+
+class TestAwgn:
+    """Receiver noise, drawn inside ``bidirectional_probe``; at a zero channel the samples are the noise."""
+
+    @staticmethod
+    def noise(blocks, pairs, snr_db, seed, az=0.0):
+        geom = ArrayGeometry(1, 4)
+        ch = chn.ChannelRealization(np.zeros(1), np.zeros((1, 4)), geom, geom)
+        w = np.stack([steering_beamformer(geom, az)] * pairs)
+        return bidirectional_probe(w, w, ch, np.zeros((blocks, 1)), snr_db, rng(seed))
+
+    def test_zero_signal_unit_variance(self):
+        # at 0 dB each direction has unit variance, half in each of re and im
+        for y in self.noise(25_000, 4, 0.0, 43):
+            assert abs(np.mean(np.abs(y) ** 2) - 1.0) < 0.03
+            assert abs(np.var(y.real) - 0.5) < 0.015 and abs(np.var(y.imag) - 0.5) < 0.015
+
+    def test_same_seed_same_noise(self):
+        # the noise depends on the seed only, not on the beams probed
+        same = (np.array_equal(a, b) for a, b in zip(self.noise(16, 2, 10.0, 47), self.noise(16, 2, 10.0, 47, az=0.7)))
+        assert all(same)
+        assert not np.array_equal(self.noise(16, 2, 10.0, 47)[0], self.noise(16, 2, 10.0, 48)[0])
+
+    def test_scalar_in_scalar_out(self):
+        # one block and one pair give one complex sample per direction, each
+        # one real and one imaginary normal, in that order, Bob's first
+        y_bob, y_alice = self.noise(1, 1, 10.0, 49)
+        assert y_bob.shape == y_alice.shape == (1, 1) and np.iscomplexobj(y_bob) and np.iscomplexobj(y_alice)
+        re_b, im_b, re_a, im_a = rng(49).standard_normal(4)
+        assert complex(y_bob[0, 0]) == np.sqrt(0.1 / 2.0) * complex(re_b, im_b)
+        assert complex(y_alice[0, 0]) == np.sqrt(0.1 / 2.0) * complex(re_a, im_a)
