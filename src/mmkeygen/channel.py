@@ -6,7 +6,7 @@ gains and an array of departure/arrival angles.  The module builds array
 responses and channel matrices, evolves ray gains with an AR(1) process
 inside a session (``evolve`` returns the gains of a run of coherence
 blocks as one (steps, L) array), and provides the angular (virtual) domain
-transform used by the sparse-domain key scheme.
+transform used by the sparse-domain key scheme, computed as a per-axis FFT.
 
 Conventions
 -----------
@@ -221,27 +221,29 @@ def evolve(ch: ChannelRealization, rho: float, rng: np.random.Generator, steps: 
 
 
 def dft_matrix(n: int) -> np.ndarray:
-    """Unitary n x n DFT matrix, entry (j, k) = exp(-2i*pi*j*k/n)/sqrt(n)."""
+    """Unitary n x n DFT matrix (j, k) = exp(-2i*pi*j*k/n)/sqrt(n), the reference basis."""
     if n < 1:
         raise ValueError(f"invalid DFT size {n}")
     k = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
 
 
-def _upa_dft_basis(geom: ArrayGeometry) -> np.ndarray:
-    # Kronecker of per-axis DFTs matches the row-major (m*cols + n) flattening
-    # used by array_response.
-    return np.kron(dft_matrix(geom.rows), dft_matrix(geom.cols))
-
-
 def virtual_channel(H: np.ndarray, tx_geom: ArrayGeometry, rx_geom: ArrayGeometry) -> np.ndarray:
-    """Angular-domain representation ``U_r^H H U_t`` under per-axis DFT bases."""
+    """Angular-domain ``U_r^H H U_t``, each ``U = kron(dft_matrix(rows), dft_matrix(cols))``.
+
+    The unitary DFT is symmetric, so on ``H`` as (rx_rows, rx_cols, tx_rows,
+    tx_cols) this is an ortho inverse FFT along each receive axis and an ortho
+    forward FFT along each transmit axis (axes of size 1 skipped).
+    """
     H = np.asarray(H)
     if H.shape != (rx_geom.size, tx_geom.size):
         raise ValueError(
             f"dimension mismatch: H is {H.shape}, geometries give "
             f"({rx_geom.size}, {tx_geom.size})"
         )
-    U_r = _upa_dft_basis(rx_geom)
-    U_t = _upa_dft_basis(tx_geom)
-    return U_r.conj().T @ H @ U_t
+    shape = (rx_geom.rows, rx_geom.cols, tx_geom.rows, tx_geom.cols)
+    Hv = np.array(H, dtype=complex).reshape(shape)
+    for axis, n in enumerate(shape):
+        if n > 1:
+            Hv = (np.fft.ifft if axis < 2 else np.fft.fft)(Hv, axis=axis, norm="ortho")
+    return Hv.reshape(H.shape)

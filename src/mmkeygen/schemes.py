@@ -492,14 +492,13 @@ def virtual_angle_bits(
     top = np.argpartition(mag, n_bins - num_paths)[n_bins - num_paths:]
     # deterministic under ties: order by (-magnitude, flat index), keep top L
     top = top[np.lexsort((top, -mag[top]))][:num_paths]
+    # ascending flat indices are the (row, col) pairs in lexicographic order
     rows, cols = np.unravel_index(np.sort(top), H_v.shape)
     width_r = max(1, (rx_geom.size - 1).bit_length())
     width_t = max(1, (tx_geom.size - 1).bit_length())
-    parts = []
-    for r_idx, c_idx in sorted(zip(rows.tolist(), cols.tolist())):
-        parts.append(pack_indices([r_idx], width_r))
-        parts.append(pack_indices([c_idx], width_t))
-    return concat_bits(parts)
+    bits_r = pack_indices(rows, width_r).bits.reshape(-1, width_r)
+    bits_t = pack_indices(cols, width_t).bits.reshape(-1, width_t)
+    return BitString(np.hstack((bits_r, bits_t)).ravel())
 
 
 def _estimation_rngs(seed: int, round_idx: int) -> tuple[np.random.Generator, ...]:
@@ -551,11 +550,8 @@ def baseline_channel_quant_session(cfg: SessionConfig) -> SchemeResult:
         ch = _session_channel(cfg, rng_ch)
         H = channel_matrix(ch)
         for holder, rng in ((stream_a, rng_a), (stream_b, rng_b)):
-            h_hat = estimate_channel(H, cfg.snr_db, rng)
-            interleaved = np.empty(2 * h_hat.size)
-            interleaved[0::2] = h_hat.real.ravel()
-            interleaved[1::2] = h_hat.imag.ravel()
-            holder.append(interleaved)
+            # a contiguous complex128 array viewed as float64 is (re, im) interleaved
+            holder.append(estimate_channel(H, cfg.snr_db, rng).view(np.float64).ravel())
     samples_a = extract_randomness(np.concatenate(stream_a))
     samples_b = extract_randomness(np.concatenate(stream_b))
     quantizer = QuantizerConfig.calibrated(samples_a, levels=cfg.levels)

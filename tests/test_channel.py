@@ -327,6 +327,36 @@ class TestVirtualChannel:
         back = U_r @ virtual_channel(H, tx, rx) @ U_t.conj().T
         assert np.max(np.abs(back - H)) < 1e-10
 
+    @pytest.mark.parametrize(
+        "tx, rx",
+        [
+            ((1, 8), (1, 4)),
+            ((8, 1), (4, 1)),
+            ((1, 8), (4, 1)),
+            ((8, 1), (1, 4)),
+            ((2, 4), (1, 4)),
+            ((2, 2), (4, 2)),
+            ((1, 1), (2, 3)),
+            ((3, 2), (1, 1)),
+            ((1, 1), (1, 1)),
+        ],
+    )
+    def test_equals_kronecker_reference(self, tx, rx):
+        tx, rx = ArrayGeometry(*tx), ArrayGeometry(*rx)
+        U_r = np.kron(dft_matrix(rx.rows), dft_matrix(rx.cols))
+        U_t = np.kron(dft_matrix(tx.rows), dft_matrix(tx.cols))
+        r = rng(41)
+        shape = (rx.size, tx.size)
+        for H in (
+            r.standard_normal(shape) + 1j * r.standard_normal(shape),
+            r.standard_normal(shape),
+            r.integers(-5, 6, size=shape),
+        ):
+            Hv = virtual_channel(H, tx, rx)
+            assert Hv.dtype == complex and Hv.shape == shape
+            assert np.max(np.abs(Hv - U_r.conj().T @ H @ U_t)) < 1e-12
+            assert not np.shares_memory(Hv, H)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             virtual_channel(np.zeros((3, 3)), ArrayGeometry(1, 4), ArrayGeometry(1, 4))

@@ -7,15 +7,25 @@ from hypothesis import strategies as st
 
 from mmkeygen import schemes, seeds
 from mmkeygen.beamforming import hierarchical_codebook, sector_beamformer, steering_beamformer
-from mmkeygen.channel import ArrayGeometry, array_response, channel_matrix, evolve, response_matrices, sample_channel
+from mmkeygen.channel import (
+    ArrayGeometry,
+    array_response,
+    channel_matrix,
+    evolve,
+    response_matrices,
+    sample_channel,
+    virtual_channel,
+)
 from mmkeygen.keygen import (
     QuantizerConfig,
     _calibrated_cells,
     bar,
     cell_indices,
+    concat_bits,
     extract_randomness,
     gray_encode_indices,
     key_entropy_rate,
+    pack_indices,
 )
 from mmkeygen.schemes import (
     SessionConfig,
@@ -401,6 +411,52 @@ class TestVirtualAngleBits:
         geom = ArrayGeometry(1, 2)
         with pytest.raises(ValueError, match="cannot select"):
             virtual_angle_bits(np.zeros((2, 2)), 5, geom, geom)
+
+
+def reference_angle_bits(H_hat, num_paths, tx_geom, rx_geom):
+    """The per-pair loop of ``virtual_angle_bits``: one ``pack_indices`` call per row and per column."""
+    H_v = virtual_channel(H_hat, tx_geom, rx_geom)
+    n_bins = H_v.size
+    mag = np.abs(H_v).ravel()
+    top = np.argpartition(mag, n_bins - num_paths)[n_bins - num_paths:]
+    top = top[np.lexsort((top, -mag[top]))][:num_paths]
+    rows, cols = np.unravel_index(np.sort(top), H_v.shape)
+    width_r = max(1, (rx_geom.size - 1).bit_length())
+    width_t = max(1, (tx_geom.size - 1).bit_length())
+    parts = []
+    for r_idx, c_idx in sorted(zip(rows.tolist(), cols.tolist())):
+        parts.append(pack_indices([r_idx], width_r))
+        parts.append(pack_indices([c_idx], width_t))
+    return concat_bits(parts)
+
+
+class TestVirtualAngleBitsEqualReference:
+    # rx and tx sizes differ, so the row and column widths differ too
+    GEOMETRIES = [
+        (ArrayGeometry(1, 32), ArrayGeometry(1, 8)),
+        (ArrayGeometry(1, 4), ArrayGeometry(2, 8)),
+        (ArrayGeometry(2, 4), ArrayGeometry(1, 2)),
+    ]
+
+    @pytest.mark.parametrize("tx, rx", GEOMETRIES)
+    @pytest.mark.parametrize("num_paths", [1, 2, 3, 4, 5])
+    def test_random_matrices(self, tx, rx, num_paths):
+        r = rng(num_paths)
+        for _ in range(20):
+            H = r.standard_normal((rx.size, tx.size)) + 1j * r.standard_normal((rx.size, tx.size))
+            bits = virtual_angle_bits(H, num_paths, tx, rx)
+            assert len(bits) == num_paths * ((rx.size - 1).bit_length() + (tx.size - 1).bit_length())
+            assert bits.equals(reference_angle_bits(H, num_paths, tx, rx))
+
+    @pytest.mark.parametrize("tx, rx", GEOMETRIES)
+    @pytest.mark.parametrize("num_paths", [1, 3, 5])
+    def test_tied_magnitudes(self, tx, rx, num_paths):
+        # all bins tie at zero; a delta spreads one magnitude over every bin
+        delta = np.zeros((rx.size, tx.size))
+        delta[0, 0] = 1.0
+        for H in (np.zeros((rx.size, tx.size)), delta):
+            bits = virtual_angle_bits(H, num_paths, tx, rx)
+            assert bits.equals(reference_angle_bits(H, num_paths, tx, rx))
 
 
 class TestVirtualSession:
