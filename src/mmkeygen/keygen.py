@@ -3,14 +3,19 @@
 The pipeline stages operate on :class:`BitString` values (immutable 0/1 byte
 arrays).  Cascade is the classic interactive protocol: per pass a shared
 seeded permutation, fixed-size blocks, parity comparison, binary-search
-correction of odd blocks, and back-tracking into earlier passes.  Leakage
-accounting is a literal transcript count: one bit per revealed parity plus
-any sacrificial calibration sample.
+correction of odd blocks, and back-tracking into earlier passes.  It works
+on the XOR of the two strings and keeps one block-parity array per pass,
+toggled on each flip, so every block parity is a lookup; the binary search
+reads its halvings off a prefix sum of the block.  Leakage accounting is a
+literal transcript count: one bit per revealed parity plus any sacrificial
+calibration sample.
 """
 
 from __future__ import annotations
 
+import array
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,10 +38,9 @@ class BitString:
         arr = np.asarray(self.bits)
         if arr.ndim != 1:
             raise ValueError("bits must be one-dimensional")
-        arr = arr.astype(np.uint8)
+        arr = arr.astype(np.uint8)  # always a fresh copy
         if arr.size and arr.max() > 1:
             raise ValueError("bits must be 0 or 1")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
@@ -180,22 +184,20 @@ class CascadeParams:
             raise ValueError("sample_fraction must be in (0, 1)")
 
 
-def _parity_mismatch(a: np.ndarray, b: np.ndarray, positions: np.ndarray) -> bool:
-    return bool((int(a[positions].sum()) ^ int(b[positions].sum())) & 1)
-
-
-def _binary_search(a: np.ndarray, b: np.ndarray, positions: np.ndarray) -> tuple[int, int]:
+def _binary_search(diff: np.ndarray, positions: np.ndarray) -> tuple[int, int]:
     """Locate one mismatched position inside an odd-parity block.
 
-    Returns (position, parities_revealed): each halving step reveals one
-    parity bit of the reference string.
+    ``diff`` is the XOR of the two strings.  Returns (position,
+    parities_revealed): each halving step reveals one parity bit of the
+    reference string, read off a prefix sum of ``diff`` over the block.
     """
+    prefix = list(itertools.accumulate(diff[positions].tolist(), initial=0))
     lo, hi = 0, positions.size
     revealed = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
         revealed += 1
-        if _parity_mismatch(a, b, positions[lo:mid]):
+        if (prefix[mid] - prefix[lo]) & 1:
             hi = mid
         else:
             lo = mid
@@ -211,14 +213,17 @@ def cascade(a: BitString, b: BitString, params: CascadeParams) -> tuple[BitStrin
     every parity bit the transcript would expose (plus the sacrificial
     sample when auto-sizing).  Residual mismatch is possible and is reported
     by a post-hoc :func:`bar` check, not an error.
+
+    The work is done on ``diff = a ^ b``: each pass keeps the parity of
+    ``diff`` over each of its blocks, and every flip toggles the entry of
+    the block holding the flipped position in every pass built so far.
     """
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     n = len(a)
-    a_bits = a.bits.astype(np.int64)
-    b_work = b.bits.astype(np.int64).copy()
     if n == 0:
         return BitString.zeros(0), 0
+    diff = a.bits ^ b.bits
 
     rng = seeds.generator(params.seed, seeds.STREAM_CASCADE)
     leaked = 0
@@ -226,15 +231,27 @@ def cascade(a: BitString, b: BitString, params: CascadeParams) -> tuple[BitStrin
     if params.initial_block is None:
         m = max(1, math.ceil(params.sample_fraction * n))
         sample = rng.choice(n, size=m, replace=False)
-        p_est = float(np.mean(a_bits[sample] != b_work[sample]))
+        p_est = float(np.mean(diff[sample]))
         leaked += m
         block = n if p_est == 0.0 else min(n, math.ceil(0.73 / p_est))
     else:
         block = min(n, params.initial_block)
 
-    # per pass: permutation, its blocks (position arrays), and position->block map
-    pass_blocks: list[list[np.ndarray]] = []
-    block_of: list[np.ndarray] = []
+    # per pass: permutation, block size, position->block map (an int64
+    # array.array: compact, and fast to index from Python), block parities
+    perms: list[np.ndarray] = []
+    sizes: list[int] = []
+    block_of: list[array.array] = []
+    odd: list[list[int]] = []
+
+    def positions(p_idx: int, b_idx: int) -> np.ndarray:
+        size = sizes[p_idx]
+        return perms[p_idx][b_idx * size : (b_idx + 1) * size]
+
+    def flip(pos: int) -> None:
+        diff[pos] ^= 1
+        for p_idx in range(len(odd)):
+            odd[p_idx][block_of[p_idx][pos]] ^= 1
 
     def backtrack(flipped: int, skip: tuple[int, int]) -> None:
         nonlocal leaked
@@ -243,46 +260,51 @@ def cascade(a: BitString, b: BitString, params: CascadeParams) -> tuple[BitStrin
         seen: set[tuple[int, int]] = set()
 
         def push_containing(pos: int, skip_key: tuple[int, int]) -> None:
-            for p_idx in range(len(pass_blocks)):
-                key = (p_idx, int(block_of[p_idx][pos]))
+            for p_idx in range(len(odd)):
+                b_idx = block_of[p_idx][pos]
+                key = (p_idx, b_idx)
                 if key == skip_key or key in seen:
                     continue
-                blk = pass_blocks[p_idx][key[1]]
-                if _parity_mismatch(a_bits, b_work, blk):
+                if odd[p_idx][b_idx]:
                     seen.add(key)
-                    heapq.heappush(heap, (blk.size, key[0], key[1]))
+                    # keyed by real length: the last block is short when
+                    # size does not divide n
+                    size = sizes[p_idx]
+                    heapq.heappush(heap, (min(size, n - b_idx * size), p_idx, b_idx))
 
         push_containing(flipped, skip)
         while heap:
             _, p_idx, b_idx = heapq.heappop(heap)
             seen.discard((p_idx, b_idx))
-            blk = pass_blocks[p_idx][b_idx]
-            if not _parity_mismatch(a_bits, b_work, blk):
+            if not odd[p_idx][b_idx]:
                 continue  # an earlier correction already evened this block
-            pos, revealed = _binary_search(a_bits, b_work, blk)
+            pos, revealed = _binary_search(diff, positions(p_idx, b_idx))
             leaked += revealed
-            b_work[pos] ^= 1
+            flip(pos)
             push_containing(pos, (p_idx, b_idx))
 
     for pass_idx in range(params.passes):
         perm = rng.permutation(n)
         size = min(n, block * (1 << pass_idx))
-        blocks = [perm[i : i + size] for i in range(0, n, size)]
-        pass_blocks.append(blocks)
+        starts = np.arange(0, n, size)
         inv = np.empty(n, dtype=np.int64)
         inv[perm] = np.arange(n)
-        block_of.append(inv // size)
+        perms.append(perm)
+        sizes.append(size)
+        block_of.append(array.array("q", (inv // size).tobytes()))
+        odd.append((np.add.reduceat(diff[perm], starts) & 1).tolist())
+        leaked += len(starts)  # top-level block parity reveals
 
-        for b_idx, blk in enumerate(blocks):
-            leaked += 1  # top-level block parity reveal
-            if not _parity_mismatch(a_bits, b_work, blk):
+        # read live: back-tracking may even out a later block of this pass
+        for b_idx in range(len(starts)):
+            if not odd[pass_idx][b_idx]:
                 continue
-            pos, revealed = _binary_search(a_bits, b_work, blk)
+            pos, revealed = _binary_search(diff, positions(pass_idx, b_idx))
             leaked += revealed
-            b_work[pos] ^= 1
+            flip(pos)
             backtrack(pos, (pass_idx, b_idx))
 
-    return BitString(bits=b_work.astype(np.uint8)), leaked
+    return BitString(bits=a.bits ^ diff), leaked
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
+import heapq
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmkeygen import seeds
 from mmkeygen.keygen import (
     BitString,
     CascadeParams,
@@ -143,6 +147,126 @@ class TestXor:
         assert abs(bar(eve, final) - 0.5) < 0.02
 
 
+# The earlier Cascade, kept as a reference: every parity is summed from the
+# two strings, and the binary search sums a slice of the block per halving.
+# When a ``transcript`` list is given, it records the positions behind every
+# revealed bit (one sampled position, one block, or one halved sub-block).
+
+
+def _parity_mismatch(a, b, positions):
+    return bool((int(a[positions].sum()) ^ int(b[positions].sum())) & 1)
+
+
+def _binary_search(a, b, positions, transcript):
+    """Locate one mismatched position inside an odd-parity block.
+
+    Returns (position, parities_revealed): each halving step reveals one
+    parity bit of the reference string.
+    """
+    lo, hi = 0, positions.size
+    revealed = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        revealed += 1
+        transcript.append(positions[lo:mid])
+        if _parity_mismatch(a, b, positions[lo:mid]):
+            hi = mid
+        else:
+            lo = mid
+    return int(positions[lo]), revealed
+
+
+def _reference_cascade(a, b, params, transcript=None):
+    if transcript is None:
+        transcript = []
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    n = len(a)
+    a_bits = a.bits.astype(np.int64)
+    b_work = b.bits.astype(np.int64).copy()
+    if n == 0:
+        return BitString.zeros(0), 0
+
+    rng = seeds.generator(params.seed, seeds.STREAM_CASCADE)
+    leaked = 0
+
+    if params.initial_block is None:
+        m = max(1, math.ceil(params.sample_fraction * n))
+        sample = rng.choice(n, size=m, replace=False)
+        p_est = float(np.mean(a_bits[sample] != b_work[sample]))
+        leaked += m
+        transcript.extend(sample[i : i + 1] for i in range(m))
+        block = n if p_est == 0.0 else min(n, math.ceil(0.73 / p_est))
+    else:
+        block = min(n, params.initial_block)
+
+    # per pass: permutation, its blocks (position arrays), and position->block map
+    pass_blocks = []
+    block_of = []
+
+    def backtrack(flipped, skip):
+        nonlocal leaked
+        # blocks whose parity state toggled; re-search smallest first
+        heap = []
+        seen = set()
+
+        def push_containing(pos, skip_key):
+            for p_idx in range(len(pass_blocks)):
+                key = (p_idx, int(block_of[p_idx][pos]))
+                if key == skip_key or key in seen:
+                    continue
+                blk = pass_blocks[p_idx][key[1]]
+                if _parity_mismatch(a_bits, b_work, blk):
+                    seen.add(key)
+                    heapq.heappush(heap, (blk.size, key[0], key[1]))
+
+        push_containing(flipped, skip)
+        while heap:
+            _, p_idx, b_idx = heapq.heappop(heap)
+            seen.discard((p_idx, b_idx))
+            blk = pass_blocks[p_idx][b_idx]
+            if not _parity_mismatch(a_bits, b_work, blk):
+                continue  # an earlier correction already evened this block
+            pos, revealed = _binary_search(a_bits, b_work, blk, transcript)
+            leaked += revealed
+            b_work[pos] ^= 1
+            push_containing(pos, (p_idx, b_idx))
+
+    for pass_idx in range(params.passes):
+        perm = rng.permutation(n)
+        size = min(n, block * (1 << pass_idx))
+        blocks = [perm[i : i + size] for i in range(0, n, size)]
+        pass_blocks.append(blocks)
+        inv = np.empty(n, dtype=np.int64)
+        inv[perm] = np.arange(n)
+        block_of.append(inv // size)
+
+        for b_idx, blk in enumerate(blocks):
+            leaked += 1  # top-level block parity reveal
+            transcript.append(blk)
+            if not _parity_mismatch(a_bits, b_work, blk):
+                continue
+            pos, revealed = _binary_search(a_bits, b_work, blk, transcript)
+            leaked += revealed
+            b_work[pos] ^= 1
+            backtrack(pos, (pass_idx, b_idx))
+
+    return BitString(bits=b_work.astype(np.uint8)), leaked
+
+
+@st.composite
+def cascade_cases(draw):
+    n = draw(st.integers(1, 700))
+    p = draw(st.floats(0.0, 0.45))
+    passes = draw(st.integers(1, 6))
+    initial_block = draw(st.none() | st.integers(1, n + 4))
+    seed = draw(st.integers(0, 2**31))
+    r = rng(seed)
+    a = BitString(bits=r.integers(0, 2, n, dtype=np.uint8))
+    b = BitString(bits=a.bits ^ (r.random(n) < p).astype(np.uint8))
+    return a, b, CascadeParams(passes=passes, initial_block=initial_block, seed=seed)
+
+
 class TestCascade:
     def test_equal_strings_still_leak(self):
         a = random_bits(64, 8)
@@ -152,15 +276,18 @@ class TestCascade:
 
     def test_single_flip_all_positions_oracle(self):
         # brute-force oracle: every error position in an 8-bit string is
-        # corrected by one pass with block 4, leaking at most 2 + 3 parities
+        # corrected by one pass with block 4, leaking exactly 2 block
+        # parities plus the 2 halvings of the odd block
         a = BitString.from_bits([1, 0, 1, 1, 0, 0, 1, 0])
         for pos in range(8):
             flipped = a.bits.copy()
             flipped[pos] ^= 1
             b = BitString(bits=flipped)
+            a_before, b_before = a.bits.copy(), b.bits.copy()
             corrected, leaked = cascade(a, b, CascadeParams(passes=1, initial_block=4, seed=3))
             assert corrected.equals(a), f"error position {pos} not corrected"
-            assert leaked <= 2 + int(np.log2(4)) + 1
+            assert leaked == 2 + 2
+            assert np.array_equal(a.bits, a_before) and np.array_equal(b.bits, b_before)
 
     @pytest.mark.slow
     def test_ten_percent_error_rate_bulk(self):
@@ -190,21 +317,29 @@ class TestCascade:
         assert bar(a, corrected) >= bar(a, b)
 
     def test_transcript_accounting_exact(self):
-        # recount the transcript: every pass reveals one parity per block and
-        # each binary-search halving reveals one more; replay and compare
+        # replay the protocol and count its transcript: the sacrificial
+        # sample, one parity per top-level block and one per halving; once
+        # with explicit block sizing and once auto-sized from the sample
         n = 256
         r = rng(77)
         a = BitString(bits=r.integers(0, 2, n, dtype=np.uint8))
         flips = (r.random(n) < 0.05).astype(np.uint8)
         b = BitString(bits=a.bits ^ flips)
-        params = CascadeParams(passes=3, initial_block=16, seed=5)
-        _, leaked1 = cascade(a, b, params)
-        _, leaked2 = cascade(a, b, params)
-        assert leaked1 == leaked2  # same transcript, same count
-        # with explicit block sizing no sample is drawn: at minimum the
-        # top-level parities of every pass are in the count
-        top_level = sum(int(np.ceil(n / min(n, 16 * 2**p))) for p in range(3))
-        assert leaked1 >= top_level
+        for initial_block in (16, None):
+            params = CascadeParams(passes=3, initial_block=initial_block, seed=5)
+            transcript = []
+            _reference_cascade(a, b, params, transcript)
+            _, leaked = cascade(a, b, params)
+            assert leaked == len(transcript), f"initial_block={initial_block}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(cascade_cases())
+    def test_matches_reference(self, case):
+        a, b, params = case
+        corrected, leaked = cascade(a, b, params)
+        expected, expected_leaked = _reference_cascade(a, b, params)
+        assert leaked == expected_leaked
+        assert np.array_equal(corrected.bits, expected.bits)
 
 
 class TestPrivacyAmplify:
@@ -298,3 +433,9 @@ class TestBitPlumbing:
     def test_bitstring_validates(self):
         with pytest.raises(ValueError, match="0 or 1"):
             BitString(bits=np.array([0, 2], dtype=np.uint8))
+
+    def test_bitstring_owns_readonly_copy(self):
+        src = np.array([0, 1, 1, 0], dtype=np.uint8)
+        bs = BitString(bits=src)
+        assert not np.shares_memory(bs.bits, src)
+        assert not bs.bits.flags.writeable
