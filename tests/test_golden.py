@@ -25,6 +25,11 @@ GOLDEN = {
         'scenario = "fig4"\nmaster_seed = 1\ntrials = 2000\nsnr_grid = 20\n',
         "c594d0f5921d49a55d97e8f055a3cdedee96068c26682f7ad12e862e1f3c876e",
     ),
+    # the preset's whole SNR grid, so state carried between points shows
+    "fig4-grid": (
+        'scenario = "fig4"\nmaster_seed = 1\ntrials = 2000\n',
+        "a34244457c9a7e31788d127adb73d2dac50ac0dc1f722fd9db0cc9b1e3035038",
+    ),
     "cascade-bench": (
         'scenario = "cascade-bench"\nmaster_seed = 1\ntrials = 5\n',
         "acf89d72c24056a33a640faf53a097670bb64cc8235aa98a7fe404c80a13ad91",
