@@ -147,12 +147,18 @@ def _innovations(
 
 
 def _ar1(gains: np.ndarray, eps: np.ndarray, rho: float) -> np.ndarray:
-    """Gains (..., L) stepped through innovations (..., T, L): the (..., T, L) gains after each step."""
-    mix = np.sqrt(1.0 - rho * rho)
-    out = np.empty(eps.shape, dtype=complex)
-    for t in range(eps.shape[-2]):
-        gains = rho * gains + mix * eps[..., t, :]
-        out[..., t, :] = gains
+    """Gains (..., L) stepped through complex innovations (..., T, L): the (..., T, L) gains after each step.
+
+    Step t is ``rho * gains[t-1] + mix * eps[t]``; the ``mix * eps`` terms
+    are formed for every step at once and each step adds ``rho * gains[t-1]``
+    into its row in place (addition commutes exactly, so the bits are those
+    of the step-by-step sum).
+    """
+    out = np.sqrt(1.0 - rho * rho) * eps
+    for t in range(out.shape[-2]):
+        row = out[..., t, :]
+        row += rho * gains
+        gains = row
     return out
 
 

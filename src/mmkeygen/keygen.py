@@ -348,16 +348,25 @@ def _calibrated_cells(
     """(P, T) cell indices of P streams, each on its own 1st-99th percentile range.
 
     An explicit ``lo``/``hi`` pair replaces every row's range.  A row whose
-    range is degenerate maps entirely to cell 0.
+    range is degenerate maps entirely to cell 0, without a warning.  Each
+    cell is the one :func:`cell_indices` gives on the row's range, computed
+    for all rows at once.
     """
-    cells = np.empty(samples.shape, dtype=np.int64)
     if lo is not None and hi is not None:
-        bounds = np.broadcast_to(np.array([[lo], [hi]], dtype=float), (2, len(samples)))
+        lo, hi = np.array([[lo], [hi]], dtype=float)[:, None]
     else:
-        bounds = np.percentile(samples, [1.0, 99.0], axis=1)
-    for i, (row, row_lo, row_hi) in enumerate(zip(samples, *bounds)):
-        cells[i] = cell_indices(row, levels, float(row_lo), float(row_hi)) if row_lo < row_hi else 0
-    return cells
+        lo, hi = np.percentile(samples, [1.0, 99.0], axis=1)[..., None]
+    ok = lo < hi
+    # a degenerate row is scaled on the range [0, 1] and then zeroed, so it
+    # cannot divide by zero and no NaN or inf of it reaches the integer cast
+    lo = np.where(ok, lo, 0.0)
+    scaled = samples - lo
+    scaled /= np.where(ok, hi, 1.0) - lo
+    scaled *= levels
+    np.floor(scaled, out=scaled)
+    np.copyto(scaled, 0.0, where=~ok)
+    cells = scaled.astype(np.int64)
+    return np.clip(cells, 0, levels - 1, out=cells)
 
 
 def key_entropy_rate(
@@ -381,7 +390,9 @@ def key_entropy_rate(
             f"plug-in entropy needs at least {min_trials} trials, got {T}"
         )
     cells = _calibrated_cells(arr, cfg.levels, cfg.lo, cfg.hi)
-    singles = np.array([_plugin_entropy_bits(np.bincount(cells[i])) for i in range(P)])
+    # every stream's cell counts from one bincount, stream i on bins i*levels ..
+    counts = np.bincount((cells + cfg.levels * np.arange(P)[:, None]).ravel(), minlength=P * cfg.levels)
+    singles = np.array([_plugin_entropy_bits(row) for row in counts.reshape(P, cfg.levels)])
     mean_single = float(singles.mean())
     if mean_single <= 0.0:
         raise ValueError("degenerate input: zero single-probe entropy")

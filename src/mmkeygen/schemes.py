@@ -21,6 +21,7 @@ included): all randomness flows through labelled streams derived in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -466,10 +467,21 @@ def secret_beam_session(cfg: SessionConfig) -> SchemeResult:
 
 
 def estimate_channel(H: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
-    """Idealized sounding: the true matrix plus i.i.d. complex Gaussian error."""
+    """Idealized sounding: the true matrix plus i.i.d. complex Gaussian error.
+
+    The error's real parts are drawn first, then its imaginary parts; the
+    estimate is built in one complex array, bit-equal to
+    ``H + sigma * (re + 1j * im)``.
+    """
     H = np.asarray(H)
     sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
-    return H + sigma * (rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape))
+    est = np.empty(H.shape, dtype=complex)
+    draw = rng.standard_normal(H.shape)
+    est.real = draw
+    est.imag = rng.standard_normal(out=draw)
+    est *= sigma
+    est += H
+    return est
 
 
 def virtual_angle_bits(
@@ -575,6 +587,19 @@ def baseline_channel_quant_session(cfg: SessionConfig) -> SchemeResult:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _multires_beams(alice: ArrayGeometry, bob: ArrayGeometry, depth: int) -> tuple[Codebook, np.ndarray]:
+    """Alice's codebook of ``depth`` levels and Bob's wide beam, built once per geometry.
+
+    Both are read-only, so the cached objects are shared safely between
+    sessions.
+    """
+    codebook = hierarchical_codebook(alice, depth)
+    bob_wide = sector_beamformer(bob, -1.0, 1.0)
+    bob_wide.setflags(write=False)
+    return codebook, bob_wide
+
+
 def _widened_selection(
     codebook: Codebook,
     ch: ChannelRealization,
@@ -628,8 +653,7 @@ def multires_session(cfg: SessionConfig) -> MultiresResult:
     rng_noise = seeds.generator(seed, seeds.STREAM_NOISE_BOB)
 
     ch = _session_channel(cfg, rng_channel)
-    codebook = hierarchical_codebook(cfg.alice, cfg.multires_depth)
-    bob_wide = sector_beamformer(cfg.bob, -1.0, 1.0)
+    codebook, bob_wide = _multires_beams(cfg.alice, cfg.bob, cfg.multires_depth)
     bob_pencil = steering_beamformer(cfg.bob, ch.angles[0, 2], ch.angles[0, 3])
 
     ids, window_used = _widened_selection(codebook, ch, bob_wide, P, cfg.window_db)

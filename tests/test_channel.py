@@ -278,6 +278,46 @@ class TestEvolve:
             evolve(ch, 1.5, rng(0), 1)
 
 
+def reference_ar1(gains, eps, rho):
+    """The per-step AR(1) loop that the in-place one replaced: a fresh sum each step."""
+    mix = np.sqrt(1.0 - rho * rho)
+    out = np.empty(eps.shape, dtype=complex)
+    for t in range(eps.shape[-2]):
+        gains = rho * gains + mix * eps[..., t, :]
+        out[..., t, :] = gains
+    return out
+
+
+class TestAr1:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # 0.8 is a rho at which sqrt(1 - rho**2) and sqrt((1 - rho)(1 + rho)) differ
+        rho=st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0]),
+        batch=st.sampled_from([(), (1,), (3,)]),
+        steps=st.integers(1, 40),
+        paths=st.integers(1, 8),
+        zeros=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference(self, rho, batch, steps, paths, zeros, seed):
+        # gains (L,) or (B, L) through innovations (T, L) or (B, T, L); some
+        # exact and negative zeros check that the in-place sum keeps their signs
+        r = rng(seed)
+
+        def draw(shape):
+            z = r.standard_normal(shape) + 1j * r.standard_normal(shape)
+            z.real[r.random(shape) < zeros] = 0.0
+            z.imag[r.random(shape) < zeros] = -0.0
+            return z
+
+        gains, eps = draw(batch + (paths,)), draw(batch + (steps, paths))
+        out = chn._ar1(gains, eps, rho)
+        ref = reference_ar1(gains, eps, rho)
+        assert out.shape == ref.shape
+        # byte equality, so the sign of every zero counts too
+        assert out.tobytes() == ref.tobytes()
+
+
 class TestDftMatrix:
     def test_n1(self):
         assert np.allclose(dft_matrix(1), [[1.0]])

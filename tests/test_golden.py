@@ -8,9 +8,13 @@ purpose must say why and update the hash here.
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from mmkeygen.beamforming import hierarchical_codebook, sector_beamformer
+from mmkeygen.channel import ArrayGeometry
 from mmkeygen.experiments import parse_config, run_scenario, table_to_csv
+from mmkeygen.schemes import _multires_beams
 
 GOLDEN = {
     "fig2": (
@@ -91,8 +95,40 @@ GOLDEN = {
 }
 
 
+def _sha256(name):
+    return hashlib.sha256(table_to_csv(run_scenario(parse_config(GOLDEN[name][0])))).hexdigest()
+
+
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_csv_sha256_pinned(name):
-    text, expected = GOLDEN[name]
-    csv = table_to_csv(run_scenario(parse_config(text)))
-    assert hashlib.sha256(csv).hexdigest() == expected
+    assert _sha256(name) == GOLDEN[name][1]
+
+
+def test_multires_hashes_with_warm_codebook_cache():
+    # one process: the first run builds its codebook, later runs reuse the
+    # codebooks cached by earlier ones, and the bytes stay pinned
+    _multires_beams.cache_clear()
+    for name in ("fig4-overrides", "fig4-grid", "custom-multires", "fig4-overrides"):
+        assert _sha256(name) == GOLDEN[name][1], name
+    assert _multires_beams.cache_info().hits > 0
+
+
+@pytest.mark.parametrize(
+    "alice, bob, depth",
+    [
+        (ArrayGeometry(1, 64), ArrayGeometry(1, 32), 6),
+        (ArrayGeometry(1, 32), ArrayGeometry(1, 16), 4),
+        (ArrayGeometry(2, 16), ArrayGeometry(2, 8), 4),
+    ],
+)
+def test_cached_multires_beams_read_only_and_fresh(alice, bob, depth):
+    codebook, bob_wide = _multires_beams(alice, bob, depth)
+    for arr in (codebook.weights, codebook.ids, bob_wide):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+    fresh = hierarchical_codebook(alice, depth)
+    assert (codebook.geom, codebook.depth) == (fresh.geom, fresh.depth)
+    assert codebook.weights.tobytes() == fresh.weights.tobytes()
+    assert np.array_equal(codebook.ids, fresh.ids)
+    assert bob_wide.tobytes() == sector_beamformer(bob, -1.0, 1.0).tobytes()
+    assert _multires_beams(alice, bob, depth)[0] is codebook

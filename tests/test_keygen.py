@@ -1,5 +1,6 @@
 import heapq
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from mmkeygen.keygen import (
     CascadeParams,
     InsufficientSamplesError,
     QuantizerConfig,
+    _calibrated_cells,
+    _plugin_entropy_bits,
     bar,
     cascade,
     cell_indices,
@@ -410,6 +413,76 @@ class TestKeyEntropyRate:
     def test_constant_input_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             key_entropy_rate(np.ones((2, 3000)), QuantizerConfig(levels=4))
+
+
+def reference_calibrated_cells(samples, levels, lo=None, hi=None):
+    """The per-row cell loop that one broadcast pass replaced."""
+    cells = np.empty(samples.shape, dtype=np.int64)
+    if lo is not None and hi is not None:
+        bounds = np.broadcast_to(np.array([[lo], [hi]], dtype=float), (2, len(samples)))
+    else:
+        bounds = np.percentile(samples, [1.0, 99.0], axis=1)
+    for i, (row, row_lo, row_hi) in enumerate(zip(samples, *bounds)):
+        cells[i] = cell_indices(row, levels, float(row_lo), float(row_hi)) if row_lo < row_hi else 0
+    return cells
+
+
+def reference_key_entropy_rate(samples, cfg):
+    """``key_entropy_rate`` as it was: per-row cells and one bincount per stream."""
+    P = samples.shape[0]
+    cells = reference_calibrated_cells(samples, cfg.levels, cfg.lo, cfg.hi)
+    singles = np.array([_plugin_entropy_bits(np.bincount(cells[i])) for i in range(P)])
+    mean_single = float(singles.mean())
+    if mean_single <= 0.0:
+        raise ValueError("degenerate input: zero single-probe entropy")
+    weights = cfg.levels ** np.arange(P, dtype=object)
+    joint = (cells * np.asarray(weights, dtype=np.int64)[:, None]).sum(axis=0)
+    _, joint_counts = np.unique(joint, return_counts=True)
+    return _plugin_entropy_bits(joint_counts) / mean_single
+
+
+class TestEntropyRateMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        levels=st.sampled_from([2, 4, 8, 16]),
+        streams=st.integers(1, 6),
+        trials=st.integers(1, 600),
+        explicit=st.booleans(),
+        constant=st.sampled_from([None, 0.0, 2.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cells_and_rate_equal_reference(self, levels, streams, trials, explicit, constant, seed):
+        r = rng(seed)
+        samples = r.standard_normal((streams, trials)) * r.uniform(0.1, 30.0, (streams, 1))
+        samples += r.uniform(-5.0, 5.0, (streams, 1))
+        if constant is not None:
+            # a centred constant row is all zeros: a zero-width range at 0
+            samples[r.integers(streams)] = constant
+        # an explicit range, sometimes empty or inverted
+        lo, hi = (r.uniform(-10.0, 10.0, 2) if explicit else (None, None))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = _calibrated_cells(samples, levels, lo, hi)
+        assert np.array_equal(cells, reference_calibrated_cells(samples, levels, lo, hi))
+        cfg = QuantizerConfig(levels=levels, lo=lo, hi=hi)
+        try:
+            expected = reference_key_entropy_rate(samples, cfg)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                key_entropy_rate(samples, cfg, min_trials=1)
+        else:
+            assert key_entropy_rate(samples, cfg, min_trials=1) == expected
+
+    def test_nan_row_maps_to_zero_quietly(self):
+        # a NaN row has a NaN percentile range, which is degenerate: cell 0,
+        # with no warning from the division or the cast beside the other rows
+        samples = rng(3).standard_normal((3, 50))
+        samples[1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = _calibrated_cells(samples, 8)
+        assert not cells[1].any()
+        assert np.array_equal(cells[[0, 2]], reference_calibrated_cells(samples[[0, 2]], 8))
 
 
 class TestBitPlumbing:

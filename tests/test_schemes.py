@@ -360,6 +360,19 @@ class TestEstimateChannel:
         err = estimate_channel(H, 7.0, rng(4))
         assert abs(np.mean(np.abs(err) ** 2) / 10 ** (-0.7) - 1.0) < 0.03
 
+    @pytest.mark.parametrize("snr_db", [-20.0, 0.0, 13.0])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_equals_out_of_place_sum(self, snr_db, dtype):
+        # the estimate built in place against the sum it replaced, with the
+        # same two draws in the same order
+        r = rng(8)
+        H = r.standard_normal((6, 10)) + (1j * r.standard_normal((6, 10)) if dtype is complex else 0.0)
+        sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+        draws = rng(9)
+        re, im = draws.standard_normal(H.shape), draws.standard_normal(H.shape)
+        expected = H + sigma * (re + 1j * im)
+        assert estimate_channel(H, snr_db, rng(9)).tobytes() == expected.tobytes()
+
     def test_independent_streams(self):
         H = np.zeros((8, 8))
         a = estimate_channel(H, 0.0, rng(5))
