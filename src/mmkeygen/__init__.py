@@ -18,11 +18,9 @@ from .beamforming import (
 )
 from .channel import (
     ArrayGeometry,
-    ChannelParams,
     ChannelRealization,
     array_response,
     channel_matrix,
-    dft_matrix,
     evolve,
     sample_channel,
     virtual_channel,
@@ -51,7 +49,6 @@ from .keygen import (
     key_entropy_rate,
     privacy_amplify,
     quantize,
-    xor_combine,
 )
 from .probing import bidirectional_probe
 from .schemes import (

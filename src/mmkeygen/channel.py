@@ -48,23 +48,6 @@ class ArrayGeometry:
         return self.rows * self.cols
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Sampling parameters for one-ray-per-path clustered channels."""
-
-    num_paths: int = 2
-    nlos_offset_db: float = DEFAULT_NLOS_OFFSET_DB
-    temporal_rho: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.num_paths < 1:
-            raise ValueError(f"invalid params: num_paths={self.num_paths} (need >= 1)")
-        if self.nlos_offset_db < 0.0:
-            raise ValueError(f"invalid params: nlos_offset_db={self.nlos_offset_db} (need >= 0)")
-        if not 0.0 <= self.temporal_rho <= 1.0:
-            raise ValueError(f"invalid params: temporal_rho={self.temporal_rho} not in [0, 1]")
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """One coherence-block channel: per-ray gains and angles plus the geometries.
@@ -163,27 +146,31 @@ def _ar1(gains: np.ndarray, eps: np.ndarray, rho: float) -> np.ndarray:
 
 
 def sample_channel(
-    params: ChannelParams,
     tx_geom: ArrayGeometry,
     rx_geom: ArrayGeometry,
     rng: np.random.Generator,
+    num_paths: int,
+    nlos_offset_db: float = DEFAULT_NLOS_OFFSET_DB,
 ) -> ChannelRealization:
-    """Draw a fresh realization: one unit-power LoS ray plus L-1 NLoS rays.
+    """Draw a fresh realization: one unit-power LoS ray plus ``num_paths - 1`` NLoS rays.
 
     The LoS gain is a uniform random phase of unit magnitude; NLoS gains are
     circularly-symmetric complex Gaussian with expected power
     ``10**(-nlos_offset_db/10)``.
     """
-    L = params.num_paths
-    sines = rng.uniform(-1.0, 1.0, size=(L, 4))
+    if num_paths < 1:
+        raise ValueError(f"invalid channel: num_paths={num_paths} (need >= 1)")
+    if not nlos_offset_db >= 0.0:
+        raise ValueError(f"invalid channel: nlos_offset_db={nlos_offset_db} (need >= 0)")
+    sines = rng.uniform(-1.0, 1.0, size=(num_paths, 4))
     # the LoS phase 2 pi random() is uniform(0, 2 pi) exactly
-    gains = _innovations(rng.random(), rng.standard_normal(2 * (L - 1)), params.nlos_offset_db)
+    gains = _innovations(rng.random(), rng.standard_normal(2 * (num_paths - 1)), nlos_offset_db)
     return ChannelRealization(
         gains=gains,
         angles=np.arcsin(sines),
         tx_geom=tx_geom,
         rx_geom=rx_geom,
-        nlos_offset_db=params.nlos_offset_db,
+        nlos_offset_db=nlos_offset_db,
     )
 
 
@@ -226,20 +213,13 @@ def evolve(ch: ChannelRealization, rho: float, rng: np.random.Generator, steps: 
     return _ar1(ch.gains, _innovations(u, normals, ch.nlos_offset_db, ch.has_los), rho)
 
 
-def dft_matrix(n: int) -> np.ndarray:
-    """Unitary n x n DFT matrix (j, k) = exp(-2i*pi*j*k/n)/sqrt(n), the reference basis."""
-    if n < 1:
-        raise ValueError(f"invalid DFT size {n}")
-    k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-
-
 def virtual_channel(H: np.ndarray, tx_geom: ArrayGeometry, rx_geom: ArrayGeometry) -> np.ndarray:
-    """Angular-domain ``U_r^H H U_t``, each ``U = kron(dft_matrix(rows), dft_matrix(cols))``.
+    """Angular-domain ``U_r^H H U_t``, each ``U = kron(F_rows, F_cols)``.
 
-    The unitary DFT is symmetric, so on ``H`` as (rx_rows, rx_cols, tx_rows,
-    tx_cols) this is an ortho inverse FFT along each receive axis and an ortho
-    forward FFT along each transmit axis (axes of size 1 skipped).
+    ``F_n`` is the unitary n x n DFT matrix, ``(j, k) = exp(-2i pi j k / n) / sqrt(n)``.
+    It is symmetric, so on ``H`` as (rx_rows, rx_cols, tx_rows, tx_cols) this
+    is an ortho inverse FFT along each receive axis and an ortho forward FFT
+    along each transmit axis (axes of size 1 skipped).
     """
     H = np.asarray(H)
     if H.shape != (rx_geom.size, tx_geom.size):

@@ -28,6 +28,7 @@ byte-identical across runs.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -201,6 +202,34 @@ _FIXED_KEYS = {
 }
 
 
+# the type of each key's value; every other key takes a real number
+_KEY_TYPES = {
+    **dict.fromkeys(("scenario", "output_path", "scheme", "eve"), str),
+    **dict.fromkeys(("snr_grid", "error_rates"), tuple),
+    **dict.fromkeys(("master_seed", "trials", "block_bits", "passes", "num_paths", "levels", "num_beams"), int),
+    **dict.fromkeys((*_GEOMETRY_KEYS, "rounds_per_trial", "codebook_depth", "grid_angles"), int),
+}
+_TYPE_NAMES = {
+    str: "a quoted string",
+    tuple: "a number or a comma-separated list of numbers",
+    int: "an integer",
+    float: "a number",
+}
+
+
+def _typed(key: str, value: object, line_no: int) -> object:
+    """``value`` checked against the type ``key`` takes; one number is an array of one."""
+    kind = _KEY_TYPES.get(key, float)
+    if kind is tuple and isinstance(value, (int, float)):
+        value = (float(value),)
+    if not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}", line_no)
+    # nan and inf parse as reals, and no key takes one
+    if kind is not str and not all(map(math.isfinite, value if kind is tuple else (value,))):
+        raise ConfigError(f"{key} must be finite, got {value!r}", line_no)
+    return value
+
+
 def _fixed_keys(scenario: str, scheme: object) -> tuple[str, ...]:
     """The [scheme] keys that the scenario's cases set themselves."""
     if scenario == "custom" and scheme == "multires":
@@ -231,8 +260,9 @@ def _parse_value(raw: str, line_no: int):
         raise ConfigError(f"cannot parse value {raw!r}", line_no) from None
 
 
-def _parse_lines(text: str) -> dict[tuple[str, str], object]:
-    entries: dict[tuple[str, str], object] = {}
+def _parse_lines(text: str) -> dict[tuple[str, str], tuple[object, int]]:
+    """Each (section, key) with its value and line number; a repeated key keeps its last line."""
+    entries: dict[tuple[str, str], tuple[object, int]] = {}
     section = ""
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -249,7 +279,7 @@ def _parse_lines(text: str) -> dict[tuple[str, str], object]:
         key = key.strip()
         if not key:
             raise ConfigError("missing key before '='", line_no)
-        entries[(section, key)] = _parse_value(value, line_no)
+        entries[(section, key)] = _parse_value(value, line_no), line_no
     return entries
 
 
@@ -260,21 +290,23 @@ def parse_config(text: str) -> ExperimentConfig:
     top: dict[str, object] = {}
     scheme: dict[str, object] = {}
     casc: dict[str, object] = {}
-    for (section, key), value in entries.items():
+    for (section, key), (value, line_no) in entries.items():
         if section in ("", "run") and key in _TOP_KEYS:
-            top[key] = value
+            group = top
         elif section in ("", "scheme") and key in _SCHEME_KEYS:
-            scheme[key] = value
+            group = scheme
         elif section in ("", "cascade") and key in _CASCADE_KEYS:
-            casc[key] = value
+            group = casc
         else:
             warnings.warn(f"ignoring unknown config key {key!r} in section [{section}]", stacklevel=2)
+            continue
+        group[key] = _typed(key, value, line_no)
 
     missing = [k for k in ("scenario", "master_seed") if k not in top]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
-    scenario = str(top["scenario"])
+    scenario = top["scenario"]
     if scenario not in _SCENARIO_DEFAULTS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     defaults = _SCENARIO_DEFAULTS[scenario]
@@ -282,25 +314,14 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in _fixed_keys(scenario, scheme.get("scheme")):
             warnings.warn(f"ignoring [scheme] key {key!r}: the {scenario} cases fix it", stacklevel=2)
 
-    snr_grid = top.get("snr_grid", defaults["snr_grid"])
-    if isinstance(snr_grid, (int, float)):
-        snr_grid = (float(snr_grid),)
-    error_rates = casc.get("error_rates", CascadeBench.error_rates)
-    if isinstance(error_rates, (int, float)):
-        error_rates = (float(error_rates),)
-
     cfg = ExperimentConfig(
         scenario=scenario,
-        master_seed=int(top["master_seed"]),
-        trials=int(top.get("trials", defaults["trials"])),
-        snr_grid=tuple(float(s) for s in snr_grid),
+        master_seed=top["master_seed"],
+        trials=top.get("trials", defaults["trials"]),
+        snr_grid=top.get("snr_grid", defaults["snr_grid"]),
         output_path=top.get("output_path"),
         scheme=SchemeOverrides(**scheme),
-        cascade=CascadeBench(
-            error_rates=tuple(float(p) for p in error_rates),
-            block_bits=int(casc.get("block_bits", CascadeBench.block_bits)),
-            passes=int(casc.get("passes", CascadeBench.passes)),
-        ),
+        cascade=CascadeBench(**casc),
     )
     cfg.validate()
     return cfg

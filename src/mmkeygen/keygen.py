@@ -45,10 +45,6 @@ class BitString:
         object.__setattr__(self, "bits", arr)
 
     @classmethod
-    def from_bits(cls, values) -> "BitString":
-        return cls(bits=np.asarray(list(values), dtype=np.uint8))
-
-    @classmethod
     def zeros(cls, n: int) -> "BitString":
         return cls(bits=np.zeros(n, dtype=np.uint8))
 
@@ -56,7 +52,9 @@ class BitString:
         return int(self.bits.size)
 
     def __xor__(self, other: "BitString") -> "BitString":
-        return xor_combine(self, other)
+        if len(self) != len(other):
+            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
+        return BitString(bits=self.bits ^ other.bits)
 
     def equals(self, other: "BitString") -> bool:
         return len(self) == len(other) and bool(np.array_equal(self.bits, other.bits))
@@ -75,16 +73,20 @@ def concat_bits(parts) -> BitString:
 
 
 def extract_randomness(samples) -> np.ndarray:
-    """Remove the deterministic part of a probe stream: subtract the mean."""
+    """Remove the deterministic part of a probe stream, or of each row of (P, T) streams: subtract its mean."""
     arr = np.asarray(samples, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot extract randomness from an empty stream")
-    return arr - arr.mean()
+    return arr - arr.mean(axis=-1, keepdims=True)
+
+
+# the percentiles of a calibrated quantizer range
+_CALIBRATION_PCT = (1.0, 99.0)
 
 
 @dataclass(frozen=True)
 class QuantizerConfig:
-    """Uniform multi-level quantizer with Gray bit labelling."""
+    """Uniform multi-level quantizer with Gray bit labelling; the range ``lo < hi`` is set, or calibrated per stream."""
 
     levels: int = 16
     lo: float | None = None
@@ -93,34 +95,21 @@ class QuantizerConfig:
     def __post_init__(self) -> None:
         if self.levels < 2 or (self.levels & (self.levels - 1)) != 0:
             raise ValueError(f"levels must be a power of two >= 2, got {self.levels}")
+        if (self.lo is None) != (self.hi is None):
+            raise ValueError(f"set both quantizer bounds or neither, got lo={self.lo}, hi={self.hi}")
+        # written so that a NaN bound fails too
+        if self.lo is not None and not self.lo < self.hi:
+            raise ValueError(f"degenerate quantizer range [{self.lo}, {self.hi}]")
 
     @property
     def bits_per_sample(self) -> int:
         return int(self.levels).bit_length() - 1
 
     @classmethod
-    def calibrated(
-        cls, samples, levels: int = 16, lo_pct: float = 1.0, hi_pct: float = 99.0
-    ) -> "QuantizerConfig":
+    def calibrated(cls, samples, levels: int = 16) -> "QuantizerConfig":
         """Range from pooled calibration samples (1st-99th percentile)."""
-        arr = np.asarray(samples, dtype=float)
-        lo, hi = np.percentile(arr, [lo_pct, hi_pct])
-        if not lo < hi:
-            raise ValueError("degenerate quantizer range from calibration samples")
+        lo, hi = np.percentile(np.asarray(samples, dtype=float), _CALIBRATION_PCT)
         return cls(levels=levels, lo=float(lo), hi=float(hi))
-
-
-def cell_indices(samples, levels: int, lo: float, hi: float) -> np.ndarray:
-    """Uniform-width cell index per sample over [lo, hi], clamped at edges."""
-    if not lo < hi:
-        raise ValueError(f"degenerate quantizer range [{lo}, {hi}]")
-    arr = np.asarray(samples, dtype=float)
-    idx = np.floor((arr - lo) / (hi - lo) * levels).astype(np.int64)
-    return np.clip(idx, 0, levels - 1)
-
-
-def gray_code(index: np.ndarray | int) -> np.ndarray | int:
-    return index ^ (index >> 1)
 
 
 def pack_indices(indices, width: int) -> BitString:
@@ -135,14 +124,15 @@ def pack_indices(indices, width: int) -> BitString:
 
 def gray_encode_indices(indices, width: int) -> BitString:
     """Gray-coded fixed-width encoding of integer indices."""
-    return pack_indices(gray_code(np.asarray(indices, dtype=np.int64)), width)
+    idx = np.asarray(indices, dtype=np.int64)
+    return pack_indices(idx ^ (idx >> 1), width)
 
 
 def quantize(samples, cfg: QuantizerConfig) -> BitString:
     """Quantize a real stream into Gray-coded bits, log2(levels) per sample."""
-    if cfg.lo is None or cfg.hi is None:
+    if cfg.lo is None:
         raise ValueError("quantizer range is unset; build the config via calibrated()")
-    idx = cell_indices(samples, cfg.levels, cfg.lo, cfg.hi)
+    idx = _calibrated_cells(np.asarray(samples, dtype=float)[None], cfg.levels, cfg.lo, cfg.hi)[0]
     return gray_encode_indices(idx, cfg.bits_per_sample)
 
 
@@ -153,12 +143,6 @@ def bar(a: BitString, b: BitString) -> float:
     if len(a) == 0:
         raise ValueError("bit agreement of empty strings is undefined")
     return float(np.mean(a.bits == b.bits))
-
-
-def xor_combine(a: BitString, b: BitString) -> BitString:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return BitString(bits=np.bitwise_xor(a.bits, b.bits))
 
 
 @dataclass(frozen=True)
@@ -218,12 +202,11 @@ def cascade(a: BitString, b: BitString, params: CascadeParams) -> tuple[BitStrin
     ``diff`` over each of its blocks, and every flip toggles the entry of
     the block holding the flipped position in every pass built so far.
     """
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    n = len(a)
+    # a ^ b checks the lengths; its bits are read-only, so flip a copy
+    diff = (a ^ b).bits.copy()
+    n = diff.size
     if n == 0:
         return BitString.zeros(0), 0
-    diff = a.bits ^ b.bits
 
     rng = seeds.generator(params.seed, seeds.STREAM_CASCADE)
     leaked = 0
@@ -347,15 +330,15 @@ def _calibrated_cells(
 ) -> np.ndarray:
     """(P, T) cell indices of P streams, each on its own 1st-99th percentile range.
 
-    An explicit ``lo``/``hi`` pair replaces every row's range.  A row whose
-    range is degenerate maps entirely to cell 0, without a warning.  Each
-    cell is the one :func:`cell_indices` gives on the row's range, computed
-    for all rows at once.
+    An explicit ``lo``/``hi`` pair replaces every row's range.  A sample's
+    cell is ``floor((x - lo) / (hi - lo) * levels)``, clipped to
+    ``0 .. levels-1``.  A row whose range is degenerate maps entirely to
+    cell 0, without a warning.
     """
     if lo is not None and hi is not None:
         lo, hi = np.array([[lo], [hi]], dtype=float)[:, None]
     else:
-        lo, hi = np.percentile(samples, [1.0, 99.0], axis=1)[..., None]
+        lo, hi = np.percentile(samples, _CALIBRATION_PCT, axis=1)[..., None]
     ok = lo < hi
     # a degenerate row is scaled on the range [0, 1] and then zeroed, so it
     # cannot divide by zero and no NaN or inf of it reaches the integer cast

@@ -22,6 +22,7 @@ included): all randomness flows through labelled streams derived in
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,7 +39,6 @@ from .beamforming import (
 )
 from .channel import (
     ArrayGeometry,
-    ChannelParams,
     ChannelRealization,
     _ar1,
     _innovations,
@@ -96,12 +96,12 @@ class SessionConfig:
             raise ValueError(f"num_beams must be >= 1, got {self.num_beams}")
         if self.eve not in (None, "alice", "bob"):
             raise ValueError(f"eve must be 'alice', 'bob' or None (\"none\" in a config file), got {self.eve!r}")
-        # delegate the remaining range checks
-        ChannelParams(
-            num_paths=self.num_paths,
-            nlos_offset_db=self.nlos_offset_db,
-            temporal_rho=self.temporal_rho,
-        )
+        if self.num_paths < 1:
+            raise ValueError(f"num_paths must be >= 1, got {self.num_paths}")
+        if not self.nlos_offset_db >= 0.0:
+            raise ValueError(f"nlos_offset_db must be >= 0, got {self.nlos_offset_db}")
+        if not 0.0 <= self.temporal_rho <= 1.0:
+            raise ValueError(f"temporal_rho must lie in [0, 1], got {self.temporal_rho}")
         QuantizerConfig(levels=self.levels)
         if self.scheme == "secret_beam":
             # the broadside sine offset must stay inside the first-null spacing
@@ -130,14 +130,6 @@ class SessionConfig:
         if self.codebook_depth is not None:
             return self.codebook_depth
         return min(6, self.alice.cols.bit_length() - 1)
-
-    @property
-    def channel_params(self) -> ChannelParams:
-        return ChannelParams(
-            num_paths=self.num_paths,
-            nlos_offset_db=self.nlos_offset_db,
-            temporal_rho=self.temporal_rho,
-        )
 
 
 @dataclass(frozen=True)
@@ -200,7 +192,7 @@ def _grid_angles(angles: np.ndarray, cfg: SessionConfig) -> np.ndarray:
 
 
 def _session_channel(cfg: SessionConfig, rng: np.random.Generator) -> ChannelRealization:
-    ch = sample_channel(cfg.channel_params, cfg.alice, cfg.bob, rng)
+    ch = sample_channel(cfg.alice, cfg.bob, rng, cfg.num_paths, cfg.nlos_offset_db)
     if not cfg.grid_angles:
         return ch
     return replace(ch, angles=_grid_angles(ch.angles, cfg))
@@ -259,20 +251,11 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class _BeamBatch:
     """The outcomes of a batch of secret-beam sessions, one row per trial.
 
-    The index arrays are (B, rounds): ``idx_*`` are each party's
-    perturbation indices, ``est_*`` each party's estimates of the far
-    party's, ``eve_far`` the eavesdropper's estimates of the far party's and
-    ``eve_near_guess`` her uniform guesses of her host's.  The bit arrays are
-    (B, rounds * bits per index), as in :class:`SchemeResult`.  Without an
-    eavesdropper the eve arrays are None and ``bar_eve`` is NaN.
+    The bit arrays are (B, rounds * bits per index), as in
+    :class:`SchemeResult`.  Without an eavesdropper the eve arrays are None
+    and ``bar_eve`` is NaN.
     """
 
-    idx_a: np.ndarray
-    idx_b: np.ndarray
-    est_a_at_bob: np.ndarray
-    est_b_at_alice: np.ndarray
-    eve_far: np.ndarray | None
-    eve_near_guess: np.ndarray | None
     bits_alice: np.ndarray
     bits_bob: np.ndarray
     final_alice: np.ndarray
@@ -401,25 +384,19 @@ def _secret_beam_batch(cfg: SessionConfig, trial_seeds) -> _BeamBatch:
     bits_alice, bits_bob = gray_bits(idx_a), gray_bits(idx_b)
     final_alice = bits_alice ^ gray_bits(est_b_at_alice)
     final_bob = gray_bits(est_a_at_bob) ^ bits_bob
-    eve_far = eve_near_guess = bits_eve = eve_guess = None
+    bits_eve = eve_guess = None
     bar_eve = np.full(B, np.nan)
     if eve:
-        # co-located with one party, she hears what that party hears
+        # co-located with one party, she hears what that party hears, and
+        # guesses her host's indices uniformly
         if cfg.eve == "alice":
             eve_far = estimates(lut_b, at_alice, noise[2], sigma_e)
         else:
             eve_far = estimates(lut_a, at_bob, noise[2], sigma_e)
-        eve_near_guess = index[2]
         bits_eve = gray_bits(eve_far)
-        eve_guess = gray_bits(eve_near_guess) ^ bits_eve
+        eve_guess = gray_bits(index[2]) ^ bits_eve
         bar_eve = (eve_guess == final_alice).mean(axis=1)
     return _BeamBatch(
-        idx_a=idx_a,
-        idx_b=idx_b,
-        est_a_at_bob=est_a_at_bob,
-        est_b_at_alice=est_b_at_alice,
-        eve_far=eve_far,
-        eve_near_guess=eve_near_guess,
         bits_alice=bits_alice,
         bits_bob=bits_bob,
         final_alice=final_alice,
@@ -513,28 +490,19 @@ def virtual_angle_bits(
     return BitString(np.hstack((bits_r, bits_t)).ravel())
 
 
-def _estimation_rngs(seed: int, round_idx: int) -> tuple[np.random.Generator, ...]:
-    return (
-        seeds.generator(seed, seeds.STREAM_CHANNEL, round_idx),
-        seeds.generator(seed, seeds.STREAM_NOISE_ALICE, round_idx),
-        seeds.generator(seed, seeds.STREAM_NOISE_BOB, round_idx),
-    )
-
-
-def virtual_angle_session(cfg: SessionConfig) -> SchemeResult:
-    """Aggregate virtual-angle bit disagreement over independent channels."""
-    parts_a: list[BitString] = []
-    parts_b: list[BitString] = []
+def _estimate_pairs(cfg: SessionConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Alice's and Bob's estimates of a fresh channel matrix, one pair per round."""
     for t in range(cfg.rounds):
-        rng_ch, rng_a, rng_b = _estimation_rngs(cfg.master_seed, t)
-        ch = _session_channel(cfg, rng_ch)
-        H = channel_matrix(ch)
-        h_a = estimate_channel(H, cfg.snr_db, rng_a)
-        h_b = estimate_channel(H, cfg.snr_db, rng_b)
-        parts_a.append(virtual_angle_bits(h_a, cfg.num_paths, cfg.alice, cfg.bob))
-        parts_b.append(virtual_angle_bits(h_b, cfg.num_paths, cfg.alice, cfg.bob))
-    bits_a = concat_bits(parts_a)
-    bits_b = concat_bits(parts_b)
+        rng_ch, rng_a, rng_b = (
+            seeds.generator(cfg.master_seed, tag, t)
+            for tag in (seeds.STREAM_CHANNEL, seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB)
+        )
+        H = channel_matrix(_session_channel(cfg, rng_ch))
+        yield estimate_channel(H, cfg.snr_db, rng_a), estimate_channel(H, cfg.snr_db, rng_b)
+
+
+def _sounding_result(bits_a: BitString, bits_b: BitString, cfg: SessionConfig) -> SchemeResult:
+    """The result of a sounding session, whose keys are its parties' bit streams as they are."""
     agreement = bar(bits_a, bits_b)
     return SchemeResult(
         bits_alice=bits_a,
@@ -546,6 +514,15 @@ def virtual_angle_session(cfg: SessionConfig) -> SchemeResult:
         leaked_bits=0,
         probes_used=2 * cfg.rounds,
     )
+
+
+def virtual_angle_session(cfg: SessionConfig) -> SchemeResult:
+    """Aggregate virtual-angle bit disagreement over independent channels."""
+    parts_a, parts_b = zip(
+        *([virtual_angle_bits(h, cfg.num_paths, cfg.alice, cfg.bob) for h in pair] for pair in _estimate_pairs(cfg))
+    )
+    bits_a, bits_b = concat_bits(parts_a), concat_bits(parts_b)
+    return _sounding_result(bits_a, bits_b, cfg)
 
 
 def baseline_channel_quant_session(cfg: SessionConfig) -> SchemeResult:
@@ -555,31 +532,12 @@ def baseline_channel_quant_session(cfg: SessionConfig) -> SchemeResult:
     entry; the quantizer range is calibrated on Alice's pooled samples and
     announced publicly (calibration is side information, not key material).
     """
-    stream_a: list[np.ndarray] = []
-    stream_b: list[np.ndarray] = []
-    for t in range(cfg.rounds):
-        rng_ch, rng_a, rng_b = _estimation_rngs(cfg.master_seed, t)
-        ch = _session_channel(cfg, rng_ch)
-        H = channel_matrix(ch)
-        for holder, rng in ((stream_a, rng_a), (stream_b, rng_b)):
-            # a contiguous complex128 array viewed as float64 is (re, im) interleaved
-            holder.append(estimate_channel(H, cfg.snr_db, rng).view(np.float64).ravel())
-    samples_a = extract_randomness(np.concatenate(stream_a))
-    samples_b = extract_randomness(np.concatenate(stream_b))
+    # a contiguous complex128 array viewed as float64 is (re, im) interleaved
+    streams_a, streams_b = zip(*([h.view(np.float64).ravel() for h in pair] for pair in _estimate_pairs(cfg)))
+    samples_a = extract_randomness(np.concatenate(streams_a))
+    samples_b = extract_randomness(np.concatenate(streams_b))
     quantizer = QuantizerConfig.calibrated(samples_a, levels=cfg.levels)
-    bits_a = quantize(samples_a, quantizer)
-    bits_b = quantize(samples_b, quantizer)
-    agreement = bar(bits_a, bits_b)
-    return SchemeResult(
-        bits_alice=bits_a,
-        bits_bob=bits_b,
-        final_key_alice=bits_a,
-        final_key_bob=bits_b,
-        bar_legit=agreement,
-        bdr=1.0 - agreement,
-        leaked_bits=0,
-        probes_used=2 * cfg.rounds,
-    )
+    return _sounding_result(quantize(samples_a, quantizer), quantize(samples_b, quantizer), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -600,27 +558,25 @@ def _multires_beams(alice: ArrayGeometry, bob: ArrayGeometry, depth: int) -> tup
     return codebook, bob_wide
 
 
+# the widest gain window a multires selection widens to, in 3 dB steps
+_MAX_WINDOW_DB = 30.0
+
+
 def _widened_selection(
     codebook: Codebook,
     ch: ChannelRealization,
     rx_beam: np.ndarray,
     count: int,
     window_db: float,
-    max_window_db: float = 30.0,
 ) -> tuple[list[tuple[int, int]], float]:
     window = window_db
     while True:
         try:
             return select_beams(codebook, ch, rx_beam, count, window), window
         except SelectionInfeasibleError:
-            if window >= max_window_db:
+            if window >= _MAX_WINDOW_DB:
                 raise
-            window = min(max_window_db, window + 3.0)
-
-
-def _centred(samples: np.ndarray) -> np.ndarray:
-    # each row less its own mean, bit-equal to extract_randomness per row
-    return samples - samples.mean(axis=1, keepdims=True)
+            window = min(_MAX_WINDOW_DB, window + 3.0)
 
 
 def _probe_entropy_rate(samples: np.ndarray, levels: int) -> float:
@@ -630,7 +586,7 @@ def _probe_entropy_rate(samples: np.ndarray, levels: int) -> float:
     a shorter session is scored rather than refused.
     """
     return key_entropy_rate(
-        _centred(samples), QuantizerConfig(levels=levels), min_trials=min(2000, samples.shape[1])
+        extract_randomness(samples), QuantizerConfig(levels=levels), min_trials=min(2000, samples.shape[1])
     )
 
 
@@ -672,8 +628,8 @@ def multires_session(cfg: SessionConfig) -> MultiresResult:
 
     # Gray-coded bits of each probe stream on its own calibrated range
     width = cfg.levels.bit_length() - 1
-    bits_alice = gray_encode_indices(_calibrated_cells(_centred(y_multi_alice), cfg.levels).ravel(), width)
-    bits_bob = gray_encode_indices(_calibrated_cells(_centred(y_multi_bob), cfg.levels).ravel(), width)
+    bits_alice = gray_encode_indices(_calibrated_cells(extract_randomness(y_multi_alice), cfg.levels).ravel(), width)
+    bits_bob = gray_encode_indices(_calibrated_cells(extract_randomness(y_multi_bob), cfg.levels).ravel(), width)
 
     return MultiresResult(
         ker_multires=_probe_entropy_rate(y_multi_bob, cfg.levels),

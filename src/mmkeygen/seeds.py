@@ -35,21 +35,11 @@ STREAM_TRIAL = 11
 STREAM_BENCH_DATA = 12
 
 
-def seed_sequence(master_seed: int, *labels: int) -> np.random.SeedSequence:
-    """Build the SeedSequence addressed by ``(master_seed, *labels)``."""
+def generator(master_seed: int, *labels: int) -> np.random.Generator:
+    """Generator for the stream addressed by ``(master_seed, *labels)``; the cheaper path for a single stream."""
     if master_seed < 0 or master_seed > 0xFFFFFFFFFFFFFFFF:
         raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")
-    return np.random.SeedSequence(entropy=[int(master_seed), *[int(x) for x in labels]])
-
-
-def generator(master_seed: int, *labels: int) -> np.random.Generator:
-    """Generator for the stream addressed by ``(master_seed, *labels)``."""
-    return np.random.default_rng(seed_sequence(master_seed, *labels))
-
-
-def derive_seed(master_seed: int, *labels: int) -> int:
-    """Collapse a stream address into a single u64, for nested session seeds."""
-    return int(seed_sequence(master_seed, *labels).generate_state(1, dtype=np.uint64)[0])
+    return np.random.default_rng(np.random.SeedSequence(entropy=[int(master_seed), *[int(x) for x in labels]]))
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx); all words uint32
@@ -119,7 +109,7 @@ def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
 
 
 def _pools(addresses) -> np.ndarray:
-    """The entropy pool of ``seed_sequence(*row)`` for each row of an (n, k) u64 array."""
+    """The entropy pool of ``SeedSequence(row)`` for each row of an (n, k) u64 array."""
     a = np.asarray(addresses, dtype=np.uint64)
     if a.ndim != 2 or a.shape[1] < 1:
         raise ValueError(f"addresses must be an (n, k) array with k >= 1, got shape {a.shape}")
@@ -146,7 +136,7 @@ def _generate_state(pools: np.ndarray, n_words: int) -> np.ndarray:
 
 
 def derive_seeds(addresses) -> np.ndarray:
-    """``derive_seed(*row)`` for each row of an (n, k) u64 array, as u64 values."""
+    """The u64 seed of a nested session (a trial) at each row of an (n, k) u64 array, from ``SeedSequence(row)``."""
     return _generate_state(_pools(addresses), 2)[:, 0]
 
 

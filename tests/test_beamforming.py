@@ -14,7 +14,7 @@ from mmkeygen.beamforming import (
     select_beams,
     steering_beamformer,
 )
-from mmkeygen.channel import ArrayGeometry, ChannelParams, array_response, channel_matrix, sample_channel
+from mmkeygen.channel import ArrayGeometry, array_response, channel_matrix, sample_channel
 from mmkeygen.schemes import SessionConfig, _perturbation_beams
 
 
@@ -228,8 +228,7 @@ def _row(beam_id):
 
 
 def _fig4_channel(seed=0, num_paths=3):
-    params = ChannelParams(num_paths=num_paths)
-    return sample_channel(params, ArrayGeometry(1, 64), ArrayGeometry(1, 32), rng(seed))
+    return sample_channel(ArrayGeometry(1, 64), ArrayGeometry(1, 32), rng(seed), num_paths)
 
 
 class TestSelectBeams:
@@ -311,7 +310,7 @@ class TestSelectionEqualsReference:
 
     @pytest.mark.parametrize("tx, rx", [((1, 64), (1, 32)), ((1, 16), (1, 8)), ((2, 16), (2, 8))])
     def test_gains_equal_one_dimensional_products(self, tx, rx):
-        ch = sample_channel(ChannelParams(num_paths=3), ArrayGeometry(*tx), ArrayGeometry(*rx), rng(5))
+        ch = sample_channel(ArrayGeometry(*tx), ArrayGeometry(*rx), rng(5), 3)
         cb = hierarchical_codebook(ch.tx_geom, min(6, int(np.log2(tx[1]))))
         w_rx = sector_beamformer(ch.rx_geom, -1.0, 1.0)
         left = w_rx @ channel_matrix(ch)
@@ -329,7 +328,7 @@ class TestSelectionEqualsReference:
     )
     def test_selection_equals_reference(self, seed, geoms, num_paths, pencil, count, window_db):
         tx, rx = (ArrayGeometry(*g) for g in geoms)
-        ch = sample_channel(ChannelParams(num_paths=num_paths), tx, rx, rng(seed))
+        ch = sample_channel(tx, rx, rng(seed), num_paths)
         cb = hierarchical_codebook(tx, min(6, int(np.log2(tx.cols))))
         if pencil:
             w_rx = steering_beamformer(rx, ch.angles[0, 2], ch.angles[0, 3])
@@ -346,7 +345,7 @@ class TestSelectionEqualsReference:
         # rows copied from the strongest codeword tie with it bit for bit:
         # the tied ids rank in (level, index) order, whatever their rows
         tx, rx = ArrayGeometry(1, 16), ArrayGeometry(1, 8)
-        ch = sample_channel(ChannelParams(num_paths=2), tx, rx, rng(3))
+        ch = sample_channel(tx, rx, rng(3), 2)
         cb = hierarchical_codebook(tx, 4)
         w_rx = sector_beamformer(rx, -1.0, 1.0)
         W = cb.weights.copy()

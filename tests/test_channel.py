@@ -8,15 +8,14 @@ from mmkeygen import channel as chn
 from mmkeygen.beamforming import steering_beamformer
 from mmkeygen.channel import (
     ArrayGeometry,
-    ChannelParams,
     array_response,
     channel_matrix,
-    dft_matrix,
     evolve,
     sample_channel,
     virtual_channel,
 )
 from mmkeygen.probing import bidirectional_probe
+from reference import dft_matrix
 
 
 def rng(seed=0):
@@ -108,26 +107,24 @@ class TestArrayResponse:
 class TestSampleChannel:
     def test_nlos_to_los_power_ratio(self):
         # Paper-anchored 10 dB offset: MC mean of |a_nlos|^2/|a_los|^2.
-        params = ChannelParams(num_paths=2, nlos_offset_db=10.0)
         geom = ArrayGeometry(1, 4)
         r = rng(7)
         ratios = np.empty(100_000)
         for i in range(ratios.size):
-            ch = sample_channel(params, geom, geom, r)
+            ch = sample_channel(geom, geom, r, 2, nlos_offset_db=10.0)
             los, nlos = ch.gains
             ratios[i] = abs(nlos) ** 2 / abs(los) ** 2
         assert abs(ratios.mean() - 0.1) < 0.01
 
     def test_single_path_is_los(self):
-        ch = sample_channel(ChannelParams(num_paths=1), ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(3))
+        ch = sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(3), 1)
         assert ch.num_paths == 1
         assert ch.has_los
 
     def test_same_seed_same_realization(self):
-        params = ChannelParams(num_paths=3)
         geom = ArrayGeometry(2, 4)
-        a = sample_channel(params, geom, geom, rng(11))
-        b = sample_channel(params, geom, geom, rng(11))
+        a = sample_channel(geom, geom, rng(11), 3)
+        b = sample_channel(geom, geom, rng(11), 3)
         assert np.array_equal(a.gains, b.gains) and np.array_equal(a.angles, b.angles)
         assert (a.tx_geom, a.rx_geom, a.has_los, a.nlos_offset_db) == (
             b.tx_geom, b.rx_geom, b.has_los, b.nlos_offset_db
@@ -135,10 +132,15 @@ class TestSampleChannel:
 
     def test_zero_paths_rejected(self):
         with pytest.raises(ValueError, match="num_paths"):
-            ChannelParams(num_paths=0)
+            sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(0), 0)
+
+    @pytest.mark.parametrize("offset", [-1.0, np.nan])
+    def test_negative_nlos_offset_rejected(self, offset):
+        with pytest.raises(ValueError, match="nlos_offset_db"):
+            sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(0), 2, nlos_offset_db=offset)
 
     def test_angles_in_front_hemisphere(self):
-        ch = sample_channel(ChannelParams(num_paths=5), ArrayGeometry(1, 8), ArrayGeometry(1, 8), rng(5))
+        ch = sample_channel(ArrayGeometry(1, 8), ArrayGeometry(1, 8), rng(5), 5)
         assert ch.angles.shape == (5, 4)
         for a in ch.angles.ravel():
             assert -np.pi / 2 <= a < np.pi / 2
@@ -172,45 +174,43 @@ class TestChannelRealization:
 
 class TestChannelMatrix:
     def test_single_path_rank_one(self):
-        ch = sample_channel(ChannelParams(num_paths=1), ArrayGeometry(1, 8), ArrayGeometry(1, 4), rng(2))
+        ch = sample_channel(ArrayGeometry(1, 8), ArrayGeometry(1, 4), rng(2), 1)
         H = channel_matrix(ch)
         assert H.shape == (4, 8)
         s = np.linalg.svd(H, compute_uv=False)
         assert s[1] < 1e-12 * s[0]
 
     def test_single_path_frobenius_norm(self):
-        ch = sample_channel(ChannelParams(num_paths=1), ArrayGeometry(2, 8), ArrayGeometry(1, 4), rng(2))
+        ch = sample_channel(ArrayGeometry(2, 8), ArrayGeometry(1, 4), rng(2), 1)
         H = channel_matrix(ch)
         # unit-magnitude LoS gain and unit-norm responses
         assert abs(np.linalg.norm(H) - np.sqrt(16 * 4)) < 1e-9
 
     def test_expected_power_three_paths(self):
         # Analytic: E||H||_F^2 = Nt*Nr*(1 + 2*0.1)/3, cross-checked by MC.
-        params = ChannelParams(num_paths=3)
         tx, rx = ArrayGeometry(1, 8), ArrayGeometry(1, 4)
         r = rng(13)
         acc = 0.0
         n = 10_000
         for _ in range(n):
-            acc += np.linalg.norm(channel_matrix(sample_channel(params, tx, rx, r))) ** 2
+            acc += np.linalg.norm(channel_matrix(sample_channel(tx, rx, r, 3))) ** 2
         expected = 8 * 4 * (1 + 2 * 0.1) / 3
         assert abs(acc / n / expected - 1.0) < 0.02
 
 
 class TestEvolve:
     def test_rho_one_identical(self):
-        ch = sample_channel(ChannelParams(num_paths=3), ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1))
+        ch = sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1), 3)
         out = evolve(ch, 1.0, rng(2), 3)
         assert out.shape == (3, 3)
         assert all(np.array_equal(row, ch.gains) for row in out)
 
     def test_rho_zero_uncorrelated(self):
-        params = ChannelParams(num_paths=2)
         geom = ArrayGeometry(1, 4)
         r = rng(17)
         before, after = np.empty(10_000, complex), np.empty(10_000, complex)
         for i in range(before.size):
-            ch = sample_channel(params, geom, geom, r)
+            ch = sample_channel(geom, geom, r, 2)
             before[i], after[i] = ch.gains[1], evolve(ch, 0.0, r, 1)[0, 1]
         corr = np.vdot(before - before.mean(), after - after.mean())
         corr /= np.linalg.norm(before - before.mean()) * np.linalg.norm(after - after.mean())
@@ -218,13 +218,12 @@ class TestEvolve:
 
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
     def test_power_preserved(self, rho):
-        params = ChannelParams(num_paths=2)
         geom = ArrayGeometry(1, 4)
         r = rng(23)
         p_before = np.empty(10_000)
         p_after = np.empty(10_000)
         for i in range(p_before.size):
-            ch = sample_channel(params, geom, geom, r)
+            ch = sample_channel(geom, geom, r, 2)
             ev = evolve(ch, rho, r, 1)[0]
             p_before[i] = sum(abs(g) ** 2 for g in ch.gains)
             p_after[i] = sum(abs(g) ** 2 for g in ev)
@@ -233,19 +232,18 @@ class TestEvolve:
     def test_nlos_marginal_preserved_ks(self):
         # AR(1) with Gaussian innovations is exactly stationary for the NLoS
         # gains; the LoS point-mass magnitude is checked via power instead.
-        params = ChannelParams(num_paths=2)
         geom = ArrayGeometry(1, 4)
         r = rng(29)
         before = np.empty(10_000)
         after = np.empty(10_000)
         for i in range(before.size):
-            ch = sample_channel(params, geom, geom, r)
+            ch = sample_channel(geom, geom, r, 2)
             before[i], after[i] = abs(ch.gains[1]), abs(evolve(ch, 0.7, r, 1)[0, 1])
         assert stats.ks_2samp(before, after).pvalue > 0.01
 
     def test_angles_unchanged(self):
         # evolve returns gains only and leaves the realization as it was
-        ch = sample_channel(ChannelParams(num_paths=3), ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1))
+        ch = sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1), 3)
         gains, angles = ch.gains.copy(), ch.angles.copy()
         out = evolve(ch, 0.3, rng(4), 5)
         assert out.shape == (5, 3)
@@ -256,7 +254,7 @@ class TestEvolve:
         # per step one uniform LoS phase (drawn with or without a LoS path),
         # then the real and the imaginary NLoS innovations; scalar steps
         # drawn that way give the same gains bit for bit
-        ch = sample_channel(ChannelParams(num_paths=3), ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1))
+        ch = sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1), 3)
         ch = chn.ChannelRealization(ch.gains, ch.angles, ch.tx_geom, ch.rx_geom, has_los=has_los)
         rho = 0.6
         out = evolve(ch, rho, rng(9), 4)
@@ -273,7 +271,7 @@ class TestEvolve:
             assert np.array_equal(row, gains)
 
     def test_bad_rho_rejected(self):
-        ch = sample_channel(ChannelParams(num_paths=1), ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1))
+        ch = sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1), 1)
         with pytest.raises(ValueError, match="rho"):
             evolve(ch, 1.5, rng(0), 1)
 

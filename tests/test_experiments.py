@@ -234,9 +234,10 @@ class TestRunScenario:
     def test_trial_seeds_equal_scalar_derivation(self, master_seed):
         from mmkeygen import seeds
         from mmkeygen.experiments import _trial_seeds
+        from reference import derive_seed
 
         cfg = parse_config(f'scenario = "fig2"\nmaster_seed = {master_seed}\ntrials = 3\n')
-        expected = [seeds.derive_seed(master_seed, seeds.STREAM_TRIAL, 1, 2, 4, t) for t in range(3)]
+        expected = [derive_seed(master_seed, seeds.STREAM_TRIAL, 1, 2, 4, t) for t in range(3)]
         assert [int(s) for s in _trial_seeds(cfg, 2, 4, 3)] == expected
 
     def test_fig4_refuses_too_few_blocks(self):
@@ -344,6 +345,44 @@ class TestCli:
         "scheme_key, message", [("levels = 5", "levels"), ("delta_max_deg = 30", "first pattern null")]
     )
     def test_validate_builds_sessions(self, tmp_path, capsys, scheme_key, message):
+        cfg = self._write(tmp_path, MINIMAL_FIG2 + f"[scheme]\n{scheme_key}\n")
+        assert cli_main(["validate", "--config", cfg]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("trials = 2.5", "line 3: trials must be an integer, got 2.5"),
+            ('trials = "x"', "line 3: trials must be an integer, got 'x'"),
+            ("master_seed = 1.9", "line 3: master_seed must be an integer, got 1.9"),
+            ('snr_grid = "abc"', "line 3: snr_grid must be a number or a comma-separated list of numbers, got 'abc'"),
+            ("output_path = 3", "line 3: output_path must be a quoted string, got 3"),
+            ("[cascade]\nblock_bits = 4096.5", "line 4: block_bits must be an integer, got 4096.5"),
+            ("[cascade]\npasses = 2.0", "line 4: passes must be an integer, got 2.0"),
+            ('[cascade]\nerror_rates = "x"', "line 4: error_rates must be a number or a comma-separated list"),
+            ("[scheme]\nnum_paths = 2.5", "line 4: num_paths must be an integer, got 2.5"),
+            ('[scheme]\ntemporal_rho = "x"', "line 4: temporal_rho must be a number, got 'x'"),
+            # a NaN delta_max_deg passes every range check, and the run fails
+            ("[scheme]\ndelta_max_deg = nan", "line 4: delta_max_deg must be finite, got nan"),
+            ("snr_grid = 0, inf", "line 3: snr_grid must be finite, got (0.0, inf)"),
+        ],
+    )
+    def test_validate_rejects_value_of_wrong_type(self, tmp_path, capsys, lines, message):
+        # a value of the wrong type fails validate with its line, rather than
+        # being truncated (2.5 trials as 2) or failing as a bare ValueError
+        cfg = self._write(tmp_path, f'scenario = "fig2"\nmaster_seed = 1\n{lines}\n')
+        assert cli_main(["validate", "--config", cfg]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scheme_key, message",
+        [
+            ("num_paths = 0", "num_paths must be >= 1"),
+            ("nlos_offset_db = -1", "nlos_offset_db must be >= 0"),
+            ("temporal_rho = 1.5", "temporal_rho must lie in [0, 1]"),
+        ],
+    )
+    def test_validate_rejects_channel_out_of_range(self, tmp_path, capsys, scheme_key, message):
         cfg = self._write(tmp_path, MINIMAL_FIG2 + f"[scheme]\n{scheme_key}\n")
         assert cli_main(["validate", "--config", cfg]) == 1
         assert message in capsys.readouterr().err

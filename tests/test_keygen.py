@@ -17,7 +17,6 @@ from mmkeygen.keygen import (
     _plugin_entropy_bits,
     bar,
     cascade,
-    cell_indices,
     concat_bits,
     extract_randomness,
     gray_encode_indices,
@@ -25,8 +24,8 @@ from mmkeygen.keygen import (
     pack_indices,
     privacy_amplify,
     quantize,
-    xor_combine,
 )
+from reference import cell_indices
 
 
 def rng(seed=0):
@@ -81,8 +80,22 @@ class TestQuantize:
             QuantizerConfig(levels=12)
 
     def test_degenerate_range_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            cell_indices([1.0], 4, 2.0, 2.0)
+        # an empty, inverted or NaN range fails here, not later as zero
+        # single-probe entropy
+        for lo, hi in [(2.0, 2.0), (3.0, 2.0), (np.nan, 1.0), (0.0, np.nan)]:
+            with pytest.raises(ValueError, match="degenerate"):
+                QuantizerConfig(levels=4, lo=lo, hi=hi)
+
+    @pytest.mark.parametrize("bounds", [dict(lo=0.0), dict(hi=1.0)])
+    def test_lone_bound_rejected(self, bounds):
+        # key_entropy_rate would calibrate each stream and ignore a lone bound
+        with pytest.raises(ValueError, match="both quantizer bounds or neither"):
+            QuantizerConfig(levels=4, **bounds)
+
+    def test_quantize_cells_equal_one_stream_formula(self):
+        cfg = QuantizerConfig(levels=8, lo=-1.5, hi=2.5)
+        x = rng(4).uniform(-3.0, 4.0, 500)
+        assert quantize(x, cfg).equals(gray_encode_indices(cell_indices(x, 8, -1.5, 2.5), 3))
 
     def test_unset_range_rejected(self):
         with pytest.raises(ValueError, match="calibrated"):
@@ -97,7 +110,7 @@ class TestQuantize:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=40))
     def test_monotone_cell_index(self, values):
-        idx = cell_indices(sorted(values), 16, -50.0, 50.0)
+        idx = _calibrated_cells(np.array([sorted(values)]), 16, -50.0, 50.0)[0]
         assert all(a <= b for a, b in zip(idx, idx[1:]))
 
 
@@ -124,18 +137,22 @@ class TestBar:
 class TestXor:
     def test_self_inverse(self):
         a = random_bits(64, 5)
-        assert np.all(xor_combine(a, a).bits == 0)
+        assert np.all((a ^ a).bits == 0)
 
     def test_identity(self):
         a = random_bits(64, 6)
-        assert xor_combine(a, BitString.zeros(64)).equals(a)
+        assert (a ^ BitString.zeros(64)).equals(a)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31), st.integers(1, 128))
     def test_involution(self, seed, n):
         a = random_bits(n, seed)
         b = random_bits(n, seed + 1)
-        assert xor_combine(xor_combine(a, b), b).equals(a)
+        assert ((a ^ b) ^ b).equals(a)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            random_bits(4) ^ random_bits(5)
 
     def test_masking_defeats_partial_knowledge(self):
         # Eve holds one half exactly; the other half is uniform: her guess of
@@ -145,8 +162,8 @@ class TestXor:
         bits_a = BitString(bits=r.integers(0, 2, n, dtype=np.uint8))
         bits_b = BitString(bits=r.integers(0, 2, n, dtype=np.uint8))
         guess_a = BitString(bits=r.integers(0, 2, n, dtype=np.uint8))
-        final = xor_combine(bits_a, bits_b)
-        eve = xor_combine(guess_a, bits_b)
+        final = bits_a ^ bits_b
+        eve = guess_a ^ bits_b
         assert abs(bar(eve, final) - 0.5) < 0.02
 
 
@@ -281,7 +298,7 @@ class TestCascade:
         # brute-force oracle: every error position in an 8-bit string is
         # corrected by one pass with block 4, leaking exactly 2 block
         # parities plus the 2 halvings of the odd block
-        a = BitString.from_bits([1, 0, 1, 1, 0, 0, 1, 0])
+        a = BitString([1, 0, 1, 1, 0, 0, 1, 0])
         for pos in range(8):
             flipped = a.bits.copy()
             flipped[pos] ^= 1
@@ -458,12 +475,17 @@ class TestEntropyRateMatchesReference:
         if constant is not None:
             # a centred constant row is all zeros: a zero-width range at 0
             samples[r.integers(streams)] = constant
-        # an explicit range, sometimes empty or inverted
+        # an explicit range, sometimes empty or inverted: the cells map it to
+        # cell 0, and QuantizerConfig refuses it
         lo, hi = (r.uniform(-10.0, 10.0, 2) if explicit else (None, None))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cells = _calibrated_cells(samples, levels, lo, hi)
         assert np.array_equal(cells, reference_calibrated_cells(samples, levels, lo, hi))
+        if explicit and not lo < hi:
+            with pytest.raises(ValueError, match="degenerate"):
+                QuantizerConfig(levels=levels, lo=lo, hi=hi)
+            return
         cfg = QuantizerConfig(levels=levels, lo=lo, hi=hi)
         try:
             expected = reference_key_entropy_rate(samples, cfg)
@@ -495,8 +517,8 @@ class TestBitPlumbing:
         assert list(out.bits) == [1, 1]
 
     def test_concat(self):
-        a = BitString.from_bits([1, 0])
-        b = BitString.from_bits([0, 1, 1])
+        a = BitString([1, 0])
+        b = BitString([0, 1, 1])
         assert list(concat_bits([a, b]).bits) == [1, 0, 0, 1, 1]
 
     def test_width_overflow_rejected(self):

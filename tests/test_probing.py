@@ -4,7 +4,6 @@ import pytest
 from mmkeygen.beamforming import steering_beamformer
 from mmkeygen.channel import (
     ArrayGeometry,
-    ChannelParams,
     ChannelRealization,
     channel_matrix,
     evolve,
@@ -18,9 +17,7 @@ def rng(seed=0):
 
 
 def make_channel(seed=0, num_paths=2, tx=(1, 16), rx=(1, 8)):
-    return sample_channel(
-        ChannelParams(num_paths=num_paths), ArrayGeometry(*tx), ArrayGeometry(*rx), rng(seed)
-    )
+    return sample_channel(ArrayGeometry(*tx), ArrayGeometry(*rx), rng(seed), num_paths)
 
 
 def zero_channel(n=4, num_paths=1):

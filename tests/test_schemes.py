@@ -20,7 +20,6 @@ from mmkeygen.keygen import (
     QuantizerConfig,
     _calibrated_cells,
     bar,
-    cell_indices,
     concat_bits,
     extract_randomness,
     gray_encode_indices,
@@ -29,7 +28,6 @@ from mmkeygen.keygen import (
 )
 from mmkeygen.schemes import (
     SessionConfig,
-    _centred,
     _perturbation_beams,
     _secret_beam_batch,
     _session_channel,
@@ -40,6 +38,7 @@ from mmkeygen.schemes import (
     virtual_angle_bits,
     virtual_angle_session,
 )
+from reference import cell_indices
 
 
 def rng(seed=0):
@@ -201,16 +200,32 @@ def reference_beam_streams(cfg):
 
 
 BEAM_STREAMS = ("idx_a", "idx_b", "est_a_at_bob", "est_b_at_alice", "eve_far", "eve_near_guess")
-BEAM_FIELDS = BEAM_STREAMS + (
-    "bits_alice",
-    "bits_bob",
-    "final_alice",
-    "final_bob",
-    "bits_eve",
-    "eve_guess",
-    "bar_legit",
-    "bar_eve",
-)
+BEAM_FIELDS = ("bits_alice", "bits_bob", "final_alice", "final_bob", "bits_eve", "eve_guess", "bar_legit", "bar_eve")
+
+
+def reference_beam_bits(cfg):
+    """The bit fields of a batch row, built from the reference's Gray-encoded index streams.
+
+    Gray coding at a fixed width is a bijection, so equal bits mean equal
+    index streams.
+    """
+    ref = reference_beam_streams(cfg)
+
+    def gray(name):
+        return gray_encode_indices(ref[name], cfg.levels.bit_length() - 1).bits
+
+    bits = {
+        "bits_alice": gray("idx_a"),
+        "bits_bob": gray("idx_b"),
+        "final_alice": gray("idx_a") ^ gray("est_b_at_alice"),
+        "final_bob": gray("est_a_at_bob") ^ gray("idx_b"),
+    }
+    if cfg.eve is not None:
+        bits["bits_eve"] = gray("eve_far")
+        bits["eve_guess"] = gray("eve_near_guess") ^ gray("eve_far")
+    return bits
+
+
 # edge words of SeedSequence's uint32 coercion, plus arbitrary u64 seeds
 U64_SEEDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
@@ -252,13 +267,13 @@ class TestSecretBeamBatch:
     @given(secret_beam_configs(), st.lists(U64_SEEDS, min_size=1, max_size=4))
     def test_streams_equal_per_round_reference(self, cfg, trial_seeds):
         batch = _secret_beam_batch(cfg, np.array(trial_seeds, dtype=np.uint64))
-        compared = BEAM_STREAMS if cfg.eve is not None else BEAM_STREAMS[:4]
         for row, seed in enumerate(trial_seeds):
-            ref = reference_beam_streams(replace(cfg, master_seed=seed))
-            for name in compared:
-                assert np.array_equal(getattr(batch, name)[row], ref[name]), name
+            ref = reference_beam_bits(replace(cfg, master_seed=seed))
+            for name, bits in ref.items():
+                assert np.array_equal(getattr(batch, name)[row], bits), name
+            assert batch.bar_legit[row] == (ref["final_alice"] == ref["final_bob"]).mean()
         if cfg.eve is None:
-            assert batch.eve_far is None and batch.eve_near_guess is None
+            assert batch.bits_eve is None and batch.eve_guess is None
             assert np.isnan(batch.bar_eve).all()
 
     @settings(max_examples=30, deadline=None)
@@ -326,7 +341,7 @@ class TestPerturbationBeams:
 
         cfg = fig3_cfg(alice=ArrayGeometry(1, 64), bob=ArrayGeometry(1, 32), num_paths=6)
         for t in range(20):
-            raw = sample_channel(cfg.channel_params, cfg.alice, cfg.bob, seeds.generator(t, 1))
+            raw = sample_channel(cfg.alice, cfg.bob, seeds.generator(t, 1), cfg.num_paths, cfg.nlos_offset_db)
             ch = _session_channel(cfg, seeds.generator(t, 1))
             assert np.array_equal(ch.gains, raw.gains)
             for (aod, _, aoa, _), row in zip(raw.angles, ch.angles):
@@ -348,6 +363,13 @@ class TestSessionValidation:
     def test_bad_eve_rejected(self):
         with pytest.raises(ValueError, match="eve"):
             fig2_cfg(eve="carol")
+
+    @pytest.mark.parametrize(
+        "field, value", [("num_paths", 0), ("nlos_offset_db", -1.0), ("nlos_offset_db", np.nan), ("temporal_rho", 1.5)]
+    )
+    def test_channel_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            fig2_cfg(**{field: value})
 
 
 class TestEstimateChannel:
@@ -635,7 +657,7 @@ class TestMultiresEqualsReference:
         r = rng(shape[1])
         samples = r.standard_normal(shape) * r.uniform(0.1, 30.0, (shape[0], 1)) + r.uniform(-5.0, 5.0, (shape[0], 1))
         samples[-1] = 0.25
-        centred = _centred(samples)
+        centred = extract_randomness(samples)
         assert np.array_equal(centred, np.stack([extract_randomness(row) for row in samples]))
         cells = _calibrated_cells(centred[:-1], 4)
         assert np.array_equal(cells, per_row_cells(samples[:-1], 4))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmkeygen import seeds
+from reference import derive_seed
 
 
 class TestStreamDerivation:
@@ -21,7 +22,7 @@ class TestStreamDerivation:
         with pytest.raises(ValueError, match="64-bit"):
             seeds.generator(-1)
         with pytest.raises(ValueError, match="64-bit"):
-            seeds.seed_sequence(2**64)
+            seeds.generator(2**64)
 
     def test_derived_values_pinned(self):
         # reproducibility contract: these frozen values must never change, or
@@ -33,12 +34,12 @@ class TestStreamDerivation:
             (42,): 11465652750463011511,
         }
         for address, value in pinned.items():
-            assert seeds.derive_seed(*address) == value
+            assert int(seeds.derive_seeds(np.array([address], dtype=np.uint64))[0]) == value
+            assert derive_seed(*address) == value
 
     def test_u64_output(self):
-        value = seeds.derive_seed(123, 4, 5)
-        assert isinstance(value, int)
-        assert 0 <= value < 2**64
+        values = seeds.derive_seeds(np.array([[123, 4, 5]], dtype=np.uint64))
+        assert values.dtype == np.uint64 and values.shape == (1,)
 
 
 # the edge words of SeedSequence's uint32 coercion: a value below 2**32 is
@@ -58,7 +59,7 @@ class TestBatchedDerivation:
     def test_derive_seeds_equal_seed_sequence(self, addresses):
         derived = seeds.derive_seeds(np.array(addresses, dtype=np.uint64))
         assert derived.dtype == np.uint64
-        assert [int(v) for v in derived] == [seeds.derive_seed(*row) for row in addresses]
+        assert [int(v) for v in derived] == [derive_seed(*row) for row in addresses]
 
     @settings(max_examples=200, deadline=None)
     @given(ADDRESS_BLOCKS)
@@ -74,7 +75,7 @@ class TestBatchedDerivation:
     def test_master_seed_below_2_32_is_one_word(self):
         # 5 and (5, 0) differ: the second is two words, the first one
         one, two = seeds.derive_seeds(np.array([[5, 9], [5 + 2**32, 9]], dtype=np.uint64))
-        assert int(one) == seeds.derive_seed(5, 9) != int(two) == seeds.derive_seed(5 + 2**32, 9)
+        assert int(one) == derive_seed(5, 9) != int(two) == derive_seed(5 + 2**32, 9)
 
     def test_bad_address_shape_rejected(self):
         with pytest.raises(ValueError, match="addresses"):
