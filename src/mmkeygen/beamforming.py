@@ -42,6 +42,15 @@ def quantize_phases(w: np.ndarray, bits: int) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
+def _sector_bounds(level, index):
+    """(lo, hi) of the sine sector of codeword (level, index); elementwise over int arrays.
+
+    Dyadic boundaries are exact in binary floating point.
+    """
+    count = 1 << level
+    return -1.0 + 2.0 * index / count, -1.0 + 2.0 * (index + 1) / count
+
+
 @dataclass(frozen=True, eq=False)
 class Codebook:
     """Hierarchical multi-resolution beam codebook over sine space [-1, 1).
@@ -73,11 +82,9 @@ class Codebook:
 
     @staticmethod
     def sector(level: int, index: int) -> tuple[float, float]:
-        count = 1 << level
-        if not 0 <= index < count:
+        if not 0 <= index < 1 << level:
             raise ValueError(f"index {index} outside level {level}")
-        # dyadic boundaries are exact in binary floating point
-        return (-1.0 + 2.0 * index / count, -1.0 + 2.0 * (index + 1) / count)
+        return _sector_bounds(level, index)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -194,9 +201,7 @@ def select_beams(
         )
     levels = sliding_window_view(ranked[:, 0], count)
     index = sliding_window_view(ranked[:, 1], count)
-    # the sectors of Codebook.sector, exact as dyadic fractions
-    lo = -1.0 + 2.0 * index / (1 << levels)
-    hi = -1.0 + 2.0 * (index + 1) / (1 << levels)
+    lo, hi = _sector_bounds(levels, index)
     # a sector is never disjoint from itself, so the full matrix counts each pair twice
     disjoint = (hi[:, :, None] <= lo[:, None, :]) | (hi[:, None, :] <= lo[:, :, None])
     diversity = disjoint.sum(axis=(1, 2)) // 2

@@ -6,9 +6,11 @@ seeded permutation, fixed-size blocks, parity comparison, binary-search
 correction of odd blocks, and back-tracking into earlier passes.  It works
 on the XOR of the two strings and keeps one block-parity array per pass,
 toggled on each flip, so every block parity is a lookup; the binary search
-reads its halvings off a prefix sum of the block.  Leakage accounting is a
-literal transcript count: one bit per revealed parity plus any sacrificial
-calibration sample.
+reads its halvings off a prefix sum of the block; the first pass searches
+all its odd blocks at once, as one array computation.  Leakage accounting
+is a literal transcript count: one bit per revealed parity plus any
+sacrificial calibration sample.  The Toeplitz hash of privacy amplification
+is an exact integer convolution through a real FFT.
 """
 
 from __future__ import annotations
@@ -188,6 +190,32 @@ def _binary_search(diff: np.ndarray, positions: np.ndarray) -> tuple[int, int]:
     return int(positions[lo]), revealed
 
 
+def _search_odd_blocks(bits: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+    """:func:`_binary_search` on every odd block of ``bits``, cut into blocks of ``size``, at once.
+
+    Returns (offsets into ``bits`` of the found positions, parities revealed).
+    """
+    n = bits.size
+    count = -(-n // size)
+    padded = np.zeros(count * size, dtype=np.uint8)
+    padded[:n] = bits
+    # parity[b, k]: the parity of the first k bits of block b
+    parity = np.zeros((count, size + 1), dtype=np.uint8)
+    np.bitwise_xor.accumulate(padded.reshape(count, size), axis=1, out=parity[:, 1:])
+    rows = np.flatnonzero(parity[:, -1])
+    lo = np.zeros(rows.size, dtype=np.int64)
+    hi = np.minimum(size, n - rows * size)  # the last block may be short
+    revealed = 0
+    # a finished search has hi = lo + 1, so mid = lo leaves it as it is
+    while steps := np.count_nonzero(hi - lo > 1):
+        revealed += steps
+        mid = (lo + hi) // 2
+        left = parity[rows, mid] != parity[rows, lo]
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+    return rows * size + lo, revealed
+
+
 def cascade(a: BitString, b: BitString, params: CascadeParams) -> tuple[BitString, int]:
     """Reconcile ``b`` against reference ``a``; returns (corrected_b, leaked).
 
@@ -200,7 +228,10 @@ def cascade(a: BitString, b: BitString, params: CascadeParams) -> tuple[BitStrin
 
     The work is done on ``diff = a ^ b``: each pass keeps the parity of
     ``diff`` over each of its blocks, and every flip toggles the entry of
-    the block holding the flipped position in every pass built so far.
+    the block holding the flipped position in every pass built so far.  The
+    first pass has disjoint blocks and no earlier pass to back-track into,
+    so it searches all its odd blocks at once; later passes go block by
+    block, because their back-tracking depends on the order.
     """
     # a ^ b checks the lengths; its bits are read-only, so flip a copy
     diff = (a ^ b).bits.copy()
@@ -275,8 +306,15 @@ def cascade(a: BitString, b: BitString, params: CascadeParams) -> tuple[BitStrin
         perms.append(perm)
         sizes.append(size)
         block_of.append(array.array("q", (inv // size).tobytes()))
-        odd.append((np.add.reduceat(diff[perm], starts) & 1).tolist())
         leaked += len(starts)  # top-level block parity reveals
+        if pass_idx == 0:
+            # every odd block ends even
+            found, revealed = _search_odd_blocks(diff[perm], size)
+            leaked += revealed
+            diff[perm[found]] ^= 1
+            odd.append([0] * len(starts))
+            continue
+        odd.append((np.add.reduceat(diff[perm], starts) & 1).tolist())
 
         # read live: back-tracking may even out a later block of this pass
         for b_idx in range(len(starts)):
@@ -306,7 +344,8 @@ def privacy_amplify(
 
     Output length is ``max(0, n - leaked_bits - safety_margin)``; the
     Toeplitz diagonals come from the seeded stream, so both parties derive
-    the same hash from the public seed.
+    the same hash from the public seed.  The matrix product is a
+    convolution, computed exactly with a real FFT of power-of-two length.
     """
     n = len(raw)
     m = max(0, n - leaked_bits - safety_margin)
@@ -314,8 +353,12 @@ def privacy_amplify(
         return KeyMaterial(BitString.zeros(0), leaked_bits, safety_margin)
     rng = seeds.generator(seed, seeds.STREAM_AMPLIFY)
     diagonals = rng.integers(0, 2, size=m + n - 1, dtype=np.int64)
-    conv = np.convolve(diagonals, raw.bits.astype(np.int64))
-    key_bits = (conv[n - 1 : n - 1 + m] & 1).astype(np.uint8)
+    # the key is entries n-1 .. n+m-2 of the linear convolution; a cyclic one
+    # of length >= m+n-1 wraps only onto the entries before them.  Each entry
+    # is an integer <= n, and the FFT's rounding error stays far below 1/2
+    size = 1 << (m + n - 2).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(diagonals, size) * np.fft.rfft(raw.bits, size), size)
+    key_bits = (np.rint(conv[n - 1 : n - 1 + m]).astype(np.int64) & 1).astype(np.uint8)
     return KeyMaterial(BitString(bits=key_bits), leaked_bits, safety_margin)
 
 
@@ -372,16 +415,21 @@ def key_entropy_rate(
         raise InsufficientSamplesError(
             f"plug-in entropy needs at least {min_trials} trials, got {T}"
         )
-    cells = _calibrated_cells(arr, cfg.levels, cfg.lo, cfg.hi)
+    return _cells_entropy_rate(_calibrated_cells(arr, cfg.levels, cfg.lo, cfg.hi), cfg.levels)
+
+
+def _cells_entropy_rate(cells: np.ndarray, levels: int) -> float:
+    """:func:`key_entropy_rate` of (P, T) cell indices, each in ``0 .. levels-1``."""
+    P = cells.shape[0]
     # every stream's cell counts from one bincount, stream i on bins i*levels ..
-    counts = np.bincount((cells + cfg.levels * np.arange(P)[:, None]).ravel(), minlength=P * cfg.levels)
-    singles = np.array([_plugin_entropy_bits(row) for row in counts.reshape(P, cfg.levels)])
+    counts = np.bincount((cells + levels * np.arange(P)[:, None]).ravel(), minlength=P * levels)
+    singles = np.array([_plugin_entropy_bits(row) for row in counts.reshape(P, levels)])
     mean_single = float(singles.mean())
     if mean_single <= 0.0:
         raise ValueError("degenerate input: zero single-probe entropy")
 
-    weights = cfg.levels ** np.arange(P, dtype=object)
-    if cfg.levels**P > 2**62:
+    weights = levels ** np.arange(P, dtype=object)
+    if levels**P > 2**62:
         raise ValueError("joint alphabet too large to index")
     joint = (cells * np.asarray(weights, dtype=np.int64)[:, None]).sum(axis=0)
     _, joint_counts = np.unique(joint, return_counts=True)

@@ -38,6 +38,7 @@ from .beamforming import (
     steering_beamformer,
 )
 from .channel import (
+    DEFAULT_NLOS_OFFSET_DB,
     ArrayGeometry,
     ChannelRealization,
     _ar1,
@@ -53,6 +54,7 @@ from .keygen import (
     QuantizerConfig,
     bar,
     _calibrated_cells,
+    _cells_entropy_rate,
     concat_bits,
     extract_randomness,
     gray_encode_indices,
@@ -75,7 +77,7 @@ class SessionConfig:
     snr_db: float = 10.0
     rounds: int = 100
     num_paths: int = 2
-    nlos_offset_db: float = 10.0
+    nlos_offset_db: float = DEFAULT_NLOS_OFFSET_DB
     levels: int = 16
     num_beams: int = 5
     temporal_rho: float = 0.0
@@ -629,10 +631,11 @@ def multires_session(cfg: SessionConfig) -> MultiresResult:
     # Gray-coded bits of each probe stream on its own calibrated range
     width = cfg.levels.bit_length() - 1
     bits_alice = gray_encode_indices(_calibrated_cells(extract_randomness(y_multi_alice), cfg.levels).ravel(), width)
-    bits_bob = gray_encode_indices(_calibrated_cells(extract_randomness(y_multi_bob), cfg.levels).ravel(), width)
+    cells_bob = _calibrated_cells(extract_randomness(y_multi_bob), cfg.levels)
+    bits_bob = gray_encode_indices(cells_bob.ravel(), width)
 
     return MultiresResult(
-        ker_multires=_probe_entropy_rate(y_multi_bob, cfg.levels),
+        ker_multires=_cells_entropy_rate(cells_bob, cfg.levels),
         ker_fixed=_probe_entropy_rate(y_fixed_bob, cfg.levels),
         beam_ids=tuple(ids),
         fixed_beam_id=fixed_id,

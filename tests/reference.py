@@ -27,3 +27,15 @@ def cell_indices(samples, levels, lo, hi):
     arr = np.asarray(samples, dtype=float)
     idx = np.floor((arr - lo) / (hi - lo) * levels).astype(np.int64)
     return np.clip(idx, 0, levels - 1)
+
+
+def toeplitz_hash(diagonals, bits):
+    """Bits of the binary Toeplitz product ``privacy_amplify`` computes, by direct convolution.
+
+    With ``n = len(bits)``, key bit ``i`` of the ``len(diagonals) - n + 1``
+    is the parity of ``sum_j diagonals[i + n - 1 - j] * bits[j]``.
+    """
+    n = len(bits)
+    m = len(diagonals) - n + 1
+    conv = np.convolve(np.asarray(diagonals, dtype=np.int64), np.asarray(bits, dtype=np.int64))
+    return (conv[n - 1 : n - 1 + m] & 1).astype(np.uint8)

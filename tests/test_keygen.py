@@ -25,7 +25,7 @@ from mmkeygen.keygen import (
     privacy_amplify,
     quantize,
 )
-from reference import cell_indices
+from reference import cell_indices, toeplitz_hash
 
 
 def rng(seed=0):
@@ -361,8 +361,53 @@ class TestCascade:
         assert leaked == expected_leaked
         assert np.array_equal(corrected.bits, expected.bits)
 
+    @pytest.mark.parametrize(
+        "n, p, passes, initial_block",
+        [(4096, p, 4, None) for p in (0.02, 0.05, 0.10, 0.15)]
+        + [
+            (4096, 0.05, 4, 1),  # every first-pass block is one bit
+            (4097, 0.05, 4, 64),  # the last first-pass block is one bit
+            (4096, 0.10, 1, None),  # the first pass alone
+            (4096, 0.0, 4, 64),  # no block is odd
+            (20_000, 0.10, 4, None),
+        ],
+    )
+    def test_first_pass_matches_reference(self, n, p, passes, initial_block):
+        # the first pass searches all its odd blocks at once; the reference
+        # searches them one by one
+        seed = 11
+        r = rng(seed)
+        a = BitString(bits=r.integers(0, 2, n, dtype=np.uint8))
+        flips = (r.random(n) < p).astype(np.uint8)
+        if initial_block and n % initial_block == 1:
+            # make the one-bit last block odd: it ends the first permutation
+            flips[seeds.generator(seed, seeds.STREAM_CASCADE).permutation(n)[-1]] ^= 1
+        b = BitString(bits=a.bits ^ flips)
+        params = CascadeParams(passes=passes, initial_block=initial_block, seed=seed)
+        transcript = []
+        expected, expected_leaked = _reference_cascade(a, b, params, transcript)
+        corrected, leaked = cascade(a, b, params)
+        assert leaked == expected_leaked == len(transcript)
+        assert np.array_equal(corrected.bits, expected.bits)
+
+
+# (n, m, all_ones): small sizes at a range of key lengths, and the pooled
+# bits of a fig3 virtual point (21,000) and a fig4 multires point (50,000);
+# an all-ones input makes every product entry, and the FFT's rounding
+# error, as large as it gets
+_AMPLIFY_CASES = [
+    (n, m, False) for n in (1, 2, 7, 64, 127, 1024, 4093) for m in sorted({1, (n + 2) // 3, max(1, n - 1), n})
+] + [(21000, 16355, False), (50000, 25193, False), (50000, 25193, True)]
+
 
 class TestPrivacyAmplify:
+    @pytest.mark.parametrize("n, m, all_ones", _AMPLIFY_CASES)
+    def test_fft_product_equals_convolution(self, n, m, all_ones):
+        raw = BitString(bits=np.ones(n, dtype=np.uint8)) if all_ones else random_bits(n, n + m)
+        out = privacy_amplify(raw, leaked_bits=n - m, safety_margin=0, seed=m)
+        diagonals = seeds.generator(m, seeds.STREAM_AMPLIFY).integers(0, 2, size=m + n - 1, dtype=np.int64)
+        assert np.array_equal(out.key.bits, toeplitz_hash(diagonals, raw.bits))
+
     def test_overleaked_empty_key(self):
         raw = random_bits(64, 9)
         out = privacy_amplify(raw, leaked_bits=64, safety_margin=8)
