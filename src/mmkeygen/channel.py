@@ -227,8 +227,12 @@ def virtual_channel(H: np.ndarray, tx_geom: ArrayGeometry, rx_geom: ArrayGeometr
             f"dimension mismatch: H is {H.shape}, geometries give "
             f"({rx_geom.size}, {tx_geom.size})"
         )
+    if H.size == 1:
+        # no axis to transform: still a new array, never H itself
+        return np.array(H, dtype=complex)
     shape = (rx_geom.rows, rx_geom.cols, tx_geom.rows, tx_geom.cols)
-    Hv = np.array(H, dtype=complex).reshape(shape)
+    # the FFTs never write their input, so they read H without a copy
+    Hv = np.asarray(H, dtype=complex).reshape(shape)
     for axis, n in enumerate(shape):
         if n > 1:
             Hv = (np.fft.ifft if axis < 2 else np.fft.fft)(Hv, axis=axis, norm="ortho")

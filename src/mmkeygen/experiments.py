@@ -78,7 +78,8 @@ _SCENARIO_SUMMARY = {
 }
 
 # trials per secret-beam batch: bounds a batch's arrays to about a megabyte
-# at 32 x 16 antennas and 16 levels
+# at 32 x 16 antennas and 16 levels.  A case's SNR points share the batches,
+# so points of fewer trials than this still fill them.
 _BEAM_BATCH = 64
 
 _SECRET_BEAM = SessionConfig(rounds=3, delta_max=float(np.radians(3.0)))
@@ -482,13 +483,15 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
 
 
-def _trial_seeds(cfg: ExperimentConfig, case_idx: int, snr_idx: int, trials: int) -> np.ndarray:
-    """The u64 seeds of trials ``0 .. trials-1`` of one (case, SNR) point."""
-    labels = (cfg.master_seed, seeds.STREAM_TRIAL, _SCENARIO_IDS[cfg.scenario], case_idx, snr_idx)
-    addresses = np.empty((trials, len(labels) + 1), dtype=np.uint64)
-    addresses[:, :-1] = labels
-    addresses[:, -1] = np.arange(trials)
-    return seeds.derive_seeds(addresses)
+def _trial_seeds(cfg: ExperimentConfig, case_idx: int, snr_idx, trials: int) -> np.ndarray:
+    """The u64 seeds of trials ``0 .. trials-1`` of one (case, SNR) point, or of a sequence of points in turn."""
+    labels = (cfg.master_seed, seeds.STREAM_TRIAL, _SCENARIO_IDS[cfg.scenario], case_idx)
+    points = np.asarray(snr_idx, dtype=np.uint64).reshape(-1, 1)
+    addresses = np.empty((points.size, trials, len(labels) + 2), dtype=np.uint64)
+    addresses[..., :-2] = labels
+    addresses[..., -2] = points
+    addresses[..., -1] = np.arange(trials)
+    return seeds.derive_seeds(addresses.reshape(-1, len(labels) + 2))
 
 
 def _merge(preset: SessionConfig, ov: SchemeOverrides) -> SessionConfig:
@@ -576,34 +579,51 @@ def _multires_point(session: SessionConfig) -> list[tuple[float, float]]:
     ]
 
 
+def _secret_beam_points(cfg: ExperimentConfig, case_idx: int, template: SessionConfig, trials: int, metrics):
+    """The (value, stderr) of each metric at each SNR point of a secret-beam case, in grid order.
+
+    Every point's trials run as one stream of batches.  A row depends only
+    on its seed and SNR, so each point's values are those of its own batches.
+    """
+    points = len(cfg.snr_grid)
+    trial_seeds = _trial_seeds(cfg, case_idx, range(points), trials)
+    snrs = np.repeat(cfg.snr_grid, trials)
+    parts = []
+    for start in range(0, trial_seeds.size, _BEAM_BATCH):
+        stop = start + _BEAM_BATCH
+        batch = _secret_beam_batch(template, trial_seeds[start:stop], snrs[start:stop])
+        parts.append(np.column_stack([getattr(batch, metric) for metric in metrics]))
+    return [[_mean_stderr(column) for column in values.T] for values in np.split(np.concatenate(parts), points)]
+
+
+def _session_point(cfg: ExperimentConfig, case_idx: int, snr_idx: int, session: SessionConfig, trials: int, metrics):
+    """The (value, stderr) of each metric at one point of a multires, virtual or baseline case."""
+    if session.scheme == "multires":
+        # one long session of `trials` coherence blocks per point
+        seed = int(_trial_seeds(cfg, case_idx, snr_idx, 1)[0])
+        return _multires_point(replace(session, rounds=trials, master_seed=seed))
+    run = {"virtual": virtual_angle_session, "baseline": baseline_channel_quant_session}[session.scheme]
+    # keep only the metric floats: a session's result is freed before the
+    # next trial's session runs
+    floats = attrgetter(*metrics)
+    values = np.empty((trials, len(metrics)))
+    for trial_idx, seed in enumerate(_trial_seeds(cfg, case_idx, snr_idx, trials).tolist()):
+        values[trial_idx] = floats(run(replace(session, master_seed=seed)))
+    return [_mean_stderr(column) for column in values.T]
+
+
 def _run_sessions(cfg: ExperimentConfig) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for case_idx, (outputs, template, trials) in enumerate(_cases(cfg)):
         metrics = [metric for _, metric in outputs]
-        for snr_idx, snr in enumerate(cfg.snr_grid):
-            session = replace(template, snr_db=snr)
-            if session.scheme == "multires":
-                # one long session of `trials` coherence blocks per point
-                seed = int(_trial_seeds(cfg, case_idx, snr_idx, 1)[0])
-                stats = _multires_point(replace(session, rounds=trials, master_seed=seed))
-            else:
-                trial_seeds = _trial_seeds(cfg, case_idx, snr_idx, trials)
-                if session.scheme == "secret_beam":
-                    # a point's trials run as batches of bounded size
-                    parts = []
-                    for start in range(0, trials, _BEAM_BATCH):
-                        batch = _secret_beam_batch(session, trial_seeds[start : start + _BEAM_BATCH])
-                        parts.append(np.column_stack([getattr(batch, metric) for metric in metrics]))
-                    values = np.concatenate(parts)
-                else:
-                    run = {"virtual": virtual_angle_session, "baseline": baseline_channel_quant_session}[session.scheme]
-                    # keep only the metric floats: a session's result is freed
-                    # before the next trial's session runs
-                    floats = attrgetter(*metrics)
-                    values = np.empty((trials, len(metrics)))
-                    for trial_idx, seed in enumerate(trial_seeds.tolist()):
-                        values[trial_idx] = floats(run(replace(session, master_seed=seed)))
-                stats = [_mean_stderr(column) for column in values.T]
+        if template.scheme == "secret_beam":
+            points = _secret_beam_points(cfg, case_idx, template, trials, metrics)
+        else:
+            points = (
+                _session_point(cfg, case_idx, snr_idx, replace(template, snr_db=snr), trials, metrics)
+                for snr_idx, snr in enumerate(cfg.snr_grid)
+            )
+        for snr, stats in zip(cfg.snr_grid, points):
             rows.extend(
                 ResultRow(cfg.scenario, label, snr, metric, value, stderr, trials, cfg.master_seed)
                 for (label, metric), (value, stderr) in zip(outputs, stats)

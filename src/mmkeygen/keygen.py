@@ -109,8 +109,8 @@ class QuantizerConfig:
 
     @classmethod
     def calibrated(cls, samples, levels: int = 16) -> "QuantizerConfig":
-        """Range from pooled calibration samples (1st-99th percentile)."""
-        lo, hi = np.percentile(np.asarray(samples, dtype=float), _CALIBRATION_PCT)
+        """Range from pooled calibration samples: their 1st-99th percentiles, from :func:`_calibration_range`."""
+        lo, hi = _calibration_range(np.asarray(samples, dtype=float).ravel())
         return cls(levels=levels, lo=float(lo), hi=float(hi))
 
 
@@ -368,12 +368,37 @@ def _plugin_entropy_bits(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def _calibration_range(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 1st and 99th percentiles of each row (last axis) of ``samples``.
+
+    This is ``np.percentile(samples, _CALIBRATION_PCT, axis=-1)`` by numpy's
+    ``linear`` rule, read off one sort in place of its partition.  A row
+    holding a NaN has a NaN range.  Only the sign of a zero can differ from
+    numpy's (a tie of 0.0 and -0.0 may sort either way); no cell reads it.
+    """
+    ordered = np.sort(samples, axis=-1)
+    n = ordered.shape[-1]
+    has_nan = np.isnan(ordered[..., -1])
+    bounds = []
+    for pct in _CALIBRATION_PCT:
+        virtual = (n - 1) * (pct / 100)
+        below = math.floor(virtual)
+        weight = virtual - below
+        a, b = ordered[..., below], ordered[..., min(below + 1, n - 1)]
+        # numpy's _lerp, which takes the upper end for weights of 1/2 and up
+        step = b - a
+        bound = b - step * (1 - weight) if weight >= 0.5 else a + step * weight
+        bounds.append(np.where(has_nan, ordered[..., -1], bound))
+    return bounds[0], bounds[1]
+
+
 def _calibrated_cells(
     samples: np.ndarray, levels: int, lo: float | None = None, hi: float | None = None
 ) -> np.ndarray:
     """(P, T) cell indices of P streams, each on its own 1st-99th percentile range.
 
-    An explicit ``lo``/``hi`` pair replaces every row's range.  A sample's
+    The ranges come from :func:`_calibration_range`, one sort per row; an
+    explicit ``lo``/``hi`` pair replaces every row's range.  A sample's
     cell is ``floor((x - lo) / (hi - lo) * levels)``, clipped to
     ``0 .. levels-1``.  A row whose range is degenerate maps entirely to
     cell 0, without a warning.
@@ -381,7 +406,7 @@ def _calibrated_cells(
     if lo is not None and hi is not None:
         lo, hi = np.array([[lo], [hi]], dtype=float)[:, None]
     else:
-        lo, hi = np.percentile(samples, _CALIBRATION_PCT, axis=1)[..., None]
+        lo, hi = (bound[:, None] for bound in _calibration_range(samples))
     ok = lo < hi
     # a degenerate row is scaled on the range [0, 1] and then zeroed, so it
     # cannot divide by zero and no NaN or inf of it reaches the integer cast

@@ -323,12 +323,13 @@ def _beam_draws(cfg: SessionConfig, trial_seeds: np.ndarray) -> tuple[np.ndarray
     return channel_u, nlos, evo_u, evo_nlos, index, noise
 
 
-def _secret_beam_batch(cfg: SessionConfig, trial_seeds) -> _BeamBatch:
+def _secret_beam_batch(cfg: SessionConfig, trial_seeds, snr_db) -> _BeamBatch:
     """Run the session ``cfg`` describes once per trial seed, as its master seed.
 
-    The draws come from :func:`_beam_draws`; the rest is array math over
-    all trials.  A trial's row depends only on its seed, so any split of
-    the seeds into batches gives the same rows.
+    ``snr_db`` holds each trial's SNR, in place of ``cfg.snr_db``.  The
+    draws come from :func:`_beam_draws`; the rest is array math over all
+    trials.  A trial's row depends only on its seed and SNR, so any split
+    of the trials into batches gives the same rows.
     """
     trial_seeds = np.asarray(trial_seeds, dtype=np.uint64).reshape(-1)
     B, R, K, L = trial_seeds.size, cfg.rounds, cfg.levels, cfg.num_paths
@@ -356,9 +357,15 @@ def _secret_beam_batch(cfg: SessionConfig, trial_seeds) -> _BeamBatch:
     tx_b, lut_b = through_beams(cfg.bob, 2)
     scale = np.sqrt(cfg.alice.size * cfg.bob.size / cfg.num_paths)
 
-    sigma = np.sqrt(10.0 ** (-cfg.snr_db / 10.0) / 2.0)
-    eve_snr = cfg.snr_db if cfg.eve_snr_db is None else cfg.eve_snr_db
-    sigma_e = np.sqrt(10.0 ** (-eve_snr / 10.0) / 2.0)
+    def noise_scale(snr: float) -> float:
+        # on a Python float: numpy's array power need not round as pow() does,
+        # and the nearest-ratio argmin of `estimates` reads the last bit
+        return np.sqrt(10.0 ** (-snr / 10.0) / 2.0)
+
+    # one scale per distinct SNR, then a (B, 1) column of them
+    snrs, point = np.unique(np.asarray(snr_db, dtype=float), return_inverse=True)
+    sigma = np.array([noise_scale(snr) for snr in snrs.tolist()])[point][:, None]
+    sigma_e = sigma if cfg.eve_snr_db is None else noise_scale(cfg.eve_snr_db)
     trial = np.arange(B)[:, None]
 
     def pilots(tx_rx: np.ndarray, tx_tx: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -367,7 +374,7 @@ def _secret_beam_batch(cfg: SessionConfig, trial_seeds) -> _BeamBatch:
         base = scale * (alpha * tx_rx[:, None, :, 0])
         return _dots(base, tx_tx[:, None, :, 0]), _dots(base, tx_tx[trial, :, k + 1])
 
-    def estimates(lut: np.ndarray, y: tuple[np.ndarray, np.ndarray], n: np.ndarray, s: float) -> np.ndarray:
+    def estimates(lut: np.ndarray, y: tuple[np.ndarray, np.ndarray], n: np.ndarray, s: np.ndarray) -> np.ndarray:
         y0 = np.hypot(y[0].real + s * n[..., 0], y[0].imag + s * n[..., 1])
         y1 = np.hypot(y[1].real + s * n[..., 2], y[1].imag + s * n[..., 3])
         return np.argmin(np.abs(lut[:, None, :] - (y1 / y0)[..., None]), axis=-1)
@@ -422,7 +429,7 @@ def secret_beam_session(cfg: SessionConfig) -> SchemeResult:
     does, but must guess the host's own offsets uniformly.  This is a batch
     of one trial whose seed is ``cfg.master_seed``.
     """
-    batch = _secret_beam_batch(cfg, [cfg.master_seed])
+    batch = _secret_beam_batch(cfg, [cfg.master_seed], [cfg.snr_db])
     bar_legit = float(batch.bar_legit[0])
     eve = cfg.eve is not None
     return SchemeResult(

@@ -1,11 +1,13 @@
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mmkeygen.cli import main as cli_main
 from mmkeygen.experiments import (
+    _BEAM_BATCH,
     ConfigError,
     ResultRow,
     ResultTable,
@@ -15,7 +17,11 @@ from mmkeygen.experiments import (
     serialize_config,
     table_to_csv,
     write_csv,
+    _cases,
+    _mean_stderr,
+    _trial_seeds,
 )
+from mmkeygen.schemes import _secret_beam_batch
 
 MINIMAL_FIG2 = 'scenario = "fig2"\nmaster_seed = 7\n'
 
@@ -239,6 +245,9 @@ class TestRunScenario:
         cfg = parse_config(f'scenario = "fig2"\nmaster_seed = {master_seed}\ntrials = 3\n')
         expected = [derive_seed(master_seed, seeds.STREAM_TRIAL, 1, 2, 4, t) for t in range(3)]
         assert [int(s) for s in _trial_seeds(cfg, 2, 4, 3)] == expected
+        # several points at once: each point's trials in turn
+        expected = [derive_seed(master_seed, seeds.STREAM_TRIAL, 1, 2, p, t) for p in (4, 0, 1) for t in range(3)]
+        assert [int(s) for s in _trial_seeds(cfg, 2, [4, 0, 1], 3)] == expected
 
     def test_fig4_refuses_too_few_blocks(self):
         with pytest.raises(ConfigError, match="fig4 needs trials >= 2000"):
@@ -248,6 +257,42 @@ class TestRunScenario:
         bare = run_scenario(small_cfg("fig2", trials=4, snr_grid=[10]))
         grid = run_scenario(small_cfg("fig2", trials=4, snr_grid=[10], scheme={"grid_angles": 1}))
         assert table_to_csv(grid) != table_to_csv(bare)
+
+
+def per_point_rows(cfg):
+    """The rows of a secret-beam scenario with each point run as its own batches."""
+    rows = []
+    for case_idx, (outputs, template, trials) in enumerate(_cases(cfg)):
+        for snr_idx, snr in enumerate(cfg.snr_grid):
+            trial_seeds = _trial_seeds(cfg, case_idx, snr_idx, trials)
+            parts = []
+            for start in range(0, trials, _BEAM_BATCH):
+                piece = trial_seeds[start : start + _BEAM_BATCH]
+                batch = _secret_beam_batch(replace(template, snr_db=snr), piece, [snr] * piece.size)
+                parts.append(np.column_stack([getattr(batch, metric) for _, metric in outputs]))
+            values = np.concatenate(parts)
+            rows.extend(
+                ResultRow(cfg.scenario, label, snr, metric, *_mean_stderr(values[:, j]), trials, cfg.master_seed)
+                for j, (label, metric) in enumerate(outputs)
+            )
+    return tuple(rows)
+
+
+class TestSecretBeamPoints:
+    """A secret-beam case runs all its points as one stream of batches; its table is the per-point one."""
+
+    @pytest.mark.parametrize("trials", [1, 7, 63, 64, 65, 130])
+    @pytest.mark.parametrize("snr_grid", [[10], [0, 20], [20, 5, 0]])
+    @pytest.mark.parametrize(
+        "scenario, scheme", [("fig2", {}), ("custom", {"scheme": '"secret_beam"', "eve": '"alice"', "levels": 8})]
+    )
+    def test_table_equals_per_point_batches(self, scenario, scheme, snr_grid, trials):
+        cfg = small_cfg(scenario, trials=trials, snr_grid=snr_grid, **({"scheme": scheme} if scheme else {}))
+        table = run_scenario(cfg)
+        expected = per_point_rows(cfg)
+        assert table.rows == expected
+        assert table_to_csv(table) == table_to_csv(ResultTable(rows=expected))
+        assert {r.metric for r in table.rows} == {"bar_legit", "bar_eve"}
 
 
 class TestFixedKeys:

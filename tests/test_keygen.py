@@ -14,6 +14,7 @@ from mmkeygen.keygen import (
     InsufficientSamplesError,
     QuantizerConfig,
     _calibrated_cells,
+    _calibration_range,
     _plugin_entropy_bits,
     bar,
     cascade,
@@ -501,6 +502,43 @@ def reference_key_entropy_rate(samples, cfg):
     joint = (cells * np.asarray(weights, dtype=np.int64)[:, None]).sum(axis=0)
     _, joint_counts = np.unique(joint, return_counts=True)
     return _plugin_entropy_bits(joint_counts) / mean_single
+
+
+class TestCalibrationRange:
+    """The sorted-row percentiles against ``np.percentile``, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(got, ref):
+        assert got.shape == ref.shape
+        same = got.view(np.uint64) == ref.view(np.uint64)
+        # np.sort and the partition of np.percentile may order a tied 0.0 and
+        # -0.0 differently, so a zero may come out with either sign
+        assert (same | ((got == 0.0) & (ref == 0.0))).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        cols=st.one_of(st.integers(1, 2), st.integers(1, 3000)),
+        distinct=st.sampled_from([None, 1, 2, 5]),
+        specials=st.lists(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]), max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_numpy_percentile(self, rows, cols, distinct, specials, seed):
+        r = rng(seed)
+        x = r.standard_normal((rows, cols)) * 10.0
+        if distinct is not None:
+            # few distinct values: ties at and around the percentile indices
+            x = r.choice(np.array([-0.0, 0.0, 1.5, -2.0, 7.25])[:distinct], size=(rows, cols))
+        for value in specials:
+            x[r.integers(rows), r.integers(cols)] = value
+        with np.errstate(invalid="ignore"):
+            lo, hi = _calibration_range(x)
+            self.assert_same_bits(np.stack((lo, hi)), np.percentile(x, (1.0, 99.0), axis=-1))
+            # QuantizerConfig.calibrated pools its samples into one row
+            pooled = np.stack(_calibration_range(x.ravel()))
+            self.assert_same_bits(pooled, np.percentile(x, (1.0, 99.0)))
+        nan_rows = np.isnan(x).any(axis=-1)
+        assert np.isnan(lo[nan_rows]).all() and np.isnan(hi[nan_rows]).all()
 
 
 class TestEntropyRateMatchesReference:

@@ -228,6 +228,8 @@ def reference_beam_bits(cfg):
 
 # edge words of SeedSequence's uint32 coercion, plus arbitrary u64 seeds
 U64_SEEDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1))
+# per-trial SNRs of a batch: the fig2 grid, and values off it
+TRIAL_SNRS = st.one_of(st.sampled_from([0.0, 5.0, 10.0, 15.0, 20.0]), st.floats(-10.0, 40.0))
 
 
 @st.composite
@@ -264,11 +266,12 @@ class TestSecretBeamBatch:
     """The trial batch against the per-round reference, stream for stream."""
 
     @settings(max_examples=60, deadline=None)
-    @given(secret_beam_configs(), st.lists(U64_SEEDS, min_size=1, max_size=4))
-    def test_streams_equal_per_round_reference(self, cfg, trial_seeds):
-        batch = _secret_beam_batch(cfg, np.array(trial_seeds, dtype=np.uint64))
-        for row, seed in enumerate(trial_seeds):
-            ref = reference_beam_bits(replace(cfg, master_seed=seed))
+    @given(secret_beam_configs(), st.lists(st.tuples(U64_SEEDS, TRIAL_SNRS), min_size=1, max_size=4))
+    def test_streams_equal_per_round_reference(self, cfg, trials):
+        trial_seeds, snrs = zip(*trials)
+        batch = _secret_beam_batch(cfg, np.array(trial_seeds, dtype=np.uint64), snrs)
+        for row, (seed, snr) in enumerate(trials):
+            ref = reference_beam_bits(replace(cfg, master_seed=seed, snr_db=snr))
             for name, bits in ref.items():
                 assert np.array_equal(getattr(batch, name)[row], bits), name
             assert batch.bar_legit[row] == (ref["final_alice"] == ref["final_bob"]).mean()
@@ -277,13 +280,18 @@ class TestSecretBeamBatch:
             assert np.isnan(batch.bar_eve).all()
 
     @settings(max_examples=30, deadline=None)
-    @given(secret_beam_configs(), st.lists(U64_SEEDS, min_size=1, max_size=6), st.data())
-    def test_chunk_invariance(self, cfg, trial_seeds, data):
-        trial_seeds = np.array(trial_seeds, dtype=np.uint64)
-        whole = _secret_beam_batch(cfg, trial_seeds)
+    @given(secret_beam_configs(), st.lists(st.tuples(U64_SEEDS, TRIAL_SNRS), min_size=1, max_size=6), st.data())
+    def test_chunk_invariance(self, cfg, trials, data):
+        # each row has its own SNR, and cfg.snr_db is read by none of them
+        trial_seeds = np.array([seed for seed, _ in trials], dtype=np.uint64)
+        snrs = np.array([snr for _, snr in trials])
+        whole = _secret_beam_batch(replace(cfg, snr_db=float("nan")), trial_seeds, snrs)
         cuts = sorted(data.draw(st.sets(st.integers(1, len(trial_seeds) - 1))) if len(trial_seeds) > 1 else ())
-        for pieces in (np.split(trial_seeds, cuts), np.split(trial_seeds, len(trial_seeds))):
-            parts = [_secret_beam_batch(cfg, piece) for piece in pieces]
+        for pieces in (cuts, len(trial_seeds)):
+            parts = [
+                _secret_beam_batch(cfg, seeds_piece, snrs_piece)
+                for seeds_piece, snrs_piece in zip(np.split(trial_seeds, pieces), np.split(snrs, pieces))
+            ]
             joined = type(whole)(
                 **{
                     name: None if getattr(whole, name) is None else np.concatenate([getattr(p, name) for p in parts])
