@@ -86,6 +86,20 @@ GOLDEN = {
         '[scheme]\nscheme = "baseline"\nalice_cols = 16\nbob_cols = 16\n',
         "7ba35b33e94feafd15d9bd1314b2b64cf3ed67d02f2aa39c7fa5573d79d55bb0",
     ),
+    # sounding on planar arrays: every axis of the angular transform has
+    # more than one bin, and the baseline pools several rounds
+    "custom-virtual-upa": (
+        'scenario = "custom"\nmaster_seed = 6\ntrials = 4\nsnr_grid = -5, 5\n'
+        '[scheme]\nscheme = "virtual"\nalice_rows = 4\nalice_cols = 8\nbob_rows = 2\nbob_cols = 8\n'
+        "num_paths = 3\nrounds_per_trial = 2\n",
+        "856fd52dc7609c11f70f51cd5128e4ac56689ffe0569e74562a551944e7fc930",
+    ),
+    "custom-baseline-upa": (
+        'scenario = "custom"\nmaster_seed = 8\ntrials = 3\nsnr_grid = 0, 10\n'
+        '[scheme]\nscheme = "baseline"\nalice_rows = 2\nalice_cols = 4\nbob_rows = 4\nbob_cols = 4\n'
+        "levels = 8\nrounds_per_trial = 3\n",
+        "cd09770b89b67fcb67d9bf90b7472fa394c7aaf5534514be31ce0dc36db08d66",
+    ),
     # stderr is the jackknife that fig4 reports
     "custom-multires": (
         'scenario = "custom"\nmaster_seed = 5\ntrials = 2000\nsnr_grid = 10\n'
