@@ -190,9 +190,15 @@ def channel_matrix(ch: ChannelRealization) -> np.ndarray:
     conjugate steering beamformer is matched on both sides of a reciprocal
     exchange.
     """
+    return _channel_matrix(ch, np.empty((ch.rx_geom.size, ch.tx_geom.size), dtype=complex))
+
+
+def _channel_matrix(ch: ChannelRealization, out: np.ndarray) -> np.ndarray:
+    """:func:`channel_matrix` written into ``out``, a complex (rx_size, tx_size) array."""
     a_rx, a_tx = response_matrices(ch)
     scale = np.sqrt(ch.tx_geom.size * ch.rx_geom.size / ch.num_paths)
-    return scale * ((a_rx * ch.gains) @ a_tx.T)
+    np.matmul(a_rx * ch.gains, a_tx.T, out=out)
+    return np.multiply(scale, out, out=out)
 
 
 def evolve(ch: ChannelRealization, rho: float, rng: np.random.Generator, steps: int) -> np.ndarray:
@@ -227,13 +233,18 @@ def virtual_channel(H: np.ndarray, tx_geom: ArrayGeometry, rx_geom: ArrayGeometr
             f"dimension mismatch: H is {H.shape}, geometries give "
             f"({rx_geom.size}, {tx_geom.size})"
         )
-    if H.size == 1:
-        # no axis to transform: still a new array, never H itself
-        return np.array(H, dtype=complex)
+    return _virtual_channel(np.array(H, dtype=complex), tx_geom, rx_geom)
+
+
+def _virtual_channel(H: np.ndarray, tx_geom: ArrayGeometry, rx_geom: ArrayGeometry) -> np.ndarray:
+    """:func:`virtual_channel` of a C-contiguous complex ``H``, computed in place.
+
+    numpy defines a ufunc whose output overlaps its input to give the result
+    it gives without the overlap; its FFT does so without a copy of ``H``.
+    """
     shape = (rx_geom.rows, rx_geom.cols, tx_geom.rows, tx_geom.cols)
-    # the FFTs never write their input, so they read H without a copy
-    Hv = np.asarray(H, dtype=complex).reshape(shape)
+    Hv = H.reshape(shape)
     for axis, n in enumerate(shape):
         if n > 1:
-            Hv = (np.fft.ifft if axis < 2 else np.fft.fft)(Hv, axis=axis, norm="ortho")
-    return Hv.reshape(H.shape)
+            (np.fft.ifft if axis < 2 else np.fft.fft)(Hv, axis=axis, norm="ortho", out=Hv)
+    return H

@@ -32,7 +32,6 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
 
 import numpy as np
 
@@ -48,9 +47,8 @@ from .schemes import (
     SessionConfig,
     _probe_entropy_rate,
     _secret_beam_batch,
-    baseline_channel_quant_session,
+    _sounding_symbols,
     multires_session,
-    virtual_angle_session,
 )
 
 SCENARIOS = ("fig2", "fig3", "fig4", "cascade-bench", "custom")
@@ -579,50 +577,45 @@ def _multires_point(session: SessionConfig) -> list[tuple[float, float]]:
     ]
 
 
-def _secret_beam_points(cfg: ExperimentConfig, case_idx: int, template: SessionConfig, trials: int, metrics):
-    """The (value, stderr) of each metric at each SNR point of a secret-beam case, in grid order.
+def _symbols_bdr(symbols_a: np.ndarray, symbols_b: np.ndarray, bits: int) -> float:
+    """``1 - bar`` of the bits the two parties' key symbols pack into, from the same exact count ``bar`` takes."""
+    total = symbols_a.size * bits
+    return 1.0 - (total - int(np.bitwise_count(symbols_a ^ symbols_b).sum())) / total
 
-    Every point's trials run as one stream of batches.  A row depends only
-    on its seed and SNR, so each point's values are those of its own batches.
+
+def _trial_points(cfg: ExperimentConfig, case_idx: int, template: SessionConfig, trials: int, metrics):
+    """The (value, stderr) of each metric at each SNR point of a secret-beam, virtual or baseline case, in grid order.
+
+    All points' trials run as one stream, of batches or through one sounding
+    loop.  A trial depends only on its seed and SNR, so a point's values are
+    those of its own trials.
     """
     points = len(cfg.snr_grid)
     trial_seeds = _trial_seeds(cfg, case_idx, range(points), trials)
     snrs = np.repeat(cfg.snr_grid, trials)
-    parts = []
-    for start in range(0, trial_seeds.size, _BEAM_BATCH):
-        stop = start + _BEAM_BATCH
-        batch = _secret_beam_batch(template, trial_seeds[start:stop], snrs[start:stop])
-        parts.append(np.column_stack([getattr(batch, metric) for metric in metrics]))
-    return [[_mean_stderr(column) for column in values.T] for values in np.split(np.concatenate(parts), points)]
-
-
-def _session_point(cfg: ExperimentConfig, case_idx: int, snr_idx: int, session: SessionConfig, trials: int, metrics):
-    """The (value, stderr) of each metric at one point of a multires, virtual or baseline case."""
-    if session.scheme == "multires":
-        # one long session of `trials` coherence blocks per point
-        seed = int(_trial_seeds(cfg, case_idx, snr_idx, 1)[0])
-        return _multires_point(replace(session, rounds=trials, master_seed=seed))
-    run = {"virtual": virtual_angle_session, "baseline": baseline_channel_quant_session}[session.scheme]
-    # keep only the metric floats: a session's result is freed before the
-    # next trial's session runs
-    floats = attrgetter(*metrics)
-    values = np.empty((trials, len(metrics)))
-    for trial_idx, seed in enumerate(_trial_seeds(cfg, case_idx, snr_idx, trials).tolist()):
-        values[trial_idx] = floats(run(replace(session, master_seed=seed)))
-    return [_mean_stderr(column) for column in values.T]
+    if template.scheme == "secret_beam":
+        chunks = [slice(start, start + _BEAM_BATCH) for start in range(0, trial_seeds.size, _BEAM_BATCH)]
+        batches = (_secret_beam_batch(template, trial_seeds[chunk], snrs[chunk]) for chunk in chunks)
+        values = np.concatenate([np.column_stack([getattr(batch, m) for m in metrics]) for batch in batches])
+    else:
+        # Python ints and floats, as a session's master seed and SNR are
+        symbols = _sounding_symbols(template, trial_seeds.tolist(), snrs.tolist())
+        values = np.array([[_symbols_bdr(a, b, bits)] for a, b, bits in symbols])
+    return [[_mean_stderr(column) for column in part.T] for part in np.split(values, points)]
 
 
 def _run_sessions(cfg: ExperimentConfig) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for case_idx, (outputs, template, trials) in enumerate(_cases(cfg)):
-        metrics = [metric for _, metric in outputs]
-        if template.scheme == "secret_beam":
-            points = _secret_beam_points(cfg, case_idx, template, trials, metrics)
-        else:
+        if template.scheme == "multires":
+            # one long session of `trials` coherence blocks per point
+            point_seeds = _trial_seeds(cfg, case_idx, range(len(cfg.snr_grid)), 1).tolist()
             points = (
-                _session_point(cfg, case_idx, snr_idx, replace(template, snr_db=snr), trials, metrics)
-                for snr_idx, snr in enumerate(cfg.snr_grid)
+                _multires_point(replace(template, snr_db=snr, rounds=trials, master_seed=seed))
+                for snr, seed in zip(cfg.snr_grid, point_seeds)
             )
+        else:
+            points = _trial_points(cfg, case_idx, template, trials, [metric for _, metric in outputs])
         for snr, stats in zip(cfg.snr_grid, points):
             rows.extend(
                 ResultRow(cfg.scenario, label, snr, metric, value, stderr, trials, cfg.master_seed)

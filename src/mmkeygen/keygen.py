@@ -67,13 +67,6 @@ class BitString:
         return f"BitString({len(self)} bits: {head}{tail})"
 
 
-def concat_bits(parts) -> BitString:
-    arrays = [p.bits for p in parts]
-    if not arrays:
-        return BitString.zeros(0)
-    return BitString(bits=np.concatenate(arrays))
-
-
 def extract_randomness(samples) -> np.ndarray:
     """Remove the deterministic part of a probe stream, or of each row of (P, T) streams: subtract its mean."""
     arr = np.asarray(samples, dtype=float)

@@ -22,7 +22,6 @@ included): all randomness flows through labelled streams derived in
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,9 +41,10 @@ from .channel import (
     ArrayGeometry,
     ChannelRealization,
     _ar1,
+    _channel_matrix,
     _innovations,
+    _virtual_channel,
     array_response,
-    channel_matrix,
     evolve,
     sample_channel,
     virtual_channel,
@@ -55,12 +55,10 @@ from .keygen import (
     bar,
     _calibrated_cells,
     _cells_entropy_rate,
-    concat_bits,
     extract_randomness,
     gray_encode_indices,
     key_entropy_rate,
     pack_indices,
-    quantize,
 )
 from .probing import bidirectional_probe
 
@@ -105,6 +103,8 @@ class SessionConfig:
         if not 0.0 <= self.temporal_rho <= 1.0:
             raise ValueError(f"temporal_rho must lie in [0, 1], got {self.temporal_rho}")
         QuantizerConfig(levels=self.levels)
+        if self.scheme == "virtual" and self.num_paths > self.alice.size * self.bob.size:
+            raise ValueError(f"num_paths={self.num_paths} exceeds the {self.alice.size * self.bob.size} angular bins")
         if self.scheme == "secret_beam":
             # the broadside sine offset must stay inside the first-null spacing
             # of each party's azimuth aperture or the ratio curve folds for
@@ -460,14 +460,33 @@ def estimate_channel(H: np.ndarray, snr_db: float, rng: np.random.Generator) -> 
     ``H + sigma * (re + 1j * im)``.
     """
     H = np.asarray(H)
+    return _estimate(H, snr_db, rng, np.empty(H.shape, dtype=complex), np.empty(H.shape))
+
+
+def _estimate(H: np.ndarray, snr_db: float, rng: np.random.Generator, est: np.ndarray, draw: np.ndarray) -> np.ndarray:
+    """:func:`estimate_channel` written into ``est``, drawing into ``draw``, a float array of H's shape."""
     sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
-    est = np.empty(H.shape, dtype=complex)
-    draw = rng.standard_normal(H.shape)
-    est.real = draw
+    est.real = rng.standard_normal(out=draw)
     est.imag = rng.standard_normal(out=draw)
     est *= sigma
     est += H
     return est
+
+
+def _bin_symbols(mag: np.ndarray, count: int) -> tuple[np.ndarray, int]:
+    """The first ``count`` bins of the 2-D ``mag`` by (-magnitude, flat index), ascending, and the bits of each.
+
+    A bin is ``row << b | col``, ``b`` the bits of a column index.  Each pass
+    takes ``argmax`` (a tie's lowest index) and sets that bin to -inf.
+    """
+    row_bits, col_bits = (max(1, (n - 1).bit_length()) for n in mag.shape)
+    flat = mag.reshape(-1)
+    top = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        top[i] = np.argmax(flat)
+        flat[top[i]] = -np.inf
+    rows, cols = np.divmod(np.sort(top), mag.shape[1])
+    return rows << col_bits | cols, row_bits + col_bits
 
 
 def virtual_angle_bits(
@@ -478,60 +497,73 @@ def virtual_angle_bits(
 ) -> BitString:
     """Encode the positions of the strongest angular-domain bins.
 
-    Takes the ``num_paths`` largest-magnitude entries of the virtual matrix,
-    sorts the (row, col) pairs lexicographically (order-canonical without
-    any exchange), and emits each pair as fixed-width binary.
+    Takes the ``num_paths`` largest-magnitude entries of the virtual matrix
+    (a tie goes to the lower flat index), sorts the (row, col) pairs
+    lexicographically (order-canonical without any exchange), and emits
+    each pair as fixed-width binary.
     """
     H_v = virtual_channel(H_hat, tx_geom, rx_geom)
-    n_bins = H_v.size
-    if num_paths > n_bins:
-        raise ValueError(f"cannot select {num_paths} bins from {n_bins}")
-    mag = np.abs(H_v).ravel()
-    top = np.argpartition(mag, n_bins - num_paths)[n_bins - num_paths:]
-    # deterministic under ties: order by (-magnitude, flat index), keep top L
-    top = top[np.lexsort((top, -mag[top]))][:num_paths]
-    # ascending flat indices are the (row, col) pairs in lexicographic order
-    rows, cols = np.unravel_index(np.sort(top), H_v.shape)
-    width_r = max(1, (rx_geom.size - 1).bit_length())
-    width_t = max(1, (tx_geom.size - 1).bit_length())
-    bits_r = pack_indices(rows, width_r).bits.reshape(-1, width_r)
-    bits_t = pack_indices(cols, width_t).bits.reshape(-1, width_t)
-    return BitString(np.hstack((bits_r, bits_t)).ravel())
+    if num_paths > H_v.size:
+        raise ValueError(f"cannot select {num_paths} bins from {H_v.size}")
+    return pack_indices(*_bin_symbols(np.abs(H_v), num_paths))
 
 
-def _estimate_pairs(cfg: SessionConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Alice's and Bob's estimates of a fresh channel matrix, one pair per round."""
-    for t in range(cfg.rounds):
-        rng_ch, rng_a, rng_b = (
-            seeds.generator(cfg.master_seed, tag, t)
-            for tag in (seeds.STREAM_CHANNEL, seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB)
-        )
-        H = channel_matrix(_session_channel(cfg, rng_ch))
-        yield estimate_channel(H, cfg.snr_db, rng_a), estimate_channel(H, cfg.snr_db, rng_b)
+def _sounding_symbols(cfg: SessionConfig, trial_seeds, snr_db):
+    """Alice's and Bob's key symbols, and the bits of one, for each trial of the session ``cfg``.
+
+    Trial ``i`` runs at master seed ``trial_seeds[i]`` and SNR ``snr_db[i]``;
+    each round, a fresh channel is estimated by each party on its own noise
+    stream.  The symbols of a virtual session are each round's strongest
+    bins, as :func:`virtual_angle_bits` selects them; those of a baseline
+    session, the Gray-coded cells of its pooled estimates.  Every trial
+    writes into one set of buffers; the symbols are new arrays.
+    """
+    virtual, shape = cfg.scheme == "virtual", (cfg.bob.size, cfg.alice.size)
+    H, draw = np.empty(shape, dtype=complex), np.empty(shape)
+    if virtual:
+        est, mag = np.empty(shape, dtype=complex), np.empty(shape)
+    else:
+        # each party's estimates of every round, pooled for one quantizer
+        pools = np.empty((2, cfg.rounds) + shape, dtype=complex)
+    tags = (seeds.STREAM_CHANNEL, seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB)
+    for seed, snr in zip(trial_seeds, snr_db):
+        symbols = np.empty((2, cfg.rounds, cfg.num_paths), dtype=np.int64)
+        for t in range(cfg.rounds):
+            rng_ch, *rngs = (seeds.generator(seed, tag, t) for tag in tags)
+            _channel_matrix(_session_channel(cfg, rng_ch), H)
+            for party, rng in enumerate(rngs):
+                if virtual:
+                    np.abs(_virtual_channel(_estimate(H, snr, rng, est, draw), cfg.alice, cfg.bob), out=mag)
+                    symbols[party, t], bits = _bin_symbols(mag, cfg.num_paths)
+                else:
+                    _estimate(H, snr, rng, pools[party, t], draw)
+        if virtual:
+            yield symbols[0].ravel(), symbols[1].ravel(), bits
+            continue
+        # each party's (re, im) samples, mean-removed in place as extract_randomness
+        # does it, on one range calibrated on Alice's
+        samples = pools.view(np.float64).reshape(2, -1)
+        samples -= samples.mean(axis=1, keepdims=True)
+        quantizer = QuantizerConfig.calibrated(samples[0], levels=cfg.levels)
+        cells = _calibrated_cells(samples, cfg.levels, quantizer.lo, quantizer.hi)
+        cells ^= cells >> 1
+        yield cells[0], cells[1], cfg.levels.bit_length() - 1
 
 
-def _sounding_result(bits_a: BitString, bits_b: BitString, cfg: SessionConfig) -> SchemeResult:
-    """The result of a sounding session, whose keys are its parties' bit streams as they are."""
+def _sounding_session(cfg: SessionConfig) -> SchemeResult:
+    """The trial of :func:`_sounding_symbols` at ``cfg``'s seed and SNR; its keys are its bits as they are."""
+    [(symbols_a, symbols_b, bits)] = _sounding_symbols(cfg, [cfg.master_seed], [cfg.snr_db])
+    bits_a, bits_b = pack_indices(symbols_a, bits), pack_indices(symbols_b, bits)
     agreement = bar(bits_a, bits_b)
     return SchemeResult(
-        bits_alice=bits_a,
-        bits_bob=bits_b,
-        final_key_alice=bits_a,
-        final_key_bob=bits_b,
-        bar_legit=agreement,
-        bdr=1.0 - agreement,
-        leaked_bits=0,
-        probes_used=2 * cfg.rounds,
+        bits_alice=bits_a, bits_bob=bits_b, final_key_alice=bits_a, final_key_bob=bits_b,
+        bar_legit=agreement, bdr=1.0 - agreement, leaked_bits=0, probes_used=2 * cfg.rounds,
     )
 
 
 def virtual_angle_session(cfg: SessionConfig) -> SchemeResult:
     """Aggregate virtual-angle bit disagreement over independent channels."""
-    parts_a, parts_b = zip(
-        *([virtual_angle_bits(h, cfg.num_paths, cfg.alice, cfg.bob) for h in pair] for pair in _estimate_pairs(cfg))
-    )
-    bits_a, bits_b = concat_bits(parts_a), concat_bits(parts_b)
-    return _sounding_result(bits_a, bits_b, cfg)
+    return _sounding_session(replace(cfg, scheme="virtual"))
 
 
 def baseline_channel_quant_session(cfg: SessionConfig) -> SchemeResult:
@@ -541,12 +573,7 @@ def baseline_channel_quant_session(cfg: SessionConfig) -> SchemeResult:
     entry; the quantizer range is calibrated on Alice's pooled samples and
     announced publicly (calibration is side information, not key material).
     """
-    # a contiguous complex128 array viewed as float64 is (re, im) interleaved
-    streams_a, streams_b = zip(*([h.view(np.float64).ravel() for h in pair] for pair in _estimate_pairs(cfg)))
-    samples_a = extract_randomness(np.concatenate(streams_a))
-    samples_b = extract_randomness(np.concatenate(streams_b))
-    quantizer = QuantizerConfig.calibrated(samples_a, levels=cfg.levels)
-    return _sounding_result(quantize(samples_a, quantizer), quantize(samples_b, quantizer), cfg)
+    return _sounding_session(replace(cfg, scheme="baseline"))
 
 
 # ---------------------------------------------------------------------------

@@ -475,6 +475,20 @@ class TestCli:
         assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("num_paths, code", [(5, 1), (4, 0)])
+    def test_virtual_paths_limited_by_angular_bins(self, tmp_path, capsys, num_paths, code):
+        # 2 x 2 elements give 4 angular bins; 5 paths used to pass validate
+        # and fail mid-run with exit 2
+        cfg = self._write(
+            tmp_path,
+            'scenario = "custom"\nmaster_seed = 1\ntrials = 2\nsnr_grid = 10\n'
+            f'[scheme]\nscheme = "virtual"\nalice_cols = 2\nbob_cols = 2\nnum_paths = {num_paths}\n',
+        )
+        assert cli_main(["validate", "--config", cfg]) == code
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == code
+        if code:
+            assert "num_paths=5 exceeds the 4 angular bins" in capsys.readouterr().err
+
     def test_validate_accepts_deepest_multires_codebook(self, tmp_path):
         # depth 6 on 64 columns with all 126 codewords selected is the limit
         cfg = self._write(

@@ -18,7 +18,6 @@ from mmkeygen.keygen import (
     _plugin_entropy_bits,
     bar,
     cascade,
-    concat_bits,
     extract_randomness,
     gray_encode_indices,
     key_entropy_rate,
@@ -26,7 +25,7 @@ from mmkeygen.keygen import (
     privacy_amplify,
     quantize,
 )
-from reference import cell_indices, toeplitz_hash
+from reference import cell_indices, concat_bits, toeplitz_hash
 
 
 def rng(seed=0):

@@ -20,11 +20,11 @@ from mmkeygen.keygen import (
     QuantizerConfig,
     _calibrated_cells,
     bar,
-    concat_bits,
     extract_randomness,
     gray_encode_indices,
     key_entropy_rate,
     pack_indices,
+    quantize,
 )
 from mmkeygen.schemes import (
     SessionConfig,
@@ -38,7 +38,8 @@ from mmkeygen.schemes import (
     virtual_angle_bits,
     virtual_angle_session,
 )
-from reference import cell_indices
+from mmkeygen.experiments import _symbols_bdr
+from reference import cell_indices, concat_bits
 
 
 def rng(seed=0):
@@ -457,12 +458,14 @@ class TestVirtualAngleBits:
 
 
 def reference_angle_bits(H_hat, num_paths, tx_geom, rx_geom):
-    """The per-pair loop of ``virtual_angle_bits``: one ``pack_indices`` call per row and per column."""
+    """The per-pair loop of ``virtual_angle_bits``: one ``pack_indices`` call per row and per column.
+
+    The bins are the first ``num_paths`` of all bins sorted by (-magnitude,
+    flat index).
+    """
     H_v = virtual_channel(H_hat, tx_geom, rx_geom)
-    n_bins = H_v.size
     mag = np.abs(H_v).ravel()
-    top = np.argpartition(mag, n_bins - num_paths)[n_bins - num_paths:]
-    top = top[np.lexsort((top, -mag[top]))][:num_paths]
+    top = np.lexsort((np.arange(mag.size), -mag))[:num_paths]
     rows, cols = np.unravel_index(np.sort(top), H_v.shape)
     width_r = max(1, (rx_geom.size - 1).bit_length())
     width_t = max(1, (tx_geom.size - 1).bit_length())
@@ -532,6 +535,100 @@ class TestVirtualSession:
             for snr in (-20.0, -10.0, 0.0, 10.0)
         ]
         assert all(a >= b - 0.01 for a, b in zip(bdrs, bdrs[1:]))
+
+
+class TestBinSymbols:
+    @pytest.mark.parametrize("shape", [(8, 8), (1, 5), (3, 4), (16, 2)])
+    def test_ties_go_to_the_lower_flat_index(self, shape):
+        # all-zero and small-integer magnitudes tie at every level
+        r = rng(sum(shape))
+        n = shape[0] * shape[1]
+        row_bits, col_bits = (max(1, (size - 1).bit_length()) for size in shape)
+        for mag in [np.zeros(shape)] + [r.integers(0, 4, shape).astype(float) for _ in range(20)]:
+            for count in range(1, n + 1):
+                expected = np.sort(np.lexsort((np.arange(n), -mag.ravel()))[:count])
+                rows, cols = np.divmod(expected, shape[1])
+                symbols, bits = schemes._bin_symbols(mag.copy(), count)
+                assert symbols.tolist() == (rows * 2**col_bits + cols).tolist() and bits == row_bits + col_bits
+
+    def test_all_zero_selects_first_bins(self):
+        geom = ArrayGeometry(1, 8)
+        bits = virtual_angle_bits(np.zeros((8, 8)), 3, geom, geom)
+        # rows 0, 0, 0 and columns 0, 1, 2, three bits each
+        assert bits.bits.tolist() == [0, 0, 0, 0, 0, 0] + [0, 0, 0, 0, 0, 1] + [0, 0, 0, 0, 1, 0]
+
+
+def reference_sounding_bits(cfg, virtual):
+    """Both parties' bits of one virtual or baseline session, from the public functions on fresh arrays.
+
+    This is the per-round loop the sounding loop replaced.
+    """
+    streams = ([], [])
+    for t in range(cfg.rounds):
+        rng_ch, rng_a, rng_b = (
+            seeds.generator(cfg.master_seed, tag, t)
+            for tag in (seeds.STREAM_CHANNEL, seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB)
+        )
+        H = channel_matrix(_session_channel(cfg, rng_ch))
+        for stream, r in zip(streams, (rng_a, rng_b)):
+            stream.append(estimate_channel(H, cfg.snr_db, r))
+    if virtual:
+        return [concat_bits(virtual_angle_bits(h, cfg.num_paths, cfg.alice, cfg.bob) for h in s) for s in streams]
+    a, b = (extract_randomness(np.concatenate([h.view(np.float64).ravel() for h in s])) for s in streams)
+    quantizer = QuantizerConfig.calibrated(a, levels=cfg.levels)
+    return [quantize(a, quantizer), quantize(b, quantizer)]
+
+
+class TestSoundingLoop:
+    @pytest.mark.parametrize("virtual", [True, False], ids=["virtual", "baseline"])
+    @pytest.mark.parametrize(
+        "alice, bob",
+        [(ArrayGeometry(1, 16), ArrayGeometry(1, 8)), (ArrayGeometry(4, 4), ArrayGeometry(2, 4))],
+        ids=["ula", "upa"],
+    )
+    @pytest.mark.parametrize("grid", [False, True], ids=["grid0", "grid1"])
+    @pytest.mark.parametrize("rounds", [1, 3])
+    def test_trials_equal_sessions_and_reference(self, virtual, alice, bob, grid, rounds):
+        # one loop over several trials, so its buffers carry from trial to
+        # trial; each trial against a fresh session and the fresh-array loop
+        cfg = fig3_cfg(
+            scheme="virtual" if virtual else "baseline", alice=alice, bob=bob, rounds=rounds, grid_angles=grid, levels=8
+        )
+        trial_seeds, snrs = [3, 2**64 - 1, 40, 41], [-10.0, 0.0, 5.0, -10.0]
+        trials = list(schemes._sounding_symbols(cfg, trial_seeds, snrs))
+        assert len(trials) == len(trial_seeds)
+        session = virtual_angle_session if virtual else baseline_channel_quant_session
+        for (a, b, width), seed, snr in zip(trials, trial_seeds, snrs):
+            trial_cfg = replace(cfg, master_seed=seed, snr_db=snr)
+            res = session(trial_cfg)
+            ref_a, ref_b = reference_sounding_bits(trial_cfg, virtual)
+            assert res.bits_alice.equals(ref_a) and res.bits_bob.equals(ref_b)
+            assert pack_indices(a, width).equals(ref_a) and pack_indices(b, width).equals(ref_b)
+            assert _symbols_bdr(a, b, width) == 1.0 - bar(res.bits_alice, res.bits_bob) == res.bdr
+
+    @pytest.mark.parametrize("virtual", [True, False], ids=["virtual", "baseline"])
+    def test_results_share_no_memory_with_buffers(self, virtual, monkeypatch):
+        buffers = []
+        loop = schemes._sounding_symbols
+
+        def spy(*args):
+            gen = loop(*args)
+            for symbols in gen:
+                # the loop's arrays, as it holds them while its trial is read
+                buffers.extend(v for v in gen.gi_frame.f_locals.values() if isinstance(v, np.ndarray))
+                yield symbols
+
+        monkeypatch.setattr(schemes, "_sounding_symbols", spy)
+        session = virtual_angle_session if virtual else baseline_channel_quant_session
+        cfg = fig3_cfg(scheme="virtual" if virtual else "baseline", alice=ArrayGeometry(1, 16), bob=ArrayGeometry(2, 4))
+        first = session(replace(cfg, rounds=2))
+        kept = [first.bits_alice.bits.copy(), first.bits_bob.bits.copy()]
+        assert len(buffers) >= 3
+        results = [first.bits_alice, first.bits_bob, first.final_key_alice, first.final_key_bob]
+        for bits in results:
+            assert not any(np.shares_memory(bits.bits, buf) for buf in buffers)
+        session(replace(cfg, rounds=2, master_seed=99, snr_db=20.0))
+        assert np.array_equal(first.bits_alice.bits, kept[0]) and np.array_equal(first.bits_bob.bits, kept[1])
 
 
 class TestMultires:
