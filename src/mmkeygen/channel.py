@@ -233,18 +233,14 @@ def virtual_channel(H: np.ndarray, tx_geom: ArrayGeometry, rx_geom: ArrayGeometr
             f"dimension mismatch: H is {H.shape}, geometries give "
             f"({rx_geom.size}, {tx_geom.size})"
         )
-    return _virtual_channel(np.array(H, dtype=complex), tx_geom, rx_geom)
+    return _virtual_channel(np.array(H, dtype=complex, order="C"), tx_geom, rx_geom)
 
 
 def _virtual_channel(H: np.ndarray, tx_geom: ArrayGeometry, rx_geom: ArrayGeometry) -> np.ndarray:
-    """:func:`virtual_channel` of a C-contiguous complex ``H``, computed in place.
-
-    numpy defines a ufunc whose output overlaps its input to give the result
-    it gives without the overlap; its FFT does so without a copy of ``H``.
-    """
+    """:func:`virtual_channel` of a complex ``H``, in place if ``H`` is C-contiguous (an FFT may write its input)."""
     shape = (rx_geom.rows, rx_geom.cols, tx_geom.rows, tx_geom.cols)
     Hv = H.reshape(shape)
     for axis, n in enumerate(shape):
         if n > 1:
             (np.fft.ifft if axis < 2 else np.fft.fft)(Hv, axis=axis, norm="ortho", out=Hv)
-    return H
+    return Hv.reshape(H.shape)

@@ -45,9 +45,10 @@ from .keygen import (
 )
 from .schemes import (
     SessionConfig,
+    _baseline_symbols,
     _probe_entropy_rate,
     _secret_beam_batch,
-    _sounding_symbols,
+    _virtual_symbols,
     multires_session,
 )
 
@@ -578,7 +579,7 @@ def _multires_point(session: SessionConfig) -> list[tuple[float, float]]:
 
 
 def _symbols_bdr(symbols_a: np.ndarray, symbols_b: np.ndarray, bits: int) -> float:
-    """``1 - bar`` of the bits the two parties' key symbols pack into, from the same exact count ``bar`` takes."""
+    """``1 - bar`` of the bits two parties' key symbols pack into, by the exact count ``bar`` takes."""
     total = symbols_a.size * bits
     return 1.0 - (total - int(np.bitwise_count(symbols_a ^ symbols_b).sum())) / total
 
@@ -586,9 +587,9 @@ def _symbols_bdr(symbols_a: np.ndarray, symbols_b: np.ndarray, bits: int) -> flo
 def _trial_points(cfg: ExperimentConfig, case_idx: int, template: SessionConfig, trials: int, metrics):
     """The (value, stderr) of each metric at each SNR point of a secret-beam, virtual or baseline case, in grid order.
 
-    All points' trials run as one stream, of batches or through one sounding
-    loop.  A trial depends only on its seed and SNR, so a point's values are
-    those of its own trials.
+    All points' trials run as one stream; a virtual or baseline case's one
+    metric is ``bdr``.  A trial depends only on its seed and SNR, so a
+    point's values are those of its own trials.
     """
     points = len(cfg.snr_grid)
     trial_seeds = _trial_seeds(cfg, case_idx, range(points), trials)
@@ -598,8 +599,9 @@ def _trial_points(cfg: ExperimentConfig, case_idx: int, template: SessionConfig,
         batches = (_secret_beam_batch(template, trial_seeds[chunk], snrs[chunk]) for chunk in chunks)
         values = np.concatenate([np.column_stack([getattr(batch, m) for m in metrics]) for batch in batches])
     else:
+        loop = _virtual_symbols if template.scheme == "virtual" else _baseline_symbols
         # Python ints and floats, as a session's master seed and SNR are
-        symbols = _sounding_symbols(template, trial_seeds.tolist(), snrs.tolist())
+        symbols = loop(template, trial_seeds.tolist(), snrs.tolist())
         values = np.array([[_symbols_bdr(a, b, bits)] for a, b, bits in symbols])
     return [[_mean_stderr(column) for column in part.T] for part in np.split(values, points)]
 
@@ -619,7 +621,7 @@ def _run_sessions(cfg: ExperimentConfig) -> list[ResultRow]:
         for snr, stats in zip(cfg.snr_grid, points):
             rows.extend(
                 ResultRow(cfg.scenario, label, snr, metric, value, stderr, trials, cfg.master_seed)
-                for (label, metric), (value, stderr) in zip(outputs, stats)
+                for (label, metric), (value, stderr) in zip(outputs, stats, strict=True)
             )
     return rows
 

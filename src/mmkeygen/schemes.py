@@ -474,11 +474,12 @@ def _estimate(H: np.ndarray, snr_db: float, rng: np.random.Generator, est: np.nd
 
 
 def _bin_symbols(mag: np.ndarray, count: int) -> tuple[np.ndarray, int]:
-    """The first ``count`` bins of the 2-D ``mag`` by (-magnitude, flat index), ascending, and the bits of each.
+    """The ``count`` strongest bins of the 2-D ``mag``, ascending as ``row << col_bits | col``, and their bits.
 
-    A bin is ``row << b | col``, ``b`` the bits of a column index.  Each pass
-    takes ``argmax`` (a tie's lowest index) and sets that bin to -inf.
+    Each pass takes ``argmax``, so a tie goes to the lower flat index, and sets that bin of ``mag`` to -inf.
     """
+    if count > mag.size:
+        raise ValueError(f"cannot select {count} bins from {mag.size}")
     row_bits, col_bits = (max(1, (n - 1).bit_length()) for n in mag.shape)
     flat = mag.reshape(-1)
     top = np.empty(count, dtype=np.int64)
@@ -502,47 +503,47 @@ def virtual_angle_bits(
     lexicographically (order-canonical without any exchange), and emits
     each pair as fixed-width binary.
     """
-    H_v = virtual_channel(H_hat, tx_geom, rx_geom)
-    if num_paths > H_v.size:
-        raise ValueError(f"cannot select {num_paths} bins from {H_v.size}")
-    return pack_indices(*_bin_symbols(np.abs(H_v), num_paths))
+    return pack_indices(*_bin_symbols(np.abs(virtual_channel(H_hat, tx_geom, rx_geom)), num_paths))
 
 
-def _sounding_symbols(cfg: SessionConfig, trial_seeds, snr_db):
-    """Alice's and Bob's key symbols, and the bits of one, for each trial of the session ``cfg``.
-
-    Trial ``i`` runs at master seed ``trial_seeds[i]`` and SNR ``snr_db[i]``;
-    each round, a fresh channel is estimated by each party on its own noise
-    stream.  The symbols of a virtual session are each round's strongest
-    bins, as :func:`virtual_angle_bits` selects them; those of a baseline
-    session, the Gray-coded cells of its pooled estimates.  Every trial
-    writes into one set of buffers; the symbols are new arrays.
-    """
-    virtual, shape = cfg.scheme == "virtual", (cfg.bob.size, cfg.alice.size)
-    H, draw = np.empty(shape, dtype=complex), np.empty(shape)
-    if virtual:
-        est, mag = np.empty(shape, dtype=complex), np.empty(shape)
-    else:
-        # each party's estimates of every round, pooled for one quantizer
-        pools = np.empty((2, cfg.rounds) + shape, dtype=complex)
+def _round_estimates(cfg: SessionConfig, seed: int, snr_db: float, t: int, H: np.ndarray, draw: np.ndarray, out):
+    """Writes round ``t``'s channel into ``H``, and Alice's and Bob's estimates of it into ``out[0]`` and ``out[1]``."""
     tags = (seeds.STREAM_CHANNEL, seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB)
+    rng_ch, *rngs = (seeds.generator(seed, tag, t) for tag in tags)
+    _channel_matrix(_session_channel(cfg, rng_ch), H)
+    for est, rng in zip(out, rngs):
+        _estimate(H, snr_db, rng, est, draw)
+
+
+def _virtual_symbols(cfg: SessionConfig, trial_seeds, snr_db):
+    """Per trial, at master seed ``trial_seeds[i]`` and SNR ``snr_db[i]``: each party's bins of every round, and their bits.
+
+    The bins are those :func:`virtual_angle_bits` takes.  Every trial writes into one set of buffers.
+    """
+    shape = (cfg.bob.size, cfg.alice.size)
+    H, draw, mag = np.empty(shape, dtype=complex), np.empty(shape), np.empty(shape)
+    est = np.empty((2, *shape), dtype=complex)
     for seed, snr in zip(trial_seeds, snr_db):
         symbols = np.empty((2, cfg.rounds, cfg.num_paths), dtype=np.int64)
         for t in range(cfg.rounds):
-            rng_ch, *rngs = (seeds.generator(seed, tag, t) for tag in tags)
-            _channel_matrix(_session_channel(cfg, rng_ch), H)
-            for party, rng in enumerate(rngs):
-                if virtual:
-                    np.abs(_virtual_channel(_estimate(H, snr, rng, est, draw), cfg.alice, cfg.bob), out=mag)
-                    symbols[party, t], bits = _bin_symbols(mag, cfg.num_paths)
-                else:
-                    _estimate(H, snr, rng, pools[party, t], draw)
-        if virtual:
-            yield symbols[0].ravel(), symbols[1].ravel(), bits
-            continue
-        # each party's (re, im) samples, mean-removed in place as extract_randomness
-        # does it, on one range calibrated on Alice's
-        samples = pools.view(np.float64).reshape(2, -1)
+            _round_estimates(cfg, seed, snr, t, H, draw, est)
+            for party in range(2):
+                np.abs(_virtual_channel(est[party], cfg.alice, cfg.bob), out=mag)
+                symbols[party, t], bits = _bin_symbols(mag, cfg.num_paths)
+        yield symbols[0].ravel(), symbols[1].ravel(), bits
+
+
+def _baseline_symbols(cfg: SessionConfig, trial_seeds, snr_db):
+    """Per trial, as :func:`_virtual_symbols`: each party's Gray-coded cells of its pooled estimates, and their bits."""
+    shape = (cfg.bob.size, cfg.alice.size)
+    H, draw = np.empty(shape, dtype=complex), np.empty(shape)
+    pools = np.empty((2, cfg.rounds, *shape), dtype=complex)
+    # each party's (re, im) samples of every round
+    samples = pools.view(np.float64).reshape(2, -1)
+    for seed, snr in zip(trial_seeds, snr_db):
+        for t in range(cfg.rounds):
+            _round_estimates(cfg, seed, snr, t, H, draw, pools[:, t])
+        # mean removal as extract_randomness does it, then one range calibrated on Alice's
         samples -= samples.mean(axis=1, keepdims=True)
         quantizer = QuantizerConfig.calibrated(samples[0], levels=cfg.levels)
         cells = _calibrated_cells(samples, cfg.levels, quantizer.lo, quantizer.hi)
@@ -550,20 +551,26 @@ def _sounding_symbols(cfg: SessionConfig, trial_seeds, snr_db):
         yield cells[0], cells[1], cfg.levels.bit_length() - 1
 
 
-def _sounding_session(cfg: SessionConfig) -> SchemeResult:
-    """The trial of :func:`_sounding_symbols` at ``cfg``'s seed and SNR; its keys are its bits as they are."""
-    [(symbols_a, symbols_b, bits)] = _sounding_symbols(cfg, [cfg.master_seed], [cfg.snr_db])
+def _sounding_session(symbols, cfg: SessionConfig) -> SchemeResult:
+    """The trial of ``symbols`` at ``cfg``'s seed and SNR; its keys are its bits as they are."""
+    [(symbols_a, symbols_b, bits)] = symbols(cfg, [cfg.master_seed], [cfg.snr_db])
     bits_a, bits_b = pack_indices(symbols_a, bits), pack_indices(symbols_b, bits)
     agreement = bar(bits_a, bits_b)
     return SchemeResult(
-        bits_alice=bits_a, bits_bob=bits_b, final_key_alice=bits_a, final_key_bob=bits_b,
-        bar_legit=agreement, bdr=1.0 - agreement, leaked_bits=0, probes_used=2 * cfg.rounds,
+        bits_alice=bits_a,
+        bits_bob=bits_b,
+        final_key_alice=bits_a,
+        final_key_bob=bits_b,
+        bar_legit=agreement,
+        bdr=1.0 - agreement,
+        leaked_bits=0,
+        probes_used=2 * cfg.rounds,
     )
 
 
 def virtual_angle_session(cfg: SessionConfig) -> SchemeResult:
     """Aggregate virtual-angle bit disagreement over independent channels."""
-    return _sounding_session(replace(cfg, scheme="virtual"))
+    return _sounding_session(_virtual_symbols, cfg)
 
 
 def baseline_channel_quant_session(cfg: SessionConfig) -> SchemeResult:
@@ -573,7 +580,7 @@ def baseline_channel_quant_session(cfg: SessionConfig) -> SchemeResult:
     entry; the quantizer range is calibrated on Alice's pooled samples and
     announced publicly (calibration is side information, not key material).
     """
-    return _sounding_session(replace(cfg, scheme="baseline"))
+    return _sounding_session(_baseline_symbols, cfg)
 
 
 # ---------------------------------------------------------------------------

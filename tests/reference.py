@@ -6,8 +6,6 @@ another way, so it lives with the tests rather than in the package.
 
 import numpy as np
 
-from mmkeygen.keygen import BitString
-
 
 def dft_matrix(n):
     """Unitary n x n DFT matrix (j, k) = exp(-2i*pi*j*k/n)/sqrt(n), the basis ``virtual_channel`` transforms by."""
@@ -41,11 +39,3 @@ def toeplitz_hash(diagonals, bits):
     m = len(diagonals) - n + 1
     conv = np.convolve(np.asarray(diagonals, dtype=np.int64), np.asarray(bits, dtype=np.int64))
     return (conv[n - 1 : n - 1 + m] & 1).astype(np.uint8)
-
-
-def concat_bits(parts):
-    """One BitString of the parts' bits in turn."""
-    arrays = [p.bits for p in parts]
-    if not arrays:
-        return BitString.zeros(0)
-    return BitString(bits=np.concatenate(arrays))

@@ -385,10 +385,15 @@ class TestVirtualChannel:
         U_t = np.kron(dft_matrix(tx.rows), dft_matrix(tx.cols))
         r = rng(41)
         shape = (rx.size, tx.size)
+        H0 = r.standard_normal(shape) + 1j * r.standard_normal(shape)
         for H in (
-            r.standard_normal(shape) + 1j * r.standard_normal(shape),
+            H0,
             r.standard_normal(shape),
             r.integers(-5, 6, size=shape),
+            # memory layouts other than C order
+            np.asfortranarray(H0),
+            np.ascontiguousarray(H0.T).T,
+            H0[:, ::-1],
         ):
             Hv = virtual_channel(H, tx, rx)
             assert Hv.dtype == complex and Hv.shape == shape

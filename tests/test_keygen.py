@@ -25,7 +25,7 @@ from mmkeygen.keygen import (
     privacy_amplify,
     quantize,
 )
-from reference import cell_indices, concat_bits, toeplitz_hash
+from reference import cell_indices, toeplitz_hash
 
 
 def rng(seed=0):
@@ -597,11 +597,6 @@ class TestBitPlumbing:
     def test_gray_encode(self):
         out = gray_encode_indices([2], 2)  # gray(2) = 3
         assert list(out.bits) == [1, 1]
-
-    def test_concat(self):
-        a = BitString([1, 0])
-        b = BitString([0, 1, 1])
-        assert list(concat_bits([a, b]).bits) == [1, 0, 0, 1, 1]
 
     def test_width_overflow_rejected(self):
         with pytest.raises(ValueError, match="out of range"):

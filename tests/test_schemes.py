@@ -17,6 +17,7 @@ from mmkeygen.channel import (
     virtual_channel,
 )
 from mmkeygen.keygen import (
+    BitString,
     QuantizerConfig,
     _calibrated_cells,
     bar,
@@ -39,7 +40,7 @@ from mmkeygen.schemes import (
     virtual_angle_session,
 )
 from mmkeygen.experiments import _symbols_bdr
-from reference import cell_indices, concat_bits
+from reference import cell_indices
 
 
 def rng(seed=0):
@@ -473,7 +474,7 @@ def reference_angle_bits(H_hat, num_paths, tx_geom, rx_geom):
     for r_idx, c_idx in sorted(zip(rows.tolist(), cols.tolist())):
         parts.append(pack_indices([r_idx], width_r))
         parts.append(pack_indices([c_idx], width_t))
-    return concat_bits(parts)
+    return BitString(np.concatenate([p.bits for p in parts]))
 
 
 class TestVirtualAngleBitsEqualReference:
@@ -573,7 +574,10 @@ def reference_sounding_bits(cfg, virtual):
         for stream, r in zip(streams, (rng_a, rng_b)):
             stream.append(estimate_channel(H, cfg.snr_db, r))
     if virtual:
-        return [concat_bits(virtual_angle_bits(h, cfg.num_paths, cfg.alice, cfg.bob) for h in s) for s in streams]
+        return [
+            BitString(np.concatenate([virtual_angle_bits(h, cfg.num_paths, cfg.alice, cfg.bob).bits for h in s]))
+            for s in streams
+        ]
     a, b = (extract_randomness(np.concatenate([h.view(np.float64).ravel() for h in s])) for s in streams)
     quantizer = QuantizerConfig.calibrated(a, levels=cfg.levels)
     return [quantize(a, quantizer), quantize(b, quantizer)]
@@ -595,7 +599,8 @@ class TestSoundingLoop:
             scheme="virtual" if virtual else "baseline", alice=alice, bob=bob, rounds=rounds, grid_angles=grid, levels=8
         )
         trial_seeds, snrs = [3, 2**64 - 1, 40, 41], [-10.0, 0.0, 5.0, -10.0]
-        trials = list(schemes._sounding_symbols(cfg, trial_seeds, snrs))
+        loop = schemes._virtual_symbols if virtual else schemes._baseline_symbols
+        trials = list(loop(cfg, trial_seeds, snrs))
         assert len(trials) == len(trial_seeds)
         session = virtual_angle_session if virtual else baseline_channel_quant_session
         for (a, b, width), seed, snr in zip(trials, trial_seeds, snrs):
@@ -609,7 +614,8 @@ class TestSoundingLoop:
     @pytest.mark.parametrize("virtual", [True, False], ids=["virtual", "baseline"])
     def test_results_share_no_memory_with_buffers(self, virtual, monkeypatch):
         buffers = []
-        loop = schemes._sounding_symbols
+        name = "_virtual_symbols" if virtual else "_baseline_symbols"
+        loop = getattr(schemes, name)
 
         def spy(*args):
             gen = loop(*args)
@@ -618,12 +624,12 @@ class TestSoundingLoop:
                 buffers.extend(v for v in gen.gi_frame.f_locals.values() if isinstance(v, np.ndarray))
                 yield symbols
 
-        monkeypatch.setattr(schemes, "_sounding_symbols", spy)
+        monkeypatch.setattr(schemes, name, spy)
         session = virtual_angle_session if virtual else baseline_channel_quant_session
         cfg = fig3_cfg(scheme="virtual" if virtual else "baseline", alice=ArrayGeometry(1, 16), bob=ArrayGeometry(2, 4))
         first = session(replace(cfg, rounds=2))
         kept = [first.bits_alice.bits.copy(), first.bits_bob.bits.copy()]
-        assert len(buffers) >= 3
+        assert len(buffers) >= 4
         results = [first.bits_alice, first.bits_bob, first.final_key_alice, first.final_key_bob]
         for bits in results:
             assert not any(np.shares_memory(bits.bits, buf) for buf in buffers)
