@@ -32,9 +32,7 @@ from .experiments import (
     ResultTable,
     load_config,
     parse_config,
-    read_csv,
     run_scenario,
-    serialize_config,
     write_csv,
 )
 from .keygen import (
@@ -55,11 +53,9 @@ from .schemes import (
     MultiresResult,
     SchemeResult,
     SessionConfig,
-    baseline_channel_quant_session,
     estimate_channel,
     multires_session,
     secret_beam_session,
-    virtual_angle_bits,
     virtual_angle_session,
 )
 

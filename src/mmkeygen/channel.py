@@ -181,8 +181,8 @@ def response_matrices(ch: ChannelRealization) -> tuple[np.ndarray, np.ndarray]:
     return a_rx.T, a_tx.T
 
 
-def channel_matrix(ch: ChannelRealization) -> np.ndarray:
-    """Narrowband channel matrix, shape (rx_size, tx_size).
+def channel_matrix(ch: ChannelRealization, out: np.ndarray | None = None) -> np.ndarray:
+    """Narrowband channel matrix, shape (rx_size, tx_size), written into ``out`` when given.
 
     ``H = sqrt(Nt*Nr/L) * sum_l gain_l * a_rx(aoa_l) a_tx(aod_l)^T``.  The
     transpose (rather than conjugate-transpose) on the departure response
@@ -190,14 +190,9 @@ def channel_matrix(ch: ChannelRealization) -> np.ndarray:
     conjugate steering beamformer is matched on both sides of a reciprocal
     exchange.
     """
-    return _channel_matrix(ch, np.empty((ch.rx_geom.size, ch.tx_geom.size), dtype=complex))
-
-
-def _channel_matrix(ch: ChannelRealization, out: np.ndarray) -> np.ndarray:
-    """:func:`channel_matrix` written into ``out``, a complex (rx_size, tx_size) array."""
     a_rx, a_tx = response_matrices(ch)
     scale = np.sqrt(ch.tx_geom.size * ch.rx_geom.size / ch.num_paths)
-    np.matmul(a_rx * ch.gains, a_tx.T, out=out)
+    out = np.matmul(a_rx * ch.gains, a_tx.T, out=out)
     return np.multiply(scale, out, out=out)
 
 
@@ -219,28 +214,37 @@ def evolve(ch: ChannelRealization, rho: float, rng: np.random.Generator, steps: 
     return _ar1(ch.gains, _innovations(u, normals, ch.nlos_offset_db, ch.has_los), rho)
 
 
-def virtual_channel(H: np.ndarray, tx_geom: ArrayGeometry, rx_geom: ArrayGeometry) -> np.ndarray:
-    """Angular-domain ``U_r^H H U_t``, each ``U = kron(F_rows, F_cols)``.
+def virtual_channel(
+    H: np.ndarray, tx_geom: ArrayGeometry, rx_geom: ArrayGeometry, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Angular-domain ``U_r^H H U_t``, each ``U = kron(F_rows, F_cols)``, written into ``out`` when given.
 
     ``F_n`` is the unitary n x n DFT matrix, ``(j, k) = exp(-2i pi j k / n) / sqrt(n)``.
     It is symmetric, so on ``H`` as (rx_rows, rx_cols, tx_rows, tx_cols) this
     is an ortho inverse FFT along each receive axis and an ortho forward FFT
-    along each transmit axis (axes of size 1 skipped).
+    along each transmit axis (axes of size 1 skipped).  The first FFT reads
+    ``H`` and writes ``out``, a C-contiguous complex array of H's shape; the
+    rest run in place, so ``out=H`` transforms a complex ``H`` in place.
     """
-    H = np.asarray(H)
+    # double precision on any input, without a copy of a complex H
+    H = np.asarray(H, dtype=complex)
     if H.shape != (rx_geom.size, tx_geom.size):
         raise ValueError(
             f"dimension mismatch: H is {H.shape}, geometries give "
             f"({rx_geom.size}, {tx_geom.size})"
         )
-    return _virtual_channel(np.array(H, dtype=complex, order="C"), tx_geom, rx_geom)
-
-
-def _virtual_channel(H: np.ndarray, tx_geom: ArrayGeometry, rx_geom: ArrayGeometry) -> np.ndarray:
-    """:func:`virtual_channel` of a complex ``H``, in place if ``H`` is C-contiguous (an FFT may write its input)."""
+    if out is None:
+        out = np.empty(H.shape, dtype=complex)
+    elif out.shape != H.shape or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous complex array of shape {H.shape}")
     shape = (rx_geom.rows, rx_geom.cols, tx_geom.rows, tx_geom.cols)
-    Hv = H.reshape(shape)
+    # splitting axes is a view on any layout, and out is C-contiguous
+    src, Hv = H.reshape(shape), out.reshape(shape)
     for axis, n in enumerate(shape):
         if n > 1:
-            (np.fft.ifft if axis < 2 else np.fft.fft)(Hv, axis=axis, norm="ortho", out=Hv)
-    return Hv.reshape(H.shape)
+            (np.fft.ifft if axis < 2 else np.fft.fft)(src, axis=axis, norm="ortho", out=Hv)
+            src = Hv
+    if src is not Hv:
+        # every axis has size 1: the transform is the identity
+        Hv[...] = src
+    return out

@@ -45,11 +45,10 @@ from .keygen import (
 )
 from .schemes import (
     SessionConfig,
-    _baseline_symbols,
     _probe_entropy_rate,
-    _secret_beam_batch,
-    _virtual_symbols,
     multires_session,
+    secret_beam_batch,
+    sounding_bdrs,
 )
 
 SCENARIOS = ("fig2", "fig3", "fig4", "cascade-bench", "custom")
@@ -332,40 +331,6 @@ def load_config(path: str) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Render a config that parses back to an equal ExperimentConfig."""
-    # repr keeps full float precision so round trips are exact
-    out = [
-        f'scenario = "{cfg.scenario}"',
-        f"master_seed = {cfg.master_seed}",
-        f"trials = {cfg.trials}",
-        "snr_grid = " + ", ".join(repr(float(s)) for s in cfg.snr_grid),
-    ]
-    if cfg.output_path is not None:
-        out.append(f'output_path = "{cfg.output_path}"')
-    scheme_lines = []
-    for f in fields(SchemeOverrides):
-        value = getattr(cfg.scheme, f.name)
-        if value is None:
-            continue
-        if isinstance(value, str):
-            scheme_lines.append(f'{f.name} = "{value}"')
-        elif isinstance(value, float):
-            scheme_lines.append(f"{f.name} = {value!r}")
-        else:
-            scheme_lines.append(f"{f.name} = {value}")
-    if scheme_lines:
-        out.append("")
-        out.append("[scheme]")
-        out.extend(scheme_lines)
-    out.append("")
-    out.append("[cascade]")
-    out.append("error_rates = " + ", ".join(repr(float(p)) for p in cfg.cascade.error_rates))
-    out.append(f"block_bits = {cfg.cascade.block_bits}")
-    out.append(f"passes = {cfg.cascade.passes}")
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Result tables
 # ---------------------------------------------------------------------------
@@ -441,33 +406,6 @@ def write_csv(table: ResultTable, path: str) -> None:
             fh.write(data)
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
-
-
-def read_csv(path: str) -> ResultTable:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].split(",") != list(TABLE_COLUMNS):
-        raise ValueError(f"{path}: not a mmkeygen result table")
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(TABLE_COLUMNS):
-            raise ValueError(f"{path}: malformed row {line!r}")
-        rows.append(
-            ResultRow(
-                scenario=parts[0],
-                scheme=parts[1],
-                snr_db=float(parts[2]),
-                metric=parts[3],
-                value=float(parts[4]),
-                stderr=float(parts[5]),
-                trials=int(parts[6]),
-                seed=int(parts[7]),
-            )
-        )
-    return ResultTable(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -578,12 +516,6 @@ def _multires_point(session: SessionConfig) -> list[tuple[float, float]]:
     ]
 
 
-def _symbols_bdr(symbols_a: np.ndarray, symbols_b: np.ndarray, bits: int) -> float:
-    """``1 - bar`` of the bits two parties' key symbols pack into, by the exact count ``bar`` takes."""
-    total = symbols_a.size * bits
-    return 1.0 - (total - int(np.bitwise_count(symbols_a ^ symbols_b).sum())) / total
-
-
 def _trial_points(cfg: ExperimentConfig, case_idx: int, template: SessionConfig, trials: int, metrics):
     """The (value, stderr) of each metric at each SNR point of a secret-beam, virtual or baseline case, in grid order.
 
@@ -596,13 +528,10 @@ def _trial_points(cfg: ExperimentConfig, case_idx: int, template: SessionConfig,
     snrs = np.repeat(cfg.snr_grid, trials)
     if template.scheme == "secret_beam":
         chunks = [slice(start, start + _BEAM_BATCH) for start in range(0, trial_seeds.size, _BEAM_BATCH)]
-        batches = (_secret_beam_batch(template, trial_seeds[chunk], snrs[chunk]) for chunk in chunks)
+        batches = (secret_beam_batch(template, trial_seeds[chunk], snrs[chunk]) for chunk in chunks)
         values = np.concatenate([np.column_stack([getattr(batch, m) for m in metrics]) for batch in batches])
     else:
-        loop = _virtual_symbols if template.scheme == "virtual" else _baseline_symbols
-        # Python ints and floats, as a session's master seed and SNR are
-        symbols = loop(template, trial_seeds.tolist(), snrs.tolist())
-        values = np.array([[_symbols_bdr(a, b, bits)] for a, b, bits in symbols])
+        values = sounding_bdrs(template, trial_seeds.tolist(), snrs.tolist())[:, None]
     return [[_mean_stderr(column) for column in part.T] for part in np.split(values, points)]
 
 

@@ -4,11 +4,12 @@
   hide quantized azimuth perturbations in their pilots; each side recovers
   the far side's perturbation from the calibrated magnitude ratio and the
   final key is the XOR of the two perturbation streams, which a co-located
-  eavesdropper cannot reproduce.
+  eavesdropper cannot reproduce.  ``secret_beam_batch`` runs a batch of
+  such trials.
 * ``virtual_angle_session``: both parties estimate the channel matrix,
   project it onto the angular (DFT) domain, and encode the positions of the
-  strongest virtual bins; ``baseline_channel_quant_session`` is the
-  per-entry channel quantization reference.
+  strongest virtual bins.  ``sounding_bdrs`` scores a run of such trials,
+  or of the baseline that quantizes every estimated entry.
 * ``multires_session``: Alice probes with beams of several resolutions and
   angles chosen to keep the composite gain inside a window while Bob holds a
   wide fixed pattern; compared against an aligned fixed-beam link via the
@@ -41,10 +42,9 @@ from .channel import (
     ArrayGeometry,
     ChannelRealization,
     _ar1,
-    _channel_matrix,
     _innovations,
-    _virtual_channel,
     array_response,
+    channel_matrix,
     evolve,
     sample_channel,
     virtual_channel,
@@ -106,6 +106,9 @@ class SessionConfig:
         if self.scheme == "virtual" and self.num_paths > self.alice.size * self.bob.size:
             raise ValueError(f"num_paths={self.num_paths} exceeds the {self.alice.size * self.bob.size} angular bins")
         if self.scheme == "secret_beam":
+            # with no offset every perturbed beam is the nominal beam
+            if not self.delta_max > 0.0:
+                raise ValueError(f"delta_max must be > 0, got {self.delta_max}")
             # the broadside sine offset must stay inside the first-null spacing
             # of each party's azimuth aperture or the ratio curve folds for
             # typical angles and the inversion is ill-posed by construction
@@ -116,6 +119,8 @@ class SessionConfig:
                         f"of {owner}'s {geom.cols}-element azimuth aperture"
                     )
         if self.scheme == "multires":
+            if not self.window_db > 0.0:
+                raise ValueError(f"window_db must be > 0, got {self.window_db}")
             # the codebook the session builds, and the beams it selects from it
             depth = self.multires_depth
             codewords = (1 << (depth + 1)) - 2
@@ -323,7 +328,7 @@ def _beam_draws(cfg: SessionConfig, trial_seeds: np.ndarray) -> tuple[np.ndarray
     return channel_u, nlos, evo_u, evo_nlos, index, noise
 
 
-def _secret_beam_batch(cfg: SessionConfig, trial_seeds, snr_db) -> _BeamBatch:
+def secret_beam_batch(cfg: SessionConfig, trial_seeds, snr_db) -> _BeamBatch:
     """Run the session ``cfg`` describes once per trial seed, as its master seed.
 
     ``snr_db`` holds each trial's SNR, in place of ``cfg.snr_db``.  The
@@ -429,7 +434,7 @@ def secret_beam_session(cfg: SessionConfig) -> SchemeResult:
     does, but must guess the host's own offsets uniformly.  This is a batch
     of one trial whose seed is ``cfg.master_seed``.
     """
-    batch = _secret_beam_batch(cfg, [cfg.master_seed], [cfg.snr_db])
+    batch = secret_beam_batch(cfg, [cfg.master_seed], [cfg.snr_db])
     bar_legit = float(batch.bar_legit[0])
     eve = cfg.eve is not None
     return SchemeResult(
@@ -452,25 +457,28 @@ def secret_beam_session(cfg: SessionConfig) -> SchemeResult:
 # ---------------------------------------------------------------------------
 
 
-def estimate_channel(H: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
-    """Idealized sounding: the true matrix plus i.i.d. complex Gaussian error.
+def estimate_channel(
+    H: np.ndarray, snr_db: float, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Idealized sounding: the true matrix plus i.i.d. complex Gaussian error, written into ``out`` when given.
 
     The error's real parts are drawn first, then its imaginary parts; the
     estimate is built in one complex array, bit-equal to
-    ``H + sigma * (re + 1j * im)``.
+    ``H + sigma * (re + 1j * im)``.  ``out`` must be a complex array of H's
+    shape that does not overlap ``H``.
     """
     H = np.asarray(H)
-    return _estimate(H, snr_db, rng, np.empty(H.shape, dtype=complex), np.empty(H.shape))
-
-
-def _estimate(H: np.ndarray, snr_db: float, rng: np.random.Generator, est: np.ndarray, draw: np.ndarray) -> np.ndarray:
-    """:func:`estimate_channel` written into ``est``, drawing into ``draw``, a float array of H's shape."""
+    if out is None:
+        out = np.empty(H.shape, dtype=complex)
+    elif out.shape != H.shape or out.dtype != complex or np.may_share_memory(out, H):
+        raise ValueError(f"out must be a complex array of shape {H.shape} that does not overlap H")
     sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
-    est.real = rng.standard_normal(out=draw)
-    est.imag = rng.standard_normal(out=draw)
-    est *= sigma
-    est += H
-    return est
+    draw = rng.standard_normal(H.shape)
+    out.real = draw
+    out.imag = rng.standard_normal(out=draw)
+    out *= sigma
+    out += H
+    return out
 
 
 def _bin_symbols(mag: np.ndarray, count: int) -> tuple[np.ndarray, int]:
@@ -490,59 +498,49 @@ def _bin_symbols(mag: np.ndarray, count: int) -> tuple[np.ndarray, int]:
     return rows << col_bits | cols, row_bits + col_bits
 
 
-def virtual_angle_bits(
-    H_hat: np.ndarray,
-    num_paths: int,
-    tx_geom: ArrayGeometry,
-    rx_geom: ArrayGeometry,
-) -> BitString:
-    """Encode the positions of the strongest angular-domain bins.
-
-    Takes the ``num_paths`` largest-magnitude entries of the virtual matrix
-    (a tie goes to the lower flat index), sorts the (row, col) pairs
-    lexicographically (order-canonical without any exchange), and emits
-    each pair as fixed-width binary.
-    """
-    return pack_indices(*_bin_symbols(np.abs(virtual_channel(H_hat, tx_geom, rx_geom)), num_paths))
-
-
-def _round_estimates(cfg: SessionConfig, seed: int, snr_db: float, t: int, H: np.ndarray, draw: np.ndarray, out):
+def _round_estimates(cfg: SessionConfig, seed: int, snr_db: float, t: int, H: np.ndarray, out):
     """Writes round ``t``'s channel into ``H``, and Alice's and Bob's estimates of it into ``out[0]`` and ``out[1]``."""
     tags = (seeds.STREAM_CHANNEL, seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB)
     rng_ch, *rngs = (seeds.generator(seed, tag, t) for tag in tags)
-    _channel_matrix(_session_channel(cfg, rng_ch), H)
+    channel_matrix(_session_channel(cfg, rng_ch), out=H)
     for est, rng in zip(out, rngs):
-        _estimate(H, snr_db, rng, est, draw)
+        estimate_channel(H, snr_db, rng, out=est)
 
 
 def _virtual_symbols(cfg: SessionConfig, trial_seeds, snr_db):
     """Per trial, at master seed ``trial_seeds[i]`` and SNR ``snr_db[i]``: each party's bins of every round, and their bits.
 
-    The bins are those :func:`virtual_angle_bits` takes.  Every trial writes into one set of buffers.
+    The bins are the ``cfg.num_paths`` strongest of each estimate's virtual
+    channel, by :func:`_bin_symbols`.  Every trial writes into one set of buffers.
     """
     shape = (cfg.bob.size, cfg.alice.size)
-    H, draw, mag = np.empty(shape, dtype=complex), np.empty(shape), np.empty(shape)
+    H, mag = np.empty(shape, dtype=complex), np.empty(shape)
     est = np.empty((2, *shape), dtype=complex)
     for seed, snr in zip(trial_seeds, snr_db):
         symbols = np.empty((2, cfg.rounds, cfg.num_paths), dtype=np.int64)
         for t in range(cfg.rounds):
-            _round_estimates(cfg, seed, snr, t, H, draw, est)
+            _round_estimates(cfg, seed, snr, t, H, est)
             for party in range(2):
-                np.abs(_virtual_channel(est[party], cfg.alice, cfg.bob), out=mag)
+                np.abs(virtual_channel(est[party], cfg.alice, cfg.bob, out=est[party]), out=mag)
                 symbols[party, t], bits = _bin_symbols(mag, cfg.num_paths)
         yield symbols[0].ravel(), symbols[1].ravel(), bits
 
 
 def _baseline_symbols(cfg: SessionConfig, trial_seeds, snr_db):
-    """Per trial, as :func:`_virtual_symbols`: each party's Gray-coded cells of its pooled estimates, and their bits."""
+    """Per trial, as :func:`_virtual_symbols`: each party's Gray-coded cells of its pooled estimates, and their bits.
+
+    Both parties quantize the real and imaginary parts of every estimated
+    entry on one range, calibrated on Alice's pooled samples and announced
+    publicly (calibration is side information, not key material).
+    """
     shape = (cfg.bob.size, cfg.alice.size)
-    H, draw = np.empty(shape, dtype=complex), np.empty(shape)
+    H = np.empty(shape, dtype=complex)
     pools = np.empty((2, cfg.rounds, *shape), dtype=complex)
     # each party's (re, im) samples of every round
     samples = pools.view(np.float64).reshape(2, -1)
     for seed, snr in zip(trial_seeds, snr_db):
         for t in range(cfg.rounds):
-            _round_estimates(cfg, seed, snr, t, H, draw, pools[:, t])
+            _round_estimates(cfg, seed, snr, t, H, pools[:, t])
         # mean removal as extract_randomness does it, then one range calibrated on Alice's
         samples -= samples.mean(axis=1, keepdims=True)
         quantizer = QuantizerConfig.calibrated(samples[0], levels=cfg.levels)
@@ -551,9 +549,33 @@ def _baseline_symbols(cfg: SessionConfig, trial_seeds, snr_db):
         yield cells[0], cells[1], cfg.levels.bit_length() - 1
 
 
-def _sounding_session(symbols, cfg: SessionConfig) -> SchemeResult:
-    """The trial of ``symbols`` at ``cfg``'s seed and SNR; its keys are its bits as they are."""
-    [(symbols_a, symbols_b, bits)] = symbols(cfg, [cfg.master_seed], [cfg.snr_db])
+def sounding_bdrs(cfg: SessionConfig, trial_seeds, snr_db) -> np.ndarray:
+    """The bdr of each virtual or baseline trial, at master seed ``trial_seeds[i]`` and SNR ``snr_db[i]``.
+
+    Both are sequences of Python ints and floats, as a session's master
+    seed and SNR are.
+
+    A trial's bdr is ``1 - bar`` of the bits its key symbols pack into, by
+    the exact count ``bar`` takes: the ``np.bitwise_count`` of the XOR of
+    the symbols over the bit total, so no bit string is packed.
+    """
+    loops = {"virtual": _virtual_symbols, "baseline": _baseline_symbols}
+    if cfg.scheme not in loops:
+        raise ValueError(f"sounding_bdrs runs virtual or baseline sessions, got {cfg.scheme!r}")
+    bdrs = []
+    for symbols_a, symbols_b, bits in loops[cfg.scheme](cfg, trial_seeds, snr_db):
+        total = symbols_a.size * bits
+        bdrs.append(1.0 - (total - int(np.bitwise_count(symbols_a ^ symbols_b).sum())) / total)
+    return np.array(bdrs)
+
+
+def virtual_angle_session(cfg: SessionConfig) -> SchemeResult:
+    """Aggregate virtual-angle bit disagreement over ``cfg.rounds`` independent channels.
+
+    The trial of :func:`_virtual_symbols` at ``cfg``'s seed and SNR; its
+    keys are its bits as they are.
+    """
+    [(symbols_a, symbols_b, bits)] = _virtual_symbols(cfg, [cfg.master_seed], [cfg.snr_db])
     bits_a, bits_b = pack_indices(symbols_a, bits), pack_indices(symbols_b, bits)
     agreement = bar(bits_a, bits_b)
     return SchemeResult(
@@ -566,21 +588,6 @@ def _sounding_session(symbols, cfg: SessionConfig) -> SchemeResult:
         leaked_bits=0,
         probes_used=2 * cfg.rounds,
     )
-
-
-def virtual_angle_session(cfg: SessionConfig) -> SchemeResult:
-    """Aggregate virtual-angle bit disagreement over independent channels."""
-    return _sounding_session(_virtual_symbols, cfg)
-
-
-def baseline_channel_quant_session(cfg: SessionConfig) -> SchemeResult:
-    """Per-entry channel quantization reference for the virtual scheme.
-
-    Both parties quantize real and imaginary parts of every estimated
-    entry; the quantizer range is calibrated on Alice's pooled samples and
-    announced publicly (calibration is side information, not key material).
-    """
-    return _sounding_session(_baseline_symbols, cfg)
 
 
 # ---------------------------------------------------------------------------

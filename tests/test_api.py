@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "SessionConfig",
     "array_response",
     "bar",
-    "baseline_channel_quant_session",
     "bidirectional_probe",
     "cascade",
     "channel_matrix",
@@ -38,15 +37,12 @@ PUBLIC_NAMES = [
     "privacy_amplify",
     "quantize",
     "quantize_phases",
-    "read_csv",
     "run_scenario",
     "sample_channel",
     "secret_beam_session",
     "sector_beamformer",
     "select_beams",
-    "serialize_config",
     "steering_beamformer",
-    "virtual_angle_bits",
     "virtual_angle_session",
     "virtual_channel",
     "write_csv",

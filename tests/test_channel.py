@@ -186,6 +186,12 @@ class TestChannelMatrix:
         # unit-magnitude LoS gain and unit-norm responses
         assert abs(np.linalg.norm(H) - np.sqrt(16 * 4)) < 1e-9
 
+    def test_out_equals_fresh_matrix(self):
+        ch = sample_channel(ArrayGeometry(2, 4), ArrayGeometry(1, 4), rng(5), 3)
+        out = np.full((4, 8), np.nan, dtype=complex)
+        assert channel_matrix(ch, out=out) is out
+        assert out.tobytes() == channel_matrix(ch).tobytes()
+
     def test_expected_power_three_paths(self):
         # Analytic: E||H||_F^2 = Nt*Nr*(1 + 2*0.1)/3, cross-checked by MC.
         tx, rx = ArrayGeometry(1, 8), ArrayGeometry(1, 4)
@@ -390,6 +396,8 @@ class TestVirtualChannel:
             H0,
             r.standard_normal(shape),
             r.integers(-5, 6, size=shape),
+            # single precision, transformed in double
+            H0.astype(np.complex64),
             # memory layouts other than C order
             np.asfortranarray(H0),
             np.ascontiguousarray(H0.T).T,
@@ -399,6 +407,28 @@ class TestVirtualChannel:
             assert Hv.dtype == complex and Hv.shape == shape
             assert np.max(np.abs(Hv - U_r.conj().T @ H @ U_t)) < 1e-12
             assert not np.shares_memory(Hv, H)
+            # into a given array, and in place on a C-ordered complex copy
+            out = np.empty(shape, dtype=complex)
+            assert virtual_channel(H, tx, rx, out=out) is out
+            assert out.tobytes() == Hv.tobytes()
+            inplace = np.array(H, dtype=complex, order="C")
+            assert virtual_channel(inplace, tx, rx, out=inplace) is inplace
+            assert inplace.tobytes() == Hv.tobytes()
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((4, 8), dtype=complex, order="F"),
+            np.empty((8, 8), dtype=complex)[:, ::2],
+            np.empty((4, 8)),
+            np.empty((8, 4), dtype=complex),
+        ],
+        ids=["f-order", "strided", "float", "shape"],
+    )
+    def test_bad_out_rejected(self, out):
+        H = np.ones((4, 8), dtype=complex)
+        with pytest.raises(ValueError, match="C-contiguous complex array of shape"):
+            virtual_channel(H, ArrayGeometry(2, 4), ArrayGeometry(1, 4), out=out)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):

@@ -29,17 +29,16 @@ from mmkeygen.keygen import (
 )
 from mmkeygen.schemes import (
     SessionConfig,
+    _bin_symbols,
     _perturbation_beams,
-    _secret_beam_batch,
     _session_channel,
-    baseline_channel_quant_session,
     estimate_channel,
     multires_session,
+    secret_beam_batch,
     secret_beam_session,
-    virtual_angle_bits,
+    sounding_bdrs,
     virtual_angle_session,
 )
-from mmkeygen.experiments import _symbols_bdr
 from reference import cell_indices
 
 
@@ -271,7 +270,7 @@ class TestSecretBeamBatch:
     @given(secret_beam_configs(), st.lists(st.tuples(U64_SEEDS, TRIAL_SNRS), min_size=1, max_size=4))
     def test_streams_equal_per_round_reference(self, cfg, trials):
         trial_seeds, snrs = zip(*trials)
-        batch = _secret_beam_batch(cfg, np.array(trial_seeds, dtype=np.uint64), snrs)
+        batch = secret_beam_batch(cfg, np.array(trial_seeds, dtype=np.uint64), snrs)
         for row, (seed, snr) in enumerate(trials):
             ref = reference_beam_bits(replace(cfg, master_seed=seed, snr_db=snr))
             for name, bits in ref.items():
@@ -287,11 +286,11 @@ class TestSecretBeamBatch:
         # each row has its own SNR, and cfg.snr_db is read by none of them
         trial_seeds = np.array([seed for seed, _ in trials], dtype=np.uint64)
         snrs = np.array([snr for _, snr in trials])
-        whole = _secret_beam_batch(replace(cfg, snr_db=float("nan")), trial_seeds, snrs)
+        whole = secret_beam_batch(replace(cfg, snr_db=float("nan")), trial_seeds, snrs)
         cuts = sorted(data.draw(st.sets(st.integers(1, len(trial_seeds) - 1))) if len(trial_seeds) > 1 else ())
         for pieces in (cuts, len(trial_seeds)):
             parts = [
-                _secret_beam_batch(cfg, seeds_piece, snrs_piece)
+                secret_beam_batch(cfg, seeds_piece, snrs_piece)
                 for seeds_piece, snrs_piece in zip(np.split(trial_seeds, pieces), np.split(snrs, pieces))
             ]
             joined = type(whole)(
@@ -404,12 +403,30 @@ class TestEstimateChannel:
         re, im = draws.standard_normal(H.shape), draws.standard_normal(H.shape)
         expected = H + sigma * (re + 1j * im)
         assert estimate_channel(H, snr_db, rng(9)).tobytes() == expected.tobytes()
+        out = np.full(H.shape, np.nan, dtype=complex)
+        assert estimate_channel(H, snr_db, rng(9), out=out) is out
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty((6, 4), dtype=complex), np.empty((4, 6)), None],
+        ids=["shape", "float", "aliases-H"],
+    )
+    def test_bad_out_rejected(self, out):
+        H = np.ones((4, 6), dtype=complex)
+        with pytest.raises(ValueError, match="complex array of shape"):
+            estimate_channel(H, 0.0, rng(1), out=H if out is None else out)
 
     def test_independent_streams(self):
         H = np.zeros((8, 8))
         a = estimate_channel(H, 0.0, rng(5))
         b = estimate_channel(H, 0.0, rng(6))
         assert not np.allclose(a, b)
+
+
+def strongest_bins(H, num_paths, tx_geom, rx_geom):
+    """The key symbols and their bit width of the ``num_paths`` strongest bins of H's virtual channel."""
+    return _bin_symbols(np.abs(virtual_channel(H, tx_geom, rx_geom)), num_paths)
 
 
 class TestVirtualAngleBits:
@@ -419,47 +436,38 @@ class TestVirtualAngleBits:
 
         grid = lambda j: float(np.arcsin(-1 + 2 * j / 16))
         ch = ChannelRealization(gains=[1.0], angles=[[grid(3), 0.0, grid(9), 0.0]], tx_geom=geom, rx_geom=geom)
-        bits = virtual_angle_bits(channel_matrix(ch), 1, geom, geom)
-        assert len(bits) == 4 + 4
+        [symbol], bits = strongest_bins(channel_matrix(ch), 1, geom, geom)
+        assert bits == 4 + 4
         # recover the pair and check it is the single dominant bin
-        row = int("".join(map(str, bits.bits[:4])), 2)
-        col = int("".join(map(str, bits.bits[4:])), 2)
-        from mmkeygen.channel import virtual_channel
-
         Hv = virtual_channel(channel_matrix(ch), geom, geom)
         r0, c0 = np.unravel_index(np.argmax(np.abs(Hv)), Hv.shape)
-        assert (row, col) == (r0, c0)
+        assert divmod(int(symbol), 16) == (r0, c0)
 
     def test_output_length(self):
         cfg = fig3_cfg(rounds=1)
-        from mmkeygen import seeds
-        from mmkeygen.schemes import _session_channel
-
         ch = _session_channel(cfg, seeds.generator(1, 1))
-        bits = virtual_angle_bits(channel_matrix(ch), 3, cfg.alice, cfg.bob)
-        assert len(bits) == 3 * (7 + 7)
+        symbols, bits = strongest_bins(channel_matrix(ch), 3, cfg.alice, cfg.bob)
+        assert symbols.size * bits == 3 * (7 + 7)
 
     def test_identical_at_high_snr(self):
         res = virtual_angle_session(fig3_cfg(snr_db=200.0, rounds=20))
         assert res.bdr == 0.0
 
     def test_order_canonical(self):
-        # permuting which entries are "found first" cannot change the output:
-        # feed the same matrix twice (argpartition order is internal)
+        # the memory layout of the matrix cannot change the selection
         geom = ArrayGeometry(1, 32)
         H = rng(9).standard_normal((32, 32)) + 1j * rng(10).standard_normal((32, 32))
-        a = virtual_angle_bits(H, 4, geom, geom)
-        b = virtual_angle_bits(H.copy(), 4, geom, geom)
-        assert a.equals(b)
+        a, _ = strongest_bins(H, 4, geom, geom)
+        b, _ = strongest_bins(np.asfortranarray(H), 4, geom, geom)
+        assert np.array_equal(a, b) and np.all(a[:-1] < a[1:])
 
     def test_too_many_bins(self):
-        geom = ArrayGeometry(1, 2)
         with pytest.raises(ValueError, match="cannot select"):
-            virtual_angle_bits(np.zeros((2, 2)), 5, geom, geom)
+            _bin_symbols(np.zeros((2, 2)), 5)
 
 
 def reference_angle_bits(H_hat, num_paths, tx_geom, rx_geom):
-    """The per-pair loop of ``virtual_angle_bits``: one ``pack_indices`` call per row and per column.
+    """The key bits of the strongest bins by a per-pair loop: one ``pack_indices`` call per row and per column.
 
     The bins are the first ``num_paths`` of all bins sorted by (-magnitude,
     flat index).
@@ -491,7 +499,7 @@ class TestVirtualAngleBitsEqualReference:
         r = rng(num_paths)
         for _ in range(20):
             H = r.standard_normal((rx.size, tx.size)) + 1j * r.standard_normal((rx.size, tx.size))
-            bits = virtual_angle_bits(H, num_paths, tx, rx)
+            bits = pack_indices(*strongest_bins(H, num_paths, tx, rx))
             assert len(bits) == num_paths * ((rx.size - 1).bit_length() + (tx.size - 1).bit_length())
             assert bits.equals(reference_angle_bits(H, num_paths, tx, rx))
 
@@ -502,8 +510,15 @@ class TestVirtualAngleBitsEqualReference:
         delta = np.zeros((rx.size, tx.size))
         delta[0, 0] = 1.0
         for H in (np.zeros((rx.size, tx.size)), delta):
-            bits = virtual_angle_bits(H, num_paths, tx, rx)
+            bits = pack_indices(*strongest_bins(H, num_paths, tx, rx))
             assert bits.equals(reference_angle_bits(H, num_paths, tx, rx))
+
+
+def baseline_bdr(**kw):
+    """The bdr of one baseline trial at the fig3 settings with ``kw`` applied."""
+    cfg = fig3_cfg(scheme="baseline", **kw)
+    [bdr] = sounding_bdrs(cfg, [cfg.master_seed], [cfg.snr_db])
+    return bdr
 
 
 class TestVirtualSession:
@@ -518,23 +533,14 @@ class TestVirtualSession:
 
     def test_beats_baseline(self):
         v = virtual_angle_session(fig3_cfg(rounds=60, snr_db=-10.0))
-        b = baseline_channel_quant_session(fig3_cfg(scheme="baseline", rounds=6, snr_db=-10.0))
-        assert v.bdr < b.bdr
+        assert v.bdr < baseline_bdr(rounds=6, snr_db=-10.0)
 
     def test_baseline_noiseless_bdr_zero(self):
-        res = baseline_channel_quant_session(
-            fig3_cfg(scheme="baseline", snr_db=200.0, rounds=3, alice=ArrayGeometry(1, 16), bob=ArrayGeometry(1, 16))
-        )
-        assert res.bdr == 0.0
+        assert baseline_bdr(snr_db=200.0, rounds=3, alice=ArrayGeometry(1, 16), bob=ArrayGeometry(1, 16)) == 0.0
 
     def test_baseline_bdr_monotone_in_snr(self):
         dims = dict(alice=ArrayGeometry(1, 32), bob=ArrayGeometry(1, 32))
-        bdrs = [
-            baseline_channel_quant_session(
-                fig3_cfg(scheme="baseline", snr_db=snr, rounds=8, **dims)
-            ).bdr
-            for snr in (-20.0, -10.0, 0.0, 10.0)
-        ]
+        bdrs = [baseline_bdr(snr_db=snr, rounds=8, **dims) for snr in (-20.0, -10.0, 0.0, 10.0)]
         assert all(a >= b - 0.01 for a, b in zip(bdrs, bdrs[1:]))
 
 
@@ -549,18 +555,17 @@ class TestBinSymbols:
             for count in range(1, n + 1):
                 expected = np.sort(np.lexsort((np.arange(n), -mag.ravel()))[:count])
                 rows, cols = np.divmod(expected, shape[1])
-                symbols, bits = schemes._bin_symbols(mag.copy(), count)
+                symbols, bits = _bin_symbols(mag.copy(), count)
                 assert symbols.tolist() == (rows * 2**col_bits + cols).tolist() and bits == row_bits + col_bits
 
     def test_all_zero_selects_first_bins(self):
-        geom = ArrayGeometry(1, 8)
-        bits = virtual_angle_bits(np.zeros((8, 8)), 3, geom, geom)
+        bits = pack_indices(*_bin_symbols(np.zeros((8, 8)), 3))
         # rows 0, 0, 0 and columns 0, 1, 2, three bits each
         assert bits.bits.tolist() == [0, 0, 0, 0, 0, 0] + [0, 0, 0, 0, 0, 1] + [0, 0, 0, 0, 1, 0]
 
 
 def reference_sounding_bits(cfg, virtual):
-    """Both parties' bits of one virtual or baseline session, from the public functions on fresh arrays.
+    """Both parties' bits of one virtual or baseline trial, from the public functions on fresh arrays.
 
     This is the per-round loop the sounding loop replaced.
     """
@@ -575,7 +580,7 @@ def reference_sounding_bits(cfg, virtual):
             stream.append(estimate_channel(H, cfg.snr_db, r))
     if virtual:
         return [
-            BitString(np.concatenate([virtual_angle_bits(h, cfg.num_paths, cfg.alice, cfg.bob).bits for h in s]))
+            BitString(np.concatenate([reference_angle_bits(h, cfg.num_paths, cfg.alice, cfg.bob).bits for h in s]))
             for s in streams
         ]
     a, b = (extract_randomness(np.concatenate([h.view(np.float64).ravel() for h in s])) for s in streams)
@@ -594,28 +599,39 @@ class TestSoundingLoop:
     @pytest.mark.parametrize("rounds", [1, 3])
     def test_trials_equal_sessions_and_reference(self, virtual, alice, bob, grid, rounds):
         # one loop over several trials, so its buffers carry from trial to
-        # trial; each trial against a fresh session and the fresh-array loop
+        # trial; each trial against the fresh-array loop, and the virtual
+        # one against a fresh session too
         cfg = fig3_cfg(
             scheme="virtual" if virtual else "baseline", alice=alice, bob=bob, rounds=rounds, grid_angles=grid, levels=8
         )
         trial_seeds, snrs = [3, 2**64 - 1, 40, 41], [-10.0, 0.0, 5.0, -10.0]
         loop = schemes._virtual_symbols if virtual else schemes._baseline_symbols
         trials = list(loop(cfg, trial_seeds, snrs))
-        assert len(trials) == len(trial_seeds)
-        session = virtual_angle_session if virtual else baseline_channel_quant_session
-        for (a, b, width), seed, snr in zip(trials, trial_seeds, snrs):
+        bdrs = sounding_bdrs(cfg, trial_seeds, snrs)
+        for (a, b, width), seed, snr, bdr in zip(trials, trial_seeds, snrs, bdrs, strict=True):
             trial_cfg = replace(cfg, master_seed=seed, snr_db=snr)
-            res = session(trial_cfg)
             ref_a, ref_b = reference_sounding_bits(trial_cfg, virtual)
-            assert res.bits_alice.equals(ref_a) and res.bits_bob.equals(ref_b)
             assert pack_indices(a, width).equals(ref_a) and pack_indices(b, width).equals(ref_b)
-            assert _symbols_bdr(a, b, width) == 1.0 - bar(res.bits_alice, res.bits_bob) == res.bdr
+            assert bdr == 1.0 - bar(ref_a, ref_b)
+            if virtual:
+                res = virtual_angle_session(trial_cfg)
+                assert res.bits_alice.equals(ref_a) and res.bits_bob.equals(ref_b) and res.bdr == bdr
 
     @pytest.mark.parametrize("virtual", [True, False], ids=["virtual", "baseline"])
-    def test_results_share_no_memory_with_buffers(self, virtual, monkeypatch):
+    def test_results_share_no_memory_with_buffers(self, virtual):
+        # a trial's symbols stay as yielded while the loop writes its next
+        # trial into the same buffers
+        loop = schemes._virtual_symbols if virtual else schemes._baseline_symbols
+        cfg = fig3_cfg(scheme="virtual" if virtual else "baseline", alice=ArrayGeometry(1, 16), bob=ArrayGeometry(2, 4))
+        trials = loop(replace(cfg, rounds=2), [1, 99], [-10.0, 20.0])
+        first = next(trials)[:2]
+        kept = [symbols.copy() for symbols in first]
+        next(trials)
+        assert all(np.array_equal(symbols, copy) for symbols, copy in zip(first, kept, strict=True))
+
+    def test_session_shares_no_memory_with_buffers(self, monkeypatch):
         buffers = []
-        name = "_virtual_symbols" if virtual else "_baseline_symbols"
-        loop = getattr(schemes, name)
+        loop = schemes._virtual_symbols
 
         def spy(*args):
             gen = loop(*args)
@@ -624,17 +640,21 @@ class TestSoundingLoop:
                 buffers.extend(v for v in gen.gi_frame.f_locals.values() if isinstance(v, np.ndarray))
                 yield symbols
 
-        monkeypatch.setattr(schemes, name, spy)
-        session = virtual_angle_session if virtual else baseline_channel_quant_session
-        cfg = fig3_cfg(scheme="virtual" if virtual else "baseline", alice=ArrayGeometry(1, 16), bob=ArrayGeometry(2, 4))
-        first = session(replace(cfg, rounds=2))
+        monkeypatch.setattr(schemes, "_virtual_symbols", spy)
+        cfg = fig3_cfg(alice=ArrayGeometry(1, 16), bob=ArrayGeometry(2, 4), rounds=2)
+        first = virtual_angle_session(cfg)
         kept = [first.bits_alice.bits.copy(), first.bits_bob.bits.copy()]
         assert len(buffers) >= 4
         results = [first.bits_alice, first.bits_bob, first.final_key_alice, first.final_key_bob]
         for bits in results:
             assert not any(np.shares_memory(bits.bits, buf) for buf in buffers)
-        session(replace(cfg, rounds=2, master_seed=99, snr_db=20.0))
+        virtual_angle_session(replace(cfg, master_seed=99, snr_db=20.0))
         assert np.array_equal(first.bits_alice.bits, kept[0]) and np.array_equal(first.bits_bob.bits, kept[1])
+
+    @pytest.mark.parametrize("cfg", [fig2_cfg(), fig4_cfg()], ids=["secret_beam", "multires"])
+    def test_bdrs_reject_other_schemes(self, cfg):
+        with pytest.raises(ValueError, match="runs virtual or baseline sessions"):
+            sounding_bdrs(cfg, [1], [0.0])
 
 
 class TestMultires:
