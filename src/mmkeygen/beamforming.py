@@ -19,7 +19,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .channel import ArrayGeometry, ChannelRealization, array_response, channel_matrix
 
 DEFAULT_DELTA_MAX = float(np.radians(2.0))
-DEFAULT_PHASE_BITS = 6
+# the phase resolution of every codebook and sector beam's shifters
+_PHASE_BITS = 6
 
 
 class SelectionInfeasibleError(ValueError):
@@ -90,51 +91,37 @@ class Codebook:
         return len(self.weights)
 
 
-def _sector_sum(geom: ArrayGeometry, lo: float, hi: float, grid_points: int) -> np.ndarray:
-    """Sum of steering vectors on the in-sector sine grid, phase-aligned.
-
-    The raw sum self-cancels: adjacent Dirichlet kernels arrive anti-phase
-    because each steering vector's pattern carries the linear phase
-    exp(i*(N-1)*pi*d*(u - s_j)).  Each term is therefore rotated by its
-    stationary-phase coefficient before summing, which makes the in-sector
-    kernels add coherently while keeping the construction solver-free.
-    """
-    n_az = geom.cols
-    sines = lo + (hi - lo) * (np.arange(grid_points) + 0.5) / grid_points
-    centers = (np.arange(grid_points) + 0.5) * n_az / grid_points
-    du = (hi - lo) / grid_points
-    phases = np.zeros(grid_points)
-    for j in range(1, grid_points):
-        phases[j] = phases[j - 1] - 2.0 * np.pi * geom.spacing * 0.5 * (
-            centers[j] + centers[j - 1]
-        ) * du
-    acc = np.zeros(geom.size, dtype=complex)
-    for phi, resp in zip(phases, array_response(geom, np.arcsin(sines), 0.0)):
-        acc += np.exp(1j * phi) * np.conj(resp)
-    return acc / np.linalg.norm(acc)
-
-
-def sector_beamformer(
-    geom: ArrayGeometry,
-    lo: float,
-    hi: float,
-    phase_bits: int = DEFAULT_PHASE_BITS,
-    grid_points: int | None = None,
-) -> np.ndarray:
+def sector_beamformer(geom: ArrayGeometry, lo: float, hi: float) -> np.ndarray:
     """Constant-modulus wide beam covering the sine sector [lo, hi).
 
     ``lo = -1, hi = 1`` yields a quasi-omnidirectional pattern; the
-    hierarchical codebook uses the same construction per sector.
+    hierarchical codebook uses the same construction per sector.  The beam
+    sums the steering vectors of a sine grid with one point per DFT bin of
+    the sector, ``max(1, int(cols * (hi - lo) / 2))`` points, and quantizes
+    the phases to 6 bits.
+
+    The raw sum self-cancels: adjacent Dirichlet kernels arrive anti-phase
+    because each steering vector's pattern carries the linear phase
+    exp(i*(N-1)*pi/2*(u - s_j)).  Each term is therefore rotated by its
+    stationary-phase coefficient before summing, which makes the in-sector
+    kernels add coherently while keeping the construction solver-free.
     """
     if not -1.0 <= lo < hi <= 1.0:
         raise ValueError(f"invalid sector [{lo}, {hi})")
-    points = grid_points if grid_points is not None else max(1, geom.cols)
-    return quantize_phases(_sector_sum(geom, lo, hi, points), phase_bits)
+    points = max(1, int(geom.cols * (hi - lo) / 2))
+    sines = lo + (hi - lo) * (np.arange(points) + 0.5) / points
+    centers = (np.arange(points) + 0.5) * geom.cols / points
+    du = (hi - lo) / points
+    phases = np.zeros(points)
+    for j in range(1, points):
+        phases[j] = phases[j - 1] - np.pi * 0.5 * (centers[j] + centers[j - 1]) * du
+    acc = np.zeros(geom.size, dtype=complex)
+    for phi, resp in zip(phases, array_response(geom, np.arcsin(sines), 0.0)):
+        acc += np.exp(1j * phi) * np.conj(resp)
+    return quantize_phases(acc / np.linalg.norm(acc), _PHASE_BITS)
 
 
-def hierarchical_codebook(
-    geom: ArrayGeometry, depth: int, phase_bits: int = DEFAULT_PHASE_BITS
-) -> Codebook:
+def hierarchical_codebook(geom: ArrayGeometry, depth: int) -> Codebook:
     """Build the multi-resolution codebook for the azimuth axis of ``geom``.
 
     Requires ``2**depth <= geom.cols``; codebooks steer elevation 0.
@@ -146,10 +133,7 @@ def hierarchical_codebook(
             f"codebook depth {depth} too deep for azimuth axis of {geom.cols} elements"
         )
     ids = [(level, index) for level in range(1, depth + 1) for index in range(1 << level)]
-    weights = [
-        sector_beamformer(geom, *Codebook.sector(level, index), phase_bits, max(1, geom.cols >> level))
-        for level, index in ids
-    ]
+    weights = [sector_beamformer(geom, *Codebook.sector(level, index)) for level, index in ids]
     return Codebook(geom=geom, depth=depth, weights=np.stack(weights), ids=np.array(ids))
 
 

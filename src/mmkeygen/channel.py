@@ -1,16 +1,17 @@
 """Clustered narrowband mmWave channel model.
 
-A channel realization is a small set of propagation rays (one optional
-line-of-sight ray plus Rayleigh-faded weaker rays), held as an array of ray
-gains and an array of departure/arrival angles.  The module builds array
-responses and channel matrices, evolves ray gains with an AR(1) process
-inside a session (``evolve`` returns the gains of a run of coherence
-blocks as one (steps, L) array), and provides the angular (virtual) domain
-transform used by the sparse-domain key scheme, computed as a per-axis FFT.
+A channel realization is a small set of propagation rays (one line-of-sight
+ray plus Rayleigh-faded weaker rays), held as an array of ray gains and an
+array of departure/arrival angles.  The module builds array responses and
+channel matrices, evolves ray gains with an AR(1) process inside a session
+(``evolve`` returns the gains of a run of coherence blocks as one (steps, L)
+array), and provides the angular (virtual) domain transform used by the
+sparse-domain key scheme, computed as a per-axis FFT.
 
 Conventions
 -----------
-* Element spacing is in wavelengths (half wavelength by default).
+* Elements are half a wavelength apart, the spacing the DFT bins of the
+  angular domain assume.
 * Angles are radians in [-pi/2, pi/2); NLoS angles are drawn uniformly in
   sine space over [-1, 1).
 * SNR convention: unit-power transmitted pilot, additive receiver noise of
@@ -31,17 +32,14 @@ _HALF_PI = np.pi / 2.0
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform planar array; a ULA is the ``rows == 1`` (or ``cols == 1``) case."""
+    """Uniform planar array of half-wavelength spacing; a ULA is the ``rows == 1`` (or ``cols == 1``) case."""
 
     rows: int
     cols: int
-    spacing: float = 0.5
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"invalid geometry: rows={self.rows}, cols={self.cols} (need >= 1)")
-        if not np.isfinite(self.spacing) or self.spacing <= 0.0:
-            raise ValueError(f"invalid geometry: spacing={self.spacing} (need > 0)")
 
     @property
     def size(self) -> int:
@@ -54,7 +52,7 @@ class ChannelRealization:
 
     ``gains`` holds the (L,) complex ray gains and ``angles`` the (L, 4) ray
     angles in radians, columns (aod_az, aod_el, aoa_az, aoa_el).  Path 0 is
-    the line-of-sight ray when ``has_los`` is set; every other path is NLoS.
+    the line-of-sight ray; every other path is NLoS.
     Both arrays are stored as read-only copies.
     """
 
@@ -62,7 +60,6 @@ class ChannelRealization:
     angles: np.ndarray
     tx_geom: ArrayGeometry
     rx_geom: ArrayGeometry
-    has_los: bool = True
     nlos_offset_db: float = DEFAULT_NLOS_OFFSET_DB
 
     def __post_init__(self) -> None:
@@ -89,7 +86,7 @@ def array_response(
 ) -> np.ndarray:
     """Unit-norm response of ``geom`` toward (az, el), flattened row-major.
 
-    Element (m, n) has phase ``2*pi*spacing*(m*sin(el) + n*sin(az)*cos(el))``.
+    Element (m, n) has phase ``pi*(m*sin(el) + n*sin(az)*cos(el))``.
     ``az`` and ``el`` broadcast against each other: scalars give one
     ``(size,)`` response, angle arrays of shape ``s`` give ``s + (size,)``
     from a single ``exp``, each row equal to the scalar call.
@@ -101,7 +98,7 @@ def array_response(
     az, el = az[..., None, None], el[..., None, None]
     m = np.arange(geom.rows)[:, None]
     n = np.arange(geom.cols)
-    phase = 2.0 * np.pi * geom.spacing * (m * np.sin(el) + n * np.sin(az) * np.cos(el))
+    phase = np.pi * (m * np.sin(el) + n * np.sin(az) * np.cos(el))
     # in place from the first complex array on, so a large batch of
     # directions holds one complex array at a time
     resp = 1j * phase
@@ -111,21 +108,16 @@ def array_response(
     return resp.reshape(phase.shape[:-2] + (geom.size,))
 
 
-def _innovations(
-    u: float | np.ndarray, normals: np.ndarray, nlos_offset_db: float, has_los: bool = True
-) -> np.ndarray:
-    """Path gains (..., L) from uniforms (...,) and standard normals (..., 2 n_nlos).
+def _innovations(u: float | np.ndarray, normals: np.ndarray, nlos_offset_db: float) -> np.ndarray:
+    """Path gains (..., L) from uniforms (...,) and standard normals (..., 2 (L - 1)).
 
     The LoS gain is the unit phasor at ``2 pi u``.  The NLoS gains take the
     first half of ``normals`` as real parts and the second half as
     imaginary parts, scaled to expected power ``10**(-nlos_offset_db/10)``.
-    Without a LoS path the uniforms are dropped.
     """
     n = normals.shape[-1] // 2
     sigma = np.sqrt(10.0 ** (-nlos_offset_db / 10.0) / 2.0)
     nlos = sigma * (normals[..., :n] + 1j * normals[..., n:])
-    if not has_los:
-        return nlos
     return np.concatenate((np.exp(1j * (2.0 * np.pi * u))[..., None], nlos), axis=-1)
 
 
@@ -201,17 +193,17 @@ def evolve(ch: ChannelRealization, rho: float, rng: np.random.Generator, steps: 
 
     ``gain' = rho*gain + sqrt(1-rho^2)*eps`` with ``eps`` a fresh draw from
     the path's own gain distribution, so marginal power is preserved.  Each
-    step draws one uniform LoS phase (taken even without a LoS path), then
-    the NLoS innovations as one normal draw, real parts then imaginary parts.
+    step draws one uniform LoS phase, then the NLoS innovations as one
+    normal draw, real parts then imaginary parts.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"invalid params: rho={rho} not in [0, 1]")
     u = np.empty(steps)
-    normals = np.empty((steps, 2 * (ch.num_paths - int(ch.has_los))))
+    normals = np.empty((steps, 2 * (ch.num_paths - 1)))
     for t in range(steps):
         u[t] = rng.random()
         rng.standard_normal(out=normals[t])
-    return _ar1(ch.gains, _innovations(u, normals, ch.nlos_offset_db, ch.has_los), rho)
+    return _ar1(ch.gains, _innovations(u, normals, ch.nlos_offset_db), rho)
 
 
 def virtual_channel(

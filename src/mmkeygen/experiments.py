@@ -5,22 +5,12 @@ Config files are line-oriented ``key = value`` text with optional
 comma-separated numeric arrays.  The ``scenario`` and ``master_seed`` keys
 are required; everything else falls back to per-scenario defaults.
 
-Scenario presets:
-
-* ``fig2``  - beam-perturbation keying: bit agreement for the legitimate
-  link and a co-located eavesdropper, for array cases 32x16 and 16x8 (Alice
-  x Bob antennas) and both eavesdropper placements.
-* ``fig3``  - angular-domain extraction vs per-entry channel quantization:
-  bit disagreement over SNR for 128- and 64-element ULAs.
-* ``fig4``  - multi-resolution probing vs a fixed aligned beam: key entropy
-  rate of both arms per SNR with five probing beams.
-* ``cascade-bench`` - reconciliation benchmark: leaked-parity fraction and
-  residual mismatch per error rate.
-* ``custom`` - one scheme at explicit settings from the [scheme] section.
-
-Each session scenario is a list of cases, each a session template built
-from the scenario's preset in ``_PRESETS`` with the ``[scheme]`` keys merged
-in; keys that a scenario's cases set themselves warn and are ignored.
+The scenarios (``fig2``, ``fig3``, ``fig4``, ``cascade-bench`` and
+``custom``) are declared in ``_SCENARIOS``, each with its summary, default
+SNR grid and trials, and the [scheme] keys its cases fix.  Each session
+scenario is a list of cases, each a session template built from the
+scenario's preset in ``_PRESETS`` with the ``[scheme]`` keys merged in; keys
+that a scenario's cases set themselves warn and are ignored.
 Per-trial seeds derive from ``(master_seed, scenario, case, snr, trial)``
 via the stable counter-based scheme in :mod:`mmkeygen.seeds`, so tables are
 byte-identical across runs.
@@ -31,7 +21,9 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,29 +43,69 @@ from .schemes import (
     sounding_bdrs,
 )
 
-SCENARIOS = ("fig2", "fig3", "fig4", "cascade-bench", "custom")
+_GEOMETRY_KEYS = ("alice_rows", "alice_cols", "bob_rows", "bob_cols")
+# every [scheme] key and the type of its value; the scenario's presets
+# fill in the keys a config leaves out
+_SCHEME_KEYS = {
+    **dict.fromkeys(("scheme", "eve"), str),
+    **dict.fromkeys(("nlos_offset_db", "temporal_rho", "window_db", "delta_max_deg"), float),
+    **dict.fromkeys((*_GEOMETRY_KEYS, "num_paths", "levels", "num_beams"), int),
+    **dict.fromkeys(("rounds_per_trial", "codebook_depth", "grid_angles"), int),
+}
+# the keys of each section; a key before the first section header may be a
+# key of any of them
+_SECTIONS = {
+    "run": {"scenario": str, "master_seed": int, "trials": int, "snr_grid": tuple, "output_path": str},
+    "scheme": _SCHEME_KEYS,
+    "cascade": {"error_rates": tuple, "block_bits": int, "passes": int},
+}
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    """A scenario: its summary, its default SNR grid and trials, and the [scheme] keys its cases fix."""
+
+    summary: str
+    snr_grid: tuple[float, ...]
+    trials: int
+    fixed_keys: tuple[str, ...] = ()
+
+
+_GRID_0_20 = (0.0, 5.0, 10.0, 15.0, 20.0)
+
+# in the order of their ids in the trial seeds
+_SCENARIOS = {
+    "fig2": _Scenario(
+        "beam-perturbation keying vs co-located eavesdroppers: bar_legit/bar_eve "
+        "over SNR for Alice x Bob antenna cases 32x16 and 16x8",
+        _GRID_0_20,
+        1000,
+        ("scheme", *_GEOMETRY_KEYS, "eve"),
+    ),
+    "fig3": _Scenario(
+        "angular-domain (virtual AoA/AoD) extraction vs per-entry channel "
+        "quantization: bdr over SNR for 128/64-element ULAs",
+        (-20.0, -15.0, -10.0, -5.0, 0.0),
+        500,
+        ("scheme", *_GEOMETRY_KEYS, "num_paths", "rounds_per_trial"),
+    ),
+    "fig4": _Scenario(
+        "multi-resolution beam probing vs fixed aligned beam: key entropy rate per SNR with 5 beams",
+        _GRID_0_20,
+        5000,
+        ("scheme", "rounds_per_trial"),
+    ),
+    "cascade-bench": _Scenario(
+        "reconciliation benchmark: leaked fraction and residual mismatch per error rate (n=4096)",
+        (0.0,),
+        100,
+        tuple(_SCHEME_KEYS),
+    ),
+    "custom": _Scenario("one scheme at explicit [scheme] settings", _GRID_0_20, 1000),
+}
+SCENARIOS = tuple(_SCENARIOS)
 
 _SCENARIO_IDS = {name: i + 1 for i, name in enumerate(SCENARIOS)}
-
-_SCENARIO_DEFAULTS = {
-    "fig2": {"snr_grid": (0.0, 5.0, 10.0, 15.0, 20.0), "trials": 1000},
-    "fig3": {"snr_grid": (-20.0, -15.0, -10.0, -5.0, 0.0), "trials": 500},
-    "fig4": {"snr_grid": (0.0, 5.0, 10.0, 15.0, 20.0), "trials": 5000},
-    "cascade-bench": {"snr_grid": (0.0,), "trials": 100},
-    "custom": {"snr_grid": (0.0, 5.0, 10.0, 15.0, 20.0), "trials": 1000},
-}
-
-_SCENARIO_SUMMARY = {
-    "fig2": "beam-perturbation keying vs co-located eavesdroppers: bar_legit/bar_eve "
-    "over SNR for Alice x Bob antenna cases 32x16 and 16x8",
-    "fig3": "angular-domain (virtual AoA/AoD) extraction vs per-entry channel "
-    "quantization: bdr over SNR for 128/64-element ULAs",
-    "fig4": "multi-resolution beam probing vs fixed aligned beam: key entropy "
-    "rate per SNR with 5 beams",
-    "cascade-bench": "reconciliation benchmark: leaked fraction and residual "
-    "mismatch per error rate (n=4096)",
-    "custom": "one scheme at explicit [scheme] settings",
-}
 
 # trials per secret-beam batch: bounds a batch's arrays to about a megabyte
 # at 32 x 16 antennas and 16 levels.  A case's SNR points share the batches,
@@ -116,28 +148,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class SchemeOverrides:
-    """Optional per-scheme knobs; ``None`` means use the scenario preset."""
-
-    scheme: str | None = None
-    alice_rows: int | None = None
-    alice_cols: int | None = None
-    bob_rows: int | None = None
-    bob_cols: int | None = None
-    num_paths: int | None = None
-    nlos_offset_db: float | None = None
-    levels: int | None = None
-    num_beams: int | None = None
-    temporal_rho: float | None = None
-    eve: str | None = None
-    window_db: float | None = None
-    delta_max_deg: float | None = None
-    rounds_per_trial: int | None = None
-    codebook_depth: int | None = None
-    grid_angles: int | None = None
-
-
-@dataclass(frozen=True)
 class CascadeBench:
     error_rates: tuple[float, ...] = (0.02, 0.05, 0.10, 0.15)
     block_bits: int = 4096
@@ -146,13 +156,21 @@ class CascadeBench:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A run: its scenario, seed, trials and grid, and the [scheme] and [cascade] settings.
+
+    ``scheme`` holds the [scheme] keys the config sets, as a read-only copy.
+    """
+
     scenario: str
     master_seed: int
     trials: int
     snr_grid: tuple[float, ...]
     output_path: str | None = None
-    scheme: SchemeOverrides = field(default_factory=SchemeOverrides)
+    scheme: Mapping[str, object] = field(default_factory=dict)
     cascade: CascadeBench = field(default_factory=CascadeBench)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "scheme", MappingProxyType(dict(self.scheme)))
 
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -172,13 +190,18 @@ class ExperimentConfig:
             raise ConfigError(f"cascade passes must be >= 1, got {self.cascade.passes}")
         if self.cascade.block_bits < 1:
             raise ConfigError(f"cascade block_bits must be >= 1, got {self.cascade.block_bits}")
+        # a config built in code gets the checks that parsing makes
+        for key, value in self.scheme.items():
+            if key not in _SCHEME_KEYS:
+                raise ConfigError(f"unknown [scheme] key {key!r}")
+            _typed(key, _SCHEME_KEYS[key], value)
         try:
             # a scenario ignores the keys its cases fix, but a scheme or eve
             # that no session accepts is an error in every scenario
-            _merge(SessionConfig(), SchemeOverrides(scheme=self.scheme.scheme, eve=self.scheme.eve))
+            _merge(SessionConfig(), {k: v for k, v in self.scheme.items() if k in ("scheme", "eve")})
             if self.scenario != "cascade-bench":
                 _cases(self)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
 
@@ -186,28 +209,6 @@ class ExperimentConfig:
 # Config file parsing
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"scenario", "master_seed", "trials", "snr_grid", "output_path"}
-_SCHEME_KEYS = tuple(f.name for f in fields(SchemeOverrides))
-_CASCADE_KEYS = {f.name for f in fields(CascadeBench)}
-# [scheme] keys that map one to one onto SessionConfig fields
-_SESSION_KEYS = tuple(k for k in _SCHEME_KEYS if k in {f.name for f in fields(SessionConfig)})
-_GEOMETRY_KEYS = ("alice_rows", "alice_cols", "bob_rows", "bob_cols")
-_FIXED_KEYS = {
-    "fig2": ("scheme", *_GEOMETRY_KEYS, "eve"),
-    "fig3": ("scheme", *_GEOMETRY_KEYS, "num_paths", "rounds_per_trial"),
-    "fig4": ("scheme", "rounds_per_trial"),
-    "cascade-bench": _SCHEME_KEYS,
-    "custom": (),
-}
-
-
-# the type of each key's value; every other key takes a real number
-_KEY_TYPES = {
-    **dict.fromkeys(("scenario", "output_path", "scheme", "eve"), str),
-    **dict.fromkeys(("snr_grid", "error_rates"), tuple),
-    **dict.fromkeys(("master_seed", "trials", "block_bits", "passes", "num_paths", "levels", "num_beams"), int),
-    **dict.fromkeys((*_GEOMETRY_KEYS, "rounds_per_trial", "codebook_depth", "grid_angles"), int),
-}
 _TYPE_NAMES = {
     str: "a quoted string",
     tuple: "a number or a comma-separated list of numbers",
@@ -216,9 +217,8 @@ _TYPE_NAMES = {
 }
 
 
-def _typed(key: str, value: object, line_no: int) -> object:
-    """``value`` checked against the type ``key`` takes; one number is an array of one."""
-    kind = _KEY_TYPES.get(key, float)
+def _typed(key: str, kind: type, value: object, line_no: int | None = None) -> object:
+    """``value`` checked against the type ``kind`` that ``key`` takes; one number is an array of one."""
     if kind is tuple and isinstance(value, (int, float)):
         value = (float(value),)
     if not isinstance(value, (int, float) if kind is float else kind):
@@ -233,7 +233,7 @@ def _fixed_keys(scenario: str, scheme: object) -> tuple[str, ...]:
     """The [scheme] keys that the scenario's cases set themselves."""
     if scenario == "custom" and scheme == "multires":
         return ("rounds_per_trial",)
-    return _FIXED_KEYS[scenario]
+    return _SCENARIOS[scenario].fixed_keys
 
 
 def _parse_value(raw: str, line_no: int):
@@ -284,31 +284,22 @@ def _parse_lines(text: str) -> dict[tuple[str, str], tuple[object, int]]:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse config text; unknown keys warn, missing required keys error."""
-    entries = _parse_lines(text)
-
-    top: dict[str, object] = {}
-    scheme: dict[str, object] = {}
-    casc: dict[str, object] = {}
-    for (section, key), (value, line_no) in entries.items():
-        if section in ("", "run") and key in _TOP_KEYS:
-            group = top
-        elif section in ("", "scheme") and key in _SCHEME_KEYS:
-            group = scheme
-        elif section in ("", "cascade") and key in _CASCADE_KEYS:
-            group = casc
-        else:
+    groups: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
+    for (section, key), (value, line_no) in _parse_lines(text).items():
+        name = next((name for name, keys in _SECTIONS.items() if section in ("", name) and key in keys), None)
+        if name is None:
             warnings.warn(f"ignoring unknown config key {key!r} in section [{section}]", stacklevel=2)
             continue
-        group[key] = _typed(key, value, line_no)
+        groups[name][key] = _typed(key, _SECTIONS[name][key], value, line_no)
+    top, scheme = groups["run"], groups["scheme"]
 
     missing = [k for k in ("scenario", "master_seed") if k not in top]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
     scenario = top["scenario"]
-    if scenario not in _SCENARIO_DEFAULTS:
+    if scenario not in _SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    defaults = _SCENARIO_DEFAULTS[scenario]
     for key in scheme:
         if key in _fixed_keys(scenario, scheme.get("scheme")):
             warnings.warn(f"ignoring [scheme] key {key!r}: the {scenario} cases fix it", stacklevel=2)
@@ -316,11 +307,11 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(
         scenario=scenario,
         master_seed=top["master_seed"],
-        trials=top.get("trials", defaults["trials"]),
-        snr_grid=top.get("snr_grid", defaults["snr_grid"]),
+        trials=top.get("trials", _SCENARIOS[scenario].trials),
+        snr_grid=top.get("snr_grid", _SCENARIOS[scenario].snr_grid),
         output_path=top.get("output_path"),
-        scheme=SchemeOverrides(**scheme),
-        cascade=CascadeBench(**casc),
+        scheme=scheme,
+        cascade=CascadeBench(**groups["cascade"]),
     )
     cfg.validate()
     return cfg
@@ -431,33 +422,36 @@ def _trial_seeds(cfg: ExperimentConfig, case_idx: int, snr_idx, trials: int) -> 
     return seeds.derive_seeds(addresses.reshape(-1, len(labels) + 2))
 
 
-def _merge(preset: SessionConfig, ov: SchemeOverrides) -> SessionConfig:
-    """The preset with every [scheme] key that is set applied to it."""
-    changes = {name: getattr(ov, name) for name in _SESSION_KEYS if getattr(ov, name) is not None}
-    if ov.rounds_per_trial is not None:
-        changes["rounds"] = ov.rounds_per_trial
-    if ov.delta_max_deg is not None:
-        changes["delta_max"] = float(np.radians(ov.delta_max_deg))
-    if ov.eve is not None:
-        changes["eve"] = None if ov.eve == "none" else ov.eve
-    if ov.grid_angles is not None:
-        changes["grid_angles"] = bool(ov.grid_angles)
+# [scheme] keys that map one to one onto SessionConfig fields
+_SESSION_KEYS = _SCHEME_KEYS.keys() & {f.name for f in fields(SessionConfig)}
+
+
+def _merge(preset: SessionConfig, keys: Mapping[str, object]) -> SessionConfig:
+    """The preset with the [scheme] ``keys`` applied to it."""
+    changes = {name: value for name, value in keys.items() if name in _SESSION_KEYS}
+    if "rounds_per_trial" in keys:
+        changes["rounds"] = keys["rounds_per_trial"]
+    if "delta_max_deg" in keys:
+        changes["delta_max"] = float(np.radians(keys["delta_max_deg"]))
+    if "eve" in keys:
+        changes["eve"] = None if keys["eve"] == "none" else keys["eve"]
+    if "grid_angles" in keys:
+        changes["grid_angles"] = bool(keys["grid_angles"])
     for side in ("alice", "bob"):
         geom = getattr(preset, side)
-        rows, cols = getattr(ov, f"{side}_rows"), getattr(ov, f"{side}_cols")
-        changes[side] = ArrayGeometry(geom.rows if rows is None else rows, geom.cols if cols is None else cols)
+        changes[side] = ArrayGeometry(keys.get(f"{side}_rows", geom.rows), keys.get(f"{side}_cols", geom.cols))
     return replace(preset, **changes)
 
 
 def _cases(cfg: ExperimentConfig) -> list[tuple[tuple[tuple[str, str], ...], SessionConfig, int]]:
     """Each case of a session scenario: its (label, metric) rows, session template and trials.
 
-    Raises ValueError (TypeError for a value of the wrong type) when the
-    [scheme] keys make an invalid session.
+    Raises ValueError when the [scheme] keys make an invalid session.
     """
-    ov = replace(cfg.scheme, **dict.fromkeys(_fixed_keys(cfg.scenario, cfg.scheme.scheme), None))
+    fixed = _fixed_keys(cfg.scenario, cfg.scheme.get("scheme"))
+    keys = {key: value for key, value in cfg.scheme.items() if key not in fixed}
     if cfg.scenario == "fig2":
-        base = _merge(_PRESETS["fig2"], ov)
+        base = _merge(_PRESETS["fig2"], keys)
         cases = []
         for dims, a, b in (("32x16", 32, 16), ("16x8", 16, 8)):
             for eve in ("alice", "bob"):
@@ -466,7 +460,7 @@ def _cases(cfg: ExperimentConfig) -> list[tuple[tuple[tuple[str, str], ...], Ses
                 cases.append((((label, "bar_legit"), (label, "bar_eve")), session, cfg.trials))
         return cases
     if cfg.scenario == "fig3":
-        base = _merge(_PRESETS["fig3"], ov)
+        base = _merge(_PRESETS["fig3"], keys)
         cases = []
         for label, scheme, n, L, trials in (
             ("virtual_128x128_L3", "virtual", 128, 3, cfg.trials),
@@ -479,9 +473,9 @@ def _cases(cfg: ExperimentConfig) -> list[tuple[tuple[tuple[str, str], ...], Ses
             cases.append((((label, "bdr"),), session, trials))
         return cases
     if cfg.scenario == "fig4":
-        session = _merge(_PRESETS["fig4"], ov)
+        session = _merge(_PRESETS["fig4"], keys)
         return [((("multires_P5", "ker_multires"), ("fixed_beam", "ker_fixed")), session, cfg.trials)]
-    session = _merge(_PRESETS["custom"][ov.scheme or "secret_beam"], ov)
+    session = _merge(_PRESETS["custom"][keys.get("scheme", "secret_beam")], keys)
     metrics = {
         "secret_beam": ("bar_legit", "bar_eve") if session.eve else ("bar_legit",),
         "multires": ("ker_multires", "ker_fixed"),
@@ -586,4 +580,4 @@ def run_scenario(cfg: ExperimentConfig) -> ResultTable:
 
 
 def scenario_summaries() -> list[tuple[str, str]]:
-    return [(name, _SCENARIO_SUMMARY[name]) for name in SCENARIOS]
+    return [(name, scenario.summary) for name, scenario in _SCENARIOS.items()]

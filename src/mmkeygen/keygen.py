@@ -140,27 +140,28 @@ def bar(a: BitString, b: BitString) -> float:
     return float(np.mean(a.bits == b.bits))
 
 
+# the share of the strings Cascade reveals to estimate their error rate
+_SAMPLE_FRACTION = 0.1
+
+
 @dataclass(frozen=True)
 class CascadeParams:
     """Cascade protocol knobs.
 
     ``initial_block=None`` sizes the first pass as ``ceil(0.73/p_est)`` with
-    the error rate estimated on a sacrificial random sample of the strings;
-    the sampled positions are revealed and counted as leaked.
+    the error rate estimated on a sacrificial random sample of 10% of the
+    strings; the sampled positions are revealed and counted as leaked.
     """
 
     passes: int = 4
     initial_block: int | None = None
     seed: int = 0
-    sample_fraction: float = 0.1
 
     def __post_init__(self) -> None:
         if self.passes < 1:
             raise ValueError(f"passes must be >= 1, got {self.passes}")
         if self.initial_block is not None and self.initial_block < 1:
             raise ValueError(f"initial_block must be >= 1, got {self.initial_block}")
-        if not 0.0 < self.sample_fraction < 1.0:
-            raise ValueError("sample_fraction must be in (0, 1)")
 
 
 def _binary_search(diff: np.ndarray, positions: np.ndarray) -> tuple[int, int]:
@@ -236,7 +237,7 @@ def cascade(a: BitString, b: BitString, params: CascadeParams) -> tuple[BitStrin
     leaked = 0
 
     if params.initial_block is None:
-        m = max(1, math.ceil(params.sample_fraction * n))
+        m = max(1, math.ceil(_SAMPLE_FRACTION * n))
         sample = rng.choice(n, size=m, replace=False)
         p_est = float(np.mean(diff[sample]))
         leaked += m

@@ -80,7 +80,6 @@ class SessionConfig:
     num_beams: int = 5
     temporal_rho: float = 0.0
     eve: str | None = None
-    eve_snr_db: float | None = None
     delta_max: float = DEFAULT_DELTA_MAX
     window_db: float = 10.0
     codebook_depth: int | None = None
@@ -109,11 +108,14 @@ class SessionConfig:
             # with no offset every perturbed beam is the nominal beam
             if not self.delta_max > 0.0:
                 raise ValueError(f"delta_max must be > 0, got {self.delta_max}")
+            # each perturbation index is drawn from one 32-bit word
+            if self.levels > 1 << 32:
+                raise ValueError(f"levels={self.levels} exceeds the 2**32 offsets a secret-beam round can draw")
             # the broadside sine offset must stay inside the first-null spacing
             # of each party's azimuth aperture or the ratio curve folds for
             # typical angles and the inversion is ill-posed by construction
             for geom, owner in ((self.alice, "alice"), (self.bob, "bob")):
-                if geom.cols > 1 and np.sin(self.delta_max) >= 2.0 / (geom.cols * geom.spacing * 2.0):
+                if geom.cols > 1 and np.sin(self.delta_max) >= 2.0 / geom.cols:
                     raise ValueError(
                         f"delta_max={self.delta_max:.4f} rad reaches past the first pattern null "
                         f"of {owner}'s {geom.cols}-element azimuth aperture"
@@ -130,6 +132,11 @@ class SessionConfig:
                 raise ValueError(f"codebook depth {depth} too deep for alice's {self.alice.cols}-element azimuth axis")
             if self.num_beams > codewords:
                 raise ValueError(f"num_beams={self.num_beams} exceeds the {codewords} codewords of depth {depth}")
+            # the entropy rate indexes each block's joint cell of the beams' streams
+            if self.levels**self.num_beams > 2**62:
+                raise ValueError(
+                    f"levels={self.levels} on {self.num_beams} beams: joint alphabet too large to index (over 2**62)"
+                )
 
     @property
     def multires_depth(self) -> int:
@@ -362,15 +369,11 @@ def secret_beam_batch(cfg: SessionConfig, trial_seeds, snr_db) -> _BeamBatch:
     tx_b, lut_b = through_beams(cfg.bob, 2)
     scale = np.sqrt(cfg.alice.size * cfg.bob.size / cfg.num_paths)
 
-    def noise_scale(snr: float) -> float:
-        # on a Python float: numpy's array power need not round as pow() does,
-        # and the nearest-ratio argmin of `estimates` reads the last bit
-        return np.sqrt(10.0 ** (-snr / 10.0) / 2.0)
-
-    # one scale per distinct SNR, then a (B, 1) column of them
+    # one scale per distinct SNR, then a (B, 1) column of them.  Each is taken
+    # on a Python float: numpy's array power need not round as pow() does,
+    # and the nearest-ratio argmin of `estimates` reads the last bit
     snrs, point = np.unique(np.asarray(snr_db, dtype=float), return_inverse=True)
-    sigma = np.array([noise_scale(snr) for snr in snrs.tolist()])[point][:, None]
-    sigma_e = sigma if cfg.eve_snr_db is None else noise_scale(cfg.eve_snr_db)
+    sigma = np.array([np.sqrt(10.0 ** (-snr / 10.0) / 2.0) for snr in snrs.tolist()])[point][:, None]
     trial = np.arange(B)[:, None]
 
     def pilots(tx_rx: np.ndarray, tx_tx: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -401,12 +404,12 @@ def secret_beam_batch(cfg: SessionConfig, trial_seeds, snr_db) -> _BeamBatch:
     bits_eve = eve_guess = None
     bar_eve = np.full(B, np.nan)
     if eve:
-        # co-located with one party, she hears what that party hears, and
-        # guesses her host's indices uniformly
+        # co-located with one party, she hears what that party hears, at its
+        # SNR, and guesses her host's indices uniformly
         if cfg.eve == "alice":
-            eve_far = estimates(lut_b, at_alice, noise[2], sigma_e)
+            eve_far = estimates(lut_b, at_alice, noise[2], sigma)
         else:
-            eve_far = estimates(lut_a, at_bob, noise[2], sigma_e)
+            eve_far = estimates(lut_a, at_bob, noise[2], sigma)
         bits_eve = gray_bits(eve_far)
         eve_guess = gray_bits(index[2]) ^ bits_eve
         bar_eve = (eve_guess == final_alice).mean(axis=1)

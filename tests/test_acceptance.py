@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from mmkeygen.channel import ArrayGeometry, virtual_channel
+from mmkeygen.channel import ArrayGeometry, ChannelRealization, channel_matrix, virtual_channel
 from mmkeygen.experiments import parse_config, run_scenario, table_to_csv
 from mmkeygen.keygen import (
     BitString,
@@ -22,6 +22,8 @@ from mmkeygen.keygen import (
 )
 from mmkeygen.schemes import (
     SessionConfig,
+    _bin_symbols,
+    estimate_channel,
     multires_session,
     secret_beam_session,
     virtual_angle_session,
@@ -126,6 +128,33 @@ class TestCriterion3VirtualAngle:
         )
         assert bits >= 10_000
         assert row.value <= 1e-2
+
+    def test_weak_path_bin_lost_to_noise_at_minus10(self):
+        # 3a's mechanism at small scale: three grid paths on 128 x 128 ULAs,
+        # two of |g|^2 = 1 and an NLoS path of |g|^2 = 0.01.  The weak bin's
+        # power, (16384 / 3) * 0.01 = 55, is below the largest of about 16k
+        # noise bins of mean power 10 at -10 dB (near 10 ln 16384 = 97), and
+        # far above those of mean power 1 at 0 dB; the strong bins hold 5461
+        geom = ArrayGeometry(1, 128)
+
+        def top_bins(H, count):
+            return set(_bin_symbols(np.abs(virtual_channel(H, geom, geom)), count)[0].tolist())
+
+        sine = lambda j: float(np.arcsin(-1.0 + 2.0 * j / 128))
+        gains = [1.0, np.exp(0.7j), 0.1 * np.exp(2.1j)]
+        angles = [[sine(tx), 0.0, sine(rx), 0.0] for tx, rx in ((20, 90), (70, 30), (100, 60))]
+        H = channel_matrix(ChannelRealization(gains, angles, geom, geom))
+        # each path's bin, from its channel alone
+        strong_a, strong_b, weak = (
+            top_bins(channel_matrix(ChannelRealization([g], [a], geom, geom)), 1).pop() for g, a in zip(gains, angles)
+        )
+        lost = {}
+        for snr in (-10.0, 0.0):
+            kept = [top_bins(estimate_channel(H, snr, np.random.default_rng(seed)), 3) for seed in range(40)]
+            assert all({strong_a, strong_b} <= bins for bins in kept)
+            lost[snr] = sum(weak not in bins for bins in kept)
+        # measured: lost in 33 of the 40 at -10 dB
+        assert lost[-10.0] > 20 and lost[0.0] == 0, lost
 
     def test_virtual_beats_baseline_everywhere(self, fig3_table):
         virt = {r.snr_db: r.value for r in _rows(fig3_table, "bdr", "virtual_128x128_L3")}

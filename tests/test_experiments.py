@@ -1,4 +1,5 @@
 import os
+import re
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -15,7 +16,6 @@ from mmkeygen.experiments import (
     ExperimentConfig,
     ResultRow,
     ResultTable,
-    SchemeOverrides,
     parse_config,
     run_scenario,
     table_to_csv,
@@ -71,26 +71,45 @@ class TestConfigParsing:
             parse_config(MINIMAL_FIG2 + "frobnicate = 3\n")
 
     def test_sections_parse_to_expected_config(self):
-        cfg = parse_config(
-            MINIMAL_FIG2
-            + "trials = 44\nsnr_grid = -5, 0, 5\n[scheme]\nlevels = 8\neve = \"bob\"\n"
-            + "delta_max_deg = 2.5\n[cascade]\nerror_rates = 0.05, 0.1\n"
-        )
+        # fig2's cases fix eve: the key warns, and is kept as the file set it
+        with pytest.warns(UserWarning, match=r"ignoring \[scheme\] key 'eve'"):
+            cfg = parse_config(
+                MINIMAL_FIG2
+                + "trials = 44\nsnr_grid = -5, 0, 5\n[scheme]\nlevels = 8\neve = \"bob\"\n"
+                + "delta_max_deg = 2.5\n[cascade]\nerror_rates = 0.05, 0.1\n"
+            )
         assert cfg == ExperimentConfig(
             scenario="fig2",
             master_seed=7,
             trials=44,
             snr_grid=(-5.0, 0.0, 5.0),
-            scheme=SchemeOverrides(levels=8, eve="bob", delta_max_deg=2.5),
+            scheme={"levels": 8, "eve": "bob", "delta_max_deg": 2.5},
             cascade=CascadeBench(error_rates=(0.05, 0.1)),
         )
+
+    def test_scheme_keys_read_only(self):
+        keys = {"levels": 8}
+        cfg = ExperimentConfig("fig2", 1, 2, (10.0,), scheme=keys)
+        keys["levels"] = 4
+        assert cfg.scheme == {"levels": 8}
+        with pytest.raises(TypeError):
+            cfg.scheme["levels"] = 4
+
+    @pytest.mark.parametrize(
+        "scheme, message",
+        [({"levls": 8}, "unknown [scheme] key 'levls'"), ({"levels": 8.0}, "levels must be an integer, got 8.0")],
+    )
+    def test_validate_checks_scheme_keys(self, scheme, message):
+        # a config built in code passes the checks that parsing makes
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig("fig2", 1, 2, (10.0,), scheme=scheme).validate()
 
     def test_float_precision_preserved(self):
         cfg = parse_config(
             MINIMAL_FIG2 + "snr_grid = 0.123456789012345\n[scheme]\ntemporal_rho = 0.7071067811865476\n"
         )
         assert cfg.snr_grid == (0.123456789012345,)
-        assert cfg.scheme.temporal_rho == 0.7071067811865476
+        assert cfg.scheme["temporal_rho"] == 0.7071067811865476
 
     def test_scalar_snr_grid_promoted(self):
         cfg = parse_config(MINIMAL_FIG2 + "snr_grid = 10\n")
@@ -106,7 +125,7 @@ class TestConfigParsing:
 
     def test_sections_route_keys(self):
         cfg = parse_config(MINIMAL_FIG2 + "[scheme]\nnum_paths = 4\n[cascade]\npasses = 2\n")
-        assert cfg.scheme.num_paths == 4
+        assert cfg.scheme["num_paths"] == 4
         assert cfg.cascade.passes == 2
 
 
@@ -415,6 +434,11 @@ class TestCli:
             ("fig2", "delta_max_deg = -3", "delta_max must be > 0"),
             # a selection used to widen a negative window silently
             ("fig4", "window_db = -5", "window_db must be > 0"),
+            # these two used to pass validate and fail mid-run with exit 2:
+            # the entropy rate indexes 8192**5 joint cells in an int64, and
+            # a perturbation index is drawn from one 32-bit word
+            ("fig4", "levels = 8192", "joint alphabet too large to index"),
+            ("fig2", "levels = 8589934592", "levels=8589934592 exceeds the 2**32 offsets"),
         ],
     )
     def test_validate_builds_sessions(self, tmp_path, capsys, scenario, scheme_key, message):
@@ -517,11 +541,14 @@ class TestCli:
         if code:
             assert "num_paths=5 exceeds the 4 angular bins" in capsys.readouterr().err
 
-    def test_validate_accepts_deepest_multires_codebook(self, tmp_path):
-        # depth 6 on 64 columns with all 126 codewords selected is the limit
-        cfg = self._write(
-            tmp_path,
-            'scenario = "custom"\nmaster_seed = 1\ntrials = 1\nsnr_grid = 10\n'
-            '[scheme]\nscheme = "multires"\ncodebook_depth = 6\nnum_beams = 126\n',
-        )
+    def test_validate_accepts_deepest_multires_codebook(self, tmp_path, capsys):
+        # all 62 codewords of depth 5 on 2 levels meet both limits: the
+        # codebook's, and the entropy rate's 2**62 joint cells.  Every beam
+        # of depth 6 would index 2**126 of them, which used to pass validate
+        text = 'scenario = "custom"\nmaster_seed = 1\ntrials = 20\nsnr_grid = 10\n[scheme]\nscheme = "multires"\n'
+        cfg = self._write(tmp_path, text + "codebook_depth = 5\nnum_beams = 62\nlevels = 2\n")
         assert cli_main(["validate", "--config", cfg]) == 0
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+        for lines in ("codebook_depth = 5\nnum_beams = 62\nlevels = 4\n", "codebook_depth = 6\nnum_beams = 126\n"):
+            assert cli_main(["validate", "--config", self._write(tmp_path, text + lines)]) == 1
+            assert "joint alphabet too large to index" in capsys.readouterr().err

@@ -211,7 +211,8 @@ def _reference_cascade(a, b, params, transcript=None):
     leaked = 0
 
     if params.initial_block is None:
-        m = max(1, math.ceil(params.sample_fraction * n))
+        # the sacrificial sample is 10% of the strings
+        m = max(1, math.ceil(0.1 * n))
         sample = rng.choice(n, size=m, replace=False)
         p_est = float(np.mean(a_bits[sample] != b_work[sample]))
         leaked += m

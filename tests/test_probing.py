@@ -26,7 +26,7 @@ def zero_channel(n=4, num_paths=1):
 
 
 def at_block(ch, gains):
-    return ChannelRealization(gains, ch.angles, ch.tx_geom, ch.rx_geom, ch.has_los, ch.nlos_offset_db)
+    return ChannelRealization(gains, ch.angles, ch.tx_geom, ch.rx_geom, ch.nlos_offset_db)
 
 
 class TestProbe:

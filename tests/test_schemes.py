@@ -165,8 +165,6 @@ def reference_beam_streams(cfg):
     tx_b = a_rx.T @ beams_b.T  # (L, K+1)
 
     sigma = np.sqrt(10.0 ** (-cfg.snr_db / 10.0) / 2.0)
-    eve_snr = cfg.snr_db if cfg.eve_snr_db is None else cfg.eve_snr_db
-    sigma_e = np.sqrt(10.0 ** (-eve_snr / 10.0) / 2.0)
 
     def _noise(r, s):
         return complex(s * (r.standard_normal() + 1j * r.standard_normal()))
@@ -189,12 +187,12 @@ def reference_beam_streams(cfg):
         out["est_b_at_alice"][t] = int(np.argmin(np.abs(lut_b - abs(y1_ali) / abs(y0_ali))))
 
         if cfg.eve == "alice":
-            e0 = base_rev @ tx_b[:, 0] + _noise(rng_eve, sigma_e)
-            e1 = base_rev @ tx_b[:, k_b + 1] + _noise(rng_eve, sigma_e)
+            e0 = base_rev @ tx_b[:, 0] + _noise(rng_eve, sigma)
+            e1 = base_rev @ tx_b[:, k_b + 1] + _noise(rng_eve, sigma)
             out["eve_far"][t] = int(np.argmin(np.abs(lut_b - abs(e1) / abs(e0))))
         elif cfg.eve == "bob":
-            e0 = base_fwd @ tx_a[:, 0] + _noise(rng_eve, sigma_e)
-            e1 = base_fwd @ tx_a[:, k_a + 1] + _noise(rng_eve, sigma_e)
+            e0 = base_fwd @ tx_a[:, 0] + _noise(rng_eve, sigma)
+            e1 = base_fwd @ tx_a[:, k_a + 1] + _noise(rng_eve, sigma)
             out["eve_far"][t] = int(np.argmin(np.abs(lut_a - abs(e1) / abs(e0))))
         out["eve_near_guess"][t] = int(rng_guess.integers(0, K))
     return out
@@ -249,7 +247,6 @@ def secret_beam_configs(draw):
         levels=draw(st.sampled_from([2, 8, 16])),
         temporal_rho=draw(st.sampled_from([0.0, 0.4, 1.0])),
         eve=draw(st.sampled_from([None, "alice", "bob"])),
-        eve_snr_db=draw(st.sampled_from([None, 0.0])),
         delta_max=float(np.radians(3.0)),
         grid_angles=draw(st.booleans()),
     )
@@ -753,17 +750,10 @@ class TestMultiresEqualsReference:
             snr_db=15.0,
             master_seed=2,
         ),
-        # without a LoS path, evolve still draws (and drops) the LoS phase
-        "no-los": dict(snr_db=0.0, temporal_rho=0.8),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_samples_bits_and_kers_equal_reference(self, case, monkeypatch):
-        if case == "no-los":
-            session_channel = schemes._session_channel
-            monkeypatch.setattr(
-                schemes, "_session_channel", lambda cfg, rng: replace(session_channel(cfg, rng), has_los=False)
-            )
+    def test_samples_bits_and_kers_equal_reference(self, case):
         cfg = fig4_cfg(**self.CASES[case])
         res = multires_session(cfg)
         multi_bob, multi_alice, fixed_bob = reference_multires_samples(cfg, res.beam_ids, res.fixed_beam_id)
