@@ -446,6 +446,7 @@ def _merge(preset: SessionConfig, keys: Mapping[str, object]) -> SessionConfig:
 def _cases(cfg: ExperimentConfig) -> list[tuple[tuple[tuple[str, str], ...], SessionConfig, int]]:
     """Each case of a session scenario: its (label, metric) rows, session template and trials.
 
+    A multires template's ``rounds`` are the trials, its coherence blocks.
     Raises ValueError when the [scheme] keys make an invalid session.
     """
     fixed = _fixed_keys(cfg.scenario, cfg.scheme.get("scheme"))
@@ -473,9 +474,11 @@ def _cases(cfg: ExperimentConfig) -> list[tuple[tuple[tuple[str, str], ...], Ses
             cases.append((((label, "bdr"),), session, trials))
         return cases
     if cfg.scenario == "fig4":
-        session = _merge(_PRESETS["fig4"], keys)
+        session = replace(_merge(_PRESETS["fig4"], keys), rounds=cfg.trials)
         return [((("multires_P5", "ker_multires"), ("fixed_beam", "ker_fixed")), session, cfg.trials)]
     session = _merge(_PRESETS["custom"][keys.get("scheme", "secret_beam")], keys)
+    if session.scheme == "multires":
+        session = replace(session, rounds=cfg.trials)
     metrics = {
         "secret_beam": ("bar_legit", "bar_eve") if session.eve else ("bar_legit",),
         "multires": ("ker_multires", "ker_fixed"),
@@ -536,7 +539,7 @@ def _run_sessions(cfg: ExperimentConfig) -> list[ResultRow]:
             # one long session of `trials` coherence blocks per point
             point_seeds = _trial_seeds(cfg, case_idx, range(len(cfg.snr_grid)), 1).tolist()
             points = (
-                _multires_point(replace(template, snr_db=snr, rounds=trials, master_seed=seed))
+                _multires_point(replace(template, snr_db=snr, master_seed=seed))
                 for snr, seed in zip(cfg.snr_grid, point_seeds)
             )
         else:

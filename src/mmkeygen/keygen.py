@@ -4,20 +4,22 @@ The pipeline stages operate on :class:`BitString` values (immutable 0/1 byte
 arrays).  Cascade is the classic interactive protocol: per pass a shared
 seeded permutation, fixed-size blocks, parity comparison, binary-search
 correction of odd blocks, and back-tracking into earlier passes.  It works
-on the XOR of the two strings and keeps one block-parity array per pass,
-toggled on each flip, so every block parity is a lookup; the binary search
-reads its halvings off a prefix sum of the block; the first pass searches
-all its odd blocks at once, as one array computation.  Leakage accounting
-is a literal transcript count: one bit per revealed parity plus any
-sacrificial calibration sample.  The Toeplitz hash of privacy amplification
-is an exact integer convolution through a real FFT.
+on the XOR of the two strings.  The first pass searches all its odd blocks
+at once, as one array computation.  From then on each pass keeps the XOR
+in its own order as one Python int, and its block parities, toggled on
+each flip, so every block parity is a lookup.  A search reads its block
+off that int and halves on bit counts; once one error is left, a table
+per block length gives the parities the rest of the search reveals.
+Leakage accounting is a literal transcript count: one bit per revealed
+parity plus any sacrificial calibration sample.  The Toeplitz hash of
+privacy amplification is an exact integer convolution through a real FFT.
 """
 
 from __future__ import annotations
 
 import array
+import functools
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -90,6 +92,9 @@ class QuantizerConfig:
     def __post_init__(self) -> None:
         if self.levels < 2 or (self.levels & (self.levels - 1)) != 0:
             raise ValueError(f"levels must be a power of two >= 2, got {self.levels}")
+        # cell indices are int64; 2**63 cells would overflow them
+        if self.levels > 2**62:
+            raise ValueError(f"levels={self.levels} exceeds 2**62: its cell indices overflow int64")
         if (self.lo is None) != (self.hi is None):
             raise ValueError(f"set both quantizer bounds or neither, got lo={self.lo}, hi={self.hi}")
         # written so that a NaN bound fails too
@@ -164,28 +169,43 @@ class CascadeParams:
             raise ValueError(f"initial_block must be >= 1, got {self.initial_block}")
 
 
-def _binary_search(diff: np.ndarray, positions: np.ndarray) -> tuple[int, int]:
-    """Locate one mismatched position inside an odd-parity block.
+# one table per block length met, of that many bytes
+@functools.cache
+def _halvings(length: int) -> bytes:
+    """Per offset of a ``length``-bit block, the parities a binary search reveals to end there."""
+    if length == 1:
+        return b"\0"
+    half = length // 2
+    return bytes(c + 1 for c in _halvings(half) + _halvings(length - half))
 
-    ``diff`` is the XOR of the two strings.  Returns (position,
-    parities_revealed): each halving step reveals one parity bit of the
-    reference string, read off a prefix sum of ``diff`` over the block.
+
+def _locate(x: int, length: int) -> tuple[int, int]:
+    """Binary search of an odd block whose bit r is ``x >> r & 1``; returns (offset found, parities revealed).
+
+    Each halving reveals the parity of the lower half.  Once the part left
+    holds one set bit, the search ends on it, after :func:`_halvings` more.
     """
-    prefix = list(itertools.accumulate(diff[positions].tolist(), initial=0))
-    lo, hi = 0, positions.size
-    revealed = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
+    offset = revealed = 0
+    while x.bit_count() > 1:
+        half = length // 2
         revealed += 1
-        if (prefix[mid] - prefix[lo]) & 1:
-            hi = mid
+        low = x & ((1 << half) - 1)
+        if low.bit_count() & 1:
+            x, length = low, half
         else:
-            lo = mid
-    return int(positions[lo]), revealed
+            x, length, offset = x >> half, length - half, offset + half
+    r = x.bit_length() - 1
+    return offset + r, revealed + _halvings(length)[r]
+
+
+def _int_bits(x: int, n: int) -> np.ndarray:
+    """The low ``n`` bits of ``x`` as a 0/1 array, bit r at index r."""
+    raw = np.frombuffer(x.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little")
 
 
 def _search_odd_blocks(bits: np.ndarray, size: int) -> tuple[np.ndarray, int]:
-    """:func:`_binary_search` on every odd block of ``bits``, cut into blocks of ``size``, at once.
+    """:func:`_locate` on every odd block of ``bits``, cut into blocks of ``size``, at once.
 
     Returns (offsets into ``bits`` of the found positions, parities revealed).
     """
@@ -220,12 +240,14 @@ def cascade(a: BitString, b: BitString, params: CascadeParams) -> tuple[BitStrin
     sample when auto-sizing).  Residual mismatch is possible and is reported
     by a post-hoc :func:`bar` check, not an error.
 
-    The work is done on ``diff = a ^ b``: each pass keeps the parity of
-    ``diff`` over each of its blocks, and every flip toggles the entry of
-    the block holding the flipped position in every pass built so far.  The
-    first pass has disjoint blocks and no earlier pass to back-track into,
-    so it searches all its odd blocks at once; later passes go block by
-    block, because their back-tracking depends on the order.
+    The work is done on ``diff = a ^ b``.  The first pass has disjoint
+    blocks and no earlier pass to back-track into, so it searches all its
+    odd blocks at once.  Later passes go block by block, because their
+    back-tracking depends on the order.  Each pass keeps ``diff`` in its
+    own order as one int (bit r is ``diff[perm[r]]``), its position->rank
+    map and its block parities.  A search reads its block off that int
+    (:func:`_locate`); a flip toggles its bit and its block's parity in
+    every pass, and queues each block it leaves odd, smallest first.
     """
     # a ^ b checks the lengths; its bits are read-only, so flip a copy
     diff = (a ^ b).bits.copy()
@@ -245,80 +267,64 @@ def cascade(a: BitString, b: BitString, params: CascadeParams) -> tuple[BitStrin
     else:
         block = min(n, params.initial_block)
 
-    # per pass: permutation, block size, position->block map (an int64
-    # array.array: compact, and fast to index from Python), block parities
-    perms: list[np.ndarray] = []
-    sizes: list[int] = []
-    block_of: list[array.array] = []
-    odd: list[list[int]] = []
-
-    def positions(p_idx: int, b_idx: int) -> np.ndarray:
-        size = sizes[p_idx]
-        return perms[p_idx][b_idx * size : (b_idx + 1) * size]
-
-    def flip(pos: int) -> None:
-        diff[pos] ^= 1
-        for p_idx in range(len(odd)):
-            odd[p_idx][block_of[p_idx][pos]] ^= 1
-
-    def backtrack(flipped: int, skip: tuple[int, int]) -> None:
-        nonlocal leaked
-        # blocks whose parity state toggled; re-search smallest first
-        heap: list[tuple[int, int, int]] = []
-        seen: set[tuple[int, int]] = set()
-
-        def push_containing(pos: int, skip_key: tuple[int, int]) -> None:
-            for p_idx in range(len(odd)):
-                b_idx = block_of[p_idx][pos]
-                key = (p_idx, b_idx)
-                if key == skip_key or key in seen:
-                    continue
-                if odd[p_idx][b_idx]:
-                    seen.add(key)
-                    # keyed by real length: the last block is short when
-                    # size does not divide n
-                    size = sizes[p_idx]
-                    heapq.heappush(heap, (min(size, n - b_idx * size), p_idx, b_idx))
-
-        push_containing(flipped, skip)
-        while heap:
-            _, p_idx, b_idx = heapq.heappop(heap)
-            seen.discard((p_idx, b_idx))
-            if not odd[p_idx][b_idx]:
-                continue  # an earlier correction already evened this block
-            pos, revealed = _binary_search(diff, positions(p_idx, b_idx))
-            leaked += revealed
-            flip(pos)
-            push_containing(pos, (p_idx, b_idx))
+    # per pass: diff in pass order as one int; and the rank->position and
+    # position->rank maps (int64 array.array: fast to index from Python),
+    # block size, block lengths (the last block is short when the size
+    # does not divide n), block parities, and which blocks are queued
+    masks: list[int] = []
+    passes: list[tuple] = []
+    order = np.arange(n)
+    inv = np.empty(n, dtype=np.int64)
 
     for pass_idx in range(params.passes):
         perm = rng.permutation(n)
         size = min(n, block * (1 << pass_idx))
-        starts = np.arange(0, n, size)
-        inv = np.empty(n, dtype=np.int64)
-        inv[perm] = np.arange(n)
-        perms.append(perm)
-        sizes.append(size)
-        block_of.append(array.array("q", (inv // size).tobytes()))
-        leaked += len(starts)  # top-level block parity reveals
+        count = -(-n // size)
+        leaked += count  # top-level block parity reveals
+        if pass_idx:
+            # the first pass's int holds every flip made since
+            diff[first] = _int_bits(masks[0], n)
+        bits = diff[perm]
         if pass_idx == 0:
-            # every odd block ends even
-            found, revealed = _search_odd_blocks(diff[perm], size)
-            leaked += revealed
-            diff[perm[found]] ^= 1
-            odd.append([0] * len(starts))
-            continue
-        odd.append((np.add.reduceat(diff[perm], starts) & 1).tolist())
+            first = perm
+            found, revealed = _search_odd_blocks(bits, size)
+            leaked += int(revealed)
+            bits[found] ^= 1  # every odd block ends even
+        inv[perm] = order
+        lengths = [size] * count
+        lengths[-1] = n - (count - 1) * size
+        odd = bytearray(np.bitwise_xor.reduceat(bits, order[::size]))
+        masks.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
+        ranks = array.array("q", inv.tobytes())
+        passes.append((array.array("q", perm.tobytes()), ranks, size, lengths, odd, bytearray(count)))
 
         # read live: back-tracking may even out a later block of this pass
-        for b_idx in range(len(starts)):
-            if not odd[pass_idx][b_idx]:
+        for b_idx in range(count):
+            if not odd[b_idx]:
                 continue
-            pos, revealed = _binary_search(diff, positions(pass_idx, b_idx))
-            leaked += revealed
-            flip(pos)
-            backtrack(pos, (pass_idx, b_idx))
+            # odd blocks to search, shortest first, then by pass and block
+            heap = [(lengths[b_idx], pass_idx, b_idx)]
+            while heap:
+                length, p_idx, blk = heapq.heappop(heap)
+                perm_p, _, size_p, _, odd_p, queued_p = passes[p_idx]
+                queued_p[blk] = 0
+                if not odd_p[blk]:
+                    continue  # an earlier correction already evened this block
+                lo = blk * size_p
+                offset, revealed = _locate((masks[p_idx] >> lo) & ((1 << length) - 1), length)
+                leaked += revealed
+                pos = perm_p[lo + offset]
+                # flip pos in every pass, and queue each block it leaves odd
+                for q_idx, (_, rank_of, size_q, lengths_q, odd_q, queued_q) in enumerate(passes):
+                    rank = rank_of[pos]
+                    masks[q_idx] ^= 1 << rank
+                    c_idx = rank // size_q
+                    odd_q[c_idx] ^= 1
+                    if odd_q[c_idx] and not queued_q[c_idx]:
+                        queued_q[c_idx] = 1
+                        heapq.heappush(heap, (lengths_q[c_idx], q_idx, c_idx))
 
+    diff[first] = _int_bits(masks[0], n)
     return BitString(bits=a.bits ^ diff), leaked
 
 

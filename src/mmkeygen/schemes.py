@@ -137,6 +137,9 @@ class SessionConfig:
                 raise ValueError(
                     f"levels={self.levels} on {self.num_beams} beams: joint alphabet too large to index (over 2**62)"
                 )
+            # one coherence block gives each probe stream one sample, and no entropy
+            if self.rounds < 2:
+                raise ValueError(f"a multires session needs rounds >= 2 coherence blocks, got {self.rounds}")
 
     @property
     def multires_depth(self) -> int:

@@ -439,6 +439,9 @@ class TestCli:
             # a perturbation index is drawn from one 32-bit word
             ("fig4", "levels = 8192", "joint alphabet too large to index"),
             ("fig2", "levels = 8589934592", "levels=8589934592 exceeds the 2**32 offsets"),
+            # this one ran, and wrote a wrong bdr: 2**63 cells overflow the
+            # int64 cell index
+            ("custom", 'scheme = "baseline"\nlevels = 9223372036854775808', "exceeds 2**62"),
         ],
     )
     def test_validate_builds_sessions(self, tmp_path, capsys, scenario, scheme_key, message):
@@ -540,6 +543,20 @@ class TestCli:
         assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == code
         if code:
             assert "num_paths=5 exceeds the 4 angular bins" in capsys.readouterr().err
+
+    def test_validate_rejects_single_block_multires(self, tmp_path, capsys):
+        # a multires point runs its trials as coherence blocks; one block
+        # used to pass validate and fail mid-run with exit 2 (zero entropy)
+        text = 'scenario = "custom"\nmaster_seed = 1\nsnr_grid = 10\ntrials = {}\n[scheme]\nscheme = "multires"\n'
+        cfg = self._write(tmp_path, text.format(1))
+        assert cli_main(["validate", "--config", cfg]) == 1
+        assert "needs rounds >= 2 coherence blocks, got 1" in capsys.readouterr().err
+        # two blocks run, with a NaN jackknife stderr on both rows
+        cfg = self._write(tmp_path, text.format(2))
+        out = tmp_path / "x.csv"
+        assert cli_main(["validate", "--config", cfg]) == 0
+        assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_text().count(",nan,2,1\n") == 2
 
     def test_validate_accepts_deepest_multires_codebook(self, tmp_path, capsys):
         # all 62 codewords of depth 5 on 2 levels meet both limits: the

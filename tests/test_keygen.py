@@ -15,6 +15,7 @@ from mmkeygen.keygen import (
     QuantizerConfig,
     _calibrated_cells,
     _calibration_range,
+    _halvings,
     _plugin_entropy_bits,
     bar,
     cascade,
@@ -78,6 +79,12 @@ class TestQuantize:
     def test_levels_power_of_two_enforced(self):
         with pytest.raises(ValueError, match="power of two"):
             QuantizerConfig(levels=12)
+
+    def test_levels_fit_int64_cells(self):
+        # 2**63 cells used to wrap in the int64 cast, to wrong cells
+        assert QuantizerConfig(levels=2**62).bits_per_sample == 62
+        with pytest.raises(ValueError, match="exceeds 2\\*\\*62"):
+            QuantizerConfig(levels=2**63)
 
     def test_degenerate_range_rejected(self):
         # an empty, inverted or NaN range fails here, not later as zero
@@ -294,6 +301,7 @@ class TestCascade:
         corrected, leaked = cascade(a, a, CascadeParams(initial_block=8))
         assert corrected.equals(a)
         assert leaked > 0
+        assert type(leaked) is int
 
     def test_single_flip_all_positions_oracle(self):
         # brute-force oracle: every error position in an 8-bit string is
@@ -308,6 +316,7 @@ class TestCascade:
             corrected, leaked = cascade(a, b, CascadeParams(passes=1, initial_block=4, seed=3))
             assert corrected.equals(a), f"error position {pos} not corrected"
             assert leaked == 2 + 2
+            assert type(leaked) is int  # the first pass found an odd block
             assert np.array_equal(a.bits, a_before) and np.array_equal(b.bits, b_before)
 
     @pytest.mark.slow
@@ -390,6 +399,35 @@ class TestCascade:
         corrected, leaked = cascade(a, b, params)
         assert leaked == expected_leaked == len(transcript)
         assert np.array_equal(corrected.bits, expected.bits)
+
+    @pytest.mark.parametrize("n, p, passes", [(4096, 0.25, 4), (4096, 0.45, 4), (300, 0.25, 12)])
+    def test_high_error_rate_matches_reference(self, n, p, passes):
+        # the error rates a poor quantizer leaves, where back-tracking is
+        # deepest, and more passes than there are distinct block sizes
+        seed = 23
+        r = rng(seed)
+        a = BitString(bits=r.integers(0, 2, n, dtype=np.uint8))
+        b = BitString(bits=a.bits ^ (r.random(n) < p).astype(np.uint8))
+        params = CascadeParams(passes=passes, seed=seed)
+        transcript = []
+        expected, expected_leaked = _reference_cascade(a, b, params, transcript)
+        corrected, leaked = cascade(a, b, params)
+        assert type(leaked) is int
+        assert leaked == expected_leaked == len(transcript)
+        assert np.array_equal(corrected.bits, expected.bits)
+
+    def test_halvings_equal_reference_search(self):
+        # a lone error at each offset of each block length: the reference
+        # search finds it after the table's number of halvings
+        for length in range(1, 301):
+            a = np.zeros(length, dtype=np.int64)
+            positions = np.arange(length)
+            table = _halvings(length)
+            assert len(table) == length
+            for offset in range(length):
+                b = a.copy()
+                b[offset] = 1
+                assert _binary_search(a, b, positions, []) == (offset, table[offset])
 
 
 # (n, m, all_ones): small sizes at a range of key lengths, and the pooled
