@@ -446,7 +446,6 @@ def _merge(preset: SessionConfig, keys: Mapping[str, object]) -> SessionConfig:
 def _cases(cfg: ExperimentConfig) -> list[tuple[tuple[tuple[str, str], ...], SessionConfig, int]]:
     """Each case of a session scenario: its (label, metric) rows, session template and trials.
 
-    A multires template's ``rounds`` are the trials, its coherence blocks.
     Raises ValueError when the [scheme] keys make an invalid session.
     """
     fixed = _fixed_keys(cfg.scenario, cfg.scheme.get("scheme"))
@@ -474,16 +473,18 @@ def _cases(cfg: ExperimentConfig) -> list[tuple[tuple[tuple[str, str], ...], Ses
             cases.append((((label, "bdr"),), session, trials))
         return cases
     if cfg.scenario == "fig4":
-        session = replace(_merge(_PRESETS["fig4"], keys), rounds=cfg.trials)
-        return [((("multires_P5", "ker_multires"), ("fixed_beam", "ker_fixed")), session, cfg.trials)]
-    session = _merge(_PRESETS["custom"][keys.get("scheme", "secret_beam")], keys)
+        session = _merge(_PRESETS["fig4"], keys)
+        outputs = (("multires_P5", "ker_multires"), ("fixed_beam", "ker_fixed"))
+    else:
+        session = _merge(_PRESETS["custom"][keys.get("scheme", "secret_beam")], keys)
+        metrics = {
+            "secret_beam": ("bar_legit", "bar_eve") if session.eve else ("bar_legit",),
+            "multires": ("ker_multires", "ker_fixed"),
+        }.get(session.scheme, ("bdr",))
+        outputs = tuple((session.scheme, m) for m in metrics)
     if session.scheme == "multires":
         session = replace(session, rounds=cfg.trials)
-    metrics = {
-        "secret_beam": ("bar_legit", "bar_eve") if session.eve else ("bar_legit",),
-        "multires": ("ker_multires", "ker_fixed"),
-    }.get(session.scheme, ("bdr",))
-    return [(tuple((session.scheme, m) for m in metrics), session, cfg.trials)]
+    return [(outputs, session, cfg.trials)]
 
 
 def _jackknife_stderr(samples: np.ndarray, estimator, sections: int = 10) -> float:

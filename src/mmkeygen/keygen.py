@@ -5,11 +5,11 @@ arrays).  Cascade is the classic interactive protocol: per pass a shared
 seeded permutation, fixed-size blocks, parity comparison, binary-search
 correction of odd blocks, and back-tracking into earlier passes.  It works
 on the XOR of the two strings.  The first pass searches all its odd blocks
-at once, as one array computation.  From then on each pass keeps the XOR
-in its own order as one Python int, and its block parities, toggled on
-each flip, so every block parity is a lookup.  A search reads its block
-off that int and halves on bit counts; once one error is left, a table
-per block length gives the parities the rest of the search reveals.
+at once, as one array computation.  From then on each pass keeps each of
+its blocks of the XOR as one small Python int, toggled bit by bit on each
+flip, so a block parity is the parity of a bit count.  A search halves
+on bit counts; once one error is left, the rest of the search only
+counts the parities it reveals.
 Leakage accounting is a literal transcript count: one bit per revealed
 parity plus any sacrificial calibration sample.  The Toeplitz hash of
 privacy amplification is an exact integer convolution through a real FFT.
@@ -18,7 +18,6 @@ privacy amplification is an exact integer convolution through a real FFT.
 from __future__ import annotations
 
 import array
-import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -169,21 +168,11 @@ class CascadeParams:
             raise ValueError(f"initial_block must be >= 1, got {self.initial_block}")
 
 
-# one table per block length met, of that many bytes
-@functools.cache
-def _halvings(length: int) -> bytes:
-    """Per offset of a ``length``-bit block, the parities a binary search reveals to end there."""
-    if length == 1:
-        return b"\0"
-    half = length // 2
-    return bytes(c + 1 for c in _halvings(half) + _halvings(length - half))
-
-
 def _locate(x: int, length: int) -> tuple[int, int]:
     """Binary search of an odd block whose bit r is ``x >> r & 1``; returns (offset found, parities revealed).
 
     Each halving reveals the parity of the lower half.  Once the part left
-    holds one set bit, the search ends on it, after :func:`_halvings` more.
+    holds one set bit, the search only follows that bit down.
     """
     offset = revealed = 0
     while x.bit_count() > 1:
@@ -195,13 +184,29 @@ def _locate(x: int, length: int) -> tuple[int, int]:
         else:
             x, length, offset = x >> half, length - half, offset + half
     r = x.bit_length() - 1
-    return offset + r, revealed + _halvings(length)[r]
+    while length > 1:
+        half = length // 2
+        revealed += 1
+        if r < half:
+            length = half
+        else:
+            r, length, offset = r - half, length - half, offset + half
+    return offset, revealed
 
 
-def _int_bits(x: int, n: int) -> np.ndarray:
-    """The low ``n`` bits of ``x`` as a 0/1 array, bit r at index r."""
-    raw = np.frombuffer(x.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little")
+def _pack_blocks(bits: np.ndarray, size: int) -> list[int]:
+    """Each ``size``-bit block of ``bits`` as an int (bit j of block c is ``bits[c*size + j]``); the last may be short."""
+    count = -(-bits.size // size)
+    words = -(-size // 64)  # each block padded to whole 64-bit words
+    grid = np.zeros(count * size, dtype=np.uint8)
+    grid[: bits.size] = bits
+    padded = np.zeros((count, words * 64), dtype=np.uint8)
+    padded[:, :size] = grid.reshape(count, size)
+    raw = np.packbits(padded, bitorder="little").tobytes()
+    if words == 1:
+        return np.frombuffer(raw, dtype="<u8").tolist()
+    step = 8 * words
+    return [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
 
 
 def _search_odd_blocks(bits: np.ndarray, size: int) -> tuple[np.ndarray, int]:
@@ -243,14 +248,15 @@ def cascade(a: BitString, b: BitString, params: CascadeParams) -> tuple[BitStrin
     The work is done on ``diff = a ^ b``.  The first pass has disjoint
     blocks and no earlier pass to back-track into, so it searches all its
     odd blocks at once.  Later passes go block by block, because their
-    back-tracking depends on the order.  Each pass keeps ``diff`` in its
-    own order as one int (bit r is ``diff[perm[r]]``), its position->rank
-    map and its block parities.  A search reads its block off that int
-    (:func:`_locate`); a flip toggles its bit and its block's parity in
-    every pass, and queues each block it leaves odd, smallest first.
+    back-tracking depends on the order.  Each pass keeps each of its blocks
+    as one small int (bit j of block c is ``diff[perm[c*size + j]]``) and
+    its position->rank map.  A search reads its block's int
+    (:func:`_locate`); a flip toggles one bit in one block of every pass,
+    and queues each block it leaves odd, smallest first.
     """
-    # a ^ b checks the lengths; its bits are read-only, so flip a copy
-    diff = (a ^ b).bits.copy()
+    # a ^ b checks the lengths; diff views a bytearray, where one bit flips fast
+    buf = bytearray((a ^ b).bits)
+    diff = np.frombuffer(buf, dtype=np.uint8)
     n = diff.size
     if n == 0:
         return BitString.zeros(0), 0
@@ -267,13 +273,11 @@ def cascade(a: BitString, b: BitString, params: CascadeParams) -> tuple[BitStrin
     else:
         block = min(n, params.initial_block)
 
-    # per pass: diff in pass order as one int; and the rank->position and
-    # position->rank maps (int64 array.array: fast to index from Python),
-    # block size, block lengths (the last block is short when the size
-    # does not divide n), block parities, and which blocks are queued
-    masks: list[int] = []
+    # per pass: the rank->position and position->rank maps (int64
+    # array.array: fast to index from Python), block size, block lengths
+    # (the last block is short when the size does not divide n), the blocks
+    # as ints, and which blocks are queued
     passes: list[tuple] = []
-    order = np.arange(n)
     inv = np.empty(n, dtype=np.int64)
 
     for pass_idx in range(params.passes):
@@ -281,50 +285,45 @@ def cascade(a: BitString, b: BitString, params: CascadeParams) -> tuple[BitStrin
         size = min(n, block * (1 << pass_idx))
         count = -(-n // size)
         leaked += count  # top-level block parity reveals
-        if pass_idx:
-            # the first pass's int holds every flip made since
-            diff[first] = _int_bits(masks[0], n)
         bits = diff[perm]
         if pass_idx == 0:
-            first = perm
             found, revealed = _search_odd_blocks(bits, size)
             leaked += int(revealed)
             bits[found] ^= 1  # every odd block ends even
-        inv[perm] = order
+            diff[perm[found]] ^= 1
+        inv[perm] = np.arange(n)
         lengths = [size] * count
         lengths[-1] = n - (count - 1) * size
-        odd = bytearray(np.bitwise_xor.reduceat(bits, order[::size]))
-        masks.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
+        blocks = _pack_blocks(bits, size)
         ranks = array.array("q", inv.tobytes())
-        passes.append((array.array("q", perm.tobytes()), ranks, size, lengths, odd, bytearray(count)))
+        passes.append((array.array("q", perm.tobytes()), ranks, size, lengths, blocks, bytearray(count)))
 
         # read live: back-tracking may even out a later block of this pass
         for b_idx in range(count):
-            if not odd[b_idx]:
+            if not blocks[b_idx].bit_count() & 1:
                 continue
             # odd blocks to search, shortest first, then by pass and block
             heap = [(lengths[b_idx], pass_idx, b_idx)]
             while heap:
                 length, p_idx, blk = heapq.heappop(heap)
-                perm_p, _, size_p, _, odd_p, queued_p = passes[p_idx]
+                perm_p, _, size_p, _, blocks_p, queued_p = passes[p_idx]
                 queued_p[blk] = 0
-                if not odd_p[blk]:
+                x = blocks_p[blk]
+                if not x.bit_count() & 1:
                     continue  # an earlier correction already evened this block
-                lo = blk * size_p
-                offset, revealed = _locate((masks[p_idx] >> lo) & ((1 << length) - 1), length)
+                offset, revealed = _locate(x, length)
                 leaked += revealed
-                pos = perm_p[lo + offset]
+                pos = perm_p[blk * size_p + offset]
+                buf[pos] ^= 1
                 # flip pos in every pass, and queue each block it leaves odd
-                for q_idx, (_, rank_of, size_q, lengths_q, odd_q, queued_q) in enumerate(passes):
-                    rank = rank_of[pos]
-                    masks[q_idx] ^= 1 << rank
-                    c_idx = rank // size_q
-                    odd_q[c_idx] ^= 1
-                    if odd_q[c_idx] and not queued_q[c_idx]:
+                for q_idx, (_, rank_of, size_q, lengths_q, blocks_q, queued_q) in enumerate(passes):
+                    c_idx, j = divmod(rank_of[pos], size_q)
+                    x = blocks_q[c_idx] ^ (1 << j)
+                    blocks_q[c_idx] = x
+                    if x.bit_count() & 1 and not queued_q[c_idx]:
                         queued_q[c_idx] = 1
                         heapq.heappush(heap, (lengths_q[c_idx], q_idx, c_idx))
 
-    diff[first] = _int_bits(masks[0], n)
     return BitString(bits=a.bits ^ diff), leaked
 
 

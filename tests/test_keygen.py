@@ -15,7 +15,7 @@ from mmkeygen.keygen import (
     QuantizerConfig,
     _calibrated_cells,
     _calibration_range,
-    _halvings,
+    _locate,
     _plugin_entropy_bits,
     bar,
     cascade,
@@ -380,6 +380,11 @@ class TestCascade:
             (4096, 0.10, 1, None),  # the first pass alone
             (4096, 0.0, 4, 64),  # no block is odd
             (20_000, 0.10, 4, None),
+            # the error rates a poor quantizer leaves, where back-tracking is
+            # deepest, and more passes than there are distinct block sizes
+            (4096, 0.25, 4, None),
+            (4096, 0.45, 4, None),
+            (300, 0.25, 12, None),
         ],
     )
     def test_first_pass_matches_reference(self, n, p, passes, initial_block):
@@ -397,37 +402,20 @@ class TestCascade:
         transcript = []
         expected, expected_leaked = _reference_cascade(a, b, params, transcript)
         corrected, leaked = cascade(a, b, params)
-        assert leaked == expected_leaked == len(transcript)
-        assert np.array_equal(corrected.bits, expected.bits)
-
-    @pytest.mark.parametrize("n, p, passes", [(4096, 0.25, 4), (4096, 0.45, 4), (300, 0.25, 12)])
-    def test_high_error_rate_matches_reference(self, n, p, passes):
-        # the error rates a poor quantizer leaves, where back-tracking is
-        # deepest, and more passes than there are distinct block sizes
-        seed = 23
-        r = rng(seed)
-        a = BitString(bits=r.integers(0, 2, n, dtype=np.uint8))
-        b = BitString(bits=a.bits ^ (r.random(n) < p).astype(np.uint8))
-        params = CascadeParams(passes=passes, seed=seed)
-        transcript = []
-        expected, expected_leaked = _reference_cascade(a, b, params, transcript)
-        corrected, leaked = cascade(a, b, params)
         assert type(leaked) is int
         assert leaked == expected_leaked == len(transcript)
         assert np.array_equal(corrected.bits, expected.bits)
 
-    def test_halvings_equal_reference_search(self):
-        # a lone error at each offset of each block length: the reference
-        # search finds it after the table's number of halvings
+    def test_lone_error_search_equals_reference(self):
+        # a lone error at each offset of each block length: the search finds
+        # it after as many halvings as the reference search
         for length in range(1, 301):
             a = np.zeros(length, dtype=np.int64)
             positions = np.arange(length)
-            table = _halvings(length)
-            assert len(table) == length
             for offset in range(length):
                 b = a.copy()
                 b[offset] = 1
-                assert _binary_search(a, b, positions, []) == (offset, table[offset])
+                assert _locate(1 << offset, length) == _binary_search(a, b, positions, [])
 
 
 # (n, m, all_ones): small sizes at a range of key lengths, and the pooled
