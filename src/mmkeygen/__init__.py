@@ -1,10 +1,10 @@
 """Physical-layer secret-key generation for mmWave massive-MIMO links.
 
 Simulation library and CLI covering beam-perturbation keying against
-co-located eavesdroppers, angular-domain (virtual AoA/AoD) extraction,
-multi-resolution beam probing, and the five-stage key pipeline (probing,
-randomness extraction, quantization, Cascade reconciliation, privacy
-amplification).
+co-located eavesdroppers, angular-domain (virtual AoA/AoD) extraction and
+multi-resolution beam probing.  The schemes run probing, extraction and
+quantization; Cascade and privacy amplification are library functions that
+no scheme calls yet (only cascade-bench runs Cascade; ROADMAP item 1).
 """
 
 from .beamforming import (

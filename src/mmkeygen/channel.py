@@ -108,8 +108,10 @@ def array_response(
     return resp.reshape(phase.shape[:-2] + (geom.size,))
 
 
-def _innovations(u: float | np.ndarray, normals: np.ndarray, nlos_offset_db: float) -> np.ndarray:
-    """Path gains (..., L) from uniforms (...,) and standard normals (..., 2 (L - 1)).
+def _innovations(
+    u: float | np.ndarray, normals: np.ndarray, nlos_offset_db: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Path gains (..., L) from uniforms (...,) and standard normals (..., 2 (L - 1)), written into ``out`` when given.
 
     The LoS gain is the unit phasor at ``2 pi u``.  The NLoS gains take the
     first half of ``normals`` as real parts and the second half as
@@ -117,24 +119,42 @@ def _innovations(u: float | np.ndarray, normals: np.ndarray, nlos_offset_db: flo
     """
     n = normals.shape[-1] // 2
     sigma = np.sqrt(10.0 ** (-nlos_offset_db / 10.0) / 2.0)
-    nlos = sigma * (normals[..., :n] + 1j * normals[..., n:])
-    return np.concatenate((np.exp(1j * (2.0 * np.pi * u))[..., None], nlos), axis=-1)
+    if out is None:
+        out = np.empty(normals.shape[:-1] + (n + 1,), dtype=complex)
+    np.exp(1j * (2.0 * np.pi * u), out=out[..., 0])
+    np.multiply(sigma, normals[..., :n] + 1j * normals[..., n:], out=out[..., 1:])
+    return out
+
+
+def _draw_innovations(rng: np.random.Generator, nlos_offset_db: float, out: np.ndarray, normals: np.ndarray) -> None:
+    """Writes the innovations of ``len(out)`` AR(1) steps into ``out`` (T, L).
+
+    Each step draws one uniform LoS phase, then the NLoS innovations as one
+    normal draw, real parts then imaginary parts, into its row of the
+    (T, 2 (L - 1)) buffer ``normals``.
+    """
+    u = np.empty(len(out))
+    for t in range(len(out)):
+        u[t] = rng.random()
+        rng.standard_normal(out=normals[t])
+    _innovations(u, normals, nlos_offset_db, out=out)
 
 
 def _ar1(gains: np.ndarray, eps: np.ndarray, rho: float) -> np.ndarray:
-    """Gains (..., L) stepped through complex innovations (..., T, L): the (..., T, L) gains after each step.
+    """Gains (..., L) stepped through complex innovations (..., T, L), in place: ``eps``, now the gains after each step.
 
-    Step t is ``rho * gains[t-1] + mix * eps[t]``; the ``mix * eps`` terms
-    are formed for every step at once and each step adds ``rho * gains[t-1]``
-    into its row in place (addition commutes exactly, so the bits are those
-    of the step-by-step sum).
+    Step t is ``rho * gains[t-1] + mix * eps[t]``; ``eps`` is scaled by
+    ``mix`` for every step at once and each step adds ``rho * gains[t-1]``
+    into its row (products and sums commute exactly, so the bits are those
+    of the step-by-step sum).  Any layout with the steps on axis -2 works:
+    a (T, S * L) array steps S sessions' paths as one row.
     """
-    out = np.sqrt(1.0 - rho * rho) * eps
-    for t in range(out.shape[-2]):
-        row = out[..., t, :]
+    eps *= np.sqrt(1.0 - rho * rho)
+    for t in range(eps.shape[-2]):
+        row = eps[..., t, :]
         row += rho * gains
         gains = row
-    return out
+    return eps
 
 
 def sample_channel(
@@ -198,12 +218,9 @@ def evolve(ch: ChannelRealization, rho: float, rng: np.random.Generator, steps: 
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"invalid params: rho={rho} not in [0, 1]")
-    u = np.empty(steps)
-    normals = np.empty((steps, 2 * (ch.num_paths - 1)))
-    for t in range(steps):
-        u[t] = rng.random()
-        rng.standard_normal(out=normals[t])
-    return _ar1(ch.gains, _innovations(u, normals, ch.nlos_offset_db), rho)
+    eps = np.empty((steps, ch.num_paths), dtype=complex)
+    _draw_innovations(rng, ch.nlos_offset_db, eps, np.empty((steps, 2 * (ch.num_paths - 1))))
+    return _ar1(ch.gains, eps, rho)
 
 
 def virtual_channel(

@@ -18,6 +18,7 @@ byte-identical across runs.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -36,9 +37,10 @@ from .keygen import (
     cascade,
 )
 from .schemes import (
+    MultiresResult,
     SessionConfig,
     _probe_entropy_rate,
-    multires_session,
+    multires_batch,
     secret_beam_batch,
     sounding_bdrs,
 )
@@ -501,13 +503,9 @@ def _jackknife_stderr(samples: np.ndarray, estimator, sections: int = 10) -> flo
     return float(np.sqrt((sections - 1) / sections * ((estimates - estimates.mean()) ** 2).sum()))
 
 
-def _multires_point(session: SessionConfig) -> list[tuple[float, float]]:
+def _multires_point(result: MultiresResult, levels: int) -> list[tuple[float, float]]:
     """Both entropy rates of one multires session, each with its jackknife stderr."""
-    result = multires_session(session)
-
-    def ker_of(samples: np.ndarray) -> float:
-        return _probe_entropy_rate(samples, session.levels)
-
+    ker_of = functools.partial(_probe_entropy_rate, levels=levels)
     return [
         (result.ker_multires, _jackknife_stderr(result.samples_multires, ker_of)),
         (result.ker_fixed, _jackknife_stderr(result.samples_fixed, ker_of)),
@@ -537,11 +535,11 @@ def _run_sessions(cfg: ExperimentConfig) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for case_idx, (outputs, template, trials) in enumerate(_cases(cfg)):
         if template.scheme == "multires":
-            # one long session of `trials` coherence blocks per point
+            # one long session of `trials` coherence blocks per point, all points one batch
             point_seeds = _trial_seeds(cfg, case_idx, range(len(cfg.snr_grid)), 1).tolist()
             points = (
-                _multires_point(replace(template, snr_db=snr, master_seed=seed))
-                for snr, seed in zip(cfg.snr_grid, point_seeds)
+                _multires_point(result, template.levels)
+                for result in multires_batch(template, point_seeds, cfg.snr_grid)
             )
         else:
             points = _trial_points(cfg, case_idx, template, trials, [metric for _, metric in outputs])

@@ -13,7 +13,8 @@
 * ``multires_session``: Alice probes with beams of several resolutions and
   angles chosen to keep the composite gain inside a window while Bob holds a
   wide fixed pattern; compared against an aligned fixed-beam link via the
-  key entropy rate of the quantized probe streams.
+  key entropy rate of the quantized probe streams.  ``multires_batch`` runs
+  a batch of such sessions.
 
 Every session is a pure function of its :class:`SessionConfig` (master seed
 included): all randomness flows through labelled streams derived in
@@ -42,10 +43,10 @@ from .channel import (
     ArrayGeometry,
     ChannelRealization,
     _ar1,
+    _draw_innovations,
     _innovations,
     array_response,
     channel_matrix,
-    evolve,
     sample_channel,
     virtual_channel,
 )
@@ -646,6 +647,59 @@ def _probe_entropy_rate(samples: np.ndarray, levels: int) -> float:
     )
 
 
+def multires_batch(cfg: SessionConfig, trial_seeds, snr_db):
+    """Run the session ``cfg`` describes once per trial seed, as its master seed: yields each trial's result in turn.
+
+    ``snr_db`` holds each trial's SNR, in place of ``cfg.snr_db``; both are
+    sequences of Python ints and floats, as a session's master seed and SNR
+    are.  Each trial draws its channel, beams and evolution from its own
+    streams, and writes its innovations into its L columns of one
+    (rounds, trials * L) array that one AR(1) recurrence steps in place.
+    Each trial is then probed on its (rounds, L) slice of the gains, one
+    trial at a time.  A trial's result depends only on its seed and SNR.
+    """
+    P, T, L = cfg.num_beams, cfg.rounds, cfg.num_paths
+    codebook, bob_wide = _multires_beams(cfg.alice, cfg.bob, cfg.multires_depth)
+    eps = np.empty((T, len(trial_seeds), L), dtype=complex)
+    normals = np.empty((T, 2 * (L - 1)))
+    points = []
+    for s, seed in enumerate(trial_seeds):
+        ch = _session_channel(cfg, seeds.generator(seed, seeds.STREAM_CHANNEL))
+        bob_pencil = steering_beamformer(cfg.bob, ch.angles[0, 2], ch.angles[0, 3])
+        ids, window_used = _widened_selection(codebook, ch, bob_wide, P, cfg.window_db)
+        fixed_id = select_beams(codebook, ch, bob_pencil, 1, cfg.window_db)[0]
+        # per block, the multi arm's P probes, then the fixed arm's P
+        w_a = np.stack([codebook.codeword(*i) for i in ids] + [codebook.codeword(*fixed_id)] * P)
+        w_b = np.stack([bob_wide] * P + [bob_pencil] * P)
+        points.append((ch, w_a, w_b, ids, window_used, fixed_id))
+        _draw_innovations(seeds.generator(seed, seeds.STREAM_EVOLVE), cfg.nlos_offset_db, eps[:, s], normals)
+    del normals
+    # all trials' paths side by side: one AR(1) step is one row, and eps then holds the gains
+    _ar1(np.concatenate([ch.gains for ch, *_ in points]), eps.reshape(T, len(points) * L), cfg.temporal_rho)
+    width = cfg.levels.bit_length() - 1
+    for s, (seed, snr, (ch, w_a, w_b, ids, window_used, fixed_id)) in enumerate(zip(trial_seeds, snr_db, points)):
+        rng = seeds.generator(seed, seeds.STREAM_NOISE_BOB)
+        # each party's in-phase (streams, blocks), each stream contiguous: a strided
+        # row sums its mean in another order, and the bits depend on the last bit of it
+        y_bob, y_alice = [np.ascontiguousarray(y.real.T) for y in bidirectional_probe(w_a, w_b, ch, eps[:, s], snr, rng)]
+
+        # Gray-coded bits of each probe stream on its own calibrated range
+        bits_alice = gray_encode_indices(_calibrated_cells(extract_randomness(y_alice[:P]), cfg.levels).ravel(), width)
+        cells_bob = _calibrated_cells(extract_randomness(y_bob[:P]), cfg.levels)
+        yield MultiresResult(
+            ker_multires=_cells_entropy_rate(cells_bob, cfg.levels),
+            ker_fixed=_probe_entropy_rate(y_bob[P:], cfg.levels),
+            beam_ids=tuple(ids),
+            fixed_beam_id=fixed_id,
+            window_db_used=window_used,
+            bits_alice=bits_alice,
+            bits_bob=gray_encode_indices(cells_bob.ravel(), width),
+            probes_used=4 * P * T,
+            samples_multires=y_bob[:P],
+            samples_fixed=y_bob[P:],
+        )
+
+
 def multires_session(cfg: SessionConfig) -> MultiresResult:
     """Compare multi-resolution probing against a fixed aligned link.
 
@@ -656,47 +710,7 @@ def multires_session(cfg: SessionConfig) -> MultiresResult:
     multipath gains.  The fixed arm probes ``cfg.num_beams`` times per block
     over the conventional aligned link (strongest beams both ends).  The
     quantized in-phase samples of both arms are scored with the key entropy
-    rate over all blocks.
+    rate over all blocks.  A batch of one trial, at ``cfg.master_seed``.
     """
-    P = cfg.num_beams
-    seed = cfg.master_seed
-    rng_channel = seeds.generator(seed, seeds.STREAM_CHANNEL)
-    rng_evolve = seeds.generator(seed, seeds.STREAM_EVOLVE)
-    rng_noise = seeds.generator(seed, seeds.STREAM_NOISE_BOB)
-
-    ch = _session_channel(cfg, rng_channel)
-    codebook, bob_wide = _multires_beams(cfg.alice, cfg.bob, cfg.multires_depth)
-    bob_pencil = steering_beamformer(cfg.bob, ch.angles[0, 2], ch.angles[0, 3])
-
-    ids, window_used = _widened_selection(codebook, ch, bob_wide, P, cfg.window_db)
-    fixed_id = select_beams(codebook, ch, bob_pencil, 1, cfg.window_db)[0]
-
-    # per block, the multi arm's P probes, then the fixed arm's P
-    w_a = np.stack([codebook.codeword(*i) for i in ids] + [codebook.codeword(*fixed_id)] * P)
-    w_b = np.stack([bob_wide] * P + [bob_pencil] * P)
-    gains = evolve(ch, cfg.temporal_rho, rng_evolve, cfg.rounds)
-    y_bob, y_alice = bidirectional_probe(w_a, w_b, ch, gains, cfg.snr_db, rng_noise)
-    # (streams, blocks) with each stream contiguous: a strided row sums its
-    # mean in another order, and the bits depend on the last bit of it
-    y_multi_bob = np.ascontiguousarray(y_bob.real[:, :P].T)
-    y_multi_alice = np.ascontiguousarray(y_alice.real[:, :P].T)
-    y_fixed_bob = np.ascontiguousarray(y_bob.real[:, P:].T)
-
-    # Gray-coded bits of each probe stream on its own calibrated range
-    width = cfg.levels.bit_length() - 1
-    bits_alice = gray_encode_indices(_calibrated_cells(extract_randomness(y_multi_alice), cfg.levels).ravel(), width)
-    cells_bob = _calibrated_cells(extract_randomness(y_multi_bob), cfg.levels)
-    bits_bob = gray_encode_indices(cells_bob.ravel(), width)
-
-    return MultiresResult(
-        ker_multires=_cells_entropy_rate(cells_bob, cfg.levels),
-        ker_fixed=_probe_entropy_rate(y_fixed_bob, cfg.levels),
-        beam_ids=tuple(ids),
-        fixed_beam_id=fixed_id,
-        window_db_used=window_used,
-        bits_alice=bits_alice,
-        bits_bob=bits_bob,
-        probes_used=4 * P * cfg.rounds,
-        samples_multires=y_multi_bob,
-        samples_fixed=y_fixed_bob,
-    )
+    [result] = multires_batch(cfg, [cfg.master_seed], [cfg.snr_db])
+    return result

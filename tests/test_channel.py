@@ -309,11 +309,42 @@ class TestAr1:
             return z
 
         gains, eps = draw(batch + (paths,)), draw(batch + (steps, paths))
-        out = chn._ar1(gains, eps, rho)
+        # the reference first: _ar1 overwrites its innovations
         ref = reference_ar1(gains, eps, rho)
+        out = chn._ar1(gains, eps, rho)
+        assert out is eps
         assert out.shape == ref.shape
         # byte equality, so the sign of every zero counts too
         assert out.tobytes() == ref.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rho=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+        sessions=st.integers(1, 6),
+        steps=st.integers(1, 40),
+        paths=st.integers(1, 8),
+        zeros=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flattened_sessions_match_per_session_reference(self, rho, sessions, steps, paths, zeros, seed):
+        # S sessions' paths side by side in one (T, S * L) array, as a
+        # multires batch steps them: each session's L columns are bytes of
+        # its own reference, signed zeros included
+        r = rng(seed)
+
+        def draw(shape):
+            z = r.standard_normal(shape) + 1j * r.standard_normal(shape)
+            z.real[r.random(shape) < zeros] = -0.0
+            z.imag[r.random(shape) < zeros] = 0.0
+            return z
+
+        gains, eps = draw((sessions, paths)), draw((sessions, steps, paths))
+        refs = [reference_ar1(gains[s], eps[s], rho) for s in range(sessions)]
+        flat = eps.transpose(1, 0, 2).reshape(steps, sessions * paths)
+        out = chn._ar1(gains.reshape(-1), flat, rho)
+        assert out is flat and out.shape == (steps, sessions * paths)
+        for s, ref in enumerate(refs):
+            assert np.ascontiguousarray(out[:, s * paths : (s + 1) * paths]).tobytes() == ref.tobytes()
 
 
 class TestDftMatrix:

@@ -275,6 +275,7 @@ class TestRunPath:
             (schemes, "virtual_channel"),
             (experiments, "secret_beam_batch"),
             (experiments, "sounding_bdrs"),
+            (experiments, "multires_batch"),
         ):
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
@@ -283,11 +284,13 @@ class TestRunPath:
             monkeypatch.setattr(module, name, counted)
         run_scenario(small_cfg("fig2", trials=2, snr_grid=[0, 10]))
         run_scenario(small_cfg("fig3", trials=2, snr_grid=[0]))
-        # fig2: one batch per case; fig3: three virtual cases of 2 trials and
-        # the baseline of 5, one round each, and each party's estimate
+        run_scenario(small_cfg("custom", trials=20, snr_grid=[0, 10, 20], scheme={"scheme": '"multires"'}))
+        # fig2 and multires: one batch per case; fig3: three virtual cases of 2
+        # trials and the baseline of 5, one round each, and each party's estimate
         assert calls == {
             "secret_beam_batch": 4,
             "sounding_bdrs": 4,
+            "multires_batch": 1,
             "channel_matrix": 3 * 2 + 5,
             "estimate_channel": 2 * (3 * 2 + 5),
             "virtual_channel": 2 * 3 * 2,

@@ -33,6 +33,7 @@ from mmkeygen.schemes import (
     _perturbation_beams,
     _session_channel,
     estimate_channel,
+    multires_batch,
     multires_session,
     secret_beam_batch,
     secret_beam_session,
@@ -683,6 +684,30 @@ class TestMultires:
         res = multires_session(fig4_cfg(rounds=200))
         cells = per_row_cells(res.samples_multires, 4)
         assert np.array_equal(res.bits_bob.bits, gray_encode_indices(cells.ravel(), 2).bits)
+
+
+class TestMultiresBatch:
+    MULTIRES_FIELDS = ("ker_multires", "ker_fixed", "beam_ids", "fixed_beam_id", "window_db_used", "probes_used")
+
+    def test_batch_equals_batches_of_one(self):
+        # SNRs out of grid order and one seed repeated: each point's result
+        # is bytes of its own batch of one, whatever the other points are
+        cfg = fig4_cfg(rounds=300, snr_db=float("nan"), master_seed=0)
+        trial_seeds = [7, 3, 7, 2**64 - 1, 12]
+        snrs = [20.0, 0.0, 5.0, 15.0, 10.0]
+        whole = list(multires_batch(cfg, trial_seeds, snrs))
+        assert len(whole) == 5
+        for res, seed, snr in zip(whole, trial_seeds, snrs):
+            [one] = multires_batch(cfg, [seed], [snr])
+            for name in ("samples_multires", "samples_fixed"):
+                assert getattr(res, name).tobytes() == getattr(one, name).tobytes(), name
+            for name in ("bits_alice", "bits_bob"):
+                assert getattr(res, name).bits.tobytes() == getattr(one, name).bits.tobytes(), name
+            for name in self.MULTIRES_FIELDS:
+                assert getattr(res, name) == getattr(one, name), name
+        # the repeated seed at two SNRs: one channel and beam choice, other noise
+        assert whole[0].beam_ids == whole[2].beam_ids
+        assert whole[0].samples_multires.tobytes() != whole[2].samples_multires.tobytes()
 
 
 def reference_multires_samples(cfg, beam_ids, fixed_id):
