@@ -39,6 +39,7 @@ from .keygen import (
 from .schemes import (
     MultiresResult,
     SessionConfig,
+    _check_snr,
     _probe_entropy_rate,
     multires_batch,
     secret_beam_batch,
@@ -201,6 +202,8 @@ class ExperimentConfig:
             # a scenario ignores the keys its cases fix, but a scheme or eve
             # that no session accepts is an error in every scenario
             _merge(SessionConfig(), {k: v for k, v in self.scheme.items() if k in ("scheme", "eve")})
+            for snr in self.snr_grid:
+                _check_snr(snr)
             if self.scenario != "cascade-bench":
                 _cases(self)
         except ValueError as exc:

@@ -24,6 +24,7 @@ included): all randomness flows through labelled streams derived in
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,6 +67,21 @@ from .probing import bidirectional_probe
 SCHEMES = ("secret_beam", "virtual", "baseline", "multires")
 
 
+def _check_snr(snr_db: float) -> None:
+    """Raise ValueError unless the noise variance ``10**(-snr_db / 10)`` is a finite float.
+
+    Every session scales its noise by that variance, and one that
+    overflows fails the session only once it runs.
+    """
+    exponent = -float(snr_db) / 10.0
+    try:
+        finite = math.isfinite(10.0**exponent)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"SNR {snr_db} dB gives a noise variance 10**({exponent}) that is not a finite float")
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Declarative description of one scheme session."""
@@ -98,6 +114,7 @@ class SessionConfig:
             raise ValueError(f"eve must be 'alice', 'bob' or None (\"none\" in a config file), got {self.eve!r}")
         if self.num_paths < 1:
             raise ValueError(f"num_paths must be >= 1, got {self.num_paths}")
+        _check_snr(self.snr_db)
         if not self.nlos_offset_db >= 0.0:
             raise ValueError(f"nlos_offset_db must be >= 0, got {self.nlos_offset_db}")
         if not 0.0 <= self.temporal_rho <= 1.0:
@@ -220,17 +237,17 @@ def _session_channel(cfg: SessionConfig, rng: np.random.Generator) -> ChannelRea
 # Secret beam (perturbation keying)
 # ---------------------------------------------------------------------------
 
-# the streams of one secret-beam session; the last two feed only the eavesdropper
-_BEAM_STREAMS = (
+# the streams of one secret-beam session: those that feed numpy's samplers,
+# in the order _beam_draws reads them, and those that give only raw outputs;
+# the last of each feeds only the eavesdropper
+_BEAM_SAMPLER_STREAMS = (
     seeds.STREAM_CHANNEL,
     seeds.STREAM_EVOLVE,
-    seeds.STREAM_PERTURB_ALICE,
-    seeds.STREAM_PERTURB_BOB,
     seeds.STREAM_NOISE_ALICE,
     seeds.STREAM_NOISE_BOB,
     seeds.STREAM_NOISE_EVE,
-    seeds.STREAM_EVE_GUESS,
 )
+_BEAM_RAW_STREAMS = (seeds.STREAM_PERTURB_ALICE, seeds.STREAM_PERTURB_BOB, seeds.STREAM_EVE_GUESS)
 
 
 def _perturbation_beams(
@@ -287,14 +304,17 @@ class _BeamBatch:
 def _beam_draws(cfg: SessionConfig, trial_seeds: np.ndarray) -> tuple[np.ndarray, ...]:
     """Every draw a batch of secret-beam sessions takes from its streams.
 
-    Goes trial by trial: sets each stream's state on one reused generator
-    and draws what the session takes from that stream, in the session's
+    Every stream is seeded at once by :func:`seeds.stream_lanes`.  The
+    perturbation and guess streams give only raw outputs, so they come
+    from :func:`seeds.raw_outputs` for the whole batch at once.  The other
+    streams go trial by trial: one reused ``bit_generator.state`` mapping
+    gets each stream's two ints and is assigned to one reused generator,
+    which draws what the session takes from that stream, in the session's
     order.  ``uniform(low, high)`` is ``low + (high - low) * random()``, and
     with (low, high) = (-1, 1) or (0, 2 pi) that is exact in either order
     of rounding, so the uniform draws are taken as ``random()`` and scaled
-    over the whole batch; the perturbation streams give their raw outputs.
-    The evolution stream interleaves a uniform phase with normals, so it is
-    drawn round by round.
+    over the whole batch.  The evolution stream interleaves a uniform phase
+    with normals, so it is drawn round by round.
 
     Returns the channel stream's uniforms (B, 4L + 1), the L x 4 sines
     then the LoS phase, and its NLoS normals (B, 2(L-1)); the evolution
@@ -304,38 +324,38 @@ def _beam_draws(cfg: SessionConfig, trial_seeds: np.ndarray) -> tuple[np.ndarray
     per round the calibration pilot's (re, im) then the keyed pilot's.
     """
     B, R, L = trial_seeds.size, cfg.rounds, cfg.num_paths
-    eve = cfg.eve is not None
-    tags = _BEAM_STREAMS if eve else _BEAM_STREAMS[:-2]
-    parties = 3 if eve else 2
-    addresses = np.column_stack((np.repeat(trial_seeds, len(tags)), np.tile(np.array(tags, np.uint64), B)))
-    states = iter(seeds.generator_states(addresses))
-
+    parties = 3 if cfg.eve is not None else 2
+    tags = np.array(_BEAM_SAMPLER_STREAMS[: parties + 2] + _BEAM_RAW_STREAMS[:parties], np.uint64)
+    lanes = seeds.stream_lanes(np.column_stack((np.repeat(trial_seeds, tags.size), np.tile(tags, B))))
+    lanes = lanes.reshape(B, tags.size, 4)
+    raw = seeds.raw_outputs(lanes[:, parties + 2 :].swapaxes(0, 1).reshape(-1, 4), (R + 1) // 2)
+    index = seeds.integers_from_raw(raw.reshape(parties, B, -1), cfg.levels, R)
+    streams = zip(*seeds.stream_states(lanes[:, : parties + 2].reshape(-1, 4)))
+    mapping = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0}, "has_uint32": 0, "uinteger": 0}
+    ints = mapping["state"]
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
+
+    def next_stream() -> None:
+        ints["state"], ints["inc"] = next(streams)
+        bitgen.state = mapping
+
     channel_u = np.empty((B, 4 * L + 1))
     nlos = np.empty((B, 2 * (L - 1)))
     evo_u = np.empty((B, R))
     evo_nlos = np.empty((B, R, 2 * (L - 1)))
-    raw = np.empty((parties, B, (R + 1) // 2), dtype=np.uint64)
     noise = np.empty((parties, B, R, 4))
     for b in range(B):
-        bitgen.state = next(states)
+        next_stream()
         rng.random(out=channel_u[b])
         rng.standard_normal(out=nlos[b])
-        bitgen.state = next(states)
+        next_stream()
         for t in range(R):
             evo_u[b, t] = rng.random()
             rng.standard_normal(out=evo_nlos[b, t])
-        for party in range(2):
-            bitgen.state = next(states)
-            raw[party, b] = bitgen.random_raw(raw.shape[-1])
         for party in range(parties):
-            bitgen.state = next(states)
+            next_stream()
             rng.standard_normal(out=noise[party, b])
-        if eve:
-            bitgen.state = next(states)
-            raw[2, b] = bitgen.random_raw(raw.shape[-1])
-    index = seeds.integers_from_raw(raw, cfg.levels, R)
     return channel_u, nlos, evo_u, evo_nlos, index, noise
 
 

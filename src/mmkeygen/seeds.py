@@ -7,11 +7,13 @@ derivation uses ``numpy.random.SeedSequence`` hashing, which is documented by
 numpy to be stable across platforms and releases, so the same config always
 reproduces the same tables regardless of execution order or worker count.
 
-``derive_seeds`` and ``generator_states`` are the same derivation for many
-addresses at once: they rerun ``SeedSequence``'s hash on uint32 arrays and
-``PCG64``'s seeding on Python integers, so a batch of streams costs a few
-array operations plus one ``bit_generator.state`` assignment per stream
-instead of one ``SeedSequence`` and one ``Generator`` per stream.
+``derive_seeds`` and ``stream_lanes`` are the same derivation for many
+addresses at once.  They rerun ``SeedSequence``'s hash on uint32 arrays, and
+``stream_lanes`` reruns ``PCG64``'s seeding on 128-bit values held as (hi,
+lo) pairs of uint64 arrays.  ``raw_outputs`` steps those lanes, so a stream
+that only gives raw outputs needs no ``Generator`` at all;
+``stream_states`` turns them into ints, so a stream that feeds numpy's
+samplers costs one ``bit_generator.state`` assignment.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
 
 
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
@@ -140,21 +142,89 @@ def derive_seeds(addresses) -> np.ndarray:
     return _generate_state(_pools(addresses), 2)[:, 0]
 
 
-def generator_states(addresses) -> list[dict]:
-    """The ``bit_generator.state`` of ``generator(*row)`` for each row of an (n, k) u64 array.
+# 128-bit values are (hi, lo) pairs of u64 arrays, broadcast against each
+# other; u64 array arithmetic wraps mod 2**64, which the carries account for
 
-    Assigning one of these to the ``bit_generator.state`` of any ``PCG64``
+
+def _as_pair(values) -> tuple[np.ndarray, np.ndarray]:
+    """Python ints in [0, 2**128) as a (hi, lo) pair of u64 arrays."""
+    return np.array([v >> 64 for v in values], np.uint64), np.array([v & _MASK64 for v in values], np.uint64)
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high word of each 128-bit product of u64 words ``a * b``, from 32-bit partial products."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    # each sum stays below 2**64: a 32 x 32-bit product plus a 32-bit carry
+    t = a1 * b0 + ((a0 * b0) >> 32)
+    w = a0 * b1 + (t & _MASK32)
+    return a1 * b1 + (t >> 32) + (w >> 32)
+
+
+def _mul(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``x * y mod 2**128`` on (hi, lo) pairs."""
+    return _mulhi(x[1], y[1]) + x[1] * y[0] + x[0] * y[1], x[1] * y[1]
+
+
+def _add(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``x + y mod 2**128`` on (hi, lo) pairs; the low words carry when their sum wraps."""
+    lo = x[1] + y[1]
+    return x[0] + y[0] + (lo < y[1]), lo
+
+
+_MULT = _as_pair([_PCG64_MULT])
+
+
+def stream_lanes(addresses) -> np.ndarray:
+    """The seeded PCG64 state and increment of ``generator(*row)`` for each row of an (n, k) u64 array.
+
+    Row ``i`` of the (n, 4) u64 result is (state hi, state lo, inc hi, inc
+    lo) for address ``i``.  This is ``pcg64_set_seed`` on the four words
+    ``SeedSequence`` gives: the first two are the seed, the last two
+    ``initseq``; ``inc = 2 * initseq + 1`` and ``state = step(step(0) +
+    seed)``, where one step is ``state * MULT + inc``.
+    """
+    seed_hi, seed_lo, init_hi, init_lo = _generate_state(_pools(addresses), 8).T
+    inc = ((init_hi << 1) | (init_lo >> 63), (init_lo << 1) | 1)
+    return np.column_stack(_add(_mul(_add(inc, (seed_hi, seed_lo)), _MULT), inc) + inc)
+
+
+def stream_states(lanes: np.ndarray) -> tuple[list[int], list[int]]:
+    """The ``state`` and ``inc`` ints of each row of :func:`stream_lanes`.
+
+    Set as the two ints under ``"state"`` in a ``bit_generator.state``
+    mapping of a ``PCG64`` (as :func:`generator_states` does), a row's pair
     makes its ``Generator`` draw exactly what the addressed stream draws.
     """
-    states = []
-    for seed_hi, seed_lo, inc_hi, inc_lo in _generate_state(_pools(addresses), 8).tolist():
-        # pcg64_set_seed: state = step(step(0) + seed), inc = 2 * initseq + 1
-        inc = ((((inc_hi << 64) | inc_lo) << 1) | 1) & _MASK128
-        state = ((inc + ((seed_hi << 64) | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append(
-            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-        )
-    return states
+    words = lanes.T.astype(object)
+    return ((words[0] << 64) | words[1]).tolist(), ((words[2] << 64) | words[3]).tolist()
+
+
+def generator_states(addresses) -> list[dict]:
+    """The ``bit_generator.state`` of ``generator(*row)`` for each row of an (n, k) u64 array."""
+    return [
+        {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        for state, inc in zip(*stream_states(stream_lanes(addresses)))
+    ]
+
+
+def raw_outputs(lanes: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` outputs of each stream of :func:`stream_lanes`, as an (n, count) u64 array.
+
+    Row ``i`` is ``generator(*addresses[i]).bit_generator.random_raw(count)``:
+    each output steps the state once and gives its XSL-RR output, the xor
+    of its two words rotated right by its top 6 bits.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    state, inc = (lanes[:, 0], lanes[:, 1]), (lanes[:, 2], lanes[:, 3])
+    out = np.empty((len(lanes), count), np.uint64)
+    for k in range(count):
+        state = _add(_mul(state, _MULT), inc)
+        rot = state[0] >> 58
+        word = state[0] ^ state[1]
+        out[:, k] = (word >> rot) | (word << ((64 - rot) & 63))
+    return out
 
 
 def integers_from_raw(raw: np.ndarray, high: int, count: int) -> np.ndarray:
@@ -169,6 +239,8 @@ def integers_from_raw(raw: np.ndarray, high: int, count: int) -> np.ndarray:
     if high < 1 or high > 1 << 32 or high & (high - 1):
         raise ValueError(f"high must be a power of two in [1, 2**32], got {high}")
     raw = np.asarray(raw, dtype=np.uint64)
+    if 2 * raw.shape[-1] < count:
+        raise ValueError(f"{count} values take {(count + 1) // 2} raw outputs per stream, got {raw.shape[-1]}")
     words = np.stack((raw & np.uint64(_MASK32), raw >> np.uint64(32)), axis=-1)
     words = words.reshape(raw.shape[:-1] + (-1,))[..., :count]
     return ((words * np.uint64(high)) >> np.uint64(32)).astype(np.int64)

@@ -20,6 +20,26 @@ def derive_seed(master_seed, *labels):
     return int(np.random.SeedSequence([master_seed, *labels]).generate_state(1, dtype=np.uint64)[0])
 
 
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_raw(state, inc, count):
+    """The next ``count`` outputs of a PCG64 at (state, inc), on Python ints.
+
+    Each output steps the state to ``state * MULT + inc mod 2**128``, then
+    gives its XSL-RR: the xor of its two 64-bit words, rotated right by its
+    top 6 bits.
+    """
+    outputs = []
+    for _ in range(count):
+        state = (state * PCG64_MULT + inc) % 2**128
+        word = (state >> 64) ^ (state % 2**64)
+        rot = state >> 122
+        outputs.append(((word >> rot) | (word << (64 - rot))) % 2**64)
+    return outputs
+
+
 def cell_indices(samples, levels, lo, hi):
     """Uniform-width cell index of each sample of one stream over [lo, hi], clamped at the edges."""
     if not lo < hi:

@@ -452,6 +452,17 @@ class TestCli:
         assert cli_main(["validate", "--config", cfg]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario", ["fig2", "fig3", "fig4"])
+    def test_validate_rejects_snr_whose_noise_variance_overflows(self, tmp_path, capsys, scenario):
+        # 10**400 overflows a float: this passed validate, and run failed
+        # mid-scenario with exit 2
+        cfg = self._write(tmp_path, f'scenario = "{scenario}"\nmaster_seed = 7\nsnr_grid = 0, -4000\n')
+        out = tmp_path / "out.csv"
+        for argv in (["validate", "--config", cfg], ["run", "--config", cfg, "--out", str(out)]):
+            assert cli_main(argv) == 1
+            assert "SNR -4000.0 dB gives a noise variance 10**(400.0) that is not a finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "lines, message",
         [

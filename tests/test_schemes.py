@@ -226,6 +226,9 @@ def reference_beam_bits(cfg):
     return bits
 
 
+# a valid SNR that no trial of a batch uses, so that a row which read
+# cfg.snr_db would show it: its noise, 10**300 times the signal, swamps it
+UNREAD_SNR_DB = -3000.0
 # edge words of SeedSequence's uint32 coercion, plus arbitrary u64 seeds
 U64_SEEDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1))
 # per-trial SNRs of a batch: the fig2 grid, and values off it
@@ -284,7 +287,7 @@ class TestSecretBeamBatch:
         # each row has its own SNR, and cfg.snr_db is read by none of them
         trial_seeds = np.array([seed for seed, _ in trials], dtype=np.uint64)
         snrs = np.array([snr for _, snr in trials])
-        whole = secret_beam_batch(replace(cfg, snr_db=float("nan")), trial_seeds, snrs)
+        whole = secret_beam_batch(replace(cfg, snr_db=UNREAD_SNR_DB), trial_seeds, snrs)
         cuts = sorted(data.draw(st.sets(st.integers(1, len(trial_seeds) - 1))) if len(trial_seeds) > 1 else ())
         for pieces in (cuts, len(trial_seeds)):
             parts = [
@@ -298,6 +301,37 @@ class TestSecretBeamBatch:
                 }
             )
             assert_batches_equal(whole, joined)
+
+    @pytest.mark.parametrize("eve, per_trial", [(None, 4), ("alice", 5)])
+    def test_state_assigned_only_for_sampler_streams(self, monkeypatch, eve, per_trial):
+        # the perturbation and guess streams give raw outputs computed from
+        # their seeded states, with no generator; each other stream of a
+        # trial is one state assignment
+        trial_seeds = [3, 2**40 + 1, 2**64 - 1]
+        streams = (
+            seeds.STREAM_CHANNEL,
+            seeds.STREAM_EVOLVE,
+            seeds.STREAM_NOISE_ALICE,
+            seeds.STREAM_NOISE_BOB,
+            seeds.STREAM_NOISE_EVE,
+        )[:per_trial]
+        expected = [seeds.generator(seed, tag).bit_generator.state for seed in trial_seeds for tag in streams]
+        assigned = []
+        base = np.random.PCG64
+
+        class PCG64(base):  # numpy checks a state's generator by class name
+            @property
+            def state(self):
+                return base.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                assigned.append(value["state"].copy())
+                base.state.__set__(self, value)
+
+        monkeypatch.setattr(np.random, "PCG64", PCG64)
+        secret_beam_batch(fig2_cfg(eve=eve, rounds=3), np.array(trial_seeds, dtype=np.uint64), [10.0] * 3)
+        assert assigned == [state["state"] for state in expected]
 
     def test_session_is_batch_of_one(self):
         cfg = fig2_cfg(rounds=12, eve="bob", num_paths=3, temporal_rho=0.4)
@@ -377,6 +411,18 @@ class TestSessionValidation:
     def test_channel_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             fig2_cfg(**{field: value})
+
+    @pytest.mark.parametrize("snr_db", [-4000.0, -3083.0, np.nan, -np.inf])
+    def test_snr_whose_noise_variance_is_not_finite_rejected(self, snr_db):
+        # 10**(-snr/10) overflows a float, or is nan or inf: each session
+        # scales its noise by it and failed only once it ran
+        with pytest.raises(ValueError, match=f"SNR {snr_db} dB gives a noise variance"):
+            fig2_cfg(snr_db=snr_db)
+
+    def test_snr_with_finite_noise_variance_accepted(self):
+        # 10**308 is finite; an infinite SNR is a noiseless link
+        for snr_db in (-3080.0, 200.0, np.inf):
+            assert fig2_cfg(snr_db=snr_db).snr_db == snr_db
 
 
 class TestEstimateChannel:
@@ -692,7 +738,7 @@ class TestMultiresBatch:
     def test_batch_equals_batches_of_one(self):
         # SNRs out of grid order and one seed repeated: each point's result
         # is bytes of its own batch of one, whatever the other points are
-        cfg = fig4_cfg(rounds=300, snr_db=float("nan"), master_seed=0)
+        cfg = fig4_cfg(rounds=300, snr_db=UNREAD_SNR_DB, master_seed=0)
         trial_seeds = [7, 3, 7, 2**64 - 1, 12]
         snrs = [20.0, 0.0, 5.0, 15.0, 10.0]
         whole = list(multires_batch(cfg, trial_seeds, snrs))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmkeygen import seeds
-from reference import derive_seed
+from reference import PCG64_MULT, derive_seed, pcg64_raw
 
 
 class TestStreamDerivation:
@@ -81,6 +81,40 @@ class TestBatchedDerivation:
         with pytest.raises(ValueError, match="addresses"):
             seeds.derive_seeds(np.array([1, 2], dtype=np.uint64))
 
+    @settings(max_examples=200, deadline=None)
+    @given(ADDRESS_BLOCKS, st.one_of(st.integers(1, 9), st.just(64)))
+    def test_raw_outputs_equal_random_raw(self, addresses, count):
+        raw = seeds.raw_outputs(seeds.stream_lanes(np.array(addresses, dtype=np.uint64)), count)
+        assert raw.dtype == np.uint64 and raw.shape == (len(addresses), count)
+        for row, outputs in zip(addresses, raw):
+            ref = np.random.default_rng(np.random.SeedSequence(row)).bit_generator.random_raw(count)
+            assert np.array_equal(outputs, ref)
+
+    def test_raw_outputs_need_a_count(self):
+        with pytest.raises(ValueError, match="count"):
+            seeds.raw_outputs(seeds.stream_lanes(np.array([[1, 2]], dtype=np.uint64)), 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(U64, U64, U64, U64, st.integers(1, 9))
+    def test_reference_pcg64_equals_numpy(self, state_hi, state_lo, inc_hi, inc_lo, count):
+        state, inc = (state_hi << 64) | state_lo, (inc_hi << 64) | inc_lo | 1
+        bitgen = np.random.PCG64(0)
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        assert [int(v) for v in bitgen.random_raw(count)] == pcg64_raw(state, inc, count)
+
+    @pytest.mark.parametrize("rot", [0, 63])
+    @pytest.mark.parametrize("word", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0x0123456789ABCDEF])
+    def test_one_step_and_output_at_edge_rotations(self, rot, word):
+        # the stepped state is built first, with its top 6 bits, the
+        # rotation, set to rot; the state before it is that step undone
+        inc = ((word << 64) | (2**64 - 1 - word)) | 1
+        stepped = (rot << 122) | ((word << 64) % 2**122) | word
+        state = (stepped - inc) * pow(PCG64_MULT, -1, 2**128) % 2**128
+        lanes = np.array([[state >> 64, state % 2**64, inc >> 64, inc % 2**64]], dtype=np.uint64)
+        [[output]] = seeds.raw_outputs(lanes, 1)
+        assert (state * PCG64_MULT + inc) % 2**128 == stepped
+        assert int(output) == pcg64_raw(state, inc, 1)[0]
+
     @settings(max_examples=100, deadline=None)
     @given(U64, st.integers(0, 32), st.integers(1, 9))
     def test_integers_from_raw_equal_generator(self, seed, log_high, count):
@@ -88,6 +122,12 @@ class TestBatchedDerivation:
         ref = seeds.generator(seed, 6).integers(0, high, size=count)
         raw = seeds.generator(seed, 6).bit_generator.random_raw((count + 1) // 2)
         assert np.array_equal(seeds.integers_from_raw(raw, high, count), ref)
+
+    def test_integers_from_raw_needs_enough_outputs(self):
+        # 5 values take 3 outputs; 1 would give 2 values, not 5
+        with pytest.raises(ValueError, match="5 values take 3 raw outputs per stream, got 1"):
+            seeds.integers_from_raw(np.zeros((2, 1), dtype=np.uint64), 4, 5)
+        assert seeds.integers_from_raw(np.zeros((2, 3), dtype=np.uint64), 4, 5).shape == (2, 5)
 
     @pytest.mark.parametrize("high", [0, 3, 2**33])
     def test_integers_from_raw_needs_power_of_two(self, high):
