@@ -131,13 +131,16 @@ def _draw_innovations(rng: np.random.Generator, nlos_offset_db: float, out: np.n
 
     Each step draws one uniform LoS phase, then the NLoS innovations as one
     normal draw, real parts then imaginary parts, into its row of the
-    (T, 2 (L - 1)) buffer ``normals``.
+    (T, 2 (L - 1)) buffer ``normals``.  The uniforms are the steps' raw
+    outputs, converted at once as ``random()`` converts one: its top 53 bits
+    times 2**-53.
     """
-    u = np.empty(len(out))
-    for t in range(len(out)):
-        u[t] = rng.random()
-        rng.standard_normal(out=normals[t])
-    _innovations(u, normals, nlos_offset_db, out=out)
+    raw = np.empty(len(out), dtype=np.uint64)
+    draw_raw, draw_normals = rng.bit_generator.random_raw, rng.standard_normal
+    for t, row in enumerate(normals):
+        raw[t] = draw_raw()
+        draw_normals(out=row)
+    _innovations((raw >> 11) * 2.0**-53, normals, nlos_offset_db, out=out)
 
 
 def _ar1(gains: np.ndarray, eps: np.ndarray, rho: float) -> np.ndarray:
@@ -150,9 +153,10 @@ def _ar1(gains: np.ndarray, eps: np.ndarray, rho: float) -> np.ndarray:
     a (T, S * L) array steps S sessions' paths as one row.
     """
     eps *= np.sqrt(1.0 - rho * rho)
+    carried = np.empty(eps[..., 0, :].shape, dtype=eps.dtype)
     for t in range(eps.shape[-2]):
         row = eps[..., t, :]
-        row += rho * gains
+        row += np.multiply(rho, gains, out=carried)
         gains = row
     return eps
 

@@ -18,7 +18,6 @@ byte-identical across runs.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import warnings
@@ -37,10 +36,8 @@ from .keygen import (
     cascade,
 )
 from .schemes import (
-    MultiresResult,
     SessionConfig,
     _check_snr,
-    _probe_entropy_rate,
     multires_batch,
     secret_beam_batch,
     sounding_bdrs,
@@ -492,29 +489,6 @@ def _cases(cfg: ExperimentConfig) -> list[tuple[tuple[tuple[str, str], ...], Ses
     return [(outputs, session, cfg.trials)]
 
 
-def _jackknife_stderr(samples: np.ndarray, estimator, sections: int = 10) -> float:
-    """Leave-one-section-out jackknife stderr over the blocks (columns); NaN below 2 blocks per section."""
-    T = samples.shape[1]
-    if T < sections * 2:
-        return float("nan")
-    edges = np.linspace(0, T, sections + 1, dtype=int)
-    estimates = []
-    for j in range(sections):
-        keep = np.concatenate([samples[:, : edges[j]], samples[:, edges[j + 1] :]], axis=1)
-        estimates.append(estimator(keep))
-    estimates = np.asarray(estimates)
-    return float(np.sqrt((sections - 1) / sections * ((estimates - estimates.mean()) ** 2).sum()))
-
-
-def _multires_point(result: MultiresResult, levels: int) -> list[tuple[float, float]]:
-    """Both entropy rates of one multires session, each with its jackknife stderr."""
-    ker_of = functools.partial(_probe_entropy_rate, levels=levels)
-    return [
-        (result.ker_multires, _jackknife_stderr(result.samples_multires, ker_of)),
-        (result.ker_fixed, _jackknife_stderr(result.samples_fixed, ker_of)),
-    ]
-
-
 def _trial_points(cfg: ExperimentConfig, case_idx: int, template: SessionConfig, trials: int, metrics):
     """The (value, stderr) of each metric at each SNR point of a secret-beam, virtual or baseline case, in grid order.
 
@@ -541,8 +515,8 @@ def _run_sessions(cfg: ExperimentConfig) -> list[ResultRow]:
             # one long session of `trials` coherence blocks per point, all points one batch
             point_seeds = _trial_seeds(cfg, case_idx, range(len(cfg.snr_grid)), 1).tolist()
             points = (
-                _multires_point(result, template.levels)
-                for result in multires_batch(template, point_seeds, cfg.snr_grid)
+                [(r.ker_multires, r.ker_multires_stderr), (r.ker_fixed, r.ker_fixed_stderr)]
+                for r in multires_batch(template, point_seeds, cfg.snr_grid)
             )
         else:
             points = _trial_points(cfg, case_idx, template, trials, [metric for _, metric in outputs])

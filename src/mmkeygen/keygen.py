@@ -13,6 +13,9 @@ counts the parities it reveals.
 Leakage accounting is a literal transcript count: one bit per revealed
 parity plus any sacrificial calibration sample.  The Toeplitz hash of
 privacy amplification is an exact integer convolution through a real FFT.
+An arm's key entropy rate and its ten leave-one-section-out re-estimates
+come from one pass over one sort per stream, each bit for bit the
+per-section estimate (:func:`_entropy_rates` says why).
 """
 
 from __future__ import annotations
@@ -361,12 +364,6 @@ def privacy_amplify(
     return KeyMaterial(BitString(bits=key_bits), leaked_bits, safety_margin)
 
 
-def _plugin_entropy_bits(counts: np.ndarray) -> float:
-    total = counts.sum()
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
-
-
 def _calibration_range(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 1st and 99th percentiles of each row (last axis) of ``samples``.
 
@@ -376,46 +373,45 @@ def _calibration_range(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     numpy's (a tie of 0.0 and -0.0 may sort either way); no cell reads it.
     """
     ordered = np.sort(samples, axis=-1)
-    n = ordered.shape[-1]
-    has_nan = np.isnan(ordered[..., -1])
-    bounds = []
-    for pct in _CALIBRATION_PCT:
-        virtual = (n - 1) * (pct / 100)
-        below = math.floor(virtual)
-        weight = virtual - below
-        a, b = ordered[..., below], ordered[..., min(below + 1, n - 1)]
-        # numpy's _lerp, which takes the upper end for weights of 1/2 and up
-        step = b - a
-        bound = b - step * (1 - weight) if weight >= 0.5 else a + step * weight
-        bounds.append(np.where(has_nan, ordered[..., -1], bound))
-    return bounds[0], bounds[1]
+    return _percentiles(lambda rank: ordered[..., rank], np.array(ordered.shape[-1]))
 
 
-def _calibrated_cells(
-    samples: np.ndarray, levels: int, lo: float | None = None, hi: float | None = None
-) -> np.ndarray:
+def _percentiles(value_at, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_calibration_range` of rows of ``n`` values; ``value_at`` gives their values at a last axis of ranks."""
+    virtual = (n[..., None] - 1) * (np.array(_CALIBRATION_PCT) / 100)
+    below, weight = np.floor(virtual).astype(np.int64), virtual - np.floor(virtual)
+    # the ranks below and above each percentile, and the largest
+    ranks = np.concatenate([below, np.minimum(below + 1, n[..., None] - 1), n[..., None] - 1], -1)
+    a, b, top = np.split(value_at(ranks), [2, 4], -1)
+    # numpy's _lerp, which takes the upper end for weights of 1/2 and up
+    bound = np.where(weight >= 0.5, b - (b - a) * (1 - weight), a + (b - a) * weight)
+    bound = np.where(np.isnan(top), top, bound)
+    return bound[..., 0], bound[..., 1]
+
+
+def _calibrated_cells(samples: np.ndarray, levels: int, lo=None, hi=None) -> np.ndarray:
     """(P, T) cell indices of P streams, each on its own 1st-99th percentile range.
 
     The ranges come from :func:`_calibration_range`, one sort per row; an
-    explicit ``lo``/``hi`` pair replaces every row's range.  A sample's
-    cell is ``floor((x - lo) / (hi - lo) * levels)``, clipped to
-    ``0 .. levels-1``.  A row whose range is degenerate maps entirely to
-    cell 0, without a warning.
+    explicit ``lo``/``hi`` pair (or arrays of them, broadcast against the
+    samples) replaces them.  A sample's cell is
+    ``floor((x - lo) / (hi - lo) * levels)``, clipped to ``0 .. levels-1``,
+    so the cells rise with x, infs included.  A row whose range is
+    degenerate maps entirely to cell 0, without a warning.
     """
-    if lo is not None and hi is not None:
-        lo, hi = np.array([[lo], [hi]], dtype=float)[:, None]
-    else:
+    if lo is None or hi is None:
         lo, hi = (bound[:, None] for bound in _calibration_range(samples))
-    ok = lo < hi
+    ok = np.less(lo, hi)
     # a degenerate row is scaled on the range [0, 1] and then zeroed, so it
     # cannot divide by zero and no NaN or inf of it reaches the integer cast
     lo = np.where(ok, lo, 0.0)
     scaled = samples - lo
     scaled /= np.where(ok, hi, 1.0) - lo
     scaled *= levels
-    np.floor(scaled, out=scaled)
-    np.copyto(scaled, 0.0, where=~ok)
-    cells = scaled.astype(np.int64)
+    if not ok.all():
+        np.copyto(scaled, 0.0, where=~ok)
+    # no value overflows the cast, whose truncation is floor on 0 .. levels
+    cells = np.clip(scaled, 0.0, levels, out=scaled).astype(np.int64)
     return np.clip(cells, 0, levels - 1, out=cells)
 
 
@@ -439,23 +435,120 @@ def key_entropy_rate(
         raise InsufficientSamplesError(
             f"plug-in entropy needs at least {min_trials} trials, got {T}"
         )
-    return _cells_entropy_rate(_calibrated_cells(arr, cfg.levels, cfg.lo, cfg.hi), cfg.levels)
+    return float(_entropy_rates(arr, cfg.levels, centre=False, lo=cfg.lo, hi=cfg.hi)[0])
 
 
-def _cells_entropy_rate(cells: np.ndarray, levels: int) -> float:
-    """:func:`key_entropy_rate` of (P, T) cell indices, each in ``0 .. levels-1``."""
-    P = cells.shape[0]
-    # every stream's cell counts from one bincount, stream i on bins i*levels ..
-    counts = np.bincount((cells + levels * np.arange(P)[:, None]).ravel(), minlength=P * levels)
-    singles = np.array([_plugin_entropy_bits(row) for row in counts.reshape(P, levels)])
-    mean_single = float(singles.mean())
-    if mean_single <= 0.0:
+def _entropy_rates(samples: np.ndarray, levels: int, sections: int = 0, centre: bool = True, lo=None, hi=None):
+    """Key entropy rates of (P, T) samples: entry 0 over all T blocks, entry j + 1 over all but section j.
+
+    The sections are cut at ``np.linspace(0, T, sections + 1, dtype=int)``.
+    Each rate is, bit for bit, :func:`key_entropy_rate` of its kept blocks,
+    each stream mean-removed as :func:`extract_randomness` does it when
+    ``centre``, on the quantizer range ``lo``/``hi`` if given.  One pass
+    serves every variant, exactly: its means sum its kept blocks in their
+    order; ``x -> fl(x - m)`` is monotone, so its calibration ranks are read
+    off one sort per stream less ``m``; its cells rise along that sort, so
+    they are runs whose lengths are its counts in ascending cell order, and
+    no array is sized by ``levels``; each entropy sums its terms as numpy
+    sums them alone.
+    """
+    if np.isnan(samples).any():
+        raise ValueError("samples hold a NaN")
+    P, T = samples.shape
+    edges = np.linspace(0, T, sections + 1, dtype=int)
+    # variant v leaves out blocks first[v] .. stop[v] - 1 (variant 0 none); label[t] leaves out block t
+    first, stop = np.append(0, edges[:-1]), np.append(0, edges[1:])
+    V, n, t = first.size, T - (stop - first), np.arange(T)
+    label = np.searchsorted(edges, t, side="right")
+    means = np.zeros((P, V))
+    for v in range(V if centre else 0):
+        means[:, v] = np.concatenate([samples[:, : first[v]], samples[:, stop[v] :]], axis=1).mean(axis=-1)
+    order = np.argsort(samples, axis=-1)
+    ordered = np.take_along_axis(samples, order, -1)
+    # each stream's sorted positions grouped by the variant leaving them out,
+    # ascending (a group spans its section's indices), offset per row
+    # (stream, variant) into one ascending array that one search counts in
+    stream = np.arange(P)[:, None] * (V + 1)
+    dropped = np.argsort(label.astype(np.int16)[order], axis=-1, kind="stable") + (stream + label) * (2 * T)
+    offset, start = (stream + np.arange(V)) * (2 * T), np.arange(P)[:, None] * T + first
+    if lo is None or hi is None:
+        # less its index in its group, a left-out position counts the kept
+        # blocks before it: kept rank r is r places past those with r or fewer
+        kept_below = (dropped - (t - edges[label - 1])).ravel()
+
+        def value_at(rank):
+            at = rank + np.searchsorted(kept_below, rank + offset[..., None], side="right") - start[..., None]
+            return np.take_along_axis(ordered, at.reshape(P, -1), -1).reshape(at.shape) - means[..., None]
+
+        lo, hi = _percentiles(value_at, n)
+    else:
+        lo, hi = np.full((2, P, V), [[[lo]], [[hi]]], dtype=float)
+    dropped, offset = dropped.ravel(), offset.ravel()
+    # each run's count is its kept blocks, up to its row's next run or end
+    row, position, cell = _cell_runs(ordered, means, lo, hi, levels)
+    end = np.where(np.append(row[1:] != row[:-1], True), T, np.append(position[1:], T))
+    kept = np.searchsorted(dropped, np.concatenate([position, end]) + np.tile(offset[row], 2))
+    count = end - position - (kept[row.size :] - kept[: row.size])
+    prob = count[count > 0] / n[row[count > 0] % V]
+    terms, lengths = prob * np.log2(prob), np.bincount(row[count > 0], minlength=P * V)
+    single, ends = np.empty(P * V), np.cumsum(lengths)
+    for k in np.unique(lengths).tolist():
+        # numpy sums a row's terms by their number, so rows of one length are summed together
+        alike = np.flatnonzero(lengths == k)
+        single[alike] = -terms[(ends[alike] - k)[:, None] + np.arange(k)].sum(axis=-1)
+    mean_single = single.reshape(P, V).T.copy().mean(axis=-1)
+    if (mean_single <= 0.0).any():
         raise ValueError("degenerate input: zero single-probe entropy")
-
-    weights = levels ** np.arange(P, dtype=object)
     if levels**P > 2**62:
         raise ValueError("joint alphabet too large to index")
-    joint = (cells * np.asarray(weights, dtype=np.int64)[:, None]).sum(axis=0)
-    _, joint_counts = np.unique(joint, return_counts=True)
-    joint_entropy = _plugin_entropy_bits(joint_counts)
-    return joint_entropy / mean_single
+    # the runs spelled out, in time order summed into the joint cells; a
+    # variant's left-out blocks then sort first, as -1
+    joint = np.zeros((V, T), dtype=np.int32 if levels**P <= 2**31 else np.int64)
+    weighted = (cell * levels ** (row // V)).astype(joint.dtype)
+    inverse = np.empty_like(order)
+    np.put_along_axis(inverse, order, t, axis=-1)
+    for p, (a, b) in enumerate(np.searchsorted(row, np.arange(P)[:, None] * V + [0, V])):
+        joint += np.take(np.repeat(weighted[a:b], (end - position)[a:b]).reshape(V, T), inverse[p], axis=1)
+    joint[label == np.arange(V)[:, None]] = -1
+    joint.sort(axis=-1)
+    # a run starts at a row's start and wherever the cell changes, as at its first kept block
+    rises = np.ones((V, T + 1), dtype=bool)
+    np.not_equal(joint[:, 1:], joint[:, :-1], out=rises[:, 1:-1])
+    entropy = np.empty(V)
+    for v in range(V):
+        prob = np.diff(np.flatnonzero(rises[v, stop[v] - first[v] :])) / n[v]
+        entropy[v] = -(prob * np.log2(prob)).sum()
+    return entropy / mean_single
+
+
+def _cell_runs(ordered: np.ndarray, means: np.ndarray, lo: np.ndarray, hi: np.ndarray, levels: int):
+    """(row, start, cell) of each run of equal cells along the (P, T) sorted streams, ordered by row and start.
+
+    Row ``p * V + v`` holds stream p's cells on the mean and range ``[p, v]``
+    of the (P, V) ``means``, ``lo`` and ``hi``.  The cells rise along the
+    sort: they are evaluated on a grid (64 steps were the fastest on 2000
+    blocks), and each interval whose end cells differ is halved, keeping
+    the halves whose ends differ, until it is one position long and ends
+    on a rise.
+    """
+    (P, T), V = ordered.shape, means.shape[1]
+    rows, ordered, means, lo, hi = np.arange(P * V), ordered.ravel(), means.ravel(), lo.ravel(), hi.ravel()
+
+    def cells_at(row, i):
+        return _calibrated_cells(ordered[row // V * T + i] - means[row], levels, lo[row], hi[row])
+
+    step = max(1, T // 64)
+    grid = np.union1d(np.arange(0, T, step), T - 1)
+    on_grid = cells_at(rows[:, None], grid)
+    row, k = np.nonzero(on_grid[:, 1:] != on_grid[:, :-1])
+    # (row, low end, high end, cell at the low end, cell at the high end)
+    halving = np.stack([row, grid[k], grid[k + 1], on_grid[row, k], on_grid[row, k + 1]])
+    for _ in range((step - 1).bit_length()):
+        mid = (halving[1] + halving[2]) // 2
+        cell, k = cells_at(halving[0], mid), halving.shape[1]
+        halving = np.concatenate([halving, halving], axis=1)
+        halving[2, :k] = halving[1, k:] = mid
+        halving[4, :k] = halving[3, k:] = cell
+        halving = halving[:, halving[3] != halving[4]]
+    runs = np.concatenate([np.stack([rows, 0 * rows, on_grid[:, 0]]), halving[::2]], axis=1)
+    return runs[:, np.argsort(runs[0] * T + runs[1])]

@@ -56,10 +56,9 @@ from .keygen import (
     QuantizerConfig,
     bar,
     _calibrated_cells,
-    _cells_entropy_rate,
+    _entropy_rates,
     extract_randomness,
     gray_encode_indices,
-    key_entropy_rate,
     pack_indices,
 )
 from .probing import bidirectional_probe
@@ -198,6 +197,8 @@ class MultiresResult:
 
     ``samples_*`` hold the raw per-beam in-phase observations at Bob
     (shape: beams x blocks) for resampled error bars and diagnostics.
+    ``*_stderr`` is each rate's leave-one-section-out jackknife stderr over
+    ten sections of blocks; NaN below 2 blocks a section.
     """
 
     ker_multires: float
@@ -210,6 +211,8 @@ class MultiresResult:
     probes_used: int
     samples_multires: np.ndarray = field(repr=False, default=None)
     samples_fixed: np.ndarray = field(repr=False, default=None)
+    ker_multires_stderr: float = float("nan")
+    ker_fixed_stderr: float = float("nan")
 
 
 def _snap_sines_to_grid(angles: np.ndarray, n: int) -> np.ndarray:
@@ -656,15 +659,12 @@ def _widened_selection(
             window = min(_MAX_WINDOW_DB, window + 3.0)
 
 
-def _probe_entropy_rate(samples: np.ndarray, levels: int) -> float:
-    """Key entropy rate of (streams, blocks) probe samples, each stream mean-removed.
-
-    The estimator's 2000-trial floor is lowered to the number of blocks, so
-    a shorter session is scored rather than refused.
-    """
-    return key_entropy_rate(
-        extract_randomness(samples), QuantizerConfig(levels=levels), min_trials=min(2000, samples.shape[1])
-    )
+def _rate_and_stderr(samples: np.ndarray, levels: int, sections: int = 10) -> tuple[float, float]:
+    """The key entropy rate of an arm's (streams, blocks) samples, and its leave-one-section-out jackknife stderr (NaN below 2 blocks a section)."""
+    if samples.shape[1] < 2 * sections:
+        return float(_entropy_rates(samples, levels)[0]), float("nan")
+    rates = _entropy_rates(samples, levels, sections)
+    return float(rates[0]), float(np.sqrt((sections - 1) / sections * ((rates[1:] - rates[1:].mean()) ** 2).sum()))
 
 
 def multires_batch(cfg: SessionConfig, trial_seeds, snr_db):
@@ -706,9 +706,12 @@ def multires_batch(cfg: SessionConfig, trial_seeds, snr_db):
         # Gray-coded bits of each probe stream on its own calibrated range
         bits_alice = gray_encode_indices(_calibrated_cells(extract_randomness(y_alice[:P]), cfg.levels).ravel(), width)
         cells_bob = _calibrated_cells(extract_randomness(y_bob[:P]), cfg.levels)
+        (ker_multires, multires_stderr), (ker_fixed, fixed_stderr) = (
+            _rate_and_stderr(y, cfg.levels) for y in (y_bob[:P], y_bob[P:])
+        )
         yield MultiresResult(
-            ker_multires=_cells_entropy_rate(cells_bob, cfg.levels),
-            ker_fixed=_probe_entropy_rate(y_bob[P:], cfg.levels),
+            ker_multires=ker_multires,
+            ker_fixed=ker_fixed,
             beam_ids=tuple(ids),
             fixed_beam_id=fixed_id,
             window_db_used=window_used,
@@ -717,6 +720,8 @@ def multires_batch(cfg: SessionConfig, trial_seeds, snr_db):
             probes_used=4 * P * T,
             samples_multires=y_bob[:P],
             samples_fixed=y_bob[P:],
+            ker_multires_stderr=multires_stderr,
+            ker_fixed_stderr=fixed_stderr,
         )
 
 

@@ -193,19 +193,12 @@ def stream_states(lanes: np.ndarray) -> tuple[list[int], list[int]]:
     """The ``state`` and ``inc`` ints of each row of :func:`stream_lanes`.
 
     Set as the two ints under ``"state"`` in a ``bit_generator.state``
-    mapping of a ``PCG64`` (as :func:`generator_states` does), a row's pair
-    makes its ``Generator`` draw exactly what the addressed stream draws.
+    mapping of a ``PCG64``, with ``has_uint32`` and ``uinteger`` 0, a row's
+    pair makes its ``Generator`` draw exactly what the addressed stream
+    draws.
     """
     words = lanes.T.astype(object)
     return ((words[0] << 64) | words[1]).tolist(), ((words[2] << 64) | words[3]).tolist()
-
-
-def generator_states(addresses) -> list[dict]:
-    """The ``bit_generator.state`` of ``generator(*row)`` for each row of an (n, k) u64 array."""
-    return [
-        {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-        for state, inc in zip(*stream_states(stream_lanes(addresses)))
-    ]
 
 
 def raw_outputs(lanes: np.ndarray, count: int) -> np.ndarray:

@@ -49,6 +49,60 @@ def cell_indices(samples, levels, lo, hi):
     return np.clip(idx, 0, levels - 1)
 
 
+def calibrated_cells(samples, levels, lo=None, hi=None):
+    """Each row's cells by :func:`cell_indices` on its ``np.percentile`` 1st-99th range, or on ``lo``/``hi``; 0 where the range is degenerate."""
+    cells = np.empty(samples.shape, dtype=np.int64)
+    if lo is not None and hi is not None:
+        bounds = np.broadcast_to(np.array([[lo], [hi]], dtype=float), (2, len(samples)))
+    else:
+        bounds = np.percentile(samples, [1.0, 99.0], axis=1)
+    for i, (row, row_lo, row_hi) in enumerate(zip(samples, *bounds)):
+        cells[i] = cell_indices(row, levels, float(row_lo), float(row_hi)) if row_lo < row_hi else 0
+    return cells
+
+
+def plugin_entropy_bits(counts):
+    """Plug-in entropy, in bits, of the positive counts of ``counts``."""
+    p = counts[counts > 0] / counts.sum()
+    return float(-(p * np.log2(p)).sum())
+
+
+def key_entropy_rate(samples, levels, lo=None, hi=None):
+    """The key entropy rate of (P, T) samples: one bincount per stream and one ``np.unique`` of the joint cells."""
+    P = samples.shape[0]
+    cells = calibrated_cells(samples, levels, lo, hi)
+    singles = np.array([plugin_entropy_bits(np.bincount(cells[i])) for i in range(P)])
+    mean_single = float(singles.mean())
+    if mean_single <= 0.0:
+        raise ValueError("degenerate input: zero single-probe entropy")
+    weights = levels ** np.arange(P, dtype=object)
+    joint = (cells * np.asarray(weights, dtype=np.int64)[:, None]).sum(axis=0)
+    _, joint_counts = np.unique(joint, return_counts=True)
+    return plugin_entropy_bits(joint_counts) / mean_single
+
+
+def jackknife_rate(samples, levels, sections=10):
+    """An arm's key entropy rate and its leave-one-section-out jackknife stderr, one section at a time.
+
+    Each estimate slices its kept blocks out of the (P, T) samples, removes
+    each stream's mean, and scores them with :func:`key_entropy_rate`.  The
+    sections are cut at ``np.linspace(0, T, sections + 1, dtype=int)``; the
+    stderr is NaN below 2 blocks a section.
+    """
+
+    def rate(kept):
+        return key_entropy_rate(kept - kept.mean(axis=-1, keepdims=True), levels)
+
+    T = samples.shape[1]
+    if T < 2 * sections:
+        return rate(samples), float("nan")
+    edges = np.linspace(0, T, sections + 1, dtype=int)
+    estimates = np.array(
+        [rate(np.concatenate([samples[:, : edges[j]], samples[:, edges[j + 1] :]], axis=1)) for j in range(sections)]
+    )
+    return rate(samples), float(np.sqrt((sections - 1) / sections * ((estimates - estimates.mean()) ** 2).sum()))
+
+
 def toeplitz_hash(diagonals, bits):
     """Bits of the binary Toeplitz product ``privacy_amplify`` computes, by direct convolution.
 

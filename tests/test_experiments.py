@@ -583,3 +583,14 @@ class TestCli:
         for lines in ("codebook_depth = 5\nnum_beams = 62\nlevels = 4\n", "codebook_depth = 6\nnum_beams = 126\n"):
             assert cli_main(["validate", "--config", self._write(tmp_path, text + lines)]) == 1
             assert "joint alphabet too large to index" in capsys.readouterr().err
+
+    def test_runs_multires_at_most_levels_validate_accepts(self, tmp_path):
+        # 2**40 levels on one beam: validate accepts it, and the run used to
+        # fail with exit 2 allocating a count per level (8 TiB)
+        text = 'scenario = "custom"\nmaster_seed = 1\ntrials = 20\nsnr_grid = 10\n[scheme]\nscheme = "multires"\n'
+        cfg = self._write(tmp_path, text + "num_beams = 1\nlevels = 1099511627776\n")
+        out = tmp_path / "x.csv"
+        assert cli_main(["validate", "--config", cfg]) == 0
+        assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 0
+        # one stream: its joint cells are its cells, so both rates are 1
+        assert out.read_text().count(",1,0,20,1\n") == 2

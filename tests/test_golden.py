@@ -106,6 +106,12 @@ GOLDEN = {
         '[scheme]\nscheme = "multires"\n',
         "7c4e2a054c7ed08b94320ef1c3b5ca03d2b69be32c8122d2eaec4cd1ffc23c5a",
     ),
+    # 2003 blocks: the jackknife's ten sections are uneven (200 or 201 blocks)
+    "custom-multires-uneven": (
+        'scenario = "custom"\nmaster_seed = 5\ntrials = 2003\nsnr_grid = 10\n'
+        '[scheme]\nscheme = "multires"\nlevels = 16\nnum_beams = 3\n',
+        "4f1b4ebcd03f9a5f458ce839519d008e57e2327633d3e4009d515ec9671f4c05",
+    ),
 }
 
 

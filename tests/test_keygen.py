@@ -16,7 +16,6 @@ from mmkeygen.keygen import (
     _calibrated_cells,
     _calibration_range,
     _locate,
-    _plugin_entropy_bits,
     bar,
     cascade,
     extract_randomness,
@@ -26,7 +25,9 @@ from mmkeygen.keygen import (
     privacy_amplify,
     quantize,
 )
+from reference import calibrated_cells as reference_calibrated_cells
 from reference import cell_indices, toeplitz_hash
+from reference import key_entropy_rate as reference_key_entropy_rate
 
 
 def rng(seed=0):
@@ -503,31 +504,18 @@ class TestKeyEntropyRate:
         with pytest.raises(ValueError, match="degenerate"):
             key_entropy_rate(np.ones((2, 3000)), QuantizerConfig(levels=4))
 
+    def test_nan_rejected(self):
+        # a NaN has no place in the sort the counts are read off
+        samples = rng(5).standard_normal((2, 3000))
+        samples[1, 7] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            key_entropy_rate(samples, QuantizerConfig(levels=4))
 
-def reference_calibrated_cells(samples, levels, lo=None, hi=None):
-    """The per-row cell loop that one broadcast pass replaced."""
-    cells = np.empty(samples.shape, dtype=np.int64)
-    if lo is not None and hi is not None:
-        bounds = np.broadcast_to(np.array([[lo], [hi]], dtype=float), (2, len(samples)))
-    else:
-        bounds = np.percentile(samples, [1.0, 99.0], axis=1)
-    for i, (row, row_lo, row_hi) in enumerate(zip(samples, *bounds)):
-        cells[i] = cell_indices(row, levels, float(row_lo), float(row_hi)) if row_lo < row_hi else 0
-    return cells
-
-
-def reference_key_entropy_rate(samples, cfg):
-    """``key_entropy_rate`` as it was: per-row cells and one bincount per stream."""
-    P = samples.shape[0]
-    cells = reference_calibrated_cells(samples, cfg.levels, cfg.lo, cfg.hi)
-    singles = np.array([_plugin_entropy_bits(np.bincount(cells[i])) for i in range(P)])
-    mean_single = float(singles.mean())
-    if mean_single <= 0.0:
-        raise ValueError("degenerate input: zero single-probe entropy")
-    weights = cfg.levels ** np.arange(P, dtype=object)
-    joint = (cells * np.asarray(weights, dtype=np.int64)[:, None]).sum(axis=0)
-    _, joint_counts = np.unique(joint, return_counts=True)
-    return _plugin_entropy_bits(joint_counts) / mean_single
+    def test_inf_takes_an_end_cell(self):
+        # clipped before the integer cast, so the cells rise with x: +inf and
+        # a value past the int64 range take the top cell, without a warning
+        cells = _calibrated_cells(np.array([[-np.inf, 0.2, 0.7, np.inf, 1e300]]), 4, 0.0, 1.0)
+        assert cells.tolist() == [[0, 0, 2, 3, 3]]
 
 
 class TestCalibrationRange:
@@ -597,7 +585,7 @@ class TestEntropyRateMatchesReference:
             return
         cfg = QuantizerConfig(levels=levels, lo=lo, hi=hi)
         try:
-            expected = reference_key_entropy_rate(samples, cfg)
+            expected = reference_key_entropy_rate(samples, levels, lo, hi)
         except ValueError as exc:
             with pytest.raises(ValueError, match=str(exc)):
                 key_entropy_rate(samples, cfg, min_trials=1)

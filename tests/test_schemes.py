@@ -31,6 +31,7 @@ from mmkeygen.schemes import (
     SessionConfig,
     _bin_symbols,
     _perturbation_beams,
+    _rate_and_stderr,
     _session_channel,
     estimate_channel,
     multires_batch,
@@ -40,7 +41,7 @@ from mmkeygen.schemes import (
     sounding_bdrs,
     virtual_angle_session,
 )
-from reference import cell_indices
+from reference import cell_indices, jackknife_rate
 
 
 def rng(seed=0):
@@ -733,7 +734,16 @@ class TestMultires:
 
 
 class TestMultiresBatch:
-    MULTIRES_FIELDS = ("ker_multires", "ker_fixed", "beam_ids", "fixed_beam_id", "window_db_used", "probes_used")
+    MULTIRES_FIELDS = (
+        "ker_multires",
+        "ker_fixed",
+        "ker_multires_stderr",
+        "ker_fixed_stderr",
+        "beam_ids",
+        "fixed_beam_id",
+        "window_db_used",
+        "probes_used",
+    )
 
     def test_batch_equals_batches_of_one(self):
         # SNRs out of grid order and one seed repeated: each point's result
@@ -854,6 +864,72 @@ class TestMultiresEqualsReference:
         cells = _calibrated_cells(centred[:-1], 4)
         assert np.array_equal(cells, per_row_cells(samples[:-1], 4))
         assert np.array_equal(_calibrated_cells(centred, 4)[-1], np.zeros(shape[1]))
+
+
+def shared_streams(seed, streams, blocks):
+    """(streams, blocks) samples with a common part, so their cells are correlated, on their own scales and offsets."""
+    r = rng(seed)
+    own = r.uniform(0.2, 2.0, (streams, 1)) * r.standard_normal((streams, blocks))
+    return r.standard_normal(blocks) + own + r.uniform(-3.0, 3.0, (streams, 1))
+
+
+class TestRateAndStderrEqualReference:
+    """An arm's one-pass rate and jackknife stderr against the per-section form of ``reference.py``, with ``==``."""
+
+    @pytest.mark.parametrize("blocks", [20, 37, 2000, 2003, 2017])
+    @pytest.mark.parametrize("levels", [2, 4, 16])
+    @pytest.mark.parametrize("streams", [1, 5])
+    def test_equals_per_section_form(self, blocks, levels, streams):
+        samples = shared_streams(blocks + levels + streams, streams, blocks)
+        assert _rate_and_stderr(samples, levels) == jackknife_rate(samples, levels)
+
+    def test_deepest_codebook(self):
+        # 62 streams at 2 levels: 2**62 joint cells, the most validate accepts
+        samples = shared_streams(62, 62, 2003)
+        assert _rate_and_stderr(samples, 2) == jackknife_rate(samples, 2)
+
+    def test_constant_stream(self):
+        # a degenerate range: every cell of the stream is 0, in every section
+        samples = shared_streams(7, 5, 2003)
+        samples[2] = 1.5
+        assert _rate_and_stderr(samples, 16) == jackknife_rate(samples, 16)
+
+    def test_zero_single_entropy_raises(self):
+        samples = np.full((3, 2000), 0.25)
+        for score in (_rate_and_stderr, jackknife_rate):
+            with pytest.raises(ValueError, match="degenerate input: zero single-probe entropy"):
+                score(samples, 16)
+
+    def test_stderr_nan_below_two_blocks_a_section(self):
+        samples = shared_streams(19, 5, 19)
+        rate, stderr = _rate_and_stderr(samples, 16)
+        assert np.isnan(stderr) and np.isnan(jackknife_rate(samples, 16)[1])
+        assert rate == jackknife_rate(samples, 16)[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        levels=st.sampled_from([2, 4, 16, 256]),
+        streams=st.integers(1, 6),
+        blocks=st.integers(1, 400),
+        sections=st.integers(2, 12),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_shape_equals_per_section_form(self, levels, streams, blocks, sections, ties, seed):
+        # rounded samples tie across sections; 256 levels on few blocks give
+        # runs of one block; a short arm falls back to its rate alone
+        samples = shared_streams(seed, streams, blocks)
+        if ties:
+            samples = np.round(samples, 1)
+        try:
+            expected = jackknife_rate(samples, levels, sections)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                _rate_and_stderr(samples, levels, sections)
+            return
+        got = _rate_and_stderr(samples, levels, sections)
+        assert got[0] == expected[0]
+        assert got[1] == expected[1] or np.isnan(got[1]) and np.isnan(expected[1])
 
 
 class TestEveInformationBound:

@@ -63,13 +63,14 @@ class TestBatchedDerivation:
 
     @settings(max_examples=200, deadline=None)
     @given(ADDRESS_BLOCKS)
-    def test_generator_states_equal_default_rng(self, addresses):
-        states = seeds.generator_states(np.array(addresses, dtype=np.uint64))
+    def test_stream_states_equal_default_rng(self, addresses):
+        states = zip(*seeds.stream_states(seeds.stream_lanes(np.array(addresses, dtype=np.uint64))))
         bitgen = np.random.PCG64(0)
-        for row, state in zip(addresses, states):
+        for row, (state, inc) in zip(addresses, states):
             ref = np.random.default_rng(np.random.SeedSequence(row))
-            assert state == ref.bit_generator.state
-            bitgen.state = state
+            mapping = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+            assert mapping == ref.bit_generator.state
+            bitgen.state = mapping
             assert np.array_equal(bitgen.random_raw(64), ref.bit_generator.random_raw(64))
 
     def test_master_seed_below_2_32_is_one_word(self):
