@@ -161,33 +161,46 @@ def _ar1(gains: np.ndarray, eps: np.ndarray, rho: float) -> np.ndarray:
     return eps
 
 
+def _paths(u: np.ndarray, normals: np.ndarray, nlos_offset_db: float, grid_cols=None) -> tuple[np.ndarray, np.ndarray]:
+    """Angles (..., L, 4) and gains (..., L) of channels from their streams' (..., 4L + 1) uniforms and (..., 2(L-1)) normals.
+
+    The uniforms are the L x 4 sines' (``-1 + 2u`` is ``uniform(-1, 1)``
+    bit for bit), then the LoS phase's.  With ``grid_cols`` = (tx cols, rx
+    cols) the rays are in-plane, their sines snapped to the DFT grid of
+    each array, so each path occupies exactly one virtual bin.
+    """
+    angles = np.arcsin(-1.0 + 2.0 * u[..., :-1].reshape(u.shape[:-1] + (-1, 4)))
+    if grid_cols is not None:
+        n = np.array(grid_cols, dtype=float)
+        s = np.round(np.sin(angles[..., ::2]) * n / 2.0) * 2.0 / n
+        angles = np.zeros_like(angles)
+        angles[..., ::2] = np.arcsin(np.clip(s, -1.0, 1.0 - 2.0 / n))
+    return angles, _innovations(u[..., -1], normals, nlos_offset_db)
+
+
 def sample_channel(
     tx_geom: ArrayGeometry,
     rx_geom: ArrayGeometry,
     rng: np.random.Generator,
     num_paths: int,
     nlos_offset_db: float = DEFAULT_NLOS_OFFSET_DB,
+    grid_angles: bool = False,
 ) -> ChannelRealization:
     """Draw a fresh realization: one unit-power LoS ray plus ``num_paths - 1`` NLoS rays.
 
     The LoS gain is a uniform random phase of unit magnitude; NLoS gains are
     circularly-symmetric complex Gaussian with expected power
-    ``10**(-nlos_offset_db/10)``.
+    ``10**(-nlos_offset_db/10)``.  ``grid_angles`` snaps the rays to the
+    DFT grids, as :func:`_paths` does.
     """
     if num_paths < 1:
         raise ValueError(f"invalid channel: num_paths={num_paths} (need >= 1)")
     if not nlos_offset_db >= 0.0:
         raise ValueError(f"invalid channel: nlos_offset_db={nlos_offset_db} (need >= 0)")
-    sines = rng.uniform(-1.0, 1.0, size=(num_paths, 4))
-    # the LoS phase 2 pi random() is uniform(0, 2 pi) exactly
-    gains = _innovations(rng.random(), rng.standard_normal(2 * (num_paths - 1)), nlos_offset_db)
-    return ChannelRealization(
-        gains=gains,
-        angles=np.arcsin(sines),
-        tx_geom=tx_geom,
-        rx_geom=rx_geom,
-        nlos_offset_db=nlos_offset_db,
-    )
+    u = rng.random(4 * num_paths + 1)
+    grid_cols = (tx_geom.cols, rx_geom.cols) if grid_angles else None
+    angles, gains = _paths(u, rng.standard_normal(2 * (num_paths - 1)), nlos_offset_db, grid_cols)
+    return ChannelRealization(gains, angles, tx_geom, rx_geom, nlos_offset_db)
 
 
 def response_matrices(ch: ChannelRealization) -> tuple[np.ndarray, np.ndarray]:
@@ -195,6 +208,13 @@ def response_matrices(ch: ChannelRealization) -> tuple[np.ndarray, np.ndarray]:
     a_rx = array_response(ch.rx_geom, ch.angles[:, 2], ch.angles[:, 3])
     a_tx = array_response(ch.tx_geom, ch.angles[:, 0], ch.angles[:, 1])
     return a_rx.T, a_tx.T
+
+
+def _paths_matrix(a_rx: np.ndarray, gains: np.ndarray, a_tx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``sqrt(Nt*Nr/L) * (a_rx.T * gains) @ a_tx`` of (L, Nr) and (L, Nt) path responses, written into ``out`` when given."""
+    scale = np.sqrt(a_tx.shape[1] * a_rx.shape[1] / gains.size)
+    out = np.matmul(a_rx.T * gains, a_tx, out=out)
+    return np.multiply(scale, out, out=out)
 
 
 def channel_matrix(ch: ChannelRealization, out: np.ndarray | None = None) -> np.ndarray:
@@ -207,9 +227,7 @@ def channel_matrix(ch: ChannelRealization, out: np.ndarray | None = None) -> np.
     exchange.
     """
     a_rx, a_tx = response_matrices(ch)
-    scale = np.sqrt(ch.tx_geom.size * ch.rx_geom.size / ch.num_paths)
-    out = np.matmul(a_rx * ch.gains, a_tx.T, out=out)
-    return np.multiply(scale, out, out=out)
+    return _paths_matrix(a_rx.T, ch.gains, a_tx.T, out)
 
 
 def evolve(ch: ChannelRealization, rho: float, rng: np.random.Generator, steps: int) -> np.ndarray:
@@ -242,21 +260,19 @@ def virtual_channel(
     # double precision on any input, without a copy of a complex H
     H = np.asarray(H, dtype=complex)
     if H.shape != (rx_geom.size, tx_geom.size):
-        raise ValueError(
-            f"dimension mismatch: H is {H.shape}, geometries give "
-            f"({rx_geom.size}, {tx_geom.size})"
-        )
+        raise ValueError(f"dimension mismatch: H is {H.shape}, geometries give ({rx_geom.size}, {tx_geom.size})")
     if out is None:
         out = np.empty(H.shape, dtype=complex)
     elif out.shape != H.shape or out.dtype != complex or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous complex array of shape {H.shape}")
     shape = (rx_geom.rows, rx_geom.cols, tx_geom.rows, tx_geom.cols)
-    # splitting axes is a view on any layout, and out is C-contiguous
-    src, Hv = H.reshape(shape), out.reshape(shape)
-    for axis, n in enumerate(shape):
-        if n > 1:
-            (np.fft.ifft if axis < 2 else np.fft.fft)(src, axis=axis, norm="ortho", out=Hv)
-            src = Hv
+    # views without the axes of size 1, where pocketfft runs fewer, longer passes
+    # to the same bits; each is a view on any layout, and out is C-contiguous
+    src, Hv = H.reshape(shape).squeeze(), out.reshape(shape).squeeze()
+    rx_axes = (rx_geom.rows > 1) + (rx_geom.cols > 1)
+    for axis in range(Hv.ndim):
+        (np.fft.ifft if axis < rx_axes else np.fft.fft)(src, axis=axis, norm="ortho", out=Hv)
+        src = Hv
     if src is not Hv:
         # every axis has size 1: the transform is the identity
         Hv[...] = src

@@ -9,7 +9,8 @@
 * ``virtual_angle_session``: both parties estimate the channel matrix,
   project it onto the angular (DFT) domain, and encode the positions of the
   strongest virtual bins.  ``sounding_bdrs`` scores a run of such trials,
-  or of the baseline that quantizes every estimated entry.
+  or of the baseline that quantizes every estimated entry, in chunks of
+  trials whose streams are seeded and channels drawn as arrays.
 * ``multires_session``: Alice probes with beams of several resolutions and
   angles chosen to keep the composite gain inside a window while Bob holds a
   wide fixed pattern; compared against an aligned fixed-beam link via the
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,8 +47,9 @@ from .channel import (
     _ar1,
     _draw_innovations,
     _innovations,
+    _paths,
+    _paths_matrix,
     array_response,
-    channel_matrix,
     sample_channel,
     virtual_channel,
 )
@@ -113,6 +115,8 @@ class SessionConfig:
             raise ValueError(f"eve must be 'alice', 'bob' or None (\"none\" in a config file), got {self.eve!r}")
         if self.num_paths < 1:
             raise ValueError(f"num_paths must be >= 1, got {self.num_paths}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}")
         _check_snr(self.snr_db)
         if not self.nlos_offset_db >= 0.0:
             raise ValueError(f"nlos_offset_db must be >= 0, got {self.nlos_offset_db}")
@@ -215,27 +219,6 @@ class MultiresResult:
     ker_fixed_stderr: float = float("nan")
 
 
-def _snap_sines_to_grid(angles: np.ndarray, n: int) -> np.ndarray:
-    s = np.round(np.sin(angles) * n / 2.0) * 2.0 / n
-    return np.arcsin(np.clip(s, -1.0, 1.0 - 2.0 / n))
-
-
-def _grid_angles(angles: np.ndarray, cfg: SessionConfig) -> np.ndarray:
-    # beamspace variant: in-plane rays with sines on the DFT grids of both
-    # arrays, so each path occupies exactly one virtual bin
-    snapped = np.zeros_like(angles)
-    snapped[..., 0] = _snap_sines_to_grid(angles[..., 0], cfg.alice.cols)
-    snapped[..., 2] = _snap_sines_to_grid(angles[..., 2], cfg.bob.cols)
-    return snapped
-
-
-def _session_channel(cfg: SessionConfig, rng: np.random.Generator) -> ChannelRealization:
-    ch = sample_channel(cfg.alice, cfg.bob, rng, cfg.num_paths, cfg.nlos_offset_db)
-    if not cfg.grid_angles:
-        return ch
-    return replace(ch, angles=_grid_angles(ch.angles, cfg))
-
-
 # ---------------------------------------------------------------------------
 # Secret beam (perturbation keying)
 # ---------------------------------------------------------------------------
@@ -308,19 +291,12 @@ def _beam_draws(cfg: SessionConfig, trial_seeds: np.ndarray) -> tuple[np.ndarray
     """Every draw a batch of secret-beam sessions takes from its streams.
 
     Every stream is seeded at once by :func:`seeds.stream_lanes`.  The
-    perturbation and guess streams give only raw outputs, so they come
-    from :func:`seeds.raw_outputs` for the whole batch at once.  The other
-    streams go trial by trial: one reused ``bit_generator.state`` mapping
-    gets each stream's two ints and is assigned to one reused generator,
-    which draws what the session takes from that stream, in the session's
-    order.  ``uniform(low, high)`` is ``low + (high - low) * random()``, and
-    with (low, high) = (-1, 1) or (0, 2 pi) that is exact in either order
-    of rounding, so the uniform draws are taken as ``random()`` and scaled
-    over the whole batch.  The evolution stream interleaves a uniform phase
-    with normals, so it is drawn round by round.
+    perturbation and guess streams give only raw outputs, from
+    :func:`seeds.raw_outputs`; the others are drawn trial by trial, in the
+    session's order, through :func:`seeds.sampler_streams`.
 
-    Returns the channel stream's uniforms (B, 4L + 1), the L x 4 sines
-    then the LoS phase, and its NLoS normals (B, 2(L-1)); the evolution
+    Returns the channel stream's uniforms (B, 4L + 1) and NLoS normals
+    (B, 2(L-1)), as :func:`channel._paths` reads them; the evolution
     uniforms (B, R) and normals (B, R, 2(L-1)); the perturbation indices of
     Alice and Bob and the eavesdropper's guesses (parties, B, R); and the
     noise normals of Alice, Bob and the eavesdropper (parties, B, R, 4),
@@ -333,32 +309,22 @@ def _beam_draws(cfg: SessionConfig, trial_seeds: np.ndarray) -> tuple[np.ndarray
     lanes = lanes.reshape(B, tags.size, 4)
     raw = seeds.raw_outputs(lanes[:, parties + 2 :].swapaxes(0, 1).reshape(-1, 4), (R + 1) // 2)
     index = seeds.integers_from_raw(raw.reshape(parties, B, -1), cfg.levels, R)
-    streams = zip(*seeds.stream_states(lanes[:, : parties + 2].reshape(-1, 4)))
-    mapping = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0}, "has_uint32": 0, "uinteger": 0}
-    ints = mapping["state"]
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
+    stream = seeds.sampler_streams(lanes[:, : parties + 2].reshape(-1, 4))
 
-    def next_stream() -> None:
-        ints["state"], ints["inc"] = next(streams)
-        bitgen.state = mapping
-
-    channel_u = np.empty((B, 4 * L + 1))
-    nlos = np.empty((B, 2 * (L - 1)))
-    evo_u = np.empty((B, R))
-    evo_nlos = np.empty((B, R, 2 * (L - 1)))
+    channel_u, nlos = np.empty((B, 4 * L + 1)), np.empty((B, 2 * (L - 1)))
+    evo_u, evo_nlos = np.empty((B, R)), np.empty((B, R, 2 * (L - 1)))
     noise = np.empty((parties, B, R, 4))
     for b in range(B):
-        next_stream()
+        first = b * (parties + 2)
+        rng = stream(first)
         rng.random(out=channel_u[b])
         rng.standard_normal(out=nlos[b])
-        next_stream()
+        rng = stream(first + 1)
         for t in range(R):
             evo_u[b, t] = rng.random()
             rng.standard_normal(out=evo_nlos[b, t])
         for party in range(parties):
-            next_stream()
-            rng.standard_normal(out=noise[party, b])
+            stream(first + 2 + party).standard_normal(out=noise[party, b])
     return channel_u, nlos, evo_u, evo_nlos, index, noise
 
 
@@ -371,16 +337,13 @@ def secret_beam_batch(cfg: SessionConfig, trial_seeds, snr_db) -> _BeamBatch:
     of the trials into batches gives the same rows.
     """
     trial_seeds = np.asarray(trial_seeds, dtype=np.uint64).reshape(-1)
-    B, R, K, L = trial_seeds.size, cfg.rounds, cfg.levels, cfg.num_paths
+    B, R, K = trial_seeds.size, cfg.rounds, cfg.levels
     eve = cfg.eve is not None
     channel_u, nlos, evo_u, evo_nlos, index, noise = _beam_draws(cfg, trial_seeds)
 
-    # the channel as sample_channel draws it, then its gains per round as
-    # evolve steps them; -1 + 2u is uniform(-1, 1) and 2 pi u uniform(0, 2 pi)
-    angles = np.arcsin(-1.0 + 2.0 * channel_u[:, :-1].reshape(B, L, 4))
-    if cfg.grid_angles:
-        angles = _grid_angles(angles, cfg)
-    gains = _innovations(channel_u[:, -1], nlos, cfg.nlos_offset_db)
+    # each trial's channel, then its gains per round as evolve steps them
+    grid_cols = (cfg.alice.cols, cfg.bob.cols) if cfg.grid_angles else None
+    angles, gains = _paths(channel_u, nlos, cfg.nlos_offset_db, grid_cols)
     alpha = _ar1(gains, _innovations(evo_u, evo_nlos, cfg.nlos_offset_db), cfg.temporal_rho)
 
     deltas = cfg.delta_max * np.arange(1, K + 1) / K
@@ -528,13 +491,43 @@ def _bin_symbols(mag: np.ndarray, count: int) -> tuple[np.ndarray, int]:
     return rows << col_bits | cols, row_bits + col_bits
 
 
-def _round_estimates(cfg: SessionConfig, seed: int, snr_db: float, t: int, H: np.ndarray, out):
-    """Writes round ``t``'s channel into ``H``, and Alice's and Bob's estimates of it into ``out[0]`` and ``out[1]``."""
-    tags = (seeds.STREAM_CHANNEL, seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB)
-    rng_ch, *rngs = (seeds.generator(seed, tag, t) for tag in tags)
-    channel_matrix(_session_channel(cfg, rng_ch), out=H)
-    for est, rng in zip(out, rngs):
-        estimate_channel(H, snr_db, rng, out=est)
+_SOUNDING_CHUNK = 64  # the most trials whose channels a sounding chunk holds at once
+
+
+def _sounded_trials(cfg: SessionConfig, trial_seeds, snr_db):
+    """Per trial, at master seed ``trial_seeds[i]`` and SNR ``snr_db[i]``: yields ``estimates(t, out)``, valid until the next.
+
+    ``estimates`` writes round ``t``'s channel into one buffer and Alice's
+    and Bob's estimates of it into ``out[0]`` and ``out[1]``.  A chunk
+    seeds all its streams at once, draws its channels as arrays and builds
+    each side's path responses with one :func:`array_response` call.
+    """
+    R, L = cfg.rounds, cfg.num_paths
+    H = np.empty((cfg.bob.size, cfg.alice.size), dtype=complex)
+    grid_cols = (cfg.alice.cols, cfg.bob.cols) if cfg.grid_angles else None
+    tags = np.array([seeds.STREAM_CHANNEL, seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB], np.uint64)
+    for start in range(0, len(trial_seeds), _SOUNDING_CHUNK):
+        chunk = np.asarray(trial_seeds[start : start + _SOUNDING_CHUNK], dtype=np.uint64)
+        B = chunk.size
+        # stream 3 i + k is tag k of round i = b R + t: (seed b, tag k, t)
+        addresses = np.broadcast_arrays(chunk[:, None, None], tags, np.arange(R, dtype=np.uint64)[:, None])
+        stream = seeds.sampler_streams(seeds.stream_lanes(np.stack(addresses, axis=-1).reshape(-1, 3)))
+        u, normals = np.empty((B * R, 4 * L + 1)), np.empty((B * R, 2 * (L - 1)))
+        for i in range(B * R):
+            rng = stream(3 * i)
+            rng.random(out=u[i])
+            rng.standard_normal(out=normals[i])
+        angles, gains = _paths(u, normals, cfg.nlos_offset_db, grid_cols)
+        a_rx = array_response(cfg.bob, angles[..., 2], angles[..., 3])
+        a_tx = array_response(cfg.alice, angles[..., 0], angles[..., 1])
+        for b, snr in enumerate(snr_db[start : start + B]):
+            def estimates(t, out, b=b, snr=snr):
+                i = b * R + t
+                _paths_matrix(a_rx[i], gains[i], a_tx[i], out=H)
+                for k, est in enumerate(out, start=1):
+                    estimate_channel(H, snr, stream(3 * i + k), out=est)
+
+            yield estimates
 
 
 def _virtual_symbols(cfg: SessionConfig, trial_seeds, snr_db):
@@ -544,12 +537,11 @@ def _virtual_symbols(cfg: SessionConfig, trial_seeds, snr_db):
     channel, by :func:`_bin_symbols`.  Every trial writes into one set of buffers.
     """
     shape = (cfg.bob.size, cfg.alice.size)
-    H, mag = np.empty(shape, dtype=complex), np.empty(shape)
-    est = np.empty((2, *shape), dtype=complex)
-    for seed, snr in zip(trial_seeds, snr_db):
+    mag, est = np.empty(shape), np.empty((2, *shape), dtype=complex)
+    for estimates in _sounded_trials(cfg, trial_seeds, snr_db):
         symbols = np.empty((2, cfg.rounds, cfg.num_paths), dtype=np.int64)
         for t in range(cfg.rounds):
-            _round_estimates(cfg, seed, snr, t, H, est)
+            estimates(t, est)
             for party in range(2):
                 np.abs(virtual_channel(est[party], cfg.alice, cfg.bob, out=est[party]), out=mag)
                 symbols[party, t], bits = _bin_symbols(mag, cfg.num_paths)
@@ -563,14 +555,12 @@ def _baseline_symbols(cfg: SessionConfig, trial_seeds, snr_db):
     entry on one range, calibrated on Alice's pooled samples and announced
     publicly (calibration is side information, not key material).
     """
-    shape = (cfg.bob.size, cfg.alice.size)
-    H = np.empty(shape, dtype=complex)
-    pools = np.empty((2, cfg.rounds, *shape), dtype=complex)
+    pools = np.empty((2, cfg.rounds, cfg.bob.size, cfg.alice.size), dtype=complex)
     # each party's (re, im) samples of every round
     samples = pools.view(np.float64).reshape(2, -1)
-    for seed, snr in zip(trial_seeds, snr_db):
+    for estimates in _sounded_trials(cfg, trial_seeds, snr_db):
         for t in range(cfg.rounds):
-            _round_estimates(cfg, seed, snr, t, H, pools[:, t])
+            estimates(t, pools[:, t])
         # mean removal as extract_randomness does it, then one range calibrated on Alice's
         samples -= samples.mean(axis=1, keepdims=True)
         quantizer = QuantizerConfig.calibrated(samples[0], levels=cfg.levels)
@@ -684,7 +674,8 @@ def multires_batch(cfg: SessionConfig, trial_seeds, snr_db):
     normals = np.empty((T, 2 * (L - 1)))
     points = []
     for s, seed in enumerate(trial_seeds):
-        ch = _session_channel(cfg, seeds.generator(seed, seeds.STREAM_CHANNEL))
+        rng = seeds.generator(seed, seeds.STREAM_CHANNEL)
+        ch = sample_channel(cfg.alice, cfg.bob, rng, L, cfg.nlos_offset_db, cfg.grid_angles)
         bob_pencil = steering_beamformer(cfg.bob, ch.angles[0, 2], ch.angles[0, 3])
         ids, window_used = _widened_selection(codebook, ch, bob_wide, P, cfg.window_db)
         fixed_id = select_beams(codebook, ch, bob_pencil, 1, cfg.window_db)[0]

@@ -12,8 +12,8 @@ addresses at once.  They rerun ``SeedSequence``'s hash on uint32 arrays, and
 ``stream_lanes`` reruns ``PCG64``'s seeding on 128-bit values held as (hi,
 lo) pairs of uint64 arrays.  ``raw_outputs`` steps those lanes, so a stream
 that only gives raw outputs needs no ``Generator`` at all;
-``stream_states`` turns them into ints, so a stream that feeds numpy's
-samplers costs one ``bit_generator.state`` assignment.
+``sampler_streams`` sets one reused ``Generator`` to them, so a stream that
+feeds numpy's samplers costs one ``bit_generator.state`` assignment.
 """
 
 from __future__ import annotations
@@ -189,16 +189,23 @@ def stream_lanes(addresses) -> np.ndarray:
     return np.column_stack(_add(_mul(_add(inc, (seed_hi, seed_lo)), _MULT), inc) + inc)
 
 
-def stream_states(lanes: np.ndarray) -> tuple[list[int], list[int]]:
-    """The ``state`` and ``inc`` ints of each row of :func:`stream_lanes`.
+def sampler_streams(lanes: np.ndarray):
+    """``stream(i)``: one reused ``Generator``, set to row ``i`` of :func:`stream_lanes` and returned.
 
-    Set as the two ints under ``"state"`` in a ``bit_generator.state``
-    mapping of a ``PCG64``, with ``has_uint32`` and ``uinteger`` 0, a row's
-    pair makes its ``Generator`` draw exactly what the addressed stream
-    draws.
+    Setting a stream is one assignment of one reused state mapping; until
+    the next call the generator draws what ``generator(*addresses[i])`` draws.
     """
     words = lanes.T.astype(object)
-    return ((words[0] << 64) | words[1]).tolist(), ((words[2] << 64) | words[3]).tolist()
+    states, incs = ((words[0] << 64) | words[1]).tolist(), ((words[2] << 64) | words[3]).tolist()
+    mapping = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0}, "has_uint32": 0, "uinteger": 0}
+    rng = np.random.Generator(np.random.PCG64(0))
+
+    def stream(i: int) -> np.random.Generator:
+        mapping["state"]["state"], mapping["state"]["inc"] = states[i], incs[i]
+        rng.bit_generator.state = mapping
+        return rng
+
+    return stream
 
 
 def raw_outputs(lanes: np.ndarray, count: int) -> np.ndarray:

@@ -6,6 +6,11 @@ another way, so it lives with the tests rather than in the package.
 
 import numpy as np
 
+from mmkeygen import seeds
+from mmkeygen.channel import ChannelRealization, _innovations, channel_matrix
+from mmkeygen.keygen import QuantizerConfig, _calibrated_cells
+from mmkeygen.schemes import _bin_symbols, estimate_channel
+
 
 def dft_matrix(n):
     """Unitary n x n DFT matrix (j, k) = exp(-2i*pi*j*k/n)/sqrt(n), the basis ``virtual_channel`` transforms by."""
@@ -13,6 +18,91 @@ def dft_matrix(n):
         raise ValueError(f"invalid DFT size {n}")
     k = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+
+
+def virtual_channel(H, tx_geom, rx_geom, out=None):
+    """``U_r^H H U_t`` by the per-axis loop over ``H`` viewed as (rx rows, rx cols, tx rows, tx cols).
+
+    An ortho inverse FFT along each receive axis and an ortho forward FFT
+    along each transmit axis, skipping axes of size 1; the first reads
+    ``H`` and writes ``out``, the rest run in place.
+    """
+    H = np.asarray(H, dtype=complex)
+    if out is None:
+        out = np.empty(H.shape, dtype=complex)
+    shape = (rx_geom.rows, rx_geom.cols, tx_geom.rows, tx_geom.cols)
+    src, Hv = H.reshape(shape), out.reshape(shape)
+    for axis, n in enumerate(shape):
+        if n > 1:
+            (np.fft.ifft if axis < 2 else np.fft.fft)(src, axis=axis, norm="ortho", out=Hv)
+            src = Hv
+    if src is not Hv:
+        Hv[...] = src
+    return out
+
+
+def session_channel(cfg, rng):
+    """A session's channel drawn one draw at a time: ``uniform(-1, 1)`` sines, the LoS phase, the NLoS normals.
+
+    With ``cfg.grid_angles`` the rays are in-plane, each sine snapped to the
+    DFT grid of its array.
+    """
+
+    def snap(angles, n):
+        s = np.round(np.sin(angles) * n / 2.0) * 2.0 / n
+        return np.arcsin(np.clip(s, -1.0, 1.0 - 2.0 / n))
+
+    L = cfg.num_paths
+    angles = np.arcsin(rng.uniform(-1.0, 1.0, size=(L, 4)))
+    gains = _innovations(rng.random(), rng.standard_normal(2 * (L - 1)), cfg.nlos_offset_db)
+    if cfg.grid_angles:
+        snapped = np.zeros_like(angles)
+        snapped[:, 0], snapped[:, 2] = snap(angles[:, 0], cfg.alice.cols), snap(angles[:, 2], cfg.bob.cols)
+        angles = snapped
+    return ChannelRealization(gains, angles, cfg.alice, cfg.bob, cfg.nlos_offset_db)
+
+
+def round_estimates(cfg, seed, snr_db, t, H, out):
+    """Writes round ``t``'s channel into ``H``, and Alice's and Bob's estimates of it into ``out[0]`` and ``out[1]``.
+
+    Each of the round's three streams gets its own generator.
+    """
+    tags = (seeds.STREAM_CHANNEL, seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB)
+    rng_ch, *rngs = (seeds.generator(seed, tag, t) for tag in tags)
+    channel_matrix(session_channel(cfg, rng_ch), out=H)
+    for est, rng in zip(out, rngs):
+        estimate_channel(H, snr_db, rng, out=est)
+
+
+def virtual_symbols(cfg, trial_seeds, snr_db):
+    """Per trial, one trial at a time: each party's strongest virtual bins of every round, and their bits."""
+    shape = (cfg.bob.size, cfg.alice.size)
+    H, mag = np.empty(shape, dtype=complex), np.empty(shape)
+    est = np.empty((2, *shape), dtype=complex)
+    for seed, snr in zip(trial_seeds, snr_db):
+        symbols = np.empty((2, cfg.rounds, cfg.num_paths), dtype=np.int64)
+        for t in range(cfg.rounds):
+            round_estimates(cfg, seed, snr, t, H, est)
+            for party in range(2):
+                np.abs(virtual_channel(est[party], cfg.alice, cfg.bob, out=est[party]), out=mag)
+                symbols[party, t], bits = _bin_symbols(mag, cfg.num_paths)
+        yield symbols[0].ravel(), symbols[1].ravel(), bits
+
+
+def baseline_symbols(cfg, trial_seeds, snr_db):
+    """Per trial, one trial at a time: each party's Gray-coded cells of its pooled estimates on Alice's range, and their bits."""
+    shape = (cfg.bob.size, cfg.alice.size)
+    H = np.empty(shape, dtype=complex)
+    pools = np.empty((2, cfg.rounds, *shape), dtype=complex)
+    samples = pools.view(np.float64).reshape(2, -1)
+    for seed, snr in zip(trial_seeds, snr_db):
+        for t in range(cfg.rounds):
+            round_estimates(cfg, seed, snr, t, H, pools[:, t])
+        samples -= samples.mean(axis=1, keepdims=True)
+        quantizer = QuantizerConfig.calibrated(samples[0], levels=cfg.levels)
+        cells = _calibrated_cells(samples, cfg.levels, quantizer.lo, quantizer.hi)
+        cells ^= cells >> 1
+        yield cells[0], cells[1], cfg.levels.bit_length() - 1
 
 
 def derive_seed(master_seed, *labels):

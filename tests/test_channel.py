@@ -16,6 +16,7 @@ from mmkeygen.channel import (
 )
 from mmkeygen.probing import bidirectional_probe
 from reference import dft_matrix
+from reference import virtual_channel as reference_virtual_channel
 
 
 def rng(seed=0):
@@ -439,6 +440,33 @@ class TestVirtualChannel:
             inplace = np.array(H, dtype=complex, order="C")
             assert virtual_channel(inplace, tx, rx, out=inplace) is inplace
             assert inplace.tobytes() == Hv.tobytes()
+
+    @pytest.mark.parametrize(
+        "tx, rx",
+        [
+            ((1, 128), (1, 128)),
+            ((1, 64), (1, 128)),
+            ((1, 8), (1, 16)),
+            ((8, 1), (1, 16)),
+            ((4, 4), (2, 8)),
+            ((1, 1), (1, 32)),
+            ((1, 32), (1, 1)),
+            ((1, 1), (1, 1)),
+        ],
+    )
+    def test_equals_per_axis_reference(self, tx, rx):
+        # the FFTs run on the axes longer than 1 only, with the bits of the
+        # per-axis loop over the (rx rows, rx cols, tx rows, tx cols) view
+        tx, rx = ArrayGeometry(*tx), ArrayGeometry(*rx)
+        r = rng(43)
+        shape = (rx.size, tx.size)
+        H0 = r.standard_normal(shape) + 1j * r.standard_normal(shape)
+        for H in (H0, np.asfortranarray(H0), H0[:, ::-1], r.standard_normal(shape)):
+            expected = reference_virtual_channel(H, tx, rx).tobytes()
+            assert virtual_channel(H, tx, rx).tobytes() == expected
+            inplace = np.array(H, dtype=complex, order="C")
+            assert virtual_channel(inplace, tx, rx, out=inplace) is inplace
+            assert inplace.tobytes() == expected
 
     @pytest.mark.parametrize(
         "out",

@@ -270,7 +270,7 @@ class TestRunPath:
         # a wrapper rebound there (as a tracer does) sees every call
         calls = Counter()
         for module, name in (
-            (schemes, "channel_matrix"),
+            (schemes, "_paths_matrix"),
             (schemes, "estimate_channel"),
             (schemes, "virtual_channel"),
             (experiments, "secret_beam_batch"),
@@ -286,12 +286,14 @@ class TestRunPath:
         run_scenario(small_cfg("fig3", trials=2, snr_grid=[0]))
         run_scenario(small_cfg("custom", trials=20, snr_grid=[0, 10, 20], scheme={"scheme": '"multires"'}))
         # fig2 and multires: one batch per case; fig3: three virtual cases of 2
-        # trials and the baseline of 5, one round each, and each party's estimate
+        # trials and the baseline of 5, one round each, each round's matrix
+        # through the product channel_matrix also computes, and each party's
+        # estimate
         assert calls == {
             "secret_beam_batch": 4,
             "sounding_bdrs": 4,
             "multires_batch": 1,
-            "channel_matrix": 3 * 2 + 5,
+            "_paths_matrix": 3 * 2 + 5,
             "estimate_channel": 2 * (3 * 2 + 5),
             "virtual_channel": 2 * 3 * 2,
         }

@@ -32,7 +32,6 @@ from mmkeygen.schemes import (
     _bin_symbols,
     _perturbation_beams,
     _rate_and_stderr,
-    _session_channel,
     estimate_channel,
     multires_batch,
     multires_session,
@@ -41,7 +40,7 @@ from mmkeygen.schemes import (
     sounding_bdrs,
     virtual_angle_session,
 )
-from reference import cell_indices, jackknife_rate
+from reference import baseline_symbols, cell_indices, jackknife_rate, session_channel, virtual_symbols
 
 
 def rng(seed=0):
@@ -155,7 +154,7 @@ def reference_beam_streams(cfg):
     rng_pb = seeds.generator(seed, seeds.STREAM_PERTURB_BOB)
     rng_guess = seeds.generator(seed, seeds.STREAM_EVE_GUESS)
 
-    ch = _session_channel(cfg, rng_channel)
+    ch = session_channel(cfg, rng_channel)
     aod_az, aod_el, aoa_az, aoa_el = ch.angles[0]
     deltas = cfg.delta_max * np.arange(1, K + 1) / K
     beams_a, lut_a = _perturbation_beams(cfg.alice, aod_az, aod_el, deltas)
@@ -384,8 +383,12 @@ class TestPerturbationBeams:
         cfg = fig3_cfg(alice=ArrayGeometry(1, 64), bob=ArrayGeometry(1, 32), num_paths=6)
         for t in range(20):
             raw = sample_channel(cfg.alice, cfg.bob, seeds.generator(t, 1), cfg.num_paths, cfg.nlos_offset_db)
-            ch = _session_channel(cfg, seeds.generator(t, 1))
+            ch = sample_channel(cfg.alice, cfg.bob, seeds.generator(t, 1), cfg.num_paths, cfg.nlos_offset_db, True)
             assert np.array_equal(ch.gains, raw.gains)
+            # both equal the draws taken one at a time
+            for grid, drawn in ((False, raw), (True, ch)):
+                ref = session_channel(replace(cfg, grid_angles=grid), seeds.generator(t, 1))
+                assert ref.angles.tobytes() == drawn.angles.tobytes() and ref.gains.tobytes() == drawn.gains.tobytes()
             for (aod, _, aoa, _), row in zip(raw.angles, ch.angles):
                 assert tuple(row) == (snap(aod, 64), 0.0, snap(aoa, 32), 0.0)
 
@@ -419,6 +422,15 @@ class TestSessionValidation:
         # scales its noise by it and failed only once it ran
         with pytest.raises(ValueError, match=f"SNR {snr_db} dB gives a noise variance"):
             fig2_cfg(snr_db=snr_db)
+
+    @pytest.mark.parametrize("master_seed", [-1, 2**64])
+    @pytest.mark.parametrize("cfg", [fig2_cfg, fig3_cfg, fig4_cfg], ids=["secret_beam", "virtual", "multires"])
+    def test_master_seed_outside_u64_rejected(self, cfg, master_seed):
+        # the streams are addressed by u64 words: a session with such a
+        # seed used to fail only once it ran, and the secret-beam one with
+        # an OverflowError
+        with pytest.raises(ValueError, match="master_seed must be an unsigned 64-bit integer"):
+            cfg(master_seed=master_seed)
 
     def test_snr_with_finite_noise_variance_accepted(self):
         # 10**308 is finite; an infinite SNR is a noiseless link
@@ -490,7 +502,7 @@ class TestVirtualAngleBits:
 
     def test_output_length(self):
         cfg = fig3_cfg(rounds=1)
-        ch = _session_channel(cfg, seeds.generator(1, 1))
+        ch = session_channel(cfg, seeds.generator(1, 1))
         symbols, bits = strongest_bins(channel_matrix(ch), 3, cfg.alice, cfg.bob)
         assert symbols.size * bits == 3 * (7 + 7)
 
@@ -620,7 +632,7 @@ def reference_sounding_bits(cfg, virtual):
             seeds.generator(cfg.master_seed, tag, t)
             for tag in (seeds.STREAM_CHANNEL, seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB)
         )
-        H = channel_matrix(_session_channel(cfg, rng_ch))
+        H = channel_matrix(session_channel(cfg, rng_ch))
         for stream, r in zip(streams, (rng_a, rng_b)):
             stream.append(estimate_channel(H, cfg.snr_db, r))
     if virtual:
@@ -681,8 +693,11 @@ class TestSoundingLoop:
         def spy(*args):
             gen = loop(*args)
             for symbols in gen:
-                # the loop's arrays, as it holds them while its trial is read
-                buffers.extend(v for v in gen.gi_frame.f_locals.values() if isinstance(v, np.ndarray))
+                # the loop's arrays, as it holds them while its trial is read,
+                # and the chunk's, which its trial's estimates function holds
+                held = list(gen.gi_frame.f_locals.values())
+                held += [cell.cell_contents for cell in gen.gi_frame.f_locals["estimates"].__closure__]
+                buffers.extend(v for v in held if isinstance(v, np.ndarray))
                 yield symbols
 
         monkeypatch.setattr(schemes, "_virtual_symbols", spy)
@@ -695,6 +710,42 @@ class TestSoundingLoop:
             assert not any(np.shares_memory(bits.bits, buf) for buf in buffers)
         virtual_angle_session(replace(cfg, master_seed=99, snr_db=20.0))
         assert np.array_equal(first.bits_alice.bits, kept[0]) and np.array_equal(first.bits_bob.bits, kept[1])
+
+    @pytest.mark.parametrize("virtual", [True, False], ids=["virtual", "baseline"])
+    @pytest.mark.parametrize(
+        "alice, bob",
+        [(ArrayGeometry(1, 8), ArrayGeometry(1, 4)), (ArrayGeometry(2, 4), ArrayGeometry(2, 2))],
+        ids=["ula", "upa"],
+    )
+    @pytest.mark.parametrize("grid", [False, True], ids=["grid0", "grid1"])
+    @pytest.mark.parametrize("num_paths", [1, 3])
+    @pytest.mark.parametrize("rounds, trials", [(1, 130), (3, 65)])
+    def test_chunks_equal_per_trial_reference(self, virtual, alice, bob, grid, num_paths, rounds, trials):
+        # trials past one and two chunks, seeds below and above 2**32 mixed
+        # in each chunk (the seed hash groups its rows by word count), and
+        # the edge seeds
+        cfg = fig3_cfg(
+            scheme="virtual" if virtual else "baseline",
+            alice=alice,
+            bob=bob,
+            rounds=rounds,
+            num_paths=num_paths,
+            grid_angles=grid,
+            levels=8,
+        )
+        r = rng(trials + rounds)
+        drawn = r.integers(0, 2**64, trials - 4, dtype=np.uint64)
+        drawn[::2] >>= np.uint64(40)
+        trial_seeds = [0, 2**32 - 1, 2**32, 2**64 - 1] + drawn.tolist()
+        snrs = r.choice([-20.0, -5.0, 0.0, 30.0], trials).tolist()
+        loop, reference = (
+            (schemes._virtual_symbols, virtual_symbols) if virtual else (schemes._baseline_symbols, baseline_symbols)
+        )
+        chunked = list(loop(cfg, trial_seeds, snrs))
+        expected = list(reference(cfg, trial_seeds, snrs))
+        assert len(chunked) == len(expected) == trials
+        for (a, b, bits), (ref_a, ref_b, ref_bits) in zip(chunked, expected):
+            assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b) and bits == ref_bits
 
     @pytest.mark.parametrize("cfg", [fig2_cfg(), fig4_cfg()], ids=["secret_beam", "multires"])
     def test_bdrs_reject_other_schemes(self, cfg):
@@ -779,7 +830,7 @@ def reference_multires_samples(cfg, beam_ids, fixed_id):
     rng_channel = seeds.generator(seed, seeds.STREAM_CHANNEL)
     rng_evolve = seeds.generator(seed, seeds.STREAM_EVOLVE)
     rng_noise = seeds.generator(seed, seeds.STREAM_NOISE_BOB)
-    ch = schemes._session_channel(cfg, rng_channel)
+    ch = session_channel(cfg, rng_channel)
     codebook = hierarchical_codebook(cfg.alice, cfg.multires_depth)
     beams = [codebook.codeword(*i) for i in beam_ids]
     fixed_beam = codebook.codeword(*fixed_id)

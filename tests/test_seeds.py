@@ -63,15 +63,13 @@ class TestBatchedDerivation:
 
     @settings(max_examples=200, deadline=None)
     @given(ADDRESS_BLOCKS)
-    def test_stream_states_equal_default_rng(self, addresses):
-        states = zip(*seeds.stream_states(seeds.stream_lanes(np.array(addresses, dtype=np.uint64))))
-        bitgen = np.random.PCG64(0)
-        for row, (state, inc) in zip(addresses, states):
+    def test_sampler_streams_equal_default_rng(self, addresses):
+        stream = seeds.sampler_streams(seeds.stream_lanes(np.array(addresses, dtype=np.uint64)))
+        for i, row in enumerate(addresses):
             ref = np.random.default_rng(np.random.SeedSequence(row))
-            mapping = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-            assert mapping == ref.bit_generator.state
-            bitgen.state = mapping
-            assert np.array_equal(bitgen.random_raw(64), ref.bit_generator.random_raw(64))
+            rng = stream(i)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(rng.bit_generator.random_raw(64), ref.bit_generator.random_raw(64))
 
     def test_master_seed_below_2_32_is_one_word(self):
         # 5 and (5, 0) differ: the second is two words, the first one
