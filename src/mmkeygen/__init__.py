@@ -50,7 +50,6 @@ from .keygen import (
 )
 from .probing import bidirectional_probe
 from .schemes import (
-    MultiresResult,
     SchemeResult,
     SessionConfig,
     estimate_channel,

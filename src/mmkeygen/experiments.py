@@ -38,9 +38,10 @@ from .keygen import (
 from .schemes import (
     SessionConfig,
     _check_snr,
+    baseline_batch,
     multires_batch,
     secret_beam_batch,
-    sounding_bdrs,
+    virtual_angle_batch,
 )
 
 _GEOMETRY_KEYS = ("alice_rows", "alice_cols", "bob_rows", "bob_cols")
@@ -106,11 +107,6 @@ _SCENARIOS = {
 SCENARIOS = tuple(_SCENARIOS)
 
 _SCENARIO_IDS = {name: i + 1 for i, name in enumerate(SCENARIOS)}
-
-# trials per secret-beam batch: bounds a batch's arrays to about a megabyte
-# at 32 x 16 antennas and 16 levels.  A case's SNR points share the batches,
-# so points of fewer trials than this still fill them.
-_BEAM_BATCH = 64
 
 _SECRET_BEAM = SessionConfig(rounds=3, delta_max=float(np.radians(3.0)))
 _MULTIRES = SessionConfig(
@@ -489,42 +485,51 @@ def _cases(cfg: ExperimentConfig) -> list[tuple[tuple[tuple[str, str], ...], Ses
     return [(outputs, session, cfg.trials)]
 
 
-def _trial_points(cfg: ExperimentConfig, case_idx: int, template: SessionConfig, trials: int, metrics):
-    """The (value, stderr) of each metric at each SNR point of a secret-beam, virtual or baseline case, in grid order.
+def _score(cfg: ExperimentConfig, outputs, trials: int, records, per_point: int) -> list[ResultRow]:
+    """The rows of one case from its records, ``per_point`` to each SNR point, in grid order.
 
-    All points' trials run as one stream; a virtual or baseline case's one
-    metric is ``bdr``.  A trial depends only on its seed and SNR, so a
-    point's values are those of its own trials.
+    Records are read one at a time, and only each trial's metric values are
+    kept.  ``bar_legit``, ``bar_eve`` and ``bdr`` come from each record's
+    key agreement: a point's value is their mean over its trials, with the
+    stderr of that mean.  A KER is scored by its scheme: a multires point is
+    one record, whose KERs come with their jackknife stderrs.
     """
-    points = len(cfg.snr_grid)
-    trial_seeds = _trial_seeds(cfg, case_idx, range(points), trials)
-    snrs = np.repeat(cfg.snr_grid, trials)
-    if template.scheme == "secret_beam":
-        chunks = [slice(start, start + _BEAM_BATCH) for start in range(0, trial_seeds.size, _BEAM_BATCH)]
-        batches = (secret_beam_batch(template, trial_seeds[chunk], snrs[chunk]) for chunk in chunks)
-        values = np.concatenate([np.column_stack([getattr(batch, m) for m in metrics]) for batch in batches])
-    else:
-        values = sounding_bdrs(template, trial_seeds.tolist(), snrs.tolist())[:, None]
-    return [[_mean_stderr(column) for column in part.T] for part in np.split(values, points)]
+    rows = []
+    for snr in cfg.snr_grid:
+        values = np.empty((per_point, len(outputs)))
+        for row, record in zip(values, records):
+            bar_legit, bar_eve = record.agreement()
+            scores = {
+                "bar_legit": bar_legit,
+                "bar_eve": bar_eve,
+                "bdr": 1.0 - bar_legit,
+                "ker_multires": record.ker_multires,
+                "ker_fixed": record.ker_fixed,
+            }
+            row[:] = [scores[metric] for _, metric in outputs]
+        for (label, metric), column in zip(outputs, values.T):
+            value, stderr = _mean_stderr(column)
+            if metric in ("ker_multires", "ker_fixed"):
+                stderr = getattr(record, f"{metric}_stderr")
+            rows.append(ResultRow(cfg.scenario, label, snr, metric, value, stderr, trials, cfg.master_seed))
+    return rows
 
 
 def _run_sessions(cfg: ExperimentConfig) -> list[ResultRow]:
+    batches = {
+        "secret_beam": secret_beam_batch,
+        "virtual": virtual_angle_batch,
+        "baseline": baseline_batch,
+        "multires": multires_batch,
+    }
     rows: list[ResultRow] = []
     for case_idx, (outputs, template, trials) in enumerate(_cases(cfg)):
-        if template.scheme == "multires":
-            # one long session of `trials` coherence blocks per point, all points one batch
-            point_seeds = _trial_seeds(cfg, case_idx, range(len(cfg.snr_grid)), 1).tolist()
-            points = (
-                [(r.ker_multires, r.ker_multires_stderr), (r.ker_fixed, r.ker_fixed_stderr)]
-                for r in multires_batch(template, point_seeds, cfg.snr_grid)
-            )
-        else:
-            points = _trial_points(cfg, case_idx, template, trials, [metric for _, metric in outputs])
-        for snr, stats in zip(cfg.snr_grid, points):
-            rows.extend(
-                ResultRow(cfg.scenario, label, snr, metric, value, stderr, trials, cfg.master_seed)
-                for (label, metric), (value, stderr) in zip(outputs, stats, strict=True)
-            )
+        # all points' trials run as one stream; a multires point is one
+        # session of `trials` coherence blocks
+        per_point = 1 if template.scheme == "multires" else trials
+        trial_seeds = _trial_seeds(cfg, case_idx, range(len(cfg.snr_grid)), per_point).tolist()
+        records = batches[template.scheme](template, trial_seeds, np.repeat(cfg.snr_grid, per_point).tolist())
+        rows.extend(_score(cfg, outputs, trials, records, per_point))
     return rows
 
 

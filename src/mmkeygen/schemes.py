@@ -1,25 +1,29 @@
-"""End-to-end sessions for the three key-generation schemes.
+"""End-to-end sessions for the three key-generation schemes and the per-entry baseline.
 
-* ``secret_beam_session``: both parties steer at the line-of-sight ray and
+Each scheme runs as a batch of trials, each trial at its own master seed
+and SNR, which yields one :class:`SchemeResult` per trial: each party's
+key symbols and their bit width, the probes used, and any metric the
+scheme scores itself.  Each ``*_session`` is a batch of one trial.
+
+* ``secret_beam_batch``: both parties steer at the line-of-sight ray and
   hide quantized azimuth perturbations in their pilots; each side recovers
   the far side's perturbation from the calibrated magnitude ratio and the
-  final key is the XOR of the two perturbation streams, which a co-located
-  eavesdropper cannot reproduce.  ``secret_beam_batch`` runs a batch of
-  such trials.
-* ``virtual_angle_session``: both parties estimate the channel matrix,
+  key is the XOR of the two perturbation streams, which a co-located
+  eavesdropper cannot reproduce.
+* ``virtual_angle_batch``: both parties estimate the channel matrix,
   project it onto the angular (DFT) domain, and encode the positions of the
-  strongest virtual bins.  ``sounding_bdrs`` scores a run of such trials,
-  or of the baseline that quantizes every estimated entry, in chunks of
-  trials whose streams are seeded and channels drawn as arrays.
-* ``multires_session``: Alice probes with beams of several resolutions and
+  strongest virtual bins.  ``baseline_batch`` quantizes every estimated
+  entry instead.  Both take their trials in chunks whose streams are
+  seeded and channels drawn as arrays.
+* ``multires_batch``: Alice probes with beams of several resolutions and
   angles chosen to keep the composite gain inside a window while Bob holds a
   wide fixed pattern; compared against an aligned fixed-beam link via the
-  key entropy rate of the quantized probe streams.  ``multires_batch`` runs
-  a batch of such sessions.
+  key entropy rate of the quantized probe streams.
 
 Every session is a pure function of its :class:`SessionConfig` (master seed
 included): all randomness flows through labelled streams derived in
-:mod:`mmkeygen.seeds`.
+:mod:`mmkeygen.seeds`.  A batch or session runs only a config of its own
+scheme.
 """
 
 from __future__ import annotations
@@ -56,11 +60,9 @@ from .channel import (
 from .keygen import (
     BitString,
     QuantizerConfig,
-    bar,
     _calibrated_cells,
     _entropy_rates,
     extract_randomness,
-    gray_encode_indices,
     pack_indices,
 )
 from .probing import bidirectional_probe
@@ -170,53 +172,69 @@ class SessionConfig:
         return min(6, self.alice.cols.bit_length() - 1)
 
 
+def _check_scheme(cfg: SessionConfig, scheme: str) -> None:
+    """Raise ValueError unless ``cfg`` describes a ``scheme`` session: a config is validated only for its own scheme."""
+    if cfg.scheme != scheme:
+        raise ValueError(f"this batch runs {scheme!r} sessions, got a {cfg.scheme!r} config")
+
+
 @dataclass(frozen=True)
 class SchemeResult:
-    """Per-session outputs.
+    """One trial's key material, as every scheme's batch yields it.
 
-    ``bits_alice``/``bits_bob`` are the parties' quantized streams before
-    any XOR combining (for the secret-beam scheme: each party's own true
-    perturbation bits).  ``final_key_*`` are the per-party keys;
-    ``eve_guess`` is the eavesdropper's best reconstruction and
-    ``bits_eve`` the half she genuinely recovers.  ``bar_eve`` is NaN when
-    no eavesdropper is configured.
+    ``symbols`` holds one row of key symbols per party: Alice's, Bob's, and
+    the eavesdropper's guess at the key when one is modelled.  Each symbol
+    is ``width`` bits, most significant first, so a party's key bits are
+    ``pack_indices`` of its row.  ``probes_used`` counts the trial's pilot
+    transmissions.  A multires trial also scores each arm's key entropy
+    rate, with its leave-one-section-out jackknife stderr over ten sections
+    of blocks (NaN below 2 blocks a section); they are NaN for the other
+    schemes.
     """
 
-    bits_alice: BitString
-    bits_bob: BitString
-    final_key_alice: BitString
-    final_key_bob: BitString
-    bar_legit: float
-    bdr: float
-    leaked_bits: int
+    symbols: np.ndarray
+    width: int
     probes_used: int
-    bits_eve: BitString | None = None
-    eve_guess: BitString | None = None
-    bar_eve: float = float("nan")
-
-
-@dataclass(frozen=True)
-class MultiresResult:
-    """Entropy-rate comparison of multi-resolution vs fixed-beam probing.
-
-    ``samples_*`` hold the raw per-beam in-phase observations at Bob
-    (shape: beams x blocks) for resampled error bars and diagnostics.
-    ``*_stderr`` is each rate's leave-one-section-out jackknife stderr over
-    ten sections of blocks; NaN below 2 blocks a section.
-    """
-
-    ker_multires: float
-    ker_fixed: float
-    beam_ids: tuple[tuple[int, int], ...]
-    fixed_beam_id: tuple[int, int]
-    window_db_used: float
-    bits_alice: BitString
-    bits_bob: BitString
-    probes_used: int
-    samples_multires: np.ndarray = field(repr=False, default=None)
-    samples_fixed: np.ndarray = field(repr=False, default=None)
+    ker_multires: float = float("nan")
     ker_multires_stderr: float = float("nan")
+    ker_fixed: float = float("nan")
     ker_fixed_stderr: float = float("nan")
+
+    def agreement(self) -> tuple[float, float]:
+        """The share of Alice's key bits that Bob's key agrees with, then the eavesdropper's guess (NaN without her).
+
+        Each is ``(total - popcount(a ^ b)) / total`` over ``total = symbols
+        x width`` bits, the exact count ``bar`` takes, from one
+        ``np.bitwise_count`` over the parties' symbols.
+        """
+        total = self.symbols.shape[1] * self.width
+        counts = np.bitwise_count(self.symbols[1:] ^ self.symbols[0]).sum(axis=1).tolist()
+        bar_legit, *bar_eve = ((total - count) / total for count in counts)
+        return bar_legit, bar_eve[0] if bar_eve else float("nan")
+
+    @property
+    def bar_legit(self) -> float:
+        return self.agreement()[0]
+
+    @property
+    def bar_eve(self) -> float:
+        return self.agreement()[1]
+
+    @property
+    def bdr(self) -> float:
+        return 1.0 - self.agreement()[0]
+
+    @property
+    def bits_alice(self) -> BitString:
+        return pack_indices(self.symbols[0], self.width)
+
+    @property
+    def bits_bob(self) -> BitString:
+        return pack_indices(self.symbols[1], self.width)
+
+    @property
+    def bits_eve(self) -> BitString | None:
+        return pack_indices(self.symbols[2], self.width) if len(self.symbols) > 2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -268,25 +286,6 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-@dataclass(frozen=True)
-class _BeamBatch:
-    """The outcomes of a batch of secret-beam sessions, one row per trial.
-
-    The bit arrays are (B, rounds * bits per index), as in
-    :class:`SchemeResult`.  Without an eavesdropper the eve arrays are None
-    and ``bar_eve`` is NaN.
-    """
-
-    bits_alice: np.ndarray
-    bits_bob: np.ndarray
-    final_alice: np.ndarray
-    final_bob: np.ndarray
-    bits_eve: np.ndarray | None
-    eve_guess: np.ndarray | None
-    bar_legit: np.ndarray
-    bar_eve: np.ndarray
-
-
 def _beam_draws(cfg: SessionConfig, trial_seeds: np.ndarray) -> tuple[np.ndarray, ...]:
     """Every draw a batch of secret-beam sessions takes from its streams.
 
@@ -328,17 +327,17 @@ def _beam_draws(cfg: SessionConfig, trial_seeds: np.ndarray) -> tuple[np.ndarray
     return channel_u, nlos, evo_u, evo_nlos, index, noise
 
 
-def secret_beam_batch(cfg: SessionConfig, trial_seeds, snr_db) -> _BeamBatch:
-    """Run the session ``cfg`` describes once per trial seed, as its master seed.
+def _beam_symbols(cfg: SessionConfig, trial_seeds, snr_db) -> np.ndarray:
+    """The (B, parties, rounds) key symbols of a chunk of secret-beam trials, each at its seed and SNR.
 
-    ``snr_db`` holds each trial's SNR, in place of ``cfg.snr_db``.  The
-    draws come from :func:`_beam_draws`; the rest is array math over all
-    trials.  A trial's row depends only on its seed and SNR, so any split
-    of the trials into batches gives the same rows.
+    The draws come from :func:`_beam_draws`; the rest is array math over
+    all trials.  Each party's symbol of a round is the Gray code of its own
+    offset XOR that of the far party's offset as it recovers it; the
+    eavesdropper's XORs her guess at her host's offset with her own
+    recovery of the far party's.
     """
     trial_seeds = np.asarray(trial_seeds, dtype=np.uint64).reshape(-1)
     B, R, K = trial_seeds.size, cfg.rounds, cfg.levels
-    eve = cfg.eve is not None
     channel_u, nlos, evo_u, evo_nlos, index, noise = _beam_draws(cfg, trial_seeds)
 
     # each trial's channel, then its gains per round as evolve steps them
@@ -383,36 +382,40 @@ def secret_beam_batch(cfg: SessionConfig, trial_seeds, snr_db) -> _BeamBatch:
     est_b_at_alice = estimates(lut_b, at_alice, noise[0], sigma)
     est_a_at_bob = estimates(lut_a, at_bob, noise[1], sigma)
 
-    width = K.bit_length() - 1
+    def gray(idx: np.ndarray) -> np.ndarray:
+        return idx ^ (idx >> 1)
 
-    def gray_bits(idx: np.ndarray) -> np.ndarray:
-        return gray_encode_indices(idx.reshape(-1), width).bits.reshape(B, R * width)
-
-    bits_alice, bits_bob = gray_bits(idx_a), gray_bits(idx_b)
-    final_alice = bits_alice ^ gray_bits(est_b_at_alice)
-    final_bob = gray_bits(est_a_at_bob) ^ bits_bob
-    bits_eve = eve_guess = None
-    bar_eve = np.full(B, np.nan)
-    if eve:
+    keys = [gray(idx_a) ^ gray(est_b_at_alice), gray(est_a_at_bob) ^ gray(idx_b)]
+    if cfg.eve is not None:
         # co-located with one party, she hears what that party hears, at its
         # SNR, and guesses her host's indices uniformly
         if cfg.eve == "alice":
             eve_far = estimates(lut_b, at_alice, noise[2], sigma)
         else:
             eve_far = estimates(lut_a, at_bob, noise[2], sigma)
-        bits_eve = gray_bits(eve_far)
-        eve_guess = gray_bits(index[2]) ^ bits_eve
-        bar_eve = (eve_guess == final_alice).mean(axis=1)
-    return _BeamBatch(
-        bits_alice=bits_alice,
-        bits_bob=bits_bob,
-        final_alice=final_alice,
-        final_bob=final_bob,
-        bits_eve=bits_eve,
-        eve_guess=eve_guess,
-        bar_legit=(final_alice == final_bob).mean(axis=1),
-        bar_eve=bar_eve,
-    )
+        keys.append(gray(index[2]) ^ gray(eve_far))
+    return np.stack(keys, axis=1)
+
+
+# trials per secret-beam chunk: bounds a chunk's arrays to about a megabyte
+# at 32 x 16 antennas and 16 levels
+_BEAM_BATCH = 64
+
+
+def secret_beam_batch(cfg: SessionConfig, trial_seeds, snr_db):
+    """Run the session ``cfg`` describes once per trial seed, as its master seed: yields each trial's record in turn.
+
+    ``snr_db`` holds each trial's SNR, in place of ``cfg.snr_db``.  The
+    trials run in chunks of ``_BEAM_BATCH`` by :func:`_beam_symbols`.  A
+    trial's record depends only on its seed and SNR, so any split of the
+    trials into chunks gives the same records.
+    """
+    _check_scheme(cfg, "secret_beam")
+    width = cfg.levels.bit_length() - 1
+    for start in range(0, len(trial_seeds), _BEAM_BATCH):
+        chunk = slice(start, start + _BEAM_BATCH)
+        for symbols in _beam_symbols(cfg, trial_seeds[chunk], snr_db[chunk]):
+            yield SchemeResult(symbols, width, 4 * cfg.rounds)
 
 
 def secret_beam_session(cfg: SessionConfig) -> SchemeResult:
@@ -427,22 +430,8 @@ def secret_beam_session(cfg: SessionConfig) -> SchemeResult:
     does, but must guess the host's own offsets uniformly.  This is a batch
     of one trial whose seed is ``cfg.master_seed``.
     """
-    batch = secret_beam_batch(cfg, [cfg.master_seed], [cfg.snr_db])
-    bar_legit = float(batch.bar_legit[0])
-    eve = cfg.eve is not None
-    return SchemeResult(
-        bits_alice=BitString(batch.bits_alice[0]),
-        bits_bob=BitString(batch.bits_bob[0]),
-        final_key_alice=BitString(batch.final_alice[0]),
-        final_key_bob=BitString(batch.final_bob[0]),
-        bar_legit=bar_legit,
-        bdr=1.0 - bar_legit,
-        leaked_bits=0,
-        probes_used=4 * cfg.rounds,
-        bits_eve=BitString(batch.bits_eve[0]) if eve else None,
-        eve_guess=BitString(batch.eve_guess[0]) if eve else None,
-        bar_eve=float(batch.bar_eve[0]),
-    )
+    [result] = secret_beam_batch(cfg, [cfg.master_seed], [cfg.snr_db])
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +519,16 @@ def _sounded_trials(cfg: SessionConfig, trial_seeds, snr_db):
             yield estimates
 
 
-def _virtual_symbols(cfg: SessionConfig, trial_seeds, snr_db):
-    """Per trial, at master seed ``trial_seeds[i]`` and SNR ``snr_db[i]``: each party's bins of every round, and their bits.
+def virtual_angle_batch(cfg: SessionConfig, trial_seeds, snr_db):
+    """Run the virtual-angle session ``cfg`` describes once per trial seed, as its master seed: yields each record.
 
-    The bins are the ``cfg.num_paths`` strongest of each estimate's virtual
-    channel, by :func:`_bin_symbols`.  Every trial writes into one set of buffers.
+    ``snr_db`` holds each trial's SNR, in place of ``cfg.snr_db``; both are
+    sequences of Python ints and floats, as a session's master seed and SNR
+    are.  A party's key symbols are the ``cfg.num_paths`` strongest bins of
+    the virtual channel of each of its estimates, by :func:`_bin_symbols`.
+    Every trial writes into one set of buffers.
     """
+    _check_scheme(cfg, "virtual")
     shape = (cfg.bob.size, cfg.alice.size)
     mag, est = np.empty(shape), np.empty((2, *shape), dtype=complex)
     for estimates in _sounded_trials(cfg, trial_seeds, snr_db):
@@ -544,17 +537,19 @@ def _virtual_symbols(cfg: SessionConfig, trial_seeds, snr_db):
             estimates(t, est)
             for party in range(2):
                 np.abs(virtual_channel(est[party], cfg.alice, cfg.bob, out=est[party]), out=mag)
-                symbols[party, t], bits = _bin_symbols(mag, cfg.num_paths)
-        yield symbols[0].ravel(), symbols[1].ravel(), bits
+                symbols[party, t], width = _bin_symbols(mag, cfg.num_paths)
+        yield SchemeResult(symbols.reshape(2, -1), width, 2 * cfg.rounds)
 
 
-def _baseline_symbols(cfg: SessionConfig, trial_seeds, snr_db):
-    """Per trial, as :func:`_virtual_symbols`: each party's Gray-coded cells of its pooled estimates, and their bits.
+def baseline_batch(cfg: SessionConfig, trial_seeds, snr_db):
+    """Run the baseline session ``cfg`` describes per trial seed, as :func:`virtual_angle_batch` does.
 
+    A party's key symbols are the Gray-coded cells of its pooled estimates.
     Both parties quantize the real and imaginary parts of every estimated
     entry on one range, calibrated on Alice's pooled samples and announced
     publicly (calibration is side information, not key material).
     """
+    _check_scheme(cfg, "baseline")
     pools = np.empty((2, cfg.rounds, cfg.bob.size, cfg.alice.size), dtype=complex)
     # each party's (re, im) samples of every round
     samples = pools.view(np.float64).reshape(2, -1)
@@ -566,48 +561,16 @@ def _baseline_symbols(cfg: SessionConfig, trial_seeds, snr_db):
         quantizer = QuantizerConfig.calibrated(samples[0], levels=cfg.levels)
         cells = _calibrated_cells(samples, cfg.levels, quantizer.lo, quantizer.hi)
         cells ^= cells >> 1
-        yield cells[0], cells[1], cfg.levels.bit_length() - 1
-
-
-def sounding_bdrs(cfg: SessionConfig, trial_seeds, snr_db) -> np.ndarray:
-    """The bdr of each virtual or baseline trial, at master seed ``trial_seeds[i]`` and SNR ``snr_db[i]``.
-
-    Both are sequences of Python ints and floats, as a session's master
-    seed and SNR are.
-
-    A trial's bdr is ``1 - bar`` of the bits its key symbols pack into, by
-    the exact count ``bar`` takes: the ``np.bitwise_count`` of the XOR of
-    the symbols over the bit total, so no bit string is packed.
-    """
-    loops = {"virtual": _virtual_symbols, "baseline": _baseline_symbols}
-    if cfg.scheme not in loops:
-        raise ValueError(f"sounding_bdrs runs virtual or baseline sessions, got {cfg.scheme!r}")
-    bdrs = []
-    for symbols_a, symbols_b, bits in loops[cfg.scheme](cfg, trial_seeds, snr_db):
-        total = symbols_a.size * bits
-        bdrs.append(1.0 - (total - int(np.bitwise_count(symbols_a ^ symbols_b).sum())) / total)
-    return np.array(bdrs)
+        yield SchemeResult(cells, cfg.levels.bit_length() - 1, 2 * cfg.rounds)
 
 
 def virtual_angle_session(cfg: SessionConfig) -> SchemeResult:
     """Aggregate virtual-angle bit disagreement over ``cfg.rounds`` independent channels.
 
-    The trial of :func:`_virtual_symbols` at ``cfg``'s seed and SNR; its
-    keys are its bits as they are.
+    A batch of one trial, at ``cfg.master_seed`` and ``cfg.snr_db``.
     """
-    [(symbols_a, symbols_b, bits)] = _virtual_symbols(cfg, [cfg.master_seed], [cfg.snr_db])
-    bits_a, bits_b = pack_indices(symbols_a, bits), pack_indices(symbols_b, bits)
-    agreement = bar(bits_a, bits_b)
-    return SchemeResult(
-        bits_alice=bits_a,
-        bits_bob=bits_b,
-        final_key_alice=bits_a,
-        final_key_bob=bits_b,
-        bar_legit=agreement,
-        bdr=1.0 - agreement,
-        leaked_bits=0,
-        probes_used=2 * cfg.rounds,
-    )
+    [result] = virtual_angle_batch(cfg, [cfg.master_seed], [cfg.snr_db])
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +601,11 @@ def _widened_selection(
     rx_beam: np.ndarray,
     count: int,
     window_db: float,
-) -> tuple[list[tuple[int, int]], float]:
+) -> list[tuple[int, int]]:
     window = window_db
     while True:
         try:
-            return select_beams(codebook, ch, rx_beam, count, window), window
+            return select_beams(codebook, ch, rx_beam, count, window)
         except SelectionInfeasibleError:
             if window >= _MAX_WINDOW_DB:
                 raise
@@ -658,7 +621,7 @@ def _rate_and_stderr(samples: np.ndarray, levels: int, sections: int = 10) -> tu
 
 
 def multires_batch(cfg: SessionConfig, trial_seeds, snr_db):
-    """Run the session ``cfg`` describes once per trial seed, as its master seed: yields each trial's result in turn.
+    """Run the session ``cfg`` describes once per trial seed, as its master seed: yields each trial's record in turn.
 
     ``snr_db`` holds each trial's SNR, in place of ``cfg.snr_db``; both are
     sequences of Python ints and floats, as a session's master seed and SNR
@@ -666,8 +629,11 @@ def multires_batch(cfg: SessionConfig, trial_seeds, snr_db):
     streams, and writes its innovations into its L columns of one
     (rounds, trials * L) array that one AR(1) recurrence steps in place.
     Each trial is then probed on its (rounds, L) slice of the gains, one
-    trial at a time.  A trial's result depends only on its seed and SNR.
+    trial at a time.  A party's key symbols are the Gray-coded cells of its
+    multi-arm probe streams, stream after stream.  A trial's record depends
+    only on its seed and SNR.
     """
+    _check_scheme(cfg, "multires")
     P, T, L = cfg.num_beams, cfg.rounds, cfg.num_paths
     codebook, bob_wide = _multires_beams(cfg.alice, cfg.bob, cfg.multires_depth)
     eps = np.empty((T, len(trial_seeds), L), dtype=complex)
@@ -677,46 +643,40 @@ def multires_batch(cfg: SessionConfig, trial_seeds, snr_db):
         rng = seeds.generator(seed, seeds.STREAM_CHANNEL)
         ch = sample_channel(cfg.alice, cfg.bob, rng, L, cfg.nlos_offset_db, cfg.grid_angles)
         bob_pencil = steering_beamformer(cfg.bob, ch.angles[0, 2], ch.angles[0, 3])
-        ids, window_used = _widened_selection(codebook, ch, bob_wide, P, cfg.window_db)
+        ids = _widened_selection(codebook, ch, bob_wide, P, cfg.window_db)
         fixed_id = select_beams(codebook, ch, bob_pencil, 1, cfg.window_db)[0]
         # per block, the multi arm's P probes, then the fixed arm's P
         w_a = np.stack([codebook.codeword(*i) for i in ids] + [codebook.codeword(*fixed_id)] * P)
         w_b = np.stack([bob_wide] * P + [bob_pencil] * P)
-        points.append((ch, w_a, w_b, ids, window_used, fixed_id))
+        points.append((ch, w_a, w_b))
         _draw_innovations(seeds.generator(seed, seeds.STREAM_EVOLVE), cfg.nlos_offset_db, eps[:, s], normals)
     del normals
     # all trials' paths side by side: one AR(1) step is one row, and eps then holds the gains
     _ar1(np.concatenate([ch.gains for ch, *_ in points]), eps.reshape(T, len(points) * L), cfg.temporal_rho)
-    width = cfg.levels.bit_length() - 1
-    for s, (seed, snr, (ch, w_a, w_b, ids, window_used, fixed_id)) in enumerate(zip(trial_seeds, snr_db, points)):
+    for s, (seed, snr, (ch, w_a, w_b)) in enumerate(zip(trial_seeds, snr_db, points)):
         rng = seeds.generator(seed, seeds.STREAM_NOISE_BOB)
         # each party's in-phase (streams, blocks), each stream contiguous: a strided
-        # row sums its mean in another order, and the bits depend on the last bit of it
+        # row sums its mean in another order, and the cells depend on the last bit of it
         y_bob, y_alice = [np.ascontiguousarray(y.real.T) for y in bidirectional_probe(w_a, w_b, ch, eps[:, s], snr, rng)]
 
-        # Gray-coded bits of each probe stream on its own calibrated range
-        bits_alice = gray_encode_indices(_calibrated_cells(extract_randomness(y_alice[:P]), cfg.levels).ravel(), width)
-        cells_bob = _calibrated_cells(extract_randomness(y_bob[:P]), cfg.levels)
+        # Gray-coded cells of each multi-arm probe stream on its own calibrated range, Alice's then Bob's
+        cells = _calibrated_cells(extract_randomness(np.concatenate((y_alice[:P], y_bob[:P]))), cfg.levels)
+        cells ^= cells >> 1
         (ker_multires, multires_stderr), (ker_fixed, fixed_stderr) = (
             _rate_and_stderr(y, cfg.levels) for y in (y_bob[:P], y_bob[P:])
         )
-        yield MultiresResult(
+        yield SchemeResult(
+            cells.reshape(2, -1),
+            cfg.levels.bit_length() - 1,
+            4 * P * T,
             ker_multires=ker_multires,
-            ker_fixed=ker_fixed,
-            beam_ids=tuple(ids),
-            fixed_beam_id=fixed_id,
-            window_db_used=window_used,
-            bits_alice=bits_alice,
-            bits_bob=gray_encode_indices(cells_bob.ravel(), width),
-            probes_used=4 * P * T,
-            samples_multires=y_bob[:P],
-            samples_fixed=y_bob[P:],
             ker_multires_stderr=multires_stderr,
+            ker_fixed=ker_fixed,
             ker_fixed_stderr=fixed_stderr,
         )
 
 
-def multires_session(cfg: SessionConfig) -> MultiresResult:
+def multires_session(cfg: SessionConfig) -> SchemeResult:
     """Compare multi-resolution probing against a fixed aligned link.
 
     Per coherence block (one gain-evolution step between blocks) the

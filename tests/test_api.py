@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "ExperimentConfig",
     "InsufficientSamplesError",
     "KeyMaterial",
-    "MultiresResult",
     "QuantizerConfig",
     "ResultRow",
     "ResultTable",

@@ -10,7 +10,6 @@ import pytest
 from mmkeygen import experiments, schemes
 from mmkeygen.cli import main as cli_main
 from mmkeygen.experiments import (
-    _BEAM_BATCH,
     CascadeBench,
     ConfigError,
     ExperimentConfig,
@@ -24,7 +23,7 @@ from mmkeygen.experiments import (
     _mean_stderr,
     _trial_seeds,
 )
-from mmkeygen.schemes import secret_beam_batch
+from mmkeygen.schemes import _BEAM_BATCH, secret_beam_batch
 
 MINIMAL_FIG2 = 'scenario = "fig2"\nmaster_seed = 7\n'
 
@@ -274,43 +273,47 @@ class TestRunPath:
             (schemes, "estimate_channel"),
             (schemes, "virtual_channel"),
             (experiments, "secret_beam_batch"),
-            (experiments, "sounding_bdrs"),
+            (experiments, "virtual_angle_batch"),
+            (experiments, "baseline_batch"),
             (experiments, "multires_batch"),
+            (experiments, "_score"),
         ):
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
+        # every case is one batch call over all its points, scored by one
+        # _score call: fig2's four cases, fig3's three virtual cases and its
+        # baseline, and the one multires case
         run_scenario(small_cfg("fig2", trials=2, snr_grid=[0, 10]))
+        assert calls == {"secret_beam_batch": 4, "_score": 4}
+        calls.clear()
         run_scenario(small_cfg("fig3", trials=2, snr_grid=[0]))
-        run_scenario(small_cfg("custom", trials=20, snr_grid=[0, 10, 20], scheme={"scheme": '"multires"'}))
-        # fig2 and multires: one batch per case; fig3: three virtual cases of 2
-        # trials and the baseline of 5, one round each, each round's matrix
-        # through the product channel_matrix also computes, and each party's
-        # estimate
+        # three virtual cases of 2 trials and the baseline of 5, one round
+        # each, each round's matrix through the product channel_matrix also
+        # computes, and each party's estimate
         assert calls == {
-            "secret_beam_batch": 4,
-            "sounding_bdrs": 4,
-            "multires_batch": 1,
+            "virtual_angle_batch": 3,
+            "baseline_batch": 1,
+            "_score": 4,
             "_paths_matrix": 3 * 2 + 5,
             "estimate_channel": 2 * (3 * 2 + 5),
             "virtual_channel": 2 * 3 * 2,
         }
+        calls.clear()
+        run_scenario(small_cfg("custom", trials=20, snr_grid=[0, 10, 20], scheme={"scheme": '"multires"'}))
+        assert calls == {"multires_batch": 1, "_score": 1}
 
 
 def per_point_rows(cfg):
-    """The rows of a secret-beam scenario with each point run as its own batches."""
+    """The rows of a secret-beam scenario with each point run as its own batch, scored from each record's properties."""
     rows = []
     for case_idx, (outputs, template, trials) in enumerate(_cases(cfg)):
         for snr_idx, snr in enumerate(cfg.snr_grid):
             trial_seeds = _trial_seeds(cfg, case_idx, snr_idx, trials)
-            parts = []
-            for start in range(0, trials, _BEAM_BATCH):
-                piece = trial_seeds[start : start + _BEAM_BATCH]
-                batch = secret_beam_batch(replace(template, snr_db=snr), piece, [snr] * piece.size)
-                parts.append(np.column_stack([getattr(batch, metric) for _, metric in outputs]))
-            values = np.concatenate(parts)
+            records = list(secret_beam_batch(replace(template, snr_db=snr), trial_seeds, [snr] * trials))
+            values = np.array([[getattr(record, metric) for _, metric in outputs] for record in records])
             rows.extend(
                 ResultRow(cfg.scenario, label, snr, metric, *_mean_stderr(values[:, j]), trials, cfg.master_seed)
                 for j, (label, metric) in enumerate(outputs)
@@ -319,14 +322,16 @@ def per_point_rows(cfg):
 
 
 class TestSecretBeamPoints:
-    """A secret-beam case runs all its points as one stream of batches; its table is the per-point one."""
+    """A secret-beam case runs all its points as one stream of chunks; its table is the per-point one."""
 
-    @pytest.mark.parametrize("trials", [1, 7, 63, 64, 65, 130])
+    # 3 points of 30 trials cross the chunk of _BEAM_BATCH trials and a point boundary inside one chunk
+    @pytest.mark.parametrize("trials", [1, 7, 30, 63, 64, 65, 130])
     @pytest.mark.parametrize("snr_grid", [[10], [0, 20], [20, 5, 0]])
     @pytest.mark.parametrize(
         "scenario, scheme", [("fig2", {}), ("custom", {"scheme": '"secret_beam"', "eve": '"alice"', "levels": 8})]
     )
     def test_table_equals_per_point_batches(self, scenario, scheme, snr_grid, trials):
+        assert _BEAM_BATCH == 64
         cfg = small_cfg(scenario, trials=trials, snr_grid=snr_grid, **({"scheme": scheme} if scheme else {}))
         table = run_scenario(cfg)
         expected = per_point_rows(cfg)

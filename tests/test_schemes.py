@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmkeygen import schemes, seeds
+from mmkeygen.probing import bidirectional_probe
 from mmkeygen.beamforming import hierarchical_codebook, sector_beamformer, steering_beamformer
 from mmkeygen.channel import (
     ArrayGeometry,
@@ -28,16 +29,20 @@ from mmkeygen.keygen import (
     quantize,
 )
 from mmkeygen.schemes import (
+    SCHEMES,
+    SchemeResult,
     SessionConfig,
+    _beam_draws,
     _bin_symbols,
     _perturbation_beams,
     _rate_and_stderr,
+    baseline_batch,
     estimate_channel,
     multires_batch,
     multires_session,
     secret_beam_batch,
     secret_beam_session,
-    sounding_bdrs,
+    virtual_angle_batch,
     virtual_angle_session,
 )
 from reference import baseline_symbols, cell_indices, jackknife_rate, session_channel, virtual_symbols
@@ -100,7 +105,7 @@ class TestSecretBeam:
     def test_noiseless_single_path_exact(self):
         res = secret_beam_session(fig2_cfg(snr_db=200.0, num_paths=1, rounds=200))
         assert res.bar_legit == 1.0
-        assert res.final_key_alice.equals(res.final_key_bob)
+        assert res.bits_alice.equals(res.bits_bob)
 
     def test_more_antennas_higher_bar(self):
         big = secret_beam_session(
@@ -118,23 +123,23 @@ class TestSecretBeam:
 
     def test_xor_identity_when_estimates_exact(self):
         res = secret_beam_session(fig2_cfg(snr_db=200.0, num_paths=1, rounds=64))
-        assert res.final_key_alice.equals(res.final_key_bob)
+        assert res.bits_alice.equals(res.bits_bob)
 
     def test_deterministic(self):
         a = secret_beam_session(fig2_cfg(rounds=20))
         b = secret_beam_session(fig2_cfg(rounds=20))
-        assert a.final_key_alice.equals(b.final_key_alice)
+        assert a.bits_alice.equals(b.bits_alice)
         assert a.bar_legit == b.bar_legit
 
     def test_key_lengths(self):
         res = secret_beam_session(fig2_cfg(rounds=25))
-        assert len(res.final_key_alice) == 25 * 4
-        assert len(res.final_key_alice) == len(res.final_key_bob) == len(res.eve_guess)
+        assert len(res.bits_alice) == 25 * 4
+        assert len(res.bits_alice) == len(res.bits_bob) == len(res.bits_eve)
 
     def test_no_eve_nan(self):
         res = secret_beam_session(fig2_cfg(eve=None, rounds=10))
         assert np.isnan(res.bar_eve)
-        assert res.eve_guess is None
+        assert res.bits_eve is None
 
 
 def reference_beam_streams(cfg):
@@ -200,30 +205,24 @@ def reference_beam_streams(cfg):
 
 
 BEAM_STREAMS = ("idx_a", "idx_b", "est_a_at_bob", "est_b_at_alice", "eve_far", "eve_near_guess")
-BEAM_FIELDS = ("bits_alice", "bits_bob", "final_alice", "final_bob", "bits_eve", "eve_guess", "bar_legit", "bar_eve")
 
 
-def reference_beam_bits(cfg):
-    """The bit fields of a batch row, built from the reference's Gray-encoded index streams.
+def reference_beam_symbols(cfg):
+    """A trial's (parties, rounds) key symbols, built from the reference's index streams.
 
-    Gray coding at a fixed width is a bijection, so equal bits mean equal
-    index streams.
+    Each is the Gray code of the party's own index XOR that of its estimate
+    of the far party's.  Given the indices that ``_beam_draws`` draws, the
+    symbols fix each estimate stream, since Gray coding is a bijection.
     """
     ref = reference_beam_streams(cfg)
 
     def gray(name):
-        return gray_encode_indices(ref[name], cfg.levels.bit_length() - 1).bits
+        return ref[name] ^ (ref[name] >> 1)
 
-    bits = {
-        "bits_alice": gray("idx_a"),
-        "bits_bob": gray("idx_b"),
-        "final_alice": gray("idx_a") ^ gray("est_b_at_alice"),
-        "final_bob": gray("est_a_at_bob") ^ gray("idx_b"),
-    }
+    keys = [gray("idx_a") ^ gray("est_b_at_alice"), gray("est_a_at_bob") ^ gray("idx_b")]
     if cfg.eve is not None:
-        bits["bits_eve"] = gray("eve_far")
-        bits["eve_guess"] = gray("eve_near_guess") ^ gray("eve_far")
-    return bits
+        keys.append(gray("eve_near_guess") ^ gray("eve_far"))
+    return np.stack(keys)
 
 
 # a valid SNR that no trial of a batch uses, so that a row which read
@@ -256,51 +255,44 @@ def secret_beam_configs(draw):
     )
 
 
-def assert_batches_equal(a, b):
-    for name in BEAM_FIELDS:
-        x, y = getattr(a, name), getattr(b, name)
-        assert (x is None) == (y is None), name
-        if x is not None:
-            assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), name
-
-
 class TestSecretBeamBatch:
-    """The trial batch against the per-round reference, stream for stream."""
+    """The chunked batch against the per-round reference, stream for stream."""
 
     @settings(max_examples=60, deadline=None)
     @given(secret_beam_configs(), st.lists(st.tuples(U64_SEEDS, TRIAL_SNRS), min_size=1, max_size=4))
     def test_streams_equal_per_round_reference(self, cfg, trials):
         trial_seeds, snrs = zip(*trials)
-        batch = secret_beam_batch(cfg, np.array(trial_seeds, dtype=np.uint64), snrs)
-        for row, (seed, snr) in enumerate(trials):
-            ref = reference_beam_bits(replace(cfg, master_seed=seed, snr_db=snr))
-            for name, bits in ref.items():
-                assert np.array_equal(getattr(batch, name)[row], bits), name
-            assert batch.bar_legit[row] == (ref["final_alice"] == ref["final_bob"]).mean()
-        if cfg.eve is None:
-            assert batch.bits_eve is None and batch.eve_guess is None
-            assert np.isnan(batch.bar_eve).all()
+        records = list(secret_beam_batch(cfg, np.array(trial_seeds, dtype=np.uint64), snrs))
+        # the drawn indices: Alice's, Bob's and the eavesdropper's guesses
+        index = _beam_draws(cfg, np.array(trial_seeds, dtype=np.uint64))[4]
+        assert len(records) == len(trials)
+        for row, (record, (seed, snr)) in enumerate(zip(records, trials)):
+            trial_cfg = replace(cfg, master_seed=seed, snr_db=snr)
+            ref = reference_beam_streams(trial_cfg)
+            expected = reference_beam_symbols(trial_cfg)
+            names = ("idx_a", "idx_b", "eve_near_guess")[: len(expected)]
+            assert all(np.array_equal(index[party, row], ref[name]) for party, name in enumerate(names))
+            assert np.array_equal(record.symbols, expected)
+            assert record.width == cfg.levels.bit_length() - 1 and record.probes_used == 4 * cfg.rounds
+            keys = [pack_indices(symbols, record.width).bits for symbols in expected]
+            assert record.bar_legit == (keys[0] == keys[1]).mean()
+            if cfg.eve is None:
+                assert record.bits_eve is None and np.isnan(record.bar_eve)
 
     @settings(max_examples=30, deadline=None)
     @given(secret_beam_configs(), st.lists(st.tuples(U64_SEEDS, TRIAL_SNRS), min_size=1, max_size=6), st.data())
     def test_chunk_invariance(self, cfg, trials, data):
-        # each row has its own SNR, and cfg.snr_db is read by none of them
+        # each trial has its own SNR, and cfg.snr_db is read by none of them
         trial_seeds = np.array([seed for seed, _ in trials], dtype=np.uint64)
-        snrs = np.array([snr for _, snr in trials])
-        whole = secret_beam_batch(replace(cfg, snr_db=UNREAD_SNR_DB), trial_seeds, snrs)
-        cuts = sorted(data.draw(st.sets(st.integers(1, len(trial_seeds) - 1))) if len(trial_seeds) > 1 else ())
-        for pieces in (cuts, len(trial_seeds)):
-            parts = [
-                secret_beam_batch(cfg, seeds_piece, snrs_piece)
-                for seeds_piece, snrs_piece in zip(np.split(trial_seeds, pieces), np.split(snrs, pieces))
-            ]
-            joined = type(whole)(
-                **{
-                    name: None if getattr(whole, name) is None else np.concatenate([getattr(p, name) for p in parts])
-                    for name in BEAM_FIELDS
-                }
-            )
-            assert_batches_equal(whole, joined)
+        snrs = [snr for _, snr in trials]
+        whole = list(secret_beam_batch(replace(cfg, snr_db=UNREAD_SNR_DB), trial_seeds, snrs))
+        chunk = data.draw(st.integers(1, len(trials)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(schemes, "_BEAM_BATCH", chunk)
+            chunked = list(secret_beam_batch(cfg, trial_seeds, snrs))
+        assert len(chunked) == len(whole)
+        for a, b in zip(whole, chunked):
+            assert a.symbols.tobytes() == b.symbols.tobytes() and a.symbols.shape == b.symbols.shape
 
     @pytest.mark.parametrize("eve, per_trial", [(None, 4), ("alice", 5)])
     def test_state_assigned_only_for_sampler_streams(self, monkeypatch, eve, per_trial):
@@ -330,19 +322,15 @@ class TestSecretBeamBatch:
                 base.state.__set__(self, value)
 
         monkeypatch.setattr(np.random, "PCG64", PCG64)
-        secret_beam_batch(fig2_cfg(eve=eve, rounds=3), np.array(trial_seeds, dtype=np.uint64), [10.0] * 3)
+        list(secret_beam_batch(fig2_cfg(eve=eve, rounds=3), np.array(trial_seeds, dtype=np.uint64), [10.0] * 3))
         assert assigned == [state["state"] for state in expected]
 
     def test_session_is_batch_of_one(self):
         cfg = fig2_cfg(rounds=12, eve="bob", num_paths=3, temporal_rho=0.4)
         res = secret_beam_session(cfg)
-        ref = reference_beam_streams(cfg)
-        assert np.array_equal(res.bits_alice.bits, gray_encode_indices(ref["idx_a"], 4).bits)
-        assert np.array_equal(res.bits_eve.bits, gray_encode_indices(ref["eve_far"], 4).bits)
-        key = gray_encode_indices(ref["idx_a"], 4).bits ^ gray_encode_indices(ref["est_b_at_alice"], 4).bits
-        assert np.array_equal(res.final_key_alice.bits, key)
-        assert res.bar_legit == bar(res.final_key_alice, res.final_key_bob)
-        assert res.bar_eve == bar(res.eve_guess, res.final_key_alice)
+        assert np.array_equal(res.symbols, reference_beam_symbols(cfg))
+        assert res.bar_legit == bar(res.bits_alice, res.bits_bob)
+        assert res.bar_eve == bar(res.bits_eve, res.bits_alice)
 
 
 class TestPerturbationBeams:
@@ -436,6 +424,85 @@ class TestSessionValidation:
         # 10**308 is finite; an infinite SNR is a noiseless link
         for snr_db in (-3080.0, 200.0, np.inf):
             assert fig2_cfg(snr_db=snr_db).snr_db == snr_db
+
+
+# each scheme's batch and sessions, and a config valid for it
+RUNS = {
+    "secret_beam": (fig2_cfg(), secret_beam_batch, secret_beam_session),
+    "virtual": (fig3_cfg(), virtual_angle_batch, virtual_angle_session),
+    "baseline": (fig3_cfg(scheme="baseline"), baseline_batch),
+    "multires": (fig4_cfg(), multires_batch, multires_session),
+}
+
+
+class TestSchemeChecks:
+    """A config is validated only for its own scheme, so each batch and session refuses any other scheme's."""
+
+    @pytest.mark.parametrize(
+        "scheme, run, foreign",
+        [
+            (scheme, run, foreign)
+            for scheme, (_, *runs) in RUNS.items()
+            for run in runs
+            for foreign in SCHEMES
+            if foreign != scheme
+        ],
+        ids=lambda v: v if isinstance(v, str) else v.__name__,
+    )
+    def test_batches_and_sessions_reject_other_schemes(self, monkeypatch, scheme, run, foreign):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew from a stream")
+
+        for name in ("generator", "stream_lanes"):
+            monkeypatch.setattr(seeds, name, no_draw)
+        cfg = RUNS[foreign][0]
+        with pytest.raises(ValueError, match=f"this batch runs '{scheme}' sessions, got a '{foreign}' config"):
+            list(run(cfg, [1], [0.0])) if run.__name__.endswith("_batch") else run(cfg)
+
+    def test_configs_of_other_schemes_that_used_to_run(self):
+        # identical beams used to give bar_legit 0.375, and a virtual config a
+        # "zero single-probe entropy" error deep inside the multires session
+        with pytest.raises(ValueError, match="runs 'secret_beam' sessions"):
+            secret_beam_session(SessionConfig(scheme="virtual", delta_max=0.0, rounds=2))
+        with pytest.raises(ValueError, match="runs 'multires' sessions"):
+            multires_session(SessionConfig(scheme="virtual", rounds=1))
+
+
+class TestSchemeResult:
+    """The one agreement count of a record, against ``bar`` of the packed bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 40), st.integers(2, 3), st.data())
+    def test_agreement_is_bar_of_packed_bits(self, width, count, parties, data):
+        top = (1 << width) - 1
+        row = st.lists(st.integers(0, top), min_size=count, max_size=count)
+        symbols = np.array(data.draw(st.lists(row, min_size=parties, max_size=parties)), dtype=np.int64)
+        # beside drawn keys: a party whose key equals Alice's, or differs from it in every bit
+        for party in range(1, parties):
+            kind = data.draw(st.sampled_from(["drawn", "equal", "different"]))
+            if kind != "drawn":
+                symbols[party] = symbols[0] if kind == "equal" else symbols[0] ^ top
+        record = SchemeResult(symbols, width, probes_used=1)
+        alice, bob = (pack_indices(keys, width) for keys in symbols[:2])
+        assert record.bits_alice.equals(alice) and record.bits_bob.equals(bob)
+        assert record.bar_legit == bar(alice, bob)
+        assert record.bdr == 1.0 - bar(alice, bob)
+        if parties == 3:
+            assert record.bar_eve == bar(pack_indices(symbols[2], width), alice)
+            assert record.bits_eve.equals(pack_indices(symbols[2], width))
+        else:
+            assert np.isnan(record.bar_eve) and record.bits_eve is None
+
+    def test_probes_used(self):
+        # secret beam: a calibration and a keyed pilot each way per round;
+        # sounding: one estimate by each party per round; multires: a
+        # bidirectional probe on each of 2P beams per block
+        small = dict(alice=ArrayGeometry(1, 8), bob=ArrayGeometry(1, 4), rounds=3)
+        assert secret_beam_session(fig2_cfg(rounds=7)).probes_used == 4 * 7
+        assert virtual_angle_session(fig3_cfg(**small)).probes_used == 2 * 3
+        [record] = baseline_batch(fig3_cfg(scheme="baseline", **small), [1], [0.0])
+        assert record.probes_used == 2 * 3
+        assert multires_session(fig4_cfg(rounds=200)).probes_used == 4 * 5 * 200
 
 
 class TestEstimateChannel:
@@ -574,8 +641,8 @@ class TestVirtualAngleBitsEqualReference:
 def baseline_bdr(**kw):
     """The bdr of one baseline trial at the fig3 settings with ``kw`` applied."""
     cfg = fig3_cfg(scheme="baseline", **kw)
-    [bdr] = sounding_bdrs(cfg, [cfg.master_seed], [cfg.snr_db])
-    return bdr
+    [record] = baseline_batch(cfg, [cfg.master_seed], [cfg.snr_db])
+    return record.bdr
 
 
 class TestVirtualSession:
@@ -662,54 +729,52 @@ class TestSoundingLoop:
             scheme="virtual" if virtual else "baseline", alice=alice, bob=bob, rounds=rounds, grid_angles=grid, levels=8
         )
         trial_seeds, snrs = [3, 2**64 - 1, 40, 41], [-10.0, 0.0, 5.0, -10.0]
-        loop = schemes._virtual_symbols if virtual else schemes._baseline_symbols
-        trials = list(loop(cfg, trial_seeds, snrs))
-        bdrs = sounding_bdrs(cfg, trial_seeds, snrs)
-        for (a, b, width), seed, snr, bdr in zip(trials, trial_seeds, snrs, bdrs, strict=True):
+        batch = virtual_angle_batch if virtual else baseline_batch
+        records = list(batch(cfg, trial_seeds, snrs))
+        for record, seed, snr in zip(records, trial_seeds, snrs, strict=True):
             trial_cfg = replace(cfg, master_seed=seed, snr_db=snr)
             ref_a, ref_b = reference_sounding_bits(trial_cfg, virtual)
-            assert pack_indices(a, width).equals(ref_a) and pack_indices(b, width).equals(ref_b)
-            assert bdr == 1.0 - bar(ref_a, ref_b)
+            assert record.bits_alice.equals(ref_a) and record.bits_bob.equals(ref_b)
+            assert record.bdr == 1.0 - bar(ref_a, ref_b)
             if virtual:
                 res = virtual_angle_session(trial_cfg)
-                assert res.bits_alice.equals(ref_a) and res.bits_bob.equals(ref_b) and res.bdr == bdr
+                assert np.array_equal(res.symbols, record.symbols) and res.bdr == record.bdr
 
     @pytest.mark.parametrize("virtual", [True, False], ids=["virtual", "baseline"])
     def test_results_share_no_memory_with_buffers(self, virtual):
-        # a trial's symbols stay as yielded while the loop writes its next
+        # a trial's symbols stay as yielded while the batch writes its next
         # trial into the same buffers
-        loop = schemes._virtual_symbols if virtual else schemes._baseline_symbols
+        batch = virtual_angle_batch if virtual else baseline_batch
         cfg = fig3_cfg(scheme="virtual" if virtual else "baseline", alice=ArrayGeometry(1, 16), bob=ArrayGeometry(2, 4))
-        trials = loop(replace(cfg, rounds=2), [1, 99], [-10.0, 20.0])
-        first = next(trials)[:2]
-        kept = [symbols.copy() for symbols in first]
+        trials = batch(replace(cfg, rounds=2), [1, 99], [-10.0, 20.0])
+        first = next(trials).symbols
+        kept = first.copy()
         next(trials)
-        assert all(np.array_equal(symbols, copy) for symbols, copy in zip(first, kept, strict=True))
+        assert np.array_equal(first, kept)
 
     def test_session_shares_no_memory_with_buffers(self, monkeypatch):
         buffers = []
-        loop = schemes._virtual_symbols
+        batch = schemes.virtual_angle_batch
 
         def spy(*args):
-            gen = loop(*args)
-            for symbols in gen:
-                # the loop's arrays, as it holds them while its trial is read,
-                # and the chunk's, which its trial's estimates function holds
-                held = list(gen.gi_frame.f_locals.values())
+            gen = batch(*args)
+            for record in gen:
+                # the batch's arrays, as it holds them while its trial is read,
+                # and the chunk's, which its trial's estimates function holds;
+                # the trial's own symbols array, new each trial, is the record's
+                held = [v for name, v in gen.gi_frame.f_locals.items() if name != "symbols"]
                 held += [cell.cell_contents for cell in gen.gi_frame.f_locals["estimates"].__closure__]
                 buffers.extend(v for v in held if isinstance(v, np.ndarray))
-                yield symbols
+                yield record
 
-        monkeypatch.setattr(schemes, "_virtual_symbols", spy)
+        monkeypatch.setattr(schemes, "virtual_angle_batch", spy)
         cfg = fig3_cfg(alice=ArrayGeometry(1, 16), bob=ArrayGeometry(2, 4), rounds=2)
         first = virtual_angle_session(cfg)
-        kept = [first.bits_alice.bits.copy(), first.bits_bob.bits.copy()]
+        kept = first.symbols.copy()
         assert len(buffers) >= 4
-        results = [first.bits_alice, first.bits_bob, first.final_key_alice, first.final_key_bob]
-        for bits in results:
-            assert not any(np.shares_memory(bits.bits, buf) for buf in buffers)
+        assert not any(np.shares_memory(first.symbols, buf) for buf in buffers)
         virtual_angle_session(replace(cfg, master_seed=99, snr_db=20.0))
-        assert np.array_equal(first.bits_alice.bits, kept[0]) and np.array_equal(first.bits_bob.bits, kept[1])
+        assert np.array_equal(first.symbols, kept)
 
     @pytest.mark.parametrize("virtual", [True, False], ids=["virtual", "baseline"])
     @pytest.mark.parametrize(
@@ -738,19 +803,28 @@ class TestSoundingLoop:
         drawn[::2] >>= np.uint64(40)
         trial_seeds = [0, 2**32 - 1, 2**32, 2**64 - 1] + drawn.tolist()
         snrs = r.choice([-20.0, -5.0, 0.0, 30.0], trials).tolist()
-        loop, reference = (
-            (schemes._virtual_symbols, virtual_symbols) if virtual else (schemes._baseline_symbols, baseline_symbols)
-        )
-        chunked = list(loop(cfg, trial_seeds, snrs))
+        batch, reference = (virtual_angle_batch, virtual_symbols) if virtual else (baseline_batch, baseline_symbols)
+        chunked = list(batch(cfg, trial_seeds, snrs))
         expected = list(reference(cfg, trial_seeds, snrs))
         assert len(chunked) == len(expected) == trials
-        for (a, b, bits), (ref_a, ref_b, ref_bits) in zip(chunked, expected):
-            assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b) and bits == ref_bits
+        for record, (ref_a, ref_b, ref_bits) in zip(chunked, expected):
+            a, b = record.symbols
+            assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b) and record.width == ref_bits
 
-    @pytest.mark.parametrize("cfg", [fig2_cfg(), fig4_cfg()], ids=["secret_beam", "multires"])
-    def test_bdrs_reject_other_schemes(self, cfg):
-        with pytest.raises(ValueError, match="runs virtual or baseline sessions"):
-            sounding_bdrs(cfg, [1], [0.0])
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Each multires trial's probing: Alice's (2P, N) beams, and Bob's and Alice's (2P, T) in-phase samples."""
+    seen = []
+
+    def spy(w_a, w_b, *args):
+        y = bidirectional_probe(w_a, w_b, *args)
+        seen.append((w_a, *(part.real.T for part in y)))
+        return y
+
+    monkeypatch.setattr(schemes, "bidirectional_probe", spy)
+    return seen
 
 
 class TestMultires:
@@ -760,11 +834,12 @@ class TestMultires:
         assert res.ker_fixed == pytest.approx(1.0, abs=1e-9)
         assert abs(res.ker_multires - res.ker_fixed) < 0.05
 
-    def test_five_beams_decorrelate(self):
+    def test_five_beams_decorrelate(self, probes):
         res = multires_session(fig4_cfg(rounds=3000))
         assert res.ker_fixed < 1.4
         assert res.ker_multires / res.ker_fixed > 3.0
-        assert len(set(res.beam_ids)) == 5
+        [(w_a, _, _)] = probes
+        assert len({beam.tobytes() for beam in w_a[:5]}) == 5
 
     def test_noiseless_reciprocity(self):
         res = multires_session(fig4_cfg(snr_db=200.0, rounds=2000))
@@ -774,56 +849,49 @@ class TestMultires:
         a = multires_session(fig4_cfg(rounds=2000))
         b = multires_session(fig4_cfg(rounds=2000))
         assert a.ker_multires == b.ker_multires
-        assert a.beam_ids == b.beam_ids
+        assert np.array_equal(a.symbols, b.symbols)
 
-    def test_bits_equal_per_row_reference(self):
+    def test_bits_equal_per_row_reference(self, probes):
         # reference: each probe stream centred, calibrated on its own 1st-99th
         # percentile range, quantized and Gray-coded, streams concatenated
         res = multires_session(fig4_cfg(rounds=200))
-        cells = per_row_cells(res.samples_multires, 4)
-        assert np.array_equal(res.bits_bob.bits, gray_encode_indices(cells.ravel(), 2).bits)
+        [(_, y_bob, y_alice)] = probes
+        for bits, samples in ((res.bits_alice, y_alice), (res.bits_bob, y_bob)):
+            assert np.array_equal(bits.bits, gray_encode_indices(per_row_cells(samples[:5], 4).ravel(), 2).bits)
+        assert res.width == 2 and res.symbols.shape == (2, 5 * 200)
 
 
 class TestMultiresBatch:
-    MULTIRES_FIELDS = (
-        "ker_multires",
-        "ker_fixed",
-        "ker_multires_stderr",
-        "ker_fixed_stderr",
-        "beam_ids",
-        "fixed_beam_id",
-        "window_db_used",
-        "probes_used",
-    )
+    RECORD_FIELDS = ("width", "probes_used", "ker_multires", "ker_fixed", "ker_multires_stderr", "ker_fixed_stderr")
 
-    def test_batch_equals_batches_of_one(self):
-        # SNRs out of grid order and one seed repeated: each point's result
+    def test_batch_equals_batches_of_one(self, probes):
+        # SNRs out of grid order and one seed repeated: each point's record
         # is bytes of its own batch of one, whatever the other points are
         cfg = fig4_cfg(rounds=300, snr_db=UNREAD_SNR_DB, master_seed=0)
         trial_seeds = [7, 3, 7, 2**64 - 1, 12]
         snrs = [20.0, 0.0, 5.0, 15.0, 10.0]
         whole = list(multires_batch(cfg, trial_seeds, snrs))
         assert len(whole) == 5
-        for res, seed, snr in zip(whole, trial_seeds, snrs):
+        for res, seed, snr, probed in zip(whole, trial_seeds, snrs, list(probes)):
             [one] = multires_batch(cfg, [seed], [snr])
-            for name in ("samples_multires", "samples_fixed"):
-                assert getattr(res, name).tobytes() == getattr(one, name).tobytes(), name
-            for name in ("bits_alice", "bits_bob"):
-                assert getattr(res, name).bits.tobytes() == getattr(one, name).bits.tobytes(), name
-            for name in self.MULTIRES_FIELDS:
+            for a, b in zip(probed, probes[-1]):
+                assert a.tobytes() == b.tobytes()
+            assert res.symbols.tobytes() == one.symbols.tobytes()
+            for name in self.RECORD_FIELDS:
                 assert getattr(res, name) == getattr(one, name), name
         # the repeated seed at two SNRs: one channel and beam choice, other noise
-        assert whole[0].beam_ids == whole[2].beam_ids
-        assert whole[0].samples_multires.tobytes() != whole[2].samples_multires.tobytes()
+        assert probes[0][0].tobytes() == probes[2][0].tobytes()
+        assert probes[0][1].tobytes() != probes[2][1].tobytes()
+        assert whole[0].symbols.tobytes() != whole[2].symbols.tobytes()
 
 
-def reference_multires_samples(cfg, beam_ids, fixed_id):
+def reference_multires_samples(cfg, beams, fixed_beam):
     """The per-block multires probing loop that one array pass replaced.
 
     Kept as the reference the session is checked against: scalar evolve
     steps, the channel matrix of each block, one ``w_b @ H @ w_a`` product
     per probe and scalar normals drawn at Bob, then at Alice.  Probes the
-    beams ``beam_ids`` and ``fixed_id`` and returns the (beams, blocks)
+    codewords ``beams`` and ``fixed_beam`` and returns the (beams, blocks)
     samples of the multi arm at Bob and at Alice and of the fixed arm at Bob.
     """
     seed = cfg.master_seed
@@ -831,9 +899,6 @@ def reference_multires_samples(cfg, beam_ids, fixed_id):
     rng_evolve = seeds.generator(seed, seeds.STREAM_EVOLVE)
     rng_noise = seeds.generator(seed, seeds.STREAM_NOISE_BOB)
     ch = session_channel(cfg, rng_channel)
-    codebook = hierarchical_codebook(cfg.alice, cfg.multires_depth)
-    beams = [codebook.codeword(*i) for i in beam_ids]
-    fixed_beam = codebook.codeword(*fixed_id)
     bob_wide = sector_beamformer(cfg.bob, -1.0, 1.0)
     bob_pencil = steering_beamformer(cfg.bob, ch.angles[0, 2], ch.angles[0, 3])
     sigma = np.sqrt(10.0 ** (-cfg.snr_db / 10.0) / 2.0)
@@ -885,13 +950,19 @@ class TestMultiresEqualsReference:
     }
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_samples_bits_and_kers_equal_reference(self, case):
+    def test_samples_bits_and_kers_equal_reference(self, case, probes):
         cfg = fig4_cfg(**self.CASES[case])
         res = multires_session(cfg)
-        multi_bob, multi_alice, fixed_bob = reference_multires_samples(cfg, res.beam_ids, res.fixed_beam_id)
+        [(w_a, y_bob, _)] = probes
+        P = cfg.num_beams
+        # the probed beams are codewords of the session's codebook
+        codebook = hierarchical_codebook(cfg.alice, cfg.multires_depth)
+        codewords = {row.tobytes() for row in codebook.weights}
+        assert {beam.tobytes() for beam in w_a} <= codewords and (w_a[P:] == w_a[P]).all()
+        multi_bob, multi_alice, fixed_bob = reference_multires_samples(cfg, w_a[:P], w_a[P])
         # the array pass sums over paths where the reference sums over antennas
-        np.testing.assert_allclose(res.samples_multires, multi_bob, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(res.samples_fixed, fixed_bob, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y_bob[:P], multi_bob, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y_bob[P:], fixed_bob, rtol=1e-12, atol=1e-12)
 
         def gray(samples):
             return gray_encode_indices(per_row_cells(samples, cfg.levels).ravel(), 2).bits
@@ -987,8 +1058,8 @@ class TestEveInformationBound:
     def test_mutual_information_on_4bit_blocks(self):
         # plug-in MI between eve's guess and the final key over 1e4 key bits
         res = secret_beam_session(fig2_cfg(eve="alice", rounds=2500, snr_db=10.0))
-        eve = res.eve_guess.bits.reshape(-1, 4)
-        key = res.final_key_alice.bits.reshape(-1, 4)
+        eve = res.bits_eve.bits.reshape(-1, 4)
+        key = res.bits_alice.bits.reshape(-1, 4)
         pack = lambda blocks: (blocks * [8, 4, 2, 1]).sum(axis=1)
         e, k = pack(eve), pack(key)
         joint = np.zeros((16, 16))
