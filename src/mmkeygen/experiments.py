@@ -537,9 +537,13 @@ def _run_cascade_bench(cfg: ExperimentConfig) -> list[ResultRow]:
     n = cfg.cascade.block_bits
     rows: list[ResultRow] = []
     for case_idx, p in enumerate(cfg.cascade.error_rates):
+        trial_seeds = _trial_seeds(cfg, case_idx, 0, cfg.trials)
+        # every trial's data stream, seeded at once
+        tags = np.full_like(trial_seeds, seeds.STREAM_BENCH_DATA)
+        stream = seeds.sampler_streams(seeds.stream_lanes(np.column_stack((trial_seeds, tags))))
         outcomes = np.empty((cfg.trials, 2))
-        for trial_idx, seed in enumerate(_trial_seeds(cfg, case_idx, 0, cfg.trials).tolist()):
-            rng = seeds.generator(seed, seeds.STREAM_BENCH_DATA)
+        for trial_idx, seed in enumerate(trial_seeds.tolist()):
+            rng = stream(trial_idx)
             a = BitString(bits=rng.integers(0, 2, n, dtype=np.uint8))
             flips = (rng.random(n) < p).astype(np.uint8)
             b = BitString(bits=a.bits ^ flips)

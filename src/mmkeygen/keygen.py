@@ -9,7 +9,8 @@ at once, as one array computation.  From then on each pass keeps each of
 its blocks of the XOR as one small Python int, toggled bit by bit on each
 flip, so a block parity is the parity of a bit count.  A search halves
 on bit counts; once one error is left, the rest of the search only
-counts the parities it reveals.
+counts the parities it reveals.  A pass that starts with no error left
+reveals only its top-level parities and draws nothing.
 Leakage accounting is a literal transcript count: one bit per revealed
 parity plus any sacrificial calibration sample.  The Toeplitz hash of
 privacy amplification is an exact integer convolution through a real FFT.
@@ -255,7 +256,10 @@ def cascade(a: BitString, b: BitString, params: CascadeParams) -> tuple[BitStrin
     as one small int (bit j of block c is ``diff[perm[c*size + j]]``) and
     its position->rank map.  A search reads its block's int
     (:func:`_locate`); a flip toggles one bit in one block of every pass,
-    and queues each block it leaves odd, smallest first.
+    and queues each block it leaves odd, smallest first.  A flip only
+    ever removes an error, so a pass that starts with none left reveals
+    its top-level parities and nothing else: it draws no permutation, and
+    nothing reads the stream after it.
     """
     # a ^ b checks the lengths; diff views a bytearray, where one bit flips fast
     buf = bytearray((a ^ b).bits)
@@ -270,7 +274,7 @@ def cascade(a: BitString, b: BitString, params: CascadeParams) -> tuple[BitStrin
     if params.initial_block is None:
         m = max(1, math.ceil(_SAMPLE_FRACTION * n))
         sample = rng.choice(n, size=m, replace=False)
-        p_est = float(np.mean(diff[sample]))
+        p_est = np.count_nonzero(diff[sample]) / m
         leaked += m
         block = n if p_est == 0.0 else min(n, math.ceil(0.73 / p_est))
     else:
@@ -280,52 +284,70 @@ def cascade(a: BitString, b: BitString, params: CascadeParams) -> tuple[BitStrin
     # array.array: fast to index from Python), block size, block lengths
     # (the last block is short when the size does not divide n), the blocks
     # as ints, and which blocks are queued
-    passes: list[tuple] = []
+    perms, ranks, sizes, lengths, blocks, queued = [], [], [], [], [], []
+    # (length, offset) -> _locate of a block whose one error is at offset
+    lone: dict[tuple[int, int], tuple[int, int]] = {}
+    errors = int(np.count_nonzero(diff))
     inv = np.empty(n, dtype=np.int64)
 
     for pass_idx in range(params.passes):
-        perm = rng.permutation(n)
         size = min(n, block * (1 << pass_idx))
         count = -(-n // size)
         leaked += count  # top-level block parity reveals
+        if not errors:
+            # every block is even and stays so: nothing to draw or search
+            continue
+        perm = rng.permutation(n)
         bits = diff[perm]
         if pass_idx == 0:
             found, revealed = _search_odd_blocks(bits, size)
             leaked += int(revealed)
+            errors -= found.size
             bits[found] ^= 1  # every odd block ends even
             diff[perm[found]] ^= 1
         inv[perm] = np.arange(n)
-        lengths = [size] * count
-        lengths[-1] = n - (count - 1) * size
-        blocks = _pack_blocks(bits, size)
-        ranks = array.array("q", inv.tobytes())
-        passes.append((array.array("q", perm.tobytes()), ranks, size, lengths, blocks, bytearray(count)))
+        perms.append(array.array("q", perm.tobytes()))
+        ranks.append(array.array("q", inv.tobytes()))
+        sizes.append(size)
+        lengths.append([size] * count)
+        lengths[-1][-1] = n - (count - 1) * size
+        blocks.append(_pack_blocks(bits, size))
+        queued.append(bytearray(count))
+        live = tuple(range(pass_idx + 1))
 
         # read live: back-tracking may even out a later block of this pass
-        for b_idx in range(count):
-            if not blocks[b_idx].bit_count() & 1:
+        # (the first pass has evened all of its blocks already)
+        for b_idx in range(count if pass_idx else 0):
+            if not blocks[pass_idx][b_idx].bit_count() & 1:
                 continue
             # odd blocks to search, shortest first, then by pass and block
-            heap = [(lengths[b_idx], pass_idx, b_idx)]
+            heap = [(lengths[pass_idx][b_idx], pass_idx, b_idx)]
             while heap:
                 length, p_idx, blk = heapq.heappop(heap)
-                perm_p, _, size_p, _, blocks_p, queued_p = passes[p_idx]
-                queued_p[blk] = 0
-                x = blocks_p[blk]
+                queued[p_idx][blk] = 0
+                x = blocks[p_idx][blk]
                 if not x.bit_count() & 1:
                     continue  # an earlier correction already evened this block
-                offset, revealed = _locate(x, length)
+                if x & (x - 1):
+                    offset, revealed = _locate(x, length)
+                else:
+                    key = (length, x.bit_length() - 1)
+                    if key not in lone:
+                        lone[key] = _locate(x, length)
+                    offset, revealed = lone[key]
                 leaked += revealed
-                pos = perm_p[blk * size_p + offset]
+                errors -= 1
+                pos = perms[p_idx][blk * sizes[p_idx] + offset]
                 buf[pos] ^= 1
                 # flip pos in every pass, and queue each block it leaves odd
-                for q_idx, (_, rank_of, size_q, lengths_q, blocks_q, queued_q) in enumerate(passes):
-                    c_idx, j = divmod(rank_of[pos], size_q)
+                for q_idx in live:
+                    c_idx, j = divmod(ranks[q_idx][pos], sizes[q_idx])
+                    blocks_q = blocks[q_idx]
                     x = blocks_q[c_idx] ^ (1 << j)
                     blocks_q[c_idx] = x
-                    if x.bit_count() & 1 and not queued_q[c_idx]:
-                        queued_q[c_idx] = 1
-                        heapq.heappush(heap, (lengths_q[c_idx], q_idx, c_idx))
+                    if x.bit_count() & 1 and not queued[q_idx][c_idx]:
+                        queued[q_idx][c_idx] = 1
+                        heapq.heappush(heap, (lengths[q_idx][c_idx], q_idx, c_idx))
 
     return BitString(bits=a.bits ^ diff), leaked
 

@@ -8,7 +8,8 @@ import numpy as np
 
 from mmkeygen import seeds
 from mmkeygen.channel import ChannelRealization, _innovations, channel_matrix
-from mmkeygen.keygen import QuantizerConfig, _calibrated_cells
+from mmkeygen.experiments import ResultRow, _mean_stderr, _trial_seeds
+from mmkeygen.keygen import BitString, CascadeParams, QuantizerConfig, _calibrated_cells, bar, cascade
 from mmkeygen.schemes import _bin_symbols, estimate_channel
 
 
@@ -194,12 +195,38 @@ def jackknife_rate(samples, levels, sections=10):
 
 
 def toeplitz_hash(diagonals, bits):
-    """Bits of the binary Toeplitz product ``privacy_amplify`` computes, by direct convolution.
+    """Bits of the binary Toeplitz product ``privacy_amplify`` computes, by GF(2) shifts of one Python int.
 
-    With ``n = len(bits)``, key bit ``i`` of the ``len(diagonals) - n + 1``
-    is the parity of ``sum_j diagonals[i + n - 1 - j] * bits[j]``.
+    With ``n = len(bits)``, key bit ``i`` of the ``m = len(diagonals) - n + 1``
+    is the parity of ``sum_j diagonals[i + n - 1 - j] * bits[j]``.  Bit k of
+    ``D`` is ``diagonals[k]``, so bit i of ``D >> (n - 1 - j)`` is
+    ``diagonals[i + n - 1 - j]``: the key is the XOR of those shifts over
+    the set bits j, masked to m bits.
     """
     n = len(bits)
     m = len(diagonals) - n + 1
-    conv = np.convolve(np.asarray(diagonals, dtype=np.int64), np.asarray(bits, dtype=np.int64))
-    return (conv[n - 1 : n - 1 + m] & 1).astype(np.uint8)
+    D = int("".join(str(d) for d in reversed(np.asarray(diagonals).tolist())), 2)
+    key = 0
+    for j in np.flatnonzero(bits).tolist():
+        key ^= D >> (n - 1 - j)
+    key &= (1 << m) - 1
+    return np.frombuffer(format(key, f"0{m}b")[::-1].encode(), dtype=np.uint8) - ord("0")
+
+
+def cascade_bench_rows(cfg):
+    """The cascade-bench rows of ``cfg``, each trial's data stream seeded on its own by ``seeds.generator``."""
+    n = cfg.cascade.block_bits
+    rows = []
+    for case_idx, p in enumerate(cfg.cascade.error_rates):
+        outcomes = np.empty((cfg.trials, 2))
+        for trial_idx, seed in enumerate(_trial_seeds(cfg, case_idx, 0, cfg.trials).tolist()):
+            rng = seeds.generator(seed, seeds.STREAM_BENCH_DATA)
+            a = BitString(bits=rng.integers(0, 2, n, dtype=np.uint8))
+            b = BitString(bits=a.bits ^ (rng.random(n) < p).astype(np.uint8))
+            corrected, leaked = cascade(a, b, CascadeParams(passes=cfg.cascade.passes, seed=seed))
+            outcomes[trial_idx] = leaked / n, 1.0 - bar(a, corrected)
+        label = f"cascade_n{n}_p{p:g}"
+        for metric, column in (("leak_fraction", 0), ("residual_mismatch", 1)):
+            value, stderr = _mean_stderr(outcomes[:, column])
+            rows.append(ResultRow(cfg.scenario, label, 0.0, metric, value, stderr, cfg.trials, cfg.master_seed))
+    return rows

@@ -24,6 +24,7 @@ from mmkeygen.experiments import (
     _trial_seeds,
 )
 from mmkeygen.schemes import _BEAM_BATCH, secret_beam_batch
+from reference import cascade_bench_rows
 
 MINIMAL_FIG2 = 'scenario = "fig2"\nmaster_seed = 7\n'
 
@@ -215,6 +216,16 @@ class TestRunScenario:
         assert metrics == {"leak_fraction", "residual_mismatch"}
         leak = next(r for r in table.rows if r.metric == "leak_fraction")
         assert 0.3 < leak.value < 0.8
+
+    @pytest.mark.parametrize("master_seed", [2, 2**40 + 3])
+    def test_cascade_bench_equals_per_trial_reference(self, master_seed):
+        # each rate's data streams are seeded in one batch; the reference
+        # seeds each trial's stream on its own
+        cfg = parse_config(
+            f'scenario = "cascade-bench"\nmaster_seed = {master_seed}\ntrials = 6\n'
+            "[cascade]\nerror_rates = 0.02, 0.1, 0.3\nblock_bits = 512\n"
+        )
+        assert experiments._run_cascade_bench(cfg) == cascade_bench_rows(cfg)
 
     def test_custom_virtual(self):
         cfg = parse_config(

@@ -1,13 +1,14 @@
 import heapq
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmkeygen import seeds
+from mmkeygen import keygen, seeds
 from mmkeygen.keygen import (
     BitString,
     CascadeParams,
@@ -296,6 +297,38 @@ def cascade_cases(draw):
     return a, b, CascadeParams(passes=passes, initial_block=initial_block, seed=seed)
 
 
+class _CountingGenerator:
+    """A generator that counts its ``permutation`` draws."""
+
+    def __init__(self, rng):
+        self._rng, self.permutations = rng, 0
+
+    def permutation(self, n):
+        self.permutations += 1
+        return self._rng.permutation(n)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _skip_case(case):
+    """(a, b, params) of a string whose errors are all gone after a known pass, or never."""
+    if case == "even pair":
+        # every pass is one block of all 64 bits, so two errors stay even
+        a = random_bits(64, 4)
+        flips = np.zeros(64, dtype=np.uint8)
+        flips[[5, 40]] = 1
+        return a, BitString(bits=a.bits ^ flips), CascadeParams(initial_block=64)
+    if case.startswith("equal"):
+        a = random_bits(256, 2)
+        return a, a, CascadeParams(initial_block=8 if case.endswith("block 8") else None)
+    # 12-28 errors at rate 0.08; with one-bit blocks the first pass finds every error
+    seed = {"clean after pass 0": 2, "clean after pass 1": 7, "clean after pass 2": 0}[case]
+    initial_block = 1 if case == "clean after pass 0" else None
+    a, flips = random_bits(256, seed), (rng(seed).random(256) < 0.08).astype(np.uint8)
+    return a, BitString(bits=a.bits ^ flips), CascadeParams(initial_block=initial_block, seed=seed)
+
+
 class TestCascade:
     def test_equal_strings_still_leak(self):
         a = random_bits(64, 8)
@@ -407,6 +440,47 @@ class TestCascade:
         assert leaked == expected_leaked == len(transcript)
         assert np.array_equal(corrected.bits, expected.bits)
 
+    @pytest.mark.parametrize(
+        "case, live",
+        [
+            ("equal", 0),
+            ("equal, block 8", 0),
+            ("clean after pass 0", 1),
+            ("clean after pass 1", 2),
+            ("clean after pass 2", 3),
+            ("even pair", 4),
+        ],
+    )
+    def test_error_free_passes_draw_nothing(self, monkeypatch, case, live):
+        # a pass that begins with no error left reveals its top-level
+        # parities and draws no permutation; the reference draws every pass
+        a, b, params = _skip_case(case)
+        transcript = []
+        expected, expected_leaked = _reference_cascade(a, b, params, transcript)
+        # the reference run of the first k passes leaves what pass k begins with
+        began_with_error = [
+            not (_reference_cascade(a, b, replace(params, passes=k))[0] if k else b).equals(a)
+            for k in range(params.passes)
+        ]
+        assert sum(began_with_error) == live
+        generator, made = seeds.generator, []
+
+        def counting_generator(*address):
+            made.append(_CountingGenerator(generator(*address)))
+            return made[-1]
+
+        monkeypatch.setattr(keygen.seeds, "generator", counting_generator)
+        corrected, leaked = cascade(a, b, params)
+        assert [g.permutations for g in made] == [live]
+        assert np.array_equal(corrected.bits, expected.bits)
+        assert leaked == expected_leaked == len(transcript)
+        if not live:
+            # the sacrificial sample, if any, and every pass's block count
+            n = len(a)
+            block = n if params.initial_block is None else params.initial_block
+            sample = math.ceil(0.1 * n) if params.initial_block is None else 0
+            assert leaked == sample + sum(-(-n // min(n, block << k)) for k in range(params.passes))
+
     def test_lone_error_search_equals_reference(self):
         # a lone error at each offset of each block length: the search finds
         # it after as many halvings as the reference search
@@ -435,6 +509,14 @@ class TestPrivacyAmplify:
         out = privacy_amplify(raw, leaked_bits=n - m, safety_margin=0, seed=m)
         diagonals = seeds.generator(m, seeds.STREAM_AMPLIFY).integers(0, 2, size=m + n - 1, dtype=np.int64)
         assert np.array_equal(out.key.bits, toeplitz_hash(diagonals, raw.bits))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (7, 3), (64, 64), (300, 17), (1000, 999)])
+    def test_reference_equals_convolution(self, n, m):
+        # the GF(2) reference of the tests above, against np.convolve
+        diagonals = rng(n + m).integers(0, 2, size=m + n - 1, dtype=np.int64)
+        bits = random_bits(n, m).bits
+        conv = np.convolve(diagonals, bits.astype(np.int64))
+        assert np.array_equal(toeplitz_hash(diagonals, bits), conv[n - 1 : n - 1 + m] & 1)
 
     def test_overleaked_empty_key(self):
         raw = random_bits(64, 9)
