@@ -159,8 +159,10 @@ def select_beams(
     are preferred, then those maximizing the number of pairwise-disjoint
     sine sectors (beams pointing at different multipaths decorrelate the
     probe values), then the strongest.  All selected gains lie within
-    ``window_db`` of their median; ties in gain break by (level, index)
-    ascending, so the selection is a pure function of its inputs.
+    ``window_db`` of their median: the middle gain of the window, or for an
+    even ``count`` the mean of the middle two, as ``np.median`` takes it.
+    Ties in gain break by (level, index) ascending, so the selection is a
+    pure function of its inputs.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -177,7 +179,10 @@ def select_beams(
 
     ratio = 10.0 ** (window_db / 20.0)
     values = sliding_window_view(gains[order], count)
-    med = np.median(values, axis=1)
+    # each window is sorted, so its median is its middle entry, or the sum of
+    # its middle two halved: np.median's mean, whose sum commutes
+    k = count // 2
+    med = values[:, k] if count % 2 else (values[:, k - 1] + values[:, k]) / 2
     feasible = ~((values.max(axis=1) > med * ratio) | (values.min(axis=1) * ratio < med))
     if not feasible.any():
         raise SelectionInfeasibleError(

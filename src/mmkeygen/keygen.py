@@ -474,9 +474,11 @@ def _entropy_rates(samples: np.ndarray, levels: int, sections: int = 0, centre: 
     no array is sized by ``levels``; each entropy sums its terms as numpy
     sums them alone.
     """
+    P, T = samples.shape
+    if T < 1:
+        raise InsufficientSamplesError("an entropy rate needs at least one block, got 0")
     if np.isnan(samples).any():
         raise ValueError("samples hold a NaN")
-    P, T = samples.shape
     edges = np.linspace(0, T, sections + 1, dtype=int)
     # variant v leaves out blocks first[v] .. stop[v] - 1 (variant 0 none); label[t] leaves out block t
     first, stop = np.append(0, edges[:-1]), np.append(0, edges[1:])
@@ -514,7 +516,7 @@ def _entropy_rates(samples: np.ndarray, levels: int, sections: int = 0, centre: 
     prob = count[count > 0] / n[row[count > 0] % V]
     terms, lengths = prob * np.log2(prob), np.bincount(row[count > 0], minlength=P * V)
     single, ends = np.empty(P * V), np.cumsum(lengths)
-    for k in np.unique(lengths).tolist():
+    for k in sorted(set(lengths.tolist())):
         # numpy sums a row's terms by their number, so rows of one length are summed together
         alike = np.flatnonzero(lengths == k)
         single[alike] = -terms[(ends[alike] - k)[:, None] + np.arange(k)].sum(axis=-1)
@@ -560,7 +562,9 @@ def _cell_runs(ordered: np.ndarray, means: np.ndarray, lo: np.ndarray, hi: np.nd
         return _calibrated_cells(ordered[row // V * T + i] - means[row], levels, lo[row], hi[row])
 
     step = max(1, T // 64)
-    grid = np.union1d(np.arange(0, T, step), T - 1)
+    grid = np.arange(0, T, step)
+    if grid[-1] != T - 1:
+        grid = np.append(grid, T - 1)
     on_grid = cells_at(rows[:, None], grid)
     row, k = np.nonzero(on_grid[:, 1:] != on_grid[:, :-1])
     # (row, low end, high end, cell at the low end, cell at the high end)

@@ -352,7 +352,11 @@ def _beam_symbols(cfg: SessionConfig, trial_seeds, snr_db) -> np.ndarray:
         # one side at a time, so one side's steering matrices are alive at once
         az, el = angles[..., column], angles[..., column + 1]
         beams, lut = _perturbation_beams(geom, az[:, 0], el[:, 0], deltas)
-        return array_response(geom, az, el) @ beams.swapaxes(-1, -2), lut
+        # the LoS path's response is the nominal beam's conjugate, bit for bit
+        resp = np.empty(az.shape + (geom.size,), dtype=complex)
+        np.conjugate(beams[:, 0], out=resp[:, 0])
+        resp[:, 1:] = array_response(geom, az[:, 1:], el[:, 1:])
+        return resp @ beams.swapaxes(-1, -2), lut
 
     tx_a, lut_a = through_beams(cfg.alice, 0)
     tx_b, lut_b = through_beams(cfg.bob, 2)

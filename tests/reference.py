@@ -5,8 +5,10 @@ another way, so it lives with the tests rather than in the package.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mmkeygen import seeds
+from mmkeygen.beamforming import SelectionInfeasibleError, _sector_bounds, composite_gains
 from mmkeygen.channel import ChannelRealization, _innovations, channel_matrix
 from mmkeygen.experiments import ResultRow, _mean_stderr, _trial_seeds
 from mmkeygen.keygen import BitString, CascadeParams, QuantizerConfig, _calibrated_cells, bar, cascade
@@ -104,6 +106,32 @@ def baseline_symbols(cfg, trial_seeds, snr_db):
         cells = _calibrated_cells(samples, cfg.levels, quantizer.lo, quantizer.hi)
         cells ^= cells >> 1
         yield cells[0], cells[1], cfg.levels.bit_length() - 1
+
+
+def select_beams(codebook, ch, rx_beam, count, window_db):
+    """The window scan of ``beamforming.select_beams`` with each window's median taken by ``np.median``."""
+    gains = composite_gains(codebook, ch, rx_beam)
+    if count > gains.size:
+        raise SelectionInfeasibleError(f"requested {count} beams but codebook has only {gains.size}")
+    order = np.argsort(-gains, kind="stable")
+    ranked = codebook.ids[order]
+    if count == 1:
+        return [tuple(ranked[0].tolist())]
+    ratio = 10.0 ** (window_db / 20.0)
+    values = sliding_window_view(gains[order], count)
+    med = np.median(values, axis=1)
+    feasible = ~((values.max(axis=1) > med * ratio) | (values.min(axis=1) * ratio < med))
+    if not feasible.any():
+        raise SelectionInfeasibleError(f"no window of {count} beams within {window_db} dB of their median")
+    levels = sliding_window_view(ranked[:, 0], count)
+    index = sliding_window_view(ranked[:, 1], count)
+    lo, hi = _sector_bounds(levels, index)
+    disjoint = (hi[:, :, None] <= lo[:, None, :]) | (hi[:, None, :] <= lo[:, :, None])
+    diversity = disjoint.sum(axis=(1, 2)) // 2
+    single_level = (levels == levels[:, :1]).all(axis=1)
+    start = np.flatnonzero(feasible)
+    best = start[np.lexsort((start, -diversity[start], single_level[start]))[0]]
+    return sorted(map(tuple, ranked[best : best + count].tolist()))
 
 
 def derive_seed(master_seed, *labels):

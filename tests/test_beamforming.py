@@ -16,6 +16,7 @@ from mmkeygen.beamforming import (
 )
 from mmkeygen.channel import ArrayGeometry, array_response, channel_matrix, sample_channel
 from mmkeygen.schemes import SessionConfig, _perturbation_beams
+from reference import select_beams as reference_select_beams
 
 
 def rng(seed=0):
@@ -351,3 +352,37 @@ class TestSelectionEqualsReference:
         assert select_beams(cb, ch, w_rx, 1, 3.0) == [tuple(cb.ids[first].tolist())]
         for count in (2, 3, 4, 5):
             assert select_beams(cb, ch, w_rx, count, 30.0) == _reference_selection(cb, ch, w_rx, count, 30.0)
+
+
+class TestSelectionEqualsMedianReference:
+    """The sorted-window median against ``np.median``'s selection in ``reference.py``, exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        geoms=st.sampled_from([((1, 64), (1, 32)), ((1, 16), (1, 8)), ((2, 16), (2, 8))]),
+        num_paths=st.integers(1, 4),
+        count=st.integers(2, 6),
+        window_db=st.sampled_from([0.5, 1.0, 3.0, 6.0, 10.0, 30.0]),
+        tied=st.integers(0, 12),
+        zeroed=st.integers(0, 12),
+    )
+    def test_even_and_odd_windows_pick_reference_beams(self, seed, geoms, num_paths, count, window_db, tied, zeroed):
+        # rows copied from others tie with them bit for bit, zeroed rows gain
+        # exactly 0: windows whose middle gains tie, or are all zero
+        tx, rx = (ArrayGeometry(*g) for g in geoms)
+        r = rng(seed)
+        ch = sample_channel(tx, rx, r, num_paths)
+        cb = hierarchical_codebook(tx, min(6, int(np.log2(tx.cols))))
+        W = cb.weights.copy()
+        W[r.integers(len(W), size=tied)] = W[r.integers(len(W), size=tied)]
+        W[r.integers(len(W), size=zeroed)] = 0.0
+        cb = Codebook(geom=tx, depth=cb.depth, weights=W, ids=cb.ids)
+        w_rx = sector_beamformer(rx, -1.0, 1.0)
+        try:
+            expected = reference_select_beams(cb, ch, w_rx, count, window_db)
+        except SelectionInfeasibleError:
+            with pytest.raises(SelectionInfeasibleError):
+                select_beams(cb, ch, w_rx, count, window_db)
+        else:
+            assert select_beams(cb, ch, w_rx, count, window_db) == expected

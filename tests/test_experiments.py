@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -315,6 +317,43 @@ class TestRunPath:
         calls.clear()
         run_scenario(small_cfg("custom", trials=20, snr_grid=[0, 10, 20], scheme={"scheme": '"multires"'}))
         assert calls == {"multires_batch": 1, "_score": 1}
+
+
+# each preset at a small scale, fig4 at the least blocks its estimator
+# accepts, then one key entropy rate; after each, whether numpy.ma is loaded
+_MASKED_ARRAY_PROBE = """
+import sys
+import numpy as np
+import mmkeygen
+from mmkeygen.experiments import table_to_csv
+presets = [
+    'scenario = "fig2"\\nmaster_seed = 3\\ntrials = 3\\nsnr_grid = 10\\n',
+    'scenario = "fig3"\\nmaster_seed = 3\\ntrials = 2\\nsnr_grid = 0\\n',
+    'scenario = "fig4"\\nmaster_seed = 3\\ntrials = 2000\\nsnr_grid = 10\\n',
+    'scenario = "cascade-bench"\\nmaster_seed = 3\\ntrials = 2\\n[cascade]\\nerror_rates = 0.05\\nblock_bits = 256\\n',
+]
+for text in presets:
+    table_to_csv(mmkeygen.run_scenario(mmkeygen.parse_config(text)))
+    print(text.split('"')[1], "numpy.ma" in sys.modules)
+samples = np.random.default_rng(3).standard_normal((3, 2000))
+mmkeygen.key_entropy_rate(samples, mmkeygen.QuantizerConfig(levels=16))
+print("key_entropy_rate", "numpy.ma" in sys.modules)
+"""
+
+
+class TestNoMaskedArrays:
+    def test_presets_never_import_numpy_ma(self):
+        # pytest, hypothesis and scipy import numpy.ma themselves, so the
+        # presets run in a fresh interpreter
+        src = os.path.dirname(os.path.dirname(experiments.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", _MASKED_ARRAY_PROBE], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[:-1] == [
+            f"{name} False" for name in ("fig2", "fig3", "fig4", "cascade-bench", "key_entropy_rate")
+        ]
 
 
 def per_point_rows(cfg):

@@ -16,6 +16,7 @@ from mmkeygen.keygen import (
     QuantizerConfig,
     _calibrated_cells,
     _calibration_range,
+    _entropy_rates,
     _locate,
     bar,
     cascade,
@@ -26,8 +27,9 @@ from mmkeygen.keygen import (
     privacy_amplify,
     quantize,
 )
+from mmkeygen.schemes import _rate_and_stderr
 from reference import calibrated_cells as reference_calibrated_cells
-from reference import cell_indices, toeplitz_hash
+from reference import cell_indices, jackknife_rate, toeplitz_hash
 from reference import key_entropy_rate as reference_key_entropy_rate
 
 
@@ -673,6 +675,44 @@ class TestEntropyRateMatchesReference:
                 key_entropy_rate(samples, cfg, min_trials=1)
         else:
             assert key_entropy_rate(samples, cfg, min_trials=1) == expected
+
+    @pytest.mark.parametrize("levels", [4, 16])
+    @pytest.mark.parametrize("blocks", [2, 3, 63, 64, 65, 127, 128, 129, 1985, 2003])
+    def test_grid_end_on_and_off_the_step(self, blocks, levels):
+        # the cells are first read every T // 64 blocks and at the last block,
+        # T - 1, which falls on a step at 129 and 1985 blocks (steps of 2 and
+        # 31) and off one at 128 and 2003; 2 and 3 blocks have one-block runs
+        r = rng(blocks * levels)
+        samples = r.standard_normal(blocks) + r.standard_normal((3, blocks)) * [[0.5], [1.0], [2.0]]
+        sections = 10 if blocks >= 20 else 0
+        rates = _entropy_rates(samples, levels, sections)
+        edges = np.linspace(0, blocks, sections + 1, dtype=int)
+        kept = [samples] + [np.delete(samples, np.s_[a:b], axis=1) for a, b in zip(edges[:-1], edges[1:])]
+        expected = [reference_key_entropy_rate(k - k.mean(axis=-1, keepdims=True), levels) for k in kept]
+        assert rates.tolist() == expected
+        # below 2 blocks a section both stderrs are NaN, which assert_equal matches
+        np.testing.assert_equal(_rate_and_stderr(samples, levels), jackknife_rate(samples, levels))
+        cfg = QuantizerConfig(levels=levels)
+        assert key_entropy_rate(samples, cfg, min_trials=0) == reference_key_entropy_rate(samples, levels)
+        # a calibrated range clips the top percent into one cell; on a range
+        # that spans an outlier, each stream's last sorted block starts a run
+        samples[:, blocks // 2] = 20.0
+        cfg = QuantizerConfig(levels=levels, lo=-20.0, hi=21.0)
+        assert key_entropy_rate(samples, cfg, min_trials=0) == reference_key_entropy_rate(samples, levels, -20.0, 21.0)
+
+    def test_zero_blocks_raise_before_any_array_work(self):
+        # an empty stream has no mean and no grid end: refused up front,
+        # without numpy's empty-slice warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientSamplesError):
+                key_entropy_rate(np.empty((3, 0)), QuantizerConfig(levels=4), min_trials=0)
+            with pytest.raises(InsufficientSamplesError):
+                _entropy_rates(np.empty((2, 0)), 4, sections=10)
+
+    def test_one_block_has_zero_single_entropy(self):
+        with pytest.raises(ValueError, match="zero single-probe entropy"):
+            key_entropy_rate(rng(2).standard_normal((3, 1)), QuantizerConfig(levels=4), min_trials=0)
 
     def test_nan_row_maps_to_zero_quietly(self):
         # a NaN row has a NaN percentile range, which is degenerate: cell 0,
