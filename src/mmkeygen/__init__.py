@@ -2,9 +2,12 @@
 
 Simulation library and CLI covering beam-perturbation keying against
 co-located eavesdroppers, angular-domain (virtual AoA/AoD) extraction and
-multi-resolution beam probing.  The schemes run probing, extraction and
-quantization; Cascade and privacy amplification are library functions that
-no scheme calls yet (only cascade-bench runs Cascade; ROADMAP item 1).
+multi-resolution beam probing.  Every scheme draws one clustered ray
+channel, held as arrays of ray angles and gains, and runs as a batch of
+trials that yields one key-material record per trial.  The schemes run
+probing, extraction and quantization; Cascade and privacy amplification
+are library functions that no scheme calls yet (only cascade-bench runs
+Cascade; ROADMAP item 1).
 """
 
 from .beamforming import (
@@ -18,10 +21,8 @@ from .beamforming import (
 )
 from .channel import (
     ArrayGeometry,
-    ChannelRealization,
     array_response,
     channel_matrix,
-    evolve,
     sample_channel,
     virtual_channel,
 )
@@ -46,16 +47,13 @@ from .keygen import (
     extract_randomness,
     key_entropy_rate,
     privacy_amplify,
-    quantize,
 )
 from .probing import bidirectional_probe
 from .schemes import (
     SchemeResult,
     SessionConfig,
     estimate_channel,
-    multires_session,
     secret_beam_session,
-    virtual_angle_session,
 )
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import ArrayGeometry, ChannelRealization, array_response, channel_matrix
+from .channel import ArrayGeometry, array_response
 
 DEFAULT_DELTA_MAX = float(np.radians(2.0))
 # the phase resolution of every codebook and sector beam's shifters
@@ -81,15 +81,6 @@ class Codebook:
         # levels 1 .. level-1 hold 2 + 4 + ... + 2**(level-1) rows
         return self.weights[(1 << level) - 2 + index]
 
-    @staticmethod
-    def sector(level: int, index: int) -> tuple[float, float]:
-        if not 0 <= index < 1 << level:
-            raise ValueError(f"index {index} outside level {level}")
-        return _sector_bounds(level, index)
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
 
 def sector_beamformer(geom: ArrayGeometry, lo: float, hi: float) -> np.ndarray:
     """Constant-modulus wide beam covering the sine sector [lo, hi).
@@ -133,13 +124,13 @@ def hierarchical_codebook(geom: ArrayGeometry, depth: int) -> Codebook:
             f"codebook depth {depth} too deep for azimuth axis of {geom.cols} elements"
         )
     ids = [(level, index) for level in range(1, depth + 1) for index in range(1 << level)]
-    weights = [sector_beamformer(geom, *Codebook.sector(level, index)) for level, index in ids]
+    weights = [sector_beamformer(geom, *_sector_bounds(level, index)) for level, index in ids]
     return Codebook(geom=geom, depth=depth, weights=np.stack(weights), ids=np.array(ids))
 
 
-def composite_gains(codebook: Codebook, ch: ChannelRealization, rx_beam: np.ndarray) -> np.ndarray:
-    """Noiseless composite gain |w_rx^T H f| for every codeword, as (C,)."""
-    left = rx_beam @ channel_matrix(ch)
+def composite_gains(codebook: Codebook, H: np.ndarray, rx_beam: np.ndarray) -> np.ndarray:
+    """Noiseless composite gain |w_rx^T H f| on the channel matrix ``H`` for every codeword, as (C,)."""
+    left = rx_beam @ H
     # one BLAS dot per codeword, bit-equal to the 1-D product left @ f
     # (a matrix product left @ W.T differs in the last bit)
     return np.abs(np.vecdot(left.conj(), codebook.weights))
@@ -147,12 +138,12 @@ def composite_gains(codebook: Codebook, ch: ChannelRealization, rx_beam: np.ndar
 
 def select_beams(
     codebook: Codebook,
-    ch: ChannelRealization,
+    H: np.ndarray,
     rx_beam: np.ndarray,
     count: int,
     window_db: float,
 ) -> list[tuple[int, int]]:
-    """Pick ``count`` beams whose noiseless gains sit within a dB window.
+    """Pick ``count`` beams whose noiseless gains on the channel matrix ``H`` sit within a dB window.
 
     Scans windows of ``count`` consecutive codewords down the gain-sorted
     list.  Among feasible windows, those mixing at least two codebook levels
@@ -166,7 +157,7 @@ def select_beams(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    gains = composite_gains(codebook, ch, rx_beam)
+    gains = composite_gains(codebook, H, rx_beam)
     if count > gains.size:
         raise SelectionInfeasibleError(
             f"requested {count} beams but codebook has only {gains.size}"

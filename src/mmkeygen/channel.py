@@ -1,12 +1,13 @@
 """Clustered narrowband mmWave channel model.
 
 A channel realization is a small set of propagation rays (one line-of-sight
-ray plus Rayleigh-faded weaker rays), held as an array of ray gains and an
-array of departure/arrival angles.  The module builds array responses and
-channel matrices, evolves ray gains with an AR(1) process inside a session
-(``evolve`` returns the gains of a run of coherence blocks as one (steps, L)
-array), and provides the angular (virtual) domain transform used by the
-sparse-domain key scheme, computed as a per-axis FFT.
+ray plus Rayleigh-faded weaker rays), held as arrays: the (L, 4) ray angles
+and the (L,) ray gains.  The module builds array responses and channel
+matrices from the rays' (L, N) responses, steps ray gains through an AR(1)
+process inside a session (``_draw_innovations`` draws a run of coherence
+blocks' innovations and ``_ar1`` steps the gains through them), and
+provides the angular (virtual) domain transform used by the sparse-domain
+key scheme, computed as a per-axis FFT.
 
 Conventions
 -----------
@@ -27,8 +28,6 @@ import numpy as np
 
 DEFAULT_NLOS_OFFSET_DB = 10.0
 
-_HALF_PI = np.pi / 2.0
-
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -44,41 +43,6 @@ class ArrayGeometry:
     @property
     def size(self) -> int:
         return self.rows * self.cols
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One coherence-block channel: per-ray gains and angles plus the geometries.
-
-    ``gains`` holds the (L,) complex ray gains and ``angles`` the (L, 4) ray
-    angles in radians, columns (aod_az, aod_el, aoa_az, aoa_el).  Path 0 is
-    the line-of-sight ray; every other path is NLoS.
-    Both arrays are stored as read-only copies.
-    """
-
-    gains: np.ndarray
-    angles: np.ndarray
-    tx_geom: ArrayGeometry
-    rx_geom: ArrayGeometry
-    nlos_offset_db: float = DEFAULT_NLOS_OFFSET_DB
-
-    def __post_init__(self) -> None:
-        gains = np.array(self.gains, dtype=complex, ndmin=1)
-        angles = np.array(self.angles, dtype=float, ndmin=2)
-        if gains.ndim != 1 or gains.size < 1:
-            raise ValueError("channel realization needs at least one path")
-        if angles.shape != (gains.size, 4):
-            raise ValueError(f"angles must have shape ({gains.size}, 4), got {angles.shape}")
-        # min/max propagate NaN, which then fails both comparisons
-        if not (angles.min() >= -_HALF_PI and angles.max() < _HALF_PI):
-            raise ValueError(f"path angles outside [-pi/2, pi/2): {angles.tolist()}")
-        for name, value in (("gains", gains), ("angles", angles)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-
-    @property
-    def num_paths(self) -> int:
-        return self.gains.size
 
 
 def array_response(
@@ -185,9 +149,11 @@ def sample_channel(
     num_paths: int,
     nlos_offset_db: float = DEFAULT_NLOS_OFFSET_DB,
     grid_angles: bool = False,
-) -> ChannelRealization:
-    """Draw a fresh realization: one unit-power LoS ray plus ``num_paths - 1`` NLoS rays.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a fresh realization as (angles, gains): one unit-power LoS ray plus ``num_paths - 1`` NLoS rays.
 
+    ``angles`` is (L, 4) in radians, columns (aod_az, aod_el, aoa_az,
+    aoa_el), and ``gains`` is (L,) complex; path 0 is the line-of-sight ray.
     The LoS gain is a uniform random phase of unit magnitude; NLoS gains are
     circularly-symmetric complex Gaussian with expected power
     ``10**(-nlos_offset_db/10)``.  ``grid_angles`` snaps the rays to the
@@ -199,26 +165,11 @@ def sample_channel(
         raise ValueError(f"invalid channel: nlos_offset_db={nlos_offset_db} (need >= 0)")
     u = rng.random(4 * num_paths + 1)
     grid_cols = (tx_geom.cols, rx_geom.cols) if grid_angles else None
-    angles, gains = _paths(u, rng.standard_normal(2 * (num_paths - 1)), nlos_offset_db, grid_cols)
-    return ChannelRealization(gains, angles, tx_geom, rx_geom, nlos_offset_db)
+    return _paths(u, rng.standard_normal(2 * (num_paths - 1)), nlos_offset_db, grid_cols)
 
 
-def response_matrices(ch: ChannelRealization) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked per-path responses: (rx_size x L, tx_size x L)."""
-    a_rx = array_response(ch.rx_geom, ch.angles[:, 2], ch.angles[:, 3])
-    a_tx = array_response(ch.tx_geom, ch.angles[:, 0], ch.angles[:, 1])
-    return a_rx.T, a_tx.T
-
-
-def _paths_matrix(a_rx: np.ndarray, gains: np.ndarray, a_tx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``sqrt(Nt*Nr/L) * (a_rx.T * gains) @ a_tx`` of (L, Nr) and (L, Nt) path responses, written into ``out`` when given."""
-    scale = np.sqrt(a_tx.shape[1] * a_rx.shape[1] / gains.size)
-    out = np.matmul(a_rx.T * gains, a_tx, out=out)
-    return np.multiply(scale, out, out=out)
-
-
-def channel_matrix(ch: ChannelRealization, out: np.ndarray | None = None) -> np.ndarray:
-    """Narrowband channel matrix, shape (rx_size, tx_size), written into ``out`` when given.
+def channel_matrix(a_rx: np.ndarray, gains: np.ndarray, a_tx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Narrowband channel matrix (Nr, Nt) of rays with (L, Nr) and (L, Nt) responses, written into ``out`` when given.
 
     ``H = sqrt(Nt*Nr/L) * sum_l gain_l * a_rx(aoa_l) a_tx(aod_l)^T``.  The
     transpose (rather than conjugate-transpose) on the departure response
@@ -226,23 +177,9 @@ def channel_matrix(ch: ChannelRealization, out: np.ndarray | None = None) -> np.
     conjugate steering beamformer is matched on both sides of a reciprocal
     exchange.
     """
-    a_rx, a_tx = response_matrices(ch)
-    return _paths_matrix(a_rx.T, ch.gains, a_tx.T, out)
-
-
-def evolve(ch: ChannelRealization, rho: float, rng: np.random.Generator, steps: int) -> np.ndarray:
-    """The (steps, L) path gains of the next ``steps`` AR(1) steps; angles are held fixed.
-
-    ``gain' = rho*gain + sqrt(1-rho^2)*eps`` with ``eps`` a fresh draw from
-    the path's own gain distribution, so marginal power is preserved.  Each
-    step draws one uniform LoS phase, then the NLoS innovations as one
-    normal draw, real parts then imaginary parts.
-    """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"invalid params: rho={rho} not in [0, 1]")
-    eps = np.empty((steps, ch.num_paths), dtype=complex)
-    _draw_innovations(rng, ch.nlos_offset_db, eps, np.empty((steps, 2 * (ch.num_paths - 1))))
-    return _ar1(ch.gains, eps, rho)
+    scale = np.sqrt(a_tx.shape[1] * a_rx.shape[1] / gains.size)
+    out = np.matmul(a_rx.T * gains, a_tx, out=out)
+    return np.multiply(scale, out, out=out)
 
 
 def virtual_channel(

@@ -66,11 +66,6 @@ class BitString:
     def equals(self, other: "BitString") -> bool:
         return len(self) == len(other) and bool(np.array_equal(self.bits, other.bits))
 
-    def __repr__(self) -> str:
-        head = "".join(str(b) for b in self.bits[:32])
-        tail = "..." if len(self) > 32 else ""
-        return f"BitString({len(self)} bits: {head}{tail})"
-
 
 def extract_randomness(samples) -> np.ndarray:
     """Remove the deterministic part of a probe stream, or of each row of (P, T) streams: subtract its mean."""
@@ -104,39 +99,11 @@ class QuantizerConfig:
         if self.lo is not None and not self.lo < self.hi:
             raise ValueError(f"degenerate quantizer range [{self.lo}, {self.hi}]")
 
-    @property
-    def bits_per_sample(self) -> int:
-        return int(self.levels).bit_length() - 1
-
     @classmethod
     def calibrated(cls, samples, levels: int = 16) -> "QuantizerConfig":
         """Range from pooled calibration samples: their 1st-99th percentiles, from :func:`_calibration_range`."""
         lo, hi = _calibration_range(np.asarray(samples, dtype=float).ravel())
         return cls(levels=levels, lo=float(lo), hi=float(hi))
-
-
-def pack_indices(indices, width: int) -> BitString:
-    """Fixed-width binary encoding, MSB first, concatenated."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= (1 << width)):
-        raise ValueError(f"index out of range for width {width}")
-    shifts = np.arange(width - 1, -1, -1)
-    bits = (idx[:, None] >> shifts[None, :]) & 1
-    return BitString(bits=bits.astype(np.uint8).ravel())
-
-
-def gray_encode_indices(indices, width: int) -> BitString:
-    """Gray-coded fixed-width encoding of integer indices."""
-    idx = np.asarray(indices, dtype=np.int64)
-    return pack_indices(idx ^ (idx >> 1), width)
-
-
-def quantize(samples, cfg: QuantizerConfig) -> BitString:
-    """Quantize a real stream into Gray-coded bits, log2(levels) per sample."""
-    if cfg.lo is None:
-        raise ValueError("quantizer range is unset; build the config via calibrated()")
-    idx = _calibrated_cells(np.asarray(samples, dtype=float)[None], cfg.levels, cfg.lo, cfg.hi)[0]
-    return gray_encode_indices(idx, cfg.bits_per_sample)
 
 
 def bar(a: BitString, b: BitString) -> float:
@@ -435,6 +402,13 @@ def _calibrated_cells(samples: np.ndarray, levels: int, lo=None, hi=None) -> np.
     # no value overflows the cast, whose truncation is floor on 0 .. levels
     cells = np.clip(scaled, 0.0, levels, out=scaled).astype(np.int64)
     return np.clip(cells, 0, levels - 1, out=cells)
+
+
+def _gray_cells(samples: np.ndarray, levels: int, lo=None, hi=None) -> np.ndarray:
+    """The Gray codes of :func:`_calibrated_cells`: the key symbols of a baseline or multires party, log2(levels) bits each."""
+    cells = _calibrated_cells(samples, levels, lo, hi)
+    cells ^= cells >> 1
+    return cells
 
 
 def key_entropy_rate(

@@ -3,7 +3,9 @@
 Each scheme runs as a batch of trials, each trial at its own master seed
 and SNR, which yields one :class:`SchemeResult` per trial: each party's
 key symbols and their bit width, the probes used, and any metric the
-scheme scores itself.  Each ``*_session`` is a batch of one trial.
+scheme scores itself.  ``secret_beam_session`` is a batch of one trial;
+a session of another scheme is ``next(batch(cfg, [cfg.master_seed],
+[cfg.snr_db]))``.
 
 * ``secret_beam_batch``: both parties steer at the line-of-sight ray and
   hide quantized azimuth perturbations in their pilots; each side recovers
@@ -13,17 +15,18 @@ scheme scores itself.  Each ``*_session`` is a batch of one trial.
 * ``virtual_angle_batch``: both parties estimate the channel matrix,
   project it onto the angular (DFT) domain, and encode the positions of the
   strongest virtual bins.  ``baseline_batch`` quantizes every estimated
-  entry instead.  Both take their trials in chunks whose streams are
-  seeded and channels drawn as arrays.
+  entry instead.  Both take their trials in chunks of up to 32, whose
+  streams are seeded and channels drawn as arrays.
 * ``multires_batch``: Alice probes with beams of several resolutions and
   angles chosen to keep the composite gain inside a window while Bob holds a
   wide fixed pattern; compared against an aligned fixed-beam link via the
   key entropy rate of the quantized probe streams.
 
-Every session is a pure function of its :class:`SessionConfig` (master seed
-included): all randomness flows through labelled streams derived in
-:mod:`mmkeygen.seeds`.  A batch or session runs only a config of its own
-scheme.
+Every scheme draws its channels as arrays, the (L, 4) angles and (L,)
+gains of :mod:`mmkeygen.channel`.  Every session is a pure function of its
+:class:`SessionConfig` (master seed included): all randomness flows
+through labelled streams derived in :mod:`mmkeygen.seeds`.  A batch or
+session runs only a config of its own scheme.
 """
 
 from __future__ import annotations
@@ -47,24 +50,16 @@ from .beamforming import (
 from .channel import (
     DEFAULT_NLOS_OFFSET_DB,
     ArrayGeometry,
-    ChannelRealization,
     _ar1,
     _draw_innovations,
     _innovations,
     _paths,
-    _paths_matrix,
     array_response,
+    channel_matrix,
     sample_channel,
     virtual_channel,
 )
-from .keygen import (
-    BitString,
-    QuantizerConfig,
-    _calibrated_cells,
-    _entropy_rates,
-    extract_randomness,
-    pack_indices,
-)
+from .keygen import QuantizerConfig, _entropy_rates, _gray_cells, extract_randomness
 from .probing import bidirectional_probe
 
 SCHEMES = ("secret_beam", "virtual", "baseline", "multires")
@@ -184,8 +179,8 @@ class SchemeResult:
 
     ``symbols`` holds one row of key symbols per party: Alice's, Bob's, and
     the eavesdropper's guess at the key when one is modelled.  Each symbol
-    is ``width`` bits, most significant first, so a party's key bits are
-    ``pack_indices`` of its row.  ``probes_used`` counts the trial's pilot
+    is ``width`` bits, so a party's key bits are its row's symbols written
+    out most significant bit first.  ``probes_used`` counts the trial's pilot
     transmissions.  A multires trial also scores each arm's key entropy
     rate, with its leave-one-section-out jackknife stderr over ten sections
     of blocks (NaN below 2 blocks a section); they are NaN for the other
@@ -215,26 +210,6 @@ class SchemeResult:
     @property
     def bar_legit(self) -> float:
         return self.agreement()[0]
-
-    @property
-    def bar_eve(self) -> float:
-        return self.agreement()[1]
-
-    @property
-    def bdr(self) -> float:
-        return 1.0 - self.agreement()[0]
-
-    @property
-    def bits_alice(self) -> BitString:
-        return pack_indices(self.symbols[0], self.width)
-
-    @property
-    def bits_bob(self) -> BitString:
-        return pack_indices(self.symbols[1], self.width)
-
-    @property
-    def bits_eve(self) -> BitString | None:
-        return pack_indices(self.symbols[2], self.width) if len(self.symbols) > 2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +315,7 @@ def _beam_symbols(cfg: SessionConfig, trial_seeds, snr_db) -> np.ndarray:
     B, R, K = trial_seeds.size, cfg.rounds, cfg.levels
     channel_u, nlos, evo_u, evo_nlos, index, noise = _beam_draws(cfg, trial_seeds)
 
-    # each trial's channel, then its gains per round as evolve steps them
+    # each trial's channel, then its gains per round as the AR(1) steps them
     grid_cols = (cfg.alice.cols, cfg.bob.cols) if cfg.grid_angles else None
     angles, gains = _paths(channel_u, nlos, cfg.nlos_offset_db, grid_cols)
     alpha = _ar1(gains, _innovations(evo_u, evo_nlos, cfg.nlos_offset_db), cfg.temporal_rho)
@@ -484,7 +459,7 @@ def _bin_symbols(mag: np.ndarray, count: int) -> tuple[np.ndarray, int]:
     return rows << col_bits | cols, row_bits + col_bits
 
 
-_SOUNDING_CHUNK = 64  # the most trials whose channels a sounding chunk holds at once
+_SOUNDING_CHUNK = 32  # the most trials whose channels a sounding chunk holds at once
 
 
 def _sounded_trials(cfg: SessionConfig, trial_seeds, snr_db):
@@ -516,7 +491,7 @@ def _sounded_trials(cfg: SessionConfig, trial_seeds, snr_db):
         for b, snr in enumerate(snr_db[start : start + B]):
             def estimates(t, out, b=b, snr=snr):
                 i = b * R + t
-                _paths_matrix(a_rx[i], gains[i], a_tx[i], out=H)
+                channel_matrix(a_rx[i], gains[i], a_tx[i], out=H)
                 for k, est in enumerate(out, start=1):
                     estimate_channel(H, snr, stream(3 * i + k), out=est)
 
@@ -549,8 +524,8 @@ def baseline_batch(cfg: SessionConfig, trial_seeds, snr_db):
     """Run the baseline session ``cfg`` describes per trial seed, as :func:`virtual_angle_batch` does.
 
     A party's key symbols are the Gray-coded cells of its pooled estimates.
-    Both parties quantize the real and imaginary parts of every estimated
-    entry on one range, calibrated on Alice's pooled samples and announced
+    Both parties map the real and imaginary parts of every estimated
+    entry to the cells of one range, calibrated on Alice's pooled samples and announced
     publicly (calibration is side information, not key material).
     """
     _check_scheme(cfg, "baseline")
@@ -563,18 +538,8 @@ def baseline_batch(cfg: SessionConfig, trial_seeds, snr_db):
         # mean removal as extract_randomness does it, then one range calibrated on Alice's
         samples -= samples.mean(axis=1, keepdims=True)
         quantizer = QuantizerConfig.calibrated(samples[0], levels=cfg.levels)
-        cells = _calibrated_cells(samples, cfg.levels, quantizer.lo, quantizer.hi)
-        cells ^= cells >> 1
+        cells = _gray_cells(samples, cfg.levels, quantizer.lo, quantizer.hi)
         yield SchemeResult(cells, cfg.levels.bit_length() - 1, 2 * cfg.rounds)
-
-
-def virtual_angle_session(cfg: SessionConfig) -> SchemeResult:
-    """Aggregate virtual-angle bit disagreement over ``cfg.rounds`` independent channels.
-
-    A batch of one trial, at ``cfg.master_seed`` and ``cfg.snr_db``.
-    """
-    [result] = virtual_angle_batch(cfg, [cfg.master_seed], [cfg.snr_db])
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -600,16 +565,12 @@ _MAX_WINDOW_DB = 30.0
 
 
 def _widened_selection(
-    codebook: Codebook,
-    ch: ChannelRealization,
-    rx_beam: np.ndarray,
-    count: int,
-    window_db: float,
+    codebook: Codebook, H: np.ndarray, rx_beam: np.ndarray, count: int, window_db: float
 ) -> list[tuple[int, int]]:
     window = window_db
     while True:
         try:
-            return select_beams(codebook, ch, rx_beam, count, window)
+            return select_beams(codebook, H, rx_beam, count, window)
         except SelectionInfeasibleError:
             if window >= _MAX_WINDOW_DB:
                 raise
@@ -629,43 +590,48 @@ def multires_batch(cfg: SessionConfig, trial_seeds, snr_db):
 
     ``snr_db`` holds each trial's SNR, in place of ``cfg.snr_db``; both are
     sequences of Python ints and floats, as a session's master seed and SNR
-    are.  Each trial draws its channel, beams and evolution from its own
-    streams, and writes its innovations into its L columns of one
-    (rounds, trials * L) array that one AR(1) recurrence steps in place.
-    Each trial is then probed on its (rounds, L) slice of the gains, one
-    trial at a time.  A party's key symbols are the Gray-coded cells of its
-    multi-arm probe streams, stream after stream.  A trial's record depends
-    only on its seed and SNR.
+    are.  Each trial draws its channel's angles and gains, beams and
+    evolution from its own streams; its rays' responses form the channel
+    matrix the beams are selected on, and are kept for its probes.  It
+    writes its innovations into its L columns of one (rounds, trials * L)
+    array that one AR(1) recurrence steps in place.  Each trial is then
+    probed on its (rounds, L) slice of the gains, one trial at a time.  A
+    party's key symbols are the Gray-coded cells of its multi-arm probe
+    streams, stream after stream.  A trial's record depends only on its
+    seed and SNR.
     """
     _check_scheme(cfg, "multires")
     P, T, L = cfg.num_beams, cfg.rounds, cfg.num_paths
     codebook, bob_wide = _multires_beams(cfg.alice, cfg.bob, cfg.multires_depth)
     eps = np.empty((T, len(trial_seeds), L), dtype=complex)
     normals = np.empty((T, 2 * (L - 1)))
-    points = []
+    points, first_gains = [], []
     for s, seed in enumerate(trial_seeds):
         rng = seeds.generator(seed, seeds.STREAM_CHANNEL)
-        ch = sample_channel(cfg.alice, cfg.bob, rng, L, cfg.nlos_offset_db, cfg.grid_angles)
-        bob_pencil = steering_beamformer(cfg.bob, ch.angles[0, 2], ch.angles[0, 3])
-        ids = _widened_selection(codebook, ch, bob_wide, P, cfg.window_db)
-        fixed_id = select_beams(codebook, ch, bob_pencil, 1, cfg.window_db)[0]
+        angles, gains = sample_channel(cfg.alice, cfg.bob, rng, L, cfg.nlos_offset_db, cfg.grid_angles)
+        a_tx = array_response(cfg.alice, angles[:, 0], angles[:, 1])
+        a_rx = array_response(cfg.bob, angles[:, 2], angles[:, 3])
+        H = channel_matrix(a_rx, gains, a_tx)
+        bob_pencil = steering_beamformer(cfg.bob, angles[0, 2], angles[0, 3])
+        ids = _widened_selection(codebook, H, bob_wide, P, cfg.window_db)
+        fixed_id = select_beams(codebook, H, bob_pencil, 1, cfg.window_db)[0]
         # per block, the multi arm's P probes, then the fixed arm's P
         w_a = np.stack([codebook.codeword(*i) for i in ids] + [codebook.codeword(*fixed_id)] * P)
         w_b = np.stack([bob_wide] * P + [bob_pencil] * P)
-        points.append((ch, w_a, w_b))
+        points.append((w_a, w_b, a_tx, a_rx))
+        first_gains.append(gains)
         _draw_innovations(seeds.generator(seed, seeds.STREAM_EVOLVE), cfg.nlos_offset_db, eps[:, s], normals)
     del normals
     # all trials' paths side by side: one AR(1) step is one row, and eps then holds the gains
-    _ar1(np.concatenate([ch.gains for ch, *_ in points]), eps.reshape(T, len(points) * L), cfg.temporal_rho)
-    for s, (seed, snr, (ch, w_a, w_b)) in enumerate(zip(trial_seeds, snr_db, points)):
+    _ar1(np.concatenate(first_gains), eps.reshape(T, len(points) * L), cfg.temporal_rho)
+    for s, (seed, snr, point) in enumerate(zip(trial_seeds, snr_db, points)):
         rng = seeds.generator(seed, seeds.STREAM_NOISE_BOB)
         # each party's in-phase (streams, blocks), each stream contiguous: a strided
         # row sums its mean in another order, and the cells depend on the last bit of it
-        y_bob, y_alice = [np.ascontiguousarray(y.real.T) for y in bidirectional_probe(w_a, w_b, ch, eps[:, s], snr, rng)]
+        y_bob, y_alice = [np.ascontiguousarray(y.real.T) for y in bidirectional_probe(*point, eps[:, s], snr, rng)]
 
         # Gray-coded cells of each multi-arm probe stream on its own calibrated range, Alice's then Bob's
-        cells = _calibrated_cells(extract_randomness(np.concatenate((y_alice[:P], y_bob[:P]))), cfg.levels)
-        cells ^= cells >> 1
+        cells = _gray_cells(extract_randomness(np.concatenate((y_alice[:P], y_bob[:P]))), cfg.levels)
         (ker_multires, multires_stderr), (ker_fixed, fixed_stderr) = (
             _rate_and_stderr(y, cfg.levels) for y in (y_bob[:P], y_bob[P:])
         )
@@ -678,19 +644,3 @@ def multires_batch(cfg: SessionConfig, trial_seeds, snr_db):
             ker_fixed=ker_fixed,
             ker_fixed_stderr=fixed_stderr,
         )
-
-
-def multires_session(cfg: SessionConfig) -> SchemeResult:
-    """Compare multi-resolution probing against a fixed aligned link.
-
-    Per coherence block (one gain-evolution step between blocks) the
-    multi-resolution arm sends one bidirectional probe on each of the
-    ``cfg.num_beams`` selected beams while Bob holds a wide constant-modulus
-    pattern, so each probe is a differently-weighted combination of the
-    multipath gains.  The fixed arm probes ``cfg.num_beams`` times per block
-    over the conventional aligned link (strongest beams both ends).  The
-    quantized in-phase samples of both arms are scored with the key entropy
-    rate over all blocks.  A batch of one trial, at ``cfg.master_seed``.
-    """
-    [result] = multires_batch(cfg, [cfg.master_seed], [cfg.snr_db])
-    return result

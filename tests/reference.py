@@ -9,7 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from mmkeygen import seeds
 from mmkeygen.beamforming import SelectionInfeasibleError, _sector_bounds, composite_gains
-from mmkeygen.channel import ChannelRealization, _innovations, channel_matrix
+from mmkeygen.channel import _ar1, _draw_innovations, _innovations, array_response, channel_matrix
 from mmkeygen.experiments import ResultRow, _mean_stderr, _trial_seeds
 from mmkeygen.keygen import BitString, CascadeParams, QuantizerConfig, _calibrated_cells, bar, cascade
 from mmkeygen.schemes import _bin_symbols, estimate_channel
@@ -44,8 +44,31 @@ def virtual_channel(H, tx_geom, rx_geom, out=None):
     return out
 
 
+def responses(tx_geom, rx_geom, angles):
+    """The (L, Nt) and (L, Nr) array responses of rays at the (L, 4) ``angles``: (a_tx, a_rx)."""
+    angles = np.asarray(angles, dtype=float)
+    return array_response(tx_geom, angles[:, 0], angles[:, 1]), array_response(rx_geom, angles[:, 2], angles[:, 3])
+
+
+def ray_matrix(tx_geom, rx_geom, angles, gains, out=None):
+    """The channel matrix of rays at the (L, 4) ``angles`` with the (L,) ``gains``, written into ``out`` when given."""
+    a_tx, a_rx = responses(tx_geom, rx_geom, angles)
+    return channel_matrix(a_rx, np.asarray(gains, dtype=complex), a_tx, out=out)
+
+
+def ar1_gains(gains, rho, rng, steps, nlos_offset_db):
+    """The (steps, L) gains of ``steps`` AR(1) steps from the (L,) ``gains``, drawn and stepped as a multires trial's.
+
+    ``_draw_innovations`` draws each step's innovations from ``rng`` and
+    ``_ar1`` steps the gains through them; ``gains`` is left as it was.
+    """
+    eps = np.empty((steps, gains.size), dtype=complex)
+    _draw_innovations(rng, nlos_offset_db, eps, np.empty((steps, 2 * (gains.size - 1))))
+    return _ar1(gains, eps, rho)
+
+
 def session_channel(cfg, rng):
-    """A session's channel drawn one draw at a time: ``uniform(-1, 1)`` sines, the LoS phase, the NLoS normals.
+    """A session's (angles, gains) drawn one draw at a time: ``uniform(-1, 1)`` sines, the LoS phase, the NLoS normals.
 
     With ``cfg.grid_angles`` the rays are in-plane, each sine snapped to the
     DFT grid of its array.
@@ -62,7 +85,7 @@ def session_channel(cfg, rng):
         snapped = np.zeros_like(angles)
         snapped[:, 0], snapped[:, 2] = snap(angles[:, 0], cfg.alice.cols), snap(angles[:, 2], cfg.bob.cols)
         angles = snapped
-    return ChannelRealization(gains, angles, cfg.alice, cfg.bob, cfg.nlos_offset_db)
+    return angles, gains
 
 
 def round_estimates(cfg, seed, snr_db, t, H, out):
@@ -72,7 +95,7 @@ def round_estimates(cfg, seed, snr_db, t, H, out):
     """
     tags = (seeds.STREAM_CHANNEL, seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB)
     rng_ch, *rngs = (seeds.generator(seed, tag, t) for tag in tags)
-    channel_matrix(session_channel(cfg, rng_ch), out=H)
+    ray_matrix(cfg.alice, cfg.bob, *session_channel(cfg, rng_ch), out=H)
     for est, rng in zip(out, rngs):
         estimate_channel(H, snr_db, rng, out=est)
 
@@ -108,9 +131,9 @@ def baseline_symbols(cfg, trial_seeds, snr_db):
         yield cells[0], cells[1], cfg.levels.bit_length() - 1
 
 
-def select_beams(codebook, ch, rx_beam, count, window_db):
+def select_beams(codebook, H, rx_beam, count, window_db):
     """The window scan of ``beamforming.select_beams`` with each window's median taken by ``np.median``."""
-    gains = composite_gains(codebook, ch, rx_beam)
+    gains = composite_gains(codebook, H, rx_beam)
     if count > gains.size:
         raise SelectionInfeasibleError(f"requested {count} beams but codebook has only {gains.size}")
     order = np.argsort(-gains, kind="stable")
@@ -132,6 +155,23 @@ def select_beams(codebook, ch, rx_beam, count, window_db):
     start = np.flatnonzero(feasible)
     best = start[np.lexsort((start, -diversity[start], single_level[start]))[0]]
     return sorted(map(tuple, ranked[best : best + count].tolist()))
+
+
+def pack_indices(indices, width):
+    """Fixed-width binary encoding of integer indices, most significant bit first, concatenated.
+
+    A record's key bits, as ``SchemeResult.agreement`` counts them.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= (1 << width)):
+        raise ValueError(f"index out of range for width {width}")
+    shifts = np.arange(width - 1, -1, -1)
+    return BitString(bits=((idx[:, None] >> shifts) & 1).astype(np.uint8).ravel())
+
+
+def key_bits(record, party):
+    """Party ``party``'s key bits of a ``SchemeResult`` (0 Alice, 1 Bob, 2 the eavesdropper)."""
+    return pack_indices(record.symbols[party], record.width)
 
 
 def derive_seed(master_seed, *labels):

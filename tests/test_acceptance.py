@@ -9,26 +9,25 @@ import time
 import numpy as np
 import pytest
 
-from mmkeygen.channel import ArrayGeometry, ChannelRealization, channel_matrix, virtual_channel
+from mmkeygen.channel import ArrayGeometry, virtual_channel
 from mmkeygen.experiments import parse_config, run_scenario, table_to_csv
 from mmkeygen.keygen import (
     BitString,
     CascadeParams,
     QuantizerConfig,
-    bar,
+    _gray_cells,
     cascade,
     key_entropy_rate,
-    quantize,
 )
 from mmkeygen.schemes import (
     SessionConfig,
     _bin_symbols,
     estimate_channel,
-    multires_session,
-    secret_beam_session,
-    virtual_angle_session,
+    multires_batch,
+    secret_beam_batch,
+    virtual_angle_batch,
 )
-from reference import dft_matrix
+from reference import dft_matrix, pack_indices, ray_matrix
 
 ACCEPT_SEED = 1
 
@@ -143,10 +142,10 @@ class TestCriterion3VirtualAngle:
         sine = lambda j: float(np.arcsin(-1.0 + 2.0 * j / 128))
         gains = [1.0, np.exp(0.7j), 0.1 * np.exp(2.1j)]
         angles = [[sine(tx), 0.0, sine(rx), 0.0] for tx, rx in ((20, 90), (70, 30), (100, 60))]
-        H = channel_matrix(ChannelRealization(gains, angles, geom, geom))
+        H = ray_matrix(geom, geom, angles, gains)
         # each path's bin, from its channel alone
         strong_a, strong_b, weak = (
-            top_bins(channel_matrix(ChannelRealization([g], [a], geom, geom)), 1).pop() for g, a in zip(gains, angles)
+            top_bins(ray_matrix(geom, geom, [a], [g]), 1).pop() for g, a in zip(gains, angles)
         )
         lost = {}
         for snr in (-10.0, 0.0):
@@ -233,7 +232,11 @@ class TestCriterion6PropertySuite:
         assert worst < 1e-10
 
     def test_noiseless_reciprocity_all_schemes(self):
-        sb = secret_beam_session(
+        def one_trial(batch, cfg):
+            return next(batch(cfg, [cfg.master_seed], [cfg.snr_db]))
+
+        sb = one_trial(
+            secret_beam_batch,
             SessionConfig(
                 scheme="secret_beam",
                 alice=ArrayGeometry(1, 32),
@@ -243,9 +246,10 @@ class TestCriterion6PropertySuite:
                 num_paths=1,
                 delta_max=float(np.radians(3.0)),
                 master_seed=ACCEPT_SEED,
-            )
+            ),
         )
-        va = virtual_angle_session(
+        va = one_trial(
+            virtual_angle_batch,
             SessionConfig(
                 scheme="virtual",
                 alice=ArrayGeometry(1, 128),
@@ -256,9 +260,10 @@ class TestCriterion6PropertySuite:
                 nlos_offset_db=0.0,
                 grid_angles=True,
                 master_seed=ACCEPT_SEED,
-            )
+            ),
         )
-        mr = multires_session(
+        mr = one_trial(
+            multires_batch,
             SessionConfig(
                 scheme="multires",
                 alice=ArrayGeometry(1, 64),
@@ -269,19 +274,19 @@ class TestCriterion6PropertySuite:
                 levels=4,
                 temporal_rho=0.5,
                 master_seed=ACCEPT_SEED,
-            )
+            ),
         )
-        bars = (sb.bar_legit, 1.0 - va.bdr, bar(mr.bits_alice, mr.bits_bob))
+        # each record's share of Alice's key bits that Bob's agrees with
+        bars = tuple(record.agreement()[0] for record in (sb, va, mr))
         ok = all(b == 1.0 for b in bars)
         _report("6c (noiseless reciprocity)", ok, f"BARs = {bars}")
         assert ok
 
     def test_quantizer_gray_adjacency(self):
-        cfg = QuantizerConfig(levels=16, lo=0.0, hi=16.0)
+        # the Gray-coded cells baseline_batch emits as key symbols, on one range
         ok = True
         for cell in range(15):
-            a = quantize([cell + 0.5], cfg)
-            b = quantize([cell + 1.5], cfg)
+            a, b = (pack_indices([c], 4) for c in _gray_cells(np.array([[cell + 0.5, cell + 1.5]]), 16, 0.0, 16.0)[0])
             ok &= int(np.sum(a.bits != b.bits)) == 1
         _report("6d (Gray adjacency)", bool(ok), "adjacent cells differ in exactly one bit")
         assert ok

@@ -7,6 +7,7 @@ from mmkeygen.beamforming import (
     DEFAULT_DELTA_MAX,
     Codebook,
     SelectionInfeasibleError,
+    _sector_bounds,
     composite_gains,
     hierarchical_codebook,
     quantize_phases,
@@ -14,8 +15,9 @@ from mmkeygen.beamforming import (
     select_beams,
     steering_beamformer,
 )
-from mmkeygen.channel import ArrayGeometry, array_response, channel_matrix, sample_channel
+from mmkeygen.channel import ArrayGeometry, array_response, sample_channel
 from mmkeygen.schemes import SessionConfig, _perturbation_beams
+from reference import ray_matrix
 from reference import select_beams as reference_select_beams
 
 
@@ -136,13 +138,13 @@ class TestCodebook:
         cb = hierarchical_codebook(ArrayGeometry(1, 8), 1)
         assert np.array_equal(cb.ids, [(1, 0), (1, 1)])
         assert cb.weights.shape == (2, 8)
-        assert cb.sector(1, 0) == (-1.0, 0.0)
-        assert cb.sector(1, 1) == (0.0, 1.0)
+        assert _sector_bounds(1, 0) == (-1.0, 0.0)
+        assert _sector_bounds(1, 1) == (0.0, 1.0)
 
     def test_sector_partition_exact(self):
         # dyadic boundaries are exact floats: union is [-1, 1), no overlap
         for level in range(1, 7):
-            edges = [Codebook.sector(level, k) for k in range(2**level)]
+            edges = [_sector_bounds(level, k) for k in range(2**level)]
             assert edges[0][0] == -1.0
             assert edges[-1][1] == 1.0
             for (_, hi), (lo, _) in zip(edges, edges[1:]):
@@ -152,7 +154,7 @@ class TestCodebook:
         geom = ArrayGeometry(1, 64)
         cb = hierarchical_codebook(geom, 6)
         for k in range(64):
-            lo, hi = cb.sector(6, k)
+            lo, hi = _sector_bounds(6, k)
             center = np.arcsin(0.5 * (lo + hi))
             g = abs(pattern(cb.codeword(6, k), geom, float(center)))
             assert g >= 0.9
@@ -166,7 +168,7 @@ class TestCodebook:
         responses = np.stack([array_response(geom, float(np.arcsin(s))) for s in grid])
         band = 2 * (2.0 / 64)
         for k in (0, 1):
-            lo, hi = cb.sector(1, k)
+            lo, hi = _sector_bounds(1, k)
             g = np.abs(responses @ cb.codeword(1, k))
             inside = (grid >= lo + band) & (grid < hi - band)
             outside = ~((grid >= lo - band) & (grid < hi + band))
@@ -180,7 +182,7 @@ class TestCodebook:
         cb = hierarchical_codebook(geom, 5)
         step = 2 * np.pi / 64
         W = cb.weights
-        assert W.shape == (len(cb), 32) == (62, 32)
+        assert W.shape == (len(cb.ids), 32) == (62, 32)
         assert np.allclose(np.abs(W), 1 / np.sqrt(32), atol=1e-12)
         k = np.angle(W) / step
         assert np.allclose(k, np.round(k), atol=1e-9)
@@ -198,7 +200,7 @@ class TestCodebook:
         for row, (level, index) in enumerate(expected):
             assert np.array_equal(cb.codeword(level, index), cb.weights[row])
             # each row is the sector beam of its sector
-            assert np.array_equal(cb.weights[row], sector_beamformer(geom, *cb.sector(level, index)))
+            assert np.array_equal(cb.weights[row], sector_beamformer(geom, *_sector_bounds(level, index)))
 
     def test_arrays_read_only(self):
         cb = hierarchical_codebook(ArrayGeometry(1, 8), 2)
@@ -222,29 +224,30 @@ def _row(beam_id):
     return 2**level - 2 + index
 
 
-def _fig4_channel(seed=0, num_paths=3):
-    return sample_channel(ArrayGeometry(1, 64), ArrayGeometry(1, 32), rng(seed), num_paths)
+def drawn_matrix(tx, rx, r, num_paths):
+    """A channel drawn from ``r``: its angles and its channel matrix."""
+    angles, gains = sample_channel(tx, rx, r, num_paths)
+    return angles, ray_matrix(tx, rx, angles, gains)
 
 
 class TestSelectBeams:
     def _setup(self, seed=0):
-        ch = _fig4_channel(seed)
-        cb = hierarchical_codebook(ch.tx_geom, 6)
-        rx = steering_beamformer(ch.rx_geom, ch.angles[0, 2], ch.angles[0, 3])
-        return cb, ch, rx
+        tx, rx = ArrayGeometry(1, 64), ArrayGeometry(1, 32)
+        angles, H = drawn_matrix(tx, rx, rng(seed), 3)
+        return hierarchical_codebook(tx, 6), H, steering_beamformer(rx, angles[0, 2], angles[0, 3])
 
     def test_single_beam_is_top_gain(self):
-        cb, ch, rx = self._setup()
-        ids = select_beams(cb, ch, rx, 1, window_db=6.0)
-        gains = composite_gains(cb, ch, rx)
+        cb, H, rx = self._setup()
+        ids = select_beams(cb, H, rx, 1, window_db=6.0)
+        gains = composite_gains(cb, H, rx)
         assert len(ids) == 1
         assert gains[_row(ids[0])] == gains.max()
 
     def test_five_distinct_beams_two_levels(self):
         found_multi = 0
         for seed in range(8):
-            cb, ch, rx = self._setup(seed)
-            ids = select_beams(cb, ch, rx, 5, window_db=10.0)
+            cb, H, rx = self._setup(seed)
+            ids = select_beams(cb, H, rx, 5, window_db=10.0)
             assert len(set(ids)) == 5
             if len({lvl for lvl, _ in ids}) >= 2:
                 found_multi += 1
@@ -252,27 +255,27 @@ class TestSelectBeams:
 
     def test_window_postcondition(self):
         for seed in range(8):
-            cb, ch, rx = self._setup(seed)
-            ids = select_beams(cb, ch, rx, 5, window_db=10.0)
-            chosen = composite_gains(cb, ch, rx)[[_row(i) for i in ids]]
+            cb, H, rx = self._setup(seed)
+            ids = select_beams(cb, H, rx, 5, window_db=10.0)
+            chosen = composite_gains(cb, H, rx)[[_row(i) for i in ids]]
             med = np.median(chosen)
             ratio = 10 ** (10.0 / 20.0)
             assert chosen.max() <= med * ratio * (1 + 1e-12)
             assert chosen.min() * ratio >= med * (1 - 1e-12)
 
     def test_deterministic(self):
-        cb, ch, rx = self._setup(4)
-        assert select_beams(cb, ch, rx, 5, 10.0) == select_beams(cb, ch, rx, 5, 10.0)
+        cb, H, rx = self._setup(4)
+        assert select_beams(cb, H, rx, 5, 10.0) == select_beams(cb, H, rx, 5, 10.0)
 
     def test_infeasible_raises(self):
-        cb, ch, rx = self._setup(2)
+        cb, H, rx = self._setup(2)
         with pytest.raises(SelectionInfeasibleError):
-            select_beams(cb, ch, rx, 40, window_db=0.01)
+            select_beams(cb, H, rx, 40, window_db=0.01)
 
 
-def _reference_selection(cb, ch, rx, count, window_db):
+def _reference_selection(cb, H, rx, count, window_db):
     """Selection by the rule written out loop by loop over per-codeword products."""
-    left = rx @ channel_matrix(ch)
+    left = rx @ H
     gains = {(level, index): float(np.abs(left @ cb.codeword(level, index)))
              for level in range(1, cb.depth + 1) for index in range(2**level)}
     ranked = sorted(gains.items(), key=lambda item: (-item[1], item[0]))
@@ -287,7 +290,7 @@ def _reference_selection(cb, ch, rx, count, window_db):
         if values.max() > med * ratio or values.min() * ratio < med:
             continue
         ids = [beam_id for beam_id, _ in window]
-        sectors = [Codebook.sector(*beam_id) for beam_id in ids]
+        sectors = [_sector_bounds(*beam_id) for beam_id in ids]
         diversity = sum(
             1
             for i in range(count)
@@ -305,12 +308,13 @@ class TestSelectionEqualsReference:
 
     @pytest.mark.parametrize("tx, rx", [((1, 64), (1, 32)), ((1, 16), (1, 8)), ((2, 16), (2, 8))])
     def test_gains_equal_one_dimensional_products(self, tx, rx):
-        ch = sample_channel(ArrayGeometry(*tx), ArrayGeometry(*rx), rng(5), 3)
-        cb = hierarchical_codebook(ch.tx_geom, min(6, int(np.log2(tx[1]))))
-        w_rx = sector_beamformer(ch.rx_geom, -1.0, 1.0)
-        left = w_rx @ channel_matrix(ch)
+        tx, rx = ArrayGeometry(*tx), ArrayGeometry(*rx)
+        _, H = drawn_matrix(tx, rx, rng(5), 3)
+        cb = hierarchical_codebook(tx, min(6, int(np.log2(tx.cols))))
+        w_rx = sector_beamformer(rx, -1.0, 1.0)
+        left = w_rx @ H
         ref = [float(np.abs(left @ w)) for w in cb.weights]
-        assert np.array_equal(composite_gains(cb, ch, w_rx), ref)
+        assert np.array_equal(composite_gains(cb, H, w_rx), ref)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -323,35 +327,35 @@ class TestSelectionEqualsReference:
     )
     def test_selection_equals_reference(self, seed, geoms, num_paths, pencil, count, window_db):
         tx, rx = (ArrayGeometry(*g) for g in geoms)
-        ch = sample_channel(tx, rx, rng(seed), num_paths)
+        angles, H = drawn_matrix(tx, rx, rng(seed), num_paths)
         cb = hierarchical_codebook(tx, min(6, int(np.log2(tx.cols))))
         if pencil:
-            w_rx = steering_beamformer(rx, ch.angles[0, 2], ch.angles[0, 3])
+            w_rx = steering_beamformer(rx, angles[0, 2], angles[0, 3])
         else:
             w_rx = sector_beamformer(rx, -1.0, 1.0)
-        ref = _reference_selection(cb, ch, w_rx, count, window_db)
+        ref = _reference_selection(cb, H, w_rx, count, window_db)
         if ref is None:
             with pytest.raises(SelectionInfeasibleError):
-                select_beams(cb, ch, w_rx, count, window_db)
+                select_beams(cb, H, w_rx, count, window_db)
         else:
-            assert select_beams(cb, ch, w_rx, count, window_db) == ref
+            assert select_beams(cb, H, w_rx, count, window_db) == ref
 
     def test_gain_ties_break_by_level_then_index(self):
         # rows copied from the strongest codeword tie with it bit for bit:
         # the tied ids rank in (level, index) order, whatever their rows
         tx, rx = ArrayGeometry(1, 16), ArrayGeometry(1, 8)
-        ch = sample_channel(tx, rx, rng(3), 2)
+        _, H = drawn_matrix(tx, rx, rng(3), 2)
         cb = hierarchical_codebook(tx, 4)
         w_rx = sector_beamformer(rx, -1.0, 1.0)
         W = cb.weights.copy()
-        top = int(np.argmax(composite_gains(cb, ch, w_rx)))
+        top = int(np.argmax(composite_gains(cb, H, w_rx)))
         tied = [r for r in (29, 17, 4, 1) if r != top][:3]
         W[tied] = W[top]
         cb = Codebook(geom=tx, depth=4, weights=W, ids=cb.ids)
         first = min(top, *tied)
-        assert select_beams(cb, ch, w_rx, 1, 3.0) == [tuple(cb.ids[first].tolist())]
+        assert select_beams(cb, H, w_rx, 1, 3.0) == [tuple(cb.ids[first].tolist())]
         for count in (2, 3, 4, 5):
-            assert select_beams(cb, ch, w_rx, count, 30.0) == _reference_selection(cb, ch, w_rx, count, 30.0)
+            assert select_beams(cb, H, w_rx, count, 30.0) == _reference_selection(cb, H, w_rx, count, 30.0)
 
 
 class TestSelectionEqualsMedianReference:
@@ -372,7 +376,7 @@ class TestSelectionEqualsMedianReference:
         # exactly 0: windows whose middle gains tie, or are all zero
         tx, rx = (ArrayGeometry(*g) for g in geoms)
         r = rng(seed)
-        ch = sample_channel(tx, rx, r, num_paths)
+        _, H = drawn_matrix(tx, rx, r, num_paths)
         cb = hierarchical_codebook(tx, min(6, int(np.log2(tx.cols))))
         W = cb.weights.copy()
         W[r.integers(len(W), size=tied)] = W[r.integers(len(W), size=tied)]
@@ -380,9 +384,9 @@ class TestSelectionEqualsMedianReference:
         cb = Codebook(geom=tx, depth=cb.depth, weights=W, ids=cb.ids)
         w_rx = sector_beamformer(rx, -1.0, 1.0)
         try:
-            expected = reference_select_beams(cb, ch, w_rx, count, window_db)
+            expected = reference_select_beams(cb, H, w_rx, count, window_db)
         except SelectionInfeasibleError:
             with pytest.raises(SelectionInfeasibleError):
-                select_beams(cb, ch, w_rx, count, window_db)
+                select_beams(cb, H, w_rx, count, window_db)
         else:
-            assert select_beams(cb, ch, w_rx, count, window_db) == expected
+            assert select_beams(cb, H, w_rx, count, window_db) == expected

@@ -10,12 +10,11 @@ from mmkeygen.channel import (
     ArrayGeometry,
     array_response,
     channel_matrix,
-    evolve,
     sample_channel,
     virtual_channel,
 )
 from mmkeygen.probing import bidirectional_probe
-from reference import dft_matrix
+from reference import ar1_gains, dft_matrix, ray_matrix, responses
 from reference import virtual_channel as reference_virtual_channel
 
 
@@ -110,22 +109,20 @@ class TestSampleChannel:
         r = rng(7)
         ratios = np.empty(100_000)
         for i in range(ratios.size):
-            ch = sample_channel(geom, geom, r, 2, nlos_offset_db=10.0)
-            los, nlos = ch.gains
+            _, (los, nlos) = sample_channel(geom, geom, r, 2, nlos_offset_db=10.0)
             ratios[i] = abs(nlos) ** 2 / abs(los) ** 2
         assert abs(ratios.mean() - 0.1) < 0.01
 
     def test_single_path_is_los(self):
-        ch = sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(3), 1)
-        assert ch.num_paths == 1
-        assert abs(abs(ch.gains[0]) - 1.0) < 1e-12
+        angles, gains = sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(3), 1)
+        assert angles.shape == (1, 4) and gains.shape == (1,) and gains.dtype == complex
+        assert abs(abs(gains[0]) - 1.0) < 1e-12
 
     def test_same_seed_same_realization(self):
         geom = ArrayGeometry(2, 4)
         a = sample_channel(geom, geom, rng(11), 3)
         b = sample_channel(geom, geom, rng(11), 3)
-        assert np.array_equal(a.gains, b.gains) and np.array_equal(a.angles, b.angles)
-        assert (a.tx_geom, a.rx_geom, a.nlos_offset_db) == (b.tx_geom, b.rx_geom, b.nlos_offset_db)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
     def test_zero_paths_rejected(self):
         with pytest.raises(ValueError, match="num_paths"):
@@ -137,57 +134,49 @@ class TestSampleChannel:
             sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(0), 2, nlos_offset_db=offset)
 
     def test_angles_in_front_hemisphere(self):
-        ch = sample_channel(ArrayGeometry(1, 8), ArrayGeometry(1, 8), rng(5), 5)
-        assert ch.angles.shape == (5, 4)
-        for a in ch.angles.ravel():
+        angles, gains = sample_channel(ArrayGeometry(1, 8), ArrayGeometry(1, 8), rng(5), 5)
+        assert angles.shape == (5, 4) and gains.shape == (5,)
+        for a in angles.ravel():
             assert -np.pi / 2 <= a < np.pi / 2
 
-
-class TestChannelRealization:
-    def test_arrays_are_read_only_copies(self):
-        gains = np.array([1.0 + 0j, 0.1j])
-        angles = np.zeros((2, 4))
-        ch = chn.ChannelRealization(gains, angles, ArrayGeometry(1, 4), ArrayGeometry(1, 4))
-        gains[0] = 5.0
-        assert ch.gains[0] == 1.0
-        with pytest.raises(ValueError):
-            ch.angles[0, 0] = 0.1
-
-    @pytest.mark.parametrize("bad", [np.pi / 2, -np.pi / 2 - 1e-9, np.nan])
-    def test_angle_range_checked(self, bad):
-        angles = np.zeros((2, 4))
-        angles[1, 3] = bad
-        with pytest.raises(ValueError, match="outside"):
-            chn.ChannelRealization([1.0, 0.1], angles, ArrayGeometry(1, 4), ArrayGeometry(1, 4))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            chn.ChannelRealization([1.0, 0.1], np.zeros((3, 4)), ArrayGeometry(1, 4), ArrayGeometry(1, 4))
-
-    def test_no_paths_rejected(self):
-        with pytest.raises(ValueError, match="at least one path"):
-            chn.ChannelRealization([], np.zeros((0, 4)), ArrayGeometry(1, 4), ArrayGeometry(1, 4))
+    @pytest.mark.parametrize("grid_cols", [None, (4, 7)])
+    def test_angles_in_range_at_the_uniform_edges(self, grid_cols):
+        # the smallest and largest uniforms a draw gives map inside [-pi/2, pi/2),
+        # on the DFT grids too: no channel leaves the range it is built on
+        u = np.array([[0.0] * 12 + [0.5], [1.0 - 2.0**-53] * 12 + [0.5]])
+        angles, _ = chn._paths(u, np.zeros((2, 4)), 10.0, grid_cols)
+        assert angles.min() == -np.pi / 2 and angles.max() < np.pi / 2
 
 
 class TestChannelMatrix:
     def test_single_path_rank_one(self):
-        ch = sample_channel(ArrayGeometry(1, 8), ArrayGeometry(1, 4), rng(2), 1)
-        H = channel_matrix(ch)
+        tx, rx = ArrayGeometry(1, 8), ArrayGeometry(1, 4)
+        H = ray_matrix(tx, rx, *sample_channel(tx, rx, rng(2), 1))
         assert H.shape == (4, 8)
         s = np.linalg.svd(H, compute_uv=False)
         assert s[1] < 1e-12 * s[0]
 
     def test_single_path_frobenius_norm(self):
-        ch = sample_channel(ArrayGeometry(2, 8), ArrayGeometry(1, 4), rng(2), 1)
-        H = channel_matrix(ch)
+        tx, rx = ArrayGeometry(2, 8), ArrayGeometry(1, 4)
+        H = ray_matrix(tx, rx, *sample_channel(tx, rx, rng(2), 1))
         # unit-magnitude LoS gain and unit-norm responses
         assert abs(np.linalg.norm(H) - np.sqrt(16 * 4)) < 1e-9
 
     def test_out_equals_fresh_matrix(self):
-        ch = sample_channel(ArrayGeometry(2, 4), ArrayGeometry(1, 4), rng(5), 3)
+        tx, rx = ArrayGeometry(2, 4), ArrayGeometry(1, 4)
+        angles, gains = sample_channel(tx, rx, rng(5), 3)
+        a_tx, a_rx = responses(tx, rx, angles)
         out = np.full((4, 8), np.nan, dtype=complex)
-        assert channel_matrix(ch, out=out) is out
-        assert out.tobytes() == channel_matrix(ch).tobytes()
+        assert channel_matrix(a_rx, gains, a_tx, out=out) is out
+        assert out.tobytes() == channel_matrix(a_rx, gains, a_tx).tobytes()
+
+    def test_equals_sum_of_path_outer_products(self):
+        # H = sqrt(Nt Nr / L) sum_l g_l a_rx(aoa_l) a_tx(aod_l)^T, one path at a time
+        tx, rx = ArrayGeometry(2, 4), ArrayGeometry(1, 6)
+        angles, gains = sample_channel(tx, rx, rng(7), 4)
+        a_tx, a_rx = responses(tx, rx, angles)
+        ref = sum(g * np.outer(r, t) for g, r, t in zip(gains, a_rx, a_tx)) * np.sqrt(8 * 6 / 4)
+        assert np.max(np.abs(channel_matrix(a_rx, gains, a_tx) - ref)) < 1e-12
 
     def test_expected_power_three_paths(self):
         # Analytic: E||H||_F^2 = Nt*Nr*(1 + 2*0.1)/3, cross-checked by MC.
@@ -196,25 +185,31 @@ class TestChannelMatrix:
         acc = 0.0
         n = 10_000
         for _ in range(n):
-            acc += np.linalg.norm(channel_matrix(sample_channel(tx, rx, r, 3))) ** 2
+            acc += np.linalg.norm(ray_matrix(tx, rx, *sample_channel(tx, rx, r, 3))) ** 2
         expected = 8 * 4 * (1 + 2 * 0.1) / 3
         assert abs(acc / n / expected - 1.0) < 0.02
 
 
-class TestEvolve:
+class TestInnovationsThroughAr1:
+    """The AR(1) gain process as a multires trial runs it: ``_draw_innovations``, then ``_ar1``."""
+
+    @staticmethod
+    def gains(seed, num_paths):
+        return sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(seed), num_paths)[1]
+
     def test_rho_one_identical(self):
-        ch = sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1), 3)
-        out = evolve(ch, 1.0, rng(2), 3)
+        gains = self.gains(1, 3)
+        out = ar1_gains(gains, 1.0, rng(2), 3, 10.0)
         assert out.shape == (3, 3)
-        assert all(np.array_equal(row, ch.gains) for row in out)
+        assert all(np.array_equal(row, gains) for row in out)
 
     def test_rho_zero_uncorrelated(self):
         geom = ArrayGeometry(1, 4)
         r = rng(17)
         before, after = np.empty(10_000, complex), np.empty(10_000, complex)
         for i in range(before.size):
-            ch = sample_channel(geom, geom, r, 2)
-            before[i], after[i] = ch.gains[1], evolve(ch, 0.0, r, 1)[0, 1]
+            _, gains = sample_channel(geom, geom, r, 2)
+            before[i], after[i] = gains[1], ar1_gains(gains, 0.0, r, 1, 10.0)[0, 1]
         corr = np.vdot(before - before.mean(), after - after.mean())
         corr /= np.linalg.norm(before - before.mean()) * np.linalg.norm(after - after.mean())
         assert abs(corr) < 0.02
@@ -226,9 +221,9 @@ class TestEvolve:
         p_before = np.empty(10_000)
         p_after = np.empty(10_000)
         for i in range(p_before.size):
-            ch = sample_channel(geom, geom, r, 2)
-            ev = evolve(ch, rho, r, 1)[0]
-            p_before[i] = sum(abs(g) ** 2 for g in ch.gains)
+            _, gains = sample_channel(geom, geom, r, 2)
+            ev = ar1_gains(gains, rho, r, 1, 10.0)[0]
+            p_before[i] = sum(abs(g) ** 2 for g in gains)
             p_after[i] = sum(abs(g) ** 2 for g in ev)
         assert abs(p_after.mean() / p_before.mean() - 1.0) < 0.02
 
@@ -240,41 +235,35 @@ class TestEvolve:
         before = np.empty(10_000)
         after = np.empty(10_000)
         for i in range(before.size):
-            ch = sample_channel(geom, geom, r, 2)
-            before[i], after[i] = abs(ch.gains[1]), abs(evolve(ch, 0.7, r, 1)[0, 1])
+            _, gains = sample_channel(geom, geom, r, 2)
+            before[i], after[i] = abs(gains[1]), abs(ar1_gains(gains, 0.7, r, 1, 10.0)[0, 1])
         assert stats.ks_2samp(before, after).pvalue > 0.01
 
-    def test_angles_unchanged(self):
-        # evolve returns gains only and leaves the realization as it was
-        ch = sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1), 3)
-        gains, angles = ch.gains.copy(), ch.angles.copy()
-        out = evolve(ch, 0.3, rng(4), 5)
+    def test_initial_gains_unchanged(self):
+        gains = self.gains(1, 3)
+        kept = gains.copy()
+        out = ar1_gains(gains, 0.3, rng(4), 5, 10.0)
         assert out.shape == (5, 3)
-        assert np.array_equal(ch.gains, gains) and np.array_equal(ch.angles, angles)
+        assert np.array_equal(gains, kept)
 
     def test_draw_order(self):
         # per step one uniform LoS phase, then the real and the imaginary
         # NLoS innovations; scalar steps drawn that way give the same gains
         # bit for bit
-        ch = sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1), 3)
+        gains = self.gains(1, 3)
         rho = 0.6
-        out = evolve(ch, rho, rng(9), 4)
+        out = ar1_gains(gains, rho, rng(9), 4, 10.0)
         r = rng(9)
         n_nlos = 2
         sigma = np.sqrt(10.0 ** (-10.0 / 10.0) / 2.0)
         mix = np.sqrt(1.0 - rho * rho)
-        gains = list(ch.gains)
+        gains = list(gains)
         for row in out:
             los_eps = np.exp(1j * r.uniform(0.0, 2.0 * np.pi))
             nlos_eps = sigma * (r.standard_normal(n_nlos) + 1j * r.standard_normal(n_nlos))
             eps = [los_eps, *nlos_eps]
             gains = [rho * g + mix * e for g, e in zip(gains, eps)]
             assert np.array_equal(row, gains)
-
-    def test_bad_rho_rejected(self):
-        ch = sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(1), 1)
-        with pytest.raises(ValueError, match="rho"):
-            evolve(ch, 1.5, rng(0), 1)
 
 
 def reference_ar1(gains, eps, rho):
@@ -378,13 +367,8 @@ class TestVirtualChannel:
         # Grid sines for a 16-point DFT with half-wavelength spacing.
         geom = ArrayGeometry(1, 16)
         grid = lambda j: -1.0 + 2.0 * j / 16
-        ch = chn.ChannelRealization(
-            gains=[1.0],
-            angles=[[float(np.arcsin(grid(5))), 0.0, float(np.arcsin(grid(12))), 0.0]],
-            tx_geom=geom,
-            rx_geom=geom,
-        )
-        Hv = virtual_channel(channel_matrix(ch), geom, geom)
+        H = ray_matrix(geom, geom, [[float(np.arcsin(grid(5))), 0.0, float(np.arcsin(grid(12))), 0.0]], [1.0])
+        Hv = virtual_channel(H, geom, geom)
         assert np.sum(np.abs(Hv) > 1e-9) == 1
 
     def test_round_trip(self):
@@ -495,8 +479,7 @@ class TestVirtualChannel:
         rx = ArrayGeometry(1, 1)
         for frac in np.linspace(0.0, 0.5, 26):
             s = -1.0 + 2.0 * (10 + frac) / n
-            ch = chn.ChannelRealization([1.0], [[float(np.arcsin(s)), 0.0, 0.0, 0.0]], tx, rx)
-            Hv = virtual_channel(channel_matrix(ch), tx, rx)
+            Hv = virtual_channel(ray_matrix(tx, rx, [[float(np.arcsin(s)), 0.0, 0.0, 0.0]], [1.0]), tx, rx)
             power = np.abs(Hv.ravel()) ** 2
             assert power.max() / power.sum() >= 0.40
 
@@ -508,9 +491,8 @@ class TestAwgn:
     @staticmethod
     def noise(blocks, pairs, snr_db, seed, az=0.0):
         geom = ArrayGeometry(1, 4)
-        ch = chn.ChannelRealization(np.zeros(1), np.zeros((1, 4)), geom, geom)
         w = np.stack([steering_beamformer(geom, az)] * pairs)
-        return bidirectional_probe(w, w, ch, np.zeros((blocks, 1)), snr_db, rng(seed))
+        return bidirectional_probe(w, w, *responses(geom, geom, np.zeros((1, 4))), np.zeros((blocks, 1)), snr_db, rng(seed))
 
     def test_zero_signal_unit_variance(self):
         # at 0 dB each direction has unit variance, half in each of re and im

@@ -282,7 +282,7 @@ class TestRunPath:
         # a wrapper rebound there (as a tracer does) sees every call
         calls = Counter()
         for module, name in (
-            (schemes, "_paths_matrix"),
+            (schemes, "channel_matrix"),
             (schemes, "estimate_channel"),
             (schemes, "virtual_channel"),
             (experiments, "secret_beam_batch"),
@@ -304,19 +304,19 @@ class TestRunPath:
         calls.clear()
         run_scenario(small_cfg("fig3", trials=2, snr_grid=[0]))
         # three virtual cases of 2 trials and the baseline of 5, one round
-        # each, each round's matrix through the product channel_matrix also
-        # computes, and each party's estimate
+        # each, each round's channel matrix, and each party's estimate
         assert calls == {
             "virtual_angle_batch": 3,
             "baseline_batch": 1,
             "_score": 4,
-            "_paths_matrix": 3 * 2 + 5,
+            "channel_matrix": 3 * 2 + 5,
             "estimate_channel": 2 * (3 * 2 + 5),
             "virtual_channel": 2 * 3 * 2,
         }
         calls.clear()
         run_scenario(small_cfg("custom", trials=20, snr_grid=[0, 10, 20], scheme={"scheme": '"multires"'}))
-        assert calls == {"multires_batch": 1, "_score": 1}
+        # one trial at each of the 3 points, each channel matrix selecting its beams
+        assert calls == {"multires_batch": 1, "_score": 1, "channel_matrix": 3}
 
 
 # each preset at a small scale, fig4 at the least blocks its estimator
@@ -357,13 +357,14 @@ class TestNoMaskedArrays:
 
 
 def per_point_rows(cfg):
-    """The rows of a secret-beam scenario with each point run as its own batch, scored from each record's properties."""
+    """The rows of a secret-beam scenario with each point run as its own batch, scored from each record's agreement."""
     rows = []
     for case_idx, (outputs, template, trials) in enumerate(_cases(cfg)):
         for snr_idx, snr in enumerate(cfg.snr_grid):
             trial_seeds = _trial_seeds(cfg, case_idx, snr_idx, trials)
             records = list(secret_beam_batch(replace(template, snr_db=snr), trial_seeds, [snr] * trials))
-            values = np.array([[getattr(record, metric) for _, metric in outputs] for record in records])
+            scores = [dict(zip(("bar_legit", "bar_eve"), record.agreement())) for record in records]
+            values = np.array([[score[metric] for _, metric in outputs] for score in scores])
             rows.extend(
                 ResultRow(cfg.scenario, label, snr, metric, *_mean_stderr(values[:, j]), trials, cfg.master_seed)
                 for j, (label, metric) in enumerate(outputs)

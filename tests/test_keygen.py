@@ -17,19 +17,17 @@ from mmkeygen.keygen import (
     _calibrated_cells,
     _calibration_range,
     _entropy_rates,
+    _gray_cells,
     _locate,
     bar,
     cascade,
     extract_randomness,
-    gray_encode_indices,
     key_entropy_rate,
-    pack_indices,
     privacy_amplify,
-    quantize,
 )
 from mmkeygen.schemes import _rate_and_stderr
 from reference import calibrated_cells as reference_calibrated_cells
-from reference import cell_indices, jackknife_rate, toeplitz_hash
+from reference import cell_indices, jackknife_rate, pack_indices, toeplitz_hash
 from reference import key_entropy_rate as reference_key_entropy_rate
 
 
@@ -63,22 +61,19 @@ class TestExtractRandomness:
 
 
 class TestQuantize:
+    """The quantizer's config, and the Gray-coded cells ``_gray_cells`` gives the baseline and multires keys."""
+
     def test_two_levels(self):
-        cfg = QuantizerConfig(levels=2, lo=0.0, hi=1.0)
-        out = quantize([0.1, 0.9], cfg)
-        assert list(out.bits) == [0, 1]
+        assert _gray_cells(np.array([[0.1, 0.9]]), 2, 0.0, 1.0).tolist() == [[0, 1]]
 
     def test_sixteen_levels_four_bits_per_sample(self):
-        cfg = QuantizerConfig(levels=16, lo=-1.0, hi=1.0)
-        out = quantize(rng(3).uniform(-1, 1, size=25), cfg)
-        assert len(out) == 25 * 4
+        cells = _gray_cells(rng(3).uniform(-1, 1, size=(1, 25)), 16, -1.0, 1.0)
+        assert cells.shape == (1, 25) and 0 <= cells.min() and cells.max() < 2**4
 
     def test_gray_adjacent_cells_one_bit(self):
-        cfg = QuantizerConfig(levels=16, lo=0.0, hi=16.0)
         for cell in range(15):
-            a = quantize([cell + 0.5], cfg)
-            b = quantize([cell + 1.5], cfg)
-            assert int(np.sum(a.bits != b.bits)) == 1
+            a, b = _gray_cells(np.array([[cell + 0.5, cell + 1.5]]), 16, 0.0, 16.0)[0].tolist()
+            assert (a ^ b).bit_count() == 1
 
     def test_levels_power_of_two_enforced(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -86,7 +81,7 @@ class TestQuantize:
 
     def test_levels_fit_int64_cells(self):
         # 2**63 cells used to wrap in the int64 cast, to wrong cells
-        assert QuantizerConfig(levels=2**62).bits_per_sample == 62
+        assert QuantizerConfig(levels=2**62).levels == 2**62
         with pytest.raises(ValueError, match="exceeds 2\\*\\*62"):
             QuantizerConfig(levels=2**63)
 
@@ -103,14 +98,15 @@ class TestQuantize:
         with pytest.raises(ValueError, match="both quantizer bounds or neither"):
             QuantizerConfig(levels=4, **bounds)
 
-    def test_quantize_cells_equal_one_stream_formula(self):
-        cfg = QuantizerConfig(levels=8, lo=-1.5, hi=2.5)
+    def test_gray_cells_equal_one_stream_formula(self):
         x = rng(4).uniform(-3.0, 4.0, 500)
-        assert quantize(x, cfg).equals(gray_encode_indices(cell_indices(x, 8, -1.5, 2.5), 3))
+        idx = cell_indices(x, 8, -1.5, 2.5)
+        assert np.array_equal(_gray_cells(x[None], 8, -1.5, 2.5)[0], idx ^ (idx >> 1))
 
-    def test_unset_range_rejected(self):
-        with pytest.raises(ValueError, match="calibrated"):
-            quantize([0.5], QuantizerConfig(levels=4))
+    def test_unset_range_calibrates_each_row(self):
+        samples = rng(5).standard_normal((3, 400)) * [[1.0], [4.0], [0.2]]
+        idx = reference_calibrated_cells(samples, 4)
+        assert np.array_equal(_gray_cells(samples, 4), idx ^ (idx >> 1))
 
     def test_calibrated_percentiles(self):
         samples = np.linspace(0, 100, 1001)
@@ -727,13 +723,10 @@ class TestEntropyRateMatchesReference:
 
 
 class TestBitPlumbing:
+    # pack_indices is the tests' reference for a record's key bits
     def test_pack_indices_msb_first(self):
         out = pack_indices([5], 4)
         assert list(out.bits) == [0, 1, 0, 1]
-
-    def test_gray_encode(self):
-        out = gray_encode_indices([2], 2)  # gray(2) = 3
-        assert list(out.bits) == [1, 1]
 
     def test_width_overflow_rejected(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -8,25 +8,14 @@ from hypothesis import strategies as st
 from mmkeygen import schemes, seeds
 from mmkeygen.probing import bidirectional_probe
 from mmkeygen.beamforming import hierarchical_codebook, sector_beamformer, steering_beamformer
-from mmkeygen.channel import (
-    ArrayGeometry,
-    array_response,
-    channel_matrix,
-    evolve,
-    response_matrices,
-    sample_channel,
-    virtual_channel,
-)
+from mmkeygen.channel import ArrayGeometry, array_response, sample_channel, virtual_channel
 from mmkeygen.keygen import (
     BitString,
     QuantizerConfig,
     _calibrated_cells,
     bar,
     extract_randomness,
-    gray_encode_indices,
     key_entropy_rate,
-    pack_indices,
-    quantize,
 )
 from mmkeygen.schemes import (
     SCHEMES,
@@ -39,17 +28,41 @@ from mmkeygen.schemes import (
     baseline_batch,
     estimate_channel,
     multires_batch,
-    multires_session,
     secret_beam_batch,
     secret_beam_session,
     virtual_angle_batch,
-    virtual_angle_session,
 )
-from reference import baseline_symbols, cell_indices, jackknife_rate, session_channel, virtual_symbols
+from reference import (
+    ar1_gains,
+    baseline_symbols,
+    cell_indices,
+    jackknife_rate,
+    key_bits,
+    pack_indices,
+    ray_matrix,
+    responses,
+    session_channel,
+    virtual_symbols,
+)
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def session(batch, cfg):
+    """The record of ``batch`` run on ``cfg`` as one trial, at its master seed and SNR."""
+    return next(batch(cfg, [cfg.master_seed], [cfg.snr_db]))
+
+
+def bdr(record):
+    """A record's bit disagreement ratio between Alice and Bob."""
+    return 1.0 - record.agreement()[0]
+
+
+def gray_bits(cells, width):
+    """Gray-coded cells, written out ``width`` bits each, most significant first."""
+    return pack_indices(cells ^ (cells >> 1), width)
 
 
 def fig2_cfg(**kw):
@@ -105,7 +118,7 @@ class TestSecretBeam:
     def test_noiseless_single_path_exact(self):
         res = secret_beam_session(fig2_cfg(snr_db=200.0, num_paths=1, rounds=200))
         assert res.bar_legit == 1.0
-        assert res.bits_alice.equals(res.bits_bob)
+        assert key_bits(res, 0).equals(key_bits(res, 1))
 
     def test_more_antennas_higher_bar(self):
         big = secret_beam_session(
@@ -119,27 +132,27 @@ class TestSecretBeam:
     @pytest.mark.parametrize("eve", ["alice", "bob"])
     def test_eve_near_chance(self, eve):
         res = secret_beam_session(fig2_cfg(eve=eve, rounds=2500, snr_db=10.0))
-        assert abs(res.bar_eve - 0.5) < 0.03
+        assert abs(res.agreement()[1] - 0.5) < 0.03
 
     def test_xor_identity_when_estimates_exact(self):
         res = secret_beam_session(fig2_cfg(snr_db=200.0, num_paths=1, rounds=64))
-        assert res.bits_alice.equals(res.bits_bob)
+        assert key_bits(res, 0).equals(key_bits(res, 1))
 
     def test_deterministic(self):
         a = secret_beam_session(fig2_cfg(rounds=20))
         b = secret_beam_session(fig2_cfg(rounds=20))
-        assert a.bits_alice.equals(b.bits_alice)
+        assert key_bits(a, 0).equals(key_bits(b, 0))
         assert a.bar_legit == b.bar_legit
 
     def test_key_lengths(self):
         res = secret_beam_session(fig2_cfg(rounds=25))
-        assert len(res.bits_alice) == 25 * 4
-        assert len(res.bits_alice) == len(res.bits_bob) == len(res.bits_eve)
+        assert len(key_bits(res, 0)) == 25 * 4
+        assert len(key_bits(res, 0)) == len(key_bits(res, 1)) == len(key_bits(res, 2))
 
     def test_no_eve_nan(self):
         res = secret_beam_session(fig2_cfg(eve=None, rounds=10))
-        assert np.isnan(res.bar_eve)
-        assert res.bits_eve is None
+        assert np.isnan(res.agreement()[1])
+        assert len(res.symbols) == 2
 
 
 def reference_beam_streams(cfg):
@@ -159,16 +172,16 @@ def reference_beam_streams(cfg):
     rng_pb = seeds.generator(seed, seeds.STREAM_PERTURB_BOB)
     rng_guess = seeds.generator(seed, seeds.STREAM_EVE_GUESS)
 
-    ch = session_channel(cfg, rng_channel)
-    aod_az, aod_el, aoa_az, aoa_el = ch.angles[0]
+    angles, alpha = session_channel(cfg, rng_channel)
+    aod_az, aod_el, aoa_az, aoa_el = angles[0]
     deltas = cfg.delta_max * np.arange(1, K + 1) / K
     beams_a, lut_a = _perturbation_beams(cfg.alice, aod_az, aod_el, deltas)
     beams_b, lut_b = _perturbation_beams(cfg.bob, aoa_az, aoa_el, deltas)
 
-    a_rx, a_tx = response_matrices(ch)
+    a_tx, a_rx = responses(cfg.alice, cfg.bob, angles)
     scale = np.sqrt(cfg.alice.size * cfg.bob.size / cfg.num_paths)
-    tx_a = a_tx.T @ beams_a.T  # (L, K+1)
-    tx_b = a_rx.T @ beams_b.T  # (L, K+1)
+    tx_a = a_tx @ beams_a.T  # (L, K+1)
+    tx_b = a_rx @ beams_b.T  # (L, K+1)
 
     sigma = np.sqrt(10.0 ** (-cfg.snr_db / 10.0) / 2.0)
 
@@ -177,8 +190,7 @@ def reference_beam_streams(cfg):
 
     out = {name: np.empty(cfg.rounds, dtype=np.int64) for name in BEAM_STREAMS}
     for t in range(cfg.rounds):
-        alpha = evolve(ch, cfg.temporal_rho, rng_evolve, 1)[0]
-        ch = replace(ch, gains=alpha)
+        alpha = ar1_gains(alpha, cfg.temporal_rho, rng_evolve, 1, cfg.nlos_offset_db)[0]
         k_a = int(rng_pa.integers(0, K))
         k_b = int(rng_pb.integers(0, K))
         base_fwd = scale * (alpha * tx_b[:, 0])  # Bob combines on his nominal beam
@@ -277,7 +289,7 @@ class TestSecretBeamBatch:
             keys = [pack_indices(symbols, record.width).bits for symbols in expected]
             assert record.bar_legit == (keys[0] == keys[1]).mean()
             if cfg.eve is None:
-                assert record.bits_eve is None and np.isnan(record.bar_eve)
+                assert len(record.symbols) == 2 and np.isnan(record.agreement()[1])
 
     @settings(max_examples=30, deadline=None)
     @given(secret_beam_configs(), st.lists(st.tuples(U64_SEEDS, TRIAL_SNRS), min_size=1, max_size=6), st.data())
@@ -329,8 +341,8 @@ class TestSecretBeamBatch:
         cfg = fig2_cfg(rounds=12, eve="bob", num_paths=3, temporal_rho=0.4)
         res = secret_beam_session(cfg)
         assert np.array_equal(res.symbols, reference_beam_symbols(cfg))
-        assert res.bar_legit == bar(res.bits_alice, res.bits_bob)
-        assert res.bar_eve == bar(res.bits_eve, res.bits_alice)
+        assert res.bar_legit == bar(key_bits(res, 0), key_bits(res, 1))
+        assert res.agreement()[1] == bar(key_bits(res, 2), key_bits(res, 0))
 
 
 class TestPerturbationBeams:
@@ -371,13 +383,13 @@ class TestPerturbationBeams:
         cfg = fig3_cfg(alice=ArrayGeometry(1, 64), bob=ArrayGeometry(1, 32), num_paths=6)
         for t in range(20):
             raw = sample_channel(cfg.alice, cfg.bob, seeds.generator(t, 1), cfg.num_paths, cfg.nlos_offset_db)
-            ch = sample_channel(cfg.alice, cfg.bob, seeds.generator(t, 1), cfg.num_paths, cfg.nlos_offset_db, True)
-            assert np.array_equal(ch.gains, raw.gains)
-            # both equal the draws taken one at a time
-            for grid, drawn in ((False, raw), (True, ch)):
+            snapped = sample_channel(cfg.alice, cfg.bob, seeds.generator(t, 1), cfg.num_paths, cfg.nlos_offset_db, True)
+            assert np.array_equal(snapped[1], raw[1])
+            # both (angles, gains) equal the draws taken one at a time
+            for grid, drawn in ((False, raw), (True, snapped)):
                 ref = session_channel(replace(cfg, grid_angles=grid), seeds.generator(t, 1))
-                assert ref.angles.tobytes() == drawn.angles.tobytes() and ref.gains.tobytes() == drawn.gains.tobytes()
-            for (aod, _, aoa, _), row in zip(raw.angles, ch.angles):
+                assert all(r.tobytes() == d.tobytes() for r, d in zip(ref, drawn, strict=True))
+            for (aod, _, aoa, _), row in zip(raw[0], snapped[0]):
                 assert tuple(row) == (snap(aod, 64), 0.0, snap(aoa, 32), 0.0)
 
 
@@ -426,12 +438,12 @@ class TestSessionValidation:
             assert fig2_cfg(snr_db=snr_db).snr_db == snr_db
 
 
-# each scheme's batch and sessions, and a config valid for it
+# each scheme's batch and session, and a config valid for it
 RUNS = {
     "secret_beam": (fig2_cfg(), secret_beam_batch, secret_beam_session),
-    "virtual": (fig3_cfg(), virtual_angle_batch, virtual_angle_session),
+    "virtual": (fig3_cfg(), virtual_angle_batch),
     "baseline": (fig3_cfg(scheme="baseline"), baseline_batch),
-    "multires": (fig4_cfg(), multires_batch, multires_session),
+    "multires": (fig4_cfg(), multires_batch),
 }
 
 
@@ -465,7 +477,7 @@ class TestSchemeChecks:
         with pytest.raises(ValueError, match="runs 'secret_beam' sessions"):
             secret_beam_session(SessionConfig(scheme="virtual", delta_max=0.0, rounds=2))
         with pytest.raises(ValueError, match="runs 'multires' sessions"):
-            multires_session(SessionConfig(scheme="virtual", rounds=1))
+            session(multires_batch, SessionConfig(scheme="virtual", rounds=1))
 
 
 class TestSchemeResult:
@@ -484,14 +496,12 @@ class TestSchemeResult:
                 symbols[party] = symbols[0] if kind == "equal" else symbols[0] ^ top
         record = SchemeResult(symbols, width, probes_used=1)
         alice, bob = (pack_indices(keys, width) for keys in symbols[:2])
-        assert record.bits_alice.equals(alice) and record.bits_bob.equals(bob)
-        assert record.bar_legit == bar(alice, bob)
-        assert record.bdr == 1.0 - bar(alice, bob)
+        bar_legit, bar_eve = record.agreement()
+        assert record.bar_legit == bar_legit == bar(alice, bob)
         if parties == 3:
-            assert record.bar_eve == bar(pack_indices(symbols[2], width), alice)
-            assert record.bits_eve.equals(pack_indices(symbols[2], width))
+            assert bar_eve == bar(pack_indices(symbols[2], width), alice)
         else:
-            assert np.isnan(record.bar_eve) and record.bits_eve is None
+            assert np.isnan(bar_eve)
 
     def test_probes_used(self):
         # secret beam: a calibration and a keyed pilot each way per round;
@@ -499,10 +509,10 @@ class TestSchemeResult:
         # bidirectional probe on each of 2P beams per block
         small = dict(alice=ArrayGeometry(1, 8), bob=ArrayGeometry(1, 4), rounds=3)
         assert secret_beam_session(fig2_cfg(rounds=7)).probes_used == 4 * 7
-        assert virtual_angle_session(fig3_cfg(**small)).probes_used == 2 * 3
+        assert session(virtual_angle_batch, fig3_cfg(**small)).probes_used == 2 * 3
         [record] = baseline_batch(fig3_cfg(scheme="baseline", **small), [1], [0.0])
         assert record.probes_used == 2 * 3
-        assert multires_session(fig4_cfg(rounds=200)).probes_used == 4 * 5 * 200
+        assert session(multires_batch, fig4_cfg(rounds=200)).probes_used == 4 * 5 * 200
 
 
 class TestEstimateChannel:
@@ -556,26 +566,24 @@ def strongest_bins(H, num_paths, tx_geom, rx_geom):
 class TestVirtualAngleBits:
     def test_grid_aligned_single_path(self):
         geom = ArrayGeometry(1, 16)
-        from mmkeygen.channel import ChannelRealization
-
         grid = lambda j: float(np.arcsin(-1 + 2 * j / 16))
-        ch = ChannelRealization(gains=[1.0], angles=[[grid(3), 0.0, grid(9), 0.0]], tx_geom=geom, rx_geom=geom)
-        [symbol], bits = strongest_bins(channel_matrix(ch), 1, geom, geom)
+        H = ray_matrix(geom, geom, [[grid(3), 0.0, grid(9), 0.0]], [1.0])
+        [symbol], bits = strongest_bins(H, 1, geom, geom)
         assert bits == 4 + 4
         # recover the pair and check it is the single dominant bin
-        Hv = virtual_channel(channel_matrix(ch), geom, geom)
+        Hv = virtual_channel(H, geom, geom)
         r0, c0 = np.unravel_index(np.argmax(np.abs(Hv)), Hv.shape)
         assert divmod(int(symbol), 16) == (r0, c0)
 
     def test_output_length(self):
         cfg = fig3_cfg(rounds=1)
-        ch = session_channel(cfg, seeds.generator(1, 1))
-        symbols, bits = strongest_bins(channel_matrix(ch), 3, cfg.alice, cfg.bob)
+        H = ray_matrix(cfg.alice, cfg.bob, *session_channel(cfg, seeds.generator(1, 1)))
+        symbols, bits = strongest_bins(H, 3, cfg.alice, cfg.bob)
         assert symbols.size * bits == 3 * (7 + 7)
 
     def test_identical_at_high_snr(self):
-        res = virtual_angle_session(fig3_cfg(snr_db=200.0, rounds=20))
-        assert res.bdr == 0.0
+        res = session(virtual_angle_batch, fig3_cfg(snr_db=200.0, rounds=20))
+        assert bdr(res) == 0.0
 
     def test_order_canonical(self):
         # the memory layout of the matrix cannot change the selection
@@ -641,23 +649,22 @@ class TestVirtualAngleBitsEqualReference:
 def baseline_bdr(**kw):
     """The bdr of one baseline trial at the fig3 settings with ``kw`` applied."""
     cfg = fig3_cfg(scheme="baseline", **kw)
-    [record] = baseline_batch(cfg, [cfg.master_seed], [cfg.snr_db])
-    return record.bdr
+    return bdr(session(baseline_batch, cfg))
 
 
 class TestVirtualSession:
     def test_low_snr_threshold_holds_at_modest_scale(self):
-        res = virtual_angle_session(fig3_cfg(rounds=300))
-        assert len(res.bits_alice) == 300 * 42
-        assert res.bdr < 0.03  # acceptance tests the tight 1e-2 claim
+        res = session(virtual_angle_batch, fig3_cfg(rounds=300))
+        assert len(key_bits(res, 0)) == 300 * 42
+        assert bdr(res) < 0.03  # acceptance tests the tight 1e-2 claim
 
     def test_noiseless_bdr_zero(self):
-        res = virtual_angle_session(fig3_cfg(snr_db=200.0, rounds=10))
-        assert res.bdr == 0.0
+        res = session(virtual_angle_batch, fig3_cfg(snr_db=200.0, rounds=10))
+        assert bdr(res) == 0.0
 
     def test_beats_baseline(self):
-        v = virtual_angle_session(fig3_cfg(rounds=60, snr_db=-10.0))
-        assert v.bdr < baseline_bdr(rounds=6, snr_db=-10.0)
+        v = session(virtual_angle_batch, fig3_cfg(rounds=60, snr_db=-10.0))
+        assert bdr(v) < baseline_bdr(rounds=6, snr_db=-10.0)
 
     def test_baseline_noiseless_bdr_zero(self):
         assert baseline_bdr(snr_db=200.0, rounds=3, alice=ArrayGeometry(1, 16), bob=ArrayGeometry(1, 16)) == 0.0
@@ -699,7 +706,7 @@ def reference_sounding_bits(cfg, virtual):
             seeds.generator(cfg.master_seed, tag, t)
             for tag in (seeds.STREAM_CHANNEL, seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB)
         )
-        H = channel_matrix(session_channel(cfg, rng_ch))
+        H = ray_matrix(cfg.alice, cfg.bob, *session_channel(cfg, rng_ch))
         for stream, r in zip(streams, (rng_a, rng_b)):
             stream.append(estimate_channel(H, cfg.snr_db, r))
     if virtual:
@@ -709,7 +716,8 @@ def reference_sounding_bits(cfg, virtual):
         ]
     a, b = (extract_randomness(np.concatenate([h.view(np.float64).ravel() for h in s])) for s in streams)
     quantizer = QuantizerConfig.calibrated(a, levels=cfg.levels)
-    return [quantize(a, quantizer), quantize(b, quantizer)]
+    width = cfg.levels.bit_length() - 1
+    return [gray_bits(cell_indices(x, cfg.levels, quantizer.lo, quantizer.hi), width) for x in (a, b)]
 
 
 class TestSoundingLoop:
@@ -734,11 +742,11 @@ class TestSoundingLoop:
         for record, seed, snr in zip(records, trial_seeds, snrs, strict=True):
             trial_cfg = replace(cfg, master_seed=seed, snr_db=snr)
             ref_a, ref_b = reference_sounding_bits(trial_cfg, virtual)
-            assert record.bits_alice.equals(ref_a) and record.bits_bob.equals(ref_b)
-            assert record.bdr == 1.0 - bar(ref_a, ref_b)
+            assert key_bits(record, 0).equals(ref_a) and key_bits(record, 1).equals(ref_b)
+            assert bdr(record) == 1.0 - bar(ref_a, ref_b)
             if virtual:
-                res = virtual_angle_session(trial_cfg)
-                assert np.array_equal(res.symbols, record.symbols) and res.bdr == record.bdr
+                res = session(virtual_angle_batch, trial_cfg)
+                assert np.array_equal(res.symbols, record.symbols) and bdr(res) == bdr(record)
 
     @pytest.mark.parametrize("virtual", [True, False], ids=["virtual", "baseline"])
     def test_results_share_no_memory_with_buffers(self, virtual):
@@ -752,12 +760,11 @@ class TestSoundingLoop:
         next(trials)
         assert np.array_equal(first, kept)
 
-    def test_session_shares_no_memory_with_buffers(self, monkeypatch):
+    def test_session_shares_no_memory_with_buffers(self):
         buffers = []
-        batch = schemes.virtual_angle_batch
 
         def spy(*args):
-            gen = batch(*args)
+            gen = virtual_angle_batch(*args)
             for record in gen:
                 # the batch's arrays, as it holds them while its trial is read,
                 # and the chunk's, which its trial's estimates function holds;
@@ -767,13 +774,12 @@ class TestSoundingLoop:
                 buffers.extend(v for v in held if isinstance(v, np.ndarray))
                 yield record
 
-        monkeypatch.setattr(schemes, "virtual_angle_batch", spy)
         cfg = fig3_cfg(alice=ArrayGeometry(1, 16), bob=ArrayGeometry(2, 4), rounds=2)
-        first = virtual_angle_session(cfg)
+        first = session(spy, cfg)
         kept = first.symbols.copy()
         assert len(buffers) >= 4
         assert not any(np.shares_memory(first.symbols, buf) for buf in buffers)
-        virtual_angle_session(replace(cfg, master_seed=99, snr_db=20.0))
+        session(spy, replace(cfg, master_seed=99, snr_db=20.0))
         assert np.array_equal(first.symbols, kept)
 
     @pytest.mark.parametrize("virtual", [True, False], ids=["virtual", "baseline"])
@@ -786,7 +792,7 @@ class TestSoundingLoop:
     @pytest.mark.parametrize("num_paths", [1, 3])
     @pytest.mark.parametrize("rounds, trials", [(1, 130), (3, 65)])
     def test_chunks_equal_per_trial_reference(self, virtual, alice, bob, grid, num_paths, rounds, trials):
-        # trials past one and two chunks, seeds below and above 2**32 mixed
+        # trials past two and four chunks of 32, seeds below and above 2**32 mixed
         # in each chunk (the seed hash groups its rows by word count), and
         # the edge seeds
         cfg = fig3_cfg(
@@ -829,35 +835,35 @@ def probes(monkeypatch):
 
 class TestMultires:
     def test_single_beam_arms_agree(self):
-        res = multires_session(fig4_cfg(num_beams=1, rounds=2000))
+        res = session(multires_batch, fig4_cfg(num_beams=1, rounds=2000))
         assert res.ker_multires == pytest.approx(1.0, abs=1e-9)
         assert res.ker_fixed == pytest.approx(1.0, abs=1e-9)
         assert abs(res.ker_multires - res.ker_fixed) < 0.05
 
     def test_five_beams_decorrelate(self, probes):
-        res = multires_session(fig4_cfg(rounds=3000))
+        res = session(multires_batch, fig4_cfg(rounds=3000))
         assert res.ker_fixed < 1.4
         assert res.ker_multires / res.ker_fixed > 3.0
         [(w_a, _, _)] = probes
         assert len({beam.tobytes() for beam in w_a[:5]}) == 5
 
     def test_noiseless_reciprocity(self):
-        res = multires_session(fig4_cfg(snr_db=200.0, rounds=2000))
-        assert bar(res.bits_alice, res.bits_bob) == 1.0
+        res = session(multires_batch, fig4_cfg(snr_db=200.0, rounds=2000))
+        assert bar(key_bits(res, 0), key_bits(res, 1)) == 1.0
 
     def test_deterministic(self):
-        a = multires_session(fig4_cfg(rounds=2000))
-        b = multires_session(fig4_cfg(rounds=2000))
+        a = session(multires_batch, fig4_cfg(rounds=2000))
+        b = session(multires_batch, fig4_cfg(rounds=2000))
         assert a.ker_multires == b.ker_multires
         assert np.array_equal(a.symbols, b.symbols)
 
     def test_bits_equal_per_row_reference(self, probes):
         # reference: each probe stream centred, calibrated on its own 1st-99th
         # percentile range, quantized and Gray-coded, streams concatenated
-        res = multires_session(fig4_cfg(rounds=200))
+        res = session(multires_batch, fig4_cfg(rounds=200))
         [(_, y_bob, y_alice)] = probes
-        for bits, samples in ((res.bits_alice, y_alice), (res.bits_bob, y_bob)):
-            assert np.array_equal(bits.bits, gray_encode_indices(per_row_cells(samples[:5], 4).ravel(), 2).bits)
+        for bits, samples in ((key_bits(res, 0), y_alice), (key_bits(res, 1), y_bob)):
+            assert bits.equals(gray_bits(per_row_cells(samples[:5], 4).ravel(), 2))
         assert res.width == 2 and res.symbols.shape == (2, 5 * 200)
 
 
@@ -888,7 +894,7 @@ class TestMultiresBatch:
 def reference_multires_samples(cfg, beams, fixed_beam):
     """The per-block multires probing loop that one array pass replaced.
 
-    Kept as the reference the session is checked against: scalar evolve
+    Kept as the reference the session is checked against: scalar AR(1)
     steps, the channel matrix of each block, one ``w_b @ H @ w_a`` product
     per probe and scalar normals drawn at Bob, then at Alice.  Probes the
     codewords ``beams`` and ``fixed_beam`` and returns the (beams, blocks)
@@ -898,9 +904,9 @@ def reference_multires_samples(cfg, beams, fixed_beam):
     rng_channel = seeds.generator(seed, seeds.STREAM_CHANNEL)
     rng_evolve = seeds.generator(seed, seeds.STREAM_EVOLVE)
     rng_noise = seeds.generator(seed, seeds.STREAM_NOISE_BOB)
-    ch = session_channel(cfg, rng_channel)
+    angles, gains = session_channel(cfg, rng_channel)
     bob_wide = sector_beamformer(cfg.bob, -1.0, 1.0)
-    bob_pencil = steering_beamformer(cfg.bob, ch.angles[0, 2], ch.angles[0, 3])
+    bob_pencil = steering_beamformer(cfg.bob, angles[0, 2], angles[0, 3])
     sigma = np.sqrt(10.0 ** (-cfg.snr_db / 10.0) / 2.0)
 
     def probe(w_a, w_b, H):
@@ -911,8 +917,8 @@ def reference_multires_samples(cfg, beams, fixed_beam):
     P, T = len(beams), cfg.rounds
     multi_bob, multi_alice, fixed_bob = np.empty((P, T)), np.empty((P, T)), np.empty((P, T))
     for t in range(T):
-        ch = replace(ch, gains=evolve(ch, cfg.temporal_rho, rng_evolve, 1)[0])
-        H = channel_matrix(ch)
+        gains = ar1_gains(gains, cfg.temporal_rho, rng_evolve, 1, cfg.nlos_offset_db)[0]
+        H = ray_matrix(cfg.alice, cfg.bob, angles, gains)
         for p, beam in enumerate(beams):
             multi_bob[p, t], multi_alice[p, t] = probe(beam, bob_wide, H)
         for p in range(P):
@@ -952,7 +958,7 @@ class TestMultiresEqualsReference:
     @pytest.mark.parametrize("case", list(CASES))
     def test_samples_bits_and_kers_equal_reference(self, case, probes):
         cfg = fig4_cfg(**self.CASES[case])
-        res = multires_session(cfg)
+        res = session(multires_batch, cfg)
         [(w_a, y_bob, _)] = probes
         P = cfg.num_beams
         # the probed beams are codewords of the session's codebook
@@ -965,10 +971,10 @@ class TestMultiresEqualsReference:
         np.testing.assert_allclose(y_bob[P:], fixed_bob, rtol=1e-12, atol=1e-12)
 
         def gray(samples):
-            return gray_encode_indices(per_row_cells(samples, cfg.levels).ravel(), 2).bits
+            return gray_bits(per_row_cells(samples, cfg.levels).ravel(), 2)
 
-        assert np.array_equal(res.bits_bob.bits, gray(multi_bob))
-        assert np.array_equal(res.bits_alice.bits, gray(multi_alice))
+        assert key_bits(res, 1).equals(gray(multi_bob))
+        assert key_bits(res, 0).equals(gray(multi_alice))
         quantizer = QuantizerConfig(levels=cfg.levels)
         for ker, samples in ((res.ker_multires, multi_bob), (res.ker_fixed, fixed_bob)):
             centred = np.stack([extract_randomness(row) for row in samples])
@@ -1058,8 +1064,8 @@ class TestEveInformationBound:
     def test_mutual_information_on_4bit_blocks(self):
         # plug-in MI between eve's guess and the final key over 1e4 key bits
         res = secret_beam_session(fig2_cfg(eve="alice", rounds=2500, snr_db=10.0))
-        eve = res.bits_eve.bits.reshape(-1, 4)
-        key = res.bits_alice.bits.reshape(-1, 4)
+        eve = key_bits(res, 2).bits.reshape(-1, 4)
+        key = key_bits(res, 0).bits.reshape(-1, 4)
         pack = lambda blocks: (blocks * [8, 4, 2, 1]).sum(axis=1)
         e, k = pack(eve), pack(key)
         joint = np.zeros((16, 16))
