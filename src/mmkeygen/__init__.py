@@ -2,12 +2,12 @@
 
 Simulation library and CLI covering beam-perturbation keying against
 co-located eavesdroppers, angular-domain (virtual AoA/AoD) extraction and
-multi-resolution beam probing.  Every scheme draws one clustered ray
-channel, held as arrays of ray angles and gains, and runs as a batch of
-trials that yields one key-material record per trial.  The schemes run
-probing, extraction and quantization; Cascade and privacy amplification
-are library functions that no scheme calls yet (only cascade-bench runs
-Cascade; ROADMAP item 1).
+multi-resolution beam probing.  Every scheme draws its clustered ray
+channels (arrays of ray angles and gains) and their AR(1) gain steps
+through the same two routines, and runs as a batch of trials that yields
+one key-material record per trial.  The schemes run probing, extraction
+and quantization; Cascade and privacy amplification are library functions
+that no scheme calls yet (only cascade-bench runs Cascade; ROADMAP item 1).
 """
 
 from .beamforming import (
@@ -23,7 +23,6 @@ from .channel import (
     ArrayGeometry,
     array_response,
     channel_matrix,
-    sample_channel,
     virtual_channel,
 )
 from .experiments import (

@@ -3,11 +3,11 @@
 A channel realization is a small set of propagation rays (one line-of-sight
 ray plus Rayleigh-faded weaker rays), held as arrays: the (L, 4) ray angles
 and the (L,) ray gains.  The module builds array responses and channel
-matrices from the rays' (L, N) responses, steps ray gains through an AR(1)
-process inside a session (``_draw_innovations`` draws a run of coherence
-blocks' innovations and ``_ar1`` steps the gains through them), and
-provides the angular (virtual) domain transform used by the sparse-domain
-key scheme, computed as a per-axis FFT.
+matrices from the rays' (L, N) responses, maps drawn uniforms and normals
+to rays (``_paths``) and AR(1) innovations (``_innovations``), steps gains
+through those inside a session (``_ar1``), and provides the angular
+(virtual) domain transform used by the sparse-domain key scheme, computed
+as a per-axis FFT.  :mod:`mmkeygen.schemes` takes the draws.
 
 Conventions
 -----------
@@ -16,12 +16,14 @@ Conventions
 * Angles are radians in [-pi/2, pi/2); NLoS angles are drawn uniformly in
   sine space over [-1, 1).
 * SNR convention: unit-power transmitted pilot, additive receiver noise of
-  variance ``10**(-snr_db / 10)`` (drawn by :mod:`mmkeygen.probing` and the
+  variance ``10**(-snr_db / 10)``, each (re, im) part of deviation
+  ``_noise_sigma(snr_db)`` (drawn by :mod:`mmkeygen.probing` and the
   sessions of :mod:`mmkeygen.schemes`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,10 +74,24 @@ def array_response(
     return resp.reshape(phase.shape[:-2] + (geom.size,))
 
 
-def _innovations(
-    u: float | np.ndarray, normals: np.ndarray, nlos_offset_db: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Path gains (..., L) from uniforms (...,) and standard normals (..., 2 (L - 1)), written into ``out`` when given.
+def _noise_sigma(snr_db: float) -> np.float64:
+    """Deviation ``sqrt(10**(-snr_db / 10) / 2)`` of each noise part at ``snr_db``; ValueError unless the variance is finite.
+
+    The power is taken on a Python float: numpy's array power need not
+    round as pow() does, and a secret-beam round's argmin reads the last bit.
+    """
+    exponent = -float(snr_db) / 10.0
+    try:
+        variance = 10.0**exponent
+    except OverflowError:
+        variance = math.inf
+    if not math.isfinite(variance):
+        raise ValueError(f"SNR {snr_db} dB gives a noise variance 10**({exponent}) that is not a finite float")
+    return np.sqrt(variance / 2.0)
+
+
+def _innovations(u: float | np.ndarray, normals: np.ndarray, nlos_offset_db: float) -> np.ndarray:
+    """Path gains (..., L) from uniforms (...,) and standard normals (..., 2 (L - 1)).
 
     The LoS gain is the unit phasor at ``2 pi u``.  The NLoS gains take the
     first half of ``normals`` as real parts and the second half as
@@ -83,28 +99,12 @@ def _innovations(
     """
     n = normals.shape[-1] // 2
     sigma = np.sqrt(10.0 ** (-nlos_offset_db / 10.0) / 2.0)
-    if out is None:
-        out = np.empty(normals.shape[:-1] + (n + 1,), dtype=complex)
+    out = np.empty(normals.shape[:-1] + (n + 1,), dtype=complex)
     np.exp(1j * (2.0 * np.pi * u), out=out[..., 0])
-    np.multiply(sigma, normals[..., :n] + 1j * normals[..., n:], out=out[..., 1:])
+    # each part scaled straight into the result: no complex temporary
+    np.multiply(sigma, normals[..., :n], out=out[..., 1:].real)
+    np.multiply(sigma, normals[..., n:], out=out[..., 1:].imag)
     return out
-
-
-def _draw_innovations(rng: np.random.Generator, nlos_offset_db: float, out: np.ndarray, normals: np.ndarray) -> None:
-    """Writes the innovations of ``len(out)`` AR(1) steps into ``out`` (T, L).
-
-    Each step draws one uniform LoS phase, then the NLoS innovations as one
-    normal draw, real parts then imaginary parts, into its row of the
-    (T, 2 (L - 1)) buffer ``normals``.  The uniforms are the steps' raw
-    outputs, converted at once as ``random()`` converts one: its top 53 bits
-    times 2**-53.
-    """
-    raw = np.empty(len(out), dtype=np.uint64)
-    draw_raw, draw_normals = rng.bit_generator.random_raw, rng.standard_normal
-    for t, row in enumerate(normals):
-        raw[t] = draw_raw()
-        draw_normals(out=row)
-    _innovations((raw >> 11) * 2.0**-53, normals, nlos_offset_db, out=out)
 
 
 def _ar1(gains: np.ndarray, eps: np.ndarray, rho: float) -> np.ndarray:
@@ -128,6 +128,8 @@ def _ar1(gains: np.ndarray, eps: np.ndarray, rho: float) -> np.ndarray:
 def _paths(u: np.ndarray, normals: np.ndarray, nlos_offset_db: float, grid_cols=None) -> tuple[np.ndarray, np.ndarray]:
     """Angles (..., L, 4) and gains (..., L) of channels from their streams' (..., 4L + 1) uniforms and (..., 2(L-1)) normals.
 
+    The angle columns are (aod_az, aod_el, aoa_az, aoa_el); path 0 is the
+    line-of-sight ray, its gain a unit phasor, the others' complex Gaussian.
     The uniforms are the L x 4 sines' (``-1 + 2u`` is ``uniform(-1, 1)``
     bit for bit), then the LoS phase's.  With ``grid_cols`` = (tx cols, rx
     cols) the rays are in-plane, their sines snapped to the DFT grid of
@@ -140,32 +142,6 @@ def _paths(u: np.ndarray, normals: np.ndarray, nlos_offset_db: float, grid_cols=
         angles = np.zeros_like(angles)
         angles[..., ::2] = np.arcsin(np.clip(s, -1.0, 1.0 - 2.0 / n))
     return angles, _innovations(u[..., -1], normals, nlos_offset_db)
-
-
-def sample_channel(
-    tx_geom: ArrayGeometry,
-    rx_geom: ArrayGeometry,
-    rng: np.random.Generator,
-    num_paths: int,
-    nlos_offset_db: float = DEFAULT_NLOS_OFFSET_DB,
-    grid_angles: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a fresh realization as (angles, gains): one unit-power LoS ray plus ``num_paths - 1`` NLoS rays.
-
-    ``angles`` is (L, 4) in radians, columns (aod_az, aod_el, aoa_az,
-    aoa_el), and ``gains`` is (L,) complex; path 0 is the line-of-sight ray.
-    The LoS gain is a uniform random phase of unit magnitude; NLoS gains are
-    circularly-symmetric complex Gaussian with expected power
-    ``10**(-nlos_offset_db/10)``.  ``grid_angles`` snaps the rays to the
-    DFT grids, as :func:`_paths` does.
-    """
-    if num_paths < 1:
-        raise ValueError(f"invalid channel: num_paths={num_paths} (need >= 1)")
-    if not nlos_offset_db >= 0.0:
-        raise ValueError(f"invalid channel: nlos_offset_db={nlos_offset_db} (need >= 0)")
-    u = rng.random(4 * num_paths + 1)
-    grid_cols = (tx_geom.cols, rx_geom.cols) if grid_angles else None
-    return _paths(u, rng.standard_normal(2 * (num_paths - 1)), nlos_offset_db, grid_cols)
 
 
 def channel_matrix(a_rx: np.ndarray, gains: np.ndarray, a_tx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

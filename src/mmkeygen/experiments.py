@@ -28,7 +28,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import seeds
-from .channel import ArrayGeometry
+from .channel import ArrayGeometry, _noise_sigma
 from .keygen import (
     BitString,
     CascadeParams,
@@ -37,7 +37,6 @@ from .keygen import (
 )
 from .schemes import (
     SessionConfig,
-    _check_snr,
     baseline_batch,
     multires_batch,
     secret_beam_batch,
@@ -196,7 +195,7 @@ class ExperimentConfig:
             # that no session accepts is an error in every scenario
             _merge(SessionConfig(), {k: v for k, v in self.scheme.items() if k in ("scheme", "eve")})
             for snr in self.snr_grid:
-                _check_snr(snr)
+                _noise_sigma(snr)
             if self.scenario != "cascade-bench":
                 _cases(self)
         except ValueError as exc:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channel import _noise_sigma
+
 
 def bidirectional_probe(
     w_a: np.ndarray,
@@ -48,7 +50,7 @@ def bidirectional_probe(
     scale = np.sqrt(Nt * Nr / L)
     # each pair's coefficient on each path, the same in both directions
     clean = scale * gains @ ((w_b @ a_rx.T) * (w_a @ a_tx.T)).T
-    sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+    sigma = _noise_sigma(snr_db)
     # each (re, im) pair read in place as one complex: (T, K, (Bob, Alice))
     y = rng.standard_normal((len(gains), K, 2, 2)).view(complex)[..., 0]
     y *= sigma

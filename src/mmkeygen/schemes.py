@@ -22,17 +22,17 @@ a session of another scheme is ``next(batch(cfg, [cfg.master_seed],
   wide fixed pattern; compared against an aligned fixed-beam link via the
   key entropy rate of the quantized probe streams.
 
-Every scheme draws its channels as arrays, the (L, 4) angles and (L,)
-gains of :mod:`mmkeygen.channel`.  Every session is a pure function of its
-:class:`SessionConfig` (master seed included): all randomness flows
-through labelled streams derived in :mod:`mmkeygen.seeds`.  A batch or
-session runs only a config of its own scheme.
+Every scheme draws its channels' (L, 4) angles and (L,) gains by
+:func:`_rays`, and steps gains through their AR(1) draws by
+:func:`_evolved`, many sampler streams at once.  Every session is a pure
+function of its :class:`SessionConfig` (master seed included): all
+randomness flows through labelled streams derived in :mod:`mmkeygen.seeds`.
+A batch or session runs only a config of its own scheme.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,33 +51,17 @@ from .channel import (
     DEFAULT_NLOS_OFFSET_DB,
     ArrayGeometry,
     _ar1,
-    _draw_innovations,
     _innovations,
+    _noise_sigma,
     _paths,
     array_response,
     channel_matrix,
-    sample_channel,
     virtual_channel,
 )
 from .keygen import QuantizerConfig, _entropy_rates, _gray_cells, extract_randomness
 from .probing import bidirectional_probe
 
 SCHEMES = ("secret_beam", "virtual", "baseline", "multires")
-
-
-def _check_snr(snr_db: float) -> None:
-    """Raise ValueError unless the noise variance ``10**(-snr_db / 10)`` is a finite float.
-
-    Every session scales its noise by that variance, and one that
-    overflows fails the session only once it runs.
-    """
-    exponent = -float(snr_db) / 10.0
-    try:
-        finite = math.isfinite(10.0**exponent)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError(f"SNR {snr_db} dB gives a noise variance 10**({exponent}) that is not a finite float")
 
 
 @dataclass(frozen=True)
@@ -114,7 +98,7 @@ class SessionConfig:
             raise ValueError(f"num_paths must be >= 1, got {self.num_paths}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}")
-        _check_snr(self.snr_db)
+        _noise_sigma(self.snr_db)  # else the session would fail only once it ran
         if not self.nlos_offset_db >= 0.0:
             raise ValueError(f"nlos_offset_db must be >= 0, got {self.nlos_offset_db}")
         if not 0.0 <= self.temporal_rho <= 1.0:
@@ -212,6 +196,44 @@ class SchemeResult:
         return self.agreement()[0]
 
 
+def _rays(cfg: SessionConfig, stream, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Angles (N, L, 4) and gains (N, L) of one channel per sampler stream ``stream(i)``, ``i`` in ``indices``.
+
+    Each stream draws its 4L + 1 uniforms, then its 2(L - 1) NLoS normals,
+    which :func:`channel._paths` maps to rays (on the DFT grids when
+    ``cfg.grid_angles`` is set).
+    """
+    L = cfg.num_paths
+    u, normals = np.empty((len(indices), 4 * L + 1)), np.empty((len(indices), 2 * (L - 1)))
+    for n, i in enumerate(indices):
+        rng = stream(i)
+        rng.random(out=u[n])
+        rng.standard_normal(out=normals[n])
+    grid_cols = (cfg.alice.cols, cfg.bob.cols) if cfg.grid_angles else None
+    return _paths(u, normals, cfg.nlos_offset_db, grid_cols)
+
+
+def _evolved(cfg: SessionConfig, stream, indices, gains: np.ndarray) -> np.ndarray:
+    """The (N, R, L) gains of the (N, L) ``gains`` after each of ``cfg.rounds`` AR(1) steps, one sampler stream each.
+
+    Each step draws one raw output, its LoS phase's uniform as ``random()``
+    converts one (top 53 bits times 2**-53), then its NLoS normals.  Laid
+    out steps first, :func:`channel._ar1` steps one contiguous (N L) row a
+    step; the result is a view.
+    """
+    R, N = cfg.rounds, len(indices)
+    raw, normals = np.empty((R, N), dtype=np.uint64), np.empty((R, N, 2 * (cfg.num_paths - 1)))
+    for n, i in enumerate(indices):
+        rng = stream(i)
+        draw_raw, draw_normals = rng.bit_generator.random_raw, rng.standard_normal
+        for t in range(R):
+            raw[t, n] = draw_raw()
+            draw_normals(out=normals[t, n])
+    eps = _innovations((raw >> 11) * 2.0**-53, normals, cfg.nlos_offset_db)
+    _ar1(gains.reshape(-1), eps.reshape(R, -1), cfg.temporal_rho)
+    return eps.swapaxes(0, 1)
+
+
 # ---------------------------------------------------------------------------
 # Secret beam (perturbation keying)
 # ---------------------------------------------------------------------------
@@ -266,17 +288,16 @@ def _beam_draws(cfg: SessionConfig, trial_seeds: np.ndarray) -> tuple[np.ndarray
 
     Every stream is seeded at once by :func:`seeds.stream_lanes`.  The
     perturbation and guess streams give only raw outputs, from
-    :func:`seeds.raw_outputs`; the others are drawn trial by trial, in the
-    session's order, through :func:`seeds.sampler_streams`.
+    :func:`seeds.raw_outputs`; the others feed numpy's samplers through
+    :func:`seeds.sampler_streams`.
 
-    Returns the channel stream's uniforms (B, 4L + 1) and NLoS normals
-    (B, 2(L-1)), as :func:`channel._paths` reads them; the evolution
-    uniforms (B, R) and normals (B, R, 2(L-1)); the perturbation indices of
-    Alice and Bob and the eavesdropper's guesses (parties, B, R); and the
-    noise normals of Alice, Bob and the eavesdropper (parties, B, R, 4),
-    per round the calibration pilot's (re, im) then the keyed pilot's.
+    Returns each trial's ray angles (B, L, 4) and gains in each round
+    (B, R, L), by :func:`_rays` and :func:`_evolved`; the perturbation
+    indices of Alice and Bob and the eavesdropper's guesses (parties, B, R);
+    and the noise normals of Alice, Bob and the eavesdropper (parties, B, R,
+    4), per round the calibration pilot's (re, im) then the keyed pilot's.
     """
-    B, R, L = trial_seeds.size, cfg.rounds, cfg.num_paths
+    B, R = trial_seeds.size, cfg.rounds
     parties = 3 if cfg.eve is not None else 2
     tags = np.array(_BEAM_SAMPLER_STREAMS[: parties + 2] + _BEAM_RAW_STREAMS[:parties], np.uint64)
     lanes = seeds.stream_lanes(np.column_stack((np.repeat(trial_seeds, tags.size), np.tile(tags, B))))
@@ -284,22 +305,13 @@ def _beam_draws(cfg: SessionConfig, trial_seeds: np.ndarray) -> tuple[np.ndarray
     raw = seeds.raw_outputs(lanes[:, parties + 2 :].swapaxes(0, 1).reshape(-1, 4), (R + 1) // 2)
     index = seeds.integers_from_raw(raw.reshape(parties, B, -1), cfg.levels, R)
     stream = seeds.sampler_streams(lanes[:, : parties + 2].reshape(-1, 4))
-
-    channel_u, nlos = np.empty((B, 4 * L + 1)), np.empty((B, 2 * (L - 1)))
-    evo_u, evo_nlos = np.empty((B, R)), np.empty((B, R, 2 * (L - 1)))
+    # trial b's sampler streams are b (parties + 2) + k, k its stream's place in the tags
+    angles, gains = _rays(cfg, stream, range(0, B * (parties + 2), parties + 2))
+    alpha = _evolved(cfg, stream, range(1, B * (parties + 2), parties + 2), gains)
     noise = np.empty((parties, B, R, 4))
-    for b in range(B):
-        first = b * (parties + 2)
-        rng = stream(first)
-        rng.random(out=channel_u[b])
-        rng.standard_normal(out=nlos[b])
-        rng = stream(first + 1)
-        for t in range(R):
-            evo_u[b, t] = rng.random()
-            rng.standard_normal(out=evo_nlos[b, t])
-        for party in range(parties):
-            stream(first + 2 + party).standard_normal(out=noise[party, b])
-    return channel_u, nlos, evo_u, evo_nlos, index, noise
+    for b, party in np.ndindex(B, parties):
+        stream(b * (parties + 2) + 2 + party).standard_normal(out=noise[party, b])
+    return angles, alpha, index, noise
 
 
 def _beam_symbols(cfg: SessionConfig, trial_seeds, snr_db) -> np.ndarray:
@@ -313,13 +325,7 @@ def _beam_symbols(cfg: SessionConfig, trial_seeds, snr_db) -> np.ndarray:
     """
     trial_seeds = np.asarray(trial_seeds, dtype=np.uint64).reshape(-1)
     B, R, K = trial_seeds.size, cfg.rounds, cfg.levels
-    channel_u, nlos, evo_u, evo_nlos, index, noise = _beam_draws(cfg, trial_seeds)
-
-    # each trial's channel, then its gains per round as the AR(1) steps them
-    grid_cols = (cfg.alice.cols, cfg.bob.cols) if cfg.grid_angles else None
-    angles, gains = _paths(channel_u, nlos, cfg.nlos_offset_db, grid_cols)
-    alpha = _ar1(gains, _innovations(evo_u, evo_nlos, cfg.nlos_offset_db), cfg.temporal_rho)
-
+    angles, alpha, index, noise = _beam_draws(cfg, trial_seeds)
     deltas = cfg.delta_max * np.arange(1, K + 1) / K
 
     def through_beams(geom: ArrayGeometry, column: int) -> tuple[np.ndarray, np.ndarray]:
@@ -337,11 +343,9 @@ def _beam_symbols(cfg: SessionConfig, trial_seeds, snr_db) -> np.ndarray:
     tx_b, lut_b = through_beams(cfg.bob, 2)
     scale = np.sqrt(cfg.alice.size * cfg.bob.size / cfg.num_paths)
 
-    # one scale per distinct SNR, then a (B, 1) column of them.  Each is taken
-    # on a Python float: numpy's array power need not round as pow() does,
-    # and the nearest-ratio argmin of `estimates` reads the last bit
+    # one scale per distinct SNR, then a (B, 1) column of them
     snrs, point = np.unique(np.asarray(snr_db, dtype=float), return_inverse=True)
-    sigma = np.array([np.sqrt(10.0 ** (-snr / 10.0) / 2.0) for snr in snrs.tolist()])[point][:, None]
+    sigma = np.array([_noise_sigma(snr) for snr in snrs.tolist()])[point][:, None]
     trial = np.arange(B)[:, None]
 
     def pilots(tx_rx: np.ndarray, tx_tx: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -433,7 +437,7 @@ def estimate_channel(
         out = np.empty(H.shape, dtype=complex)
     elif out.shape != H.shape or out.dtype != complex or np.may_share_memory(out, H):
         raise ValueError(f"out must be a complex array of shape {H.shape} that does not overlap H")
-    sigma = np.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+    sigma = _noise_sigma(snr_db)
     draw = rng.standard_normal(H.shape)
     out.real = draw
     out.imag = rng.standard_normal(out=draw)
@@ -470,9 +474,8 @@ def _sounded_trials(cfg: SessionConfig, trial_seeds, snr_db):
     seeds all its streams at once, draws its channels as arrays and builds
     each side's path responses with one :func:`array_response` call.
     """
-    R, L = cfg.rounds, cfg.num_paths
+    R = cfg.rounds
     H = np.empty((cfg.bob.size, cfg.alice.size), dtype=complex)
-    grid_cols = (cfg.alice.cols, cfg.bob.cols) if cfg.grid_angles else None
     tags = np.array([seeds.STREAM_CHANNEL, seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB], np.uint64)
     for start in range(0, len(trial_seeds), _SOUNDING_CHUNK):
         chunk = np.asarray(trial_seeds[start : start + _SOUNDING_CHUNK], dtype=np.uint64)
@@ -480,12 +483,7 @@ def _sounded_trials(cfg: SessionConfig, trial_seeds, snr_db):
         # stream 3 i + k is tag k of round i = b R + t: (seed b, tag k, t)
         addresses = np.broadcast_arrays(chunk[:, None, None], tags, np.arange(R, dtype=np.uint64)[:, None])
         stream = seeds.sampler_streams(seeds.stream_lanes(np.stack(addresses, axis=-1).reshape(-1, 3)))
-        u, normals = np.empty((B * R, 4 * L + 1)), np.empty((B * R, 2 * (L - 1)))
-        for i in range(B * R):
-            rng = stream(3 * i)
-            rng.random(out=u[i])
-            rng.standard_normal(out=normals[i])
-        angles, gains = _paths(u, normals, cfg.nlos_offset_db, grid_cols)
+        angles, gains = _rays(cfg, stream, range(0, 3 * B * R, 3))
         a_rx = array_response(cfg.bob, angles[..., 2], angles[..., 3])
         a_tx = array_response(cfg.alice, angles[..., 0], angles[..., 1])
         for b, snr in enumerate(snr_db[start : start + B]):
@@ -590,45 +588,39 @@ def multires_batch(cfg: SessionConfig, trial_seeds, snr_db):
 
     ``snr_db`` holds each trial's SNR, in place of ``cfg.snr_db``; both are
     sequences of Python ints and floats, as a session's master seed and SNR
-    are.  Each trial draws its channel's angles and gains, beams and
-    evolution from its own streams; its rays' responses form the channel
-    matrix the beams are selected on, and are kept for its probes.  It
-    writes its innovations into its L columns of one (rounds, trials * L)
-    array that one AR(1) recurrence steps in place.  Each trial is then
-    probed on its (rounds, L) slice of the gains, one trial at a time.  A
-    party's key symbols are the Gray-coded cells of its multi-arm probe
-    streams, stream after stream.  A trial's record depends only on its
-    seed and SNR.
+    are.  One :func:`seeds.stream_lanes` call seeds every trial's channel,
+    evolution and noise streams; :func:`_rays` draws the channels and
+    :func:`_evolved` their gains in every block.  Each trial in turn selects
+    its beams on the channel matrix of its first gains, probes them on its
+    (rounds, L) gains and scores the probe streams.  A party's key symbols
+    are the Gray-coded cells of its multi-arm probe streams, one after
+    another.  A trial's record depends only on its seed and SNR.
     """
     _check_scheme(cfg, "multires")
-    P, T, L = cfg.num_beams, cfg.rounds, cfg.num_paths
+    P, S = cfg.num_beams, len(trial_seeds)
     codebook, bob_wide = _multires_beams(cfg.alice, cfg.bob, cfg.multires_depth)
-    eps = np.empty((T, len(trial_seeds), L), dtype=complex)
-    normals = np.empty((T, 2 * (L - 1)))
-    points, first_gains = [], []
-    for s, seed in enumerate(trial_seeds):
-        rng = seeds.generator(seed, seeds.STREAM_CHANNEL)
-        angles, gains = sample_channel(cfg.alice, cfg.bob, rng, L, cfg.nlos_offset_db, cfg.grid_angles)
-        a_tx = array_response(cfg.alice, angles[:, 0], angles[:, 1])
-        a_rx = array_response(cfg.bob, angles[:, 2], angles[:, 3])
-        H = channel_matrix(a_rx, gains, a_tx)
-        bob_pencil = steering_beamformer(cfg.bob, angles[0, 2], angles[0, 3])
+    # stream 3 s + k is tag k of trial s
+    tags = np.array([seeds.STREAM_CHANNEL, seeds.STREAM_EVOLVE, seeds.STREAM_NOISE_BOB], np.uint64)
+    addresses = np.broadcast_arrays(np.asarray(trial_seeds, dtype=np.uint64)[:, None], tags)
+    stream = seeds.sampler_streams(seeds.stream_lanes(np.stack(addresses, axis=-1).reshape(-1, 2)))
+    angles, first = _rays(cfg, stream, range(0, 3 * S, 3))
+    gains = _evolved(cfg, stream, range(1, 3 * S, 3), first)
+    for s, snr in enumerate(snr_db):
+        a_tx = array_response(cfg.alice, angles[s, :, 0], angles[s, :, 1])
+        a_rx = array_response(cfg.bob, angles[s, :, 2], angles[s, :, 3])
+        H = channel_matrix(a_rx, first[s], a_tx)
+        bob_pencil = steering_beamformer(cfg.bob, angles[s, 0, 2], angles[s, 0, 3])
         ids = _widened_selection(codebook, H, bob_wide, P, cfg.window_db)
         fixed_id = select_beams(codebook, H, bob_pencil, 1, cfg.window_db)[0]
         # per block, the multi arm's P probes, then the fixed arm's P
         w_a = np.stack([codebook.codeword(*i) for i in ids] + [codebook.codeword(*fixed_id)] * P)
         w_b = np.stack([bob_wide] * P + [bob_pencil] * P)
-        points.append((w_a, w_b, a_tx, a_rx))
-        first_gains.append(gains)
-        _draw_innovations(seeds.generator(seed, seeds.STREAM_EVOLVE), cfg.nlos_offset_db, eps[:, s], normals)
-    del normals
-    # all trials' paths side by side: one AR(1) step is one row, and eps then holds the gains
-    _ar1(np.concatenate(first_gains), eps.reshape(T, len(points) * L), cfg.temporal_rho)
-    for s, (seed, snr, point) in enumerate(zip(trial_seeds, snr_db, points)):
-        rng = seeds.generator(seed, seeds.STREAM_NOISE_BOB)
         # each party's in-phase (streams, blocks), each stream contiguous: a strided
         # row sums its mean in another order, and the cells depend on the last bit of it
-        y_bob, y_alice = [np.ascontiguousarray(y.real.T) for y in bidirectional_probe(*point, eps[:, s], snr, rng)]
+        y_bob, y_alice = [
+            np.ascontiguousarray(y.real.T)
+            for y in bidirectional_probe(w_a, w_b, a_tx, a_rx, gains[s], snr, stream(3 * s + 2))
+        ]
 
         # Gray-coded cells of each multi-arm probe stream on its own calibrated range, Alice's then Bob's
         cells = _gray_cells(extract_randomness(np.concatenate((y_alice[:P], y_bob[:P]))), cfg.levels)
@@ -638,7 +630,7 @@ def multires_batch(cfg: SessionConfig, trial_seeds, snr_db):
         yield SchemeResult(
             cells.reshape(2, -1),
             cfg.levels.bit_length() - 1,
-            4 * P * T,
+            4 * P * cfg.rounds,
             ker_multires=ker_multires,
             ker_multires_stderr=multires_stderr,
             ker_fixed=ker_fixed,

@@ -9,7 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from mmkeygen import seeds
 from mmkeygen.beamforming import SelectionInfeasibleError, _sector_bounds, composite_gains
-from mmkeygen.channel import _ar1, _draw_innovations, _innovations, array_response, channel_matrix
+from mmkeygen.channel import _innovations, array_response, channel_matrix
 from mmkeygen.experiments import ResultRow, _mean_stderr, _trial_seeds
 from mmkeygen.keygen import BitString, CascadeParams, QuantizerConfig, _calibrated_cells, bar, cascade
 from mmkeygen.schemes import _bin_symbols, estimate_channel
@@ -57,14 +57,18 @@ def ray_matrix(tx_geom, rx_geom, angles, gains, out=None):
 
 
 def ar1_gains(gains, rho, rng, steps, nlos_offset_db):
-    """The (steps, L) gains of ``steps`` AR(1) steps from the (L,) ``gains``, drawn and stepped as a multires trial's.
+    """The (steps, L) gains of ``steps`` AR(1) steps from the (L,) ``gains``, one draw and one step at a time.
 
-    ``_draw_innovations`` draws each step's innovations from ``rng`` and
-    ``_ar1`` steps the gains through them; ``gains`` is left as it was.
+    Each step draws its LoS phase's uniform and then its NLoS normals from
+    ``rng``, and its gains are ``mix * eps + rho * g`` on the innovations
+    ``eps`` and the last step's gains ``g``; ``gains`` is left as it was.
     """
-    eps = np.empty((steps, gains.size), dtype=complex)
-    _draw_innovations(rng, nlos_offset_db, eps, np.empty((steps, 2 * (gains.size - 1))))
-    return _ar1(gains, eps, rho)
+    mix = np.sqrt(1.0 - rho * rho)
+    out = np.empty((steps, gains.size), dtype=complex)
+    for t in range(steps):
+        eps = _innovations(rng.random(), rng.standard_normal(2 * (gains.size - 1)), nlos_offset_db)
+        gains = out[t] = mix * eps + rho * gains
+    return out
 
 
 def session_channel(cfg, rng):

@@ -44,7 +44,6 @@ PUBLIC_NAMES = [
     "privacy_amplify",
     "quantize_phases",
     "run_scenario",
-    "sample_channel",
     "secret_beam_session",
     "sector_beamformer",
     "select_beams",

@@ -15,9 +15,9 @@ from mmkeygen.beamforming import (
     select_beams,
     steering_beamformer,
 )
-from mmkeygen.channel import ArrayGeometry, array_response, sample_channel
+from mmkeygen.channel import ArrayGeometry, array_response
 from mmkeygen.schemes import SessionConfig, _perturbation_beams
-from reference import ray_matrix
+from reference import ray_matrix, session_channel
 from reference import select_beams as reference_select_beams
 
 
@@ -226,7 +226,7 @@ def _row(beam_id):
 
 def drawn_matrix(tx, rx, r, num_paths):
     """A channel drawn from ``r``: its angles and its channel matrix."""
-    angles, gains = sample_channel(tx, rx, r, num_paths)
+    angles, gains = session_channel(SessionConfig(scheme="baseline", alice=tx, bob=rx, num_paths=num_paths), r)
     return angles, ray_matrix(tx, rx, angles, gains)
 
 

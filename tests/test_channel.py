@@ -10,16 +10,29 @@ from mmkeygen.channel import (
     ArrayGeometry,
     array_response,
     channel_matrix,
-    sample_channel,
     virtual_channel,
 )
 from mmkeygen.probing import bidirectional_probe
-from reference import ar1_gains, dft_matrix, ray_matrix, responses
+from mmkeygen.schemes import SessionConfig, _evolved, _rays
+from reference import dft_matrix, ray_matrix, responses
 from reference import virtual_channel as reference_virtual_channel
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def rays(seed, num_paths, count=1, tx=ArrayGeometry(1, 4), rx=ArrayGeometry(1, 4)):
+    """``count`` channels drawn by ``_rays`` one after another from one generator: angles (count, L, 4), gains (count, L)."""
+    r = rng(seed)
+    return _rays(SessionConfig(scheme="baseline", alice=tx, bob=rx, num_paths=num_paths), lambda i: r, range(count))
+
+
+def evolved(gains, rho, seed, steps):
+    """The (N, steps, L) gains ``_evolved`` steps the (N, L) ``gains`` to, each channel's steps drawn in turn from one generator."""
+    r = rng(seed)
+    cfg = SessionConfig(scheme="baseline", num_paths=gains.shape[1], rounds=steps, temporal_rho=rho)
+    return _evolved(cfg, lambda i: r, range(len(gains)), gains)
 
 
 class TestArrayResponse:
@@ -102,39 +115,28 @@ class TestArrayResponse:
             array_response(ArrayGeometry(1, 4), np.array([0.1, np.inf]))
 
 
-class TestSampleChannel:
+class TestRays:
+    """The rays every scheme draws, by ``schemes._rays``."""
+
     def test_nlos_to_los_power_ratio(self):
         # Paper-anchored 10 dB offset: MC mean of |a_nlos|^2/|a_los|^2.
-        geom = ArrayGeometry(1, 4)
-        r = rng(7)
-        ratios = np.empty(100_000)
-        for i in range(ratios.size):
-            _, (los, nlos) = sample_channel(geom, geom, r, 2, nlos_offset_db=10.0)
-            ratios[i] = abs(nlos) ** 2 / abs(los) ** 2
+        _, gains = rays(7, 2, 100_000)
+        ratios = np.abs(gains[:, 1]) ** 2 / np.abs(gains[:, 0]) ** 2
         assert abs(ratios.mean() - 0.1) < 0.01
 
     def test_single_path_is_los(self):
-        angles, gains = sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(3), 1)
+        [angles], [gains] = rays(3, 1)
         assert angles.shape == (1, 4) and gains.shape == (1,) and gains.dtype == complex
         assert abs(abs(gains[0]) - 1.0) < 1e-12
 
     def test_same_seed_same_realization(self):
         geom = ArrayGeometry(2, 4)
-        a = sample_channel(geom, geom, rng(11), 3)
-        b = sample_channel(geom, geom, rng(11), 3)
+        a = rays(11, 3, tx=geom, rx=geom)
+        b = rays(11, 3, tx=geom, rx=geom)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
-    def test_zero_paths_rejected(self):
-        with pytest.raises(ValueError, match="num_paths"):
-            sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(0), 0)
-
-    @pytest.mark.parametrize("offset", [-1.0, np.nan])
-    def test_negative_nlos_offset_rejected(self, offset):
-        with pytest.raises(ValueError, match="nlos_offset_db"):
-            sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(0), 2, nlos_offset_db=offset)
-
     def test_angles_in_front_hemisphere(self):
-        angles, gains = sample_channel(ArrayGeometry(1, 8), ArrayGeometry(1, 8), rng(5), 5)
+        [angles], [gains] = rays(5, 5, tx=ArrayGeometry(1, 8), rx=ArrayGeometry(1, 8))
         assert angles.shape == (5, 4) and gains.shape == (5,)
         for a in angles.ravel():
             assert -np.pi / 2 <= a < np.pi / 2
@@ -151,20 +153,20 @@ class TestSampleChannel:
 class TestChannelMatrix:
     def test_single_path_rank_one(self):
         tx, rx = ArrayGeometry(1, 8), ArrayGeometry(1, 4)
-        H = ray_matrix(tx, rx, *sample_channel(tx, rx, rng(2), 1))
+        H = ray_matrix(tx, rx, *(x[0] for x in rays(2, 1, tx=tx, rx=rx)))
         assert H.shape == (4, 8)
         s = np.linalg.svd(H, compute_uv=False)
         assert s[1] < 1e-12 * s[0]
 
     def test_single_path_frobenius_norm(self):
         tx, rx = ArrayGeometry(2, 8), ArrayGeometry(1, 4)
-        H = ray_matrix(tx, rx, *sample_channel(tx, rx, rng(2), 1))
+        H = ray_matrix(tx, rx, *(x[0] for x in rays(2, 1, tx=tx, rx=rx)))
         # unit-magnitude LoS gain and unit-norm responses
         assert abs(np.linalg.norm(H) - np.sqrt(16 * 4)) < 1e-9
 
     def test_out_equals_fresh_matrix(self):
         tx, rx = ArrayGeometry(2, 4), ArrayGeometry(1, 4)
-        angles, gains = sample_channel(tx, rx, rng(5), 3)
+        [angles], [gains] = rays(5, 3, tx=tx, rx=rx)
         a_tx, a_rx = responses(tx, rx, angles)
         out = np.full((4, 8), np.nan, dtype=complex)
         assert channel_matrix(a_rx, gains, a_tx, out=out) is out
@@ -173,7 +175,7 @@ class TestChannelMatrix:
     def test_equals_sum_of_path_outer_products(self):
         # H = sqrt(Nt Nr / L) sum_l g_l a_rx(aoa_l) a_tx(aod_l)^T, one path at a time
         tx, rx = ArrayGeometry(2, 4), ArrayGeometry(1, 6)
-        angles, gains = sample_channel(tx, rx, rng(7), 4)
+        [angles], [gains] = rays(7, 4, tx=tx, rx=rx)
         a_tx, a_rx = responses(tx, rx, angles)
         ref = sum(g * np.outer(r, t) for g, r, t in zip(gains, a_rx, a_tx)) * np.sqrt(8 * 6 / 4)
         assert np.max(np.abs(channel_matrix(a_rx, gains, a_tx) - ref)) < 1e-12
@@ -181,78 +183,56 @@ class TestChannelMatrix:
     def test_expected_power_three_paths(self):
         # Analytic: E||H||_F^2 = Nt*Nr*(1 + 2*0.1)/3, cross-checked by MC.
         tx, rx = ArrayGeometry(1, 8), ArrayGeometry(1, 4)
-        r = rng(13)
-        acc = 0.0
         n = 10_000
-        for _ in range(n):
-            acc += np.linalg.norm(ray_matrix(tx, rx, *sample_channel(tx, rx, r, 3))) ** 2
+        acc = sum(np.linalg.norm(ray_matrix(tx, rx, *drawn)) ** 2 for drawn in zip(*rays(13, 3, n, tx, rx)))
         expected = 8 * 4 * (1 + 2 * 0.1) / 3
         assert abs(acc / n / expected - 1.0) < 0.02
 
 
 class TestInnovationsThroughAr1:
-    """The AR(1) gain process as a multires trial runs it: ``_draw_innovations``, then ``_ar1``."""
-
-    @staticmethod
-    def gains(seed, num_paths):
-        return sample_channel(ArrayGeometry(1, 4), ArrayGeometry(1, 4), rng(seed), num_paths)[1]
+    """The AR(1) gain process as every scheme runs it: ``schemes._evolved`` draws the innovations and ``_ar1`` steps them."""
 
     def test_rho_one_identical(self):
-        gains = self.gains(1, 3)
-        out = ar1_gains(gains, 1.0, rng(2), 3, 10.0)
+        _, gains = rays(1, 3)
+        [out] = evolved(gains, 1.0, 2, 3)
         assert out.shape == (3, 3)
-        assert all(np.array_equal(row, gains) for row in out)
+        assert all(np.array_equal(row, gains[0]) for row in out)
 
     def test_rho_zero_uncorrelated(self):
-        geom = ArrayGeometry(1, 4)
-        r = rng(17)
-        before, after = np.empty(10_000, complex), np.empty(10_000, complex)
-        for i in range(before.size):
-            _, gains = sample_channel(geom, geom, r, 2)
-            before[i], after[i] = gains[1], ar1_gains(gains, 0.0, r, 1, 10.0)[0, 1]
+        _, gains = rays(17, 2, 10_000)
+        before, after = gains[:, 1], evolved(gains, 0.0, 18, 1)[:, 0, 1]
         corr = np.vdot(before - before.mean(), after - after.mean())
         corr /= np.linalg.norm(before - before.mean()) * np.linalg.norm(after - after.mean())
         assert abs(corr) < 0.02
 
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
     def test_power_preserved(self, rho):
-        geom = ArrayGeometry(1, 4)
-        r = rng(23)
-        p_before = np.empty(10_000)
-        p_after = np.empty(10_000)
-        for i in range(p_before.size):
-            _, gains = sample_channel(geom, geom, r, 2)
-            ev = ar1_gains(gains, rho, r, 1, 10.0)[0]
-            p_before[i] = sum(abs(g) ** 2 for g in gains)
-            p_after[i] = sum(abs(g) ** 2 for g in ev)
+        _, gains = rays(23, 2, 10_000)
+        p_before = (np.abs(gains) ** 2).sum(axis=1)
+        p_after = (np.abs(evolved(gains, rho, 24, 1)[:, 0]) ** 2).sum(axis=1)
         assert abs(p_after.mean() / p_before.mean() - 1.0) < 0.02
 
     def test_nlos_marginal_preserved_ks(self):
         # AR(1) with Gaussian innovations is exactly stationary for the NLoS
         # gains; the LoS point-mass magnitude is checked via power instead.
-        geom = ArrayGeometry(1, 4)
-        r = rng(29)
-        before = np.empty(10_000)
-        after = np.empty(10_000)
-        for i in range(before.size):
-            _, gains = sample_channel(geom, geom, r, 2)
-            before[i], after[i] = abs(gains[1]), abs(ar1_gains(gains, 0.7, r, 1, 10.0)[0, 1])
+        _, gains = rays(29, 2, 10_000)
+        before, after = np.abs(gains[:, 1]), np.abs(evolved(gains, 0.7, 30, 1)[:, 0, 1])
         assert stats.ks_2samp(before, after).pvalue > 0.01
 
     def test_initial_gains_unchanged(self):
-        gains = self.gains(1, 3)
+        _, gains = rays(1, 3)
         kept = gains.copy()
-        out = ar1_gains(gains, 0.3, rng(4), 5, 10.0)
-        assert out.shape == (5, 3)
+        out = evolved(gains, 0.3, 4, 5)
+        assert out.shape == (1, 5, 3)
         assert np.array_equal(gains, kept)
 
     def test_draw_order(self):
         # per step one uniform LoS phase, then the real and the imaginary
         # NLoS innovations; scalar steps drawn that way give the same gains
         # bit for bit
-        gains = self.gains(1, 3)
+        _, [gains] = rays(1, 3)
         rho = 0.6
-        out = ar1_gains(gains, rho, rng(9), 4, 10.0)
+        [out] = evolved(gains[None], rho, 9, 4)
         r = rng(9)
         n_nlos = 2
         sigma = np.sqrt(10.0 ** (-10.0 / 10.0) / 2.0)

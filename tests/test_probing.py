@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from mmkeygen.beamforming import steering_beamformer
-from mmkeygen.channel import ArrayGeometry, channel_matrix, sample_channel
+from mmkeygen.channel import ArrayGeometry, channel_matrix
 from mmkeygen.probing import bidirectional_probe
-from reference import ar1_gains, responses
+from mmkeygen.schemes import SessionConfig
+from reference import ar1_gains, responses, session_channel
 
 
 def rng(seed=0):
@@ -14,7 +15,7 @@ def rng(seed=0):
 def make_channel(seed=0, num_paths=2, tx=(1, 16), rx=(1, 8)):
     """A drawn channel: its geometries, angles, gains and (a_tx, a_rx) path responses."""
     tx, rx = ArrayGeometry(*tx), ArrayGeometry(*rx)
-    angles, gains = sample_channel(tx, rx, rng(seed), num_paths)
+    angles, gains = session_channel(SessionConfig(scheme="baseline", alice=tx, bob=rx, num_paths=num_paths), rng(seed))
     return tx, rx, angles, gains, responses(tx, rx, angles)
 
 
@@ -50,6 +51,13 @@ class TestProbe:
             for k in range(3):
                 assert y_bob[t, k] == pytest.approx(complex(w_b[k] @ H @ w_a[k]), abs=1e-8)
                 assert y_alice[t, k] == pytest.approx(complex(w_a[k] @ H.T @ w_b[k]), abs=1e-8)
+
+    @pytest.mark.parametrize("snr_db", [np.nan, -4000.0])
+    def test_snr_whose_noise_variance_is_not_finite_rejected(self, snr_db):
+        # it used to give NaN samples without an error
+        w = steering_beamformer(ArrayGeometry(1, 4), 0.0)[None]
+        with pytest.raises(ValueError, match=f"SNR {snr_db} dB gives a noise variance"):
+            bidirectional_probe(w, w, *zero_channel(), np.zeros((2, 1)), snr_db, rng(3))
 
     def test_zero_channel_noise_variance(self):
         # receiver noise alone has variance 10**(-snr_db/10) in each direction

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mmkeygen import schemes, seeds
 from mmkeygen.probing import bidirectional_probe
 from mmkeygen.beamforming import hierarchical_codebook, sector_beamformer, steering_beamformer
-from mmkeygen.channel import ArrayGeometry, array_response, sample_channel, virtual_channel
+from mmkeygen.channel import ArrayGeometry, array_response, virtual_channel
 from mmkeygen.keygen import (
     BitString,
     QuantizerConfig,
@@ -23,8 +23,10 @@ from mmkeygen.schemes import (
     SessionConfig,
     _beam_draws,
     _bin_symbols,
+    _evolved,
     _perturbation_beams,
     _rate_and_stderr,
+    _rays,
     baseline_batch,
     estimate_channel,
     multires_batch,
@@ -276,7 +278,7 @@ class TestSecretBeamBatch:
         trial_seeds, snrs = zip(*trials)
         records = list(secret_beam_batch(cfg, np.array(trial_seeds, dtype=np.uint64), snrs))
         # the drawn indices: Alice's, Bob's and the eavesdropper's guesses
-        index = _beam_draws(cfg, np.array(trial_seeds, dtype=np.uint64))[4]
+        index = _beam_draws(cfg, np.array(trial_seeds, dtype=np.uint64))[2]
         assert len(records) == len(trials)
         for row, (record, (seed, snr)) in enumerate(zip(records, trials)):
             trial_cfg = replace(cfg, master_seed=seed, snr_db=snr)
@@ -310,16 +312,14 @@ class TestSecretBeamBatch:
     def test_state_assigned_only_for_sampler_streams(self, monkeypatch, eve, per_trial):
         # the perturbation and guess streams give raw outputs computed from
         # their seeded states, with no generator; each other stream of a
-        # trial is one state assignment
+        # trial is one state assignment: every trial's channel stream, then
+        # every trial's evolution stream, then each trial's noise streams
         trial_seeds = [3, 2**40 + 1, 2**64 - 1]
-        streams = (
-            seeds.STREAM_CHANNEL,
-            seeds.STREAM_EVOLVE,
-            seeds.STREAM_NOISE_ALICE,
-            seeds.STREAM_NOISE_BOB,
-            seeds.STREAM_NOISE_EVE,
-        )[:per_trial]
-        expected = [seeds.generator(seed, tag).bit_generator.state for seed in trial_seeds for tag in streams]
+        noise = (seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB, seeds.STREAM_NOISE_EVE)[: per_trial - 2]
+        addresses = [(seed, seeds.STREAM_CHANNEL) for seed in trial_seeds]
+        addresses += [(seed, seeds.STREAM_EVOLVE) for seed in trial_seeds]
+        addresses += [(seed, tag) for seed in trial_seeds for tag in noise]
+        expected = [seeds.generator(*address).bit_generator.state for address in addresses]
         assigned = []
         base = np.random.PCG64
 
@@ -343,6 +343,42 @@ class TestSecretBeamBatch:
         assert np.array_equal(res.symbols, reference_beam_symbols(cfg))
         assert res.bar_legit == bar(key_bits(res, 0), key_bits(res, 1))
         assert res.agreement()[1] == bar(key_bits(res, 2), key_bits(res, 0))
+
+
+class TestDrawsEqualReference:
+    """``_rays`` and ``_evolved`` over many sampler streams against one generator a trial, one draw at a time."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(U64_SEEDS, min_size=1, max_size=5),
+        st.integers(1, 7),
+        st.integers(1, 4),
+        st.sampled_from([0.0, 0.4, 1.0]),
+        st.booleans(),
+    )
+    def test_rays_and_evolved_equal_one_draw_at_a_time(self, trial_seeds, rounds, num_paths, rho, grid):
+        cfg = SessionConfig(
+            scheme="baseline",
+            alice=ArrayGeometry(1, 8),
+            bob=ArrayGeometry(2, 4),
+            rounds=rounds,
+            num_paths=num_paths,
+            temporal_rho=rho,
+            grid_angles=grid,
+        )
+        # stream 2 n is trial n's channel stream, 2 n + 1 its evolution stream
+        tags = (seeds.STREAM_CHANNEL, seeds.STREAM_EVOLVE)
+        stream = seeds.sampler_streams(seeds.stream_lanes([(seed, tag) for seed in trial_seeds for tag in tags]))
+        N = len(trial_seeds)
+        angles, first = _rays(cfg, stream, range(0, 2 * N, 2))
+        gains = _evolved(cfg, stream, range(1, 2 * N, 2), first)
+        assert angles.shape == (N, num_paths, 4) and gains.shape == (N, rounds, num_paths)
+        for n, seed in enumerate(trial_seeds):
+            ref_angles, ref_first = session_channel(cfg, seeds.generator(seed, seeds.STREAM_CHANNEL))
+            rng_evolve = seeds.generator(seed, seeds.STREAM_EVOLVE)
+            ref_gains = ar1_gains(ref_first, rho, rng_evolve, rounds, cfg.nlos_offset_db)
+            assert angles[n].tobytes() == ref_angles.tobytes() and first[n].tobytes() == ref_first.tobytes()
+            assert gains[n].tobytes() == ref_gains.tobytes()
 
 
 class TestPerturbationBeams:
@@ -381,15 +417,15 @@ class TestPerturbationBeams:
             return float(np.arcsin(min(1.0 - 2.0 / n, max(-1.0, s))))
 
         cfg = fig3_cfg(alice=ArrayGeometry(1, 64), bob=ArrayGeometry(1, 32), num_paths=6)
+        stream = seeds.sampler_streams(seeds.stream_lanes([(t, seeds.STREAM_CHANNEL) for t in range(20)]))
+        raw, snapped = (_rays(replace(cfg, grid_angles=grid), stream, range(20)) for grid in (False, True))
+        assert np.array_equal(snapped[1], raw[1])
         for t in range(20):
-            raw = sample_channel(cfg.alice, cfg.bob, seeds.generator(t, 1), cfg.num_paths, cfg.nlos_offset_db)
-            snapped = sample_channel(cfg.alice, cfg.bob, seeds.generator(t, 1), cfg.num_paths, cfg.nlos_offset_db, True)
-            assert np.array_equal(snapped[1], raw[1])
             # both (angles, gains) equal the draws taken one at a time
-            for grid, drawn in ((False, raw), (True, snapped)):
+            for grid, (angles, gains) in ((False, raw), (True, snapped)):
                 ref = session_channel(replace(cfg, grid_angles=grid), seeds.generator(t, 1))
-                assert all(r.tobytes() == d.tobytes() for r, d in zip(ref, drawn, strict=True))
-            for (aod, _, aoa, _), row in zip(raw[0], snapped[0]):
+                assert ref[0].tobytes() == angles[t].tobytes() and ref[1].tobytes() == gains[t].tobytes()
+            for (aod, _, aoa, _), row in zip(raw[0][t], snapped[0][t]):
                 assert tuple(row) == (snap(aod, 64), 0.0, snap(aoa, 32), 0.0)
 
 
@@ -550,6 +586,12 @@ class TestEstimateChannel:
         H = np.ones((4, 6), dtype=complex)
         with pytest.raises(ValueError, match="complex array of shape"):
             estimate_channel(H, 0.0, rng(1), out=H if out is None else out)
+
+    @pytest.mark.parametrize("snr_db", [np.nan, -4000.0])
+    def test_snr_whose_noise_variance_is_not_finite_rejected(self, snr_db):
+        # it used to give a NaN estimate without an error
+        with pytest.raises(ValueError, match=f"SNR {snr_db} dB gives a noise variance"):
+            estimate_channel(np.zeros((2, 2)), snr_db, rng(1))
 
     def test_independent_streams(self):
         H = np.zeros((8, 8))
@@ -872,9 +914,11 @@ class TestMultiresBatch:
 
     def test_batch_equals_batches_of_one(self, probes):
         # SNRs out of grid order and one seed repeated: each point's record
-        # is bytes of its own batch of one, whatever the other points are
+        # is bytes of its own batch of one, whatever the other points are.
+        # Seeds below 2**32 hash as one u32 word and the others as two, so
+        # one stream_lanes call seeds these trials in two groups
         cfg = fig4_cfg(rounds=300, snr_db=UNREAD_SNR_DB, master_seed=0)
-        trial_seeds = [7, 3, 7, 2**64 - 1, 12]
+        trial_seeds = [7, 3, 7, 2**64 - 1, 2**32]
         snrs = [20.0, 0.0, 5.0, 15.0, 10.0]
         whole = list(multires_batch(cfg, trial_seeds, snrs))
         assert len(whole) == 5
