@@ -8,51 +8,14 @@ through the same two routines, and runs as a batch of trials that yields
 one key-material record per trial.  The schemes run probing, extraction
 and quantization; Cascade and privacy amplification are library functions
 that no scheme calls yet (only cascade-bench runs Cascade; ROADMAP item 1).
+
+The root re-exports the configs, the scenario runner and a few routines;
+every other public name lives in its layer module.
 """
 
-from .beamforming import (
-    Codebook,
-    SelectionInfeasibleError,
-    hierarchical_codebook,
-    quantize_phases,
-    sector_beamformer,
-    select_beams,
-    steering_beamformer,
-)
-from .channel import (
-    ArrayGeometry,
-    array_response,
-    channel_matrix,
-    virtual_channel,
-)
-from .experiments import (
-    ConfigError,
-    ExperimentConfig,
-    ResultRow,
-    ResultTable,
-    load_config,
-    parse_config,
-    run_scenario,
-    write_csv,
-)
-from .keygen import (
-    BitString,
-    CascadeParams,
-    InsufficientSamplesError,
-    KeyMaterial,
-    QuantizerConfig,
-    bar,
-    cascade,
-    extract_randomness,
-    key_entropy_rate,
-    privacy_amplify,
-)
-from .probing import bidirectional_probe
-from .schemes import (
-    SchemeResult,
-    SessionConfig,
-    estimate_channel,
-    secret_beam_session,
-)
+from .channel import ArrayGeometry, virtual_channel
+from .experiments import load_config, run_scenario, write_csv
+from .keygen import QuantizerConfig, key_entropy_rate
+from .schemes import SessionConfig, secret_beam_session
 
 __version__ = "0.1.0"

@@ -135,7 +135,7 @@ def _paths(u: np.ndarray, normals: np.ndarray, nlos_offset_db: float, grid_cols=
     cols) the rays are in-plane, their sines snapped to the DFT grid of
     each array, so each path occupies exactly one virtual bin.
     """
-    angles = np.arcsin(-1.0 + 2.0 * u[..., :-1].reshape(u.shape[:-1] + (-1, 4)))
+    angles = np.arcsin(-1.0 + 2.0 * u[..., :-1].reshape(u.shape[:-1] + (u.shape[-1] // 4, 4)))
     if grid_cols is not None:
         n = np.array(grid_cols, dtype=float)
         s = np.round(np.sin(angles[..., ::2]) * n / 2.0) * 2.0 / n

@@ -410,13 +410,9 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 def _trial_seeds(cfg: ExperimentConfig, case_idx: int, snr_idx, trials: int) -> np.ndarray:
     """The u64 seeds of trials ``0 .. trials-1`` of one (case, SNR) point, or of a sequence of points in turn."""
-    labels = (cfg.master_seed, seeds.STREAM_TRIAL, _SCENARIO_IDS[cfg.scenario], case_idx)
     points = np.asarray(snr_idx, dtype=np.uint64).reshape(-1, 1)
-    addresses = np.empty((points.size, trials, len(labels) + 2), dtype=np.uint64)
-    addresses[..., :-2] = labels
-    addresses[..., -2] = points
-    addresses[..., -1] = np.arange(trials)
-    return seeds.derive_seeds(addresses.reshape(-1, len(labels) + 2))
+    case = (cfg.master_seed, seeds.STREAM_TRIAL, _SCENARIO_IDS[cfg.scenario], case_idx)
+    return seeds.derive_seeds(*case, points, np.arange(trials, dtype=np.uint64)).reshape(-1)
 
 
 # [scheme] keys that map one to one onto SessionConfig fields
@@ -538,8 +534,7 @@ def _run_cascade_bench(cfg: ExperimentConfig) -> list[ResultRow]:
     for case_idx, p in enumerate(cfg.cascade.error_rates):
         trial_seeds = _trial_seeds(cfg, case_idx, 0, cfg.trials)
         # every trial's data stream, seeded at once
-        tags = np.full_like(trial_seeds, seeds.STREAM_BENCH_DATA)
-        stream = seeds.sampler_streams(seeds.stream_lanes(np.column_stack((trial_seeds, tags))))
+        stream = seeds.sampler_streams(seeds.stream_lanes(trial_seeds, seeds.STREAM_BENCH_DATA))
         outcomes = np.empty((cfg.trials, 2))
         for trial_idx, seed in enumerate(trial_seeds.tolist()):
             rng = stream(trial_idx)

@@ -27,7 +27,10 @@ Every scheme draws its channels' (L, 4) angles and (L,) gains by
 :func:`_evolved`, many sampler streams at once.  Every session is a pure
 function of its :class:`SessionConfig` (master seed included): all
 randomness flows through labelled streams derived in :mod:`mmkeygen.seeds`.
-A batch or session runs only a config of its own scheme.
+A batch, or each chunk of one, seeds its streams with one
+:func:`seeds.stream_lanes` call on a grid of labels, trial by tag (and by
+round when sounding), and takes each stream by its grid index.  A batch or
+session runs only a config of its own scheme.
 """
 
 from __future__ import annotations
@@ -196,35 +199,35 @@ class SchemeResult:
         return self.agreement()[0]
 
 
-def _rays(cfg: SessionConfig, stream, indices) -> tuple[np.ndarray, np.ndarray]:
-    """Angles (N, L, 4) and gains (N, L) of one channel per sampler stream ``stream(i)``, ``i`` in ``indices``.
+def _rays(cfg: SessionConfig, stream, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Angles (*shape, L, 4) and gains (*shape, L): one channel per sampler stream ``stream(*n)`` of the grid ``shape``.
 
     Each stream draws its 4L + 1 uniforms, then its 2(L - 1) NLoS normals,
     which :func:`channel._paths` maps to rays (on the DFT grids when
     ``cfg.grid_angles`` is set).
     """
     L = cfg.num_paths
-    u, normals = np.empty((len(indices), 4 * L + 1)), np.empty((len(indices), 2 * (L - 1)))
-    for n, i in enumerate(indices):
-        rng = stream(i)
+    u, normals = np.empty((*shape, 4 * L + 1)), np.empty((*shape, 2 * (L - 1)))
+    for n in np.ndindex(shape):
+        rng = stream(*n)
         rng.random(out=u[n])
         rng.standard_normal(out=normals[n])
     grid_cols = (cfg.alice.cols, cfg.bob.cols) if cfg.grid_angles else None
     return _paths(u, normals, cfg.nlos_offset_db, grid_cols)
 
 
-def _evolved(cfg: SessionConfig, stream, indices, gains: np.ndarray) -> np.ndarray:
-    """The (N, R, L) gains of the (N, L) ``gains`` after each of ``cfg.rounds`` AR(1) steps, one sampler stream each.
+def _evolved(cfg: SessionConfig, stream, gains: np.ndarray) -> np.ndarray:
+    """The (N, R, L) gains of the (N, L) ``gains`` after each of ``cfg.rounds`` AR(1) steps, channel ``n``'s from ``stream(n)``.
 
     Each step draws one raw output, its LoS phase's uniform as ``random()``
     converts one (top 53 bits times 2**-53), then its NLoS normals.  Laid
     out steps first, :func:`channel._ar1` steps one contiguous (N L) row a
     step; the result is a view.
     """
-    R, N = cfg.rounds, len(indices)
+    R, N = cfg.rounds, len(gains)
     raw, normals = np.empty((R, N), dtype=np.uint64), np.empty((R, N, 2 * (cfg.num_paths - 1)))
-    for n, i in enumerate(indices):
-        rng = stream(i)
+    for n in range(N):
+        rng = stream(n)
         draw_raw, draw_normals = rng.bit_generator.random_raw, rng.standard_normal
         for t in range(R):
             raw[t, n] = draw_raw()
@@ -238,16 +241,9 @@ def _evolved(cfg: SessionConfig, stream, indices, gains: np.ndarray) -> np.ndarr
 # Secret beam (perturbation keying)
 # ---------------------------------------------------------------------------
 
-# the streams of one secret-beam session: those that feed numpy's samplers,
-# in the order _beam_draws reads them, and those that give only raw outputs;
-# the last of each feeds only the eavesdropper
-_BEAM_SAMPLER_STREAMS = (
-    seeds.STREAM_CHANNEL,
-    seeds.STREAM_EVOLVE,
-    seeds.STREAM_NOISE_ALICE,
-    seeds.STREAM_NOISE_BOB,
-    seeds.STREAM_NOISE_EVE,
-)
+# the noise and raw-output streams of one secret-beam session's parties:
+# Alice's, Bob's, then the eavesdropper's, who alone reads the last of each
+_BEAM_NOISE_STREAMS = (seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB, seeds.STREAM_NOISE_EVE)
 _BEAM_RAW_STREAMS = (seeds.STREAM_PERTURB_ALICE, seeds.STREAM_PERTURB_BOB, seeds.STREAM_EVE_GUESS)
 
 
@@ -299,18 +295,17 @@ def _beam_draws(cfg: SessionConfig, trial_seeds: np.ndarray) -> tuple[np.ndarray
     """
     B, R = trial_seeds.size, cfg.rounds
     parties = 3 if cfg.eve is not None else 2
-    tags = np.array(_BEAM_SAMPLER_STREAMS[: parties + 2] + _BEAM_RAW_STREAMS[:parties], np.uint64)
-    lanes = seeds.stream_lanes(np.column_stack((np.repeat(trial_seeds, tags.size), np.tile(tags, B))))
-    lanes = lanes.reshape(B, tags.size, 4)
-    raw = seeds.raw_outputs(lanes[:, parties + 2 :].swapaxes(0, 1).reshape(-1, 4), (R + 1) // 2)
-    index = seeds.integers_from_raw(raw.reshape(parties, B, -1), cfg.levels, R)
-    stream = seeds.sampler_streams(lanes[:, : parties + 2].reshape(-1, 4))
-    # trial b's sampler streams are b (parties + 2) + k, k its stream's place in the tags
-    angles, gains = _rays(cfg, stream, range(0, B * (parties + 2), parties + 2))
-    alpha = _evolved(cfg, stream, range(1, B * (parties + 2), parties + 2), gains)
+    # grid axes: trial, then tag (channel, evolution, each party's noise, each party's raw stream)
+    tags = (seeds.STREAM_CHANNEL, seeds.STREAM_EVOLVE) + _BEAM_NOISE_STREAMS[:parties] + _BEAM_RAW_STREAMS[:parties]
+    lanes = seeds.stream_lanes(trial_seeds[:, None], tags)
+    raw = seeds.raw_outputs(lanes[:, -parties:].swapaxes(0, 1), (R + 1) // 2)
+    index = seeds.integers_from_raw(raw, cfg.levels, R)
+    angles, gains = _rays(cfg, seeds.sampler_streams(lanes[:, 0]), (B,))
+    alpha = _evolved(cfg, seeds.sampler_streams(lanes[:, 1]), gains)
+    stream = seeds.sampler_streams(lanes[:, 2:-parties])
     noise = np.empty((parties, B, R, 4))
     for b, party in np.ndindex(B, parties):
-        stream(b * (parties + 2) + 2 + party).standard_normal(out=noise[party, b])
+        stream(b, party).standard_normal(out=noise[party, b])
     return angles, alpha, index, noise
 
 
@@ -476,22 +471,20 @@ def _sounded_trials(cfg: SessionConfig, trial_seeds, snr_db):
     """
     R = cfg.rounds
     H = np.empty((cfg.bob.size, cfg.alice.size), dtype=complex)
-    tags = np.array([seeds.STREAM_CHANNEL, seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB], np.uint64)
+    tags = (seeds.STREAM_CHANNEL, seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB)
     for start in range(0, len(trial_seeds), _SOUNDING_CHUNK):
         chunk = np.asarray(trial_seeds[start : start + _SOUNDING_CHUNK], dtype=np.uint64)
-        B = chunk.size
-        # stream 3 i + k is tag k of round i = b R + t: (seed b, tag k, t)
-        addresses = np.broadcast_arrays(chunk[:, None, None], tags, np.arange(R, dtype=np.uint64)[:, None])
-        stream = seeds.sampler_streams(seeds.stream_lanes(np.stack(addresses, axis=-1).reshape(-1, 3)))
-        angles, gains = _rays(cfg, stream, range(0, 3 * B * R, 3))
+        # grid axes: trial, round, tag; an address is (seed, tag, round)
+        lanes = seeds.stream_lanes(chunk[:, None, None], tags, np.arange(R, dtype=np.uint64)[:, None])
+        angles, gains = _rays(cfg, seeds.sampler_streams(lanes[..., 0, :]), (chunk.size, R))
         a_rx = array_response(cfg.bob, angles[..., 2], angles[..., 3])
         a_tx = array_response(cfg.alice, angles[..., 0], angles[..., 1])
-        for b, snr in enumerate(snr_db[start : start + B]):
+        noise = seeds.sampler_streams(lanes[..., 1:, :])
+        for b, snr in enumerate(snr_db[start : start + chunk.size]):
             def estimates(t, out, b=b, snr=snr):
-                i = b * R + t
-                channel_matrix(a_rx[i], gains[i], a_tx[i], out=H)
-                for k, est in enumerate(out, start=1):
-                    estimate_channel(H, snr, stream(3 * i + k), out=est)
+                channel_matrix(a_rx[b, t], gains[b, t], a_tx[b, t], out=H)
+                for party, est in enumerate(out):
+                    estimate_channel(H, snr, noise(b, t, party), out=est)
 
             yield estimates
 
@@ -599,12 +592,11 @@ def multires_batch(cfg: SessionConfig, trial_seeds, snr_db):
     _check_scheme(cfg, "multires")
     P, S = cfg.num_beams, len(trial_seeds)
     codebook, bob_wide = _multires_beams(cfg.alice, cfg.bob, cfg.multires_depth)
-    # stream 3 s + k is tag k of trial s
-    tags = np.array([seeds.STREAM_CHANNEL, seeds.STREAM_EVOLVE, seeds.STREAM_NOISE_BOB], np.uint64)
-    addresses = np.broadcast_arrays(np.asarray(trial_seeds, dtype=np.uint64)[:, None], tags)
-    stream = seeds.sampler_streams(seeds.stream_lanes(np.stack(addresses, axis=-1).reshape(-1, 2)))
-    angles, first = _rays(cfg, stream, range(0, 3 * S, 3))
-    gains = _evolved(cfg, stream, range(1, 3 * S, 3), first)
+    tags = (seeds.STREAM_CHANNEL, seeds.STREAM_EVOLVE, seeds.STREAM_NOISE_BOB)
+    lanes = seeds.stream_lanes(np.asarray(trial_seeds, dtype=np.uint64)[:, None], tags)  # grid axes: trial, tag
+    angles, first = _rays(cfg, seeds.sampler_streams(lanes[:, 0]), (S,))
+    gains = _evolved(cfg, seeds.sampler_streams(lanes[:, 1]), first)
+    noise = seeds.sampler_streams(lanes[:, 2])
     for s, snr in enumerate(snr_db):
         a_tx = array_response(cfg.alice, angles[s, :, 0], angles[s, :, 1])
         a_rx = array_response(cfg.bob, angles[s, :, 2], angles[s, :, 3])
@@ -619,7 +611,7 @@ def multires_batch(cfg: SessionConfig, trial_seeds, snr_db):
         # row sums its mean in another order, and the cells depend on the last bit of it
         y_bob, y_alice = [
             np.ascontiguousarray(y.real.T)
-            for y in bidirectional_probe(w_a, w_b, a_tx, a_rx, gains[s], snr, stream(3 * s + 2))
+            for y in bidirectional_probe(w_a, w_b, a_tx, a_rx, gains[s], snr, noise(s))
         ]
 
         # Gray-coded cells of each multi-arm probe stream on its own calibrated range, Alice's then Bob's

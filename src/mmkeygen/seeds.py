@@ -7,11 +7,13 @@ derivation uses ``numpy.random.SeedSequence`` hashing, which is documented by
 numpy to be stable across platforms and releases, so the same config always
 reproduces the same tables regardless of execution order or worker count.
 
-``derive_seeds`` and ``stream_lanes`` are the same derivation for many
-addresses at once.  They rerun ``SeedSequence``'s hash on uint32 arrays, and
-``stream_lanes`` reruns ``PCG64``'s seeding on 128-bit values held as (hi,
-lo) pairs of uint64 arrays.  ``raw_outputs`` steps those lanes, so a stream
-that only gives raw outputs needs no ``Generator`` at all;
+``derive_seeds`` and ``stream_lanes`` are the same derivation for a grid of
+addresses at once: each label is an int or a u64 array, and the labels
+broadcast, so a batch's streams lie on one grid (trial by tag, say) that its
+code indexes by axis.  They rerun ``SeedSequence``'s hash on uint32 arrays,
+and ``stream_lanes`` reruns ``PCG64``'s seeding on 128-bit values held as
+(hi, lo) pairs of uint64 arrays.  ``raw_outputs`` steps those lanes, so a
+stream that only gives raw outputs needs no ``Generator`` at all;
 ``sampler_streams`` sets one reused ``Generator`` to them, so a stream that
 feeds numpy's samplers costs one ``bit_generator.state`` assignment.
 """
@@ -110,11 +112,13 @@ def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
     return pool
 
 
-def _pools(addresses) -> np.ndarray:
-    """The entropy pool of ``SeedSequence(row)`` for each row of an (n, k) u64 array."""
-    a = np.asarray(addresses, dtype=np.uint64)
-    if a.ndim != 2 or a.shape[1] < 1:
-        raise ValueError(f"addresses must be an (n, k) array with k >= 1, got shape {a.shape}")
+def _pools(labels: tuple) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The ``SeedSequence`` entropy pool of each address of the broadcast ``labels``, one row each, and their shape."""
+    if not labels:
+        raise ValueError("an address needs at least one label")
+    columns = [np.asarray(label, dtype=np.uint64) for label in labels]
+    shape = np.broadcast(*columns).shape
+    a = np.stack([np.broadcast_to(column, shape) for column in columns], axis=-1).reshape(-1, len(labels))
     n, k = a.shape
     # SeedSequence splits each value into little-endian uint32 words and
     # keeps the high word only when it is nonzero, so a row's word count
@@ -127,7 +131,7 @@ def _pools(addresses) -> np.ndarray:
     for count in set(counts.tolist()):
         rows = counts == count
         pools[rows] = _mix_entropy(words[rows][present[rows]].reshape(-1, count))
-    return pools
+    return pools, shape
 
 
 def _generate_state(pools: np.ndarray, n_words: int) -> np.ndarray:
@@ -137,9 +141,10 @@ def _generate_state(pools: np.ndarray, n_words: int) -> np.ndarray:
     return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-def derive_seeds(addresses) -> np.ndarray:
-    """The u64 seed of a nested session (a trial) at each row of an (n, k) u64 array, from ``SeedSequence(row)``."""
-    return _generate_state(_pools(addresses), 2)[:, 0]
+def derive_seeds(*labels) -> np.ndarray:
+    """The u64 seed of a nested session (a trial) at each address of the broadcast ``labels``."""
+    pools, shape = _pools(labels)
+    return _generate_state(pools, 2)[:, 0].reshape(shape)
 
 
 # 128-bit values are (hi, lo) pairs of u64 arrays, broadcast against each
@@ -175,33 +180,37 @@ def _add(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
 _MULT = _as_pair([_PCG64_MULT])
 
 
-def stream_lanes(addresses) -> np.ndarray:
-    """The seeded PCG64 state and increment of ``generator(*row)`` for each row of an (n, k) u64 array.
+def stream_lanes(*labels) -> np.ndarray:
+    """The seeded PCG64 state and increment of ``generator(*address)`` at each address of the broadcast ``labels``.
 
-    Row ``i`` of the (n, 4) u64 result is (state hi, state lo, inc hi, inc
-    lo) for address ``i``.  This is ``pcg64_set_seed`` on the four words
+    Labels are ints or u64 arrays, as in :func:`generator`.  The u64 result
+    has their broadcast shape plus one axis of four words: (state hi, state
+    lo, inc hi, inc lo).  This is ``pcg64_set_seed`` on the four words
     ``SeedSequence`` gives: the first two are the seed, the last two
     ``initseq``; ``inc = 2 * initseq + 1`` and ``state = step(step(0) +
     seed)``, where one step is ``state * MULT + inc``.
     """
-    seed_hi, seed_lo, init_hi, init_lo = _generate_state(_pools(addresses), 8).T
+    pools, shape = _pools(labels)
+    seed_hi, seed_lo, init_hi, init_lo = _generate_state(pools, 8).T
     inc = ((init_hi << 1) | (init_lo >> 63), (init_lo << 1) | 1)
-    return np.column_stack(_add(_mul(_add(inc, (seed_hi, seed_lo)), _MULT), inc) + inc)
+    return np.stack(_add(_mul(_add(inc, (seed_hi, seed_lo)), _MULT), inc) + inc, axis=-1).reshape(shape + (4,))
 
 
 def sampler_streams(lanes: np.ndarray):
-    """``stream(i)``: one reused ``Generator``, set to row ``i`` of :func:`stream_lanes` and returned.
+    """``stream(*index)``: one reused ``Generator``, set to the stream at ``index`` of the lanes' grid and returned.
 
     Setting a stream is one assignment of one reused state mapping; until
-    the next call the generator draws what ``generator(*addresses[i])`` draws.
+    the next call the generator draws what ``generator(*address)`` draws at
+    that index of the labels :func:`stream_lanes` took.
     """
-    words = lanes.T.astype(object)
-    states, incs = ((words[0] << 64) | words[1]).tolist(), ((words[2] << 64) | words[3]).tolist()
+    # each stream's (state, inc) as Python ints; [..., j] keeps even a 0-d grid an array
+    pairs = (lanes[..., ::2].astype(object) << 64) | lanes[..., 1::2].astype(object)
+    states, incs = pairs[..., 0], pairs[..., 1]
     mapping = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0}, "has_uint32": 0, "uinteger": 0}
     rng = np.random.Generator(np.random.PCG64(0))
 
-    def stream(i: int) -> np.random.Generator:
-        mapping["state"]["state"], mapping["state"]["inc"] = states[i], incs[i]
+    def stream(*index: int) -> np.random.Generator:
+        mapping["state"]["state"], mapping["state"]["inc"] = states[index], incs[index]
         rng.bit_generator.state = mapping
         return rng
 
@@ -209,21 +218,21 @@ def sampler_streams(lanes: np.ndarray):
 
 
 def raw_outputs(lanes: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` outputs of each stream of :func:`stream_lanes`, as an (n, count) u64 array.
+    """The first ``count`` outputs of each stream of :func:`stream_lanes`, on a last axis after the lanes' leading axes.
 
-    Row ``i`` is ``generator(*addresses[i]).bit_generator.random_raw(count)``:
+    At each index they are ``generator(*address).bit_generator.random_raw(count)``:
     each output steps the state once and gives its XSL-RR output, the xor
     of its two words rotated right by its top 6 bits.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    state, inc = (lanes[:, 0], lanes[:, 1]), (lanes[:, 2], lanes[:, 3])
-    out = np.empty((len(lanes), count), np.uint64)
+    state, inc = (lanes[..., 0], lanes[..., 1]), (lanes[..., 2], lanes[..., 3])
+    out = np.empty(lanes.shape[:-1] + (count,), np.uint64)
     for k in range(count):
         state = _add(_mul(state, _MULT), inc)
         rot = state[0] >> 58
         word = state[0] ^ state[1]
-        out[:, k] = (word >> rot) | (word << ((64 - rot) & 63))
+        out[..., k] = (word >> rot) | (word << ((64 - rot) & 63))
     return out
 
 

@@ -358,6 +358,7 @@ class TestSelectionEqualsReference:
             assert select_beams(cb, H, w_rx, count, 30.0) == _reference_selection(cb, H, w_rx, count, 30.0)
 
 
+@pytest.mark.numpy_contract
 class TestSelectionEqualsMedianReference:
     """The sorted-window median against ``np.median``'s selection in ``reference.py``, exactly."""
 

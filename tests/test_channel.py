@@ -25,14 +25,14 @@ def rng(seed=0):
 def rays(seed, num_paths, count=1, tx=ArrayGeometry(1, 4), rx=ArrayGeometry(1, 4)):
     """``count`` channels drawn by ``_rays`` one after another from one generator: angles (count, L, 4), gains (count, L)."""
     r = rng(seed)
-    return _rays(SessionConfig(scheme="baseline", alice=tx, bob=rx, num_paths=num_paths), lambda i: r, range(count))
+    return _rays(SessionConfig(scheme="baseline", alice=tx, bob=rx, num_paths=num_paths), lambda n: r, (count,))
 
 
 def evolved(gains, rho, seed, steps):
     """The (N, steps, L) gains ``_evolved`` steps the (N, L) ``gains`` to, each channel's steps drawn in turn from one generator."""
     r = rng(seed)
     cfg = SessionConfig(scheme="baseline", num_paths=gains.shape[1], rounds=steps, temporal_rho=rho)
-    return _evolved(cfg, lambda i: r, range(len(gains)), gains)
+    return _evolved(cfg, lambda n: r, gains)
 
 
 class TestArrayResponse:
@@ -405,6 +405,7 @@ class TestVirtualChannel:
             assert virtual_channel(inplace, tx, rx, out=inplace) is inplace
             assert inplace.tobytes() == Hv.tobytes()
 
+    @pytest.mark.numpy_contract
     @pytest.mark.parametrize(
         "tx, rx",
         [

@@ -219,6 +219,7 @@ class TestRunScenario:
         leak = next(r for r in table.rows if r.metric == "leak_fraction")
         assert 0.3 < leak.value < 0.8
 
+    @pytest.mark.numpy_contract
     @pytest.mark.parametrize("master_seed", [2, 2**40 + 3])
     def test_cascade_bench_equals_per_trial_reference(self, master_seed):
         # each rate's data streams are seeded in one batch; the reference
@@ -325,7 +326,7 @@ _MASKED_ARRAY_PROBE = """
 import sys
 import numpy as np
 import mmkeygen
-from mmkeygen.experiments import table_to_csv
+from mmkeygen.experiments import parse_config, table_to_csv
 presets = [
     'scenario = "fig2"\\nmaster_seed = 3\\ntrials = 3\\nsnr_grid = 10\\n',
     'scenario = "fig3"\\nmaster_seed = 3\\ntrials = 2\\nsnr_grid = 0\\n',
@@ -333,7 +334,7 @@ presets = [
     'scenario = "cascade-bench"\\nmaster_seed = 3\\ntrials = 2\\n[cascade]\\nerror_rates = 0.05\\nblock_bits = 256\\n',
 ]
 for text in presets:
-    table_to_csv(mmkeygen.run_scenario(mmkeygen.parse_config(text)))
+    table_to_csv(mmkeygen.run_scenario(parse_config(text)))
     print(text.split('"')[1], "numpy.ma" in sys.modules)
 samples = np.random.default_rng(3).standard_normal((3, 2000))
 mmkeygen.key_entropy_rate(samples, mmkeygen.QuantizerConfig(levels=16))

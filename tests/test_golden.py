@@ -16,6 +16,8 @@ from mmkeygen.channel import ArrayGeometry
 from mmkeygen.experiments import parse_config, run_scenario, table_to_csv
 from mmkeygen.schemes import _multires_beams
 
+pytestmark = pytest.mark.numpy_contract
+
 GOLDEN = {
     "fig2": (
         'scenario = "fig2"\nmaster_seed = 1\ntrials = 20\n',

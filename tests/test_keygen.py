@@ -672,6 +672,7 @@ class TestEntropyRateMatchesReference:
         else:
             assert key_entropy_rate(samples, cfg, min_trials=1) == expected
 
+    @pytest.mark.numpy_contract
     @pytest.mark.parametrize("levels", [4, 16])
     @pytest.mark.parametrize("blocks", [2, 3, 63, 64, 65, 127, 128, 129, 1985, 2003])
     def test_grid_end_on_and_off_the_step(self, blocks, levels):
@@ -696,6 +697,7 @@ class TestEntropyRateMatchesReference:
         cfg = QuantizerConfig(levels=levels, lo=-20.0, hi=21.0)
         assert key_entropy_rate(samples, cfg, min_trials=0) == reference_key_entropy_rate(samples, levels, -20.0, 21.0)
 
+    @pytest.mark.numpy_contract
     def test_zero_blocks_raise_before_any_array_work(self):
         # an empty stream has no mean and no grid end: refused up front,
         # without numpy's empty-slice warning
@@ -706,6 +708,7 @@ class TestEntropyRateMatchesReference:
             with pytest.raises(InsufficientSamplesError):
                 _entropy_rates(np.empty((2, 0)), 4, sections=10)
 
+    @pytest.mark.numpy_contract
     def test_one_block_has_zero_single_entropy(self):
         with pytest.raises(ValueError, match="zero single-probe entropy"):
             key_entropy_rate(rng(2).standard_normal((3, 1)), QuantizerConfig(levels=4), min_trials=0)

@@ -308,6 +308,7 @@ class TestSecretBeamBatch:
         for a, b in zip(whole, chunked):
             assert a.symbols.tobytes() == b.symbols.tobytes() and a.symbols.shape == b.symbols.shape
 
+    @pytest.mark.numpy_contract
     @pytest.mark.parametrize("eve, per_trial", [(None, 4), ("alice", 5)])
     def test_state_assigned_only_for_sampler_streams(self, monkeypatch, eve, per_trial):
         # the perturbation and guess streams give raw outputs computed from
@@ -345,9 +346,61 @@ class TestSecretBeamBatch:
         assert res.agreement()[1] == bar(key_bits(res, 2), key_bits(res, 0))
 
 
+@pytest.fixture
+def assigned_states(monkeypatch):
+    """Every PCG64 state assigned while the test runs, in order: one per sampler stream set."""
+    assigned = []
+    base = np.random.PCG64
+
+    class PCG64(base):  # numpy checks a state's generator by class name
+        @property
+        def state(self):
+            return base.state.__get__(self)
+
+        @state.setter
+        def state(self, value):
+            assigned.append(value["state"].copy())
+            base.state.__set__(self, value)
+
+    monkeypatch.setattr(np.random, "PCG64", PCG64)
+    return assigned
+
+
+def sounding_addresses(trial_seeds, rounds):
+    """The streams a sounding chunk sets, in order: each trial's channel in each round, then each round's two noises."""
+    channel = [(seed, seeds.STREAM_CHANNEL, t) for seed in trial_seeds for t in range(rounds)]
+    noise_tags = (seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB)
+    noise = [(seed, tag, t) for seed in trial_seeds for t in range(rounds) for tag in noise_tags]
+    return channel + noise
+
+
+@pytest.mark.numpy_contract
+class TestStreamAddresses:
+    """The address of every sampler stream each scheme sets, and their order, pinned by the states assigned."""
+
+    TRIAL_SEEDS = [3, 2**40 + 1, 2**64 - 1]
+
+    @pytest.mark.parametrize("batch, scheme", [(virtual_angle_batch, "virtual"), (baseline_batch, "baseline")])
+    def test_sounding_streams(self, monkeypatch, assigned_states, batch, scheme):
+        # chunks of two trials: the second chunk draws once the first is sounded
+        monkeypatch.setattr(schemes, "_SOUNDING_CHUNK", 2)
+        cfg = fig3_cfg(scheme=scheme, alice=ArrayGeometry(1, 8), bob=ArrayGeometry(1, 4), rounds=2, num_paths=2)
+        list(batch(cfg, self.TRIAL_SEEDS, [0.0] * 3))
+        addresses = sounding_addresses(self.TRIAL_SEEDS[:2], 2) + sounding_addresses(self.TRIAL_SEEDS[2:], 2)
+        assert assigned_states == [seeds.generator(*address).bit_generator.state["state"] for address in addresses]
+
+    def test_multires_streams(self, assigned_states):
+        # every trial's channel stream, then every trial's evolution stream, then each trial's noise stream
+        list(multires_batch(fig4_cfg(rounds=20), self.TRIAL_SEEDS, [10.0] * 3))
+        tags = (seeds.STREAM_CHANNEL, seeds.STREAM_EVOLVE, seeds.STREAM_NOISE_BOB)
+        addresses = [(seed, tag) for tag in tags for seed in self.TRIAL_SEEDS]
+        assert assigned_states == [seeds.generator(*address).bit_generator.state["state"] for address in addresses]
+
+
 class TestDrawsEqualReference:
     """``_rays`` and ``_evolved`` over many sampler streams against one generator a trial, one draw at a time."""
 
+    @pytest.mark.numpy_contract
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(U64_SEEDS, min_size=1, max_size=5),
@@ -366,12 +419,12 @@ class TestDrawsEqualReference:
             temporal_rho=rho,
             grid_angles=grid,
         )
-        # stream 2 n is trial n's channel stream, 2 n + 1 its evolution stream
+        # grid axes: trial, then tag (channel, evolution)
         tags = (seeds.STREAM_CHANNEL, seeds.STREAM_EVOLVE)
-        stream = seeds.sampler_streams(seeds.stream_lanes([(seed, tag) for seed in trial_seeds for tag in tags]))
+        lanes = seeds.stream_lanes(np.array(trial_seeds, dtype=np.uint64)[:, None], tags)
         N = len(trial_seeds)
-        angles, first = _rays(cfg, stream, range(0, 2 * N, 2))
-        gains = _evolved(cfg, stream, range(1, 2 * N, 2), first)
+        angles, first = _rays(cfg, seeds.sampler_streams(lanes[:, 0]), (N,))
+        gains = _evolved(cfg, seeds.sampler_streams(lanes[:, 1]), first)
         assert angles.shape == (N, num_paths, 4) and gains.shape == (N, rounds, num_paths)
         for n, seed in enumerate(trial_seeds):
             ref_angles, ref_first = session_channel(cfg, seeds.generator(seed, seeds.STREAM_CHANNEL))
@@ -417,8 +470,8 @@ class TestPerturbationBeams:
             return float(np.arcsin(min(1.0 - 2.0 / n, max(-1.0, s))))
 
         cfg = fig3_cfg(alice=ArrayGeometry(1, 64), bob=ArrayGeometry(1, 32), num_paths=6)
-        stream = seeds.sampler_streams(seeds.stream_lanes([(t, seeds.STREAM_CHANNEL) for t in range(20)]))
-        raw, snapped = (_rays(replace(cfg, grid_angles=grid), stream, range(20)) for grid in (False, True))
+        stream = seeds.sampler_streams(seeds.stream_lanes(np.arange(20, dtype=np.uint64), seeds.STREAM_CHANNEL))
+        raw, snapped = (_rays(replace(cfg, grid_angles=grid), stream, (20,)) for grid in (False, True))
         assert np.array_equal(snapped[1], raw[1])
         for t in range(20):
             # both (angles, gains) equal the draws taken one at a time
@@ -506,6 +559,11 @@ class TestSchemeChecks:
         cfg = RUNS[foreign][0]
         with pytest.raises(ValueError, match=f"this batch runs '{scheme}' sessions, got a '{foreign}' config"):
             list(run(cfg, [1], [0.0])) if run.__name__.endswith("_batch") else run(cfg)
+
+    @pytest.mark.parametrize("scheme", RUNS)
+    def test_no_trials_yield_nothing(self, scheme):
+        cfg, batch, *_ = RUNS[scheme]
+        assert list(batch(cfg, [], [])) == []
 
     def test_configs_of_other_schemes_that_used_to_run(self):
         # identical beams used to give bar_legit 0.375, and a virtual config a
@@ -824,6 +882,7 @@ class TestSoundingLoop:
         session(spy, replace(cfg, master_seed=99, snr_db=20.0))
         assert np.array_equal(first.symbols, kept)
 
+    @pytest.mark.numpy_contract
     @pytest.mark.parametrize("virtual", [True, False], ids=["virtual", "baseline"])
     @pytest.mark.parametrize(
         "alice, bob",
@@ -912,6 +971,7 @@ class TestMultires:
 class TestMultiresBatch:
     RECORD_FIELDS = ("width", "probes_used", "ker_multires", "ker_fixed", "ker_multires_stderr", "ker_fixed_stderr")
 
+    @pytest.mark.numpy_contract
     def test_batch_equals_batches_of_one(self, probes):
         # SNRs out of grid order and one seed repeated: each point's record
         # is bytes of its own batch of one, whatever the other points are.
@@ -1045,6 +1105,7 @@ def shared_streams(seed, streams, blocks):
     return r.standard_normal(blocks) + own + r.uniform(-3.0, 3.0, (streams, 1))
 
 
+@pytest.mark.numpy_contract
 class TestRateAndStderrEqualReference:
     """An arm's one-pass rate and jackknife stderr against the per-section form of ``reference.py``, with ``==``."""
 

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmkeygen import seeds
@@ -34,11 +36,11 @@ class TestStreamDerivation:
             (42,): 11465652750463011511,
         }
         for address, value in pinned.items():
-            assert int(seeds.derive_seeds(np.array([address], dtype=np.uint64))[0]) == value
+            assert int(seeds.derive_seeds(*address)) == value
             assert derive_seed(*address) == value
 
     def test_u64_output(self):
-        values = seeds.derive_seeds(np.array([[123, 4, 5]], dtype=np.uint64))
+        values = seeds.derive_seeds(np.array([123], dtype=np.uint64), 4, 5)
         assert values.dtype == np.uint64 and values.shape == (1,)
 
 
@@ -51,20 +53,78 @@ ADDRESS_BLOCKS = st.integers(1, 7).flatmap(
 )
 
 
+@st.composite
+def label_grids(draw):
+    """One to five labels broadcasting onto an (n, k) grid: ints, and u64 arrays of shape (n, 1), (k,), (1, k) or (n, k)."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shapes = draw(st.lists(st.sampled_from([(), (n, 1), (k,), (1, k), (n, k)]), min_size=1, max_size=5))
+    labels = []
+    for shape in shapes:
+        values = draw(st.lists(U64, min_size=math.prod(shape), max_size=math.prod(shape)))
+        labels.append(values[0] if shape == () else np.array(values, np.uint64).reshape(shape))
+    return labels
+
+
+def grid_addresses(labels):
+    """The address at each index of the labels' broadcast grid, as Python ints."""
+    grids = np.broadcast_arrays(*(np.asarray(label, dtype=np.uint64) for label in labels))
+    return {index: tuple(int(grid[index]) for grid in grids) for index in np.ndindex(grids[0].shape)}
+
+
+@pytest.mark.numpy_contract
+class TestLabelGrids:
+    """The address contract: labels broadcast, and each index of their grid is the stream ``generator(*address)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_grids())
+    def test_derive_seeds_equal_seed_sequence_at_every_index(self, labels):
+        derived, addresses = seeds.derive_seeds(*labels), grid_addresses(labels)
+        assert derived.dtype == np.uint64 and derived.shape == np.broadcast_shapes(*map(np.shape, labels))
+        assert {index: int(derived[index]) for index in addresses} == {
+            index: derive_seed(*address) for index, address in addresses.items()
+        }
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_grids())
+    def test_stream_lanes_equal_generator_at_every_index(self, labels):
+        lanes, addresses = seeds.stream_lanes(*labels), grid_addresses(labels)
+        assert lanes.dtype == np.uint64 and lanes.shape == np.broadcast_shapes(*map(np.shape, labels)) + (4,)
+        for index, address in addresses.items():
+            state = seeds.generator(*address).bit_generator.state["state"]
+            words = [state["state"] >> 64, state["state"] % 2**64, state["inc"] >> 64, state["inc"] % 2**64]
+            assert [int(word) for word in lanes[index]] == words
+
+    @settings(max_examples=100, deadline=None)
+    @given(label_grids(), st.integers(1, 9))
+    # a (trial, tag) grid across the edge words: stream(i, j) is generator(seed i, tag j)
+    @example([np.array(EDGE_WORDS, dtype=np.uint64)[:, None], (seeds.STREAM_CHANNEL, seeds.STREAM_BENCH_DATA)], 2)
+    def test_sampler_streams_and_raw_outputs_keep_the_grid(self, labels, count):
+        lanes, addresses = seeds.stream_lanes(*labels), grid_addresses(labels)
+        stream, raw = seeds.sampler_streams(lanes), seeds.raw_outputs(lanes, count)
+        assert raw.shape == lanes.shape[:-1] + (count,)
+        for index, address in addresses.items():
+            ref = seeds.generator(*address)
+            rng = stream(*index)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+            assert np.array_equal(raw[index], seeds.generator(*address).bit_generator.random_raw(count))
+
+
 class TestBatchedDerivation:
     """The vectorized hash and PCG64 seeding against numpy's own, address by address."""
 
     @settings(max_examples=200, deadline=None)
     @given(ADDRESS_BLOCKS)
     def test_derive_seeds_equal_seed_sequence(self, addresses):
-        derived = seeds.derive_seeds(np.array(addresses, dtype=np.uint64))
+        derived = seeds.derive_seeds(*np.array(addresses, dtype=np.uint64).T)
         assert derived.dtype == np.uint64
         assert [int(v) for v in derived] == [derive_seed(*row) for row in addresses]
 
+    @pytest.mark.numpy_contract
     @settings(max_examples=200, deadline=None)
     @given(ADDRESS_BLOCKS)
     def test_sampler_streams_equal_default_rng(self, addresses):
-        stream = seeds.sampler_streams(seeds.stream_lanes(np.array(addresses, dtype=np.uint64)))
+        stream = seeds.sampler_streams(seeds.stream_lanes(*np.array(addresses, dtype=np.uint64).T))
         for i, row in enumerate(addresses):
             ref = np.random.default_rng(np.random.SeedSequence(row))
             rng = stream(i)
@@ -73,17 +133,18 @@ class TestBatchedDerivation:
 
     def test_master_seed_below_2_32_is_one_word(self):
         # 5 and (5, 0) differ: the second is two words, the first one
-        one, two = seeds.derive_seeds(np.array([[5, 9], [5 + 2**32, 9]], dtype=np.uint64))
+        one, two = seeds.derive_seeds(np.array([5, 5 + 2**32], dtype=np.uint64), 9)
         assert int(one) == derive_seed(5, 9) != int(two) == derive_seed(5 + 2**32, 9)
 
-    def test_bad_address_shape_rejected(self):
-        with pytest.raises(ValueError, match="addresses"):
-            seeds.derive_seeds(np.array([1, 2], dtype=np.uint64))
+    @pytest.mark.parametrize("derive", [seeds.derive_seeds, seeds.stream_lanes])
+    def test_zero_labels_rejected(self, derive):
+        with pytest.raises(ValueError, match="at least one label"):
+            derive()
 
     @settings(max_examples=200, deadline=None)
     @given(ADDRESS_BLOCKS, st.one_of(st.integers(1, 9), st.just(64)))
     def test_raw_outputs_equal_random_raw(self, addresses, count):
-        raw = seeds.raw_outputs(seeds.stream_lanes(np.array(addresses, dtype=np.uint64)), count)
+        raw = seeds.raw_outputs(seeds.stream_lanes(*np.array(addresses, dtype=np.uint64).T), count)
         assert raw.dtype == np.uint64 and raw.shape == (len(addresses), count)
         for row, outputs in zip(addresses, raw):
             ref = np.random.default_rng(np.random.SeedSequence(row)).bit_generator.random_raw(count)
@@ -91,7 +152,7 @@ class TestBatchedDerivation:
 
     def test_raw_outputs_need_a_count(self):
         with pytest.raises(ValueError, match="count"):
-            seeds.raw_outputs(seeds.stream_lanes(np.array([[1, 2]], dtype=np.uint64)), 0)
+            seeds.raw_outputs(seeds.stream_lanes(1, 2), 0)
 
     @settings(max_examples=200, deadline=None)
     @given(U64, U64, U64, U64, st.integers(1, 9))
