@@ -4,10 +4,12 @@ Simulation library and CLI covering beam-perturbation keying against
 co-located eavesdroppers, angular-domain (virtual AoA/AoD) extraction and
 multi-resolution beam probing.  Every scheme draws its clustered ray
 channels (arrays of ray angles and gains) and their AR(1) gain steps
-through the same two routines, and runs as a batch of trials that yields
-one key-material record per trial.  The schemes run probing, extraction
-and quantization; Cascade and privacy amplification are library functions
-that no scheme calls yet (only cascade-bench runs Cascade; ROADMAP item 1).
+through the same two routines, and runs through one entry point,
+``schemes.batch``, which picks the scheme's code from the config and
+yields one key-material record per trial.  The schemes run probing,
+extraction and quantization; Cascade and privacy amplification are library
+functions that no scheme calls yet (only cascade-bench runs Cascade;
+ROADMAP item 1).
 
 The root re-exports the configs, the scenario runner and a few routines;
 every other public name lives in its layer module.

@@ -64,8 +64,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read config file {args.config}: {exc.strerror}", file=sys.stderr)
         return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

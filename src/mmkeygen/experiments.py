@@ -35,13 +35,7 @@ from .keygen import (
     bar,
     cascade,
 )
-from .schemes import (
-    SessionConfig,
-    baseline_batch,
-    multires_batch,
-    secret_beam_batch,
-    virtual_angle_batch,
-)
+from .schemes import SessionConfig, batch
 
 _GEOMETRY_KEYS = ("alice_rows", "alice_cols", "bob_rows", "bob_cols")
 # every [scheme] key and the type of its value; the scenario's presets
@@ -316,7 +310,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    return parse_config(text)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +434,10 @@ def _merge(preset: SessionConfig, keys: Mapping[str, object]) -> SessionConfig:
     return replace(preset, **changes)
 
 
-def _cases(cfg: ExperimentConfig) -> list[tuple[tuple[tuple[str, str], ...], SessionConfig, int]]:
-    """Each case of a session scenario: its (label, metric) rows, session template and trials.
+def _cases(cfg: ExperimentConfig) -> list[tuple[tuple[tuple[str, str], ...], SessionConfig, int, int]]:
+    """Each case of a session scenario: its (label, metric) rows, session template, trials and records per point.
+
+    A multires point is one record: one session of ``trials`` coherence blocks.
 
     Raises ValueError when the [scheme] keys make an invalid session.
     """
@@ -450,7 +450,7 @@ def _cases(cfg: ExperimentConfig) -> list[tuple[tuple[tuple[str, str], ...], Ses
             for eve in ("alice", "bob"):
                 label = f"secret_beam_{dims}_eve_{eve}"
                 session = replace(base, alice=ArrayGeometry(1, a), bob=ArrayGeometry(1, b), eve=eve)
-                cases.append((((label, "bar_legit"), (label, "bar_eve")), session, cfg.trials))
+                cases.append((((label, "bar_legit"), (label, "bar_eve")), session, cfg.trials, cfg.trials))
         return cases
     if cfg.scenario == "fig3":
         base = _merge(_PRESETS["fig3"], keys)
@@ -463,7 +463,7 @@ def _cases(cfg: ExperimentConfig) -> list[tuple[tuple[tuple[str, str], ...], Ses
         ):
             geom = ArrayGeometry(1, n)
             session = replace(base, scheme=scheme, alice=geom, bob=geom, num_paths=L)
-            cases.append((((label, "bdr"),), session, trials))
+            cases.append((((label, "bdr"),), session, trials, trials))
         return cases
     if cfg.scenario == "fig4":
         session = _merge(_PRESETS["fig4"], keys)
@@ -476,8 +476,8 @@ def _cases(cfg: ExperimentConfig) -> list[tuple[tuple[tuple[str, str], ...], Ses
         }.get(session.scheme, ("bdr",))
         outputs = tuple((session.scheme, m) for m in metrics)
     if session.scheme == "multires":
-        session = replace(session, rounds=cfg.trials)
-    return [(outputs, session, cfg.trials)]
+        return [(outputs, replace(session, rounds=cfg.trials), cfg.trials, 1)]
+    return [(outputs, session, cfg.trials, cfg.trials)]
 
 
 def _score(cfg: ExperimentConfig, outputs, trials: int, records, per_point: int) -> list[ResultRow]:
@@ -511,19 +511,11 @@ def _score(cfg: ExperimentConfig, outputs, trials: int, records, per_point: int)
 
 
 def _run_sessions(cfg: ExperimentConfig) -> list[ResultRow]:
-    batches = {
-        "secret_beam": secret_beam_batch,
-        "virtual": virtual_angle_batch,
-        "baseline": baseline_batch,
-        "multires": multires_batch,
-    }
     rows: list[ResultRow] = []
-    for case_idx, (outputs, template, trials) in enumerate(_cases(cfg)):
-        # all points' trials run as one stream; a multires point is one
-        # session of `trials` coherence blocks
-        per_point = 1 if template.scheme == "multires" else trials
-        trial_seeds = _trial_seeds(cfg, case_idx, range(len(cfg.snr_grid)), per_point).tolist()
-        records = batches[template.scheme](template, trial_seeds, np.repeat(cfg.snr_grid, per_point).tolist())
+    for case_idx, (outputs, template, trials, per_point) in enumerate(_cases(cfg)):
+        # all points' trials run as one stream
+        trial_seeds = _trial_seeds(cfg, case_idx, range(len(cfg.snr_grid)), per_point)
+        records = batch(template, trial_seeds, np.repeat(cfg.snr_grid, per_point).tolist())
         rows.extend(_score(cfg, outputs, trials, records, per_point))
     return rows
 

@@ -1,23 +1,25 @@
 """End-to-end sessions for the three key-generation schemes and the per-entry baseline.
 
-Each scheme runs as a batch of trials, each trial at its own master seed
-and SNR, which yields one :class:`SchemeResult` per trial: each party's
-key symbols and their bit width, the probes used, and any metric the
-scheme scores itself.  ``secret_beam_session`` is a batch of one trial;
-a session of another scheme is ``next(batch(cfg, [cfg.master_seed],
-[cfg.snr_db]))``.
+Every scheme runs through :func:`batch`, which runs a config once per
+trial seed, each trial at its own master seed and SNR, and yields one
+:class:`SchemeResult` per trial: each party's key symbols and their bit
+width, the probes used, and any metric the scheme scores itself.  ``batch``
+looks up ``cfg.scheme`` in ``_SCHEMES``, the table of each scheme's chunk
+function and chunk size, so a config runs only its own scheme's code.  A
+session is ``next(batch(cfg, [cfg.master_seed], [cfg.snr_db]))``;
+``secret_beam_session`` is one.
 
-* ``secret_beam_batch``: both parties steer at the line-of-sight ray and
+* ``_secret_beam``: both parties steer at the line-of-sight ray and
   hide quantized azimuth perturbations in their pilots; each side recovers
   the far side's perturbation from the calibrated magnitude ratio and the
   key is the XOR of the two perturbation streams, which a co-located
   eavesdropper cannot reproduce.
-* ``virtual_angle_batch``: both parties estimate the channel matrix,
+* ``_virtual_angle``: both parties estimate the channel matrix,
   project it onto the angular (DFT) domain, and encode the positions of the
-  strongest virtual bins.  ``baseline_batch`` quantizes every estimated
-  entry instead.  Both take their trials in chunks of up to 32, whose
-  streams are seeded and channels drawn as arrays.
-* ``multires_batch``: Alice probes with beams of several resolutions and
+  strongest virtual bins.  ``_baseline`` quantizes every estimated
+  entry instead.  Both sound a chunk's trials by :func:`_sounding`, which
+  seeds its streams and draws its channels as arrays.
+* ``_multires``: Alice probes with beams of several resolutions and
   angles chosen to keep the composite gain inside a window while Bob holds a
   wide fixed pattern; compared against an aligned fixed-beam link via the
   key entropy rate of the quantized probe streams.
@@ -27,10 +29,9 @@ Every scheme draws its channels' (L, 4) angles and (L,) gains by
 :func:`_evolved`, many sampler streams at once.  Every session is a pure
 function of its :class:`SessionConfig` (master seed included): all
 randomness flows through labelled streams derived in :mod:`mmkeygen.seeds`.
-A batch, or each chunk of one, seeds its streams with one
-:func:`seeds.stream_lanes` call on a grid of labels, trial by tag (and by
-round when sounding), and takes each stream by its grid index.  A batch or
-session runs only a config of its own scheme.
+Each chunk seeds its streams with one :func:`seeds.stream_lanes` call on a
+grid of labels, trial by tag (and by round when sounding), and takes each
+stream by its grid index.
 """
 
 from __future__ import annotations
@@ -63,9 +64,6 @@ from .channel import (
 )
 from .keygen import QuantizerConfig, _entropy_rates, _gray_cells, extract_randomness
 from .probing import bidirectional_probe
-
-SCHEMES = ("secret_beam", "virtual", "baseline", "multires")
-
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -154,15 +152,9 @@ class SessionConfig:
         return min(6, self.alice.cols.bit_length() - 1)
 
 
-def _check_scheme(cfg: SessionConfig, scheme: str) -> None:
-    """Raise ValueError unless ``cfg`` describes a ``scheme`` session: a config is validated only for its own scheme."""
-    if cfg.scheme != scheme:
-        raise ValueError(f"this batch runs {scheme!r} sessions, got a {cfg.scheme!r} config")
-
-
 @dataclass(frozen=True)
 class SchemeResult:
-    """One trial's key material, as every scheme's batch yields it.
+    """One trial's key material, as :func:`batch` yields it for every scheme.
 
     ``symbols`` holds one row of key symbols per party: Alice's, Bob's, and
     the eavesdropper's guess at the key when one is modelled.  Each symbol
@@ -280,7 +272,7 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _beam_draws(cfg: SessionConfig, trial_seeds: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every draw a batch of secret-beam sessions takes from its streams.
+    """Every draw a chunk of secret-beam sessions takes from its streams.
 
     Every stream is seeded at once by :func:`seeds.stream_lanes`.  The
     perturbation and guess streams give only raw outputs, from
@@ -309,8 +301,8 @@ def _beam_draws(cfg: SessionConfig, trial_seeds: np.ndarray) -> tuple[np.ndarray
     return angles, alpha, index, noise
 
 
-def _beam_symbols(cfg: SessionConfig, trial_seeds, snr_db) -> np.ndarray:
-    """The (B, parties, rounds) key symbols of a chunk of secret-beam trials, each at its seed and SNR.
+def _secret_beam(cfg: SessionConfig, trial_seeds: np.ndarray, snr_db):
+    """One chunk of secret-beam trials, each at its u64 seed and SNR: yields each trial's record.
 
     The draws come from :func:`_beam_draws`; the rest is array math over
     all trials.  Each party's symbol of a round is the Gray code of its own
@@ -318,7 +310,6 @@ def _beam_symbols(cfg: SessionConfig, trial_seeds, snr_db) -> np.ndarray:
     eavesdropper's XORs her guess at her host's offset with her own
     recovery of the far party's.
     """
-    trial_seeds = np.asarray(trial_seeds, dtype=np.uint64).reshape(-1)
     B, R, K = trial_seeds.size, cfg.rounds, cfg.levels
     angles, alpha, index, noise = _beam_draws(cfg, trial_seeds)
     deltas = cfg.delta_max * np.arange(1, K + 1) / K
@@ -372,28 +363,8 @@ def _beam_symbols(cfg: SessionConfig, trial_seeds, snr_db) -> np.ndarray:
         else:
             eve_far = estimates(lut_a, at_bob, noise[2], sigma)
         keys.append(gray(index[2]) ^ gray(eve_far))
-    return np.stack(keys, axis=1)
-
-
-# trials per secret-beam chunk: bounds a chunk's arrays to about a megabyte
-# at 32 x 16 antennas and 16 levels
-_BEAM_BATCH = 64
-
-
-def secret_beam_batch(cfg: SessionConfig, trial_seeds, snr_db):
-    """Run the session ``cfg`` describes once per trial seed, as its master seed: yields each trial's record in turn.
-
-    ``snr_db`` holds each trial's SNR, in place of ``cfg.snr_db``.  The
-    trials run in chunks of ``_BEAM_BATCH`` by :func:`_beam_symbols`.  A
-    trial's record depends only on its seed and SNR, so any split of the
-    trials into chunks gives the same records.
-    """
-    _check_scheme(cfg, "secret_beam")
-    width = cfg.levels.bit_length() - 1
-    for start in range(0, len(trial_seeds), _BEAM_BATCH):
-        chunk = slice(start, start + _BEAM_BATCH)
-        for symbols in _beam_symbols(cfg, trial_seeds[chunk], snr_db[chunk]):
-            yield SchemeResult(symbols, width, 4 * cfg.rounds)
+    for symbols in np.stack(keys, axis=1):
+        yield SchemeResult(symbols, K.bit_length() - 1, 4 * R)
 
 
 def secret_beam_session(cfg: SessionConfig) -> SchemeResult:
@@ -408,7 +379,9 @@ def secret_beam_session(cfg: SessionConfig) -> SchemeResult:
     does, but must guess the host's own offsets uniformly.  This is a batch
     of one trial whose seed is ``cfg.master_seed``.
     """
-    [result] = secret_beam_batch(cfg, [cfg.master_seed], [cfg.snr_db])
+    if cfg.scheme != "secret_beam":  # a config is validated only for its own scheme
+        raise ValueError(f"this batch runs 'secret_beam' sessions, got a {cfg.scheme!r} config")
+    [result] = batch(cfg, [cfg.master_seed], [cfg.snr_db])
     return result
 
 
@@ -458,74 +431,68 @@ def _bin_symbols(mag: np.ndarray, count: int) -> tuple[np.ndarray, int]:
     return rows << col_bits | cols, row_bits + col_bits
 
 
-_SOUNDING_CHUNK = 32  # the most trials whose channels a sounding chunk holds at once
+def _sounding(cfg: SessionConfig, trial_seeds: np.ndarray):
+    """A chunk of sounded trials, at the u64 master seeds ``trial_seeds``: returns ``estimates(b, t, snr, out)``.
 
-
-def _sounded_trials(cfg: SessionConfig, trial_seeds, snr_db):
-    """Per trial, at master seed ``trial_seeds[i]`` and SNR ``snr_db[i]``: yields ``estimates(t, out)``, valid until the next.
-
-    ``estimates`` writes round ``t``'s channel into one buffer and Alice's
-    and Bob's estimates of it into ``out[0]`` and ``out[1]``.  A chunk
-    seeds all its streams at once, draws its channels as arrays and builds
-    each side's path responses with one :func:`array_response` call.
+    ``estimates`` writes round ``t`` of trial ``b``'s channel into one
+    buffer and Alice's and Bob's estimates of it, at ``snr`` dB, into
+    ``out[0]`` and ``out[1]``.  The chunk seeds all its streams at once,
+    draws its channels as arrays and builds each side's path responses with
+    one :func:`array_response` call.
     """
     R = cfg.rounds
     H = np.empty((cfg.bob.size, cfg.alice.size), dtype=complex)
     tags = (seeds.STREAM_CHANNEL, seeds.STREAM_NOISE_ALICE, seeds.STREAM_NOISE_BOB)
-    for start in range(0, len(trial_seeds), _SOUNDING_CHUNK):
-        chunk = np.asarray(trial_seeds[start : start + _SOUNDING_CHUNK], dtype=np.uint64)
-        # grid axes: trial, round, tag; an address is (seed, tag, round)
-        lanes = seeds.stream_lanes(chunk[:, None, None], tags, np.arange(R, dtype=np.uint64)[:, None])
-        angles, gains = _rays(cfg, seeds.sampler_streams(lanes[..., 0, :]), (chunk.size, R))
-        a_rx = array_response(cfg.bob, angles[..., 2], angles[..., 3])
-        a_tx = array_response(cfg.alice, angles[..., 0], angles[..., 1])
-        noise = seeds.sampler_streams(lanes[..., 1:, :])
-        for b, snr in enumerate(snr_db[start : start + chunk.size]):
-            def estimates(t, out, b=b, snr=snr):
-                channel_matrix(a_rx[b, t], gains[b, t], a_tx[b, t], out=H)
-                for party, est in enumerate(out):
-                    estimate_channel(H, snr, noise(b, t, party), out=est)
+    # grid axes: trial, round, tag; an address is (seed, tag, round)
+    lanes = seeds.stream_lanes(trial_seeds[:, None, None], tags, np.arange(R, dtype=np.uint64)[:, None])
+    angles, gains = _rays(cfg, seeds.sampler_streams(lanes[..., 0, :]), (trial_seeds.size, R))
+    a_rx = array_response(cfg.bob, angles[..., 2], angles[..., 3])
+    a_tx = array_response(cfg.alice, angles[..., 0], angles[..., 1])
+    noise = seeds.sampler_streams(lanes[..., 1:, :])
 
-            yield estimates
+    def estimates(b, t, snr, out):
+        channel_matrix(a_rx[b, t], gains[b, t], a_tx[b, t], out=H)
+        for party, est in enumerate(out):
+            estimate_channel(H, snr, noise(b, t, party), out=est)
+
+    return estimates
 
 
-def virtual_angle_batch(cfg: SessionConfig, trial_seeds, snr_db):
-    """Run the virtual-angle session ``cfg`` describes once per trial seed, as its master seed: yields each record.
+def _virtual_angle(cfg: SessionConfig, trial_seeds: np.ndarray, snr_db):
+    """One chunk of virtual-angle trials, each at its u64 seed and SNR: yields each trial's record.
 
-    ``snr_db`` holds each trial's SNR, in place of ``cfg.snr_db``; both are
-    sequences of Python ints and floats, as a session's master seed and SNR
-    are.  A party's key symbols are the ``cfg.num_paths`` strongest bins of
-    the virtual channel of each of its estimates, by :func:`_bin_symbols`.
-    Every trial writes into one set of buffers.
+    A party's key symbols are the ``cfg.num_paths`` strongest bins of the
+    virtual channel of each of its estimates, by :func:`_bin_symbols`.
+    Every trial of the chunk writes into one set of buffers.
     """
-    _check_scheme(cfg, "virtual")
+    estimates = _sounding(cfg, trial_seeds)
     shape = (cfg.bob.size, cfg.alice.size)
     mag, est = np.empty(shape), np.empty((2, *shape), dtype=complex)
-    for estimates in _sounded_trials(cfg, trial_seeds, snr_db):
+    for b, snr in enumerate(snr_db):
         symbols = np.empty((2, cfg.rounds, cfg.num_paths), dtype=np.int64)
         for t in range(cfg.rounds):
-            estimates(t, est)
+            estimates(b, t, snr, est)
             for party in range(2):
                 np.abs(virtual_channel(est[party], cfg.alice, cfg.bob, out=est[party]), out=mag)
                 symbols[party, t], width = _bin_symbols(mag, cfg.num_paths)
         yield SchemeResult(symbols.reshape(2, -1), width, 2 * cfg.rounds)
 
 
-def baseline_batch(cfg: SessionConfig, trial_seeds, snr_db):
-    """Run the baseline session ``cfg`` describes per trial seed, as :func:`virtual_angle_batch` does.
+def _baseline(cfg: SessionConfig, trial_seeds: np.ndarray, snr_db):
+    """One chunk of baseline trials, as :func:`_virtual_angle` runs them.
 
     A party's key symbols are the Gray-coded cells of its pooled estimates.
     Both parties map the real and imaginary parts of every estimated
     entry to the cells of one range, calibrated on Alice's pooled samples and announced
     publicly (calibration is side information, not key material).
     """
-    _check_scheme(cfg, "baseline")
+    estimates = _sounding(cfg, trial_seeds)
     pools = np.empty((2, cfg.rounds, cfg.bob.size, cfg.alice.size), dtype=complex)
     # each party's (re, im) samples of every round
     samples = pools.view(np.float64).reshape(2, -1)
-    for estimates in _sounded_trials(cfg, trial_seeds, snr_db):
+    for b, snr in enumerate(snr_db):
         for t in range(cfg.rounds):
-            estimates(t, pools[:, t])
+            estimates(b, t, snr, pools[:, t])
         # mean removal as extract_randomness does it, then one range calibrated on Alice's
         samples -= samples.mean(axis=1, keepdims=True)
         quantizer = QuantizerConfig.calibrated(samples[0], levels=cfg.levels)
@@ -576,24 +543,21 @@ def _rate_and_stderr(samples: np.ndarray, levels: int, sections: int = 10) -> tu
     return float(rates[0]), float(np.sqrt((sections - 1) / sections * ((rates[1:] - rates[1:].mean()) ** 2).sum()))
 
 
-def multires_batch(cfg: SessionConfig, trial_seeds, snr_db):
-    """Run the session ``cfg`` describes once per trial seed, as its master seed: yields each trial's record in turn.
+def _multires(cfg: SessionConfig, trial_seeds: np.ndarray, snr_db):
+    """One chunk of multires trials, each at its u64 seed and SNR: yields each trial's record.
 
-    ``snr_db`` holds each trial's SNR, in place of ``cfg.snr_db``; both are
-    sequences of Python ints and floats, as a session's master seed and SNR
-    are.  One :func:`seeds.stream_lanes` call seeds every trial's channel,
+    One :func:`seeds.stream_lanes` call seeds every trial's channel,
     evolution and noise streams; :func:`_rays` draws the channels and
     :func:`_evolved` their gains in every block.  Each trial in turn selects
     its beams on the channel matrix of its first gains, probes them on its
     (rounds, L) gains and scores the probe streams.  A party's key symbols
     are the Gray-coded cells of its multi-arm probe streams, one after
-    another.  A trial's record depends only on its seed and SNR.
+    another.
     """
-    _check_scheme(cfg, "multires")
-    P, S = cfg.num_beams, len(trial_seeds)
+    P, S = cfg.num_beams, trial_seeds.size
     codebook, bob_wide = _multires_beams(cfg.alice, cfg.bob, cfg.multires_depth)
     tags = (seeds.STREAM_CHANNEL, seeds.STREAM_EVOLVE, seeds.STREAM_NOISE_BOB)
-    lanes = seeds.stream_lanes(np.asarray(trial_seeds, dtype=np.uint64)[:, None], tags)  # grid axes: trial, tag
+    lanes = seeds.stream_lanes(trial_seeds[:, None], tags)  # grid axes: trial, tag
     angles, first = _rays(cfg, seeds.sampler_streams(lanes[:, 0]), (S,))
     gains = _evolved(cfg, seeds.sampler_streams(lanes[:, 1]), first)
     noise = seeds.sampler_streams(lanes[:, 2])
@@ -628,3 +592,33 @@ def multires_batch(cfg: SessionConfig, trial_seeds, snr_db):
             ker_fixed=ker_fixed,
             ker_fixed_stderr=fixed_stderr,
         )
+
+
+# each scheme's chunk function, and the most trials it runs at once: a
+# secret-beam chunk of 64 keeps its arrays near a megabyte at 32 x 16
+# antennas and 16 levels; a sounding chunk of 32 bounds the channels it holds
+# at once, and a multires chunk of 32 the (sessions, blocks, L) gains.  A
+# trial's record depends only on its seed and SNR, so any split of the trials
+# into chunks gives the same records.
+_SCHEMES = {
+    "secret_beam": (_secret_beam, 64),
+    "virtual": (_virtual_angle, 32),
+    "baseline": (_baseline, 32),
+    "multires": (_multires, 32),
+}
+SCHEMES = tuple(_SCHEMES)
+
+
+def batch(cfg: SessionConfig, trial_seeds, snr_db):
+    """Run the session ``cfg`` describes once per trial seed, as its master seed: yields each trial's record in turn.
+
+    ``trial_seeds`` is a sequence of u64 master seeds (Python ints or a u64
+    array), and ``snr_db`` holds each trial's SNR, in place of
+    ``cfg.snr_db``.  The trials run in chunks of ``cfg.scheme``'s size in
+    ``_SCHEMES``, each by that scheme's chunk function on its seeds as one
+    u64 array.
+    """
+    run, size = _SCHEMES[cfg.scheme]
+    for start in range(0, len(trial_seeds), size):
+        chunk = slice(start, start + size)
+        yield from run(cfg, np.asarray(trial_seeds[chunk], dtype=np.uint64), snr_db[chunk])

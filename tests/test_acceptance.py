@@ -22,10 +22,8 @@ from mmkeygen.keygen import (
 from mmkeygen.schemes import (
     SessionConfig,
     _bin_symbols,
+    batch,
     estimate_channel,
-    multires_batch,
-    secret_beam_batch,
-    virtual_angle_batch,
 )
 from reference import dft_matrix, pack_indices, ray_matrix
 
@@ -232,11 +230,10 @@ class TestCriterion6PropertySuite:
         assert worst < 1e-10
 
     def test_noiseless_reciprocity_all_schemes(self):
-        def one_trial(batch, cfg):
+        def one_trial(cfg):
             return next(batch(cfg, [cfg.master_seed], [cfg.snr_db]))
 
         sb = one_trial(
-            secret_beam_batch,
             SessionConfig(
                 scheme="secret_beam",
                 alice=ArrayGeometry(1, 32),
@@ -249,7 +246,6 @@ class TestCriterion6PropertySuite:
             ),
         )
         va = one_trial(
-            virtual_angle_batch,
             SessionConfig(
                 scheme="virtual",
                 alice=ArrayGeometry(1, 128),
@@ -263,7 +259,6 @@ class TestCriterion6PropertySuite:
             ),
         )
         mr = one_trial(
-            multires_batch,
             SessionConfig(
                 scheme="multires",
                 alice=ArrayGeometry(1, 64),
@@ -283,7 +278,7 @@ class TestCriterion6PropertySuite:
         assert ok
 
     def test_quantizer_gray_adjacency(self):
-        # the Gray-coded cells baseline_batch emits as key symbols, on one range
+        # the Gray-coded cells a baseline trial emits as key symbols, on one range
         ok = True
         for cell in range(15):
             a, b = (pack_indices([c], 4) for c in _gray_cells(np.array([[cell + 0.5, cell + 1.5]]), 16, 0.0, 16.0)[0])

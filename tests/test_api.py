@@ -9,6 +9,7 @@ import types
 import pytest
 
 import mmkeygen
+from mmkeygen import schemes
 from mmkeygen.experiments import CascadeBench, ExperimentConfig
 from mmkeygen.keygen import BitString, CascadeParams
 from mmkeygen.schemes import SchemeResult
@@ -36,6 +37,18 @@ def test_public_names_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_schemes_public_names_pinned():
+    # the functions and classes schemes defines, and the scheme names it
+    # takes from its dispatch table
+    own = sorted(
+        name
+        for name, value in vars(schemes).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == schemes.__name__
+    )
+    assert own == ["SchemeResult", "SessionConfig", "batch", "estimate_channel", "secret_beam_session"]
+    assert schemes.SCHEMES == tuple(schemes._SCHEMES) == ("secret_beam", "virtual", "baseline", "multires")
 
 
 # the fields of each public config record, in order: a new setting is an API change

@@ -141,6 +141,11 @@ class TestRays:
         for a in angles.ravel():
             assert -np.pi / 2 <= a < np.pi / 2
 
+    def test_empty_grid_draws_nothing(self):
+        # a grid of no channels still has its path axis
+        angles, gains = _rays(SessionConfig(num_paths=3), lambda *n: pytest.fail("drew a stream"), (0,))
+        assert angles.shape == (0, 3, 4) and gains.shape == (0, 3)
+
     @pytest.mark.parametrize("grid_cols", [None, (4, 7)])
     def test_angles_in_range_at_the_uniform_edges(self, grid_cols):
         # the smallest and largest uniforms a draw gives map inside [-pi/2, pi/2),

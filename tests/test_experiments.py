@@ -25,7 +25,7 @@ from mmkeygen.experiments import (
     _mean_stderr,
     _trial_seeds,
 )
-from mmkeygen.schemes import _BEAM_BATCH, secret_beam_batch
+from mmkeygen.schemes import _SCHEMES, batch
 from reference import cascade_bench_rows
 
 MINIMAL_FIG2 = 'scenario = "fig2"\nmaster_seed = 7\n'
@@ -286,10 +286,7 @@ class TestRunPath:
             (schemes, "channel_matrix"),
             (schemes, "estimate_channel"),
             (schemes, "virtual_channel"),
-            (experiments, "secret_beam_batch"),
-            (experiments, "virtual_angle_batch"),
-            (experiments, "baseline_batch"),
-            (experiments, "multires_batch"),
+            (experiments, "batch"),
             (experiments, "_score"),
         ):
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
@@ -301,14 +298,13 @@ class TestRunPath:
         # _score call: fig2's four cases, fig3's three virtual cases and its
         # baseline, and the one multires case
         run_scenario(small_cfg("fig2", trials=2, snr_grid=[0, 10]))
-        assert calls == {"secret_beam_batch": 4, "_score": 4}
+        assert calls == {"batch": 4, "_score": 4}
         calls.clear()
         run_scenario(small_cfg("fig3", trials=2, snr_grid=[0]))
         # three virtual cases of 2 trials and the baseline of 5, one round
         # each, each round's channel matrix, and each party's estimate
         assert calls == {
-            "virtual_angle_batch": 3,
-            "baseline_batch": 1,
+            "batch": 3 + 1,
             "_score": 4,
             "channel_matrix": 3 * 2 + 5,
             "estimate_channel": 2 * (3 * 2 + 5),
@@ -317,7 +313,7 @@ class TestRunPath:
         calls.clear()
         run_scenario(small_cfg("custom", trials=20, snr_grid=[0, 10, 20], scheme={"scheme": '"multires"'}))
         # one trial at each of the 3 points, each channel matrix selecting its beams
-        assert calls == {"multires_batch": 1, "_score": 1, "channel_matrix": 3}
+        assert calls == {"batch": 1, "_score": 1, "channel_matrix": 3}
 
 
 # each preset at a small scale, fig4 at the least blocks its estimator
@@ -360,10 +356,10 @@ class TestNoMaskedArrays:
 def per_point_rows(cfg):
     """The rows of a secret-beam scenario with each point run as its own batch, scored from each record's agreement."""
     rows = []
-    for case_idx, (outputs, template, trials) in enumerate(_cases(cfg)):
+    for case_idx, (outputs, template, trials, _) in enumerate(_cases(cfg)):
         for snr_idx, snr in enumerate(cfg.snr_grid):
             trial_seeds = _trial_seeds(cfg, case_idx, snr_idx, trials)
-            records = list(secret_beam_batch(replace(template, snr_db=snr), trial_seeds, [snr] * trials))
+            records = list(batch(replace(template, snr_db=snr), trial_seeds, [snr] * trials))
             scores = [dict(zip(("bar_legit", "bar_eve"), record.agreement())) for record in records]
             values = np.array([[score[metric] for _, metric in outputs] for score in scores])
             rows.extend(
@@ -376,14 +372,14 @@ def per_point_rows(cfg):
 class TestSecretBeamPoints:
     """A secret-beam case runs all its points as one stream of chunks; its table is the per-point one."""
 
-    # 3 points of 30 trials cross the chunk of _BEAM_BATCH trials and a point boundary inside one chunk
+    # 3 points of 30 trials cross the secret-beam chunk of 64 trials and a point boundary inside one chunk
     @pytest.mark.parametrize("trials", [1, 7, 30, 63, 64, 65, 130])
     @pytest.mark.parametrize("snr_grid", [[10], [0, 20], [20, 5, 0]])
     @pytest.mark.parametrize(
         "scenario, scheme", [("fig2", {}), ("custom", {"scheme": '"secret_beam"', "eve": '"alice"', "levels": 8})]
     )
     def test_table_equals_per_point_batches(self, scenario, scheme, snr_grid, trials):
-        assert _BEAM_BATCH == 64
+        assert _SCHEMES["secret_beam"][1] == 64
         cfg = small_cfg(scenario, trials=trials, snr_grid=snr_grid, **({"scheme": scheme} if scheme else {}))
         table = run_scenario(cfg)
         expected = per_point_rows(cfg)
@@ -566,6 +562,22 @@ class TestCli:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli_main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_config_path_is_a_directory(self, tmp_path, capsys, command):
+        # this printed an IsADirectoryError traceback
+        assert cli_main([command, "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: cannot read config file {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_config_file_not_utf8(self, tmp_path, capsys, command):
+        # this printed a UnicodeDecodeError traceback
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b'scenario = "fig2"\nmaster_seed = 7\n# caf\xe9\n')
+        assert cli_main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {path} is not UTF-8 text: ") and "0xe9" in err
+        assert "Traceback" not in err
 
     def test_scenarios_listing(self, capsys):
         assert cli_main(["scenarios"]) == 0

@@ -27,12 +27,9 @@ from mmkeygen.schemes import (
     _perturbation_beams,
     _rate_and_stderr,
     _rays,
-    baseline_batch,
+    batch,
     estimate_channel,
-    multires_batch,
-    secret_beam_batch,
     secret_beam_session,
-    virtual_angle_batch,
 )
 from reference import (
     ar1_gains,
@@ -52,8 +49,8 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def session(batch, cfg):
-    """The record of ``batch`` run on ``cfg`` as one trial, at its master seed and SNR."""
+def session(cfg):
+    """The record of ``cfg`` run as one trial, at its master seed and SNR."""
     return next(batch(cfg, [cfg.master_seed], [cfg.snr_db]))
 
 
@@ -276,7 +273,7 @@ class TestSecretBeamBatch:
     @given(secret_beam_configs(), st.lists(st.tuples(U64_SEEDS, TRIAL_SNRS), min_size=1, max_size=4))
     def test_streams_equal_per_round_reference(self, cfg, trials):
         trial_seeds, snrs = zip(*trials)
-        records = list(secret_beam_batch(cfg, np.array(trial_seeds, dtype=np.uint64), snrs))
+        records = list(batch(cfg, np.array(trial_seeds, dtype=np.uint64), snrs))
         # the drawn indices: Alice's, Bob's and the eavesdropper's guesses
         index = _beam_draws(cfg, np.array(trial_seeds, dtype=np.uint64))[2]
         assert len(records) == len(trials)
@@ -299,11 +296,11 @@ class TestSecretBeamBatch:
         # each trial has its own SNR, and cfg.snr_db is read by none of them
         trial_seeds = np.array([seed for seed, _ in trials], dtype=np.uint64)
         snrs = [snr for _, snr in trials]
-        whole = list(secret_beam_batch(replace(cfg, snr_db=UNREAD_SNR_DB), trial_seeds, snrs))
+        whole = list(batch(replace(cfg, snr_db=UNREAD_SNR_DB), trial_seeds, snrs))
         chunk = data.draw(st.integers(1, len(trials)))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(schemes, "_BEAM_BATCH", chunk)
-            chunked = list(secret_beam_batch(cfg, trial_seeds, snrs))
+            patch.setitem(schemes._SCHEMES, "secret_beam", (schemes._secret_beam, chunk))
+            chunked = list(batch(cfg, trial_seeds, snrs))
         assert len(chunked) == len(whole)
         for a, b in zip(whole, chunked):
             assert a.symbols.tobytes() == b.symbols.tobytes() and a.symbols.shape == b.symbols.shape
@@ -335,7 +332,7 @@ class TestSecretBeamBatch:
                 base.state.__set__(self, value)
 
         monkeypatch.setattr(np.random, "PCG64", PCG64)
-        list(secret_beam_batch(fig2_cfg(eve=eve, rounds=3), np.array(trial_seeds, dtype=np.uint64), [10.0] * 3))
+        list(batch(fig2_cfg(eve=eve, rounds=3), np.array(trial_seeds, dtype=np.uint64), [10.0] * 3))
         assert assigned == [state["state"] for state in expected]
 
     def test_session_is_batch_of_one(self):
@@ -380,10 +377,10 @@ class TestStreamAddresses:
 
     TRIAL_SEEDS = [3, 2**40 + 1, 2**64 - 1]
 
-    @pytest.mark.parametrize("batch, scheme", [(virtual_angle_batch, "virtual"), (baseline_batch, "baseline")])
-    def test_sounding_streams(self, monkeypatch, assigned_states, batch, scheme):
+    @pytest.mark.parametrize("scheme", ["virtual", "baseline"])
+    def test_sounding_streams(self, monkeypatch, assigned_states, scheme):
         # chunks of two trials: the second chunk draws once the first is sounded
-        monkeypatch.setattr(schemes, "_SOUNDING_CHUNK", 2)
+        monkeypatch.setitem(schemes._SCHEMES, scheme, (schemes._SCHEMES[scheme][0], 2))
         cfg = fig3_cfg(scheme=scheme, alice=ArrayGeometry(1, 8), bob=ArrayGeometry(1, 4), rounds=2, num_paths=2)
         list(batch(cfg, self.TRIAL_SEEDS, [0.0] * 3))
         addresses = sounding_addresses(self.TRIAL_SEEDS[:2], 2) + sounding_addresses(self.TRIAL_SEEDS[2:], 2)
@@ -391,7 +388,7 @@ class TestStreamAddresses:
 
     def test_multires_streams(self, assigned_states):
         # every trial's channel stream, then every trial's evolution stream, then each trial's noise stream
-        list(multires_batch(fig4_cfg(rounds=20), self.TRIAL_SEEDS, [10.0] * 3))
+        list(batch(fig4_cfg(rounds=20), self.TRIAL_SEEDS, [10.0] * 3))
         tags = (seeds.STREAM_CHANNEL, seeds.STREAM_EVOLVE, seeds.STREAM_NOISE_BOB)
         addresses = [(seed, tag) for tag in tags for seed in self.TRIAL_SEEDS]
         assert assigned_states == [seeds.generator(*address).bit_generator.state["state"] for address in addresses]
@@ -527,27 +524,21 @@ class TestSessionValidation:
             assert fig2_cfg(snr_db=snr_db).snr_db == snr_db
 
 
-# each scheme's batch and session, and a config valid for it
-RUNS = {
-    "secret_beam": (fig2_cfg(), secret_beam_batch, secret_beam_session),
-    "virtual": (fig3_cfg(), virtual_angle_batch),
-    "baseline": (fig3_cfg(scheme="baseline"), baseline_batch),
-    "multires": (fig4_cfg(), multires_batch),
+# a config valid for each scheme
+CONFIGS = {
+    "secret_beam": fig2_cfg(),
+    "virtual": fig3_cfg(),
+    "baseline": fig3_cfg(scheme="baseline"),
+    "multires": fig4_cfg(),
 }
 
 
 class TestSchemeChecks:
-    """A config is validated only for its own scheme, so each batch and session refuses any other scheme's."""
+    """``batch`` runs each config by its own scheme's code, and ``secret_beam_session`` refuses any other scheme's."""
 
     @pytest.mark.parametrize(
         "scheme, run, foreign",
-        [
-            (scheme, run, foreign)
-            for scheme, (_, *runs) in RUNS.items()
-            for run in runs
-            for foreign in SCHEMES
-            if foreign != scheme
-        ],
+        [("secret_beam", secret_beam_session, foreign) for foreign in SCHEMES if foreign != "secret_beam"],
         ids=lambda v: v if isinstance(v, str) else v.__name__,
     )
     def test_batches_and_sessions_reject_other_schemes(self, monkeypatch, scheme, run, foreign):
@@ -556,22 +547,64 @@ class TestSchemeChecks:
 
         for name in ("generator", "stream_lanes"):
             monkeypatch.setattr(seeds, name, no_draw)
-        cfg = RUNS[foreign][0]
+        cfg = CONFIGS[foreign]
         with pytest.raises(ValueError, match=f"this batch runs '{scheme}' sessions, got a '{foreign}' config"):
-            list(run(cfg, [1], [0.0])) if run.__name__.endswith("_batch") else run(cfg)
+            run(cfg)
 
-    @pytest.mark.parametrize("scheme", RUNS)
+    @pytest.mark.parametrize("scheme", CONFIGS)
+    def test_batch_runs_the_chunk_function_of_its_scheme(self, monkeypatch, scheme):
+        ran = []
+
+        def chunk_function(name):
+            def run(cfg, trial_seeds, snr_db):
+                ran.append((name, trial_seeds.dtype, trial_seeds.tolist(), snr_db))
+                return iter(())
+
+            return run
+
+        for name, (_, size) in list(schemes._SCHEMES.items()):
+            monkeypatch.setitem(schemes._SCHEMES, name, (chunk_function(name), size))
+        assert list(batch(CONFIGS[scheme], [1, 2**64 - 1], [0.0, 5.0])) == []
+        assert ran == [(scheme, np.uint64, [1, 2**64 - 1], [0.0, 5.0])]
+
+    @pytest.mark.parametrize("scheme", CONFIGS)
     def test_no_trials_yield_nothing(self, scheme):
-        cfg, batch, *_ = RUNS[scheme]
-        assert list(batch(cfg, [], [])) == []
+        assert list(batch(CONFIGS[scheme], [], [])) == []
 
     def test_configs_of_other_schemes_that_used_to_run(self):
-        # identical beams used to give bar_legit 0.375, and a virtual config a
-        # "zero single-probe entropy" error deep inside the multires session
+        # identical beams used to give bar_legit 0.375
         with pytest.raises(ValueError, match="runs 'secret_beam' sessions"):
             secret_beam_session(SessionConfig(scheme="virtual", delta_max=0.0, rounds=2))
-        with pytest.raises(ValueError, match="runs 'multires' sessions"):
-            session(multires_batch, SessionConfig(scheme="virtual", rounds=1))
+
+
+def record_fields(record):
+    """Every field of a record as (dtype, shape, bytes), so that NaN KERs compare equal."""
+    return [(np.asarray(v).dtype, np.shape(v), np.asarray(v).tobytes()) for v in vars(record).values()]
+
+
+class TestBatchChunks:
+    """Any split of a batch's trials into chunks leaves every record as it is."""
+
+    SMALL = {
+        "secret_beam": fig2_cfg(rounds=20),
+        "virtual": fig3_cfg(alice=ArrayGeometry(1, 8), bob=ArrayGeometry(1, 4), rounds=3, num_paths=2),
+        "baseline": fig3_cfg(scheme="baseline", alice=ArrayGeometry(1, 8), bob=ArrayGeometry(1, 4), rounds=3),
+        "multires": fig4_cfg(rounds=40),
+    }
+    # seeds below and above 2**32, which the seed hash takes in two groups
+    TRIAL_SEEDS = [3, 2**32, 7, 2**64 - 1, 2**32 - 1]
+    SNRS = [10.0, -5.0, 20.0, 0.0, 10.0]
+
+    @pytest.mark.parametrize("size", [1, 2, 6])
+    @pytest.mark.parametrize("scheme", SMALL)
+    def test_records_do_not_depend_on_the_chunk_size(self, monkeypatch, scheme, size):
+        cfg = self.SMALL[scheme]
+        whole = list(batch(cfg, self.TRIAL_SEEDS, self.SNRS))
+        monkeypatch.setitem(schemes._SCHEMES, scheme, (schemes._SCHEMES[scheme][0], size))
+        chunked = list(batch(cfg, self.TRIAL_SEEDS, self.SNRS))
+        assert len(whole) == len(chunked) == len(self.TRIAL_SEEDS)
+        for a, b in zip(whole, chunked):
+            assert record_fields(a) == record_fields(b)
 
 
 class TestSchemeResult:
@@ -603,10 +636,10 @@ class TestSchemeResult:
         # bidirectional probe on each of 2P beams per block
         small = dict(alice=ArrayGeometry(1, 8), bob=ArrayGeometry(1, 4), rounds=3)
         assert secret_beam_session(fig2_cfg(rounds=7)).probes_used == 4 * 7
-        assert session(virtual_angle_batch, fig3_cfg(**small)).probes_used == 2 * 3
-        [record] = baseline_batch(fig3_cfg(scheme="baseline", **small), [1], [0.0])
+        assert session(fig3_cfg(**small)).probes_used == 2 * 3
+        [record] = batch(fig3_cfg(scheme="baseline", **small), [1], [0.0])
         assert record.probes_used == 2 * 3
-        assert session(multires_batch, fig4_cfg(rounds=200)).probes_used == 4 * 5 * 200
+        assert session(fig4_cfg(rounds=200)).probes_used == 4 * 5 * 200
 
 
 class TestEstimateChannel:
@@ -682,7 +715,7 @@ class TestVirtualAngleBits:
         assert symbols.size * bits == 3 * (7 + 7)
 
     def test_identical_at_high_snr(self):
-        res = session(virtual_angle_batch, fig3_cfg(snr_db=200.0, rounds=20))
+        res = session(fig3_cfg(snr_db=200.0, rounds=20))
         assert bdr(res) == 0.0
 
     def test_order_canonical(self):
@@ -749,21 +782,21 @@ class TestVirtualAngleBitsEqualReference:
 def baseline_bdr(**kw):
     """The bdr of one baseline trial at the fig3 settings with ``kw`` applied."""
     cfg = fig3_cfg(scheme="baseline", **kw)
-    return bdr(session(baseline_batch, cfg))
+    return bdr(session(cfg))
 
 
 class TestVirtualSession:
     def test_low_snr_threshold_holds_at_modest_scale(self):
-        res = session(virtual_angle_batch, fig3_cfg(rounds=300))
+        res = session(fig3_cfg(rounds=300))
         assert len(key_bits(res, 0)) == 300 * 42
         assert bdr(res) < 0.03  # acceptance tests the tight 1e-2 claim
 
     def test_noiseless_bdr_zero(self):
-        res = session(virtual_angle_batch, fig3_cfg(snr_db=200.0, rounds=10))
+        res = session(fig3_cfg(snr_db=200.0, rounds=10))
         assert bdr(res) == 0.0
 
     def test_beats_baseline(self):
-        v = session(virtual_angle_batch, fig3_cfg(rounds=60, snr_db=-10.0))
+        v = session(fig3_cfg(rounds=60, snr_db=-10.0))
         assert bdr(v) < baseline_bdr(rounds=6, snr_db=-10.0)
 
     def test_baseline_noiseless_bdr_zero(self):
@@ -837,7 +870,6 @@ class TestSoundingLoop:
             scheme="virtual" if virtual else "baseline", alice=alice, bob=bob, rounds=rounds, grid_angles=grid, levels=8
         )
         trial_seeds, snrs = [3, 2**64 - 1, 40, 41], [-10.0, 0.0, 5.0, -10.0]
-        batch = virtual_angle_batch if virtual else baseline_batch
         records = list(batch(cfg, trial_seeds, snrs))
         for record, seed, snr in zip(records, trial_seeds, snrs, strict=True):
             trial_cfg = replace(cfg, master_seed=seed, snr_db=snr)
@@ -845,14 +877,13 @@ class TestSoundingLoop:
             assert key_bits(record, 0).equals(ref_a) and key_bits(record, 1).equals(ref_b)
             assert bdr(record) == 1.0 - bar(ref_a, ref_b)
             if virtual:
-                res = session(virtual_angle_batch, trial_cfg)
+                res = session(trial_cfg)
                 assert np.array_equal(res.symbols, record.symbols) and bdr(res) == bdr(record)
 
     @pytest.mark.parametrize("virtual", [True, False], ids=["virtual", "baseline"])
     def test_results_share_no_memory_with_buffers(self, virtual):
         # a trial's symbols stay as yielded while the batch writes its next
         # trial into the same buffers
-        batch = virtual_angle_batch if virtual else baseline_batch
         cfg = fig3_cfg(scheme="virtual" if virtual else "baseline", alice=ArrayGeometry(1, 16), bob=ArrayGeometry(2, 4))
         trials = batch(replace(cfg, rounds=2), [1, 99], [-10.0, 20.0])
         first = next(trials).symbols
@@ -863,23 +894,24 @@ class TestSoundingLoop:
     def test_session_shares_no_memory_with_buffers(self):
         buffers = []
 
-        def spy(*args):
-            gen = virtual_angle_batch(*args)
+        def spy(cfg):
+            gen = batch(cfg, [cfg.master_seed], [cfg.snr_db])
             for record in gen:
-                # the batch's arrays, as it holds them while its trial is read,
-                # and the chunk's, which its trial's estimates function holds;
+                # the chunk's arrays, as it holds them while its trial is read,
+                # and the sounding's, which its estimates function holds;
                 # the trial's own symbols array, new each trial, is the record's
-                held = [v for name, v in gen.gi_frame.f_locals.items() if name != "symbols"]
-                held += [cell.cell_contents for cell in gen.gi_frame.f_locals["estimates"].__closure__]
+                chunk = gen.gi_yieldfrom.gi_frame.f_locals
+                held = [v for name, v in chunk.items() if name != "symbols"]
+                held += [cell.cell_contents for cell in chunk["estimates"].__closure__]
                 buffers.extend(v for v in held if isinstance(v, np.ndarray))
                 yield record
 
         cfg = fig3_cfg(alice=ArrayGeometry(1, 16), bob=ArrayGeometry(2, 4), rounds=2)
-        first = session(spy, cfg)
+        first = next(spy(cfg))
         kept = first.symbols.copy()
         assert len(buffers) >= 4
         assert not any(np.shares_memory(first.symbols, buf) for buf in buffers)
-        session(spy, replace(cfg, master_seed=99, snr_db=20.0))
+        next(spy(replace(cfg, master_seed=99, snr_db=20.0)))
         assert np.array_equal(first.symbols, kept)
 
     @pytest.mark.numpy_contract
@@ -910,7 +942,7 @@ class TestSoundingLoop:
         drawn[::2] >>= np.uint64(40)
         trial_seeds = [0, 2**32 - 1, 2**32, 2**64 - 1] + drawn.tolist()
         snrs = r.choice([-20.0, -5.0, 0.0, 30.0], trials).tolist()
-        batch, reference = (virtual_angle_batch, virtual_symbols) if virtual else (baseline_batch, baseline_symbols)
+        reference = virtual_symbols if virtual else baseline_symbols
         chunked = list(batch(cfg, trial_seeds, snrs))
         expected = list(reference(cfg, trial_seeds, snrs))
         assert len(chunked) == len(expected) == trials
@@ -936,32 +968,32 @@ def probes(monkeypatch):
 
 class TestMultires:
     def test_single_beam_arms_agree(self):
-        res = session(multires_batch, fig4_cfg(num_beams=1, rounds=2000))
+        res = session(fig4_cfg(num_beams=1, rounds=2000))
         assert res.ker_multires == pytest.approx(1.0, abs=1e-9)
         assert res.ker_fixed == pytest.approx(1.0, abs=1e-9)
         assert abs(res.ker_multires - res.ker_fixed) < 0.05
 
     def test_five_beams_decorrelate(self, probes):
-        res = session(multires_batch, fig4_cfg(rounds=3000))
+        res = session(fig4_cfg(rounds=3000))
         assert res.ker_fixed < 1.4
         assert res.ker_multires / res.ker_fixed > 3.0
         [(w_a, _, _)] = probes
         assert len({beam.tobytes() for beam in w_a[:5]}) == 5
 
     def test_noiseless_reciprocity(self):
-        res = session(multires_batch, fig4_cfg(snr_db=200.0, rounds=2000))
+        res = session(fig4_cfg(snr_db=200.0, rounds=2000))
         assert bar(key_bits(res, 0), key_bits(res, 1)) == 1.0
 
     def test_deterministic(self):
-        a = session(multires_batch, fig4_cfg(rounds=2000))
-        b = session(multires_batch, fig4_cfg(rounds=2000))
+        a = session(fig4_cfg(rounds=2000))
+        b = session(fig4_cfg(rounds=2000))
         assert a.ker_multires == b.ker_multires
         assert np.array_equal(a.symbols, b.symbols)
 
     def test_bits_equal_per_row_reference(self, probes):
         # reference: each probe stream centred, calibrated on its own 1st-99th
         # percentile range, quantized and Gray-coded, streams concatenated
-        res = session(multires_batch, fig4_cfg(rounds=200))
+        res = session(fig4_cfg(rounds=200))
         [(_, y_bob, y_alice)] = probes
         for bits, samples in ((key_bits(res, 0), y_alice), (key_bits(res, 1), y_bob)):
             assert bits.equals(gray_bits(per_row_cells(samples[:5], 4).ravel(), 2))
@@ -980,10 +1012,10 @@ class TestMultiresBatch:
         cfg = fig4_cfg(rounds=300, snr_db=UNREAD_SNR_DB, master_seed=0)
         trial_seeds = [7, 3, 7, 2**64 - 1, 2**32]
         snrs = [20.0, 0.0, 5.0, 15.0, 10.0]
-        whole = list(multires_batch(cfg, trial_seeds, snrs))
+        whole = list(batch(cfg, trial_seeds, snrs))
         assert len(whole) == 5
         for res, seed, snr, probed in zip(whole, trial_seeds, snrs, list(probes)):
-            [one] = multires_batch(cfg, [seed], [snr])
+            [one] = batch(cfg, [seed], [snr])
             for a, b in zip(probed, probes[-1]):
                 assert a.tobytes() == b.tobytes()
             assert res.symbols.tobytes() == one.symbols.tobytes()
@@ -1062,7 +1094,7 @@ class TestMultiresEqualsReference:
     @pytest.mark.parametrize("case", list(CASES))
     def test_samples_bits_and_kers_equal_reference(self, case, probes):
         cfg = fig4_cfg(**self.CASES[case])
-        res = session(multires_batch, cfg)
+        res = session(cfg)
         [(w_a, y_bob, _)] = probes
         P = cfg.num_beams
         # the probed beams are codewords of the session's codebook
