@@ -6,7 +6,7 @@ multi-resolution beam probing.  Every scheme draws its clustered ray
 channels (arrays of ray angles and gains) and their AR(1) gain steps
 through the same two routines, and runs through one entry point,
 ``schemes.batch``, which picks the scheme's code from the config and
-yields one key-material record per trial.  The schemes run probing,
+yields one key-material record per chunk of trials.  The schemes run probing,
 extraction and quantization; Cascade and privacy amplification are library
 functions that no scheme calls yet (only cascade-bench runs Cascade;
 ROADMAP item 1).

@@ -400,7 +400,6 @@ def write_csv(table: ResultTable, path: str) -> None:
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    values = np.asarray(values, dtype=float)
     if values.size <= 1:
         return float(values.mean()), 0.0
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
@@ -435,9 +434,9 @@ def _merge(preset: SessionConfig, keys: Mapping[str, object]) -> SessionConfig:
 
 
 def _cases(cfg: ExperimentConfig) -> list[tuple[tuple[tuple[str, str], ...], SessionConfig, int, int]]:
-    """Each case of a session scenario: its (label, metric) rows, session template, trials and records per point.
+    """Each case of a session scenario: its (label, metric) rows, session template, trials and trials run per point.
 
-    A multires point is one record: one session of ``trials`` coherence blocks.
+    A multires point is one trial: one session of ``trials`` coherence blocks.
 
     Raises ValueError when the [scheme] keys make an invalid session.
     """
@@ -481,31 +480,29 @@ def _cases(cfg: ExperimentConfig) -> list[tuple[tuple[tuple[str, str], ...], Ses
 
 
 def _score(cfg: ExperimentConfig, outputs, trials: int, records, per_point: int) -> list[ResultRow]:
-    """The rows of one case from its records, ``per_point`` to each SNR point, in grid order.
+    """The rows of one case from its records, ``per_point`` trials to each SNR point, in grid order.
 
-    Records are read one at a time, and only each trial's metric values are
-    kept.  ``bar_legit``, ``bar_eve`` and ``bdr`` come from each record's
-    key agreement: a point's value is their mean over its trials, with the
-    stderr of that mean.  A KER is scored by its scheme: a multires point is
-    one record, whose KERs come with their jackknife stderrs.
+    Only each record's agreements and KERs are kept, one chunk at a time.
+    ``bar_legit``, ``bar_eve`` and ``bdr`` come from each trial's key
+    agreement: a point's value is their mean over its trials, with the
+    stderr of that mean.  A KER is its multires point's one trial's, with
+    its jackknife stderr.  Raises ValueError unless the records hold ``per_point`` trials a point.
     """
+    chunks = [(record.agreement(), record.kers) for record in records]
+    points, count = len(cfg.snr_grid), sum(len(bars) for bars, _ in chunks)
+    if count != points * per_point:
+        raise ValueError(f"the records hold {count} trials, not {per_point} for each of {points} SNR points")
+    # each point's values of its trials, and each arm's (rate, stderr) of a multires point's one trial
+    bars = np.concatenate([bars for bars, _ in chunks]).reshape(points, per_point, -1)
+    scores = dict(zip(("bar_legit", "bar_eve"), np.moveaxis(bars, -1, 0)), bdr=1.0 - bars[..., 0])
+    if chunks[0][1] is not None:
+        kers = np.concatenate([kers for _, kers in chunks]).reshape(points, 2, 2)
+        scores.update(ker_multires=kers[:, 0], ker_fixed=kers[:, 1])
     rows = []
-    for snr in cfg.snr_grid:
-        values = np.empty((per_point, len(outputs)))
-        for row, record in zip(values, records):
-            bar_legit, bar_eve = record.agreement()
-            scores = {
-                "bar_legit": bar_legit,
-                "bar_eve": bar_eve,
-                "bdr": 1.0 - bar_legit,
-                "ker_multires": record.ker_multires,
-                "ker_fixed": record.ker_fixed,
-            }
-            row[:] = [scores[metric] for _, metric in outputs]
-        for (label, metric), column in zip(outputs, values.T):
-            value, stderr = _mean_stderr(column)
-            if metric in ("ker_multires", "ker_fixed"):
-                stderr = getattr(record, f"{metric}_stderr")
+    for point, snr in enumerate(cfg.snr_grid):
+        for label, metric in outputs:
+            score = scores[metric][point]
+            value, stderr = score.tolist() if metric.startswith("ker_") else _mean_stderr(score)
             rows.append(ResultRow(cfg.scenario, label, snr, metric, value, stderr, trials, cfg.master_seed))
     return rows
 

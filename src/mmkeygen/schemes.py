@@ -2,12 +2,12 @@
 
 Every scheme runs through :func:`batch`, which runs a config once per
 trial seed, each trial at its own master seed and SNR, and yields one
-:class:`SchemeResult` per trial: each party's key symbols and their bit
-width, the probes used, and any metric the scheme scores itself.  ``batch``
-looks up ``cfg.scheme`` in ``_SCHEMES``, the table of each scheme's chunk
+:class:`SchemeResult` per chunk of trials: their key symbols in one array,
+the probes used, and any metric the scheme scores itself.  ``batch`` looks
+up ``cfg.scheme`` in ``_SCHEMES``, the table of each scheme's chunk
 function and chunk size, so a config runs only its own scheme's code.  A
-session is ``next(batch(cfg, [cfg.master_seed], [cfg.snr_db]))``;
-``secret_beam_session`` is one.
+session, a chunk of one trial, is ``next(batch(cfg, [cfg.master_seed],
+[cfg.snr_db]))``; ``secret_beam_session`` is one.
 
 * ``_secret_beam``: both parties steer at the line-of-sight ray and
   hide quantized azimuth perturbations in their pilots; each side recovers
@@ -154,41 +154,38 @@ class SessionConfig:
 
 @dataclass(frozen=True)
 class SchemeResult:
-    """One trial's key material, as :func:`batch` yields it for every scheme.
+    """One chunk of trials' key material, as :func:`batch` yields it for every scheme.
 
-    ``symbols`` holds one row of key symbols per party: Alice's, Bob's, and
-    the eavesdropper's guess at the key when one is modelled.  Each symbol
-    is ``width`` bits, so a party's key bits are its row's symbols written
-    out most significant bit first.  ``probes_used`` counts the trial's pilot
-    transmissions.  A multires trial also scores each arm's key entropy
-    rate, with its leave-one-section-out jackknife stderr over ten sections
-    of blocks (NaN below 2 blocks a section); they are NaN for the other
-    schemes.
+    ``symbols`` is a (trials, parties, n) array of key symbols: Alice's,
+    Bob's, and the eavesdropper's guess at the key when one is modelled.
+    Each symbol is ``width`` bits, in the smallest unsigned dtype that holds
+    them, so a party's key bits are its row's symbols written out most
+    significant bit first.  ``probes_used`` counts a trial's pilot
+    transmissions.  A multires chunk's ``kers`` holds each trial's key
+    entropy rate of each arm (multires, fixed) and its leave-one-section-out
+    jackknife stderr over ten sections of blocks (NaN below 2 blocks a
+    section), as (trials, 2, 2); it is None for the other schemes.
     """
 
     symbols: np.ndarray
     width: int
     probes_used: int
-    ker_multires: float = float("nan")
-    ker_multires_stderr: float = float("nan")
-    ker_fixed: float = float("nan")
-    ker_fixed_stderr: float = float("nan")
+    kers: np.ndarray | None = None
 
-    def agreement(self) -> tuple[float, float]:
-        """The share of Alice's key bits that Bob's key agrees with, then the eavesdropper's guess (NaN without her).
+    def agreement(self) -> np.ndarray:
+        """Each trial's share of Alice's key bits that Bob's key agrees with, then the eavesdropper's guess: (trials, parties - 1).
 
-        Each is ``(total - popcount(a ^ b)) / total`` over ``total = symbols
-        x width`` bits, the exact count ``bar`` takes, from one
-        ``np.bitwise_count`` over the parties' symbols.
+        Each is ``(total - popcount(a ^ b)) / total`` over ``total = n x width``
+        bits, the exact count ``bar`` takes, from one ``np.bitwise_count`` over the chunk.
         """
-        total = self.symbols.shape[1] * self.width
-        counts = np.bitwise_count(self.symbols[1:] ^ self.symbols[0]).sum(axis=1).tolist()
-        bar_legit, *bar_eve = ((total - count) / total for count in counts)
-        return bar_legit, bar_eve[0] if bar_eve else float("nan")
+        total = self.symbols.shape[2] * self.width
+        return (total - np.bitwise_count(self.symbols[:, 1:] ^ self.symbols[:, :1]).sum(axis=2)) / total
 
     @property
     def bar_legit(self) -> float:
-        return self.agreement()[0]
+        """Alice's and Bob's agreement in a chunk of one trial."""
+        [[bar_legit, *_]] = self.agreement().tolist()
+        return bar_legit
 
 
 def _rays(cfg: SessionConfig, stream, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +299,7 @@ def _beam_draws(cfg: SessionConfig, trial_seeds: np.ndarray) -> tuple[np.ndarray
 
 
 def _secret_beam(cfg: SessionConfig, trial_seeds: np.ndarray, snr_db):
-    """One chunk of secret-beam trials, each at its u64 seed and SNR: yields each trial's record.
+    """One chunk of secret-beam trials, each at its u64 seed and SNR: yields the chunk's record.
 
     The draws come from :func:`_beam_draws`; the rest is array math over
     all trials.  Each party's symbol of a round is the Gray code of its own
@@ -363,8 +360,8 @@ def _secret_beam(cfg: SessionConfig, trial_seeds: np.ndarray, snr_db):
         else:
             eve_far = estimates(lut_a, at_bob, noise[2], sigma)
         keys.append(gray(index[2]) ^ gray(eve_far))
-    for symbols in np.stack(keys, axis=1):
-        yield SchemeResult(symbols, K.bit_length() - 1, 4 * R)
+    width = K.bit_length() - 1
+    yield SchemeResult(np.stack(keys, axis=1).astype(np.min_scalar_type((1 << width) - 1)), width, 4 * R)
 
 
 def secret_beam_session(cfg: SessionConfig) -> SchemeResult:
@@ -380,9 +377,8 @@ def secret_beam_session(cfg: SessionConfig) -> SchemeResult:
     of one trial whose seed is ``cfg.master_seed``.
     """
     if cfg.scheme != "secret_beam":  # a config is validated only for its own scheme
-        raise ValueError(f"this batch runs 'secret_beam' sessions, got a {cfg.scheme!r} config")
-    [result] = batch(cfg, [cfg.master_seed], [cfg.snr_db])
-    return result
+        raise ValueError(f"secret_beam_session runs 'secret_beam' sessions, got a {cfg.scheme!r} config")
+    return next(batch(cfg, [cfg.master_seed], [cfg.snr_db]))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +455,7 @@ def _sounding(cfg: SessionConfig, trial_seeds: np.ndarray):
 
 
 def _virtual_angle(cfg: SessionConfig, trial_seeds: np.ndarray, snr_db):
-    """One chunk of virtual-angle trials, each at its u64 seed and SNR: yields each trial's record.
+    """One chunk of virtual-angle trials, each at its u64 seed and SNR: yields the chunk's record.
 
     A party's key symbols are the ``cfg.num_paths`` strongest bins of the
     virtual channel of each of its estimates, by :func:`_bin_symbols`.
@@ -468,14 +464,15 @@ def _virtual_angle(cfg: SessionConfig, trial_seeds: np.ndarray, snr_db):
     estimates = _sounding(cfg, trial_seeds)
     shape = (cfg.bob.size, cfg.alice.size)
     mag, est = np.empty(shape), np.empty((2, *shape), dtype=complex)
+    width = sum(max(1, (n - 1).bit_length()) for n in shape)  # a bin's row bits and column bits
+    symbols = np.empty((len(snr_db), 2, cfg.rounds, cfg.num_paths), dtype=np.min_scalar_type((1 << width) - 1))
     for b, snr in enumerate(snr_db):
-        symbols = np.empty((2, cfg.rounds, cfg.num_paths), dtype=np.int64)
         for t in range(cfg.rounds):
             estimates(b, t, snr, est)
             for party in range(2):
                 np.abs(virtual_channel(est[party], cfg.alice, cfg.bob, out=est[party]), out=mag)
-                symbols[party, t], width = _bin_symbols(mag, cfg.num_paths)
-        yield SchemeResult(symbols.reshape(2, -1), width, 2 * cfg.rounds)
+                symbols[b, party, t] = _bin_symbols(mag, cfg.num_paths)[0]
+    yield SchemeResult(symbols.reshape(len(snr_db), 2, -1), width, 2 * cfg.rounds)
 
 
 def _baseline(cfg: SessionConfig, trial_seeds: np.ndarray, snr_db):
@@ -490,14 +487,16 @@ def _baseline(cfg: SessionConfig, trial_seeds: np.ndarray, snr_db):
     pools = np.empty((2, cfg.rounds, cfg.bob.size, cfg.alice.size), dtype=complex)
     # each party's (re, im) samples of every round
     samples = pools.view(np.float64).reshape(2, -1)
+    width = cfg.levels.bit_length() - 1
+    symbols = np.empty((len(snr_db), *samples.shape), dtype=np.min_scalar_type((1 << width) - 1))
     for b, snr in enumerate(snr_db):
         for t in range(cfg.rounds):
             estimates(b, t, snr, pools[:, t])
         # mean removal as extract_randomness does it, then one range calibrated on Alice's
         samples -= samples.mean(axis=1, keepdims=True)
         quantizer = QuantizerConfig.calibrated(samples[0], levels=cfg.levels)
-        cells = _gray_cells(samples, cfg.levels, quantizer.lo, quantizer.hi)
-        yield SchemeResult(cells, cfg.levels.bit_length() - 1, 2 * cfg.rounds)
+        symbols[b] = _gray_cells(samples, cfg.levels, quantizer.lo, quantizer.hi)
+    yield SchemeResult(symbols, width, 2 * cfg.rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +543,7 @@ def _rate_and_stderr(samples: np.ndarray, levels: int, sections: int = 10) -> tu
 
 
 def _multires(cfg: SessionConfig, trial_seeds: np.ndarray, snr_db):
-    """One chunk of multires trials, each at its u64 seed and SNR: yields each trial's record.
+    """One chunk of multires trials, each at its u64 seed and SNR: yields the chunk's record.
 
     One :func:`seeds.stream_lanes` call seeds every trial's channel,
     evolution and noise streams; :func:`_rays` draws the channels and
@@ -561,6 +560,9 @@ def _multires(cfg: SessionConfig, trial_seeds: np.ndarray, snr_db):
     angles, first = _rays(cfg, seeds.sampler_streams(lanes[:, 0]), (S,))
     gains = _evolved(cfg, seeds.sampler_streams(lanes[:, 1]), first)
     noise = seeds.sampler_streams(lanes[:, 2])
+    width = cfg.levels.bit_length() - 1
+    symbols = np.empty((S, 2 * P, cfg.rounds), dtype=np.min_scalar_type((1 << width) - 1))
+    kers = np.empty((S, 2, 2))
     for s, snr in enumerate(snr_db):
         a_tx = array_response(cfg.alice, angles[s, :, 0], angles[s, :, 1])
         a_rx = array_response(cfg.bob, angles[s, :, 2], angles[s, :, 3])
@@ -579,44 +581,35 @@ def _multires(cfg: SessionConfig, trial_seeds: np.ndarray, snr_db):
         ]
 
         # Gray-coded cells of each multi-arm probe stream on its own calibrated range, Alice's then Bob's
-        cells = _gray_cells(extract_randomness(np.concatenate((y_alice[:P], y_bob[:P]))), cfg.levels)
-        (ker_multires, multires_stderr), (ker_fixed, fixed_stderr) = (
-            _rate_and_stderr(y, cfg.levels) for y in (y_bob[:P], y_bob[P:])
-        )
-        yield SchemeResult(
-            cells.reshape(2, -1),
-            cfg.levels.bit_length() - 1,
-            4 * P * cfg.rounds,
-            ker_multires=ker_multires,
-            ker_multires_stderr=multires_stderr,
-            ker_fixed=ker_fixed,
-            ker_fixed_stderr=fixed_stderr,
-        )
+        symbols[s] = _gray_cells(extract_randomness(np.concatenate((y_alice[:P], y_bob[:P]))), cfg.levels)
+        kers[s] = [_rate_and_stderr(y, cfg.levels) for y in (y_bob[:P], y_bob[P:])]
+    yield SchemeResult(symbols.reshape(S, 2, -1), width, 4 * P * cfg.rounds, kers)
 
 
 # each scheme's chunk function, and the most trials it runs at once: a
 # secret-beam chunk of 64 keeps its arrays near a megabyte at 32 x 16
-# antennas and 16 levels; a sounding chunk of 32 bounds the channels it holds
-# at once, and a multires chunk of 32 the (sessions, blocks, L) gains.  A
-# trial's record depends only on its seed and SNR, so any split of the trials
-# into chunks gives the same records.
+# antennas and 16 levels; a virtual chunk of 32 bounds the channels it holds,
+# a multires chunk of 32 the (sessions, blocks, L) gains, and a baseline
+# chunk of 4 its symbols: 2 x 32,768 a trial at 128 x 128, 256 KiB in uint8
+# (32 would hold 2 MiB).  A trial's symbols depend only on its seed and SNR,
+# so no split of the trials into chunks changes them.
 _SCHEMES = {
     "secret_beam": (_secret_beam, 64),
     "virtual": (_virtual_angle, 32),
-    "baseline": (_baseline, 32),
+    "baseline": (_baseline, 4),
     "multires": (_multires, 32),
 }
 SCHEMES = tuple(_SCHEMES)
 
 
 def batch(cfg: SessionConfig, trial_seeds, snr_db):
-    """Run the session ``cfg`` describes once per trial seed, as its master seed: yields each trial's record in turn.
+    """Run the session ``cfg`` describes once per trial seed, as its master seed: yields each chunk's record in turn.
 
     ``trial_seeds`` is a sequence of u64 master seeds (Python ints or a u64
     array), and ``snr_db`` holds each trial's SNR, in place of
     ``cfg.snr_db``.  The trials run in chunks of ``cfg.scheme``'s size in
     ``_SCHEMES``, each by that scheme's chunk function on its seeds as one
-    u64 array.
+    u64 array, which yields one record of the chunk's trials in order.
     """
     run, size = _SCHEMES[cfg.scheme]
     for start in range(0, len(trial_seeds), size):

@@ -37,7 +37,11 @@ class Mutant(NamedTuple):
 
 SCHEMES = "src/mmkeygen/schemes.py"
 SEEDS = "src/mmkeygen/seeds.py"
+CHANNEL = "src/mmkeygen/channel.py"
 SOUNDING = "tests/test_schemes.py::TestStreamAddresses::test_sounding_streams"
+DRAWS = "tests/test_schemes.py::TestDrawsEqualReference::test_rays_and_evolved_equal_one_draw_at_a_time"
+DRAW_ORDER = "tests/test_channel.py::TestInnovationsThroughAr1::test_draw_order"
+MULTIRES_REFERENCE = "tests/test_schemes.py::TestMultiresEqualsReference::test_samples_bits_and_kers_equal_reference"
 
 MUTANTS = (
     # the stream address layout: each label grid's streams, their order and their draws
@@ -90,7 +94,7 @@ MUTANTS = (
     ),
     Mutant(
         "_paths infers the path count of an empty grid",
-        "src/mmkeygen/channel.py",
+        CHANNEL,
         "u[..., :-1].reshape(u.shape[:-1] + (u.shape[-1] // 4, 4))",
         "u[..., :-1].reshape(u.shape[:-1] + (-1, 4))",
         ("tests/test_channel.py::TestRays::test_empty_grid_draws_nothing",),
@@ -109,8 +113,8 @@ MUTANTS = (
     Mutant(
         "baseline configs run by the virtual chunk function",
         SCHEMES,
-        '"baseline": (_baseline, 32),',
-        '"baseline": (_virtual_angle, 32),',
+        '"baseline": (_baseline, 4),',
+        '"baseline": (_virtual_angle, 4),',
         (
             "tests/test_schemes.py::TestSoundingLoop::test_trials_equal_sessions_and_reference[1-grid0-ula-baseline]",
             "tests/test_golden.py::test_csv_sha256_pinned[custom-baseline]",
@@ -131,7 +135,7 @@ MUTANTS = (
         "secret_beam_session runs any scheme's config",
         SCHEMES,
         '    if cfg.scheme != "secret_beam":  # a config is validated only for its own scheme\n'
-        "        raise ValueError(f\"this batch runs 'secret_beam' sessions, got a {cfg.scheme!r} config\")\n",
+        "        raise ValueError(f\"secret_beam_session runs 'secret_beam' sessions, got a {cfg.scheme!r} config\")\n",
         "",
         (
             "tests/test_schemes.py::TestSchemeChecks::test_batches_and_sessions_reject_other_schemes"
@@ -145,6 +149,118 @@ MUTANTS = (
         "estimate_channel(H, snr, noise(b, t, party), out=est)",
         "estimate_channel(H, snr, noise(b, t, 1 - party), out=est)",
         (f"{SOUNDING}[virtual]", f"{SOUNDING}[baseline]"),
+    ),
+    # the key material of a chunk: its symbols, their agreements and KERs, and how _score reads them
+    Mutant(
+        "agreement taken against Bob's row",
+        SCHEMES,
+        "np.bitwise_count(self.symbols[:, 1:] ^ self.symbols[:, :1])",
+        "np.bitwise_count(self.symbols[:, 1:] ^ self.symbols[:, 1:2])",
+        (
+            "tests/test_schemes.py::TestSchemeResult::test_agreement_is_bar_of_packed_bits",
+            "tests/test_golden.py::test_csv_sha256_pinned[fig2]",
+        ),
+    ),
+    Mutant(
+        "_score reshaped as (per_point, points)",
+        "src/mmkeygen/experiments.py",
+        ".reshape(points, per_point, -1)",
+        ".reshape(per_point, points, -1)",
+        (
+            "tests/test_experiments.py::TestSecretBeamPoints::test_table_equals_per_point_batches"
+            "[fig2-scheme0-snr_grid2-65]",
+            "tests/test_golden.py::test_csv_sha256_pinned[fig2]",
+        ),
+    ),
+    Mutant(
+        "the KER arms swapped in kers",
+        SCHEMES,
+        "for y in (y_bob[:P], y_bob[P:])]",
+        "for y in (y_bob[P:], y_bob[:P])]",
+        (f"{MULTIRES_REFERENCE}[fig4]", "tests/test_golden.py::test_csv_sha256_pinned[fig4]"),
+    ),
+    Mutant(
+        "every baseline trial written to symbols[0]",
+        SCHEMES,
+        "symbols[b] = _gray_cells(",
+        "symbols[0] = _gray_cells(",
+        (
+            "tests/test_schemes.py::TestSoundingLoop::test_chunks_equal_per_trial_reference[3-65-1-grid0-ula-baseline]",
+            "tests/test_golden.py::test_csv_sha256_pinned[custom-baseline]",
+        ),
+    ),
+    # the ray and AR(1) draws every scheme takes, and the channels it builds from them
+    Mutant(
+        ">> 12 in the raw conversion",
+        SCHEMES,
+        "(raw >> 11) * 2.0**-53",
+        "(raw >> 12) * 2.0**-53",
+        (DRAW_ORDER, DRAWS, "tests/test_golden.py::test_csv_sha256_pinned[fig2]"),
+    ),
+    Mutant(
+        "normals drawn before the raw output",
+        SCHEMES,
+        "            raw[t, n] = draw_raw()\n            draw_normals(out=normals[t, n])\n",
+        "            draw_normals(out=normals[t, n])\n            raw[t, n] = draw_raw()\n",
+        (DRAW_ORDER, DRAWS, "tests/test_golden.py::test_csv_sha256_pinned[fig2]"),
+    ),
+    Mutant(
+        "the NLoS real and imaginary halves swapped",
+        CHANNEL,
+        "np.multiply(sigma, normals[..., :n], out=out[..., 1:].real)\n"
+        "    np.multiply(sigma, normals[..., n:], out=out[..., 1:].imag)",
+        "np.multiply(sigma, normals[..., n:], out=out[..., 1:].real)\n"
+        "    np.multiply(sigma, normals[..., :n], out=out[..., 1:].imag)",
+        (DRAW_ORDER, "tests/test_golden.py::test_csv_sha256_pinned[fig2]"),
+    ),
+    Mutant(
+        "normals drawn before the uniforms",
+        SCHEMES,
+        "        rng.random(out=u[n])\n        rng.standard_normal(out=normals[n])\n",
+        "        rng.standard_normal(out=normals[n])\n        rng.random(out=u[n])\n",
+        (DRAWS, "tests/test_golden.py::test_csv_sha256_pinned[fig2]"),
+    ),
+    Mutant(
+        "the (N, R, L) view taken by reshape",
+        SCHEMES,
+        "return eps.swapaxes(0, 1)",
+        "return eps.reshape(N, R, -1)",
+        (DRAWS, "tests/test_golden.py::test_csv_sha256_pinned[fig2]"),
+    ),
+    Mutant(
+        "the finite-variance check dropped",
+        CHANNEL,
+        "    if not math.isfinite(variance):\n"
+        '        raise ValueError(f"SNR {snr_db} dB gives a noise variance 10**({exponent}) that is not a finite float")\n',
+        "",
+        (
+            "tests/test_schemes.py::TestSessionValidation::test_snr_whose_noise_variance_is_not_finite_rejected[-4000.0]",
+            "tests/test_schemes.py::TestEstimateChannel::test_snr_whose_noise_variance_is_not_finite_rejected[nan]",
+        ),
+    ),
+    Mutant(
+        "every trial probed on trial 0's gains",
+        SCHEMES,
+        "bidirectional_probe(w_a, w_b, a_tx, a_rx, gains[s], snr, noise(s))",
+        "bidirectional_probe(w_a, w_b, a_tx, a_rx, gains[0], snr, noise(s))",
+        (
+            "tests/test_schemes.py::TestMultiresBatch::test_batch_equals_batches_of_one",
+            "tests/test_golden.py::test_csv_sha256_pinned[fig4-grid]",
+        ),
+    ),
+    Mutant(
+        "_ar1 started from reversed gains",
+        SCHEMES,
+        "_ar1(gains.reshape(-1), eps.reshape(R, -1), cfg.temporal_rho)",
+        "_ar1(gains[::-1].reshape(-1), eps.reshape(R, -1), cfg.temporal_rho)",
+        (DRAWS, "tests/test_golden.py::test_csv_sha256_pinned[fig4-grid]"),
+    ),
+    Mutant(
+        "beams selected on the gains after the first AR(1) step",
+        SCHEMES,
+        "H = channel_matrix(a_rx, first[s], a_tx)",
+        "H = channel_matrix(a_rx, gains[s, 0], a_tx)",
+        ("tests/test_golden.py::test_csv_sha256_pinned[fig4]",),
     ),
 )
 

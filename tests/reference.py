@@ -164,7 +164,7 @@ def select_beams(codebook, H, rx_beam, count, window_db):
 def pack_indices(indices, width):
     """Fixed-width binary encoding of integer indices, most significant bit first, concatenated.
 
-    A record's key bits, as ``SchemeResult.agreement`` counts them.
+    A party's key bits, as ``SchemeResult.agreement`` counts them.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= (1 << width)):
@@ -173,9 +173,22 @@ def pack_indices(indices, width):
     return BitString(bits=((idx[:, None] >> shifts) & 1).astype(np.uint8).ravel())
 
 
-def key_bits(record, party):
-    """Party ``party``'s key bits of a ``SchemeResult`` (0 Alice, 1 Bob, 2 the eavesdropper)."""
-    return pack_indices(record.symbols[party], record.width)
+def each_trial(records):
+    """Each trial's ``(symbols, width, kers)`` in a stream of ``SchemeResult`` chunks, in order.
+
+    ``symbols`` holds the trial's (parties, n) key symbols, ``width`` their
+    bit width, and ``kers`` its (2, 2) rate and stderr of each arm, or None.
+    """
+    for record in records:
+        kers = [None] * len(record.symbols) if record.kers is None else record.kers
+        for symbols, trial_kers in zip(record.symbols, kers, strict=True):
+            yield symbols, record.width, trial_kers
+
+
+def key_bits(trial, party):
+    """Party ``party``'s key bits of a trial's ``(symbols, width, kers)`` (0 Alice, 1 Bob, 2 the eavesdropper)."""
+    symbols, width, _ = trial
+    return pack_indices(symbols[party], width)
 
 
 def derive_seed(master_seed, *labels):

@@ -272,7 +272,7 @@ class TestCriterion6PropertySuite:
             ),
         )
         # each record's share of Alice's key bits that Bob's agrees with
-        bars = tuple(record.agreement()[0] for record in (sb, va, mr))
+        bars = tuple(record.bar_legit for record in (sb, va, mr))
         ok = all(b == 1.0 for b in bars)
         _report("6c (noiseless reciprocity)", ok, f"BARs = {bars}")
         assert ok

@@ -23,6 +23,7 @@ from mmkeygen.experiments import (
     write_csv,
     _cases,
     _mean_stderr,
+    _score,
     _trial_seeds,
 )
 from mmkeygen.schemes import _SCHEMES, batch
@@ -354,13 +355,14 @@ class TestNoMaskedArrays:
 
 
 def per_point_rows(cfg):
-    """The rows of a secret-beam scenario with each point run as its own batch, scored from each record's agreement."""
+    """The rows of a secret-beam scenario with each point run as its own batch, scored from each trial's agreement."""
     rows = []
     for case_idx, (outputs, template, trials, _) in enumerate(_cases(cfg)):
         for snr_idx, snr in enumerate(cfg.snr_grid):
             trial_seeds = _trial_seeds(cfg, case_idx, snr_idx, trials)
-            records = list(batch(replace(template, snr_db=snr), trial_seeds, [snr] * trials))
-            scores = [dict(zip(("bar_legit", "bar_eve"), record.agreement())) for record in records]
+            records = batch(replace(template, snr_db=snr), trial_seeds, [snr] * trials)
+            agreements = np.concatenate([record.agreement() for record in records])
+            scores = [dict(zip(("bar_legit", "bar_eve"), trial.tolist())) for trial in agreements]
             values = np.array([[score[metric] for _, metric in outputs] for score in scores])
             rows.extend(
                 ResultRow(cfg.scenario, label, snr, metric, *_mean_stderr(values[:, j]), trials, cfg.master_seed)
@@ -386,6 +388,22 @@ class TestSecretBeamPoints:
         assert table.rows == expected
         assert table_to_csv(table) == table_to_csv(ResultTable(rows=expected))
         assert {r.metric for r in table.rows} == {"bar_legit", "bar_eve"}
+
+
+class TestScoreTrialCount:
+    """``_score`` refuses records that do not hold ``per_point`` trials for each SNR point."""
+
+    # a 2-point secret-beam case of 4 trials a point given 5 trials' records
+    # used to score its second point from one real trial and three rows of
+    # uninitialised memory, and 9 trials' records ignored the ninth
+    @pytest.mark.parametrize("count", [5, 9])
+    def test_records_of_too_few_or_too_many_trials_rejected(self, count):
+        cfg = small_cfg("custom", trials=4, snr_grid=[0, 10], scheme={"scheme": '"secret_beam"'})
+        [(outputs, template, trials, per_point)] = _cases(cfg)
+        trial_seeds = _trial_seeds(cfg, 0, range(3), per_point)[:count]
+        records = batch(template, trial_seeds, [10.0] * count)
+        with pytest.raises(ValueError, match=f"the records hold {count} trials, not 4 for each of 2 SNR points"):
+            _score(cfg, outputs, trials, records, per_point)
 
 
 class TestFixedKeys:

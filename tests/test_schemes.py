@@ -35,6 +35,7 @@ from reference import (
     ar1_gains,
     baseline_symbols,
     cell_indices,
+    each_trial,
     jackknife_rate,
     key_bits,
     pack_indices,
@@ -50,13 +51,19 @@ def rng(seed=0):
 
 
 def session(cfg):
-    """The record of ``cfg`` run as one trial, at its master seed and SNR."""
+    """The record of ``cfg`` run as one trial, at its master seed and SNR: a chunk of that trial alone."""
     return next(batch(cfg, [cfg.master_seed], [cfg.snr_db]))
 
 
+def one_trial(record):
+    """The ``(symbols, width, kers)`` of the one trial of a record."""
+    [trial] = each_trial([record])
+    return trial
+
+
 def bdr(record):
-    """A record's bit disagreement ratio between Alice and Bob."""
-    return 1.0 - record.agreement()[0]
+    """The bit disagreement ratio between Alice and Bob of a record of one trial."""
+    return 1.0 - record.bar_legit
 
 
 def gray_bits(cells, width):
@@ -117,7 +124,8 @@ class TestSecretBeam:
     def test_noiseless_single_path_exact(self):
         res = secret_beam_session(fig2_cfg(snr_db=200.0, num_paths=1, rounds=200))
         assert res.bar_legit == 1.0
-        assert key_bits(res, 0).equals(key_bits(res, 1))
+        trial = one_trial(res)
+        assert key_bits(trial, 0).equals(key_bits(trial, 1))
 
     def test_more_antennas_higher_bar(self):
         big = secret_beam_session(
@@ -131,27 +139,28 @@ class TestSecretBeam:
     @pytest.mark.parametrize("eve", ["alice", "bob"])
     def test_eve_near_chance(self, eve):
         res = secret_beam_session(fig2_cfg(eve=eve, rounds=2500, snr_db=10.0))
-        assert abs(res.agreement()[1] - 0.5) < 0.03
+        assert abs(res.agreement()[0, 1] - 0.5) < 0.03
 
     def test_xor_identity_when_estimates_exact(self):
-        res = secret_beam_session(fig2_cfg(snr_db=200.0, num_paths=1, rounds=64))
+        res = one_trial(secret_beam_session(fig2_cfg(snr_db=200.0, num_paths=1, rounds=64)))
         assert key_bits(res, 0).equals(key_bits(res, 1))
 
     def test_deterministic(self):
         a = secret_beam_session(fig2_cfg(rounds=20))
         b = secret_beam_session(fig2_cfg(rounds=20))
-        assert key_bits(a, 0).equals(key_bits(b, 0))
+        assert key_bits(one_trial(a), 0).equals(key_bits(one_trial(b), 0))
         assert a.bar_legit == b.bar_legit
 
     def test_key_lengths(self):
-        res = secret_beam_session(fig2_cfg(rounds=25))
+        res = one_trial(secret_beam_session(fig2_cfg(rounds=25)))
         assert len(key_bits(res, 0)) == 25 * 4
         assert len(key_bits(res, 0)) == len(key_bits(res, 1)) == len(key_bits(res, 2))
 
-    def test_no_eve_nan(self):
+    def test_no_eve_no_guess(self):
+        # without an eavesdropper a trial has two parties, and one agreement
         res = secret_beam_session(fig2_cfg(eve=None, rounds=10))
-        assert np.isnan(res.agreement()[1])
-        assert len(res.symbols) == 2
+        assert res.agreement().shape == (1, 1)
+        assert len(one_trial(res)[0]) == 2
 
 
 def reference_beam_streams(cfg):
@@ -274,21 +283,23 @@ class TestSecretBeamBatch:
     def test_streams_equal_per_round_reference(self, cfg, trials):
         trial_seeds, snrs = zip(*trials)
         records = list(batch(cfg, np.array(trial_seeds, dtype=np.uint64), snrs))
+        agreements = np.concatenate([record.agreement() for record in records])
         # the drawn indices: Alice's, Bob's and the eavesdropper's guesses
         index = _beam_draws(cfg, np.array(trial_seeds, dtype=np.uint64))[2]
-        assert len(records) == len(trials)
-        for row, (record, (seed, snr)) in enumerate(zip(records, trials)):
+        assert len(agreements) == len(trials)
+        assert all(record.probes_used == 4 * cfg.rounds for record in records)
+        for row, ((symbols, width, _), (seed, snr)) in enumerate(zip(each_trial(records), trials, strict=True)):
             trial_cfg = replace(cfg, master_seed=seed, snr_db=snr)
             ref = reference_beam_streams(trial_cfg)
             expected = reference_beam_symbols(trial_cfg)
             names = ("idx_a", "idx_b", "eve_near_guess")[: len(expected)]
             assert all(np.array_equal(index[party, row], ref[name]) for party, name in enumerate(names))
-            assert np.array_equal(record.symbols, expected)
-            assert record.width == cfg.levels.bit_length() - 1 and record.probes_used == 4 * cfg.rounds
-            keys = [pack_indices(symbols, record.width).bits for symbols in expected]
-            assert record.bar_legit == (keys[0] == keys[1]).mean()
+            assert np.array_equal(symbols, expected)
+            assert width == cfg.levels.bit_length() - 1
+            keys = [pack_indices(party, width).bits for party in expected]
+            assert agreements[row, 0] == (keys[0] == keys[1]).mean()
             if cfg.eve is None:
-                assert len(record.symbols) == 2 and np.isnan(record.agreement()[1])
+                assert len(symbols) == 2 and agreements.shape[1] == 1
 
     @settings(max_examples=30, deadline=None)
     @given(secret_beam_configs(), st.lists(st.tuples(U64_SEEDS, TRIAL_SNRS), min_size=1, max_size=6), st.data())
@@ -296,14 +307,14 @@ class TestSecretBeamBatch:
         # each trial has its own SNR, and cfg.snr_db is read by none of them
         trial_seeds = np.array([seed for seed, _ in trials], dtype=np.uint64)
         snrs = [snr for _, snr in trials]
-        whole = list(batch(replace(cfg, snr_db=UNREAD_SNR_DB), trial_seeds, snrs))
+        whole = list(each_trial(batch(replace(cfg, snr_db=UNREAD_SNR_DB), trial_seeds, snrs)))
         chunk = data.draw(st.integers(1, len(trials)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setitem(schemes._SCHEMES, "secret_beam", (schemes._secret_beam, chunk))
-            chunked = list(batch(cfg, trial_seeds, snrs))
+            chunked = list(each_trial(batch(cfg, trial_seeds, snrs)))
         assert len(chunked) == len(whole)
-        for a, b in zip(whole, chunked):
-            assert a.symbols.tobytes() == b.symbols.tobytes() and a.symbols.shape == b.symbols.shape
+        for (a, _, _), (b, _, _) in zip(whole, chunked):
+            assert a.tobytes() == b.tobytes() and a.shape == b.shape and a.dtype == b.dtype
 
     @pytest.mark.numpy_contract
     @pytest.mark.parametrize("eve, per_trial", [(None, 4), ("alice", 5)])
@@ -338,9 +349,10 @@ class TestSecretBeamBatch:
     def test_session_is_batch_of_one(self):
         cfg = fig2_cfg(rounds=12, eve="bob", num_paths=3, temporal_rho=0.4)
         res = secret_beam_session(cfg)
-        assert np.array_equal(res.symbols, reference_beam_symbols(cfg))
-        assert res.bar_legit == bar(key_bits(res, 0), key_bits(res, 1))
-        assert res.agreement()[1] == bar(key_bits(res, 2), key_bits(res, 0))
+        trial = one_trial(res)
+        assert np.array_equal(trial[0], reference_beam_symbols(cfg))
+        assert res.bar_legit == bar(key_bits(trial, 0), key_bits(trial, 1))
+        assert res.agreement()[0, 1] == bar(key_bits(trial, 2), key_bits(trial, 0))
 
 
 @pytest.fixture
@@ -548,7 +560,7 @@ class TestSchemeChecks:
         for name in ("generator", "stream_lanes"):
             monkeypatch.setattr(seeds, name, no_draw)
         cfg = CONFIGS[foreign]
-        with pytest.raises(ValueError, match=f"this batch runs '{scheme}' sessions, got a '{foreign}' config"):
+        with pytest.raises(ValueError, match=f"secret_beam_session runs '{scheme}' sessions, got a '{foreign}' config"):
             run(cfg)
 
     @pytest.mark.parametrize("scheme", CONFIGS)
@@ -577,13 +589,17 @@ class TestSchemeChecks:
             secret_beam_session(SessionConfig(scheme="virtual", delta_max=0.0, rounds=2))
 
 
-def record_fields(record):
-    """Every field of a record as (dtype, shape, bytes), so that NaN KERs compare equal."""
-    return [(np.asarray(v).dtype, np.shape(v), np.asarray(v).tobytes()) for v in vars(record).values()]
+def trial_fields(records):
+    """Each trial's symbols, width, KERs and probes used, each as (dtype, shape, bytes), so that NaN KERs compare equal."""
+    return [
+        [(np.asarray(v).dtype, np.shape(v), np.asarray(v).tobytes()) for v in (*trial, record.probes_used)]
+        for record in records
+        for trial in each_trial([record])
+    ]
 
 
 class TestBatchChunks:
-    """Any split of a batch's trials into chunks leaves every record as it is."""
+    """Any split of a batch's trials into chunks leaves every trial's key material as it is."""
 
     SMALL = {
         "secret_beam": fig2_cfg(rounds=20),
@@ -599,36 +615,75 @@ class TestBatchChunks:
     @pytest.mark.parametrize("scheme", SMALL)
     def test_records_do_not_depend_on_the_chunk_size(self, monkeypatch, scheme, size):
         cfg = self.SMALL[scheme]
-        whole = list(batch(cfg, self.TRIAL_SEEDS, self.SNRS))
+        whole = trial_fields(batch(cfg, self.TRIAL_SEEDS, self.SNRS))
         monkeypatch.setitem(schemes._SCHEMES, scheme, (schemes._SCHEMES[scheme][0], size))
-        chunked = list(batch(cfg, self.TRIAL_SEEDS, self.SNRS))
+        chunked = trial_fields(batch(cfg, self.TRIAL_SEEDS, self.SNRS))
         assert len(whole) == len(chunked) == len(self.TRIAL_SEEDS)
         for a, b in zip(whole, chunked):
-            assert record_fields(a) == record_fields(b)
+            assert a == b
+
+
+UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
 class TestSchemeResult:
-    """The one agreement count of a record, against ``bar`` of the packed bits."""
+    """The one agreement count of a chunk, against ``bar`` of each trial's packed bits."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 12), st.integers(1, 40), st.integers(2, 3), st.data())
-    def test_agreement_is_bar_of_packed_bits(self, width, count, parties, data):
+    @given(st.integers(1, 5), st.integers(1, 62), st.integers(1, 40), st.integers(2, 3), st.data())
+    def test_agreement_is_bar_of_packed_bits(self, trials, width, count, parties, data):
         top = (1 << width) - 1
+        # any unsigned dtype that holds the width, not only the smallest
+        dtype = data.draw(st.sampled_from([t for t in UNSIGNED if np.iinfo(t).max >= top]))
         row = st.lists(st.integers(0, top), min_size=count, max_size=count)
-        symbols = np.array(data.draw(st.lists(row, min_size=parties, max_size=parties)), dtype=np.int64)
+        trial = st.lists(row, min_size=parties, max_size=parties)
+        symbols = np.array(data.draw(st.lists(trial, min_size=trials, max_size=trials)), dtype=dtype)
         # beside drawn keys: a party whose key equals Alice's, or differs from it in every bit
-        for party in range(1, parties):
-            kind = data.draw(st.sampled_from(["drawn", "equal", "different"]))
-            if kind != "drawn":
-                symbols[party] = symbols[0] if kind == "equal" else symbols[0] ^ top
+        for keys in symbols:
+            for party in range(1, parties):
+                kind = data.draw(st.sampled_from(["drawn", "equal", "different"]))
+                if kind != "drawn":
+                    keys[party] = keys[0] if kind == "equal" else keys[0] ^ top
         record = SchemeResult(symbols, width, probes_used=1)
-        alice, bob = (pack_indices(keys, width) for keys in symbols[:2])
-        bar_legit, bar_eve = record.agreement()
-        assert record.bar_legit == bar_legit == bar(alice, bob)
-        if parties == 3:
-            assert bar_eve == bar(pack_indices(symbols[2], width), alice)
+        agreement = record.agreement()
+        assert agreement.shape == (trials, parties - 1)
+        for keys, (bar_legit, *bar_eve) in zip(symbols, agreement, strict=True):
+            alice, bob = (pack_indices(party, width) for party in keys[:2])
+            assert bar_legit == bar(alice, bob)
+            if parties == 3:
+                assert bar_eve == [bar(pack_indices(keys[2], width), alice)]
+        if trials == 1:
+            assert record.bar_legit == agreement[0, 0] and type(record.bar_legit) is float
         else:
-            assert np.isnan(bar_eve)
+            with pytest.raises(ValueError):
+                record.bar_legit
+
+    # (config, the smallest unsigned dtype of its symbols' width)
+    DTYPES = {
+        "secret_beam": (fig2_cfg(rounds=3), np.uint8),
+        "secret_beam-512-levels": (fig2_cfg(rounds=3, levels=512), np.uint16),
+        "virtual-8x4": (fig3_cfg(alice=ArrayGeometry(1, 8), bob=ArrayGeometry(1, 4), rounds=2), np.uint8),
+        "virtual-128x128": (fig3_cfg(rounds=2), np.uint16),
+        "baseline": (fig3_cfg(scheme="baseline", alice=ArrayGeometry(1, 8), bob=ArrayGeometry(1, 4), rounds=2), np.uint8),
+        "baseline-2**20-levels": (
+            fig3_cfg(scheme="baseline", alice=ArrayGeometry(1, 8), bob=ArrayGeometry(1, 4), rounds=2, levels=2**20),
+            np.uint32,
+        ),
+        "multires": (fig4_cfg(rounds=40), np.uint8),
+        # 40-bit symbols: 2**40 levels on one beam, as the CLI's multires run at many levels takes them
+        "multires-2**40-levels": (fig4_cfg(rounds=40, num_beams=1, levels=2**40), np.uint64),
+    }
+
+    @pytest.mark.parametrize("case", DTYPES)
+    def test_symbols_in_the_smallest_unsigned_dtype(self, case):
+        cfg, dtype = self.DTYPES[case]
+        [record] = batch(cfg, [3, 2**64 - 1], [10.0, 0.0])
+        assert record.symbols.dtype == dtype == np.min_scalar_type((1 << record.width) - 1)
+        assert record.symbols.shape[:2] == (2, 3 if cfg.eve else 2)
+        if cfg.scheme == "multires":
+            assert record.kers.shape == (2, 2, 2)
+        else:
+            assert record.kers is None
 
     def test_probes_used(self):
         # secret beam: a calibration and a keyed pilot each way per round;
@@ -788,7 +843,7 @@ def baseline_bdr(**kw):
 class TestVirtualSession:
     def test_low_snr_threshold_holds_at_modest_scale(self):
         res = session(fig3_cfg(rounds=300))
-        assert len(key_bits(res, 0)) == 300 * 42
+        assert len(key_bits(one_trial(res), 0)) == 300 * 42
         assert bdr(res) < 0.03  # acceptance tests the tight 1e-2 claim
 
     def test_noiseless_bdr_zero(self):
@@ -871,20 +926,24 @@ class TestSoundingLoop:
         )
         trial_seeds, snrs = [3, 2**64 - 1, 40, 41], [-10.0, 0.0, 5.0, -10.0]
         records = list(batch(cfg, trial_seeds, snrs))
-        for record, seed, snr in zip(records, trial_seeds, snrs, strict=True):
+        # each trial's share of Alice's key bits that Bob's agrees with
+        agreements = np.concatenate([record.agreement() for record in records])[:, 0]
+        for trial, agreement, seed, snr in zip(each_trial(records), agreements, trial_seeds, snrs, strict=True):
             trial_cfg = replace(cfg, master_seed=seed, snr_db=snr)
             ref_a, ref_b = reference_sounding_bits(trial_cfg, virtual)
-            assert key_bits(record, 0).equals(ref_a) and key_bits(record, 1).equals(ref_b)
-            assert bdr(record) == 1.0 - bar(ref_a, ref_b)
+            assert key_bits(trial, 0).equals(ref_a) and key_bits(trial, 1).equals(ref_b)
+            assert 1.0 - agreement == 1.0 - bar(ref_a, ref_b)
             if virtual:
                 res = session(trial_cfg)
-                assert np.array_equal(res.symbols, record.symbols) and bdr(res) == bdr(record)
+                assert np.array_equal(one_trial(res)[0], trial[0]) and bdr(res) == 1.0 - agreement
 
     @pytest.mark.parametrize("virtual", [True, False], ids=["virtual", "baseline"])
-    def test_results_share_no_memory_with_buffers(self, virtual):
-        # a trial's symbols stay as yielded while the batch writes its next
-        # trial into the same buffers
-        cfg = fig3_cfg(scheme="virtual" if virtual else "baseline", alice=ArrayGeometry(1, 16), bob=ArrayGeometry(2, 4))
+    def test_results_share_no_memory_with_buffers(self, monkeypatch, virtual):
+        # in chunks of one trial, a chunk's symbols stay as yielded while the
+        # batch writes its next chunk
+        scheme = "virtual" if virtual else "baseline"
+        monkeypatch.setitem(schemes._SCHEMES, scheme, (schemes._SCHEMES[scheme][0], 1))
+        cfg = fig3_cfg(scheme=scheme, alice=ArrayGeometry(1, 16), bob=ArrayGeometry(2, 4))
         trials = batch(replace(cfg, rounds=2), [1, 99], [-10.0, 20.0])
         first = next(trials).symbols
         kept = first.copy()
@@ -925,7 +984,8 @@ class TestSoundingLoop:
     @pytest.mark.parametrize("num_paths", [1, 3])
     @pytest.mark.parametrize("rounds, trials", [(1, 130), (3, 65)])
     def test_chunks_equal_per_trial_reference(self, virtual, alice, bob, grid, num_paths, rounds, trials):
-        # trials past two and four chunks of 32, seeds below and above 2**32 mixed
+        # trials past two and four virtual chunks of 32 (baseline chunks
+        # hold 4), seeds below and above 2**32 mixed
         # in each chunk (the seed hash groups its rows by word count), and
         # the edge seeds
         cfg = fig3_cfg(
@@ -943,12 +1003,12 @@ class TestSoundingLoop:
         trial_seeds = [0, 2**32 - 1, 2**32, 2**64 - 1] + drawn.tolist()
         snrs = r.choice([-20.0, -5.0, 0.0, 30.0], trials).tolist()
         reference = virtual_symbols if virtual else baseline_symbols
-        chunked = list(batch(cfg, trial_seeds, snrs))
+        chunked = list(each_trial(batch(cfg, trial_seeds, snrs)))
         expected = list(reference(cfg, trial_seeds, snrs))
         assert len(chunked) == len(expected) == trials
-        for record, (ref_a, ref_b, ref_bits) in zip(chunked, expected):
-            a, b = record.symbols
-            assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b) and record.width == ref_bits
+        for (symbols, width, _), (ref_a, ref_b, ref_bits) in zip(chunked, expected):
+            a, b = symbols
+            assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b) and width == ref_bits
 
 
 
@@ -968,63 +1028,64 @@ def probes(monkeypatch):
 
 class TestMultires:
     def test_single_beam_arms_agree(self):
-        res = session(fig4_cfg(num_beams=1, rounds=2000))
-        assert res.ker_multires == pytest.approx(1.0, abs=1e-9)
-        assert res.ker_fixed == pytest.approx(1.0, abs=1e-9)
-        assert abs(res.ker_multires - res.ker_fixed) < 0.05
+        (ker_multires, _), (ker_fixed, _) = one_trial(session(fig4_cfg(num_beams=1, rounds=2000)))[2]
+        assert ker_multires == pytest.approx(1.0, abs=1e-9)
+        assert ker_fixed == pytest.approx(1.0, abs=1e-9)
+        assert abs(ker_multires - ker_fixed) < 0.05
 
     def test_five_beams_decorrelate(self, probes):
-        res = session(fig4_cfg(rounds=3000))
-        assert res.ker_fixed < 1.4
-        assert res.ker_multires / res.ker_fixed > 3.0
+        (ker_multires, _), (ker_fixed, _) = one_trial(session(fig4_cfg(rounds=3000)))[2]
+        assert ker_fixed < 1.4
+        assert ker_multires / ker_fixed > 3.0
         [(w_a, _, _)] = probes
         assert len({beam.tobytes() for beam in w_a[:5]}) == 5
 
     def test_noiseless_reciprocity(self):
-        res = session(fig4_cfg(snr_db=200.0, rounds=2000))
+        res = one_trial(session(fig4_cfg(snr_db=200.0, rounds=2000)))
         assert bar(key_bits(res, 0), key_bits(res, 1)) == 1.0
 
     def test_deterministic(self):
-        a = session(fig4_cfg(rounds=2000))
-        b = session(fig4_cfg(rounds=2000))
-        assert a.ker_multires == b.ker_multires
-        assert np.array_equal(a.symbols, b.symbols)
+        a_symbols, _, a_kers = one_trial(session(fig4_cfg(rounds=2000)))
+        b_symbols, _, b_kers = one_trial(session(fig4_cfg(rounds=2000)))
+        assert a_kers[0, 0] == b_kers[0, 0]
+        assert np.array_equal(a_symbols, b_symbols)
 
     def test_bits_equal_per_row_reference(self, probes):
         # reference: each probe stream centred, calibrated on its own 1st-99th
         # percentile range, quantized and Gray-coded, streams concatenated
-        res = session(fig4_cfg(rounds=200))
+        res = one_trial(session(fig4_cfg(rounds=200)))
         [(_, y_bob, y_alice)] = probes
         for bits, samples in ((key_bits(res, 0), y_alice), (key_bits(res, 1), y_bob)):
             assert bits.equals(gray_bits(per_row_cells(samples[:5], 4).ravel(), 2))
-        assert res.width == 2 and res.symbols.shape == (2, 5 * 200)
+        symbols, width, _ = res
+        assert width == 2 and symbols.shape == (2, 5 * 200)
 
 
 class TestMultiresBatch:
-    RECORD_FIELDS = ("width", "probes_used", "ker_multires", "ker_fixed", "ker_multires_stderr", "ker_fixed_stderr")
-
     @pytest.mark.numpy_contract
     def test_batch_equals_batches_of_one(self, probes):
-        # SNRs out of grid order and one seed repeated: each point's record
+        # SNRs out of grid order and one seed repeated: each point's trial
         # is bytes of its own batch of one, whatever the other points are.
         # Seeds below 2**32 hash as one u32 word and the others as two, so
         # one stream_lanes call seeds these trials in two groups
         cfg = fig4_cfg(rounds=300, snr_db=UNREAD_SNR_DB, master_seed=0)
         trial_seeds = [7, 3, 7, 2**64 - 1, 2**32]
         snrs = [20.0, 0.0, 5.0, 15.0, 10.0]
-        whole = list(batch(cfg, trial_seeds, snrs))
+        [chunk] = batch(cfg, trial_seeds, snrs)
+        whole = list(each_trial([chunk]))
         assert len(whole) == 5
-        for res, seed, snr, probed in zip(whole, trial_seeds, snrs, list(probes)):
+        for (symbols, width, kers), seed, snr, probed in zip(whole, trial_seeds, snrs, list(probes)):
             [one] = batch(cfg, [seed], [snr])
             for a, b in zip(probed, probes[-1]):
                 assert a.tobytes() == b.tobytes()
-            assert res.symbols.tobytes() == one.symbols.tobytes()
-            for name in self.RECORD_FIELDS:
-                assert getattr(res, name) == getattr(one, name), name
+            one_symbols, one_width, one_kers = one_trial(one)
+            assert symbols.tobytes() == one_symbols.tobytes()
+            # each arm's KER and its stderr
+            assert width == one_width and chunk.probes_used == one.probes_used and kers.tolist() == one_kers.tolist()
         # the repeated seed at two SNRs: one channel and beam choice, other noise
         assert probes[0][0].tobytes() == probes[2][0].tobytes()
         assert probes[0][1].tobytes() != probes[2][1].tobytes()
-        assert whole[0].symbols.tobytes() != whole[2].symbols.tobytes()
+        assert whole[0][0].tobytes() != whole[2][0].tobytes()
 
 
 def reference_multires_samples(cfg, beams, fixed_beam):
@@ -1094,7 +1155,7 @@ class TestMultiresEqualsReference:
     @pytest.mark.parametrize("case", list(CASES))
     def test_samples_bits_and_kers_equal_reference(self, case, probes):
         cfg = fig4_cfg(**self.CASES[case])
-        res = session(cfg)
+        res = one_trial(session(cfg))
         [(w_a, y_bob, _)] = probes
         P = cfg.num_beams
         # the probed beams are codewords of the session's codebook
@@ -1112,7 +1173,8 @@ class TestMultiresEqualsReference:
         assert key_bits(res, 1).equals(gray(multi_bob))
         assert key_bits(res, 0).equals(gray(multi_alice))
         quantizer = QuantizerConfig(levels=cfg.levels)
-        for ker, samples in ((res.ker_multires, multi_bob), (res.ker_fixed, fixed_bob)):
+        (ker_multires, _), (ker_fixed, _) = res[2]
+        for ker, samples in ((ker_multires, multi_bob), (ker_fixed, fixed_bob)):
             centred = np.stack([extract_randomness(row) for row in samples])
             assert ker == key_entropy_rate(centred, quantizer)
 
@@ -1200,7 +1262,7 @@ class TestRateAndStderrEqualReference:
 class TestEveInformationBound:
     def test_mutual_information_on_4bit_blocks(self):
         # plug-in MI between eve's guess and the final key over 1e4 key bits
-        res = secret_beam_session(fig2_cfg(eve="alice", rounds=2500, snr_db=10.0))
+        res = one_trial(secret_beam_session(fig2_cfg(eve="alice", rounds=2500, snr_db=10.0)))
         eve = key_bits(res, 2).bits.reshape(-1, 4)
         key = key_bits(res, 0).bits.reshape(-1, 4)
         pack = lambda blocks: (blocks * [8, 4, 2, 1]).sum(axis=1)
