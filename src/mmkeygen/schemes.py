@@ -188,19 +188,23 @@ class SchemeResult:
         return bar_legit
 
 
-def _rays(cfg: SessionConfig, stream, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Angles (*shape, L, 4) and gains (*shape, L): one channel per sampler stream ``stream(*n)`` of the grid ``shape``.
-
-    Each stream draws its 4L + 1 uniforms, then its 2(L - 1) NLoS normals,
-    which :func:`channel._paths` maps to rays (on the DFT grids when
-    ``cfg.grid_angles`` is set).
-    """
-    L = cfg.num_paths
-    u, normals = np.empty((*shape, 4 * L + 1)), np.empty((*shape, 2 * (L - 1)))
+def _draws(stream, shape: tuple[int, ...], n_uniforms: int, n_normals: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniforms (*shape, n_uniforms) and normals (*shape, n_normals): each sampler stream ``stream(*n)`` of the grid ``shape`` draws its uniforms, then its normals."""
+    u, normals = np.empty((*shape, n_uniforms)), np.empty((*shape, n_normals))
     for n in np.ndindex(shape):
         rng = stream(*n)
         rng.random(out=u[n])
         rng.standard_normal(out=normals[n])
+    return u, normals
+
+
+def _rays(cfg: SessionConfig, stream, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Angles (*shape, L, 4) and gains (*shape, L): one channel per sampler stream ``stream(*n)`` of the grid ``shape``.
+
+    Each stream's 4L + 1 uniforms and 2(L - 1) NLoS normals map to rays by
+    :func:`channel._paths` (on the DFT grids when ``cfg.grid_angles`` is set).
+    """
+    u, normals = _draws(stream, shape, 4 * cfg.num_paths + 1, 2 * (cfg.num_paths - 1))
     grid_cols = (cfg.alice.cols, cfg.bob.cols) if cfg.grid_angles else None
     return _paths(u, normals, cfg.nlos_offset_db, grid_cols)
 
@@ -208,20 +212,12 @@ def _rays(cfg: SessionConfig, stream, shape: tuple[int, ...]) -> tuple[np.ndarra
 def _evolved(cfg: SessionConfig, stream, gains: np.ndarray) -> np.ndarray:
     """The (N, R, L) gains of the (N, L) ``gains`` after each of ``cfg.rounds`` AR(1) steps, channel ``n``'s from ``stream(n)``.
 
-    Each step draws one raw output, its LoS phase's uniform as ``random()``
-    converts one (top 53 bits times 2**-53), then its NLoS normals.  Laid
-    out steps first, :func:`channel._ar1` steps one contiguous (N L) row a
-    step; the result is a view.
+    Each stream draws its R steps' LoS-phase uniforms, then each step's 2(L - 1) NLoS normals in turn.  Laid
+    out steps first, :func:`channel._ar1` steps one contiguous (N L) row a step; the result is a view.
     """
-    R, N = cfg.rounds, len(gains)
-    raw, normals = np.empty((R, N), dtype=np.uint64), np.empty((R, N, 2 * (cfg.num_paths - 1)))
-    for n in range(N):
-        rng = stream(n)
-        draw_raw, draw_normals = rng.bit_generator.random_raw, rng.standard_normal
-        for t in range(R):
-            raw[t, n] = draw_raw()
-            draw_normals(out=normals[t, n])
-    eps = _innovations((raw >> 11) * 2.0**-53, normals, cfg.nlos_offset_db)
+    R, N, n_nlos = cfg.rounds, len(gains), 2 * (cfg.num_paths - 1)
+    u, normals = _draws(stream, (N,), R, R * n_nlos)
+    eps = _innovations(u.T, normals.reshape(N, R, n_nlos).swapaxes(0, 1), cfg.nlos_offset_db)
     _ar1(gains.reshape(-1), eps.reshape(R, -1), cfg.temporal_rho)
     return eps.swapaxes(0, 1)
 

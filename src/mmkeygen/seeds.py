@@ -151,11 +151,6 @@ def derive_seeds(*labels) -> np.ndarray:
 # other; u64 array arithmetic wraps mod 2**64, which the carries account for
 
 
-def _as_pair(values) -> tuple[np.ndarray, np.ndarray]:
-    """Python ints in [0, 2**128) as a (hi, lo) pair of u64 arrays."""
-    return np.array([v >> 64 for v in values], np.uint64), np.array([v & _MASK64 for v in values], np.uint64)
-
-
 def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The high word of each 128-bit product of u64 words ``a * b``, from 32-bit partial products."""
     a0, a1 = a & _MASK32, a >> 32
@@ -177,7 +172,7 @@ def _add(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
     return x[0] + y[0] + (lo < y[1]), lo
 
 
-_MULT = _as_pair([_PCG64_MULT])
+_MULT = np.array([_PCG64_MULT >> 64], np.uint64), np.array([_PCG64_MULT & _MASK64], np.uint64)
 
 
 def stream_lanes(*labels) -> np.ndarray:
@@ -196,6 +191,12 @@ def stream_lanes(*labels) -> np.ndarray:
     return np.stack(_add(_mul(_add(inc, (seed_hi, seed_lo)), _MULT), inc) + inc, axis=-1).reshape(shape + (4,))
 
 
+class _Unseeded:
+    """Zero state words: a bit generator built on them runs no ``SeedSequence`` hash, for a state set before it draws."""
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
 def sampler_streams(lanes: np.ndarray):
     """``stream(*index)``: one reused ``Generator``, set to the stream at ``index`` of the lanes' grid and returned.
 
@@ -207,7 +208,8 @@ def sampler_streams(lanes: np.ndarray):
     pairs = (lanes[..., ::2].astype(object) << 64) | lanes[..., 1::2].astype(object)
     states, incs = pairs[..., 0], pairs[..., 1]
     mapping = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0}, "has_uint32": 0, "uinteger": 0}
-    rng = np.random.Generator(np.random.PCG64(0))
+    # an ISeedSequence by registration where it is used, so that importing the package loads no numpy.random
+    rng = np.random.Generator(np.random.PCG64(np.random.bit_generator.ISeedSequence.register(_Unseeded)()))
 
     def stream(*index: int) -> np.random.Generator:
         mapping["state"]["state"], mapping["state"]["inc"] = states[index], incs[index]

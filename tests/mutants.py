@@ -38,10 +38,14 @@ class Mutant(NamedTuple):
 SCHEMES = "src/mmkeygen/schemes.py"
 SEEDS = "src/mmkeygen/seeds.py"
 CHANNEL = "src/mmkeygen/channel.py"
+KEYGEN = "src/mmkeygen/keygen.py"
+EXPERIMENTS = "src/mmkeygen/experiments.py"
 SOUNDING = "tests/test_schemes.py::TestStreamAddresses::test_sounding_streams"
 DRAWS = "tests/test_schemes.py::TestDrawsEqualReference::test_rays_and_evolved_equal_one_draw_at_a_time"
-DRAW_ORDER = "tests/test_channel.py::TestInnovationsThroughAr1::test_draw_order"
+DRAW_ORDER = "tests/test_channel.py::TestInnovationsThroughAr1::test_draw_order[3]"
 MULTIRES_REFERENCE = "tests/test_schemes.py::TestMultiresEqualsReference::test_samples_bits_and_kers_equal_reference"
+CASCADE = "tests/test_keygen.py::TestCascade"
+BENCH_REFERENCE = "tests/test_experiments.py::TestRunScenario::test_cascade_bench_equals_per_trial_reference"
 
 MUTANTS = (
     # the stream address layout: each label grid's streams, their order and their draws
@@ -81,6 +85,13 @@ MUTANTS = (
             "tests/test_seeds.py::TestBatchedDerivation::test_sampler_streams_equal_default_rng",
             "tests/test_seeds.py::TestLabelGrids::test_sampler_streams_and_raw_outputs_keep_the_grid",
         ),
+    ),
+    Mutant(
+        "the reused generator's seed class an ISeedSequence at import",
+        SEEDS,
+        "class _Unseeded:",
+        "class _Unseeded(np.random.bit_generator.ISeedSequence):",
+        ("tests/test_experiments.py::TestSetUpDrawsNothing::test_import_and_validation_never_import_numpy_random",),
     ),
     Mutant(
         "raw_outputs reads its lanes reversed",
@@ -163,7 +174,7 @@ MUTANTS = (
     ),
     Mutant(
         "_score reshaped as (per_point, points)",
-        "src/mmkeygen/experiments.py",
+        EXPERIMENTS,
         ".reshape(points, per_point, -1)",
         ".reshape(per_point, points, -1)",
         (
@@ -191,20 +202,6 @@ MUTANTS = (
     ),
     # the ray and AR(1) draws every scheme takes, and the channels it builds from them
     Mutant(
-        ">> 12 in the raw conversion",
-        SCHEMES,
-        "(raw >> 11) * 2.0**-53",
-        "(raw >> 12) * 2.0**-53",
-        (DRAW_ORDER, DRAWS, "tests/test_golden.py::test_csv_sha256_pinned[fig2]"),
-    ),
-    Mutant(
-        "normals drawn before the raw output",
-        SCHEMES,
-        "            raw[t, n] = draw_raw()\n            draw_normals(out=normals[t, n])\n",
-        "            draw_normals(out=normals[t, n])\n            raw[t, n] = draw_raw()\n",
-        (DRAW_ORDER, DRAWS, "tests/test_golden.py::test_csv_sha256_pinned[fig2]"),
-    ),
-    Mutant(
         "the NLoS real and imaginary halves swapped",
         CHANNEL,
         "np.multiply(sigma, normals[..., :n], out=out[..., 1:].real)\n"
@@ -219,6 +216,27 @@ MUTANTS = (
         "        rng.random(out=u[n])\n        rng.standard_normal(out=normals[n])\n",
         "        rng.standard_normal(out=normals[n])\n        rng.random(out=u[n])\n",
         (DRAWS, "tests/test_golden.py::test_csv_sha256_pinned[fig2]"),
+    ),
+    Mutant(
+        "each evolution stream's LoS phases taken from the next stream",
+        SCHEMES,
+        "eps = _innovations(u.T, ",
+        "eps = _innovations(np.roll(u, -1, axis=0).T, ",
+        (DRAWS, "tests/test_golden.py::test_csv_sha256_pinned[fig2]"),
+    ),
+    Mutant(
+        "the steps-first layout dropped before _ar1",
+        SCHEMES,
+        "_innovations(u.T, normals.reshape(N, R, n_nlos).swapaxes(0, 1), cfg.nlos_offset_db)",
+        "_innovations(u.reshape(R, N), normals.reshape(R, N, n_nlos), cfg.nlos_offset_db)",
+        (DRAWS, "tests/test_golden.py::test_csv_sha256_pinned[fig4-grid]"),
+    ),
+    Mutant(
+        "each step's normals read across the stream's steps",
+        SCHEMES,
+        "normals.reshape(N, R, n_nlos).swapaxes(0, 1)",
+        "normals.reshape(N, n_nlos, R).transpose(2, 0, 1)",
+        (DRAW_ORDER, DRAWS, "tests/test_golden.py::test_csv_sha256_pinned[fig2]"),
     ),
     Mutant(
         "the (N, R, L) view taken by reshape",
@@ -261,6 +279,61 @@ MUTANTS = (
         "H = channel_matrix(a_rx, first[s], a_tx)",
         "H = channel_matrix(a_rx, gains[s, 0], a_tx)",
         ("tests/test_golden.py::test_csv_sha256_pinned[fig4]",),
+    ),
+    # Cascade's skip of the passes that begin with no error left, and the cascade-bench data streams
+    Mutant(
+        "the error-free skip never firing",
+        KEYGEN,
+        "        if not errors:\n",
+        "        if False:\n",
+        (
+            f"{CASCADE}::test_error_free_passes_draw_nothing[equal-0]",
+            f"{CASCADE}::test_error_free_passes_draw_nothing[clean after pass 0-1]",
+        ),
+    ),
+    Mutant(
+        "the error count off by 2 at the start",
+        KEYGEN,
+        "errors = int(np.count_nonzero(diff))",
+        "errors = int(np.count_nonzero(diff)) - 2",
+        (
+            f"{CASCADE}::test_error_free_passes_draw_nothing[equal-0]",
+            f"{CASCADE}::test_ten_percent_error_rate_bulk",
+        ),
+    ),
+    Mutant(
+        "no decrement for the first pass's finds",
+        KEYGEN,
+        "            errors -= found.size\n",
+        "",
+        (
+            f"{CASCADE}::test_error_free_passes_draw_nothing[clean after pass 0-1]",
+            f"{CASCADE}::test_error_free_passes_draw_nothing[clean after pass 1-2]",
+        ),
+    ),
+    Mutant(
+        "two decrements a flip",
+        KEYGEN,
+        "                errors -= 1\n",
+        "                errors -= 2\n",
+        (
+            f"{CASCADE}::test_error_free_passes_draw_nothing[clean after pass 1-2]",
+            f"{CASCADE}::test_error_free_passes_draw_nothing[clean after pass 2-3]",
+        ),
+    ),
+    Mutant(
+        "the bench data streams on STREAM_CASCADE",
+        EXPERIMENTS,
+        "seeds.stream_lanes(trial_seeds, seeds.STREAM_BENCH_DATA)",
+        "seeds.stream_lanes(trial_seeds, seeds.STREAM_CASCADE)",
+        (f"{BENCH_REFERENCE}[2]", "tests/test_golden.py::test_csv_sha256_pinned[cascade-bench]"),
+    ),
+    Mutant(
+        "every bench trial's data from stream 0",
+        EXPERIMENTS,
+        "rng = stream(trial_idx)",
+        "rng = stream(0)",
+        (f"{BENCH_REFERENCE}[2]", "tests/test_golden.py::test_csv_sha256_pinned[cascade-bench]"),
     ),
 )
 

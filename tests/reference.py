@@ -59,14 +59,17 @@ def ray_matrix(tx_geom, rx_geom, angles, gains, out=None):
 def ar1_gains(gains, rho, rng, steps, nlos_offset_db):
     """The (steps, L) gains of ``steps`` AR(1) steps from the (L,) ``gains``, one draw and one step at a time.
 
-    Each step draws its LoS phase's uniform and then its NLoS normals from
-    ``rng``, and its gains are ``mix * eps + rho * g`` on the innovations
-    ``eps`` and the last step's gains ``g``; ``gains`` is left as it was.
+    ``rng`` gives each step's LoS-phase uniform, then each step's NLoS
+    normals in turn, as one evolution stream does.  Step t's gains are
+    ``mix * eps + rho * g`` on its innovations ``eps`` and the last step's
+    gains ``g``; ``gains`` is left as it was.
     """
     mix = np.sqrt(1.0 - rho * rho)
+    u = [rng.random() for _ in range(steps)]
+    normals = [rng.standard_normal(2 * (gains.size - 1)) for _ in range(steps)]
     out = np.empty((steps, gains.size), dtype=complex)
     for t in range(steps):
-        eps = _innovations(rng.random(), rng.standard_normal(2 * (gains.size - 1)), nlos_offset_db)
+        eps = _innovations(u[t], normals[t], nlos_offset_db)
         gains = out[t] = mix * eps + rho * gains
     return out
 

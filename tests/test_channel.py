@@ -231,20 +231,22 @@ class TestInnovationsThroughAr1:
         assert out.shape == (1, 5, 3)
         assert np.array_equal(gains, kept)
 
-    def test_draw_order(self):
-        # per step one uniform LoS phase, then the real and the imaginary
-        # NLoS innovations; scalar steps drawn that way give the same gains
-        # bit for bit
-        _, [gains] = rays(1, 3)
-        rho = 0.6
-        [out] = evolved(gains[None], rho, 9, 4)
+    @pytest.mark.numpy_contract
+    @pytest.mark.parametrize("num_paths", [1, 3])
+    def test_draw_order(self, num_paths):
+        # a stream draws every step's uniform LoS phase, then each step's
+        # real and imaginary NLoS innovations in turn; scalar steps drawn
+        # that way give the same gains bit for bit
+        _, [gains] = rays(1, num_paths)
+        rho, steps = 0.6, 4
+        [out] = evolved(gains[None], rho, 9, steps)
         r = rng(9)
-        n_nlos = 2
+        n_nlos = num_paths - 1
         sigma = np.sqrt(10.0 ** (-10.0 / 10.0) / 2.0)
         mix = np.sqrt(1.0 - rho * rho)
+        los = [np.exp(1j * r.uniform(0.0, 2.0 * np.pi)) for _ in range(steps)]
         gains = list(gains)
-        for row in out:
-            los_eps = np.exp(1j * r.uniform(0.0, 2.0 * np.pi))
+        for row, los_eps in zip(out, los):
             nlos_eps = sigma * (r.standard_normal(n_nlos) + 1j * r.standard_normal(n_nlos))
             eps = [los_eps, *nlos_eps]
             gains = [rho * g + mix * e for g, e in zip(gains, eps)]

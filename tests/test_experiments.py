@@ -354,6 +354,24 @@ class TestNoMaskedArrays:
         ]
 
 
+class TestSetUpDrawsNothing:
+    def test_import_and_validation_never_import_numpy_random(self):
+        # a run's set-up (the import and the config check) draws nothing, so it
+        # leaves numpy.random's imports, about 10 ms, to the first draw
+        probe = (
+            "import sys, mmkeygen\n"
+            "from mmkeygen.experiments import parse_config\n"
+            "for name in ('fig2', 'fig3', 'fig4', 'cascade-bench'):\n"
+            "    parse_config(f'scenario = \"{name}\"\\nmaster_seed = 1\\n').validate()\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(experiments.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
+
 def per_point_rows(cfg):
     """The rows of a secret-beam scenario with each point run as its own batch, scored from each trial's agreement."""
     rows = []

@@ -21,7 +21,7 @@ pytestmark = pytest.mark.numpy_contract
 GOLDEN = {
     "fig2": (
         'scenario = "fig2"\nmaster_seed = 1\ntrials = 20\n',
-        "0e06a654c95ed3592ef90d0d1dd9ab8131f09fb430984a5eac2d0a5109504d69",
+        "cca050e6f0714f6482a8fccf8fa98e6d9b9ed5bf21b595a14cf50ccb7d2af997",
     ),
     "fig3": (
         'scenario = "fig3"\nmaster_seed = 1\ntrials = 2\n',
@@ -29,12 +29,12 @@ GOLDEN = {
     ),
     "fig4": (
         'scenario = "fig4"\nmaster_seed = 1\ntrials = 2000\nsnr_grid = 20\n',
-        "c594d0f5921d49a55d97e8f055a3cdedee96068c26682f7ad12e862e1f3c876e",
+        "36c02a0509a6bb4800ea1f06ac9b414bd40f83c63172e70487445a68e9ea530a",
     ),
     # the preset's whole SNR grid, so state carried between points shows
     "fig4-grid": (
         'scenario = "fig4"\nmaster_seed = 1\ntrials = 2000\n',
-        "a34244457c9a7e31788d127adb73d2dac50ac0dc1f722fd9db0cc9b1e3035038",
+        "43cf2c7f0623147a248e47e11fd385ec4f2f64d8b1faa78c570fcd907dce4bed",
     ),
     "cascade-bench": (
         'scenario = "cascade-bench"\nmaster_seed = 1\ntrials = 5\n',
@@ -46,20 +46,20 @@ GOLDEN = {
         '[scheme]\nscheme = "secret_beam"\nalice_rows = 2\nalice_cols = 16\n'
         'bob_rows = 2\nbob_cols = 8\nnum_paths = 3\ntemporal_rho = 0.3\neve = "bob"\n'
         "rounds_per_trial = 4\n",
-        "b1cfd1b5d395f64bc4ab87d70972b67415a4c751997c5244f94212a534e1aadb",
+        "e56d18f3472dd4e77c62b4b8d8ea609c8bd6454124e728c848e0bad1d7249bea",
     ),
     # secret-beam keying on grid-snapped in-plane rays
     "custom-secret-beam-grid": (
         'scenario = "custom"\nmaster_seed = 3\ntrials = 10\nsnr_grid = 10\n'
         '[scheme]\nscheme = "secret_beam"\ngrid_angles = 1\nnum_paths = 2\n',
-        "94d3ce74bf3ae84a805acab133dd0ac53a3f3e4a0429a3fba65f1f81184df74c",
+        "843779de6a20a7ba07823a58208cb120ae74ace5ae2e3ee8115db4fd5ea2dc61",
     ),
     # every [scheme] key a preset's cases leave open, merged into the preset
     "fig2-overrides": (
         'scenario = "fig2"\nmaster_seed = 2\ntrials = 6\nsnr_grid = 0, 20\n'
         "[scheme]\nnum_paths = 3\nlevels = 8\ntemporal_rho = 0.4\nrounds_per_trial = 2\n"
         "delta_max_deg = 2.5\nnlos_offset_db = 6\n",
-        "7ad4dfa9ae72e833a8c5a3529df983417ed9773cc43f3ea17859c67e2e8f33c1",
+        "566e08220e498091154cf824021345aae5c9b2f40e72add3dd9e8301f3193373",
     ),
     "fig3-overrides": (
         'scenario = "fig3"\nmaster_seed = 2\ntrials = 3\nsnr_grid = -10\n'
@@ -70,12 +70,12 @@ GOLDEN = {
         'scenario = "fig4"\nmaster_seed = 2\ntrials = 2000\nsnr_grid = 15\n'
         "[scheme]\nalice_cols = 32\nbob_cols = 16\nnum_paths = 6\nnum_beams = 4\n"
         "temporal_rho = 0.3\nwindow_db = 12\ncodebook_depth = 4\n",
-        "eb44880527b85a015a0beaa3255a8382b32deab89998d47f390c7c0cdf8111a2",
+        "c5c876e576f1fe87aafc4db81a800cc91660a90b894ac16d8b0fbf2db4608053",
     ),
     # custom with each scheme's own defaults
     "custom-secret-beam-default": (
         'scenario = "custom"\nmaster_seed = 3\ntrials = 6\nsnr_grid = 10\n',
-        "a3a41cf02737d9b54f4583022539806876e2eee56bb1086fbd38fabab6c6a444",
+        "240206abdc7fba6219c555bd7bbc969d229dada3f96999fae57ca5ecd3829cdc",
     ),
     "custom-virtual": (
         'scenario = "custom"\nmaster_seed = 4\ntrials = 3\nsnr_grid = 0\n'
@@ -106,13 +106,13 @@ GOLDEN = {
     "custom-multires": (
         'scenario = "custom"\nmaster_seed = 5\ntrials = 2000\nsnr_grid = 10\n'
         '[scheme]\nscheme = "multires"\n',
-        "7c4e2a054c7ed08b94320ef1c3b5ca03d2b69be32c8122d2eaec4cd1ffc23c5a",
+        "d61032c1d8165f285efd0e945ae698298859e2b8fad865e240e507b039de5b51",
     ),
     # 2003 blocks: the jackknife's ten sections are uneven (200 or 201 blocks)
     "custom-multires-uneven": (
         'scenario = "custom"\nmaster_seed = 5\ntrials = 2003\nsnr_grid = 10\n'
         '[scheme]\nscheme = "multires"\nlevels = 16\nnum_beams = 3\n',
-        "4f1b4ebcd03f9a5f458ce839519d008e57e2327633d3e4009d515ec9671f4c05",
+        "3aad634a934225fe67fa474945624b9114d688339a631f51a82d694b0c640fc3",
     ),
 }
 

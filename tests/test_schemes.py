@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmkeygen import schemes, seeds
@@ -197,8 +197,8 @@ def reference_beam_streams(cfg):
         return complex(s * (r.standard_normal() + 1j * r.standard_normal()))
 
     out = {name: np.empty(cfg.rounds, dtype=np.int64) for name in BEAM_STREAMS}
-    for t in range(cfg.rounds):
-        alpha = ar1_gains(alpha, cfg.temporal_rho, rng_evolve, 1, cfg.nlos_offset_db)[0]
+    evolved = ar1_gains(alpha, cfg.temporal_rho, rng_evolve, cfg.rounds, cfg.nlos_offset_db)
+    for t, alpha in enumerate(evolved):
         k_a = int(rng_pa.integers(0, K))
         k_b = int(rng_pb.integers(0, K))
         base_fwd = scale * (alpha * tx_b[:, 0])  # Bob combines on his nominal beam
@@ -418,6 +418,8 @@ class TestDrawsEqualReference:
         st.sampled_from([0.0, 0.4, 1.0]),
         st.booleans(),
     )
+    # one path: each stream draws its uniforms and no normals
+    @example([3, 2**64 - 1], 5, 1, 0.4, False)
     def test_rays_and_evolved_equal_one_draw_at_a_time(self, trial_seeds, rounds, num_paths, rho, grid):
         cfg = SessionConfig(
             scheme="baseline",
@@ -1113,8 +1115,8 @@ def reference_multires_samples(cfg, beams, fixed_beam):
 
     P, T = len(beams), cfg.rounds
     multi_bob, multi_alice, fixed_bob = np.empty((P, T)), np.empty((P, T)), np.empty((P, T))
-    for t in range(T):
-        gains = ar1_gains(gains, cfg.temporal_rho, rng_evolve, 1, cfg.nlos_offset_db)[0]
+    evolved = ar1_gains(gains, cfg.temporal_rho, rng_evolve, T, cfg.nlos_offset_db)
+    for t, gains in enumerate(evolved):
         H = ray_matrix(cfg.alice, cfg.bob, angles, gains)
         for p, beam in enumerate(beams):
             multi_bob[p, t], multi_alice[p, t] = probe(beam, bob_wide, H)
